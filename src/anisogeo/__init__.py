@@ -13,7 +13,6 @@ from .crystal import (
     ConvexRegion,
     CrystalContext,
     NormalCone,
-    SupportingHyperplane,
     build_crystal,
     contact_face,
     double_polar,
@@ -21,8 +20,6 @@ from .crystal import (
     hausdorff_distance,
     normal_cone,
     polar,
-    support_function,
-    supporting_hyperplane,
 )
 from .geodesics import (
     DirectionDecomposition,
@@ -35,7 +32,6 @@ from .geodesics import (
     construct_geodesic,
     decompose_direction,
     geodesic_ball,
-    geodesic_distance,
     geodesic_family,
     is_geodesic,
     path_length,
@@ -49,12 +45,8 @@ from .integrand import (
     GridFunction,
     Integrand,
     PNorm,
-    Reciprocal,
     SphereGrid,
-    contact_contains,
     convex_envelope,
-    hypograph_contains,
-    inversion_transform,
     support_transform,
     wulff_transform,
 )
@@ -63,7 +55,6 @@ from .isoperimetry import (
     WulffReport,
     anisotropic_perimeter,
     isoperimetric_ratio,
-    polygon_area,
     random_wulff_competitor,
     wulff_identity_check,
 )
@@ -88,29 +79,23 @@ __all__ = [
     "PNorm",
     "Path",
     "Polygon",
-    "Reciprocal",
     "SegmentCheck",
     "SphereGrid",
     "Stencil",
-    "SupportingHyperplane",
     "WulffReport",
     "anisotropic_perimeter",
     "build_crystal",
     "classify",
     "concatenate",
     "construct_geodesic",
-    "contact_contains",
     "contact_face",
     "convex_envelope",
     "decompose_direction",
     "double_polar",
     "extremal_points",
     "geodesic_ball",
-    "geodesic_distance",
     "geodesic_family",
     "hausdorff_distance",
-    "hypograph_contains",
-    "inversion_transform",
     "is_geodesic",
     "isoperimetric_ratio",
     "normal_cone",
@@ -118,12 +103,9 @@ __all__ = [
     "oracle_distance",
     "path_length",
     "polar",
-    "polygon_area",
     "random_wulff_competitor",
     "resample_polyline",
-    "support_function",
     "support_transform",
-    "supporting_hyperplane",
     "wulff_identity_check",
     "wulff_transform",
 ]

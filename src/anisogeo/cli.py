@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path as FilePath
 
@@ -66,9 +67,30 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.replace(",", " ").split()])
+        point = np.array([float(t) for t in text.replace(",", " ").split()])
     except ValueError as exc:
-        raise fileio.SpecError(f"not a point: {text!r}") from exc
+        raise fileio.SpecError(f"not a point: {text.strip()!r}") from exc
+    if not np.all(np.isfinite(point)):
+        raise fileio.SpecError(f"point coordinates must be finite: {text.strip()!r}")
+    return point
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text.strip()!r}")
+    return tol
+
+
+def _is_numeric(text: str) -> bool:
+    try:
+        [float(t) for t in text.split(",")]
+    except ValueError:
+        return False
+    return True
 
 
 def cmd_crystal(args) -> int:
@@ -197,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("start", help="start point, e.g. '0,0'")
     p.add_argument("end", help="end point, e.g. '1,1'")
     p.add_argument("--geodesic", action="store_true", help="construct and certify a geodesic")
-    p.add_argument("--tol", type=float, default=None, help="verification tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="verification tolerance")
     p.set_defaults(handler=cmd_distance)
 
     p = sub.add_parser("verify", help="check whether a path file is a geodesic")
     common(p)
     p.add_argument("path", help="path file (one breakpoint per line)")
-    p.add_argument("--tol", type=float, default=None, help="verification tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="verification tolerance")
     p.add_argument(
         "--resample",
         type=int,
@@ -222,8 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
+    argv = list(argv) if argv is not None else sys.argv[1:]
+    # argparse takes "-1,0" or "-2.5" for a flag; a leading space makes such
+    # numeric tokens plain values, and float() ignores it.
+    args = parser.parse_args([" " + a if a.startswith("-") and _is_numeric(a) else a for a in argv])
+    args._argv = argv
     try:
         return args.handler(args)
     except fileio.SpecError as exc:

@@ -115,14 +115,6 @@ class ConvexRegion:
 
 
 @dataclass(frozen=True)
-class SupportingHyperplane:
-    """Hyperplane {x : <x, normal> = offset} touching a region from outside."""
-
-    normal: np.ndarray
-    offset: float
-
-
-@dataclass(frozen=True)
 class ContactFace:
     """The face of a region where a direction attains its support value."""
 
@@ -151,8 +143,6 @@ def build_crystal(F: Integrand, grid: SphereGrid) -> ConvexRegion:
     scanned directions fail to positively span (unbounded intersection),
     which cannot happen for a positive cost on a covering grid.
     """
-    if grid.dim != 2:
-        raise ValueError("exact crystals are planar; higher dimensions are sampled only")
     dirs = scan_directions(F, grid)
     vals = F.values_on(dirs)
     if np.any(vals <= 0.0):
@@ -201,16 +191,6 @@ def double_polar(points, box_factor: float = 1e4) -> ConvexRegion:
     hull = planar.convex_hull_ccw(np.vstack([q, box_duals]))
     boxed_polar = ConvexRegion(planar.polar_polygon(hull), PROVENANCE_USER)
     return polar(boxed_polar).scaled(scale)
-
-
-def support_function(region: ConvexRegion, v) -> float:
-    """Support value of the region in direction v (1-homogeneous, convex)."""
-    return region.support(v)
-
-
-def supporting_hyperplane(region: ConvexRegion, v) -> SupportingHyperplane:
-    v = unit(v)
-    return SupportingHyperplane(normal=v, offset=region.support(v))
 
 
 def contact_face(region: ConvexRegion, v, tol: float = 1e-9) -> ContactFace:
@@ -301,12 +281,8 @@ class CrystalContext:
     """
 
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
-        if integrand.dim != 2:
-            raise ValueError("contexts require planar costs; use the transforms directly in nD")
         self.integrand = integrand
         self.grid = grid if grid is not None else SphereGrid.planar(720)
-        if self.grid.dim != 2:
-            raise ValueError("context grid must be planar")
         self.wulff = wulff_transform(integrand, self.grid)
         self.envelope = support_transform(self.wulff)
         self.crystal = build_crystal(integrand, self.grid)
@@ -319,6 +295,10 @@ class CrystalContext:
         self._norm_region = self.crystal if integrand.is_convex else self._inner
         self.polar_body = polar(self._norm_region)
         self._f_grid = integrand.values_on(self.grid.directions)
+        # The scanned directions and their costs, read by every staircase
+        # query (see geodesics._snap_to_contact).
+        self._scan_dirs = scan_directions(integrand, self.grid)
+        self._scan_values = integrand.values_on(self._scan_dirs)
         self.f_max = float(self._f_grid.max())
         self.f_min = float(self._f_grid.min())
         self.resolution = self.grid.resolution
@@ -382,9 +362,6 @@ class CrystalContext:
     def distance(self, x, y) -> float:
         """Cheapest cost of travelling from x to y; zero iff x == y."""
         return self.norm(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
-
-    # The envelope and the induced norm are one and the same function.
-    envelope_value = norm
 
     def in_contact(self, x, tol: float = 1e-6) -> bool:
         """Whether the cost meets its convex envelope in direction x."""

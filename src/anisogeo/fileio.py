@@ -3,7 +3,7 @@
 Cost spec schema (JSON object):
 
     kind        one of "pnorm" | "constant" | "crystalline" | "table" | "dip"
-    dimension   integer >= 2 (2 for everything that touches exact geometry)
+    dimension   optional; must be 2 when present (costs are planar)
     grid        optional planar grid size (default 720)
     p           pnorm only: exponent >= 1 ("inf" accepted)
     c           constant only: positive value
@@ -39,8 +39,8 @@ def integrand_from_dict(data: dict, where: str = "spec") -> Integrand:
         raise SpecError(f"{where}: expected an object")
     kind = data.get("kind")
     dim = data.get("dimension", 2)
-    if not isinstance(dim, int) or dim < 2:
-        raise SpecError(f"{where}.dimension: integer >= 2 required")
+    if not isinstance(dim, int) or dim != 2:
+        raise SpecError(f"{where}.dimension: must be 2 (costs are planar)")
     try:
         if kind == "pnorm":
             p = data.get("p")
@@ -48,12 +48,12 @@ def integrand_from_dict(data: dict, where: str = "spec") -> Integrand:
                 p = math.inf
             if not isinstance(p, (int, float)):
                 raise SpecError(f"{where}.p: number or \"inf\" required")
-            return PNorm(float(p), dim)
+            return PNorm(float(p))
         if kind == "constant":
             c = data.get("c")
             if not isinstance(c, (int, float)):
                 raise SpecError(f"{where}.c: number required")
-            return Constant(float(c), dim)
+            return Constant(float(c))
         if kind == "crystalline":
             facets = data.get("facets")
             if not isinstance(facets, list) or not facets:
@@ -63,7 +63,7 @@ def integrand_from_dict(data: dict, where: str = "spec") -> Integrand:
                 if not isinstance(f, dict) or "direction" not in f or "weight" not in f:
                     raise SpecError(f"{where}.facets[{i}]: need direction and weight")
                 pairs.append((np.asarray(f["direction"], dtype=float), float(f["weight"])))
-            return Crystalline(pairs, dim)
+            return Crystalline(pairs)
         if kind == "table":
             samples = data.get("samples")
             if not isinstance(samples, list) or len(samples) < 3:
@@ -78,7 +78,7 @@ def integrand_from_dict(data: dict, where: str = "spec") -> Integrand:
                     raise SpecError(f"{where}.samples[{i}]: need angle and value")
                 angles.append(float(s["angle"]))
                 values.append(float(s["value"]))
-            return AngularTable(angles, values, dim)
+            return AngularTable(angles, values)
         if kind == "dip":
             base = integrand_from_dict(data.get("base"), where=f"{where}.base")
             dips = data.get("dips")
@@ -128,6 +128,8 @@ def _parse_rows(path, dim: int | None = None) -> np.ndarray:
             row = [float(tok) for tok in body.split()]
         except ValueError as exc:
             raise SpecError(f"{path}:{lineno}: not a number row ({exc})") from exc
+        if not np.all(np.isfinite(row)):
+            raise SpecError(f"{path}:{lineno}: coordinates must be finite")
         if dim is not None and len(row) != dim:
             raise SpecError(f"{path}:{lineno}: expected {dim} coordinates, got {len(row)}")
         if rows and len(row) != len(rows[0]):
@@ -180,7 +182,7 @@ def round_floats(obj, digits: int = 12):
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(round_floats(report), indent=2, sort_keys=True)
+    return json.dumps(round_floats(report), indent=2, sort_keys=True, allow_nan=False)
 
 
 def report_csv(report: dict) -> str:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .crystal import ContactFace, ConvexRegion, CrystalContext, contact_face, PROVENANCE_USER
-from .integrand import Integrand, scan_directions, unit
+from .integrand import Integrand, unit
 
 MIN_SEGMENT = 1e-12
 
@@ -94,11 +94,6 @@ def concatenate(paths: list[Path]) -> Path:
         points.append(moved[1:])
         end = moved[-1]
     return Path(np.vstack(points))
-
-
-def geodesic_distance(ctx: CrystalContext, x, y) -> float:
-    """Length of the cheapest path from x to y: the induced norm of y - x."""
-    return ctx.distance(x, y)
 
 
 def resample_polyline(path: Path, count: int) -> Path:
@@ -271,10 +266,6 @@ class DirectionDecomposition:
     target: np.ndarray
 
     @property
-    def terms(self) -> list[tuple[float, np.ndarray]]:
-        return [(w, d) for w, d in zip(self.weights, self.directions)]
-
-    @property
     def reconstructed(self) -> np.ndarray:
         return np.asarray(self.weights) @ self.directions
 
@@ -341,7 +332,7 @@ def _snap_to_contact(ctx: CrystalContext, endpoint: np.ndarray, v_hat: np.ndarra
     the one of least cost removes the O(resolution^2) defect that face
     endpoints of sampled costs can carry.
     """
-    dirs = scan_directions(ctx.integrand, ctx.grid)
+    dirs = ctx._scan_dirs
     dots = dirs @ xbar
     orient = endpoint[0] * v_hat[1] - endpoint[1] * v_hat[0]
     if abs(orient) <= 1e-15 or np.all(dots <= 1e-12):
@@ -355,7 +346,7 @@ def _snap_to_contact(ctx: CrystalContext, endpoint: np.ndarray, v_hat: np.ndarra
     if not np.any(between):
         return endpoint
     with np.errstate(divide="ignore"):
-        leg_costs = np.where(between, ctx.integrand.values_on(dirs) / dots, np.inf)
+        leg_costs = np.where(between, ctx._scan_values / dots, np.inf)
     best = int(np.argmin(leg_costs))
     current = ctx.integrand(endpoint)
     if leg_costs[best] < current - 1e-12 * max(1.0, current):

@@ -4,10 +4,9 @@ A directional cost F assigns a positive weight to every direction and is
 extended 1-homogeneously: F(x) = |x| * F(x/|x|), F(0) = 0. Five concrete
 families are provided (p-norms, constants, crystalline maxima of linear
 forms, angular tables, and costs with isolated downward dips), together
-with the four transforms that drive the rest of the package:
+with the three transforms that drive the rest of the package:
 
 * ``wulff_transform``    W(F)(v) = min_w F(w) / <v, w>   over <v, w> > 0
-* ``inversion_transform``  I(F) = 1 / F
 * ``support_transform``  A(G)(v) = max_w G(w) * <v, w>
 * ``convex_envelope``    D(F) = A(W(F)), the largest convex 1-homogeneous
   minorant of F.
@@ -22,7 +21,6 @@ dipped features are resolved exactly rather than at grid accuracy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -40,12 +38,20 @@ DIRECTION_MATCH_TOL = 1e-12
 
 
 def unit(x: np.ndarray) -> np.ndarray:
-    """x / |x|, rejecting the zero vector."""
+    """x / |x|, rejecting the zero vector and non-finite input."""
     x = np.asarray(x, dtype=float)
     n = float(np.linalg.norm(x))
-    if n <= 0.0:
-        raise ValueError("zero vector has no direction")
+    if not 0.0 < n < math.inf:
+        raise ValueError("vector has no direction: zero or not finite")
     return x / n
+
+
+def _positive(values, what: str) -> np.ndarray:
+    """values as floats, rejecting any that is not positive and finite."""
+    vals = np.asarray(values, dtype=float)
+    if not np.all((vals > 0.0) & (vals < math.inf)):
+        raise ValueError(f"{what} must be positive and finite")
+    return vals
 
 
 def angle_of(x) -> float:
@@ -56,10 +62,9 @@ def angle_of(x) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SphereGrid:
-    """Finite set of unit directions used for all sup/inf scans.
+    """Finite set of planar unit directions used for all sup/inf scans.
 
-    Planar grids are equispaced angles (strictly increasing in [0, 2*pi));
-    in dimension 3 a Fibonacci point set is used. ``resolution`` is the
+    Angles are strictly increasing in [0, 2*pi); ``resolution`` is the
     angular spacing in radians.
     """
 
@@ -68,22 +73,17 @@ class SphereGrid:
 
     def __post_init__(self) -> None:
         dirs = np.asarray(self.directions, dtype=float)
-        if dirs.ndim != 2 or dirs.shape[0] < 4 or dirs.shape[1] < 2:
-            raise ValueError("grid needs at least 4 directions of dimension >= 2")
+        if dirs.ndim != 2 or dirs.shape[0] < 4 or dirs.shape[1] != 2:
+            raise ValueError("grid needs at least 4 planar directions")
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("grid directions must be unit vectors (tol 1e-12)")
         if self.resolution <= 0.0:
             raise ValueError("resolution must be positive")
-        if dirs.shape[1] == 2:
-            ang = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
-            if np.any(np.diff(ang) <= 0.0):
-                raise ValueError("planar grid angles must be strictly increasing")
+        ang = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
+        if np.any(np.diff(ang) <= 0.0):
+            raise ValueError("planar grid angles must be strictly increasing")
         object.__setattr__(self, "directions", dirs)
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
 
     @property
     def size(self) -> int:
@@ -91,8 +91,6 @@ class SphereGrid:
 
     @cached_property
     def angles(self) -> np.ndarray:
-        if self.dim != 2:
-            raise ValueError("angles are defined for planar grids only")
         return np.mod(np.arctan2(self.directions[:, 1], self.directions[:, 0]), TWO_PI)
 
     @classmethod
@@ -110,26 +108,13 @@ class SphereGrid:
                 dirs[idx] = d
         return cls(dirs, TWO_PI / count)
 
-    @classmethod
-    def fibonacci(cls, count: int = 1024) -> "SphereGrid":
-        """Quasi-uniform grid on the 2-sphere (dimension 3)."""
-        if count < 16:
-            raise ValueError("fibonacci grid needs at least 16 points")
-        i = np.arange(count)
-        z = 1.0 - (2.0 * i + 1.0) / count
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = i * math.pi * (3.0 - math.sqrt(5.0))
-        dirs = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        return cls(dirs, 2.0 * math.sqrt(math.pi / count))
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A positive function sampled on a sphere grid, extended 1-homogeneously.
 
     Off-grid unit directions are evaluated by periodic linear interpolation
-    in angle (planar grids) or by the nearest grid direction otherwise.
+    in angle.
     """
 
     grid: SphereGrid
@@ -142,11 +127,8 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     def unit_value(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        if self.grid.dim == 2:
-            theta = angle_of(u)
-            return float(np.interp(theta, self.grid.angles, self.values, period=TWO_PI))
-        return float(self.values[int(np.argmax(self.grid.directions @ u))])
+        theta = angle_of(u)
+        return float(np.interp(theta, self.grid.angles, self.values, period=TWO_PI))
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -163,7 +145,7 @@ class GridFunction:
 
 
 class Integrand(ABC):
-    """Positive 1-homogeneous directional cost.
+    """Positive 1-homogeneous planar directional cost.
 
     Subclasses define the value on unit directions; evaluation at arbitrary
     points scales that value by the Euclidean norm, which makes
@@ -172,11 +154,6 @@ class Integrand(ABC):
     """
 
     kind: str = "abstract"
-
-    def __init__(self, dim: int) -> None:
-        if dim < 2:
-            raise ValueError("dimension must be at least 2")
-        self.dim = int(dim)
 
     @abstractmethod
     def unit_value(self, u: np.ndarray) -> float:
@@ -188,8 +165,8 @@ class Integrand(ABC):
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a vector of dimension {self.dim}")
+        if x.shape != (2,):
+            raise ValueError("expected a planar vector")
         n = float(np.linalg.norm(x))
         if n == 0.0:
             return 0.0
@@ -198,7 +175,7 @@ class Integrand(ABC):
     @property
     def special_directions(self) -> np.ndarray:
         """Directions that sup/inf scans must include to be exact (may be empty)."""
-        return np.zeros((0, self.dim))
+        return np.zeros((0, 2))
 
     @property
     def is_convex(self) -> bool:
@@ -212,17 +189,13 @@ class Integrand(ABC):
     def to_spec(self) -> dict:
         raise NotImplementedError(f"{self.kind} costs have no file representation")
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(dim={self.dim})"
-
 
 class PNorm(Integrand):
     """F(x) = ||x||_p for p >= 1 (math.inf allowed). Convex."""
 
     kind = "pnorm"
 
-    def __init__(self, p: float, dim: int = 2) -> None:
-        super().__init__(dim)
+    def __init__(self, p: float) -> None:
         if not (p >= 1.0):
             raise ValueError("p-norm exponent must satisfy p >= 1")
         self.p = float(p)
@@ -247,15 +220,15 @@ class PNorm(Integrand):
 
     @property
     def special_directions(self) -> np.ndarray:
-        # Facet normals of the crystal: axes for p = 1 (a cube), diagonal
-        # sign patterns for p = inf (a cross-polytope). Smooth p have none.
+        # Facet normals of the crystal: axes for p = 1 (a square), the
+        # diagonals for p = inf (a diamond). Smooth p have none.
         if self.p == 1.0:
-            eye = np.eye(self.dim)
+            eye = np.eye(2)
             return np.vstack([eye, -eye])
         if math.isinf(self.p):
-            pats = np.array(list(itertools.product((-1.0, 1.0), repeat=self.dim)))
-            return pats / math.sqrt(self.dim)
-        return np.zeros((0, self.dim))
+            diagonals = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+            return diagonals / math.sqrt(2)
+        return np.zeros((0, 2))
 
     def contact_point(self, v) -> np.ndarray | None:
         if self.p == 1.0 or math.isinf(self.p):
@@ -268,7 +241,7 @@ class PNorm(Integrand):
         return np.sign(v) * np.abs(v) ** (self.p - 1.0) / n ** (self.p - 1.0)
 
     def to_spec(self) -> dict:
-        return {"kind": "pnorm", "dimension": self.dim, "p": self.p}
+        return {"kind": "pnorm", "dimension": 2, "p": self.p}
 
 
 class Constant(Integrand):
@@ -276,11 +249,8 @@ class Constant(Integrand):
 
     kind = "constant"
 
-    def __init__(self, value: float = 1.0, dim: int = 2) -> None:
-        super().__init__(dim)
-        if value <= 0.0:
-            raise ValueError("constant cost must be positive")
-        self.value = float(value)
+    def __init__(self, value: float = 1.0) -> None:
+        self.value = float(_positive(value, "constant cost"))
 
     def unit_value(self, u) -> float:
         return self.value
@@ -296,7 +266,7 @@ class Constant(Integrand):
         return self.value * unit(v)
 
     def to_spec(self) -> dict:
-        return {"kind": "constant", "dimension": self.dim, "c": self.value}
+        return {"kind": "constant", "dimension": 2, "c": self.value}
 
 
 class Crystalline(Integrand):
@@ -308,29 +278,18 @@ class Crystalline(Integrand):
 
     kind = "crystalline"
 
-    def __init__(self, facets, dim: int = 2) -> None:
-        super().__init__(dim)
+    def __init__(self, facets) -> None:
         scaled = []
         for direction, weight in facets:
-            if weight <= 0.0:
-                raise ValueError("facet weights must be positive")
-            scaled.append(float(weight) * unit(np.asarray(direction, dtype=float)))
+            weight = float(_positive(weight, "facet weights"))
+            scaled.append(weight * unit(np.asarray(direction, dtype=float)))
         self.generators = np.array(scaled)
-        if self.generators.shape[0] < dim + 1 or self.generators.shape[1] != dim:
-            raise ValueError("need at least dim+1 facets of the stated dimension")
-        self._validate_positive()
-
-    def _validate_positive(self) -> None:
-        if self.dim == 2:
-            ang = np.sort(np.mod(np.arctan2(self.generators[:, 1], self.generators[:, 0]), TWO_PI))
-            gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
-            if gaps.max() >= math.pi - 1e-9:
-                raise ValueError("facet directions leave an angular gap >= pi; cost not positive")
-        else:
-            probe = np.random.default_rng(0).normal(size=(4096, self.dim))
-            probe /= np.linalg.norm(probe, axis=1)[:, None]
-            if (probe @ self.generators.T).max(axis=1).min() <= 0.0:
-                raise ValueError("facet directions do not positively span; cost not positive")
+        if len(scaled) < 3 or self.generators.shape[1:] != (2,):
+            raise ValueError("need at least 3 planar facets")
+        ang = np.sort(np.mod(np.arctan2(self.generators[:, 1], self.generators[:, 0]), TWO_PI))
+        gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
+        if gaps.max() >= math.pi - 1e-9:
+            raise ValueError("facet directions leave an angular gap >= pi; cost not positive")
 
     def unit_value(self, u) -> float:
         return float((self.generators @ np.asarray(u, dtype=float)).max())
@@ -345,9 +304,7 @@ class Crystalline(Integrand):
     @cached_property
     def special_directions(self) -> np.ndarray:
         # The crystal equals the hull of the generators; its facet normals
-        # (hull edge normals in 2D) are where the halfplane scan must be exact.
-        if self.dim != 2:
-            return self.generators / np.linalg.norm(self.generators, axis=1)[:, None]
+        # (hull edge normals) are where the halfplane scan must be exact.
         hull = convex_hull_ccw(self.generators)
         normals, _ = edge_normals_and_offsets(hull)
         return normals
@@ -355,7 +312,7 @@ class Crystalline(Integrand):
     def to_spec(self) -> dict:
         return {
             "kind": "crystalline",
-            "dimension": self.dim,
+            "dimension": 2,
             "facets": [
                 {"direction": list(unit(g)), "weight": float(np.linalg.norm(g))}
                 for g in self.generators
@@ -372,18 +329,14 @@ class AngularTable(Integrand):
 
     kind = "table"
 
-    def __init__(self, angles, values, dim: int = 2) -> None:
-        if dim != 2:
-            raise ValueError("table costs are planar only")
-        super().__init__(dim)
+    def __init__(self, angles, values) -> None:
         ang = np.asarray(angles, dtype=float)
         vals = np.asarray(values, dtype=float)
         if ang.ndim != 1 or ang.shape != vals.shape or len(ang) < 3:
             raise ValueError("need matching angle/value arrays with at least 3 samples")
-        if np.any(ang < 0.0) or np.any(ang >= TWO_PI) or np.any(np.diff(ang) <= 0.0):
+        if not np.all((ang >= 0.0) & (ang < TWO_PI)) or np.any(np.diff(ang) <= 0.0):
             raise ValueError("angles must be strictly increasing within [0, 2*pi)")
-        if np.any(vals <= 0.0):
-            raise ValueError("table values must be positive")
+        _positive(vals, "table values")
         self.sample_angles = ang
         self.sample_values = vals
 
@@ -422,16 +375,14 @@ class Dip(Integrand):
     kind = "dip"
 
     def __init__(self, base: Integrand, dips) -> None:
-        super().__init__(base.dim)
         self.base = base
         cleaned = []
         for direction, value in dips:
             d = unit(np.asarray(direction, dtype=float))
-            if value <= 0.0:
-                raise ValueError("dip values must be positive")
+            value = float(_positive(value, "dip values"))
             if value > base.unit_value(d) + 1e-12:
                 raise ValueError("dip value exceeds the base cost; not a dip")
-            cleaned.append((d, float(value)))
+            cleaned.append((d, value))
         if not cleaned:
             raise ValueError("dip cost requires at least one dip")
         self.dips = cleaned
@@ -461,37 +412,10 @@ class Dip(Integrand):
     def to_spec(self) -> dict:
         return {
             "kind": "dip",
-            "dimension": self.dim,
+            "dimension": 2,
             "base": self.base.to_spec(),
             "dips": [{"direction": list(d), "value": v} for d, v in self.dips],
         }
-
-
-class Reciprocal(Integrand):
-    """Pointwise reciprocal 1/F, extended 1-homogeneously."""
-
-    kind = "reciprocal"
-
-    def __init__(self, base: Integrand) -> None:
-        super().__init__(base.dim)
-        self.base = base
-
-    def unit_value(self, u) -> float:
-        return 1.0 / self.base.unit_value(u)
-
-    def values_on(self, dirs) -> np.ndarray:
-        return 1.0 / self.base.values_on(dirs)
-
-    @property
-    def special_directions(self) -> np.ndarray:
-        return self.base.special_directions
-
-
-def inversion_transform(F: Integrand) -> Integrand:
-    """The reciprocal cost I(F) = 1/F; an exact involution."""
-    if isinstance(F, Reciprocal):
-        return F.base
-    return Reciprocal(F)
 
 
 def scan_directions(F: Integrand, grid: SphereGrid) -> np.ndarray:
@@ -536,27 +460,3 @@ def support_transform(G: GridFunction, grid: SphereGrid | None = None) -> GridFu
 def convex_envelope(F: Integrand, grid: SphereGrid) -> GridFunction:
     """D(F) = A(W(F)): the (grid-sampled) largest convex minorant of F."""
     return support_transform(wulff_transform(F, grid))
-
-
-def contact_contains(F: Integrand, envelope: GridFunction, x, tol: float = 1e-6) -> bool:
-    """Whether F touches its convex envelope at x (relative tolerance).
-
-    The zero vector is always in contact. The envelope is grid-sampled, so
-    tol should not be pushed below the grid's resolution error.
-    """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) == 0.0:
-        return True
-    fx = F(x)
-    return fx - envelope(x) <= tol * max(1.0, fx)
-
-
-def hypograph_contains(G: GridFunction, x) -> bool:
-    """Whether x lies in {y : |y| <= G(y/|y|)}; the origin always does."""
-    x = np.asarray(x, dtype=float)
-    n = float(np.linalg.norm(x))
-    if n == 0.0:
-        return True
-    return n <= G.unit_value(x / n)

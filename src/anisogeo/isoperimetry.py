@@ -89,11 +89,6 @@ def _self_intersects(v: np.ndarray) -> bool:
     return bool(np.any(crossing & ~adjacent))
 
 
-def polygon_area(poly: Polygon) -> float:
-    """Enclosed (Lebesgue) area of the polygon."""
-    return poly.area
-
-
 def anisotropic_perimeter(F: Integrand, poly: Polygon) -> float:
     """Sum over edges of the cost of the outward normal times edge length."""
     return float(F.values_on(poly.edge_normals) @ poly.edge_lengths)

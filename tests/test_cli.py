@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisogeo import AngularTable, Crystalline, Dip, PNorm
 from anisogeo.cli import main
@@ -56,6 +59,25 @@ class TestSpecParsing:
                 u = (math.cos(theta), math.sin(theta))
                 assert again(u) == pytest.approx(F(u), rel=1e-12)
 
+    def test_non_planar_dimension_names_the_field(self):
+        for dim in (3, 1, 2.0):
+            with pytest.raises(SpecError, match=r"\.dimension"):
+                integrand_from_dict({"kind": "pnorm", "dimension": dim, "p": 2})
+        assert integrand_from_dict({"kind": "pnorm", "p": 2}).to_spec()["dimension"] == 2
+
+    def test_non_finite_parameters_are_spec_errors(self):
+        bad = [
+            {"kind": "constant", "c": math.nan},
+            {"kind": "pnorm", "p": math.nan},
+            {"kind": "table", "samples": [{"angle": a, "value": v} for a, v in
+                                          ((0.0, 1.0), (2.0, math.inf), (4.0, 1.0))]},
+            {"kind": "dip", "base": {"kind": "constant", "c": 1.0},
+             "dips": [{"direction": [math.nan, 0.0], "value": 0.5}]},
+        ]
+        for data in bad:
+            with pytest.raises(SpecError):
+                integrand_from_dict(data)
+
     def test_pnorm_inf_token(self):
         F = integrand_from_dict({"kind": "pnorm", "dimension": 2, "p": "inf"})
         assert F((3.0, -4.0)) == pytest.approx(4.0)
@@ -95,6 +117,12 @@ class TestPathFiles:
         path = load_path_file(p, dim=2)
         assert len(path.points) == 5
 
+    def test_non_finite_row_reports_its_number(self, tmp_path):
+        p = tmp_path / "path.txt"
+        p.write_text("0 0\n1 nan\n2 2\n")
+        with pytest.raises(SpecError, match=":2"):
+            load_path_file(p)
+
     def test_bad_row_reports_its_number(self, tmp_path):
         p = tmp_path / "path.txt"
         p.write_text("0 0\n1 oops\n2 2\n")
@@ -117,6 +145,10 @@ class TestPathFiles:
 
 
 class TestReports:
+    def test_json_is_strict(self):
+        with pytest.raises(ValueError):
+            report_json({"x": math.nan})
+
     def test_json_floats_are_trimmed(self):
         out = report_json({"x": 0.1234567890123456789, "nested": {"y": [1.0 / 3.0]}})
         data = json.loads(out)
@@ -176,6 +208,39 @@ class TestCliCommands:
     def test_missing_spec_exits_2(self, tmp_path, capsys):
         assert main(["distance", str(tmp_path / "absent.json"), "0,0", "1,1"]) == 2
 
+    def test_dimension_3_spec_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cube.json"
+        p.write_text(json.dumps({**L1_SPEC, "dimension": 3}))
+        assert main(["distance", str(p), "0,0", "1,1"]) == 2
+        assert ".dimension" in capsys.readouterr().err
+
+    def test_nan_spec_parameter_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "nan.json"
+        p.write_text('{"kind": "constant", "c": NaN}')
+        assert main(["distance", str(p), "0,0", "1,1"]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_non_finite_points_exit_2(self, l1_spec_file, capsys):
+        for start, end in (("nan,0", "1,1"), ("0,0", "inf,1"), ("-inf,0", "1,1")):
+            assert main(["distance", l1_spec_file, start, end]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "finite" in captured.err
+
+    def test_non_finite_tolerance_exits_2(self, l1_spec_file, capsys):
+        for tol in ("nan", "inf", "0", "-1e-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["distance", l1_spec_file, "0,0", "1,1", "--geodesic", "--tol", tol])
+            assert exc.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+
+    def test_negative_points_need_no_separator(self, l1_spec_file, capsys):
+        assert main(["distance", l1_spec_file, "-1,0", "1,1"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert plain["results"]["distance"] == 3.0
+        assert main(["distance", l1_spec_file, "--", "-1,0", "1,1"]) == 0
+        separated = json.loads(capsys.readouterr().out)
+        assert separated["results"] == plain["results"]
+
     def test_crystal_exports_parse_back(self, dip_spec_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["crystal", dip_spec_file, "--out", str(out)]) == 0
@@ -226,3 +291,39 @@ class TestCliCommands:
     def test_grid_flag_overrides(self, l1_spec_file, capsys):
         assert main(["distance", l1_spec_file, "0,0", "1,1", "--grid", "90"]) == 0
         assert json.loads(capsys.readouterr().out)["grid"]["size"] == 90
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+fuzz_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e8, -1e8, 1e-8, -1e-8, 0.0, -1.0]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+@given(data=st.sampled_from([L1_SPEC, DIP_SPEC]), x=st.tuples(fuzz_floats, fuzz_floats),
+       y=st.tuples(fuzz_floats, fuzz_floats), tol=st.none() | fuzz_floats)
+@settings(max_examples=60, deadline=None)
+def test_distance_fuzz_exits_cleanly_with_strict_json(tmp_path_factory, data, x, y, tol):
+    spec = tmp_path_factory.getbasetemp() / f"fuzz-{data['kind']}.json"
+    spec.write_text(json.dumps(data))
+    argv = ["distance", str(spec), "--grid", "64", f"{x[0]!r},{x[1]!r}", f"{y[0]!r},{y[1]!r}",
+            "--geodesic"]
+    if tol is not None:
+        argv += ["--tol", repr(tol)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert report["pass"] is True
+    else:
+        # Errors go to stderr; stdout carries a report only on success.
+        assert out.getvalue() == "" and err.getvalue().strip()

@@ -13,7 +13,6 @@ from anisogeo import (
     construct_geodesic,
     decompose_direction,
     geodesic_ball,
-    geodesic_distance,
     geodesic_family,
     hausdorff_distance,
     is_geodesic,
@@ -78,15 +77,15 @@ class TestConcatenate:
 
 class TestDistance:
     def test_l1_distances(self, l1_ctx):
-        assert geodesic_distance(l1_ctx, (0, 0), (1, 1)) == pytest.approx(2.0, abs=1e-12)
-        assert geodesic_distance(l1_ctx, (0, 0), (1, 0)) == pytest.approx(1.0, abs=1e-12)
+        assert l1_ctx.distance((0, 0), (1, 1)) == pytest.approx(2.0, abs=1e-12)
+        assert l1_ctx.distance((0, 0), (1, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_dip_shortcut(self, dip_ctx):
-        assert geodesic_distance(dip_ctx, (0, 0), (1, 0)) == pytest.approx(0.5, abs=1e-12)
+        assert dip_ctx.distance((0, 0), (1, 0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_iff_equal(self, euclid_ctx):
-        assert geodesic_distance(euclid_ctx, (1, 2), (1, 2)) == 0.0
-        assert geodesic_distance(euclid_ctx, (1, 2), (1, 2.1)) > 0.0
+        assert euclid_ctx.distance((1, 2), (1, 2)) == 0.0
+        assert euclid_ctx.distance((1, 2), (1, 2.1)) > 0.0
 
     def test_triangle_inequality(self, all_ctxs):
         rng = np.random.default_rng(31)

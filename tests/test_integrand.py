@@ -11,13 +11,11 @@ from anisogeo import (
     GridFunction,
     PNorm,
     SphereGrid,
-    contact_contains,
     convex_envelope,
-    hypograph_contains,
-    inversion_transform,
     support_transform,
     wulff_transform,
 )
+from anisogeo.integrand import unit
 
 SQ2 = math.sqrt(2.0)
 
@@ -76,24 +74,43 @@ class TestEvaluation:
 
 class TestConstructionRejection:
     def test_pnorm_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            PNorm(0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError):
+                PNorm(p)
 
     def test_nonpositive_constant_rejected(self):
-        with pytest.raises(ValueError):
-            Constant(0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Constant(c)
 
     def test_table_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            AngularTable([0.0, 1.0, 2.0], [1.0, -0.1, 1.0])
+        for bad in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                AngularTable([0.0, 1.0, 2.0], [1.0, bad, 1.0])
 
     def test_table_rejects_unsorted_angles(self):
-        with pytest.raises(ValueError):
-            AngularTable([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+        for angles in ([0.0, 2.0, 1.0], [0.0, math.nan, 2.0]):
+            with pytest.raises(ValueError):
+                AngularTable(angles, [1.0, 1.0, 1.0])
 
     def test_dip_above_base_rejected(self):
         with pytest.raises(ValueError):
             Dip(Constant(1.0), [((1.0, 0.0), 1.5)])
+
+    def test_non_finite_facets_and_dips_rejected(self):
+        for facet in (((1, 1), math.nan), ((1, 1), math.inf), ((math.nan, 1), 1.0)):
+            with pytest.raises(ValueError):
+                Crystalline([facet, ((-1, 1), 1.0), ((0, -1), 1.0)])
+        for dip in (((math.nan, 0.0), 0.5), ((1.0, 0.0), math.nan)):
+            with pytest.raises(ValueError):
+                Dip(Constant(1.0), [dip])
+        for x in ((0.0, 0.0), (math.nan, 1.0), (-math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                unit(x)
+
+    def test_nonplanar_grid_rejected(self):
+        with pytest.raises(ValueError, match="planar"):
+            SphereGrid(np.vstack([np.eye(3), -np.eye(3)]), 1.0)
 
     def test_crystalline_halfplane_gap_rejected(self):
         # All facet directions in the right halfplane: cost vanishes on the left.
@@ -121,20 +138,6 @@ class TestWulffTransform:
         for F in (PNorm(1.0), PNorm(3.0), Dip(Constant(1.0), [((1, 0), 0.5)])):
             W = wulff_transform(F, grid)
             assert np.all(W.values <= F.values_on(grid.directions) + 1e-12)
-
-
-class TestInversion:
-    def test_reciprocal_of_constant(self):
-        I = inversion_transform(Constant(2.0))
-        assert I((1.0, 0.0)) == pytest.approx(0.5, abs=1e-15)
-
-    def test_involution_is_exact(self, grid):
-        F = PNorm(3.0)
-        assert inversion_transform(inversion_transform(F)) is F
-
-    def test_l1_diagonal(self):
-        I = inversion_transform(PNorm(1.0))
-        assert I(np.array([1.0, 1.0]) / SQ2) == pytest.approx(1.0 / SQ2, rel=1e-12)
 
 
 class TestSupportTransform:
@@ -223,53 +226,31 @@ class TestConvexEnvelope:
 
 
 class TestContactAndHypograph:
-    def test_convex_cost_touches_everywhere(self, grid):
-        F = PNorm(1.0)
-        D = convex_envelope(F, grid)
-        # Exact at grid directions; off-grid points see the envelope through
-        # angular interpolation, whose error is O(resolution^2 * F).
-        for x in [(1.0, 0.0), (1.0, 1.0), (0.0, -2.0)]:
-            assert contact_contains(F, D, x)
-        interp_tol = grid.resolution**2
-        for x in [(-0.3, 0.8), (2.0, -5.0), (0.123, 0.456)]:
-            assert contact_contains(F, D, x, tol=interp_tol)
+    def test_convex_cost_touches_everywhere(self, l1_ctx):
+        for x in [(1.0, 0.0), (1.0, 1.0), (0.0, -2.0), (-0.3, 0.8), (2.0, -5.0), (0.123, 0.456)]:
+            assert l1_ctx.in_contact(x)
 
-    def test_origin_always_in_contact(self, grid):
-        F = Dip(Constant(1.0), [((1.0, 0.0), 0.5)])
-        D = convex_envelope(F, grid)
-        assert contact_contains(F, D, (0.0, 0.0))
+    def test_origin_always_in_contact(self, dip_ctx):
+        assert dip_ctx.in_contact((0.0, 0.0))
 
-    def test_dip_neighbourhood_not_in_contact(self, grid):
+    def test_dip_neighbourhood_not_in_contact(self, dip_ctx):
         # 10 degrees off the dip the base cost sits strictly above the envelope.
-        F = Dip(Constant(1.0), [((1.0, 0.0), 0.5)])
-        D = convex_envelope(F, grid)
         ten_deg = (math.cos(math.radians(10)), math.sin(math.radians(10)))
-        assert not contact_contains(F, D, ten_deg)
+        assert not dip_ctx.in_contact(ten_deg)
 
-    def test_unit_disk_hypograph(self, grid):
-        G = GridFunction(grid, np.ones(grid.size))
-        assert hypograph_contains(G, (0.5, 0.0))
-        assert not hypograph_contains(G, (1.5, 0.0))
-        assert hypograph_contains(G, (0.0, 0.0))
+    def test_unit_disk_hypograph(self, euclid_ctx):
+        assert euclid_ctx.crystal.contains((0.5, 0.0))
+        assert not euclid_ctx.crystal.contains((1.5, 0.0))
+        assert euclid_ctx.crystal.contains((0.0, 0.0))
 
-    def test_wulff_hypograph_is_the_crystal(self, grid):
-        W = wulff_transform(PNorm(1.0), grid)
-        assert hypograph_contains(W, (1.0, 0.99))  # inside the unit square
-        assert not hypograph_contains(W, (1.05, 0.0))
-
-
-class TestHigherDimension:
-    def test_envelope_of_euclidean_cost_on_sphere(self):
-        grid = SphereGrid.fibonacci(512)
-        D = convex_envelope(Constant(1.0, dim=3), grid)
-        v = np.array([1.0, 2.0, -2.0])
-        assert D(v) == pytest.approx(3.0, rel=5e-2)
-
-    def test_3d_wulff_below_cost(self):
-        grid = SphereGrid.fibonacci(256)
-        F = PNorm(1.0, dim=3)
-        W = wulff_transform(F, grid)
-        assert np.all(W.values <= F.values_on(grid.directions) + 1e-12)
+    def test_wulff_hypograph_is_the_crystal(self, l1_ctx):
+        # Inside the unit square, then outside it: radial and halfplane
+        # membership agree.
+        for p, inside in (((1.0, 0.99), True), ((1.05, 0.0), False)):
+            p = np.array(p)
+            assert l1_ctx.crystal.contains(p) is inside
+            r = float(np.linalg.norm(p))
+            assert (r <= l1_ctx.wulff.unit_value(p / r)) is inside
 
 
 class TestTableCost:
@@ -284,5 +265,5 @@ class TestTableCost:
         assert T((math.cos(theta), math.sin(theta))) == pytest.approx(1.5, rel=1e-12)
 
     def test_planar_only(self):
-        with pytest.raises(ValueError):
-            AngularTable([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], dim=3)
+        with pytest.raises(ValueError, match="planar"):
+            AngularTable([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])((1.0, 0.0, 0.0))

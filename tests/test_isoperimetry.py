@@ -8,7 +8,6 @@ from anisogeo import (
     Polygon,
     anisotropic_perimeter,
     isoperimetric_ratio,
-    polygon_area,
     random_wulff_competitor,
     wulff_identity_check,
 )
@@ -39,16 +38,16 @@ class TestPolygonValidation:
 
 class TestArea:
     def test_square(self):
-        assert polygon_area(SQUARE) == pytest.approx(4.0, abs=1e-15)
+        assert SQUARE.area == pytest.approx(4.0, abs=1e-15)
 
     def test_triangle(self):
-        assert polygon_area(TRIANGLE) == pytest.approx(0.5, abs=1e-15)
+        assert TRIANGLE.area == pytest.approx(0.5, abs=1e-15)
 
     def test_disk_polygon(self, euclid_ctx):
         # Circumscribed m-gon: area = m*tan(pi/m), relative error pi^2/(3m^2).
         m = len(euclid_ctx.crystal.vertices)
         poly = Polygon.from_region(euclid_ctx.crystal)
-        assert polygon_area(poly) == pytest.approx(math.pi, rel=4.0 / m**2)
+        assert poly.area == pytest.approx(math.pi, rel=4.0 / m**2)
 
 
 class TestPerimeter:
