@@ -35,7 +35,7 @@ from .geodesics import (
     is_geodesic,
     resample_polyline,
 )
-from .integrand import SphereGrid
+from .integrand import GRID_SIZE_MAX, GRID_SIZE_MIN, SphereGrid
 from .suite import run_suite
 from .svgplot import crystal_figure
 
@@ -83,6 +83,16 @@ def _tolerance(text: str) -> float:
     if not 0.0 < tol < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text.strip()!r}")
     return tol
+
+
+def _grid_size(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text.strip()!r}") from None
+    if not GRID_SIZE_MIN <= count <= GRID_SIZE_MAX:
+        raise argparse.ArgumentTypeError(f"must be from {GRID_SIZE_MIN} to {GRID_SIZE_MAX}: {count}")
+    return count
 
 
 def _is_numeric(text: str) -> bool:
@@ -140,7 +150,11 @@ def cmd_distance(args) -> int:
     y = _parse_point(args.end)
     if x.shape != (2,) or y.shape != (2,):
         raise fileio.SpecError("points must be planar (two coordinates)")
-    if np.linalg.norm(y - x) <= 1e-12:
+    with np.errstate(over="ignore"):
+        gap = math.hypot(*(y - x))
+    if not gap < math.inf:
+        raise fileio.SpecError("start and end are too far apart: their distance overflows")
+    if gap <= 1e-12:
         raise fileio.SpecError("start and end coincide; distance query undefined")
     label = classify(ctx, x, y)
     results = {
@@ -205,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("spec", help="cost spec file (JSON)")
-        p.add_argument("--grid", type=int, default=None, help="planar grid size (default 720)")
+        p.add_argument(
+            "--grid", type=_grid_size, default=None, help="planar grid size (default 720)"
+        )
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("crystal", help="build and export the crystal geometry")

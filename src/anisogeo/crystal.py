@@ -7,25 +7,25 @@ exactly the halfplane intersection, with redundant constraints pruned as a
 byproduct of the hull. All exact polytope work is two-dimensional.
 
 :class:`CrystalContext` bundles a cost with its crystal, polar body and
-sampled envelope, and provides the induced (possibly asymmetric) norm.
+sampled envelope, and provides the induced (possibly asymmetric) norm. Its
+build scans the cost once and computes two hulls: the hull of the dual
+points gives the Wulff transform and, pruned and polarized, the crystal;
+the hull of the Wulff graph gives the envelope and, pruned, the inner
+hull. Every grid query on them is a support query
+(:func:`planar.support_values`), so a build takes O(M log M) time and
+O(M) memory on M grid directions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import planar
-from .integrand import (
-    Integrand,
-    SphereGrid,
-    scan_directions,
-    support_transform,
-    unit,
-    wulff_transform,
-)
+from .integrand import GridFunction, Integrand, SphereGrid, scan, unit, wulff_from_dual
 
 PROVENANCE_CRYSTAL = "crystal"
 PROVENANCE_POLAR = "polar-body"
@@ -49,8 +49,9 @@ class ConvexRegion:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError("a region needs at least 3 planar vertices")
-        e = np.roll(v, -1, axis=0) - v
-        turns = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+        e = np.concatenate((v[1:], v[:1])) - v
+        f = np.concatenate((e[1:], e[:1]))
+        turns = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
         if np.any(turns <= 0.0):
             raise ValueError(
                 "vertices must be strictly convex in CCW order; "
@@ -143,12 +144,13 @@ def build_crystal(F: Integrand, grid: SphereGrid) -> ConvexRegion:
     scanned directions fail to positively span (unbounded intersection),
     which cannot happen for a positive cost on a covering grid.
     """
-    dirs = scan_directions(F, grid)
-    vals = F.values_on(dirs)
-    if np.any(vals <= 0.0):
-        raise ValueError("cost must be positive on every scanned direction")
-    dual_points = dirs / vals[:, None]
-    hull = planar.convex_hull_ccw(dual_points)
+    dirs, vals = scan(F, grid)
+    return _crystal_from_dual(planar.hull_cycle(dirs / vals[:, None]))
+
+
+def _crystal_from_dual(dual_cycle: np.ndarray) -> ConvexRegion:
+    """The crystal as the polar of the (pruned) hull cycle of the dual points."""
+    hull = planar.strictly_convex(dual_cycle)
     try:
         vertices = planar.polar_polygon(hull)
     except ValueError as exc:
@@ -283,22 +285,24 @@ class CrystalContext:
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
         self.integrand = integrand
         self.grid = grid if grid is not None else SphereGrid.planar(720)
-        self.wulff = wulff_transform(integrand, self.grid)
-        self.envelope = support_transform(self.wulff)
-        self.crystal = build_crystal(integrand, self.grid)
+        # One scan of the cost, also read by every staircase query (see
+        # geodesics._snap_to_contact), and two hulls: the dual points
+        # w / F(w) give the Wulff transform and the crystal, the Wulff graph
+        # gives the envelope and the inner hull.
+        self._scan_dirs, self._scan_values = scan(integrand, self.grid)
+        self._f_grid = self._scan_values[: self.grid.size]
+        dual = planar.hull_cycle(self._scan_dirs / self._scan_values[:, None])
+        self.wulff = wulff_from_dual(dual, self.grid)
+        self.crystal = _crystal_from_dual(dual)
         # The hull of the Wulff graph is the crystal seen from inside: its
-        # support function reproduces the sampled envelope exactly and never
-        # exceeds the true norm, which makes it the norm authority for
-        # sampled costs (convex families use their closed form instead).
-        graph_points = self.grid.directions * self.wulff.values[:, None]
-        self._inner = ConvexRegion.from_points(graph_points, PROVENANCE_CRYSTAL)
+        # support function is the sampled envelope and never exceeds the
+        # true norm, which makes it the norm authority for sampled costs
+        # (convex families use their closed form instead).
+        graph = planar.hull_cycle(self.grid.directions * self.wulff.values[:, None])
+        self.envelope = GridFunction(self.grid, planar.support_values(graph, self.grid.directions))
+        self._inner = ConvexRegion(planar.strictly_convex(graph), PROVENANCE_CRYSTAL)
         self._norm_region = self.crystal if integrand.is_convex else self._inner
         self.polar_body = polar(self._norm_region)
-        self._f_grid = integrand.values_on(self.grid.directions)
-        # The scanned directions and their costs, read by every staircase
-        # query (see geodesics._snap_to_contact).
-        self._scan_dirs = scan_directions(integrand, self.grid)
-        self._scan_values = integrand.values_on(self._scan_dirs)
         self.f_max = float(self._f_grid.max())
         self.f_min = float(self._f_grid.min())
         self.resolution = self.grid.resolution
@@ -310,8 +314,8 @@ class CrystalContext:
 
     def _check_build(self) -> None:
         bound = 2.0 * self.resolution * self.f_max
-        outer_support = (self.grid.directions @ self.crystal.vertices.T).max(axis=1)
-        inner_support = (self.grid.directions @ self._inner.vertices.T).max(axis=1)
+        outer_support = planar.support_values(self.crystal.vertices, self.grid.directions)
+        inner_support = planar.support_values(self._inner.vertices, self.grid.directions)
         if np.abs(self.envelope.values - inner_support).max() > 1e-9 * max(1.0, self.f_max):
             raise RuntimeError("sampled envelope disagrees with the Wulff-graph hull")
         two_sided = np.abs(outer_support - inner_support).max()
@@ -337,7 +341,7 @@ class CrystalContext:
         crystal within the grid bound.
         """
         v = np.asarray(v, dtype=float)
-        speed = float(np.linalg.norm(v))
+        speed = math.hypot(*v)
         if speed == 0.0:
             return 0.0
         if self.integrand.is_convex:
@@ -368,7 +372,7 @@ class CrystalContext:
         if tol <= 0.0:
             raise ValueError("tolerance must be positive")
         x = np.asarray(x, dtype=float)
-        if float(np.linalg.norm(x)) == 0.0:
+        if math.hypot(*x) == 0.0:
             return True
         fx = self.integrand(x)
         return fx - self.norm(x) <= tol * max(1.0, fx)

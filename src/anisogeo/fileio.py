@@ -4,7 +4,7 @@ Cost spec schema (JSON object):
 
     kind        one of "pnorm" | "constant" | "crystalline" | "table" | "dip"
     dimension   optional; must be 2 when present (costs are planar)
-    grid        optional planar grid size (default 720)
+    grid        optional planar grid size, 8 to 20000 (default 720)
     p           pnorm only: exponent >= 1 ("inf" accepted)
     c           constant only: positive value
     facets      crystalline only: [{"direction": [..], "weight": w>0}, ...]
@@ -27,7 +27,16 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from .geodesics import Path
-from .integrand import AngularTable, Constant, Crystalline, Dip, Integrand, PNorm
+from .integrand import (
+    GRID_SIZE_MAX,
+    GRID_SIZE_MIN,
+    AngularTable,
+    Constant,
+    Crystalline,
+    Dip,
+    Integrand,
+    PNorm,
+)
 
 
 class SpecError(ValueError):
@@ -108,8 +117,10 @@ def load_integrand_spec(path) -> tuple[Integrand, int | None]:
         raise SpecError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     integrand = integrand_from_dict(data, where=str(path))
     grid = data.get("grid")
-    if grid is not None and (not isinstance(grid, int) or grid < 8):
-        raise SpecError(f"{path}.grid: integer >= 8 required")
+    if grid is not None and (
+        not isinstance(grid, int) or not GRID_SIZE_MIN <= grid <= GRID_SIZE_MAX
+    ):
+        raise SpecError(f"{path}.grid: integer from {GRID_SIZE_MIN} to {GRID_SIZE_MAX} required")
     return integrand, grid
 
 
@@ -186,8 +197,16 @@ def report_json(report: dict) -> str:
 
 
 def report_csv(report: dict) -> str:
-    """Flatten a report into key,value rows (lists joined by semicolons)."""
+    """Flatten a report into key,value rows (lists joined by semicolons).
+
+    Non-finite numbers are refused, as :func:`report_json` refuses them.
+    """
     flat: dict[str, str] = {}
+
+    def _cell(key: str, v) -> str:
+        if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+            raise ValueError(f"{key}: out of range float value {float(v)!r}")
+        return str(round_floats(v))
 
     def _walk(prefix: str, obj) -> None:
         if isinstance(obj, dict):
@@ -197,9 +216,9 @@ def report_csv(report: dict) -> str:
             for i, v in enumerate(obj):
                 _walk(f"{prefix}[{i}]", v)
         elif isinstance(obj, (list, tuple)):
-            flat[prefix] = ";".join(str(round_floats(v)) for v in obj)
+            flat[prefix] = ";".join(_cell(prefix, v) for v in obj)
         else:
-            flat[prefix] = str(round_floats(obj))
+            flat[prefix] = _cell(prefix, obj)
 
     _walk("", report)
     return "\n".join(f"{k},{v}" for k, v in flat.items()) + "\n"

@@ -16,6 +16,7 @@ geodesics exists, produced by :func:`geodesic_family`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -41,10 +42,10 @@ class Path:
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or len(pts) < 2:
-            raise ValueError("a path needs at least two breakpoints")
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+            raise ValueError("a path needs at least two planar breakpoints")
         seg = np.diff(pts, axis=0)
-        if np.any(np.linalg.norm(seg, axis=1) <= MIN_SEGMENT):
+        if np.any(np.hypot(seg[:, 0], seg[:, 1]) <= MIN_SEGMENT):
             raise ValueError("degenerate segment: consecutive breakpoints coincide")
         object.__setattr__(self, "points", pts)
 
@@ -105,7 +106,7 @@ def resample_polyline(path: Path, count: int) -> Path:
     """
     if count < 2:
         raise ValueError("need at least two sample points")
-    seg_len = np.linalg.norm(path.segments, axis=1)
+    seg_len = np.hypot(path.segments[:, 0], path.segments[:, 1])
     s = np.concatenate([[0.0], np.cumsum(seg_len)])
     targets = np.linspace(0.0, s[-1], count)
     pts = np.empty((count, path.points.shape[1]))
@@ -113,7 +114,7 @@ def resample_polyline(path: Path, count: int) -> Path:
         pts[:, d] = np.interp(targets, s, path.points[:, d])
     keep = [0]
     for i in range(1, count):
-        if np.linalg.norm(pts[i] - pts[keep[-1]]) > MIN_SEGMENT:
+        if math.hypot(*(pts[i] - pts[keep[-1]])) > MIN_SEGMENT:
             keep.append(i)
     return Path(pts[keep])
 
@@ -195,7 +196,7 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     v = path.displacement
-    if float(np.linalg.norm(v)) <= MIN_SEGMENT:
+    if math.hypot(*v) <= MIN_SEGMENT:
         raise ValueError("path endpoints coincide; geodesic comparison undefined")
 
     achieved = path_length(ctx.integrand, path)
@@ -203,7 +204,7 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     verdict = abs(achieved - target) <= tol * max(1.0, target)
     face = contact_face(ctx.norm_region, unit(v))
 
-    speeds = np.linalg.norm(path.segments, axis=1)
+    speeds = np.hypot(path.segments[:, 0], path.segments[:, 1])
     unit_tol = tol * max(1.0, target) / float(speeds.sum())
     seg_dirs = [unit(seg) for seg in path.segments]
     seg_norms = [ctx.norm(d) for d in seg_dirs]
@@ -245,7 +246,7 @@ def classify(ctx: CrystalContext, x, y) -> GeodesicClass:
     distinct geodesics connect the points.
     """
     v = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    if float(np.linalg.norm(v)) <= MIN_SEGMENT:
+    if math.hypot(*v) <= MIN_SEGMENT:
         raise ValueError("classification requires distinct endpoints")
     if ctx.is_orthogonal_direction(v):
         return GeodesicClass.UNIQUE_UP_TO_REPARAM
@@ -315,7 +316,7 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = y - x
-    if float(np.linalg.norm(v)) <= MIN_SEGMENT:
+    if math.hypot(*v) <= MIN_SEGMENT:
         raise ValueError("geodesic construction requires distinct endpoints")
     if classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM:
         return Path.segment(x, y)
@@ -390,7 +391,7 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = y - x
-    if float(np.linalg.norm(v)) <= MIN_SEGMENT:
+    if math.hypot(*v) <= MIN_SEGMENT:
         raise ValueError("family requires distinct endpoints")
     if classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM:
         raise ValueError("direction is an attained normal: geodesic is unique, no family")
@@ -398,7 +399,7 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     raw = [x, x + tau * u, x + tau * u + w, y]
     points = [raw[0]]
     for p in raw[1:]:
-        if np.linalg.norm(p - points[-1]) > MIN_SEGMENT:
+        if math.hypot(*(p - points[-1])) > MIN_SEGMENT:
             points.append(p)
     return Path(np.vstack(points))
 

@@ -17,6 +17,13 @@ order ``resolution * max F / min F``. Costs may declare
 ``special_directions`` (facet normals, dip directions, table samples):
 these are always appended to the scanned direction set so that flat and
 dipped features are resolved exactly rather than at grid accuracy.
+
+Both scans are exact support queries on planar hulls of the scanned
+points, never direction-by-direction matrices: W(F) is the reciprocal
+support function of the hull of the dual points ``w / F(w)``, and A(G)
+the support function of the hull of the graph points ``G(w) w``
+(:func:`planar.support_values`). A transform on M directions takes
+O(M log M) time and O(M) memory.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .planar import convex_hull_ccw, edge_normals_and_offsets
+from .planar import TWO_PI, convex_hull_ccw, edge_normals_and_offsets, hull_cycle, support_values
 
-TWO_PI = 2.0 * math.pi
+# Sizes of the equispaced grids SphereGrid.planar builds.
+GRID_SIZE_MIN = 8
+GRID_SIZE_MAX = 20000
 
 # Directions closer than this (in Euclidean distance on the sphere) are
 # treated as identical; dips have zero angular width at any usable grid.
@@ -40,7 +49,7 @@ DIRECTION_MATCH_TOL = 1e-12
 def unit(x: np.ndarray) -> np.ndarray:
     """x / |x|, rejecting the zero vector and non-finite input."""
     x = np.asarray(x, dtype=float)
-    n = float(np.linalg.norm(x))
+    n = math.hypot(*x)
     if not 0.0 < n < math.inf:
         raise ValueError("vector has no direction: zero or not finite")
     return x / n
@@ -96,8 +105,10 @@ class SphereGrid:
     @classmethod
     def planar(cls, count: int = 720) -> "SphereGrid":
         """Equispaced planar grid; angle 0 (the +x axis) is always included."""
-        if not 8 <= count <= 20000:
-            raise ValueError("planar grid size must be between 8 and 20000")
+        if not GRID_SIZE_MIN <= count <= GRID_SIZE_MAX:
+            raise ValueError(
+                f"planar grid size must be between {GRID_SIZE_MIN} and {GRID_SIZE_MAX}"
+            )
         angles = np.arange(count) * (TWO_PI / count)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         # cos/sin of multiples never stray from the unit circle, but pin the
@@ -132,7 +143,7 @@ class GridFunction:
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        n = float(np.linalg.norm(x))
+        n = math.hypot(*x)
         if n == 0.0:
             return 0.0
         return n * self.unit_value(x / n)
@@ -167,7 +178,7 @@ class Integrand(ABC):
         x = np.asarray(x, dtype=float)
         if x.shape != (2,):
             raise ValueError("expected a planar vector")
-        n = float(np.linalg.norm(x))
+        n = math.hypot(*x)
         if n == 0.0:
             return 0.0
         return n * self.unit_value(x / n)
@@ -427,21 +438,36 @@ def scan_directions(F: Integrand, grid: SphereGrid) -> np.ndarray:
     return np.vstack([grid.directions, sp])
 
 
+def scan(F: Integrand, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The scan directions and F on them; the first ``grid.size`` are the grid's."""
+    dirs = scan_directions(F, grid)
+    vals = F.values_on(dirs)
+    if np.any(vals <= 0.0):
+        raise ValueError("cost is not positive on the scan directions")
+    return dirs, vals
+
+
+def wulff_from_dual(dual_cycle: np.ndarray, grid: SphereGrid) -> GridFunction:
+    """W(F) on the grid from the hull cycle of the dual points w / F(w).
+
+    min over <v, w> > 0 of F(w) / <v, w> is 1 / max over w of <v, w / F(w)>,
+    the reciprocal support of the dual hull; a direction that no scanned
+    direction leans towards gets W = inf.
+    """
+    s = support_values(dual_cycle, grid.directions)
+    return GridFunction(grid, np.divide(1.0, s, out=np.full(len(s), np.inf), where=s > 0.0))
+
+
 def wulff_transform(F: Integrand, grid: SphereGrid) -> GridFunction:
     """W(F)(v) = min over directions w with <v, w> > 0 of F(w) / <v, w>.
 
     The scan covers the grid plus F's special directions, so flat facets
     and dips are seen exactly. W(F) <= F holds at every grid direction
-    because w = v is always a candidate.
+    because w = v is always a candidate. Computed as a support query on the
+    hull of the dual points ``w / F(w)`` (see :func:`wulff_from_dual`).
     """
-    dirs = scan_directions(F, grid)
-    vals = F.values_on(dirs)
-    if np.any(vals <= 0.0):
-        raise ValueError("cost is not positive on the scan directions")
-    dots = grid.directions @ dirs.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(dots > 1e-12, vals[None, :] / dots, np.inf)
-    return GridFunction(grid, ratios.min(axis=1))
+    dirs, vals = scan(F, grid)
+    return wulff_from_dual(hull_cycle(dirs / vals[:, None]), grid)
 
 
 def support_transform(G: GridFunction, grid: SphereGrid | None = None) -> GridFunction:
@@ -449,12 +475,13 @@ def support_transform(G: GridFunction, grid: SphereGrid | None = None) -> GridFu
 
     This is the support function of the hypograph of G sampled on the
     grid; A(G) >= G holds at every shared direction (w = v is a candidate).
+    Computed as a support query on the hull of the graph points ``G(w) w``.
     """
     if np.any(G.values <= 0.0):
         raise ValueError("support transform requires positive samples")
     grid = grid or G.grid
-    dots = grid.directions @ G.grid.directions.T
-    return GridFunction(grid, (dots * G.values[None, :]).max(axis=1))
+    graph = hull_cycle(G.grid.directions * G.values[:, None])
+    return GridFunction(grid, support_values(graph, grid.directions))
 
 
 def convex_envelope(F: Integrand, grid: SphereGrid) -> GridFunction:

@@ -9,30 +9,59 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+TWO_PI = 2.0 * np.pi
+_NEIGHBOURS = np.arange(3)[:, None]
+
 
 def cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def _turn(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _prune_collinear_cycle(cycle: np.ndarray, eps: float) -> np.ndarray:
-    """Drop cycle vertices whose neighbour turn area is below eps."""
+    """Drop cycle vertices whose neighbour turn area is below eps.
+
+    Every turn of a pass is computed at once; passes repeat until no vertex
+    drops, exactly as a vertex-by-vertex sweep would.
+    """
     while len(cycle) > 3:
-        k = len(cycle)
-        keep = [
-            i
-            for i in range(k)
-            if _turn(cycle[i - 1], cycle[i], cycle[(i + 1) % k]) > eps
-        ]
-        if len(keep) == k:
+        o = np.concatenate((cycle[-1:], cycle[:-1]))
+        b = np.concatenate((cycle[1:], cycle[:1]))
+        turn = (cycle[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (cycle[:, 1] - o[:, 1]) * (
+            b[:, 0] - o[:, 0]
+        )
+        keep = turn > eps
+        kept = int(np.count_nonzero(keep))
+        if kept == len(cycle):
             return cycle
-        if len(keep) < 3:
+        if kept < 3:
             raise ValueError("point cloud is degenerate (collinear)")
         cycle = cycle[keep]
     return cycle
+
+
+def hull_cycle(points: np.ndarray) -> np.ndarray:
+    """qhull's counterclockwise hull cycle of a 2D point cloud, unpruned.
+
+    The cycle may keep vertices that are collinear with their neighbours up
+    to rounding; :func:`support_values` reads such cycles exactly, and
+    :func:`strictly_convex` prunes them. Fully degenerate clouds raise.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        raise ValueError("need at least 3 planar points")
+    try:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
+        raise ValueError(f"point cloud is degenerate ({exc.__class__.__name__})") from exc
+    return pts[hull.vertices]  # counterclockwise in 2D
+
+
+def strictly_convex(cycle: np.ndarray, eps_rel: float = 1e-12) -> np.ndarray:
+    """A CCW hull cycle without the vertices collinear with their neighbours
+    (turn area below ``eps_rel * scale**2``)."""
+    scale = float(np.abs(cycle).max())
+    eps = eps_rel * max(scale, 1e-30) ** 2
+    return _prune_collinear_cycle(cycle, eps)
 
 
 def convex_hull_ccw(points: np.ndarray, eps_rel: float = 1e-12) -> np.ndarray:
@@ -42,17 +71,38 @@ def convex_hull_ccw(points: np.ndarray, eps_rel: float = 1e-12) -> np.ndarray:
     neighbours (turn area below ``eps_rel * scale**2``) are then pruned, so
     the output is strictly convex. Fully degenerate clouds raise.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
-        raise ValueError("need at least 3 planar points")
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise ValueError(f"point cloud is degenerate ({exc.__class__.__name__})") from exc
-    cycle = pts[hull.vertices]  # counterclockwise in 2D
-    scale = float(np.abs(cycle).max())
-    eps = eps_rel * max(scale, 1e-30) ** 2
-    return _prune_collinear_cycle(cycle, eps)
+    return strictly_convex(hull_cycle(points), eps_rel)
+
+
+def support_values(cycle: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """max over the vertices of a convex CCW cycle of <vertex, d>, per direction d.
+
+    Vertex ``j`` attains the maximum for the directions between the outward
+    normals of edges ``j-1`` and ``j`` (edge ``j`` runs from vertex ``j`` to
+    ``j+1``). The edge angles, unwrapped along the cycle, increase; a binary
+    search finds each direction's sector, and the maximum over the sector's
+    vertex and its two neighbours absorbs rounding at ties and in
+    near-collinear runs, so qhull's unpruned cycle is read exactly.
+    O((k + n) log k) time and O(k + n) memory for k vertices and n
+    directions.
+    """
+    v = np.asarray(cycle, dtype=float)
+    d = np.asarray(directions, dtype=float)
+    e = np.concatenate((v[1:], v[:1])) - v
+    angle = np.arctan2(e[:, 1], e[:, 0])
+    # A step of more than pi between neighbours is a wrap of arctan2's range.
+    angle[1:] -= TWO_PI * np.cumsum(np.rint((angle[1:] - angle[:-1]) / TWO_PI))
+    np.maximum.accumulate(angle, out=angle)
+    # An edge's outward normal is its direction turned by -pi/2, so d lies in
+    # vertex j's sector when angle[j-1] <= angle(d) + pi/2 < angle[j].
+    start = angle[0]
+    turned = start + np.mod(np.arctan2(d[:, 1], d[:, 0]) + (0.5 * np.pi - start), TWO_PI)
+    sector = np.searchsorted(angle, turned, side="right")  # 1 <= sector <= k
+    # Entry i + 1 of the padded cycle is vertex i (mod k), so entries
+    # sector + (0, 1, 2) are the sector's vertex and its two neighbours.
+    padded = np.concatenate((v[-1:], v, v[:2])).T
+    near = sector + _NEIGHBOURS
+    return (padded[0][near] * d[:, 0] + padded[1][near] * d[:, 1]).max(axis=0)
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -69,7 +119,7 @@ def edge_normals_and_offsets(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``{x : <x, normal_j> <= offset_j}``.
     """
     v = np.asarray(vertices, dtype=float)
-    e = np.roll(v, -1, axis=0) - v
+    e = np.concatenate((v[1:], v[:1])) - v
     lengths = np.hypot(e[:, 0], e[:, 1])
     if np.any(lengths <= 0.0):
         raise ValueError("polygon has a zero-length edge")

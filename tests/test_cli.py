@@ -109,6 +109,13 @@ class TestSpecParsing:
         _, grid = load_integrand_spec(p)
         assert grid == 360
 
+    def test_grid_outside_the_planar_limits_names_the_field(self, tmp_path):
+        for count in (5, 50000):
+            p = tmp_path / f"g{count}.json"
+            p.write_text(json.dumps({**L1_SPEC, "grid": count}))
+            with pytest.raises(SpecError, match=r"\.grid"):
+                load_integrand_spec(p)
+
 
 class TestPathFiles:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
@@ -154,6 +161,11 @@ class TestReports:
         data = json.loads(out)
         assert data["x"] == 0.123456789012
         assert data["nested"]["y"][0] == 0.333333333333
+
+    def test_csv_is_strict(self):
+        for report in ({"x": math.nan}, {"a": {"b": [1.0, math.inf]}}):
+            with pytest.raises(ValueError, match="out of range"):
+                report_csv(report)
 
     def test_csv_flattens_nested_structures(self):
         out = report_csv({"a": {"b": 1.5}, "list": [1, 2], "checks": [{"n": "x"}]})
@@ -292,13 +304,41 @@ class TestCliCommands:
         assert main(["distance", l1_spec_file, "0,0", "1,1", "--grid", "90"]) == 0
         assert json.loads(capsys.readouterr().out)["grid"]["size"] == 90
 
+    def test_grid_outside_the_planar_limits_exits_2(self, l1_spec_file, tmp_path, capsys):
+        for count in (5, 50000):
+            with pytest.raises(SystemExit) as exc:
+                main(["distance", l1_spec_file, "0,0", "1,1", "--grid", str(count)])
+            assert exc.value.code == 2
+            assert "--grid" in capsys.readouterr().err
+            spec = tmp_path / f"g{count}.json"
+            spec.write_text(json.dumps({**L1_SPEC, "grid": count}))
+            assert main(["distance", str(spec), "0,0", "1,1"]) == 2
+            assert ".grid" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_points_give_finite_distances(self, l1_spec_file, capsys):
+        assert main(["distance", l1_spec_file, "1e200,0", "1,1", "--format", "csv"]) == 0
+        assert "results.distance,1e+200" in capsys.readouterr().out
+        assert main(["distance", l1_spec_file, "1e200,0", "1,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["distance"] == 1e200
+        code = main(["distance", l1_spec_file, "1e200,0", "1,1", "--geodesic"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            report = json.loads(out, parse_constant=_reject_constant)
+            assert report["results"]["distance"] == 1e200
+        else:
+            assert code == 1 and err.startswith("error: ")
+        # A displacement past the float range is refused by name.
+        assert main(["distance", l1_spec_file, "1e308,0", "-1e308,0"]) == 2
+        assert "too far apart" in capsys.readouterr().err
+
 
 def _reject_constant(token):
     raise ValueError(f"non-strict JSON constant {token}")
 
 
 fuzz_floats = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 1e8, -1e8, 1e-8, -1e-8, 0.0, -1.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e8, -1e8, 1e-8, -1e-8, 0.0, -1.0]),
     st.floats(min_value=-10.0, max_value=10.0),
 )
 

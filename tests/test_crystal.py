@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from anisogeo import (
     Constant,
     ConvexRegion,
+    CrystalContext,
+    Dip,
+    PNorm,
     SphereGrid,
     build_crystal,
     contact_face,
@@ -67,6 +71,26 @@ class TestBuildCrystal:
         object.__setattr__(grid, "resolution", 0.25)
         with pytest.raises(ValueError, match="unbounded|span"):
             build_crystal(Constant(1.0), grid)
+
+
+class TestBuildScale:
+    @pytest.mark.parametrize(
+        "F", [PNorm(3.0), Dip(Constant(1.0), [((1.0, 0.0), 0.5)])], ids=["p3", "dip"]
+    )
+    def test_builds_and_checks_at_the_largest_grid(self, F):
+        ctx = CrystalContext(F, SphereGrid.planar(20000))  # raises if a build check fails
+        assert ctx.envelope.values.shape == (20000,)
+        assert ctx.norm((1.0, 0.0)) == pytest.approx(F((1.0, 0.0)), rel=1e-9)
+
+    def test_build_memory_is_linear_in_the_grid(self):
+        # A grid x grid scan at 2880 directions needs about 200 MB.
+        tracemalloc.start()
+        try:
+            CrystalContext(PNorm(3.0), SphereGrid.planar(2880))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestPolar:

@@ -15,7 +15,7 @@ from anisogeo import (
     support_transform,
     wulff_transform,
 )
-from anisogeo.integrand import unit
+from anisogeo.integrand import scan_directions, unit
 
 SQ2 = math.sqrt(2.0)
 
@@ -34,6 +34,44 @@ def brute_wulff(values_on, grid, v):
 def brute_support(values, grid, v):
     """Independent scan: max of G(w) * <v,w> over grid directions."""
     return max(float(g * np.dot(v, w)) for g, w in zip(values, grid.directions))
+
+
+def _row_blocks(rows: int, cols: int):
+    step = max(1, 2**21 // cols)  # about 16 MB per block temporary
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def dense_wulff(F, grid) -> np.ndarray:
+    """Reference W(F): the grid x scan matrix of F(w) / <v, w>, row block by row block."""
+    dirs = scan_directions(F, grid)
+    vals = F.values_on(dirs)
+    out = np.empty(grid.size)
+    for rows in _row_blocks(grid.size, len(dirs)):
+        dots = grid.directions[rows] @ dirs.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[rows] = np.where(dots > 1e-12, vals[None, :] / dots, np.inf).min(axis=1)
+    return out
+
+
+def dense_support(G, grid=None) -> np.ndarray:
+    """Reference A(G): the grid x grid matrix of G(w) * <v, w>, row block by row block."""
+    grid = grid or G.grid
+    out = np.empty(grid.size)
+    for rows in _row_blocks(grid.size, G.grid.size):
+        dots = grid.directions[rows] @ G.grid.directions.T
+        out[rows] = (dots * G.values[None, :]).max(axis=1)
+    return out
+
+
+REFERENCE_COSTS = {
+    "l1": PNorm(1.0),
+    "linf": PNorm(math.inf),
+    "p1.7": PNorm(1.7),
+    "constant": Constant(1.3),
+    "crystalline": Crystalline([((1, 0.2), 1.0), ((-1, 1), 2.0), ((0, -1), 0.7), ((1, -1), 1.3)]),
+    "table": AngularTable([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 1.5, 0.7, 1.1, 3.0]),
+    "dip": Dip(PNorm(2.0), [((1.0, 0.0), 0.6), ((0.0, 1.0), 0.9)]),
+}
 
 
 class TestEvaluation:
@@ -162,6 +200,35 @@ class TestSupportTransform:
         G = GridFunction(grid, vals)
         A = support_transform(G)
         assert np.all(A.values >= vals - 1e-12)
+
+
+class TestTransformsAgainstDenseReference:
+    @staticmethod
+    def assert_agree(F, grid):
+        tol = 1e-12 * max(1.0, F.values_on(grid.directions).max())
+        W = wulff_transform(F, grid)
+        W_ref = dense_wulff(F, grid)
+        assert np.abs(W.values - W_ref).max() <= tol
+        G = GridFunction(grid, W_ref)
+        assert np.abs(support_transform(G).values - dense_support(G)).max() <= tol
+
+    @pytest.mark.parametrize("count", [60, 720, 2880])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_COSTS))
+    def test_every_kind(self, name, count):
+        self.assert_agree(REFERENCE_COSTS[name], SphereGrid.planar(count))
+
+    def test_fine_grid(self):
+        grid = SphereGrid.planar(11520)
+        for F in (PNorm(3.0), Dip(Constant(1.0), [((1.0, 1.0), 0.5)])):
+            self.assert_agree(F, grid)
+
+    def test_support_on_another_grid(self):
+        G = GridFunction(SphereGrid.planar(360), dense_wulff(REFERENCE_COSTS["table"], SphereGrid.planar(360)))
+        for count in (97, 1000):
+            other = SphereGrid.planar(count)
+            A = support_transform(G, other)
+            assert A.grid is other
+            assert np.abs(A.values - dense_support(G, other)).max() <= 1e-12 * G.max()
 
 
 class TestConvexEnvelope:
