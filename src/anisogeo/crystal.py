@@ -49,7 +49,8 @@ class ConvexRegion:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError("a region needs at least 3 planar vertices")
-        e = np.concatenate((v[1:], v[:1])) - v
+        u, _ = planar.unit_scaled(v)  # turns at any scale neither overflow nor underflow
+        e = np.concatenate((u[1:], u[:1])) - u
         f = np.concatenate((e[1:], e[:1]))
         turns = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
         if np.any(turns <= 0.0):
@@ -65,18 +66,17 @@ class ConvexRegion:
         return cls(planar.convex_hull_ccw(points), provenance)
 
     @cached_property
-    def normals(self) -> np.ndarray:
-        n, _ = planar.edge_normals_and_offsets(self.vertices)
-        return n
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        _, h = planar.edge_normals_and_offsets(self.vertices)
-        return h
+    def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outward unit normals and support offsets of the edges."""
+        return planar.edge_normals_and_offsets(self.vertices)
 
     @property
-    def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.normals, self.offsets
+    def normals(self) -> np.ndarray:
+        return self.halfspaces[0]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.halfspaces[1]
 
     @cached_property
     def area(self) -> float:
@@ -169,7 +169,8 @@ def polar(region: ConvexRegion) -> ConvexRegion:
         PROVENANCE_CRYSTAL: PROVENANCE_POLAR,
         PROVENANCE_POLAR: PROVENANCE_CRYSTAL,
     }.get(region.provenance, PROVENANCE_USER)
-    return ConvexRegion(planar.polar_polygon(region.vertices), tag)
+    scale = float(np.abs(region.vertices).max())
+    return ConvexRegion(planar.polar_of_halfspaces(*region.halfspaces, scale), tag)
 
 
 def double_polar(points, box_factor: float = 1e4) -> ConvexRegion:
@@ -227,12 +228,10 @@ def normal_cone(region: ConvexRegion, y, tol: float = 1e-9) -> NormalCone:
     """
     y = np.asarray(y, dtype=float)
     verts = region.vertices
-    nxt = np.roll(verts, -1, axis=0)
+    nxt = np.concatenate((verts[1:], verts[:1]))
     k = len(verts)
     slack = tol * max(1.0, region.diameter)
-    dists = np.array(
-        [planar.point_segment_distance(y, verts[j], nxt[j]) for j in range(k)]
-    )
+    dists = planar.segment_distances(y[None, :], verts, nxt)[0]
     if dists.min() > slack:
         raise ValueError("point is not on the region boundary")
     vertex_gap = np.linalg.norm(verts - y, axis=1)
@@ -394,8 +393,8 @@ class CrystalContext:
         if n == 0.0:
             raise ValueError("zero vector has no direction")
         v_hat = v / n
-        gaps = np.linalg.norm(self.polar_body.vertices - v_hat, axis=1)
-        return bool(gaps.min() <= tol * max(float(np.linalg.norm(v_hat)), 1e-30))
+        gaps = np.hypot(*(self.polar_body.vertices - v_hat).T)
+        return bool(gaps.min() <= tol * max(math.hypot(*v_hat), 1e-30))
 
     def contact_point_candidates(self, v) -> list[np.ndarray]:
         """Crystal points that may realize <v, x> = |v|: the contact face

@@ -117,26 +117,37 @@ def _unimodular_scale(coefficients: np.ndarray, moves: np.ndarray) -> int:
 def _lattice_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
     # Optimal stencil paths for convex envelopes never leave the box spanned
     # by the target's cone; twice the target plus the reach is ample.
-    bound = 2 * int(np.abs(target).max()) + int(np.abs(moves).max())
-    move_list = [(int(a), int(b)) for a, b in moves]
+    reach = int(np.abs(moves).max())
+    bound = 2 * int(np.abs(target).max()) + reach
     goal = (int(target[0]), int(target[1]))
-    dist: dict[tuple[int, int], float] = {(0, 0): 0.0}
-    heap: list[tuple[float, tuple[int, int]]] = [(0.0, (0, 0))]
+    # Node (x, y) is the flat index (x + pad) * width + (y + pad) of the box
+    # padded by the reach on every side. Padding nodes hold -inf, so a move
+    # that leaves the box never relaxes. Flat indices order nodes as the
+    # (x, y) tuples do, so heap ties break the same way.
+    pad = bound + reach
+    width = 2 * pad + 1
+    inner = 2 * bound + 1
+    edge = [-math.inf] * (reach * width)
+    row = [-math.inf] * reach + [math.inf] * inner + [-math.inf] * reach
+    dist = edge + row * inner + edge
+    steps = [(int(a) * width + int(b), float(c)) for (a, b), c in zip(moves, costs)]
+    start = pad * width + pad
+    stop = (goal[0] + pad) * width + goal[1] + pad
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, node = heapq.heappop(heap)
-        if node == goal:
+        d, node = pop(heap)
+        if node == stop:
             return d
-        if d > dist.get(node, math.inf):
+        if d > dist[node]:
             continue
-        x, y = node
-        for (mx, my), c in zip(move_list, costs):
-            nxt = (x + mx, y + my)
-            if abs(nxt[0]) > bound or abs(nxt[1]) > bound:
-                continue
+        for step, c in steps:
+            nxt = node + step
             nd = d + c
-            if nd < dist.get(nxt, math.inf):
+            if nd < dist[nxt]:
                 dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
+                push(heap, (nd, nxt))
     raise ValueError(f"target {goal} unreachable within the lattice bound {bound}")
 
 

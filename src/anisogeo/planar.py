@@ -11,10 +11,15 @@ from scipy.spatial import ConvexHull, QhullError
 
 TWO_PI = 2.0 * np.pi
 _NEIGHBOURS = np.arange(3)[:, None]
+# Point-edge pairs per block of the distance kernels: a few MB of temporaries.
+_BLOCK_PAIRS = 1 << 18
 
 
-def cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """The points times 2**-e, with e chosen so the largest magnitude lies in
+    [0.5, 1), and e. Exact for all but subnormal results."""
+    _, exponent = np.frexp(np.abs(points).max())
+    return np.ldexp(points, -exponent), int(exponent)
 
 
 def _prune_collinear_cycle(cycle: np.ndarray, eps: float) -> np.ndarray:
@@ -45,12 +50,14 @@ def hull_cycle(points: np.ndarray) -> np.ndarray:
     The cycle may keep vertices that are collinear with their neighbours up
     to rounding; :func:`support_values` reads such cycles exactly, and
     :func:`strictly_convex` prunes them. Fully degenerate clouds raise.
+    qhull sees the points scaled by a power of two into [-1, 1]: the scaling
+    is exact, and it keeps clouds of any magnitude inside qhull's range.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise ValueError("need at least 3 planar points")
     try:
-        hull = ConvexHull(pts)
+        hull = ConvexHull(unit_scaled(pts)[0])
     except QhullError as exc:
         raise ValueError(f"point cloud is degenerate ({exc.__class__.__name__})") from exc
     return pts[hull.vertices]  # counterclockwise in 2D
@@ -58,10 +65,16 @@ def hull_cycle(points: np.ndarray) -> np.ndarray:
 
 def strictly_convex(cycle: np.ndarray, eps_rel: float = 1e-12) -> np.ndarray:
     """A CCW hull cycle without the vertices collinear with their neighbours
-    (turn area below ``eps_rel * scale**2``)."""
-    scale = float(np.abs(cycle).max())
-    eps = eps_rel * max(scale, 1e-30) ** 2
-    return _prune_collinear_cycle(cycle, eps)
+    (turn area below ``eps_rel * scale**2``, where scale is the largest
+    coordinate magnitude).
+
+    Turns are taken on the cycle scaled by a power of two into [-1, 1], so
+    they neither overflow nor underflow; the scaling is exact and leaves
+    every decision as it is at the cycle's own scale.
+    """
+    unit, exponent = unit_scaled(cycle)
+    scale = float(np.abs(unit).max())
+    return np.ldexp(_prune_collinear_cycle(unit, eps_rel * scale**2), exponent)
 
 
 def convex_hull_ccw(points: np.ndarray, eps_rel: float = 1e-12) -> np.ndarray:
@@ -137,32 +150,59 @@ def polar_polygon(vertices: np.ndarray) -> np.ndarray:
     unbounded).
     """
     normals, offsets = edge_normals_and_offsets(vertices)
-    scale = float(np.abs(vertices).max())
-    if offsets.min() <= 1e-14 * max(scale, 1.0):
+    return polar_of_halfspaces(normals, offsets, float(np.abs(vertices).max()))
+
+
+def polar_of_halfspaces(normals: np.ndarray, offsets: np.ndarray, scale: float) -> np.ndarray:
+    """:func:`polar_polygon` from a polygon's edge normals and offsets.
+
+    ``scale`` is the polygon's largest coordinate magnitude: an offset at or
+    below ``1e-14 * scale`` puts the origin on the boundary up to rounding.
+    """
+    if offsets.min() <= 1e-14 * scale:
         raise ValueError("origin is not strictly interior; polar body is unbounded")
     return normals / offsets[:, None]
 
 
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.hypot(*(a + t * ab - p)))
+def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Distance from every point to every segment, shape (points, segments).
+
+    The closest point of segment ``[a, b]`` to ``p`` is ``a + t (b - a)``
+    with ``t = clip(<p - a, b - a> / |b - a|**2, 0, 1)``, and ``t = 0`` on a
+    zero-length segment.
+    """
+    p = np.asarray(points, dtype=float)
+    a = np.asarray(starts, dtype=float)
+    ab = np.asarray(ends, dtype=float) - a
+    px, py = p[:, :1], p[:, 1:]
+    ax, ay, abx, aby = a[:, 0], a[:, 1], ab[:, 0], ab[:, 1]
+    denom = abx * abx + aby * aby
+    t = (px - ax) * abx + (py - ay) * aby
+    np.divide(t, denom, out=t, where=denom != 0.0)
+    t[:, denom == 0.0] = 0.0
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.hypot(ax + t * abx - px, ay + t * aby - py)
 
 
-def point_polygon_distance(p: np.ndarray, vertices: np.ndarray) -> float:
-    """Distance from a point to a convex polygon as a set (0 when inside)."""
-    v = np.asarray(vertices, dtype=float)
-    w = np.roll(v, -1, axis=0)
-    p = np.asarray(p, dtype=float)
-    inside = True
-    for a, b in zip(v, w):
-        if cross2(b - a, p - a) < 0.0:
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return min(point_segment_distance(p, a, b) for a, b in zip(v, w))
+def _directed_hausdorff(points: np.ndarray, vertices: np.ndarray) -> float:
+    """max over the points of their distance to a convex CCW polygon as a set.
+
+    A point is outside when it lies strictly right of some edge; inside
+    points are at distance 0. Rows go in blocks of about ``_BLOCK_PAIRS``
+    point-edge pairs, so memory stays O(block) for any polygon sizes.
+    """
+    a = vertices
+    b = np.concatenate((a[1:], a[:1]))
+    ax, ay = a[:, 0], a[:, 1]
+    abx, aby = b[:, 0] - ax, b[:, 1] - ay
+    rows = max(1, _BLOCK_PAIRS // len(a))
+    worst = []
+    for lo in range(0, len(points), rows):
+        p = points[lo : lo + rows]
+        cross = abx * (p[:, 1:] - ay) - aby * (p[:, :1] - ax)
+        outside = p[(cross < 0.0).any(axis=1)]
+        worst.append(segment_distances(outside, a, b).min(axis=1).max() if len(outside) else 0.0)
+    return float(max(worst))
 
 
 def hausdorff_distance(a_vertices: np.ndarray, b_vertices: np.ndarray) -> float:
@@ -171,6 +211,6 @@ def hausdorff_distance(a_vertices: np.ndarray, b_vertices: np.ndarray) -> float:
     For convex sets the supremum over each set is attained at a vertex, so
     scanning vertices against the other polygon is exact.
     """
-    d_ab = max(point_polygon_distance(p, b_vertices) for p in np.asarray(a_vertices, float))
-    d_ba = max(point_polygon_distance(p, a_vertices) for p in np.asarray(b_vertices, float))
-    return max(d_ab, d_ba)
+    a = np.asarray(a_vertices, dtype=float)
+    b = np.asarray(b_vertices, dtype=float)
+    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))

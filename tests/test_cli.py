@@ -333,6 +333,27 @@ class TestCliCommands:
         assert "too far apart" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_constant_costs_build_at_extreme_scales(self, tmp_path, capsys):
+        # The hull, pruning, polarity and convexity thresholds are relative
+        # to each polygon's own scale, with no absolute floor.
+        spec = tmp_path / "c.json"
+        for c in (1e-100, 1e-14, 1e14, 1e100):
+            spec.write_text(json.dumps({"kind": "constant", "c": c}))
+            assert main(["distance", str(spec), "0,0", "3,4", "--grid", "64"]) == 0, c
+            distance = json.loads(capsys.readouterr().out)["results"]["distance"]
+            assert abs(distance - 5.0 * c) <= 1e-12 * 5.0 * c
+        for c in (1e-300, 1e300):
+            spec.write_text(json.dumps({"kind": "constant", "c": c}))
+            code = main(["distance", str(spec), "0,0", "3,4", "--grid", "64"])
+            out, err = capsys.readouterr()
+            if code == 0:
+                distance = json.loads(out, parse_constant=_reject_constant)["results"]["distance"]
+                assert abs(distance - 5.0 * c) <= 1e-12 * 5.0 * c
+            else:
+                assert code == 2 and ".c" in err
+
+
 def _reject_constant(token):
     raise ValueError(f"non-strict JSON constant {token}")
 

@@ -19,9 +19,11 @@ from anisogeo import (
     normal_cone,
     polar,
 )
+from anisogeo.crystal import NormalCone
 from anisogeo.planar import convex_hull_ccw
 
 from conftest import sorted_rows
+from test_planar import point_segment_distance
 
 SQ2 = math.sqrt(2.0)
 
@@ -35,6 +37,25 @@ def brute_force_member(F, grid, x, slack=0.0):
         if float(x @ v) > F(v) + slack:
             return False
     return True
+
+
+def loop_normal_cone(region: ConvexRegion, y, tol: float = 1e-9) -> NormalCone:
+    """Reference: normal_cone with one point-segment distance per edge."""
+    y = np.asarray(y, dtype=float)
+    verts = region.vertices
+    nxt = np.roll(verts, -1, axis=0)
+    k = len(verts)
+    slack = tol * max(1.0, region.diameter)
+    dists = np.array([point_segment_distance(y, verts[j], nxt[j]) for j in range(k)])
+    if dists.min() > slack:
+        raise ValueError("point is not on the region boundary")
+    vertex_gap = np.linalg.norm(verts - y, axis=1)
+    j = int(np.argmin(vertex_gap))
+    if vertex_gap[j] <= slack:
+        gens = np.vstack([region.normals[(j - 1) % k], region.normals[j]])
+        return NormalCone(at=verts[j], generators=gens)
+    e = int(np.argmin(dists))
+    return NormalCone(at=y, generators=region.normals[e][None, :])
 
 
 class TestBuildCrystal:
@@ -242,6 +263,29 @@ class TestNormalCone:
     def test_interior_point_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
             normal_cone(SQUARE, (0.0, 0.0))
+
+    def test_matches_the_loop_at_edges_and_vertices(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(30):
+            region = ConvexRegion.from_points(rng.normal(size=(int(rng.integers(3, 40)), 2)))
+            v = region.vertices
+            w = np.concatenate((v[1:], v[:1]))
+            slack = 1e-9 * max(1.0, region.diameter)
+            s = rng.uniform(0.05, 0.95, len(v))[:, None]
+            near = v + rng.uniform(-0.4, 0.4, v.shape) * slack
+            for y in np.vstack([v, v + s * (w - v), near]):
+                expected = loop_normal_cone(region, y)
+                got = normal_cone(region, y)
+                assert np.array_equal(got.at, expected.at)
+                assert np.array_equal(got.generators, expected.generators)
+                checked += 1
+            centre = v.mean(axis=0)
+            for y in (centre, centre + 1.5 * (v[0] - centre), v[0] + 10.0 * slack * region.normals[0]):
+                for cone in (normal_cone, loop_normal_cone):
+                    with pytest.raises(ValueError, match="boundary"):
+                        cone(region, y)
+        assert checked > 500
 
 
 class TestExtremalPoints:

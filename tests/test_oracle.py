@@ -1,11 +1,43 @@
+import heapq
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anisogeo import Constant, Dip, PNorm, Stencil, oracle_convergence, oracle_distance
+import anisogeo
+from anisogeo import Constant, Crystalline, Dip, PNorm, Stencil, oracle_convergence, oracle_distance
+from anisogeo.oracle import _cone_program, _lattice_dijkstra, _move_costs, _unimodular_scale
 
 SQ2 = math.sqrt(2.0)
+
+
+def loop_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
+    """Reference: Dijkstra over (x, y) tuple nodes with a dict of distances."""
+    bound = 2 * int(np.abs(target).max()) + int(np.abs(moves).max())
+    move_list = [(int(a), int(b)) for a, b in moves]
+    goal = (int(target[0]), int(target[1]))
+    dist: dict[tuple[int, int], float] = {(0, 0): 0.0}
+    heap: list[tuple[float, tuple[int, int]]] = [(0.0, (0, 0))]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node == goal:
+            return d
+        if d > dist.get(node, math.inf):
+            continue
+        x, y = node
+        for (mx, my), c in zip(move_list, costs):
+            nxt = (x + mx, y + my)
+            if abs(nxt[0]) > bound or abs(nxt[1]) > bound:
+                continue
+            nd = d + c
+            if nd < dist.get(nxt, math.inf):
+                dist[nxt] = nd
+                heapq.heappush(heap, (nd, nxt))
+    raise ValueError(f"target {goal} unreachable within the lattice bound {bound}")
 
 
 class TestStencil:
@@ -130,3 +162,74 @@ class TestConvergence:
     def test_orders_must_increase(self, euclid_ctx):
         with pytest.raises(ValueError, match="increasing"):
             oracle_convergence(euclid_ctx, (7, 3), [2, 1])
+
+
+class TestLatticeDijkstra:
+    def test_bit_identical_to_the_loop(self):
+        # The lattice targets oracle_distance searches: scaled so the cone
+        # program's optimum is integral below the 200 gate, as given above it.
+        crystalline = Crystalline([((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0), ((-1.0, -1.0), 1.5)])
+        kinds = [PNorm(1.0), PNorm(3.0), Constant(1.0), crystalline]
+        kinds.append(Dip(Constant(1.0), [((1.0, 0.0), 0.5)]))
+        rng = np.random.default_rng(31)
+        cases = [
+            (F, k, rng.integers(-2, 3, size=2)) for F in kinds for k in (1, 2, 3, 4)
+        ]
+        # At order 4 this crystalline cost scales (-9, 11) by 5, and its
+        # optima at (11, -3) and (12, -7) pair moves of determinant 19,
+        # which puts those two past the gate.
+        cases += [(crystalline, 4, np.array(t)) for t in ((-9, 11), (11, -3), (12, -7))]
+        branches = set()
+        for F, k, target in cases:
+            if np.all(target == 0):
+                continue
+            moves = Stencil.order(k).moves
+            costs = _move_costs(F, moves)
+            _, coefficients = _cone_program(costs, moves, target)
+            scale = _unimodular_scale(coefficients, moves)
+            scaled = scale * int(np.abs(target).max()) <= 200
+            branches.add(scaled)
+            lattice_target = scale * target if scaled else target
+            got = _lattice_dijkstra(costs, moves, lattice_target)
+            assert got == loop_dijkstra(costs, moves, lattice_target)
+        assert branches == {True, False}
+
+    def test_axis_stencil_and_asymmetric_costs(self):
+        moves = Stencil.axis().moves
+        costs = np.array([1.0, 0.25, 3.0, 0.5])
+        for target in ((5, -3), (-7, 2), (0, 9), (-1, -1)):
+            t = np.array(target)
+            assert _lattice_dijkstra(costs, moves, t) == loop_dijkstra(costs, moves, t)
+
+    def test_unreachable_target_raises_like_the_loop(self):
+        moves = np.array([[2, 0], [0, 2], [-2, 0], [0, -2]])
+        costs = np.ones(4)
+        for search in (_lattice_dijkstra, loop_dijkstra):
+            with pytest.raises(ValueError, match=r"target \(1, 0\) unreachable .* bound 4"):
+                search(costs, moves, np.array([1, 0]))
+
+    def test_memory_at_the_gate(self):
+        # The largest box oracle_distance searches: order 4 at the 200 gate.
+        # tracemalloc would slow this search about 30-fold, so a fresh
+        # process reports how far its resident-set high-water mark rose.
+        code = """
+import resource, numpy as np
+from anisogeo import PNorm, Stencil
+from anisogeo.oracle import _cone_program, _lattice_dijkstra, _move_costs
+moves = Stencil.order(4).moves
+costs = _move_costs(PNorm(3.0), moves)
+target = np.array([200, 77])
+lp, _ = _cone_program(costs, moves, target)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+got = _lattice_dijkstra(costs, moves, target)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(lp, got, (after - before) * 1024)
+"""
+        package_root = str(Path(anisogeo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, *sys.path]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        lp, got, grown = float(out[0]), float(out[1]), int(out[2])
+        assert lp - 1e-9 <= got <= 1.01 * lp
+        assert grown < 32 * 2**20
