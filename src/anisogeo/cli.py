@@ -126,7 +126,7 @@ def cmd_crystal(args) -> int:
         np.column_stack([ctx.polar_body.normals, ctx.polar_body.offsets]),
         "polar body halfspaces: normal_x normal_y offset",
     )
-    graph = ctx.grid.directions * ctx.integrand.values_on(ctx.grid.directions)[:, None]
+    graph = ctx.grid.directions * ctx._f_grid[:, None]
     fileio.save_rows(files["graph_samples"], graph, "cost polar graph samples")
     svg = FilePath(args.svg) if args.svg else out_dir / "crystal.svg"
     crystal_figure(ctx, svg)

@@ -29,12 +29,15 @@ class Polygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError("a polygon needs at least 3 planar vertices")
-        e = np.roll(v, -1, axis=0) - v
-        if np.any(np.hypot(e[:, 0], e[:, 1]) <= 1e-14):
+        # The checks run on the polygon scaled by a power of two into [-1, 1]:
+        # exact, and free of overflow and underflow at any scale.
+        u, _ = planar.unit_scaled(v)
+        e = np.roll(u, -1, axis=0) - u
+        if np.any(np.hypot(e[:, 0], e[:, 1]) <= 1e-14 * np.abs(u).max()):
             raise ValueError("degenerate polygon: repeated consecutive vertices")
-        if planar.polygon_area(v) <= 0.0:
+        if planar.polygon_area(u) <= 0.0:
             raise ValueError("vertices must be counterclockwise (positive area)")
-        if _self_intersects(v):
+        if _self_intersects(u):
             raise ValueError("polygon boundary self-intersects")
         object.__setattr__(self, "vertices", v)
 

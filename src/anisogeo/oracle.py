@@ -3,9 +3,10 @@
 Distances produced by the crystal geometry are cross-checked against a
 brute-force competitor: the cheapest way to reach an integer target using
 nonnegative combinations of a finite stencil of integer moves, each move
-priced by the cost of its vector. Two redundant solvers compute it - a
-small linear program over the stencil cone and Dijkstra on a bounded
-lattice - and must agree, otherwise the oracle raises instead of lying.
+priced by the cost of its vector. Two redundant solvers compute it - the
+gauge of the hull of the dual points ``move / cost`` (Wulff's construction
+on the stencil) and Dijkstra on a bounded lattice - and must agree,
+otherwise the oracle raises instead of lying.
 
 Stencil paths are admissible polylines, so the oracle can only
 overestimate the true anisotropic distance; the gap shrinks as the
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
+from . import planar
 from .crystal import CrystalContext
 from .integrand import Integrand
 
@@ -53,7 +54,7 @@ class Stencil:
                 raise ValueError(f"move ({a}, {b}) is a multiple of a shorter move")
         angles = np.sort(np.mod(np.arctan2(m[:, 1], m[:, 0]), 2.0 * np.pi))
         gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
-        if gaps.max() >= np.pi:
+        if gaps.max() >= np.pi - 1e-12:  # an exact half-turn may round below pi
             raise ValueError("moves leave an angular gap >= pi; they do not positively span")
         object.__setattr__(self, "moves", m.astype(np.int64))
 
@@ -84,34 +85,33 @@ def _move_costs(F: Integrand, moves: np.ndarray) -> np.ndarray:
 
 def _cone_program(
     costs: np.ndarray, moves: np.ndarray, target: np.ndarray
-) -> tuple[float, np.ndarray]:
-    res = linprog(
-        c=costs,
-        A_eq=moves.T.astype(float),
-        b_eq=target.astype(float),
-        bounds=[(0.0, None)] * len(moves),
-        method="highs",
-    )
-    if not res.success:
-        raise ValueError(f"target {tuple(target)} is outside the stencil's positive span")
-    return float(res.fun), np.asarray(res.x)
-
-
-def _unimodular_scale(coefficients: np.ndarray, moves: np.ndarray) -> int:
-    """Smallest target multiplier that makes the optimal combination integral.
-
-    A basic optimum uses at most two moves; scaling the target by the
-    absolute determinant of that pair turns the Cramer coefficients into
-    integers, so the lattice search can realize the program's optimum
-    exactly.
+) -> tuple[float, np.ndarray, int]:
+    """min <costs, lam> over lam >= 0 with sum lam_i moves_i = target: the gauge
+    at the target of the hull of the dual points ``moves_i / costs_i``, the
+    largest ``<n_k, target> / h_k`` over its edges. The basis is the pair of
+    moves on the face the ray crosses (within ``1e-12 * h_k``) adjacent to
+    the ray, or the one move the ray runs along. Returns the value, the
+    coefficients and the basis determinant (1 for one move), the smallest
+    target multiplier that makes the coefficients integral.
     """
-    order = np.argsort(coefficients)[::-1]
-    if len(order) < 2 or coefficients[order[1]] <= 1e-9:
-        return 1
-    a = moves[order[0]]
-    b = moves[order[1]]
-    det = abs(int(a[0]) * int(b[1]) - int(a[1]) * int(b[0]))
-    return max(det, 1)
+    dual = moves / costs[:, None]
+    normals, offsets = planar.edge_normals_and_offsets(planar.hull_cycle(dual))
+    ratios = normals @ target / offsets
+    value = float(ratios.max())
+    # Every face the ray crosses up to rounding, and every move on them.
+    faces = ratios >= (1.0 - 1e-12) * value
+    on_face = np.flatnonzero((dual @ normals[faces].T >= (1.0 - 1e-12) * offsets[faces]).any(1))
+    # Signed angle from each move to the target; turns are exact integers.
+    angle = np.arctan2(moves[on_face] @ (target[1], -target[0]), moves[on_face] @ target)
+    behind = angle >= 0.0  # moves clockwise of the ray, or on it
+    i = on_face[behind][np.argmin(angle[behind])]
+    j = on_face[~behind][np.argmax(angle[~behind])]
+    (ax, ay), (bx, by), (tx, ty) = moves[i], moves[j], target
+    det = int(ax * by - ay * bx)  # positive: the pair spans less than pi
+    coefficients = np.zeros(len(moves))
+    coefficients[[i, j]] = (tx * by - ty * bx) / det, (ax * ty - ay * tx) / det
+    # A ray along move i leaves move j out of the basis.
+    return value, coefficients, det if coefficients[j] else 1
 
 
 def _lattice_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
@@ -156,10 +156,10 @@ def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
 
     The minimum runs over nonnegative *real* combinations of moves (every
     such combination is an admissible polyline, so this is the honest
-    competitor value) and is solved as a linear program over the stencil
-    cone. Dijkstra on a bounded lattice cross-checks it: integer paths can
-    only realize integral combinations, so the check runs at the target
-    scaled to make the program's optimal combination integral (exact
+    competitor value) and is solved on the hull of the dual points
+    (:func:`_cone_program`). Dijkstra on a bounded lattice cross-checks it:
+    integer paths can only realize integral combinations, so the check runs
+    at the target scaled to make the optimal combination integral (exact
     agreement expected), or one-sidedly when that scale is impractical.
     Disagreement raises instead of returning an untrustworthy number. The
     result is always an upper bound on the anisotropic distance.
@@ -170,18 +170,17 @@ def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
     if np.all(target == 0):
         raise ValueError("oracle target must be nonzero")
     costs = _move_costs(F, stencil.moves)
-    lp, coefficients = _cone_program(costs, stencil.moves, target)
-    scale = _unimodular_scale(coefficients, stencil.moves)
+    lp, _, scale = _cone_program(costs, stencil.moves, target)
     if scale * int(np.abs(target).max()) <= 200:
         dj = _lattice_dijkstra(costs, stencil.moves, scale * target) / scale
-        if abs(lp - dj) > _SOLVER_AGREEMENT * max(1.0, abs(lp)):
+        if abs(lp - dj) > _SOLVER_AGREEMENT * abs(lp):
             raise RuntimeError(
                 f"oracle solvers disagree at {tuple(target)} (scale {scale}): "
                 f"cone program {lp!r}, lattice search {dj!r}"
             )
     else:  # huge determinant: fall back to the relaxation bound
         dj = _lattice_dijkstra(costs, stencil.moves, target)
-        if dj < lp - _SOLVER_AGREEMENT * max(1.0, abs(lp)):
+        if dj < lp - _SOLVER_AGREEMENT * abs(lp):
             raise RuntimeError(
                 f"lattice search undercuts the cone program at {tuple(target)}: "
                 f"{dj!r} < {lp!r}"

@@ -209,8 +209,11 @@ def hausdorff_distance(a_vertices: np.ndarray, b_vertices: np.ndarray) -> float:
     """Hausdorff distance between two convex polygons (as sets).
 
     For convex sets the supremum over each set is attained at a vertex, so
-    scanning vertices against the other polygon is exact.
+    scanning vertices against the other polygon is exact. Both polygons are
+    scaled by one power of two into [-1, 1] (exact), so the distances
+    neither overflow nor underflow at any scale.
     """
     a = np.asarray(a_vertices, dtype=float)
-    b = np.asarray(b_vertices, dtype=float)
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
+    both, exponent = unit_scaled(np.vstack((a, np.asarray(b_vertices, dtype=float))))
+    a, b = both[: len(a)], both[len(a) :]
+    return float(np.ldexp(max(_directed_hausdorff(a, b), _directed_hausdorff(b, a)), exponent))

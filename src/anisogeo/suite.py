@@ -14,7 +14,7 @@ import numpy as np
 from .crystal import CrystalContext, double_polar, hausdorff_distance, polar
 from .geodesics import construct_geodesic, geodesic_ball, is_geodesic
 from .integrand import support_transform, GridFunction
-from .planar import convex_hull_ccw
+from .planar import convex_hull_ccw, support_values
 from .isoperimetry import (
     Polygon,
     isoperimetric_ratio,
@@ -63,8 +63,8 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
         worst = max(worst, hausdorff_distance(got.vertices, expected))
     checks.append(CheckResult("double-polar-hull", worst <= 5 * res, worst, 5 * res))
 
-    # Transform inequalities on the grid.
-    f_vals = ctx.integrand.values_on(ctx.grid.directions)
+    # Transform inequalities on the grid, against the context's own scan.
+    f_vals = ctx._f_grid
     w_excess = float((ctx.wulff.values - f_vals).max())
     checks.append(CheckResult("wulff-below-cost", w_excess <= 1e-9 * ctx.f_max, w_excess, 0.0))
     a_of_f = support_transform(GridFunction(ctx.grid, f_vals))
@@ -74,7 +74,7 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
     checks.append(CheckResult("envelope-below-cost", d_excess <= 1e-9 * ctx.f_max, d_excess, 0.0))
 
     # Envelope agrees with the crystal support function at grid accuracy.
-    support_grid = (ctx.grid.directions @ ctx.crystal.vertices.T).max(axis=1)
+    support_grid = support_values(ctx.crystal.vertices, ctx.grid.directions)
     env_gap = float(np.abs(ctx.envelope.values - support_grid).max())
     bound = 2 * res * ctx.f_max
     checks.append(CheckResult("envelope-is-support", env_gap <= bound, env_gap, bound))

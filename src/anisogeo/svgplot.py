@@ -59,8 +59,7 @@ def render_svg(elements: list[PolyLine], path, size: int = 640) -> None:
 def crystal_figure(ctx, svg_path, geodesic_paths=()) -> None:
     """Overlay of the crystal boundary, the cost's polar graph, the polar
     body, and optional geodesics."""
-    graph_dirs = ctx.grid.directions
-    graph = graph_dirs * ctx.integrand.values_on(graph_dirs)[:, None]
+    graph = ctx.grid.directions * ctx._f_grid[:, None]
     elements = [
         PolyLine(graph, GRAPH_COLOR, closed=True),
         PolyLine(ctx.crystal.vertices, CRYSTAL_COLOR, closed=True),

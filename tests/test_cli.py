@@ -336,13 +336,17 @@ class TestCliCommands:
     @pytest.mark.filterwarnings("error")
     def test_constant_costs_build_at_extreme_scales(self, tmp_path, capsys):
         # The hull, pruning, polarity and convexity thresholds are relative
-        # to each polygon's own scale, with no absolute floor.
+        # to each polygon's own scale, with no absolute floor. The suite's
+        # polygon checks, Hausdorff distances and oracle are scale-free too,
+        # up to where the crystal's area (about c**2) leaves the float range.
         spec = tmp_path / "c.json"
         for c in (1e-100, 1e-14, 1e14, 1e100):
             spec.write_text(json.dumps({"kind": "constant", "c": c}))
             assert main(["distance", str(spec), "0,0", "3,4", "--grid", "64"]) == 0, c
             distance = json.loads(capsys.readouterr().out)["results"]["distance"]
             assert abs(distance - 5.0 * c) <= 1e-12 * 5.0 * c
+            assert main(["suite", str(spec), "--grid", "64"]) == 0, c
+            assert json.loads(capsys.readouterr().out)["pass"] is True
         for c in (1e-300, 1e300):
             spec.write_text(json.dumps({"kind": "constant", "c": c}))
             code = main(["distance", str(spec), "0,0", "3,4", "--grid", "64"])

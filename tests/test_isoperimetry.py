@@ -31,6 +31,17 @@ class TestPolygonValidation:
         with pytest.raises(ValueError, match="degenerate"):
             Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_checks_are_scale_free(self):
+        crossed = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 2.0], [2.0, -1.0]])
+        repeated = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for scale in (1e-100, 1e-14, 1e14, 1e100):
+            assert Polygon(SQUARE.vertices * scale).area == pytest.approx(4.0 * scale**2, abs=0.0)
+            with pytest.raises(ValueError, match="intersect"):
+                Polygon(crossed * scale)
+            with pytest.raises(ValueError, match="degenerate"):
+                Polygon(repeated * scale)
+
     def test_nonconvex_simple_polygon_accepted(self):
         arrow = Polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5]]))
         assert arrow.area > 0.0

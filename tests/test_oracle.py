@@ -7,12 +7,59 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import anisogeo
-from anisogeo import Constant, Crystalline, Dip, PNorm, Stencil, oracle_convergence, oracle_distance
-from anisogeo.oracle import _cone_program, _lattice_dijkstra, _move_costs, _unimodular_scale
+from anisogeo import (
+    AngularTable,
+    Constant,
+    Crystalline,
+    Dip,
+    PNorm,
+    Stencil,
+    oracle_convergence,
+    oracle_distance,
+)
+from anisogeo.oracle import _cone_program, _lattice_dijkstra, _move_costs
 
 SQ2 = math.sqrt(2.0)
+COST_KINDS = [
+    PNorm(1.0),
+    PNorm(3.0),
+    Constant(1.0),
+    Crystalline([((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0), ((-1.0, -1.0), 1.5)]),
+    AngularTable([0.0, 2.0, 4.0], [1.0, 1.4, 1.1]),
+    Dip(Constant(1.0), [((1.0, 0.0), 0.5)]),
+]
+# On full stencils the optimal basis determinant is small (mostly 1); the
+# moves (5, 1) and (1, 5) of this one have determinant 24.
+SKEWED = Stencil(np.array([[5, 1], [1, 5], [-1, 0], [0, -1]]))
+
+
+def linprog_cone_program(costs: np.ndarray, moves: np.ndarray, target: np.ndarray):
+    """Reference: the cone program as a general linear program (HiGHS)."""
+    res = linprog(
+        c=costs,
+        A_eq=moves.T.astype(float),
+        b_eq=target.astype(float),
+        bounds=[(0.0, None)] * len(moves),
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun), np.asarray(res.x)
+
+
+def random_costs(rng: np.random.Generator) -> list:
+    """A random crystalline, table and dip cost."""
+    angles = np.arange(5) * 2.0 * np.pi / 5 + rng.uniform(-0.4, 0.4, size=5)
+    weights = rng.uniform(0.5, 2.0, size=5)
+    facets = [((math.cos(a), math.sin(a)), float(w)) for a, w in zip(angles, weights)]
+    table = AngularTable(np.sort(rng.uniform(0.0, 2.0 * np.pi, 7)), rng.uniform(0.5, 2.0, 7))
+    base = PNorm(float(rng.uniform(1.0, 4.0)))
+    direction = rng.normal(size=2)
+    direction /= np.hypot(*direction)
+    dip = Dip(base, [(tuple(direction), float(rng.uniform(0.3, 0.9)) * base(direction))])
+    return [Crystalline(facets), table, dip]
 
 
 def loop_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
@@ -66,8 +113,10 @@ class TestStencil:
             Stencil(np.array([[0, 0], [0, 1], [-1, 0], [0, -1]]))
 
     def test_halfplane_gap_rejected(self):
-        with pytest.raises(ValueError, match="span"):
-            Stencil(np.array([[1, 0], [1, 1], [0, 1]]))
+        # (-4, 5) and (4, -5) leave a gap of exactly pi; its angles round below pi.
+        for moves in ([[1, 0], [1, 1], [0, 1]], [[-4, 5], [4, -5], [6, 1]]):
+            with pytest.raises(ValueError, match="span"):
+                Stencil(np.array(moves))
 
     def test_float_moves_rejected(self):
         with pytest.raises(ValueError, match="integer"):
@@ -85,8 +134,10 @@ class TestOracleDistance:
         assert got > 5 * SQ2  # quantifies the stencil gap
 
     def test_isotropic_diagonal_stencil_is_exact(self):
-        got = oracle_distance(Constant(1.0), (5, 5), Stencil.order(1))
-        assert got == pytest.approx(5 * SQ2, abs=1e-9)
+        # At c = 1e-100 too: the solver agreement is relative to the value.
+        for c, target in ((1.0, (5, 5)), (1e-100, (-5, -5))):
+            got = oracle_distance(Constant(c), target, Stencil.order(1))
+            assert got == pytest.approx(5 * SQ2 * c, rel=1e-12, abs=0.0)
 
     def test_move_aligned_target(self):
         # The reduced target direction is itself a stencil move.
@@ -121,6 +172,42 @@ class TestOracleDistance:
     def test_float_target_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             oracle_distance(PNorm(1.0), np.array([1.5, 0.5]), Stencil.axis())
+
+
+class TestConeProgram:
+    def cases(self):
+        rng = np.random.default_rng(41)
+        costs = COST_KINDS + random_costs(rng) + random_costs(rng)
+        stencils = [Stencil.order(k) for k in (1, 2, 3, 4)] + [SKEWED]
+        for F in costs:
+            for stencil in stencils:
+                moves = stencil.moves
+                move_costs = _move_costs(F, moves)
+                for _ in range(12):
+                    target = rng.integers(-5, 6, size=2)
+                    if np.any(target != 0):
+                        yield move_costs, moves, target
+
+    def test_matches_the_linear_program(self):
+        for costs, moves, target in self.cases():
+            value, _, _ = _cone_program(costs, moves, target)
+            lp, _ = linprog_cone_program(costs, moves, target)
+            assert abs(value - lp) <= 1e-12 * abs(lp), (moves.max(), target)
+
+    def test_basis_rebuilds_the_target(self):
+        for costs, moves, target in self.cases():
+            value, coefficients, scale = _cone_program(costs, moves, target)
+            basis = np.flatnonzero(coefficients)
+            assert 1 <= len(basis) <= 2
+            assert np.all(coefficients >= 0.0)
+            assert np.abs(coefficients @ moves - target).max() <= 1e-12 * np.abs(target).max()
+            assert coefficients @ costs == pytest.approx(value, rel=1e-12, abs=0.0)
+            if len(basis) == 2:
+                (a, b), (c, d) = moves[basis]
+                assert scale == abs(a * d - b * c)
+            else:
+                assert scale == 1
+            assert np.allclose(scale * coefficients, np.rint(scale * coefficients), atol=1e-9)
 
 
 class TestSandwich:
@@ -168,25 +255,22 @@ class TestLatticeDijkstra:
     def test_bit_identical_to_the_loop(self):
         # The lattice targets oracle_distance searches: scaled so the cone
         # program's optimum is integral below the 200 gate, as given above it.
-        crystalline = Crystalline([((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0), ((-1.0, -1.0), 1.5)])
-        kinds = [PNorm(1.0), PNorm(3.0), Constant(1.0), crystalline]
-        kinds.append(Dip(Constant(1.0), [((1.0, 0.0), 0.5)]))
         rng = np.random.default_rng(31)
         cases = [
-            (F, k, rng.integers(-2, 3, size=2)) for F in kinds for k in (1, 2, 3, 4)
+            (F, Stencil.order(k), rng.integers(-2, 3, size=2))
+            for F in COST_KINDS
+            for k in (1, 2, 3, 4)
         ]
-        # At order 4 this crystalline cost scales (-9, 11) by 5, and its
-        # optima at (11, -3) and (12, -7) pair moves of determinant 19,
-        # which puts those two past the gate.
-        cases += [(crystalline, 4, np.array(t)) for t in ((-9, 11), (11, -3), (12, -7))]
+        # The skewed basis of determinant 24 puts (9, 9) and (10, 7) past
+        # the gate and scales (2, 3) by 24 below it.
+        cases += [(Constant(1.0), SKEWED, np.array(t)) for t in ((9, 9), (10, 7), (2, 3))]
         branches = set()
-        for F, k, target in cases:
+        for F, stencil, target in cases:
             if np.all(target == 0):
                 continue
-            moves = Stencil.order(k).moves
+            moves = stencil.moves
             costs = _move_costs(F, moves)
-            _, coefficients = _cone_program(costs, moves, target)
-            scale = _unimodular_scale(coefficients, moves)
+            _, _, scale = _cone_program(costs, moves, target)
             scaled = scale * int(np.abs(target).max()) <= 200
             branches.add(scaled)
             lattice_target = scale * target if scaled else target
@@ -219,7 +303,7 @@ from anisogeo.oracle import _cone_program, _lattice_dijkstra, _move_costs
 moves = Stencil.order(4).moves
 costs = _move_costs(PNorm(3.0), moves)
 target = np.array([200, 77])
-lp, _ = _cone_program(costs, moves, target)
+lp, _, _ = _cone_program(costs, moves, target)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 got = _lattice_dijkstra(costs, moves, target)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

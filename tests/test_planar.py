@@ -209,6 +209,15 @@ class TestHausdorffDistance:
         d = segment_distances(np.array([[4.0, 5.0]]), SQUARE[1:2], SQUARE[1:2])
         assert d[0, 0] == 5.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_scales_with_the_polygons(self):
+        tri = np.array([[0.0, 0.0], [2.0, 0.5], [-0.5, 1.5]])
+        other = np.array([[0.5, 0.2], [3.0, 1.0], [0.0, 2.0]])
+        base = hausdorff_distance(tri, other)
+        for scale in (2.0**-1000, 1e-200, 1e-100, 1e100, 1e200, 2.0**1000):
+            got = hausdorff_distance(tri * scale, other * scale)
+            assert got == pytest.approx(base * scale, rel=1e-15, abs=0.0), scale
+
     def test_blocks_bound_the_memory(self):
         grid = SphereGrid.planar(2880)
         ctx = CrystalContext(PNorm(3.0), grid)
