@@ -275,28 +275,28 @@ class CrystalContext:
     evaluated through the cost's closed form (machine precision, the two
     agreeing within the grid bound by a build-time check). For table and
     dip costs it is the hull of the Wulff graph: its support function
-    coincides with the sampled envelope exactly and never exceeds the true
-    norm, so lattice-path competitors can never appear to undercut a
-    distance. Queries on sampled costs inherit an O(resolution) error,
+    coincides with the sampled envelope exactly and lies within the grid
+    bound below the crystal's. Its points lie on the grid crystal, which
+    contains the true crystal, so it is not a bound on the true norm from
+    either side. Queries on sampled costs inherit an O(resolution) error,
     reflected in ``default_tol``.
     """
 
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
         self.integrand = integrand
         self.grid = grid if grid is not None else SphereGrid.planar(720)
-        # One scan of the cost, also read by every staircase query (see
-        # geodesics._snap_to_contact), and two hulls: the dual points
-        # w / F(w) give the Wulff transform and the crystal, the Wulff graph
-        # gives the envelope and the inner hull.
-        self._scan_dirs, self._scan_values = scan(integrand, self.grid)
-        self._f_grid = self._scan_values[: self.grid.size]
-        dual = planar.hull_cycle(self._scan_dirs / self._scan_values[:, None])
+        # One scan of the cost and two hulls: the dual points w / F(w) give
+        # the Wulff transform and the crystal, the Wulff graph gives the
+        # envelope and the inner hull.
+        scan_dirs, scan_values = scan(integrand, self.grid)
+        self._f_grid = scan_values[: self.grid.size]
+        dual = planar.hull_cycle(scan_dirs / scan_values[:, None])
         self.wulff = wulff_from_dual(dual, self.grid)
         self.crystal = _crystal_from_dual(dual)
         # The hull of the Wulff graph is the crystal seen from inside: its
-        # support function is the sampled envelope and never exceeds the
-        # true norm, which makes it the norm authority for sampled costs
-        # (convex families use their closed form instead).
+        # support function is the sampled envelope, which makes it the norm
+        # authority for sampled costs (convex families use their closed
+        # form instead).
         graph = planar.hull_cycle(self.grid.directions * self.wulff.values[:, None])
         self.envelope = GridFunction(self.grid, planar.support_values(graph, self.grid.directions))
         self._inner = ConvexRegion(planar.strictly_convex(graph), PROVENANCE_CRYSTAL)
@@ -334,10 +334,9 @@ class CrystalContext:
 
         Convex families evaluate their closed form (machine precision).
         Sampled costs use the support function of the Wulff-graph hull -
-        identical to the sampled envelope and a certified lower bound on
-        the true norm - cross-checked on every call against the Minkowski
-        gauge of the polar body (exact duality) and against the halfplane
-        crystal within the grid bound.
+        identical to the sampled envelope - cross-checked on every call
+        against the Minkowski gauge of the polar body (exact duality) and
+        against the halfplane crystal within the grid bound.
         """
         v = np.asarray(v, dtype=float)
         speed = math.hypot(*v)
@@ -377,14 +376,19 @@ class CrystalContext:
         return fx - self.norm(x) <= tol * max(1.0, fx)
 
     def is_orthogonal_direction(self, v, tol: float | None = None) -> bool:
-        """Whether v/|v| is attained as an outer normal of the crystal boundary.
+        """Whether v/|v| is attained as an outer normal of the crystal boundary
+        at which the cost meets its envelope.
 
-        Equivalent to v (rescaled onto the polar body boundary) being an
-        extreme point of the polar body. Proximity to a vertex within
-        ``tol * |v_scaled|`` counts as extreme; the default tol is the grid
-        resolution, so smooth costs answer True everywhere while genuinely
-        flat polar edges answer False in their interiors. Edges shorter
-        than ~10x the tolerance make the answer grid-sensitive.
+        The contact vertex of v is the crystal vertex maximizing <., v>; v
+        lies in its normal cone, between the edge normals n_k with offsets
+        h_k on either side. v counts as extreme when two things hold: v
+        rescaled onto the polar body boundary lies within ``tol * |v_scaled|``
+        of one of the polar points n_k / h_k, and the cost is in contact,
+        ``F(v) - |v| <= tol * |v|``. The default tol is the grid resolution,
+        so smooth costs answer True everywhere, while flat polar edges and
+        directions just beside a dip or a steep table sample answer False.
+        Crystal edges shorter than ~10x the tolerance make the answer
+        grid-sensitive.
         """
         if tol is None:
             tol = self.resolution
@@ -392,8 +396,13 @@ class CrystalContext:
         n = self.norm(v)
         if n == 0.0:
             raise ValueError("zero vector has no direction")
+        if self.integrand(v) - n > tol * n:
+            return False
         v_hat = v / n
-        gaps = np.hypot(*(self.polar_body.vertices - v_hat).T)
+        normals, offsets = self.crystal.halfspaces
+        k = int(np.argmax(self.crystal.vertices @ v))
+        cone = [k - 1, k]
+        gaps = np.hypot(*(normals[cone] / offsets[cone, None] - v_hat).T)
         return bool(gaps.min() <= tol * max(math.hypot(*v_hat), 1e-30))
 
     def contact_point_candidates(self, v) -> list[np.ndarray]:

@@ -11,7 +11,11 @@ crystal contact point must support all segment directions at once.
 Between two points there is always a geodesic. It is unique (up to
 reparametrization) exactly when the endpoint difference is an attained
 crystal normal; otherwise a one-parameter family of distinct staircase
-geodesics exists, produced by :func:`geodesic_family`.
+geodesics exists, produced by :func:`geodesic_family`. A staircase's legs
+run along the two crystal edge normals at the contact vertex x of the
+displacement v. Each normal n is a scanned direction whose cost is the
+offset <n, x>, so the staircase costs exactly <v, x>, the crystal's
+support of v.
 """
 
 from __future__ import annotations
@@ -275,9 +279,10 @@ def decompose_direction(ctx: CrystalContext, v, tol: float | None = None) -> Dir
     """Write v (scaled onto the polar body boundary) on a face of the polar body.
 
     Extreme directions return a single unit-weight term. Otherwise the
-    polar-body edge crossed by the ray through v is located and the
-    barycentric weights of its two endpoints are read off the exact
-    ray/segment intersection, so the weights sum to one by construction.
+    polar-body edge crossed by the ray through v is the one attaining the
+    gauge of v, and the barycentric weights of its two endpoints are read
+    off the exact ray/segment intersection, so the weights sum to one by
+    construction.
     """
     v = np.asarray(v, dtype=float)
     n = ctx.norm(v)
@@ -287,31 +292,28 @@ def decompose_direction(ctx: CrystalContext, v, tol: float | None = None) -> Dir
     if ctx.is_orthogonal_direction(v, tol):
         return DirectionDecomposition((1.0,), v_hat[None, :], v_hat)
 
-    verts = ctx.polar_body.vertices
-    nxt = np.roll(verts, -1, axis=0)
-    for a, b in zip(verts, nxt):
-        ca = float(a[0] * v_hat[1] - a[1] * v_hat[0])  # cross(a, v_hat)
-        cb = float(b[0] * v_hat[1] - b[1] * v_hat[0])
-        # The outgoing ray exits through the edge where v_hat sits angularly
-        # between a and b (CCW), i.e. cross(a, v) >= 0 >= cross(b, v).
-        if ca < 0.0 or cb > 0.0 or ca - cb <= 0.0:
-            continue
-        s = ca / (ca - cb)
-        if s <= 1e-12:
-            return DirectionDecomposition((1.0,), a[None, :] / ctx.norm(a), v_hat)
-        if s >= 1.0 - 1e-12:
-            return DirectionDecomposition((1.0,), b[None, :] / ctx.norm(b), v_hat)
-        return DirectionDecomposition((1.0 - s, s), np.vstack([a, b]), v_hat)
-    raise RuntimeError("direction lies on no polar-body face; geometry inconsistent")
+    body = ctx.polar_body
+    face = int(np.argmax(body.normals @ v_hat / body.offsets))
+    a = body.vertices[face]
+    b = body.vertices[(face + 1) % len(body.vertices)]
+    ca = float(a[0] * v_hat[1] - a[1] * v_hat[0])  # cross(a, v_hat)
+    cb = float(b[0] * v_hat[1] - b[1] * v_hat[0])
+    s = ca / (ca - cb) if ca - cb > 0.0 else math.nan
+    if not -1e-12 <= s <= 1.0 + 1e-12:
+        raise RuntimeError("direction lies on no polar-body face; geometry inconsistent")
+    if s <= 1e-12:
+        return DirectionDecomposition((1.0,), a[None, :] / ctx.norm(a), v_hat)
+    if s >= 1.0 - 1e-12:
+        return DirectionDecomposition((1.0,), b[None, :] / ctx.norm(b), v_hat)
+    return DirectionDecomposition((1.0 - s, s), np.vstack([a, b]), v_hat)
 
 
 def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     """A geodesic from x to y.
 
     The straight segment when the displacement is an attained normal;
-    otherwise the two-leg staircase through the decomposition of the
-    displacement on its polar-body face (first leg along the earlier edge
-    endpoint).
+    otherwise the two-leg staircase along the two crystal edge normals at
+    the displacement's contact vertex (first leg along the earlier normal).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -324,57 +326,24 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     return Path(np.vstack([x, x + legs[0], y]))
 
 
-def _snap_to_contact(ctx: CrystalContext, endpoint: np.ndarray, v_hat: np.ndarray,
-                     xbar: np.ndarray) -> np.ndarray:
-    """Replace a staircase leg direction by the cheapest contact direction.
-
-    All points z with <z, xbar> = 1 between the leg and the target direction
-    stay on the same polar-body face, so any of them is a valid leg; picking
-    the one of least cost removes the O(resolution^2) defect that face
-    endpoints of sampled costs can carry.
-    """
-    dirs = ctx._scan_dirs
-    dots = dirs @ xbar
-    orient = endpoint[0] * v_hat[1] - endpoint[1] * v_hat[0]
-    if abs(orient) <= 1e-15 or np.all(dots <= 1e-12):
-        return endpoint
-    sgn = 1.0 if orient > 0.0 else -1.0
-    between = (
-        (sgn * (endpoint[0] * dirs[:, 1] - endpoint[1] * dirs[:, 0]) >= -1e-15)
-        & (sgn * (dirs[:, 0] * v_hat[1] - dirs[:, 1] * v_hat[0]) >= -1e-15)
-        & (dots > 1e-12)
-    )
-    if not np.any(between):
-        return endpoint
-    with np.errstate(divide="ignore"):
-        leg_costs = np.where(between, ctx._scan_values / dots, np.inf)
-    best = int(np.argmin(leg_costs))
-    current = ctx.integrand(endpoint)
-    if leg_costs[best] < current - 1e-12 * max(1.0, current):
-        return dirs[best] / dots[best]
-    return endpoint
-
-
 def geodesic_legs(ctx: CrystalContext, v) -> tuple[np.ndarray, np.ndarray]:
-    """The two staircase legs u, w with u + w = v for a non-extreme direction."""
+    """The two staircase legs u, w with u + w = v for a non-extreme direction.
+
+    v lies in the normal cone of the crystal at its contact vertex x, the
+    vertex maximizing <., v>. The cone is spanned by the edge normals on
+    either side of x, and v = alpha * n_before + beta * n_after with
+    alpha, beta > 0 gives the legs u = alpha * n_before and w = v - u.
+    """
     v = np.asarray(v, dtype=float)
-    dec = decompose_direction(ctx, v)
-    if len(dec.weights) != 2:
+    normals = ctx.crystal.normals
+    k = int(np.argmax(ctx.crystal.vertices @ v))
+    a, b = normals[k - 1], normals[k]
+    det = a[0] * b[1] - a[1] * b[0]
+    alpha = (v[0] * b[1] - v[1] * b[0]) / det
+    beta = (a[0] * v[1] - a[1] * v[0]) / det
+    if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("direction is extreme: no staircase decomposition exists")
-    a, b = dec.directions
-    v_hat = dec.target
-    # The primal vertex dual to the located polar edge supports both legs.
-    xbar = np.linalg.solve(np.vstack([a, b]), np.ones(2))
-    a = _snap_to_contact(ctx, a, v_hat, xbar)
-    b = _snap_to_contact(ctx, b, v_hat, xbar)
-    ca = a[0] * v_hat[1] - a[1] * v_hat[0]
-    cb = b[0] * v_hat[1] - b[1] * v_hat[0]
-    n = ctx.norm(v)
-    if ca - cb <= 0.0:  # snapped pair degenerated; keep the raw split
-        u = n * dec.weights[0] * dec.directions[0]
-        return u, v - u
-    s = ca / (ca - cb)
-    u = n * (1.0 - s) * a
+    u = alpha * a
     return u, v - u
 
 

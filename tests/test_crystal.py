@@ -316,6 +316,14 @@ class TestOrthogonalDirections:
             v = rng.normal(size=2)
             assert euclid_ctx.is_orthogonal_direction(v)
 
+    def test_direction_beside_an_isolated_dip_is_not(self, grid):
+        # The dip's normal is an attained crystal normal, and 0.001 rad off
+        # it the polar point is within the resolution; but there the cost
+        # is the base's 1, about twice the norm, so no contact.
+        ctx = CrystalContext(Dip(Constant(1.0), [((math.cos(0.3), math.sin(0.3)), 0.5)]), grid)
+        assert ctx.is_orthogonal_direction((math.cos(0.3), math.sin(0.3)))
+        assert not ctx.is_orthogonal_direction((math.cos(0.301), math.sin(0.301)))
+
     def test_zero_vector_rejected(self, l1_ctx):
         with pytest.raises(ValueError):
             l1_ctx.is_orthogonal_direction((0.0, 0.0))

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from anisogeo import (
+    AngularTable,
+    Constant,
     CrystalContext,
+    Dip,
     GeodesicClass,
     Path,
     PNorm,
+    SphereGrid,
     classify,
     concatenate,
     construct_geodesic,
@@ -24,6 +28,22 @@ from anisogeo import (
 SQ2 = math.sqrt(2.0)
 
 STAIRCASE = Path(np.array([[0.0, 0.0], [0.3, 0.0], [0.3, 0.7], [1.0, 0.7], [1.0, 1.0]]))
+
+
+def random_sampled_cost(rng, table: bool):
+    """A table with 8-16 samples in [0.5, 2], or 1-3 dips to 0.3-0.95 of a
+    constant or p-norm base."""
+    if table:
+        count = int(rng.integers(8, 17))
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, count))
+        return AngularTable(angles, rng.uniform(0.5, 2.0, count))
+    base = (Constant(rng.uniform(0.5, 2.0)), PNorm(1.0), PNorm(math.inf),
+            PNorm(rng.uniform(1.2, 6.0)))[int(rng.integers(4))]
+    dips = []
+    for a in rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(1, 4))):
+        d = np.array([math.cos(a), math.sin(a)])
+        dips.append((d, rng.uniform(0.3, 0.95) * base(d)))
+    return Dip(base, dips)
 
 
 class TestPathBasics:
@@ -208,6 +228,41 @@ class TestDecompose:
             decompose_direction(l1_ctx, (0.0, 0.0))
 
 
+def decompose_by_edge_scan(ctx, v):
+    """Reference for decompose_direction: scan every polar-body edge for the
+    one the ray through v crosses."""
+    v_hat = np.asarray(v, dtype=float) / ctx.norm(v)
+    verts = ctx.polar_body.vertices
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        ca = float(a[0] * v_hat[1] - a[1] * v_hat[0])
+        cb = float(b[0] * v_hat[1] - b[1] * v_hat[0])
+        if ca < 0.0 or cb > 0.0 or ca - cb <= 0.0:
+            continue
+        s = ca / (ca - cb)
+        if s <= 1e-12:
+            return (1.0,), a[None, :] / ctx.norm(a)
+        if s >= 1.0 - 1e-12:
+            return (1.0,), b[None, :] / ctx.norm(b)
+        return (1.0 - s, s), np.vstack([a, b])
+    raise AssertionError("no polar-body edge crosses the ray")
+
+
+class TestDecomposeAgainstEdgeScan:
+    def test_face_lookup_matches_the_edge_scan(self, all_ctxs):
+        rng = np.random.default_rng(67)
+        ctxs = dict(all_ctxs)
+        for i in range(6):
+            ctxs[f"random{i}"] = CrystalContext(random_sampled_cost(rng, table=i % 2 == 0))
+        for name, ctx in ctxs.items():
+            for v in rng.normal(size=(200, 2)):
+                if ctx.is_orthogonal_direction(v):
+                    continue
+                dec = decompose_direction(ctx, v)
+                weights, directions = decompose_by_edge_scan(ctx, v)
+                assert dec.weights == weights, name
+                assert np.array_equal(dec.directions, directions), name
+
+
 class TestConstruct:
     def test_l1_axis_gives_the_segment(self, l1_ctx):
         path = construct_geodesic(l1_ctx, (0, 0), (1, 0))
@@ -232,6 +287,37 @@ class TestConstruct:
                     continue
                 path = construct_geodesic(ctx, x, y)
                 assert is_geodesic(ctx, path).verdict, (name, x, y)
+
+    def test_direction_beside_an_isolated_dip_gets_a_staircase(self, grid):
+        # The straight segment costs 2.0 against a distance of about 1.0017.
+        ctx = CrystalContext(Dip(Constant(1.0), [((math.cos(0.3), math.sin(0.3)), 0.5)]), grid)
+        y = (2.0 * math.cos(0.301), 2.0 * math.sin(0.301))
+        assert classify(ctx, (0, 0), y) is GeodesicClass.INFINITELY_MANY
+        path = construct_geodesic(ctx, (0, 0), y)
+        cert = is_geodesic(ctx, path)
+        assert len(path.points) == 3
+        assert cert.verdict and cert.certified
+        d = ctx.distance((0, 0), y)
+        assert abs(path_length(ctx.integrand, path) - d) <= ctx.default_tol * max(1.0, d)
+
+    def test_staircases_verify_on_random_sampled_costs(self):
+        # 25 table and 25 dip costs, 10 endpoint pairs per cost and grid.
+        rng = np.random.default_rng(61)
+        for i in range(50):
+            cost = random_sampled_cost(rng, table=i % 2 == 0)
+            for size in (60, 720, 2880):
+                ctx = CrystalContext(cost, SphereGrid.planar(size))
+                for _ in range(10):
+                    x, y = rng.uniform(-2, 2, size=(2, 2))
+                    d = ctx.distance(x, y)
+                    paths = [construct_geodesic(ctx, x, y)]
+                    if classify(ctx, x, y) is GeodesicClass.INFINITELY_MANY:
+                        paths.append(geodesic_family(ctx, x, y, 0.5))
+                    for path in paths:
+                        cert = is_geodesic(ctx, path)
+                        assert cert.verdict and cert.certified, (i, size, x, y)
+                        gap = abs(path_length(cost, path) - d)
+                        assert gap <= ctx.default_tol * max(1.0, d), (i, size, x, y)
 
     def test_equal_endpoints_rejected(self, l1_ctx):
         with pytest.raises(ValueError):
