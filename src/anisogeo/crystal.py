@@ -184,7 +184,11 @@ def double_polar(points, box_factor: float = 1e4) -> ConvexRegion:
     the origin the box constraints are redundant and the result is exact.
     """
     pts = np.asarray(points, dtype=float)
-    scale = max(float(np.abs(pts).max()), 1e-12)
+    scale = float(np.abs(pts).max())
+    if not 0.0 < scale < math.inf:
+        raise ValueError("double polar needs a finite cloud with a nonzero point")
+    # Dividing by the cloud's own largest magnitude cannot overflow, and the
+    # box stays relative to the cloud at any magnitude.
     q = pts / scale
     # First polar, boxed: {<z, q_i> <= 1, |z_j| <= box_factor}. Each
     # halfspace <z, a> <= h dualizes to the point a/h, so the box
@@ -367,13 +371,49 @@ class CrystalContext:
 
     def in_contact(self, x, tol: float = 1e-6) -> bool:
         """Whether the cost meets its convex envelope in direction x."""
+        return bool(self.in_contact_many(np.asarray(x, dtype=float)[None, :], tol)[0])
+
+    def in_contact_many(self, xs, tol: float = 1e-6) -> np.ndarray:
+        """:meth:`in_contact` for every row of xs at once.
+
+        The norms of sampled costs come from support queries
+        (:func:`planar.support_values`), with the cross-checks :meth:`norm`
+        makes on every row: the polar body's gauge, and the halfplane
+        crystal's support within the grid bound. Zero rows are in contact.
+        """
         if tol <= 0.0:
             raise ValueError("tolerance must be positive")
-        x = np.asarray(x, dtype=float)
-        if math.hypot(*x) == 0.0:
-            return True
-        fx = self.integrand(x)
-        return fx - self.norm(x) <= tol * max(1.0, fx)
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != 2:
+            raise ValueError("expected an array of planar vectors")
+        speed = np.hypot(xs[:, 0], xs[:, 1])
+        moving = speed > 0.0
+        contact = np.ones(len(xs), dtype=bool)
+        x, speed = xs[moving], speed[moving]
+        fx = self.integrand.values_on(x / speed[:, None]) * speed
+        if self.integrand.is_convex:
+            norms = fx  # the closed form, as in norm
+        else:
+            norms = self._sampled_norms(x, speed)
+        contact[moving] = fx - norms <= tol * np.maximum(1.0, fx)
+        return contact
+
+    def _sampled_norms(self, x: np.ndarray, speed: np.ndarray) -> np.ndarray:
+        """The norm of every (nonzero) row of x for a sampled cost, with the
+        cross-checks of :meth:`norm`."""
+        s = planar.support_values(self._norm_region.vertices, x)
+        polar_normals, polar_offsets = self.polar_body.halfspaces
+        g = planar.support_values(polar_normals / polar_offsets[:, None], x)
+        broken = np.flatnonzero(np.abs(s - g) > 1e-9 * np.maximum(1.0, np.abs(s)))
+        if len(broken):
+            i = broken[0]
+            raise RuntimeError(f"support/gauge duality broken: {s[i]!r} vs {g[i]!r}")
+        outer = planar.support_values(self.crystal.vertices, x)
+        if not np.all(s <= outer + 1e-12 * np.maximum(1.0, outer)):
+            raise RuntimeError("inner support exceeds the halfplane crystal's")
+        if np.any(outer - s > 2.0 * self.resolution * self.f_max * speed):
+            raise RuntimeError("inner/outer support gap exceeds the grid bound")
+        return s
 
     def is_orthogonal_direction(self, v, tol: float | None = None) -> bool:
         """Whether v/|v| is attained as an outer normal of the crystal boundary

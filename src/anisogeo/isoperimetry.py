@@ -32,7 +32,7 @@ class Polygon:
         # The checks run on the polygon scaled by a power of two into [-1, 1]:
         # exact, and free of overflow and underflow at any scale.
         u, _ = planar.unit_scaled(v)
-        e = np.roll(u, -1, axis=0) - u
+        e = np.concatenate((u[1:], u[:1])) - u
         if np.any(np.hypot(e[:, 0], e[:, 1]) <= 1e-14 * np.abs(u).max()):
             raise ValueError("degenerate polygon: repeated consecutive vertices")
         if planar.polygon_area(u) <= 0.0:
@@ -47,7 +47,8 @@ class Polygon:
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
+        v = self.vertices
+        e = np.concatenate((v[1:], v[:1])) - v
         return np.hypot(e[:, 0], e[:, 1])
 
     @cached_property
@@ -69,10 +70,28 @@ class Polygon:
 
 
 def _self_intersects(v: np.ndarray) -> bool:
+    """Whether the closed polyline v crosses itself.
+
+    When every turn is strictly left and the turns add up to one full
+    revolution the polygon is convex, hence simple: O(k). Anything else
+    (a reflex vertex, or a star that winds more than once) goes to the
+    all-pairs test :func:`_edges_cross`.
+    """
+    e = np.concatenate((v[1:], v[:1])) - v
+    f = np.concatenate((e[1:], e[:1]))
+    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    if np.all(cross > 0.0):
+        dot = e[:, 0] * f[:, 0] + e[:, 1] * f[:, 1]
+        if round(float(np.arctan2(cross, dot).sum()) / planar.TWO_PI) == 1:
+            return False
+    return _edges_cross(v)
+
+
+def _edges_cross(v: np.ndarray) -> bool:
     """Proper-crossing test between all non-adjacent edge pairs (vectorized)."""
     k = len(v)
     a = v
-    b = np.roll(v, -1, axis=0)
+    b = np.concatenate((v[1:], v[:1]))
     e = b - a
 
     def _cross(u, w):

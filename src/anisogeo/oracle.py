@@ -8,6 +8,19 @@ gauge of the hull of the dual points ``move / cost`` (Wulff's construction
 on the stencil) and Dijkstra on a bounded lattice - and must agree,
 otherwise the oracle raises instead of lying.
 
+Dijkstra searches on reduced costs ``c_i - <m_i, y>``, where y is the
+dual point ``n_k / h_k`` of the hull face the cone program picks
+(Johnson's reweighting, equivalently A* with a consistent heuristic).
+Every move satisfies ``<m_i, y> <= c_i`` because its dual point lies in
+the hull, so reduced costs are nonnegative; and a linear potential
+telescopes, so every path to a lattice target T costs its raw cost minus
+``<T, y>``. The cheapest path is therefore the same for any feasible y and
+the search adds ``<T, y>`` back; only the order in which nodes are popped
+changes, now mostly along zero-reduced-cost paths. Reduced costs within
+``1e-12 * c_i`` below zero are rounding and clamp to 0; a more negative
+one means y is infeasible and raises, so the lattice value never depends
+on the cone program being right.
+
 Stencil paths are admissible polylines, so the oracle can only
 overestimate the true anisotropic distance; the gap shrinks as the
 stencil order grows and vanishes when the optimal staircase directions
@@ -16,6 +29,7 @@ are stencil moves.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -28,6 +42,8 @@ from .crystal import CrystalContext
 from .integrand import Integrand
 
 _SOLVER_AGREEMENT = 1e-6
+# Reduced costs this far below zero, relative to the move's cost, are rounding.
+_REDUCED_COST_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +52,8 @@ class Stencil:
 
     Moves are coprime (no redundant multiples) and nonzero. The order-k
     stencil holds every coprime vector with coordinates bounded by k, so
-    stencils grow by inclusion as k increases.
+    stencils grow by inclusion as k increases. ``moves`` is read-only, so
+    :meth:`order` hands every caller the same instance per k.
     """
 
     moves: np.ndarray
@@ -56,7 +73,9 @@ class Stencil:
         gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
         if gaps.max() >= np.pi - 1e-12:  # an exact half-turn may round below pi
             raise ValueError("moves leave an angular gap >= pi; they do not positively span")
-        object.__setattr__(self, "moves", m.astype(np.int64))
+        m = m.astype(np.int64)
+        m.flags.writeable = False
+        object.__setattr__(self, "moves", m)
 
     @cached_property
     def reach(self) -> int:
@@ -67,6 +86,7 @@ class Stencil:
         return cls(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]))
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def order(cls, k: int) -> "Stencil":
         if k < 1:
             raise ValueError("stencil order must be at least 1")
@@ -80,24 +100,30 @@ class Stencil:
 
 
 def _move_costs(F: Integrand, moves: np.ndarray) -> np.ndarray:
-    return np.array([F(m.astype(float)) for m in moves])
+    """F at every move, as the move's length times F at its direction."""
+    lengths = np.hypot(moves[:, 0], moves[:, 1])
+    return F.values_on(moves / lengths[:, None]) * lengths
 
 
 def _cone_program(
     costs: np.ndarray, moves: np.ndarray, target: np.ndarray
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, np.ndarray, int, np.ndarray]:
     """min <costs, lam> over lam >= 0 with sum lam_i moves_i = target: the gauge
     at the target of the hull of the dual points ``moves_i / costs_i``, the
     largest ``<n_k, target> / h_k`` over its edges. The basis is the pair of
     moves on the face the ray crosses (within ``1e-12 * h_k``) adjacent to
-    the ray, or the one move the ray runs along. Returns the value, the
-    coefficients and the basis determinant (1 for one move), the smallest
-    target multiplier that makes the coefficients integral.
+    the ray, or the one move the ray runs along. Returns the value; the
+    coefficients; the basis determinant (1 for one move), which is the
+    smallest target multiplier that makes the coefficients integral; and
+    the dual point ``y = n_k / h_k`` of the face attaining the value, for
+    which ``<moves_i, y> <= costs_i`` on every move (each dual point lies
+    in the hull) and ``<target, y>`` is the value.
     """
     dual = moves / costs[:, None]
     normals, offsets = planar.edge_normals_and_offsets(planar.hull_cycle(dual))
     ratios = normals @ target / offsets
-    value = float(ratios.max())
+    face = int(np.argmax(ratios))
+    value = float(ratios[face])
     # Every face the ray crosses up to rounding, and every move on them.
     faces = ratios >= (1.0 - 1e-12) * value
     on_face = np.flatnonzero((dual @ normals[faces].T >= (1.0 - 1e-12) * offsets[faces]).any(1))
@@ -111,7 +137,28 @@ def _cone_program(
     coefficients = np.zeros(len(moves))
     coefficients[[i, j]] = (tx * by - ty * bx) / det, (ax * ty - ay * tx) / det
     # A ray along move i leaves move j out of the basis.
-    return value, coefficients, det if coefficients[j] else 1
+    return value, coefficients, det if coefficients[j] else 1, normals[face] / offsets[face]
+
+
+def _reduced_dijkstra(
+    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, potential: np.ndarray
+) -> float:
+    """:func:`_lattice_dijkstra`'s value, searched on the reduced costs
+    ``costs_i - <moves_i, potential>`` and shifted back by ``<target, potential>``.
+
+    Reduced costs within ``_REDUCED_COST_ROUNDING * costs_i`` below zero
+    clamp to 0; a more negative one means the potential is infeasible and
+    raises, naming the move.
+    """
+    reduced = costs - moves @ potential
+    short = np.flatnonzero(reduced < -_REDUCED_COST_ROUNDING * costs)
+    if len(short):
+        i = short[0]
+        raise RuntimeError(
+            f"infeasible potential: move {tuple(int(c) for c in moves[i])} of cost "
+            f"{costs[i]!r} has reduced cost {reduced[i]!r}"
+        )
+    return _lattice_dijkstra(np.maximum(reduced, 0.0), moves, target) + float(target @ potential)
 
 
 def _lattice_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
@@ -161,6 +208,8 @@ def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
     integer paths can only realize integral combinations, so the check runs
     at the target scaled to make the optimal combination integral (exact
     agreement expected), or one-sidedly when that scale is impractical.
+    The search runs on the reduced costs of the cone program's dual point
+    (see the module docstring), which leaves its value unchanged.
     Disagreement raises instead of returning an untrustworthy number. The
     result is always an upper bound on the anisotropic distance.
     """
@@ -169,17 +218,18 @@ def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
         raise ValueError("oracle targets must be planar integer vectors")
     if np.all(target == 0):
         raise ValueError("oracle target must be nonzero")
-    costs = _move_costs(F, stencil.moves)
-    lp, _, scale = _cone_program(costs, stencil.moves, target)
+    moves = stencil.moves
+    costs = _move_costs(F, moves)
+    lp, _, scale, potential = _cone_program(costs, moves, target)
     if scale * int(np.abs(target).max()) <= 200:
-        dj = _lattice_dijkstra(costs, stencil.moves, scale * target) / scale
+        dj = _reduced_dijkstra(costs, moves, scale * target, potential) / scale
         if abs(lp - dj) > _SOLVER_AGREEMENT * abs(lp):
             raise RuntimeError(
                 f"oracle solvers disagree at {tuple(target)} (scale {scale}): "
                 f"cone program {lp!r}, lattice search {dj!r}"
             )
     else:  # huge determinant: fall back to the relaxation bound
-        dj = _lattice_dijkstra(costs, stencil.moves, target)
+        dj = _reduced_dijkstra(costs, moves, target, potential)
         if dj < lp - _SOLVER_AGREEMENT * abs(lp):
             raise RuntimeError(
                 f"lattice search undercuts the cone program at {tuple(target)}: "
@@ -191,10 +241,14 @@ def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
 def oracle_convergence(
     ctx: CrystalContext, target, orders: list[int]
 ) -> list[tuple[int, float]]:
-    """Oracle gap (oracle minus true distance) for increasing stencil orders.
+    """Oracle gap (oracle minus the context's norm) for increasing stencil orders.
 
-    Gaps are nonnegative and nonincreasing because stencils grow by
-    inclusion.
+    Gaps are nonincreasing because stencils grow by inclusion. For costs
+    convex by construction the norm is the true distance, so gaps are also
+    nonnegative. For table and dip costs the norm is the sampled envelope,
+    which can exceed the cost of a lattice path, so a gap can be negative;
+    ``run_suite``'s oracle-sandwich check allows them the sampled slack
+    ``resolution**2 * f_max``.
     """
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError("stencil orders must be strictly increasing")

@@ -121,7 +121,7 @@ def support_values(cycle: np.ndarray, directions: np.ndarray) -> np.ndarray:
 def polygon_area(vertices: np.ndarray) -> float:
     """Signed shoelace area; positive for counterclockwise vertices."""
     v = np.asarray(vertices, dtype=float)
-    w = np.roll(v, -1, axis=0)
+    w = np.concatenate((v[1:], v[:1]))
     return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]))
 
 

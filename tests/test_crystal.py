@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from anisogeo import (
+    AngularTable,
     Constant,
     ConvexRegion,
     CrystalContext,
+    Crystalline,
     Dip,
     PNorm,
     SphereGrid,
@@ -139,6 +142,21 @@ class TestPolar:
             expected = convex_hull_ccw(np.vstack([pts, [[0.0, 0.0]]]))
             got = double_polar(pts)
             assert hausdorff_distance(got.vertices, expected) <= 1e-3
+
+    def test_double_polar_is_scale_free(self):
+        # The box perturbs the result by about scale / box_factor at any scale.
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            pts = rng.uniform(-1.0, 1.0, size=(12, 2)) + rng.uniform(-0.5, 1.5, size=2)
+            for s in (1.0, 2.0**900, 2.0**-900, 1e20, 1e-20, 1e100, 1e-100):
+                cloud = s * pts
+                expected = convex_hull_ccw(np.vstack([cloud, [[0.0, 0.0]]]))
+                got = double_polar(cloud).vertices
+                assert hausdorff_distance(got, expected) <= 2e-4 * np.abs(cloud).max(), s
+
+    def test_double_polar_refuses_a_zero_cloud(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            double_polar(np.zeros((5, 2)))
 
     def test_polar_requires_origin_interior(self):
         shifted = SQUARE.translated((5.0, 0.0))
@@ -301,6 +319,78 @@ class TestExtremalPoints:
 
     def test_disk_polygon_keeps_every_vertex(self, euclid_ctx):
         assert len(extremal_points(euclid_ctx.crystal)) == len(euclid_ctx.crystal.vertices)
+
+
+CONTACT_KINDS = [
+    PNorm(1.0),
+    PNorm(3.0),
+    PNorm(math.inf),
+    Constant(1.0),
+    Crystalline([((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0), ((-1.0, -1.0), 1.5)]),
+    AngularTable([0.0, 2.0, 4.0], [1.0, 1.4, 1.1]),
+    Dip(Constant(1.0), [((1.0, 0.0), 0.5)]),
+]
+
+
+def loop_in_contact(ctx: CrystalContext, x, tol: float = 1e-6) -> bool:
+    """Reference: the cost against the scalar norm, one direction at a time."""
+    x = np.asarray(x, dtype=float)
+    if math.hypot(*x) == 0.0:
+        return True
+    fx = ctx.integrand(x)
+    return fx - ctx.norm(x) <= tol * max(1.0, fx)
+
+
+class TestContactMany:
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_matches_the_scalar_queries(self, size):
+        rng = np.random.default_rng(size)
+        grid = SphereGrid.planar(size)
+        for F in CONTACT_KINDS:
+            ctx = CrystalContext(F, grid)
+            xs = np.vstack(
+                [
+                    grid.directions,
+                    ctx.crystal.normals,
+                    rng.normal(size=(50, 2)) * 10.0 ** rng.uniform(-3, 3, size=(50, 1)),
+                    np.zeros((1, 2)),
+                ]
+            )
+            got = ctx.in_contact_many(xs)
+            assert got.shape == (len(xs),)
+            assert got.tolist() == [ctx.in_contact(x) for x in xs], F.kind
+            assert got.tolist() == [loop_in_contact(ctx, x) for x in xs], F.kind
+            if not F.is_convex:
+                x = xs[:-1]
+                norms = ctx._sampled_norms(x, np.hypot(x[:, 0], x[:, 1]))
+                want = np.array([ctx.norm(v) for v in x])
+                assert np.abs(norms - want).max() <= 1e-13 * np.abs(want).max(), F.kind
+
+    def test_sampled_costs_have_directions_out_of_contact(self, dip_ctx):
+        got = dip_ctx.in_contact_many(dip_ctx.grid.directions)
+        assert got.any() and not got.all()
+
+    def test_rejects_bad_input(self, dip_ctx):
+        with pytest.raises(ValueError, match="positive"):
+            dip_ctx.in_contact_many(np.ones((3, 2)), tol=0.0)
+        with pytest.raises(ValueError, match="planar"):
+            dip_ctx.in_contact_many(np.ones((3, 3)))
+
+    def test_cross_checks_raise_like_norm(self, dip_ctx):
+        # Break one authority at a time; the batch raises what norm raises.
+        v = np.array([[0.6, 0.8]])
+        broken = [
+            ("polar_body", dip_ctx.polar_body.scaled(1.1), "duality"),
+            ("crystal", dip_ctx.crystal.scaled(0.9), "exceeds the halfplane"),
+            ("crystal", dip_ctx.crystal.scaled(1.1), "gap exceeds the grid bound"),
+        ]
+        for attribute, region, message in broken:
+            ctx = copy.copy(dip_ctx)
+            setattr(ctx, attribute, region)
+            with pytest.raises(RuntimeError, match=message):
+                ctx.norm(v[0])
+            with pytest.raises(RuntimeError, match=message):
+                ctx.in_contact_many(v)
 
 
 class TestOrthogonalDirections:

@@ -11,6 +11,9 @@ from anisogeo import (
     random_wulff_competitor,
     wulff_identity_check,
 )
+from anisogeo import isoperimetry
+from anisogeo.isoperimetry import _edges_cross, _self_intersects
+from anisogeo.planar import convex_hull_ccw
 
 SQUARE = Polygon(np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 TRIANGLE = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -45,6 +48,55 @@ class TestPolygonValidation:
     def test_nonconvex_simple_polygon_accepted(self):
         arrow = Polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5]]))
         assert arrow.area > 0.0
+
+
+def _star(rng, k: int, radii: tuple[float, float]) -> np.ndarray:
+    """k vertices at sorted random angles and random radii: star-shaped."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
+    r = rng.uniform(*radii, size=k)
+    return np.column_stack([r * np.cos(angles), r * np.sin(angles)])
+
+
+# Five points of a circle joined every second one: all left turns, two turns round.
+PENTAGRAM = np.array(
+    [[math.cos(a), math.sin(a)] for a in 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5]
+)
+
+
+class TestSimplicity:
+    def test_matches_the_pair_test(self):
+        rng = np.random.default_rng(53)
+        polygons = []
+        for k in (3, 5, 12, 30, 60):
+            for _ in range(10):
+                polygons.append(convex_hull_ccw(rng.normal(size=(k, 2))))
+                polygons.append(_star(rng, k, (0.2, 1.0)))
+                polygons.append(rng.normal(size=(k, 2)))  # mostly self-crossing
+        polygons.append(PENTAGRAM)
+        outcomes = set()
+        for v in polygons:
+            want = _edges_cross(v)
+            assert _self_intersects(v) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_convex_polygons_skip_the_pair_test(self, monkeypatch):
+        def refuse(v):
+            raise AssertionError("pair test reached")
+
+        monkeypatch.setattr(isoperimetry, "_edges_cross", refuse)
+        rng = np.random.default_rng(59)
+        for k in (3, 8, 40):
+            assert not _self_intersects(convex_hull_ccw(rng.normal(size=(k, 2))))
+
+    def test_pentagram_reaches_the_pair_test(self):
+        # Every turn is left, but the turns add up to 4 pi.
+        e = np.roll(PENTAGRAM, -1, axis=0) - PENTAGRAM
+        f = np.roll(e, -1, axis=0)
+        assert np.all(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0] > 0.0)
+        assert _self_intersects(PENTAGRAM)
+        with pytest.raises(ValueError, match="intersect"):
+            Polygon(PENTAGRAM)
 
 
 class TestArea:

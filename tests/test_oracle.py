@@ -20,7 +20,12 @@ from anisogeo import (
     oracle_convergence,
     oracle_distance,
 )
-from anisogeo.oracle import _cone_program, _lattice_dijkstra, _move_costs
+from anisogeo.oracle import (
+    _cone_program,
+    _lattice_dijkstra,
+    _move_costs,
+    _reduced_dijkstra,
+)
 
 SQ2 = math.sqrt(2.0)
 COST_KINDS = [
@@ -60,6 +65,11 @@ def random_costs(rng: np.random.Generator) -> list:
     direction /= np.hypot(*direction)
     dip = Dip(base, [(tuple(direction), float(rng.uniform(0.3, 0.9)) * base(direction))])
     return [Crystalline(facets), table, dip]
+
+
+def loop_move_costs(F, moves: np.ndarray) -> np.ndarray:
+    """Reference: F called once per move."""
+    return np.array([F(m.astype(float)) for m in moves])
 
 
 def loop_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
@@ -121,6 +131,24 @@ class TestStencil:
     def test_float_moves_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             Stencil(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+
+    def test_order_is_shared_and_read_only(self):
+        assert Stencil.order(3) is Stencil.order(3)
+        with pytest.raises(ValueError, match="read-only"):
+            Stencil.order(3).moves[0, 0] = 7
+        # The caller's array stays writable: the stencil holds a copy.
+        moves = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])
+        Stencil(moves)
+        moves[0, 0] = 1
+
+    def test_move_costs_match_the_loop(self):
+        rng = np.random.default_rng(43)
+        costs = COST_KINDS + [PNorm(math.inf)] + random_costs(rng) + random_costs(rng)
+        moves = np.vstack([Stencil.order(7).moves, SKEWED.moves])
+        for F in costs:
+            want = loop_move_costs(F, moves)
+            got = _move_costs(F, moves)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), F.kind
 
 
 class TestOracleDistance:
@@ -190,13 +218,13 @@ class TestConeProgram:
 
     def test_matches_the_linear_program(self):
         for costs, moves, target in self.cases():
-            value, _, _ = _cone_program(costs, moves, target)
+            value, _, _, _ = _cone_program(costs, moves, target)
             lp, _ = linprog_cone_program(costs, moves, target)
             assert abs(value - lp) <= 1e-12 * abs(lp), (moves.max(), target)
 
     def test_basis_rebuilds_the_target(self):
         for costs, moves, target in self.cases():
-            value, coefficients, scale = _cone_program(costs, moves, target)
+            value, coefficients, scale, _ = _cone_program(costs, moves, target)
             basis = np.flatnonzero(coefficients)
             assert 1 <= len(basis) <= 2
             assert np.all(coefficients >= 0.0)
@@ -208,6 +236,56 @@ class TestConeProgram:
             else:
                 assert scale == 1
             assert np.allclose(scale * coefficients, np.rint(scale * coefficients), atol=1e-9)
+
+
+    def test_dual_point_is_feasible_and_optimal(self):
+        for costs, moves, target in self.cases():
+            value, coefficients, _, y = _cone_program(costs, moves, target)
+            assert np.all(moves @ y <= costs * (1.0 + 1e-12))
+            basis = np.flatnonzero(coefficients)
+            assert np.abs(moves[basis] @ y - costs[basis]).max() <= 1e-12 * costs[basis].max()
+            assert abs(target @ y - value) <= 1e-12 * abs(value)
+
+
+class TestReducedSearch:
+    def test_matches_the_plain_search(self):
+        # Lattice targets as oracle_distance picks them, on both branches.
+        rng = np.random.default_rng(47)
+        branches, scales = set(), set()
+        for _ in range(3):
+            for F in random_costs(rng):
+                cases = [(Stencil.order(k), rng.integers(-3, 4, size=2)) for k in (1, 2, 3, 4)]
+                cases += [(SKEWED, np.array(t)) for t in ((9, 9), (10, 7), (2, 3), (3, 1))]
+                for stencil, target in cases:
+                    if np.all(target == 0):
+                        continue
+                    moves = stencil.moves
+                    costs = _move_costs(F, moves)
+                    _, _, scale, y = _cone_program(costs, moves, target)
+                    scaled = scale * int(np.abs(target).max()) <= 200
+                    branches.add(scaled)
+                    scales.add(scale if scaled else 0)
+                    lattice_target = scale * target if scaled else target
+                    plain = _lattice_dijkstra(costs, moves, lattice_target)
+                    got = _reduced_dijkstra(costs, moves, lattice_target, y)
+                    assert abs(got - plain) <= 1e-12 * abs(plain), (F.kind, target)
+                    oracle_distance(F, target, stencil)  # the solvers agree
+        assert branches == {True, False}
+        assert max(scales) > 1
+
+    def test_infeasible_potential_raises(self):
+        moves = Stencil.axis().moves
+        costs = np.ones(4)
+        # <(1, 0), y> = 1.5 exceeds the move's cost 1.
+        with pytest.raises(RuntimeError, match=r"infeasible potential: move \(1, 0\)"):
+            _reduced_dijkstra(costs, moves, np.array([3, 2]), np.array([1.5, 0.0]))
+
+    def test_rounding_below_zero_is_clamped(self):
+        moves = Stencil.axis().moves
+        costs = np.ones(4)
+        y = np.array([1.0 + 1e-14, 1.0])
+        got = _reduced_dijkstra(costs, moves, np.array([3, 2]), y)
+        assert got == pytest.approx(5.0, rel=1e-12, abs=0.0)
 
 
 class TestSandwich:
@@ -270,7 +348,7 @@ class TestLatticeDijkstra:
                 continue
             moves = stencil.moves
             costs = _move_costs(F, moves)
-            _, _, scale = _cone_program(costs, moves, target)
+            _, _, scale, _ = _cone_program(costs, moves, target)
             scaled = scale * int(np.abs(target).max()) <= 200
             branches.add(scaled)
             lattice_target = scale * target if scaled else target
@@ -299,11 +377,16 @@ class TestLatticeDijkstra:
         code = """
 import resource, numpy as np
 from anisogeo import PNorm, Stencil
-from anisogeo.oracle import _cone_program, _lattice_dijkstra, _move_costs
+from anisogeo.oracle import (
+    _cone_program,
+    _lattice_dijkstra,
+    _move_costs,
+    _reduced_dijkstra,
+)
 moves = Stencil.order(4).moves
 costs = _move_costs(PNorm(3.0), moves)
 target = np.array([200, 77])
-lp, _, _ = _cone_program(costs, moves, target)
+lp, _, _, _ = _cone_program(costs, moves, target)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 got = _lattice_dijkstra(costs, moves, target)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
