@@ -10,9 +10,10 @@ Subcommands:
 * ``suite``    - run the cross-module invariant battery on a cost.
 
 Exit codes: 0 success/verified, 1 negative verdict or invariant failure,
-2 usage or parse error. All floating output is rounded to 12 significant
-digits for reproducible diffs. Nothing is random without a seed; the suite
-defaults to seed 0.
+2 usage or parse error. Reports round floats to 12 significant digits for
+reproducible diffs; the files ``crystal`` exports carry 17 (SVG
+coordinates 8). Nothing is random without a seed; the suite defaults to
+seed 0.
 """
 
 from __future__ import annotations

@@ -166,13 +166,26 @@ def load_vertices(path) -> np.ndarray:
 
 
 def save_rows(path, rows: np.ndarray, header: str | None = None) -> None:
-    """Write coordinate rows with enough digits to round-trip exactly."""
-    lines = []
+    """Write coordinate rows with enough digits to round-trip exactly.
+
+    Only what :func:`load_vertices` reads back is written: an array that is
+    not a nonempty 2-D table of finite numbers raises ``ValueError`` naming
+    the file (and the first non-finite row), and no file is written.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError(f"{path}: expected a nonempty table of coordinate rows, got shape {rows.shape}")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{path}: row {bad + 1} is not finite: {rows[bad].tolist()}")
+    # One C-level format call for the whole table; "%.17g" and f"{x:.17g}"
+    # give the same digits.
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    text = (line * len(rows)) % tuple(rows.ravel().tolist())
     if header:
-        lines.append(f"# {header}")
-    for row in np.asarray(rows, dtype=float):
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    FilePath(path).write_text("\n".join(lines) + "\n")
+        text = f"# {header}\n{text}"
+    FilePath(path).write_text(text)
 
 
 def round_floats(obj, digits: int = 12):

@@ -27,7 +27,20 @@ class PolyLine:
 
 
 def render_svg(elements: list[PolyLine], path, size: int = 640) -> None:
-    pts = np.vstack([e.points for e in elements])
+    """Write the elements as one SVG figure.
+
+    Points must be finite (n, 2) arrays; anything else raises
+    ``ValueError`` naming the file, and no file is written.
+    """
+    points = [np.asarray(e.points, dtype=float) for e in elements]
+    for i, p in enumerate(points):
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise ValueError(f"{path}: element {i}: points must be (n, 2), got shape {p.shape}")
+        finite = np.isfinite(p).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"{path}: element {i}: point {bad + 1} is not finite: {p[bad].tolist()}")
+    pts = np.vstack(points)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
@@ -45,8 +58,9 @@ def render_svg(elements: list[PolyLine], path, size: int = 640) -> None:
         # Flip to y-up: SVG's y axis points down.
         '<g transform="scale(1,-1)">',
     ]
-    for e in elements:
-        coords = " ".join(f"{x:.8g},{y:.8g}" for x, y in np.asarray(e.points, dtype=float))
+    for e, p in zip(elements, points):
+        # One C-level format call per element; "%.8g" and f"{x:.8g}" agree.
+        coords = " ".join(["%.8g,%.8g"] * len(p)) % tuple(p.ravel().tolist())
         tag = "polygon" if e.closed else "polyline"
         parts.append(
             f'<{tag} points="{coords}" fill="none" stroke="{e.color}" '

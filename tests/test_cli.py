@@ -150,6 +150,19 @@ class TestPathFiles:
         again = load_vertices(f)
         assert np.all(again == rows)  # 17 significant digits are lossless
 
+    def test_bad_last_line_of_a_large_file_is_named(self, tmp_path):
+        rng = np.random.default_rng(5)
+        body = "".join(f"{x!r} {y!r}\n" for x, y in rng.normal(size=(20000, 2)).tolist())
+        p = tmp_path / "long.txt"
+        for last, message in (("1 oops", "not a number row"), ("1 inf", "coordinates must be finite"),
+                              ("1 2 3", "expected 2 coordinates")):
+            p.write_text(f"# a long path\n{body}{last}\n")
+            with pytest.raises(SpecError, match=f":20002: {message}"):
+                load_path_file(p, dim=2)
+        p.write_text(f"{body}1 2 3  # extra\n")
+        with pytest.raises(SpecError, match=":20001: inconsistent row length"):
+            load_vertices(p)
+
 
 class TestReports:
     def test_json_is_strict(self):

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -28,3 +29,22 @@ def test_import_leaves_scipy_optimize_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps each (module, attribute, class) of its
+    # TARGETS by name, so a rename in the package would crash every traced
+    # benchmark run. Its source is read and executed, not imported, so no
+    # bytecode cache is written next to it.
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    namespace = {"__name__": "tracing_targets"}
+    exec(compile(source.read_text(), str(source), "exec"), namespace)
+    targets = namespace["TARGETS"]
+    assert len(targets) >= 40
+    for module, attr, cls_name, _split in targets:
+        mod = importlib.import_module(f"anisogeo.{module}")
+        if cls_name is None:
+            assert callable(getattr(mod, attr, None)), (module, attr)
+        else:
+            # Tracer.install reads methods from the class's own __dict__.
+            assert attr in vars(getattr(mod, cls_name)), (module, cls_name, attr)

@@ -1,0 +1,195 @@
+"""Vertex-file and SVG writers against the per-element reference loops.
+
+``fileio.save_rows`` and ``svgplot.render_svg`` format each array with one
+``%`` call. The f-string loops below are the implementations they replaced;
+every comparison is byte-for-byte.
+"""
+
+import json
+import math
+from pathlib import Path as FilePath
+
+import numpy as np
+import pytest
+
+from anisogeo import fileio, svgplot
+from anisogeo.cli import main
+from anisogeo.fileio import load_vertices, save_rows
+from anisogeo.svgplot import PolyLine, render_svg
+
+# The five specs of the README's command-line section.
+README_SPECS = {
+    "pnorm": {"kind": "pnorm", "dimension": 2, "p": 1},
+    "constant": {"kind": "constant", "dimension": 2, "c": 1.0},
+    "crystalline": {
+        "kind": "crystalline", "dimension": 2,
+        "facets": [{"direction": [1, 1], "weight": 1.41}, {"direction": [-1, 1], "weight": 1.0},
+                   {"direction": [0, -1], "weight": 0.8}],
+    },
+    "table": {
+        "kind": "table", "dimension": 2, "interpolation": "linear",
+        "samples": [{"angle": 0.0, "value": 1.0}, {"angle": 2.0, "value": 1.4},
+                    {"angle": 4.0, "value": 1.1}],
+    },
+    "dip": {
+        "kind": "dip", "dimension": 2,
+        "base": {"kind": "constant", "dimension": 2, "c": 1.0},
+        "dips": [{"direction": [1, 0], "value": 0.5}],
+    },
+}
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, 2.0**-1074, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    float(2**53 + 1), float(2**63), float(10**20 + 7), -float(3**40), 1.0, -1.0, math.pi,
+]
+
+
+def save_rows_reference(path, rows, header=None):
+    lines = []
+    if header:
+        lines.append(f"# {header}")
+    for row in np.asarray(rows, dtype=float):
+        lines.append(" ".join(f"{x:.17g}" for x in row))
+    FilePath(path).write_text("\n".join(lines) + "\n")
+
+
+def render_svg_reference(elements, path, size=640):
+    pts = np.vstack([e.points for e in elements])
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = np.maximum(hi - lo, 1e-9)
+    margin = 0.1 * float(span.max())
+    lo = lo - margin
+    hi = hi + margin
+    width = float(hi[0] - lo[0])
+    height = float(hi[1] - lo[1])
+    stroke = max(width, height)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size * height / width:.0f}" '
+        f'viewBox="{lo[0]:.6g} {-hi[1]:.6g} {width:.6g} {height:.6g}">',
+        '<g transform="scale(1,-1)">',
+    ]
+    for e in elements:
+        coords = " ".join(f"{x:.8g},{y:.8g}" for x, y in np.asarray(e.points, dtype=float))
+        tag = "polygon" if e.closed else "polyline"
+        parts.append(
+            f'<{tag} points="{coords}" fill="none" stroke="{e.color}" '
+            f'stroke-width="{e.width_frac * stroke:.6g}" stroke-linejoin="round"/>'
+        )
+    parts.append("</g></svg>")
+    FilePath(path).write_text("\n".join(parts) + "\n")
+
+
+def _random_rows(rng, n, cols):
+    """Rows of mixed sign with magnitudes spread over 10^-300 to 10^300."""
+    return rng.choice([-1.0, 1.0], size=(n, cols)) * 10.0 ** rng.uniform(-300, 300, size=(n, cols))
+
+
+def _same_bytes(tmp_path, write, reference, *args):
+    """Whether ``write`` and ``reference`` put the same bytes in their file,
+    which is the last argument of ``render_svg`` and the first of ``save_rows``."""
+    new, old = tmp_path / "new", tmp_path / "old"
+    if write is render_svg:
+        write(*args, new)
+        reference(*args, old)
+    else:
+        write(new, *args)
+        reference(old, *args)
+    return new.read_bytes() == old.read_bytes()
+
+
+class TestSaveRows:
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_random_magnitudes_match_the_reference(self, tmp_path, cols):
+        rng = np.random.default_rng(100 + cols)
+        for n in (1, 2, 37, 500):
+            for header in (None, "rows"):
+                rows = _random_rows(rng, n, cols)
+                assert _same_bytes(tmp_path, save_rows, save_rows_reference, rows, header)
+
+    def test_special_values_match_the_reference(self, tmp_path):
+        values = np.array(SPECIAL_VALUES)
+        for cols in (1, 2, 3):
+            rows = np.resize(values, (len(values), cols))
+            assert _same_bytes(tmp_path, save_rows, save_rows_reference, rows, "special")
+        # Integers above 2^53 go through the same float conversion.
+        big = [[2**53 + 1, -(2**60)], [10**20, 3]]
+        assert _same_bytes(tmp_path, save_rows, save_rows_reference, big, None)
+
+    def test_special_values_round_trip(self, tmp_path):
+        rows = np.resize(np.array(SPECIAL_VALUES), (len(SPECIAL_VALUES), 2))
+        f = tmp_path / "special.txt"
+        save_rows(f, rows)
+        again = load_vertices(f)
+        assert again.tobytes() == rows.tobytes()  # bitwise, -0.0 included
+
+    def test_non_finite_rows_are_refused_by_row(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"bad\.txt: row 3 is not finite"):
+                save_rows(f, [[1.0, 2.0], [3.0, 4.0], [5.0, bad], [bad, 0.0]])
+            assert not f.exists()
+
+    def test_empty_and_one_dimensional_input_are_refused(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        for rows in (np.zeros((0, 2)), np.zeros((3, 0)), [1.0, 2.0], 5.0, np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match=r"bad\.txt: expected a nonempty table"):
+                save_rows(f, rows, header="nothing")
+            assert not f.exists()
+
+
+def _elements(rng, sizes):
+    colors = ("#000000", "#1f4fd8", "#d7191c")
+    return [
+        PolyLine(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-8, 8), colors[i % 3],
+                 closed=bool(i % 2), width_frac=0.004 + 0.002 * i)
+        for i, n in enumerate(sizes)
+    ]
+
+
+class TestRenderSvg:
+    def test_random_figures_match_the_reference(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for sizes in ((1,), (2, 3), (60, 720, 5), (2880, 40, 40, 9)):
+            elements = _elements(rng, sizes)
+            assert _same_bytes(tmp_path, render_svg, render_svg_reference, elements)
+
+    def test_special_values_match_the_reference(self, tmp_path):
+        pts = np.array([[0.0, -0.0], [5e-324, -5e-324], [1e300, -1e300], [1.0, math.pi]])
+        elements = [PolyLine(pts, "#000000", closed=True)]
+        assert _same_bytes(tmp_path, render_svg, render_svg_reference, elements)
+
+    def test_non_finite_points_are_refused(self, tmp_path):
+        f = tmp_path / "bad.svg"
+        good = PolyLine(np.array([[0.0, 0.0], [1.0, 1.0]]), "#000000")
+        for bad in (math.nan, math.inf, -math.inf):
+            pts = np.array([[0.0, 0.0], [1.0, bad], [2.0, 2.0]])
+            with pytest.raises(ValueError, match=r"bad\.svg: element 1: point 2 is not finite"):
+                render_svg([good, PolyLine(pts, "#000000")], f)
+            assert not f.exists()
+
+    def test_points_must_be_planar_rows(self, tmp_path):
+        f = tmp_path / "bad.svg"
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            render_svg([PolyLine(np.zeros((4, 3)), "#000000")], f)
+        assert not f.exists()
+
+
+@pytest.mark.parametrize("grid", [60, 720, 2880])
+@pytest.mark.parametrize("kind", sorted(README_SPECS))
+def test_crystal_exports_match_the_reference_writers(tmp_path, monkeypatch, capsys, kind, grid):
+    spec = tmp_path / f"{kind}.json"
+    spec.write_text(json.dumps(README_SPECS[kind]))
+    argv = ["crystal", str(spec), "--grid", str(grid), "--out"]
+    assert main([*argv, str(tmp_path / "new")]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "save_rows", save_rows_reference)
+        patch.setattr(svgplot, "render_svg", render_svg_reference)
+        assert main([*argv, str(tmp_path / "old")]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "old").iterdir())
+    assert len(names) == 6 and "crystal.svg" in names
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes(), name
