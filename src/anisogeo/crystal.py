@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import planar
-from .integrand import GridFunction, Integrand, SphereGrid, scan, unit, wulff_from_dual
+from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit, wulff_from_dual
 
 PROVENANCE_CRYSTAL = "crystal"
 PROVENANCE_POLAR = "polar-body"
@@ -340,14 +340,15 @@ class CrystalContext:
         Sampled costs use the support function of the Wulff-graph hull -
         identical to the sampled envelope - cross-checked on every call
         against the Minkowski gauge of the polar body (exact duality) and
-        against the halfplane crystal within the grid bound.
+        against the halfplane crystal within the grid bound. Raises
+        ValueError naming v when it is not a finite planar vector.
         """
-        v = np.asarray(v, dtype=float)
-        speed = math.hypot(*v)
+        if self.integrand.is_convex:
+            return self.integrand(v)  # refuses v as planar_vector does below
+        speed = math.hypot(*planar_vector(v))
         if speed == 0.0:
             return 0.0
-        if self.integrand.is_convex:
-            return self.integrand(v)
+        v = np.asarray(v, dtype=float)
         s = self._norm_region.support(v)
         g = self.polar_body.gauge(v)
         if abs(s - g) > 1e-9 * max(1.0, abs(s)):
@@ -367,7 +368,8 @@ class CrystalContext:
 
     def distance(self, x, y) -> float:
         """Cheapest cost of travelling from x to y; zero iff x == y."""
-        return self.norm(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
+        (xa, xb), (ya, yb) = planar_vector(x), planar_vector(y)
+        return self.norm(np.array((ya - xa, yb - xb)))
 
     def in_contact(self, x, tol: float = 1e-6) -> bool:
         """Whether the cost meets its convex envelope in direction x."""
@@ -436,20 +438,26 @@ class CrystalContext:
         n = self.norm(v)
         if n == 0.0:
             raise ValueError("zero vector has no direction")
-        if self.integrand(v) - n > tol * n:
+        # For convex families the norm is F itself, so F(v) - n is 0.
+        if not self.integrand.is_convex and self.integrand(v) - n > tol * n:
             return False
-        v_hat = v / n
+        a, b = v.tolist()
+        a, b = a / n, b / n
         normals, offsets = self.crystal.halfspaces
         k = int(np.argmax(self.crystal.vertices @ v))
-        cone = [k - 1, k]
-        gaps = np.hypot(*(normals[cone] / offsets[cone, None] - v_hat).T)
-        return bool(gaps.min() <= tol * max(math.hypot(*v_hat), 1e-30))
+        gap = math.inf
+        for j in (k - 1, k):
+            (na, nb), h = normals[j].tolist(), float(offsets[j])
+            gap = min(gap, math.hypot(na / h - a, nb / h - b))
+        return gap <= tol * max(math.hypot(a, b), 1e-30)
 
-    def contact_point_candidates(self, v) -> list[np.ndarray]:
+    def contact_point_candidates(self, v, face: ContactFace | None = None) -> list[np.ndarray]:
         """Crystal points that may realize <v, x> = |v|: the contact face
         of the norm authority (vertex, or endpoints plus midpoint of an
-        edge) and, when the cost knows one, its closed-form contact point."""
-        face = contact_face(self._norm_region, unit(v))
+        edge) and, when the cost knows one, its closed-form contact point.
+        ``face`` is that contact face when the caller has it already."""
+        if face is None:
+            face = contact_face(self._norm_region, unit(v))
         candidates = [p for p in face.vertices]
         if face.is_edge:
             candidates.append(face.representative)

@@ -21,9 +21,8 @@ support of v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -40,22 +39,29 @@ class GeodesicClass(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Path:
-    """Polyline through ordered breakpoints; every segment has positive length."""
+    """Polyline through ordered breakpoints; every segment has positive length.
+
+    ``segments`` are the segment vectors, ``speeds`` their Euclidean lengths
+    and ``directions`` the unit segment directions.
+    """
 
     points: np.ndarray
+    segments: np.ndarray = field(init=False, repr=False)
+    speeds: np.ndarray = field(init=False, repr=False)
+    directions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ValueError("a path needs at least two planar breakpoints")
-        seg = np.diff(pts, axis=0)
-        if np.any(np.hypot(seg[:, 0], seg[:, 1]) <= MIN_SEGMENT):
+        seg = pts[1:] - pts[:-1]
+        speeds = np.hypot(seg[:, 0], seg[:, 1])
+        if np.any(speeds <= MIN_SEGMENT):
             raise ValueError("degenerate segment: consecutive breakpoints coincide")
         object.__setattr__(self, "points", pts)
-
-    @cached_property
-    def segments(self) -> np.ndarray:
-        return np.diff(self.points, axis=0)
+        object.__setattr__(self, "segments", seg)
+        object.__setattr__(self, "speeds", speeds)
+        object.__setattr__(self, "directions", seg / speeds[:, None])
 
     @property
     def start(self) -> np.ndarray:
@@ -79,7 +85,12 @@ class Path:
 
 def path_length(F: Integrand, path: Path) -> float:
     """Total cost of a polyline: the sum of F over its segment vectors."""
-    return float(sum(F(seg) for seg in path.segments))
+    return _length(F.values_on(path.directions), path)
+
+
+def _length(unit_costs: np.ndarray, path: Path) -> float:
+    """The path's cost from F on its segment directions, summed in segment order."""
+    return float(sum((unit_costs * path.speeds).tolist()))
 
 
 def concatenate(paths: list[Path]) -> Path:
@@ -110,8 +121,7 @@ def resample_polyline(path: Path, count: int) -> Path:
     """
     if count < 2:
         raise ValueError("need at least two sample points")
-    seg_len = np.hypot(path.segments[:, 0], path.segments[:, 1])
-    s = np.concatenate([[0.0], np.cumsum(seg_len)])
+    s = np.concatenate([[0.0], np.cumsum(path.speeds)])
     targets = np.linspace(0.0, s[-1], count)
     pts = np.empty((count, path.points.shape[1]))
     for d in range(path.points.shape[1]):
@@ -200,44 +210,48 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     v = path.displacement
-    if math.hypot(*v) <= MIN_SEGMENT:
+    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("path endpoints coincide; geodesic comparison undefined")
 
-    achieved = path_length(ctx.integrand, path)
+    # F on every segment direction, once: the length, the contact flags and,
+    # for convex families (whose norm is F itself), the segment norms.
+    dirs = path.directions
+    unit_costs = ctx.integrand.values_on(dirs)
+    achieved = _length(unit_costs, path)
     target = ctx.norm(v)
     verdict = abs(achieved - target) <= tol * max(1.0, target)
     face = contact_face(ctx.norm_region, unit(v))
 
-    speeds = np.hypot(path.segments[:, 0], path.segments[:, 1])
-    unit_tol = tol * max(1.0, target) / float(speeds.sum())
-    seg_dirs = [unit(seg) for seg in path.segments]
-    seg_norms = [ctx.norm(d) for d in seg_dirs]
-    contact_flags = [
-        ctx.integrand(d) - nd <= unit_tol for d, nd in zip(seg_dirs, seg_norms)
-    ]
+    unit_tol = tol * max(1.0, target) / float(path.speeds.sum())
+    if ctx.integrand.is_convex:
+        seg_norms = unit_costs
+    else:
+        seg_norms = np.array([ctx.norm(d) for d in dirs])
+    contact = unit_costs - seg_norms <= unit_tol
 
-    best_checks: list[SegmentCheck] | None = None
+    best_support: np.ndarray | None = None
     best_point: np.ndarray | None = None
     best_score = -1
-    for xbar in ctx.contact_point_candidates(v):
-        checks = []
-        for d, nd, c_ok in zip(seg_dirs, seg_norms, contact_flags):
-            support_gap = abs(float(d @ xbar) - nd)
-            checks.append(SegmentCheck(d, c_ok, support_gap <= unit_tol))
-        score = sum(check.ok for check in checks)
+    for xbar in ctx.contact_point_candidates(v, face):
+        support = np.abs(dirs @ xbar - seg_norms) <= unit_tol
+        score = int(np.count_nonzero(contact & support))
         if score > best_score:
-            best_checks, best_point, best_score = checks, xbar, score
-        if score == len(checks):
+            best_support, best_point, best_score = support, xbar, score
+        if score == len(dirs):
             break
 
-    assert best_checks is not None
+    assert best_support is not None
+    checks = [
+        SegmentCheck(d, c_ok, s_ok)
+        for d, c_ok, s_ok in zip(dirs, contact.tolist(), best_support.tolist())
+    ]
     return GeodesicCertificate(
         achieved_length=achieved,
         target_norm=target,
         verdict=verdict,
         contact_face=face,
         contact_point=best_point,
-        segment_checks=best_checks,
+        segment_checks=checks,
         tolerance=tol,
     )
 
@@ -250,7 +264,7 @@ def classify(ctx: CrystalContext, x, y) -> GeodesicClass:
     distinct geodesics connect the points.
     """
     v = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    if math.hypot(*v) <= MIN_SEGMENT:
+    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("classification requires distinct endpoints")
     if ctx.is_orthogonal_direction(v):
         return GeodesicClass.UNIQUE_UP_TO_REPARAM
@@ -318,12 +332,12 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = y - x
-    if math.hypot(*v) <= MIN_SEGMENT:
+    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("geodesic construction requires distinct endpoints")
     if classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM:
-        return Path.segment(x, y)
+        return Path(np.array([x, y]))
     legs = geodesic_legs(ctx, v)
-    return Path(np.vstack([x, x + legs[0], y]))
+    return Path(np.array([x, x + legs[0], y]))
 
 
 def geodesic_legs(ctx: CrystalContext, v) -> tuple[np.ndarray, np.ndarray]:
@@ -337,14 +351,14 @@ def geodesic_legs(ctx: CrystalContext, v) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(v, dtype=float)
     normals = ctx.crystal.normals
     k = int(np.argmax(ctx.crystal.vertices @ v))
-    a, b = normals[k - 1], normals[k]
-    det = a[0] * b[1] - a[1] * b[0]
-    alpha = (v[0] * b[1] - v[1] * b[0]) / det
-    beta = (a[0] * v[1] - a[1] * v[0]) / det
+    (a0, a1), (b0, b1), (v0, v1) = normals[k - 1].tolist(), normals[k].tolist(), v.tolist()
+    det = a0 * b1 - a1 * b0
+    alpha = (v0 * b1 - v1 * b0) / det
+    beta = (a0 * v1 - a1 * v0) / det
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("direction is extreme: no staircase decomposition exists")
-    u = alpha * a
-    return u, v - u
+    u0, u1 = alpha * a0, alpha * a1
+    return np.array((u0, u1)), np.array((v0 - u0, v1 - u1))
 
 
 def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
@@ -360,7 +374,7 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = y - x
-    if math.hypot(*v) <= MIN_SEGMENT:
+    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("family requires distinct endpoints")
     if classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM:
         raise ValueError("direction is an attained normal: geodesic is unique, no family")
@@ -370,7 +384,7 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     for p in raw[1:]:
         if math.hypot(*(p - points[-1])) > MIN_SEGMENT:
             points.append(p)
-    return Path(np.vstack(points))
+    return Path(np.array(points))
 
 
 def geodesic_ball(ctx: CrystalContext, center, radius: float) -> ConvexRegion:

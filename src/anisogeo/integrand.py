@@ -46,13 +46,32 @@ GRID_SIZE_MAX = 20000
 DIRECTION_MATCH_TOL = 1e-12
 
 
+def planar_vector(x) -> tuple[float, float]:
+    """The two components of a finite planar vector, as floats.
+
+    Raises ValueError naming x when it is not a planar vector or either
+    component is not finite. Both components are tested: ``hypot(inf, nan)``
+    is inf, so a test of the length alone would miss the nan.
+    """
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (2,):
+        raise ValueError(f"expected a planar vector, got {x!r}")
+    a, b = arr.tolist()
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"vector {x!r} is not finite")
+    return a, b
+
+
 def unit(x: np.ndarray) -> np.ndarray:
     """x / |x|, rejecting the zero vector and non-finite input."""
-    x = np.asarray(x, dtype=float)
-    n = math.hypot(*x)
+    a, b = planar_vector(x)
+    n = math.hypot(a, b)
     if not 0.0 < n < math.inf:
         raise ValueError("vector has no direction: zero or not finite")
-    return x / n
+    return np.array((a / n, b / n))
 
 
 def _positive(values, what: str) -> np.ndarray:
@@ -65,8 +84,30 @@ def _positive(values, what: str) -> np.ndarray:
 
 def angle_of(x) -> float:
     """Planar angle in [0, 2*pi)."""
-    x = np.asarray(x, dtype=float)
-    return float(np.mod(math.atan2(x[1], x[0]), TWO_PI))
+    a, b = x.tolist() if isinstance(x, np.ndarray) else x
+    return math.atan2(b, a) % TWO_PI
+
+
+def periodic_samples(angles, values) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of a 2*pi-periodic function, sorted and padded with one wrap
+    sample at each end, as ``np.interp(..., period=TWO_PI)`` pads them on
+    every call. :func:`interp_periodic` reads them with plain ``np.interp``."""
+    xp = np.asarray(angles, dtype=float) % TWO_PI
+    order = np.argsort(xp)
+    xp, fp = xp[order], np.asarray(values, dtype=float)[order]
+    return (
+        np.concatenate((xp[-1:] - TWO_PI, xp, xp[:1] + TWO_PI)),
+        np.concatenate((fp[-1:], fp, fp[:1])),
+    )
+
+
+def interp_periodic(theta, samples: tuple[np.ndarray, np.ndarray]):
+    """Periodic linear interpolation at angle(s) theta on padded samples.
+
+    Bit-identical to ``np.interp(theta, angles, values, period=TWO_PI)``,
+    without re-sorting and re-padding the samples on each call.
+    """
+    return np.interp(theta % TWO_PI, *samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,16 +178,19 @@ class GridFunction:
             raise ValueError("one value per grid direction required")
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
+        return periodic_samples(self.grid.angles, self.values)
+
     def unit_value(self, u) -> float:
-        theta = angle_of(u)
-        return float(np.interp(theta, self.grid.angles, self.values, period=TWO_PI))
+        return float(interp_periodic(angle_of(u), self._samples))
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        n = math.hypot(*x)
+        a, b = planar_vector(x)
+        n = math.hypot(a, b)
         if n == 0.0:
             return 0.0
-        return n * self.unit_value(x / n)
+        return n * self.unit_value((a / n, b / n))
 
     def max(self) -> float:
         return float(self.values.max())
@@ -167,21 +211,19 @@ class Integrand(ABC):
     kind: str = "abstract"
 
     @abstractmethod
-    def unit_value(self, u: np.ndarray) -> float:
-        """Cost of a unit direction."""
+    def unit_value(self, u) -> float:
+        """Cost of a unit direction (an array or a pair of floats)."""
 
     def values_on(self, dirs: np.ndarray) -> np.ndarray:
         """Vectorized cost of an array of unit directions."""
         return np.array([self.unit_value(d) for d in np.asarray(dirs, dtype=float)])
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (2,):
-            raise ValueError("expected a planar vector")
-        n = math.hypot(*x)
+        a, b = planar_vector(x)
+        n = math.hypot(a, b)
         if n == 0.0:
             return 0.0
-        return n * self.unit_value(x / n)
+        return n * self.unit_value((a / n, b / n))
 
     @property
     def special_directions(self) -> np.ndarray:
@@ -212,7 +254,13 @@ class PNorm(Integrand):
         self.p = float(p)
 
     def unit_value(self, u) -> float:
-        return float(self._norm(np.asarray(u, dtype=float)[None, :])[0])
+        a, b = u
+        a, b = abs(float(a)), abs(float(b))
+        if math.isinf(self.p):
+            return max(a, b)
+        if self.p == 1.0:
+            return a + b
+        return (a**self.p + b**self.p) ** (1.0 / self.p)
 
     def values_on(self, dirs) -> np.ndarray:
         return self._norm(np.asarray(dirs, dtype=float))
@@ -350,14 +398,14 @@ class AngularTable(Integrand):
         _positive(vals, "table values")
         self.sample_angles = ang
         self.sample_values = vals
+        self._samples = periodic_samples(ang, vals)
 
     def unit_value(self, u) -> float:
-        return float(np.interp(angle_of(u), self.sample_angles, self.sample_values, period=TWO_PI))
+        return float(interp_periodic(angle_of(u), self._samples))
 
     def values_on(self, dirs) -> np.ndarray:
         dirs = np.asarray(dirs, dtype=float)
-        theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
-        return np.interp(theta, self.sample_angles, self.sample_values, period=TWO_PI)
+        return interp_periodic(np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI), self._samples)
 
     @property
     def special_directions(self) -> np.ndarray:
@@ -397,12 +445,13 @@ class Dip(Integrand):
         if not cleaned:
             raise ValueError("dip cost requires at least one dip")
         self.dips = cleaned
+        self._dip_floats = [(*d.tolist(), value) for d, value in cleaned]
 
     def unit_value(self, u) -> float:
-        u = np.asarray(u, dtype=float)
+        a, b = u
         val = self.base.unit_value(u)
-        for d, dip_value in self.dips:
-            if np.linalg.norm(u - d) <= DIRECTION_MATCH_TOL:
+        for da, db, dip_value in self._dip_floats:
+            if math.hypot(a - da, b - db) <= DIRECTION_MATCH_TOL:
                 val = min(val, dip_value)
         return val
 

@@ -9,6 +9,7 @@ match; homothets of the crystal achieve equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,16 +117,31 @@ def anisotropic_perimeter(F: Integrand, poly: Polygon) -> float:
     return float(F.values_on(poly.edge_normals) @ poly.edge_lengths)
 
 
+def _unit_measures(F: Integrand, poly: Polygon) -> tuple[float, float, int]:
+    """The anisotropic perimeter and the area of the polygon scaled by 2**-e
+    into [-1, 1], and e.
+
+    Scaling by a power of two is exact: they are the polygon's own
+    perimeter times 2**-e and area times 2**-2e, neither of which
+    overflows nor underflows at any scale of the polygon.
+    """
+    u, e = planar.unit_scaled(poly.vertices)
+    edges = np.concatenate((u[1:], u[:1])) - u
+    perimeter = float(F.values_on(poly.edge_normals) @ np.hypot(edges[:, 0], edges[:, 1]))
+    return perimeter, planar.polygon_area(u), e
+
+
 def isoperimetric_ratio(F: Integrand, poly: Polygon) -> float:
     """Anisotropic perimeter over the square root of the area (planar).
 
     Invariant under homothety: the perimeter is 1-homogeneous in scale and
-    the area 2-homogeneous.
+    the area 2-homogeneous. Computed on the polygon scaled by a power of
+    two, so it neither overflows nor underflows.
     """
-    area = poly.area
+    perimeter, area, _ = _unit_measures(F, poly)
     if area <= 0.0:
         raise ValueError("isoperimetric ratio needs positive area")
-    return anisotropic_perimeter(F, poly) / float(np.sqrt(area))
+    return perimeter / math.sqrt(area)
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,11 @@ class WulffReport:
     (planar cone formula) and the sharp isoperimetric constant is
     ``2 * sqrt(area)``. The isotropic constant ``2 * sqrt(pi)`` is reported
     alongside for comparison; the two agree only for isotropic costs.
+
+    The ratios and the relative difference are finite at any scale of the
+    cost. The perimeter and the area (both about c**2 for a cost c times a
+    fixed one) are inf or 0 where they leave the float range, past about
+    c = 1e+-150.
     """
 
     perimeter: float
@@ -158,17 +179,21 @@ class WulffReport:
 
 
 def wulff_identity_check(ctx: CrystalContext) -> WulffReport:
-    """Verify perimeter = 2 * area on the crystal and report both constants."""
-    poly = Polygon.from_region(ctx.crystal)
-    perimeter = anisotropic_perimeter(ctx.integrand, poly)
-    area = poly.area
+    """Verify perimeter = 2 * area on the crystal and report both constants.
+
+    Every quantity comes from the crystal scaled by 2**-e (see
+    :func:`_unit_measures`): |P - 2A| / P is |P_u - 2 A_u 2**e| / P_u.
+    """
+    perimeter, area, e = _unit_measures(ctx.integrand, Polygon.from_region(ctx.crystal))
+    with np.errstate(over="ignore"):
+        full_perimeter, full_area = float(np.ldexp(perimeter, e)), float(np.ldexp(area, 2 * e))
     return WulffReport(
-        perimeter=perimeter,
-        area=area,
-        ratio=perimeter / float(np.sqrt(area)),
-        reference_ratio=2.0 * float(np.sqrt(area)),
+        perimeter=full_perimeter,
+        area=full_area,
+        ratio=perimeter / math.sqrt(area),
+        reference_ratio=math.ldexp(2.0 * math.sqrt(area), e),
         isotropic_constant=2.0 * float(np.sqrt(np.pi)),
-        relative_difference=abs(perimeter - 2.0 * area) / perimeter,
+        relative_difference=abs(perimeter - 2.0 * math.ldexp(area, e)) / perimeter,
     )
 
 

@@ -351,7 +351,9 @@ class TestCliCommands:
         # The hull, pruning, polarity and convexity thresholds are relative
         # to each polygon's own scale, with no absolute floor. The suite's
         # polygon checks, Hausdorff distances and oracle are scale-free too,
-        # up to where the crystal's area (about c**2) leaves the float range.
+        # and its perimeter/area ratios are taken on the crystal scaled by a
+        # power of two, so they hold where the area (about c**2) leaves the
+        # float range.
         spec = tmp_path / "c.json"
         for c in (1e-100, 1e-14, 1e14, 1e100):
             spec.write_text(json.dumps({"kind": "constant", "c": c}))
@@ -360,6 +362,11 @@ class TestCliCommands:
             assert abs(distance - 5.0 * c) <= 1e-12 * 5.0 * c
             assert main(["suite", str(spec), "--grid", "64"]) == 0, c
             assert json.loads(capsys.readouterr().out)["pass"] is True
+        for c in (1e-300, 1e-200, 1e200, 1e300):
+            spec.write_text(json.dumps({"kind": "constant", "c": c}))
+            assert main(["suite", str(spec), "--grid", "64"]) == 0, c
+            report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+            assert report["pass"] is True, c
         for c in (1e-300, 1e300):
             spec.write_text(json.dumps({"kind": "constant", "c": c}))
             code = main(["distance", str(spec), "0,0", "3,4", "--grid", "64"])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from anisogeo import (
+    Crystalline,
+    CrystalContext,
     PNorm,
     Polygon,
     anisotropic_perimeter,
@@ -186,6 +188,40 @@ class TestWulffIdentity:
     def test_anisotropic_cost_disagrees_with_isotropic_constant(self, l1_ctx):
         report = wulff_identity_check(l1_ctx)
         assert abs(report.ratio - report.isotropic_constant) > 0.4
+
+    def test_matches_the_unscaled_formulas(self, all_ctxs):
+        # Scaling by a power of two is exact, so in the float range the
+        # report equals the direct computation on the crystal bit for bit.
+        rng = np.random.default_rng(5)
+        for name, ctx in all_ctxs.items():
+            for poly in (Polygon.from_region(ctx.crystal), random_wulff_competitor(ctx.grid, rng)):
+                perimeter = anisotropic_perimeter(ctx.integrand, poly)
+                assert isoperimetric_ratio(ctx.integrand, poly) == perimeter / float(np.sqrt(poly.area))
+            report = wulff_identity_check(ctx)
+            poly = Polygon.from_region(ctx.crystal)
+            perimeter, area = anisotropic_perimeter(ctx.integrand, poly), poly.area
+            assert report.perimeter == perimeter and report.area == area, name
+            assert report.ratio == perimeter / float(np.sqrt(area)), name
+            assert report.reference_ratio == 2.0 * float(np.sqrt(area)), name
+            assert report.relative_difference == abs(perimeter - 2.0 * area) / perimeter, name
+
+    @pytest.mark.filterwarnings("error")
+    def test_ratios_hold_past_the_float_range_of_the_area(self, l1_ctx):
+        # For c times the max-norm the crystal is c times the unit diamond:
+        # ratio and reference are 2*sqrt(2)*c, while the perimeter and the
+        # area (4c**2 and 2c**2) leave the float range past about c = 1e+-154.
+        for c in (1e-300, 1e-200, 1e200, 1e300):
+            ctx = CrystalContext(Crystalline([((1, 0), c), ((0, 1), c), ((-1, 0), c), ((0, -1), c)]),
+                                 l1_ctx.grid)
+            want = 2.0 * math.sqrt(2.0) * c
+            report = wulff_identity_check(ctx)
+            assert report.relative_difference <= 1e-12, c
+            assert report.ratio == pytest.approx(want, rel=1e-12, abs=0.0), c
+            assert report.reference_ratio == pytest.approx(want, rel=1e-12, abs=0.0), c
+            assert report.area == (0.0 if c < 1.0 else math.inf), c
+            poly = Polygon.from_region(ctx.crystal)
+            for shape in (poly, poly.scaled(3.0)):
+                assert isoperimetric_ratio(ctx.integrand, shape) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestMinimality:
