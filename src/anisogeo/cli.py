@@ -19,6 +19,7 @@ seed 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -26,7 +27,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from . import fileio
+from . import fileio, planar
 from .crystal import CrystalContext
 from .geodesics import (
     GeodesicClass,
@@ -104,6 +105,21 @@ def _is_numeric(text: str) -> bool:
     return True
 
 
+def _area_report(vertices: np.ndarray) -> dict:
+    """The crystal's area and its base-10 logarithm, computed on the
+    vertices scaled by a power of two, so the logarithm holds at every
+    scale. The area itself is ``None`` where no normal float holds it."""
+    unit, exponent = planar.unit_scaled(vertices)
+    unit_area = planar.polygon_area(unit)
+    log10 = math.log10(unit_area) + 2 * exponent * math.log10(2.0)
+    try:
+        area = math.ldexp(unit_area, 2 * exponent)
+    except OverflowError:
+        area = math.inf
+    normal = sys.float_info.min <= area < math.inf
+    return {"crystal_area": area if normal else None, "crystal_area_log10": log10}
+
+
 def cmd_crystal(args) -> int:
     ctx = _context(args)
     out_dir = FilePath(args.out)
@@ -137,7 +153,7 @@ def cmd_crystal(args) -> int:
     report["results"] = {
         "crystal_vertex_count": len(ctx.crystal.vertices),
         "polar_vertex_count": len(ctx.polar_body.vertices),
-        "crystal_area": ctx.crystal.area,
+        **_area_report(ctx.crystal.vertices),
         "files": {k: str(v) for k, v in files.items()},
     }
     report["pass"] = True
@@ -259,8 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = list(argv) if argv is not None else sys.argv[1:]
     # argparse takes "-1,0" or "-2.5" for a flag; a leading space makes such
     # numeric tokens plain values, and float() ignores it.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisogeo import AngularTable, Crystalline, Dip, PNorm
+from anisogeo import AngularTable, Crystalline, Dip, PNorm, cli
 from anisogeo.cli import main
 from anisogeo.fileio import (
     SpecError,
@@ -367,6 +367,25 @@ class TestCliCommands:
             assert main(["suite", str(spec), "--grid", "64"]) == 0, c
             report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
             assert report["pass"] is True, c
+        # crystal reports the area where a float holds it, and its log10 at
+        # every scale, both taken on the crystal scaled by a power of two.
+        spec.write_text(json.dumps({"kind": "constant", "c": 1.0}))
+        out = str(tmp_path / "crystal")
+        assert main(["crystal", str(spec), "--grid", "64", "--out", out]) == 0
+        unit = json.loads(capsys.readouterr().out)["results"]
+        assert unit["crystal_area_log10"] == pytest.approx(math.log10(unit["crystal_area"]), abs=1e-11)
+        for c in (1e-300, 1e-200, 1e200, 1e300):
+            spec.write_text(json.dumps({"kind": "constant", "c": c}))
+            assert main(["crystal", str(spec), "--grid", "64", "--out", out]) == 0, c
+            results = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
+            assert results["crystal_area"] is None, c
+            expected = unit["crystal_area_log10"] + 2.0 * math.log10(c)
+            assert results["crystal_area_log10"] == pytest.approx(expected, abs=1e-9), c
+        for c in (1e-100, 1e100):
+            spec.write_text(json.dumps({"kind": "constant", "c": c}))
+            assert main(["crystal", str(spec), "--grid", "64", "--out", out]) == 0, c
+            results = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
+            assert results["crystal_area"] == pytest.approx(unit["crystal_area"] * c * c, rel=1e-11)
         for c in (1e-300, 1e300):
             spec.write_text(json.dumps({"kind": "constant", "c": c}))
             code = main(["distance", str(spec), "0,0", "3,4", "--grid", "64"])
@@ -412,3 +431,83 @@ def test_distance_fuzz_exits_cleanly_with_strict_json(tmp_path_factory, data, x,
     else:
         # Errors go to stderr; stdout carries a report only on success.
         assert out.getvalue() == "" and err.getvalue().strip()
+
+
+def test_main_builds_its_parser_once(monkeypatch, l1_spec_file, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["distance", l1_spec_file, "0,0", "1,2", "--grid", "64"]) == 0
+        assert main(["distance", l1_spec_file, "0,0", "2,1", "--grid", "64"]) == 0
+        # Usage errors still exit 2 on the shared parser.
+        for argv in (["distance", l1_spec_file], ["nonsense"], ["suite", l1_spec_file, "--grid", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert built == [1]
+
+
+def _run_cli(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code: int, out: str, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    # A report is strict JSON; a negative verdict (exit 1) prints one too.
+    if code == 0 or out:
+        json.loads(out, parse_constant=_reject_constant)
+    if code == 2:
+        assert out == "" and err.strip()
+
+
+# Facets and samples drawn from a few values, so that duplicated, collinear,
+# zero, negative and non-finite entries are common.
+_directions = st.sampled_from([
+    [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [2.0, 2.0], [-1.0, -1.0],
+    [3.0, 0.0], [0.0, 0.0], [1e-300, 0.0], [math.nan, 1.0], [1.0, math.inf],
+])
+_weights = st.sampled_from([1.0, 0.5, 2.0, 1e-300, 1e300, 0.0, -1.0, math.nan, math.inf])
+_angles = st.sampled_from([0.0, 1e-15, 1e-9, 1.0, 1.0 + 1e-15, 2.0, 3.0, 4.0, 6.283185307179586,
+                           -1.0, math.nan])
+_crystalline_specs = st.lists(
+    st.fixed_dictionaries({"direction": _directions, "weight": _weights}), max_size=7
+).map(lambda facets: {"kind": "crystalline", "facets": facets})
+_table_specs = st.lists(
+    st.fixed_dictionaries({"angle": _angles, "value": _weights | st.floats(0.1, 5.0)}), max_size=8
+).map(lambda samples: {"kind": "table", "samples": samples})
+
+
+@given(data=_crystalline_specs | _table_specs)
+@settings(max_examples=80, deadline=None)
+def test_spec_fuzz_exits_cleanly_with_strict_json(tmp_path_factory, data):
+    spec = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+    spec.write_text(json.dumps(data))
+    _assert_clean_exit(*_run_cli(["distance", str(spec), "--grid", "64", "0,0", "1,2", "--geodesic"]))
+
+
+_coords = st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-300, 1e300, math.nan, math.inf]) | st.floats(-3.0, 3.0)
+_rows = st.lists(st.tuples(_coords, _coords), max_size=6)
+
+
+@given(rows=_rows | _rows.map(lambda r: r[:1] * 4) | st.floats(-2.0, 2.0).map(
+    lambda t: [(0.0, 0.0), (t, 2.0 * t), (2.0 * t, 4.0 * t)]))
+@settings(max_examples=80, deadline=None)
+def test_path_file_fuzz_exits_cleanly_with_strict_json(tmp_path_factory, rows):
+    base = tmp_path_factory.getbasetemp()
+    spec = base / "fuzz-path-spec.json"
+    spec.write_text(json.dumps(DIP_SPEC))
+    path = base / "fuzz-path.txt"
+    path.write_text("".join(f"{x!r} {y!r}\n" for x, y in rows))
+    _assert_clean_exit(*_run_cli(["verify", str(spec), str(path), "--grid", "64"]))

@@ -19,16 +19,26 @@ def test_star_import_resolves_every_export():
         assert namespace[name] is getattr(anisogeo, name), name
 
 
-def test_import_leaves_scipy_optimize_out():
-    # The oracle solves its cone program on the package's own hulls; a
-    # fresh interpreter shows what importing the package pulls in.
+def test_import_and_a_cli_run_leave_scipy_out(tmp_path):
+    # The package hulls with its own code, so neither importing it nor a
+    # command that builds a context loads scipy; a fresh interpreter shows
+    # what they pull in.
     package_root = str(Path(anisogeo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, *sys.path]))
-    code = "import sys, anisogeo; print('scipy.optimize' in sys.modules)"
+    spec = tmp_path / "l1.json"
+    spec.write_text('{"kind": "pnorm", "p": 1}')
+    code = (
+        "import sys, anisogeo\n"
+        "from anisogeo import cli\n"
+        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"code = cli.main(['distance', {str(spec)!r}, '0,0', '1,2', '--grid', '64'])\n"
+        "after = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(code, before, after, file=sys.stderr)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stderr.strip() == "0 [] []"
 
 
 def test_benchmark_tracer_targets_resolve():

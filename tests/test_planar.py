@@ -3,17 +3,31 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from anisogeo import CrystalContext, PNorm, SphereGrid, polar
+from anisogeo import (
+    AngularTable,
+    Constant,
+    CrystalContext,
+    Crystalline,
+    Dip,
+    PNorm,
+    SphereGrid,
+    polar,
+)
+from anisogeo.integrand import scan, wulff_from_dual
 from anisogeo.planar import (
     _directed_hausdorff,
     _prune_collinear_cycle,
+    convex_hull_ccw,
     hausdorff_distance,
     hull_cycle,
     polar_polygon,
+    polygon_area,
     segment_distances,
     strictly_convex,
     support_values,
+    unit_scaled,
 )
 
 SQUARE = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -25,13 +39,25 @@ def _turn(o, a, b) -> float:
 
 
 def loop_prune(cycle: np.ndarray, eps: float) -> np.ndarray:
-    """Reference: the vertex-by-vertex pruning sweep."""
+    """Reference: the vertex-by-vertex pruning sweep. A pass flags every
+    vertex whose turn is at most eps and, walking on from a kept vertex,
+    drops every other vertex of each run of flagged neighbours, starting
+    with the first, so no two neighbours drop in one pass."""
     while len(cycle) > 3:
         k = len(cycle)
-        keep = [i for i in range(k) if _turn(cycle[i - 1], cycle[i], cycle[(i + 1) % k]) > eps]
-        if len(keep) == k:
+        flag = [_turn(cycle[i - 1], cycle[i], cycle[(i + 1) % k]) <= eps for i in range(k)]
+        if not any(flag):
             return cycle
-        if len(keep) < 3:
+        if all(flag):
+            raise ValueError("point cloud is degenerate (collinear)")
+        start = flag.index(False)
+        keep = [True] * k
+        run = 0
+        for step in range(1, k):
+            i = (start + step) % k
+            run = run + 1 if flag[i] else 0
+            keep[i] = run % 2 == 0
+        if sum(keep) < 3:
             raise ValueError("point cloud is degenerate (collinear)")
         cycle = cycle[keep]
     return cycle
@@ -79,20 +105,25 @@ def unit_directions(angles) -> np.ndarray:
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
+def jittered_square(rng, n: int) -> np.ndarray:
+    """Points on a square's sides with jitter from 1e-16 to 1e-9: the hull
+    keeps many near-collinear vertices."""
+    t = rng.uniform(-1.0, 1.0, n)
+    side = rng.integers(0, 4, n)
+    pts = np.where(side[:, None] < 2, np.column_stack([np.where(side == 0, 1.0, -1.0), t]),
+                   np.column_stack([t, np.where(side == 2, 1.0, -1.0)]))
+    return pts + rng.normal(scale=10.0 ** rng.uniform(-16, -9), size=pts.shape)
+
+
 class TestPruneCollinearCycle:
     def test_bit_identical_to_the_loop(self):
         rng = np.random.default_rng(11)
         checked = 0
         for trial in range(60):
             n = int(rng.integers(8, 300))
-            # Points on a square's sides with jitter from 1e-16 to 1e-9:
-            # qhull keeps many near-collinear vertices, and pruning needs
-            # several passes. Every third cloud lies on the unit circle.
-            t = rng.uniform(-1.0, 1.0, n)
-            side = rng.integers(0, 4, n)
-            pts = np.where(side[:, None] < 2, np.column_stack([np.where(side == 0, 1.0, -1.0), t]),
-                           np.column_stack([t, np.where(side == 2, 1.0, -1.0)]))
-            pts = pts + rng.normal(scale=10.0 ** rng.uniform(-16, -9), size=pts.shape)
+            # Pruning a jittered square needs several passes. Every third
+            # cloud lies on the unit circle.
+            pts = jittered_square(rng, n)
             if trial % 3 == 0:
                 pts = unit_directions(np.sort(rng.uniform(0, 2 * math.pi, n)))
             cycle = hull_cycle(pts)
@@ -107,6 +138,19 @@ class TestPruneCollinearCycle:
                 assert got.shape == expected.shape and np.array_equal(got, expected)
                 checked += 1
         assert checked > 200
+
+    def test_a_cut_corner_loses_one_point_not_the_corner(self):
+        # A square with its (1, 1) corner cut by d: the two cut points are
+        # nearly coincident, and each turn there is below the threshold.
+        # Dropping both in one pass left a triangle of area 2.
+        for d in (1e-9, 1e-11, 1e-13, 1e-15):
+            cut = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0 - d], [1.0 - d, 1.0], [-1.0, 1.0]])
+            for scale in (1e-200, 1e-100, 1.0, 1e100, 1e200):
+                got = convex_hull_ccw(cut * scale)
+                assert len(got) in (4, 5), (d, scale)
+                assert polygon_area(got / scale) == pytest.approx(4.0, abs=1e-8), (d, scale)
+                unit = unit_scaled(cut * scale)[0]
+                assert len(loop_prune(unit, 1e-12 * np.abs(unit).max() ** 2)) == len(got)
 
     def test_collinear_cycle_raises_like_the_loop(self):
         line = np.column_stack([np.linspace(0, 1, 6), np.linspace(0, 2, 6)])
@@ -272,3 +316,149 @@ class TestScaleFreeThresholds:
         for scale in (1e-200, 1.0, 1e200):
             with pytest.raises(ValueError, match="strictly interior"):
                 polar_polygon((SQUARE + [1.0, 0.0]) * scale)
+
+
+def qhull_cycle(points: np.ndarray) -> np.ndarray:
+    """Reference: qhull's counterclockwise cycle, on the points scaled by a
+    power of two into [-1, 1] (exact) so any magnitude stays in its range."""
+    return points[ConvexHull(unit_scaled(points)[0]).vertices]
+
+
+def certain_turns(cycle: np.ndarray) -> np.ndarray:
+    """Turn of every vertex with its neighbours, as the hull computes it,
+    less Shewchuk's bound on its rounding error: positive where the turn is
+    certainly to the left."""
+    u = unit_scaled(cycle)[0]
+    o, b = np.roll(u, 1, axis=0), np.roll(u, -1, axis=0)
+    left = (u[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1])
+    right = (u[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
+    eps = 2.0**-53
+    return left - right - (3.0 + 16.0 * eps) * eps * (np.abs(left) + np.abs(right))
+
+
+def benchmark_kind_costs(rng) -> list:
+    """One cost of each of the seven kinds the benchmark draws."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 6))
+    table = np.sort(rng.uniform(0.0, 2.0 * math.pi, 12))
+    base = PNorm(rng.uniform(1.2, 6.0))
+    dips = [(unit_directions([a])[0], rng.uniform(0.3, 0.95) * base(unit_directions([a])[0]))
+            for a in rng.uniform(0.0, 2.0 * math.pi, 2)]
+    return [
+        PNorm(1.0),
+        PNorm(math.inf),
+        PNorm(rng.uniform(1.2, 6.0)),
+        Constant(rng.uniform(0.5, 2.0)),
+        Crystalline([(d, w) for d, w in zip(unit_directions(angles), rng.uniform(0.5, 2.0, 6))]),
+        AngularTable(table, rng.uniform(0.5, 2.0, 12)),
+        Dip(base, dips),
+    ]
+
+
+def cost_clouds(F, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dual points w / F(w) and the Wulff-graph points a context hulls."""
+    grid = SphereGrid.planar(size)
+    dirs, vals = scan(F, grid)
+    dual = dirs / vals[:, None]
+    return dual, grid.directions * wulff_from_dual(hull_cycle(dual), grid).values[:, None]
+
+
+def assert_matches_qhull(points: np.ndarray, same_pruning: bool = True) -> None:
+    """The hull against qhull on 4,000 directions: its support is within
+    2 ulp of the scale of the cloud's own (a scan of every point), and
+    within 4 ulp of qhull's unless qhull is the one off the scan, as where
+    it merges nearly collinear points. Every turn is positive, the cycle
+    starts at the smallest point, and the strictly convex vertices are
+    qhull's up to rounding. Where the cloud has true vertices with turns
+    near the pruning threshold (``same_pruning`` false), pruning either
+    cycle keeps a polygon within that threshold of the other."""
+    cycle, reference = hull_cycle(points), qhull_cycle(points)
+    ulp = np.finfo(float).eps * float(np.abs(points).max())
+    dirs = unit_directions(np.linspace(0.0, 2.0 * math.pi, 4000, endpoint=False))
+    truth = vertex_scan(points, dirs)
+    mine, theirs = support_values(cycle, dirs), support_values(reference, dirs)
+    assert np.abs(mine - truth).max() <= 2.0 * ulp
+    assert np.all(np.abs(mine - theirs) <= 4.0 * ulp + np.abs(theirs - truth))
+    assert np.all(certain_turns(cycle) > 0.0)
+    assert tuple(cycle[0]) == min(map(tuple, points))
+    mine, theirs = strictly_convex(cycle), strictly_convex(reference)
+    if not same_pruning:
+        assert hausdorff_distance(mine, theirs) <= 1e-6 * ulp / np.finfo(float).eps
+        return
+    assert len(mine) == len(theirs)
+    apart = np.hypot(*(mine[:, None, :] - theirs[None, :, :]).transpose(2, 0, 1)).min(axis=1)
+    assert apart.max() <= 4.0 * ulp
+
+
+class TestHullAgainstQhull:
+    def test_random_and_jittered_clouds(self):
+        rng = np.random.default_rng(71)
+        for trial in range(80):
+            n = int(rng.integers(3, 600))
+            if trial % 2:
+                assert_matches_qhull(jittered_square(rng, max(n, 8)), same_pruning=False)
+                continue
+            pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, 2) + rng.normal(size=2)
+            if trial % 4 == 0:  # every point twice, hull vertices included
+                pts = np.vstack([pts, pts[::-1]])
+            assert_matches_qhull(pts)
+
+    @pytest.mark.parametrize("size", [60, 720, 2880])
+    def test_cost_clouds_of_every_benchmark_kind(self, size):
+        for F in benchmark_kind_costs(np.random.default_rng(size)):
+            for cloud in cost_clouds(F, size):
+                for c in (1.0, 1e300, 1e-300):
+                    assert_matches_qhull(cloud * c)
+
+    def test_exact_where_qhull_merges_a_corner(self):
+        # The dual cloud of the max-norm at grid 720 holds (-1, 1) and
+        # (-1 + 1 ulp, 1). Only the first is extreme; qhull keeps the second.
+        dual, _ = cost_clouds(PNorm(math.inf), 720)
+        corners = strictly_convex(hull_cycle(dual))
+        assert [-1.0, 1.0] in corners.tolist()
+        assert [-1.0 + np.finfo(float).epsneg, 1.0] not in corners.tolist()
+
+    def test_near_duplicate_corner_keeps_one_point(self):
+        # A grid direction and a special direction give extreme points 1 ulp
+        # apart: the dual points of the 1-norm at angles k * 2 pi / 720,
+        # where cos(pi / 2) is 6e-17, beside those of the exact axes.
+        dirs = np.vstack([unit_directions(np.arange(720) * (2.0 * math.pi / 720)),
+                          [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]])
+        dual = dirs / np.abs(dirs).sum(axis=1)[:, None]
+        assert np.count_nonzero(np.hypot(dual[:, 0], dual[:, 1] - 1.0) < 1e-15) == 2
+        for cloud in (dual, dual * 1e-300, dual * 1e300):
+            corners = convex_hull_ccw(cloud)
+            assert len(corners) == 4
+            assert polygon_area(unit_scaled(corners)[0]) == pytest.approx(2.0 * unit_scaled(cloud)[0].max() ** 2)
+        assert len(CrystalContext(PNorm(1.0), SphereGrid.planar(720)).crystal.vertices) == 4
+
+    def test_no_undecided_vertex_on_a_dip_cloud(self):
+        # The fourth cost drawn by the geodesics tests' sampled-cost
+        # generator at seed 67: a near-collinear vertex whose turn is within
+        # the rounding bound must not stay, or a backward edge breaks the
+        # support's angle unwrap.
+        rng = np.random.default_rng(67)
+        for i in range(4):
+            if i % 2 == 0:
+                count = int(rng.integers(8, 17))
+                rng.uniform(0.0, 2.0 * math.pi, count)
+                rng.uniform(0.5, 2.0, count)
+                continue
+            b = (Constant(rng.uniform(0.5, 2.0)), PNorm(1.0), PNorm(math.inf),
+                 PNorm(rng.uniform(1.2, 6.0)))[int(rng.integers(4))]
+            dips = []
+            for a in rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(1, 4))):
+                d = np.array([math.cos(a), math.sin(a)])
+                dips.append((d, rng.uniform(0.3, 0.95) * b(d)))
+        F = Dip(b, dips)
+        for cloud in cost_clouds(F, 720):
+            assert_matches_qhull(cloud)
+        ctx = CrystalContext(F)
+        assert np.all(certain_turns(ctx.crystal.vertices) > 0.0)
+
+    def test_degenerate_and_non_finite_clouds_raise(self):
+        for pts in (np.zeros((5, 2)), np.column_stack([np.arange(300.0), 2.0 * np.arange(300.0)]),
+                    np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-300 * 0.0]])):
+            with pytest.raises(ValueError, match="degenerate"):
+                hull_cycle(pts)
+        with pytest.raises(ValueError, match="finite"):
+            hull_cycle(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]]))
