@@ -6,14 +6,13 @@ dualizing: the points ``v/F(v)`` are hulled and the polar of that hull is
 exactly the halfplane intersection, with redundant constraints pruned as a
 byproduct of the hull. All exact polytope work is two-dimensional.
 
-:class:`CrystalContext` bundles a cost with its crystal, polar body and
-sampled envelope, and provides the induced (possibly asymmetric) norm. Its
-build scans the cost once and computes two hulls: the hull of the dual
-points gives the Wulff transform and, pruned and polarized, the crystal;
-the hull of the Wulff graph gives the envelope and, pruned, the inner
-hull. Every grid query on them is a support query
-(:func:`planar.support_values`), so a build takes O(M log M) time and
-O(M) memory on M grid directions.
+:class:`CrystalContext` bundles a cost with its crystal and polar body
+and provides the induced (possibly asymmetric) norm, min(F, crystal
+support). Its build scans the cost once and runs one hull, of the dual
+points: pruned and polarized it is the crystal, and the Wulff transform
+and the sampled envelope are computed from it on first read. Every grid
+query is a support query (:func:`planar.support_values`), so a build
+takes O(M log M) time and O(M) memory on M grid directions.
 """
 
 from __future__ import annotations
@@ -25,11 +24,17 @@ from functools import cached_property
 import numpy as np
 
 from . import planar
-from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit, wulff_from_dual
+from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit
+from .integrand import support_transform, wulff_from_dual
 
 PROVENANCE_CRYSTAL = "crystal"
 PROVENANCE_POLAR = "polar-body"
 PROVENANCE_USER = "user"
+
+# Rows times crystal vertices up to which one matrix product gives a
+# batch's support values faster than planar.support_values (they take the
+# same time near 65536); past it the product's memory grows with the batch.
+_PRODUCT_MAX = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,43 +274,33 @@ def hausdorff_distance(a: ConvexRegion | np.ndarray, b: ConvexRegion | np.ndarra
 class CrystalContext:
     """A directional cost with its precomputed planar geometry.
 
-    Holds the crystal (halfplane intersection), the polar body, the Wulff
-    transform and sampled convex envelope, and the induced norm - possibly
-    asymmetric. Everything is immutable after construction; all queries
-    are pure and safe to share across threads.
+    Holds the crystal (the halfplane intersection over the scanned
+    directions), its polar body, and the induced norm - possibly
+    asymmetric. A build scans the cost once and runs one hull, of the dual
+    points w / F(w): pruned and polarized it is the crystal, and the Wulff
+    transform and the sampled convex envelope are computed from it on
+    first read. All queries are pure and safe to share across threads.
 
-    The norm is the support function of a single authoritative region.
-    For families convex by construction it is the crystal, and the norm is
-    evaluated through the cost's closed form (machine precision, the two
-    agreeing within the grid bound by a build-time check). For table and
-    dip costs it is the hull of the Wulff graph: its support function
-    coincides with the sampled envelope exactly and lies within the grid
-    bound below the crystal's. Its points lie on the grid crystal, which
-    contains the true crystal, so it is not a bound on the true norm from
-    either side. Queries on sampled costs inherit an O(resolution) error,
-    reflected in ``default_tol``.
+    The norm of v is min(F(v), h(v)), with h the crystal's support
+    function: the cost of the cheaper of two paths, the straight segment
+    and the staircase along the two crystal edge normals at v's contact
+    vertex (each a scanned direction costing exactly its offset). For
+    families convex by construction that minimum is F, evaluated in closed
+    form. For table and dip costs it is never below the true norm, equals
+    it in contact directions, and exceeds it by O(resolution**2) inside a
+    corner's normal cone, since the grid crystal contains the true one.
+    Queries on sampled costs keep an O(resolution) tolerance,
+    ``default_tol``.
     """
 
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
         self.integrand = integrand
         self.grid = grid if grid is not None else SphereGrid.planar(720)
-        # One scan of the cost and two hulls: the dual points w / F(w) give
-        # the Wulff transform and the crystal, the Wulff graph gives the
-        # envelope and the inner hull.
         scan_dirs, scan_values = scan(integrand, self.grid)
         self._f_grid = scan_values[: self.grid.size]
-        dual = planar.hull_cycle(scan_dirs / scan_values[:, None])
-        self.wulff = wulff_from_dual(dual, self.grid)
-        self.crystal = _crystal_from_dual(dual)
-        # The hull of the Wulff graph is the crystal seen from inside: its
-        # support function is the sampled envelope, which makes it the norm
-        # authority for sampled costs (convex families use their closed
-        # form instead).
-        graph = planar.hull_cycle(self.grid.directions * self.wulff.values[:, None])
-        self.envelope = GridFunction(self.grid, planar.support_values(graph, self.grid.directions))
-        self._inner = ConvexRegion(planar.strictly_convex(graph), PROVENANCE_CRYSTAL)
-        self._norm_region = self.crystal if integrand.is_convex else self._inner
-        self.polar_body = polar(self._norm_region)
+        self._dual = planar.hull_cycle(scan_dirs / scan_values[:, None])
+        self.crystal = _crystal_from_dual(self._dual)
+        self.polar_body = polar(self.crystal)
         self.f_max = float(self._f_grid.max())
         self.f_min = float(self._f_grid.min())
         self.resolution = self.grid.resolution
@@ -316,55 +311,46 @@ class CrystalContext:
         self._check_build()
 
     def _check_build(self) -> None:
+        if not self.integrand.is_convex:
+            return
         bound = 2.0 * self.resolution * self.f_max
-        outer_support = planar.support_values(self.crystal.vertices, self.grid.directions)
-        inner_support = planar.support_values(self._inner.vertices, self.grid.directions)
-        if np.abs(self.envelope.values - inner_support).max() > 1e-9 * max(1.0, self.f_max):
-            raise RuntimeError("sampled envelope disagrees with the Wulff-graph hull")
-        two_sided = np.abs(outer_support - inner_support).max()
-        if two_sided > bound:
+        support = planar.support_values(self.crystal.vertices, self.grid.directions)
+        fixed_point_gap = np.abs(support - self._f_grid).max()
+        if fixed_point_gap > bound:
             raise RuntimeError(
-                f"inner/outer crystal gap {two_sided:.3e} exceeds grid bound {bound:.3e}"
+                f"convex cost is not an envelope fixed point: gap {fixed_point_gap:.3e}"
             )
-        if self.integrand.is_convex:
-            fixed_point_gap = np.abs(outer_support - self._f_grid).max()
-            if fixed_point_gap > bound:
-                raise RuntimeError(
-                    f"convex cost is not an envelope fixed point: gap {fixed_point_gap:.3e}"
-                )
+
+    @cached_property
+    def wulff(self) -> GridFunction:
+        """The Wulff transform W(F) on the grid, read off the build's dual hull."""
+        return wulff_from_dual(self._dual, self.grid)
+
+    @cached_property
+    def envelope(self) -> GridFunction:
+        """The sampled convex envelope A(W(F)) on the grid."""
+        return support_transform(self.wulff)
 
     def norm(self, v) -> float:
         """The induced anisotropic norm of v (zero only at v = 0).
 
         Convex families evaluate their closed form (machine precision).
-        Sampled costs use the support function of the Wulff-graph hull -
-        identical to the sampled envelope - cross-checked on every call
-        against the Minkowski gauge of the polar body (exact duality) and
-        against the halfplane crystal within the grid bound. Raises
+        Sampled costs take min(F(v), crystal support of v). Raises
         ValueError naming v when it is not a finite planar vector.
         """
-        if self.integrand.is_convex:
-            return self.integrand(v)  # refuses v as planar_vector does below
-        speed = math.hypot(*planar_vector(v))
-        if speed == 0.0:
-            return 0.0
-        v = np.asarray(v, dtype=float)
-        s = self._norm_region.support(v)
-        g = self.polar_body.gauge(v)
-        if abs(s - g) > 1e-9 * max(1.0, abs(s)):
-            raise RuntimeError(f"support/gauge duality broken: {s!r} vs {g!r}")
-        outer = self.crystal.support(v)
-        if not (s <= outer + 1e-12 * max(1.0, outer)):
-            raise RuntimeError("inner support exceeds the halfplane crystal's")
-        if outer - s > 2.0 * self.resolution * self.f_max * speed:
-            raise RuntimeError("inner/outer support gap exceeds the grid bound")
-        return s
+        f = self.integrand(v)  # refuses v as planar_vector does
+        if self.integrand.is_convex or f == 0.0:
+            return f
+        return min(f, self.crystal.support(v))
 
-    @property
-    def norm_region(self) -> ConvexRegion:
-        """The region whose support function is the norm (crystal for convex
-        families, the Wulff-graph hull for sampled ones)."""
-        return self._norm_region
+    def _norms(self, xs: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        """:meth:`norm` of every (nonzero) row of xs, given F on the rows."""
+        if self.integrand.is_convex:
+            return fx
+        vertices = self.crystal.vertices
+        if len(xs) * len(vertices) <= _PRODUCT_MAX:
+            return np.minimum(fx, (xs @ vertices.T).max(axis=1))
+        return np.minimum(fx, planar.support_values(vertices, xs))
 
     def distance(self, x, y) -> float:
         """Cheapest cost of travelling from x to y; zero iff x == y."""
@@ -376,13 +362,7 @@ class CrystalContext:
         return bool(self.in_contact_many(np.asarray(x, dtype=float)[None, :], tol)[0])
 
     def in_contact_many(self, xs, tol: float = 1e-6) -> np.ndarray:
-        """:meth:`in_contact` for every row of xs at once.
-
-        The norms of sampled costs come from support queries
-        (:func:`planar.support_values`), with the cross-checks :meth:`norm`
-        makes on every row: the polar body's gauge, and the halfplane
-        crystal's support within the grid bound. Zero rows are in contact.
-        """
+        """:meth:`in_contact` for every row of xs at once; zero rows are in contact."""
         if tol <= 0.0:
             raise ValueError("tolerance must be positive")
         xs = np.asarray(xs, dtype=float)
@@ -393,29 +373,8 @@ class CrystalContext:
         contact = np.ones(len(xs), dtype=bool)
         x, speed = xs[moving], speed[moving]
         fx = self.integrand.values_on(x / speed[:, None]) * speed
-        if self.integrand.is_convex:
-            norms = fx  # the closed form, as in norm
-        else:
-            norms = self._sampled_norms(x, speed)
-        contact[moving] = fx - norms <= tol * np.maximum(1.0, fx)
+        contact[moving] = fx - self._norms(x, fx) <= tol * np.maximum(1.0, fx)
         return contact
-
-    def _sampled_norms(self, x: np.ndarray, speed: np.ndarray) -> np.ndarray:
-        """The norm of every (nonzero) row of x for a sampled cost, with the
-        cross-checks of :meth:`norm`."""
-        s = planar.support_values(self._norm_region.vertices, x)
-        polar_normals, polar_offsets = self.polar_body.halfspaces
-        g = planar.support_values(polar_normals / polar_offsets[:, None], x)
-        broken = np.flatnonzero(np.abs(s - g) > 1e-9 * np.maximum(1.0, np.abs(s)))
-        if len(broken):
-            i = broken[0]
-            raise RuntimeError(f"support/gauge duality broken: {s[i]!r} vs {g[i]!r}")
-        outer = planar.support_values(self.crystal.vertices, x)
-        if not np.all(s <= outer + 1e-12 * np.maximum(1.0, outer)):
-            raise RuntimeError("inner support exceeds the halfplane crystal's")
-        if np.any(outer - s > 2.0 * self.resolution * self.f_max * speed):
-            raise RuntimeError("inner/outer support gap exceeds the grid bound")
-        return s
 
     def is_orthogonal_direction(self, v, tol: float | None = None) -> bool:
         """Whether v/|v| is attained as an outer normal of the crystal boundary
@@ -426,25 +385,33 @@ class CrystalContext:
         h_k on either side. v counts as extreme when two things hold: v
         rescaled onto the polar body boundary lies within ``tol * |v_scaled|``
         of one of the polar points n_k / h_k, and the cost is in contact,
-        ``F(v) - |v| <= tol * |v|``. The default tol is the grid resolution,
-        so smooth costs answer True everywhere, while flat polar edges and
-        directions just beside a dip or a steep table sample answer False.
-        Crystal edges shorter than ~10x the tolerance make the answer
-        grid-sensitive.
+        ``F(v) - |v| <= tol * |v|``. For table and dip costs v also counts
+        as extreme where F(v) is below the crystal's support beyond
+        rounding: there the straight segment is cheaper than the staircase.
+        The default tol is the grid resolution, so smooth costs answer True
+        everywhere, while flat polar edges and directions just beside a dip
+        or a steep table sample answer False. Crystal edges shorter than
+        ~10x the tolerance make the answer grid-sensitive.
         """
         if tol is None:
             tol = self.resolution
         v = np.asarray(v, dtype=float)
-        n = self.norm(v)
-        if n == 0.0:
+        f = self.integrand(v)
+        if f == 0.0:
             raise ValueError("zero vector has no direction")
-        # For convex families the norm is F itself, so F(v) - n is 0.
-        if not self.integrand.is_convex and self.integrand(v) - n > tol * n:
-            return False
+        scores = self.crystal.vertices @ v
+        k = int(np.argmax(scores))
+        n = f  # the norm, F itself for convex families
+        if not self.integrand.is_convex:
+            support = float(scores[k])
+            if f < support * (1.0 - 1e-12):
+                return True
+            n = min(f, support)
+            if f - n > tol * n:
+                return False
         a, b = v.tolist()
         a, b = a / n, b / n
         normals, offsets = self.crystal.halfspaces
-        k = int(np.argmax(self.crystal.vertices @ v))
         gap = math.inf
         for j in (k - 1, k):
             (na, nb), h = normals[j].tolist(), float(offsets[j])
@@ -453,11 +420,11 @@ class CrystalContext:
 
     def contact_point_candidates(self, v, face: ContactFace | None = None) -> list[np.ndarray]:
         """Crystal points that may realize <v, x> = |v|: the contact face
-        of the norm authority (vertex, or endpoints plus midpoint of an
-        edge) and, when the cost knows one, its closed-form contact point.
+        of the crystal (vertex, or endpoints plus midpoint of an edge) and,
+        when the cost knows one, its closed-form contact point.
         ``face`` is that contact face when the caller has it already."""
         if face is None:
-            face = contact_face(self._norm_region, unit(v))
+            face = contact_face(self.crystal, unit(v))
         candidates = [p for p in face.vertices]
         if face.is_edge:
             candidates.append(face.representative)

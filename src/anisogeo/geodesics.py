@@ -213,20 +213,17 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("path endpoints coincide; geodesic comparison undefined")
 
-    # F on every segment direction, once: the length, the contact flags and,
-    # for convex families (whose norm is F itself), the segment norms.
+    # F on every segment direction, once: the length, the contact flags and
+    # the segment norms.
     dirs = path.directions
     unit_costs = ctx.integrand.values_on(dirs)
     achieved = _length(unit_costs, path)
     target = ctx.norm(v)
     verdict = abs(achieved - target) <= tol * max(1.0, target)
-    face = contact_face(ctx.norm_region, unit(v))
+    face = contact_face(ctx.crystal, unit(v))
 
     unit_tol = tol * max(1.0, target) / float(path.speeds.sum())
-    if ctx.integrand.is_convex:
-        seg_norms = unit_costs
-    else:
-        seg_norms = np.array([ctx.norm(d) for d in dirs])
+    seg_norms = ctx._norms(dirs, unit_costs)
     contact = unit_costs - seg_norms <= unit_tol
 
     best_support: np.ndarray | None = None

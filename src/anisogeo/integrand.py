@@ -292,12 +292,12 @@ class PNorm(Integrand):
     def contact_point(self, v) -> np.ndarray | None:
         if self.p == 1.0 or math.isinf(self.p):
             return None  # polygonal crystal faces are exact already
-        v = np.asarray(v, dtype=float)
-        n = self._norm(v[None, :])[0]
-        if n == 0.0:
-            return None
-        # Gradient of the p-norm; Euler's relation gives <v, grad> = F(v).
-        return np.sign(v) * np.abs(v) ** (self.p - 1.0) / n ** (self.p - 1.0)
+        u = unit(v)
+        # Gradient of the p-norm, taken on v/|v| (it is 0-homogeneous) so the
+        # powers neither overflow nor underflow; Euler's relation gives
+        # <v, grad> = F(v).
+        n = self._norm(u[None, :])[0]
+        return np.sign(u) * np.abs(u) ** (self.p - 1.0) / n ** (self.p - 1.0)
 
     def to_spec(self) -> dict:
         return {"kind": "pnorm", "dimension": 2, "p": self.p}
@@ -411,6 +411,20 @@ class AngularTable(Integrand):
     def special_directions(self) -> np.ndarray:
         return np.column_stack([np.cos(self.sample_angles), np.sin(self.sample_angles)])
 
+    def contact_point(self, v) -> np.ndarray | None:
+        """The gradient F(u) u + F'(u) u' on the arc holding u = v/|v|, with u'
+        the unit tangent; None at a sample angle, where F has a kink."""
+        u = unit(v)
+        theta = angle_of(u)
+        angles, values = self._samples
+        i = int(np.searchsorted(angles, theta, side="right"))  # angles[i-1] <= theta < angles[i]
+        if angles[i - 1] == theta:
+            return None
+        slope = float((values[i] - values[i - 1]) / (angles[i] - angles[i - 1]))
+        f = self.unit_value(u)
+        a, b = u.tolist()
+        return np.array((f * a - slope * b, f * b + slope * a))
+
     def to_spec(self) -> dict:
         return {
             "kind": "table",
@@ -462,6 +476,16 @@ class Dip(Integrand):
             hit = np.linalg.norm(dirs - d, axis=1) <= DIRECTION_MATCH_TOL
             vals[hit] = np.minimum(vals[hit], dip_value)
         return vals
+
+    def contact_point(self, v) -> np.ndarray | None:
+        """The base's contact point, when every dip's halfplane holds at it."""
+        x = self.base.contact_point(v)
+        if x is None:
+            return None
+        a, b = x.tolist()
+        if any(da * a + db * b > dip_value for da, db, dip_value in self._dip_floats):
+            return None
+        return x
 
     @property
     def special_directions(self) -> np.ndarray:

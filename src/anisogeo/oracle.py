@@ -245,10 +245,11 @@ def oracle_convergence(
 
     Gaps are nonincreasing because stencils grow by inclusion. For costs
     convex by construction the norm is the true distance, so gaps are also
-    nonnegative. For table and dip costs the norm is the sampled envelope,
-    which can exceed the cost of a lattice path, so a gap can be negative;
-    ``run_suite``'s oracle-sandwich check allows them the sampled slack
-    ``resolution**2 * f_max``.
+    nonnegative. For table and dip costs the norm is an upper bound on the
+    true distance, above it by O(resolution**2) inside a crystal corner's
+    normal cone, so it can exceed the cost of a lattice path and a gap can
+    be negative; ``run_suite``'s oracle-sandwich check allows them the
+    sampled slack ``resolution**2 * f_max``.
     """
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError("stencil orders must be strictly increasing")

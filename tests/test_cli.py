@@ -347,6 +347,16 @@ class TestCliCommands:
 
 
     @pytest.mark.filterwarnings("error")
+    def test_pnorm_certificate_far_from_the_origin(self, tmp_path, capsys):
+        # The p-norm's closed-form contact point is taken on v/|v|; on the raw
+        # vector its powers overflowed and the certificate failed.
+        spec = tmp_path / "p3.json"
+        spec.write_text('{"kind": "pnorm", "p": 3}')
+        assert main(["distance", str(spec), "0,0", "1e155,3e154", "--geodesic"]) == 0
+        cert = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]["certificate"]
+        assert cert["verdict"] is True and cert["certified"] is True
+
+    @pytest.mark.filterwarnings("error")
     def test_constant_costs_build_at_extreme_scales(self, tmp_path, capsys):
         # The hull, pruning, polarity and convexity thresholds are relative
         # to each polygon's own scale, with no absolute floor. The suite's

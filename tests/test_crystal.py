@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 
@@ -22,11 +21,14 @@ from anisogeo import (
     normal_cone,
     polar,
 )
+from anisogeo import planar
 from anisogeo.crystal import NormalCone
+from anisogeo.integrand import convex_envelope, wulff_transform
 from anisogeo.planar import convex_hull_ccw
 
 from conftest import sorted_rows
 from test_planar import point_segment_distance
+from test_query_kernels import README_COSTS
 
 SQ2 = math.sqrt(2.0)
 
@@ -192,12 +194,12 @@ class TestNormAndDistance:
         assert l1_ctx.norm((0.0, 0.0)) == 0.0
 
     def test_support_and_gauge_agree_for_sampled_costs(self, dip_ctx):
-        # Dual routes: support of the norm region vs gauge of its polar.
+        # Dual routes: support of the crystal vs gauge of its polar.
         rng = np.random.default_rng(5)
         bound = 2 * dip_ctx.resolution * dip_ctx.f_max
         for _ in range(50):
             v = rng.normal(size=2)
-            s = dip_ctx.norm_region.support(v)
+            s = dip_ctx.crystal.support(v)
             g = dip_ctx.polar_body.gauge(v)
             assert abs(s - g) <= 1e-9 * max(1.0, abs(s))
             # The halfplane crystal agrees at grid accuracy.
@@ -214,6 +216,68 @@ class TestNormAndDistance:
     def test_norm_is_asymmetric_for_asymmetric_costs(self, dip_ctx):
         assert dip_ctx.norm((1.0, 0.0)) == pytest.approx(0.5, abs=1e-12)
         assert dip_ctx.norm((-1.0, 0.0)) == pytest.approx(1.0, abs=1e-4)
+
+
+def cut_disk_norm(c, u, d, v) -> float:
+    """Support of the disk of radius c cut by the chord {<x, u> = d}: c|v|
+    outside the normal cones of the chord's ends, <v, end> inside them."""
+    r = math.hypot(*v)
+    half_width = math.acos(d / c)  # angle from u to either chord end
+    off = abs(math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]))
+    return r * c * (math.cos(off - half_width) if off < half_width else 1.0)
+
+
+class TestMinNorm:
+    @pytest.mark.parametrize("size", [60, 720, 2880])
+    def test_dip_over_a_constant_is_within_res_squared_above_the_cut_disk(self, size):
+        # The norm never undercuts the true one and overshoots it by at most
+        # resolution**2, relative, inside the cones of the chord's ends.
+        rng = np.random.default_rng(size)
+        grid = SphereGrid.planar(size)
+        for _ in range(20):
+            c = float(rng.uniform(0.5, 2.0))
+            t = float(rng.uniform(0.0, 2.0 * math.pi))
+            u = (math.cos(t), math.sin(t))
+            d = c * float(rng.uniform(0.2, 1.0))
+            ctx = CrystalContext(Dip(Constant(c), [(u, d)]), grid)
+            # Half the directions near the dip, where the cones are.
+            near = t + rng.uniform(-1.2, 1.2, 100) * math.acos(d / c)
+            angles = np.concatenate([near, rng.uniform(0.0, 2.0 * math.pi, 100)])
+            scales = 10.0 ** rng.uniform(-3, 3, len(angles))
+            for a, s in zip(angles, scales):
+                v = (s * math.cos(a), s * math.sin(a))
+                exact = cut_disk_norm(c, u, d, v)
+                n = ctx.norm(v)
+                assert n >= exact * (1.0 - 1e-12), (c, u, d, v)
+                assert n <= exact * (1.0 + grid.resolution**2), (c, u, d, v)
+
+    def test_sampled_norm_is_the_smaller_of_cost_and_support(self, dip_ctx):
+        rng = np.random.default_rng(19)
+        table_ctx = CrystalContext(README_COSTS["table"](), SphereGrid.planar(60))
+        for ctx in (dip_ctx, table_ctx):
+            for v in rng.normal(size=(200, 2)):
+                assert ctx.norm(v) == min(ctx.integrand(v), ctx.crystal.support(v))
+
+
+class TestOneHull:
+    @pytest.mark.parametrize("kind", sorted(README_COSTS))
+    def test_a_build_runs_one_hull(self, kind, monkeypatch):
+        F = README_COSTS[kind]()
+        F.special_directions  # a crystalline cost hulls its facets once, on its own
+        calls = []
+        hull_cycle = planar.hull_cycle
+        monkeypatch.setattr(planar, "hull_cycle", lambda pts: calls.append(1) or hull_cycle(pts))
+        CrystalContext(F, SphereGrid.planar(720))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("size", [60, 720, 2880])
+    def test_lazy_transforms_equal_the_free_functions(self, size):
+        grid = SphereGrid.planar(size)
+        for kind, cost in README_COSTS.items():
+            F = cost()
+            ctx = CrystalContext(F, grid)
+            assert np.array_equal(ctx.wulff.values, wulff_transform(F, grid).values), kind
+            assert np.array_equal(ctx.envelope.values, convex_envelope(F, grid).values), kind
 
 
 class TestContactFace:
@@ -362,7 +426,7 @@ class TestContactMany:
             assert got.tolist() == [loop_in_contact(ctx, x) for x in xs], F.kind
             if not F.is_convex:
                 x = xs[:-1]
-                norms = ctx._sampled_norms(x, np.hypot(x[:, 0], x[:, 1]))
+                norms = ctx._norms(x, np.array([F(v) for v in x]))
                 want = np.array([ctx.norm(v) for v in x])
                 assert np.abs(norms - want).max() <= 1e-13 * np.abs(want).max(), F.kind
 
@@ -375,22 +439,6 @@ class TestContactMany:
             dip_ctx.in_contact_many(np.ones((3, 2)), tol=0.0)
         with pytest.raises(ValueError, match="planar"):
             dip_ctx.in_contact_many(np.ones((3, 3)))
-
-    def test_cross_checks_raise_like_norm(self, dip_ctx):
-        # Break one authority at a time; the batch raises what norm raises.
-        v = np.array([[0.6, 0.8]])
-        broken = [
-            ("polar_body", dip_ctx.polar_body.scaled(1.1), "duality"),
-            ("crystal", dip_ctx.crystal.scaled(0.9), "exceeds the halfplane"),
-            ("crystal", dip_ctx.crystal.scaled(1.1), "gap exceeds the grid bound"),
-        ]
-        for attribute, region, message in broken:
-            ctx = copy.copy(dip_ctx)
-            setattr(ctx, attribute, region)
-            with pytest.raises(RuntimeError, match=message):
-                ctx.norm(v[0])
-            with pytest.raises(RuntimeError, match=message):
-                ctx.in_contact_many(v)
 
 
 class TestOrthogonalDirections:

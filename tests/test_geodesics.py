@@ -191,6 +191,35 @@ class TestClassify:
         assert len(vee.points) == 3
         assert is_geodesic(ctx, vee, tol=1e-9).verdict
 
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_straight_where_the_cost_is_below_the_crystal_support(self, size):
+        # Just inside a wide corner cone of a table's grid crystal the cost
+        # can sit below the corner's support (the grid corner overshoots the
+        # true one); there the straight segment is the geodesic, and it costs
+        # the distance.
+        rng = np.random.default_rng(size)
+        grid = SphereGrid.planar(size)
+        steps = np.linspace(0.01, 3.0, 60) * grid.resolution
+        below = 0
+        for _ in range(20):
+            cost = random_sampled_cost(rng, table=True)
+            ctx = CrystalContext(cost, grid)
+            normals = ctx.crystal.normals
+            angles = np.arctan2(normals[:, 1], normals[:, 0])
+            for a, b in zip(np.roll(angles, 1), angles):
+                if (b - a) % (2.0 * math.pi) <= 1.5 * grid.resolution:
+                    continue
+                for t in np.concatenate([a + steps, b - steps]):
+                    v = np.array([math.cos(t), math.sin(t)])
+                    if not cost(v) < ctx.crystal.support(v) * (1.0 - 1e-12):
+                        continue
+                    below += 1
+                    assert classify(ctx, (0, 0), v) is GeodesicClass.UNIQUE_UP_TO_REPARAM, v
+                    path = construct_geodesic(ctx, (0, 0), v)
+                    assert len(path.points) == 2
+                    assert path_length(cost, path) == pytest.approx(ctx.norm(v), rel=1e-12)
+        assert below > 300
+
 
 class TestDecompose:
     def test_l1_diagonal_splits_on_axes(self, l1_ctx):
@@ -318,6 +347,28 @@ class TestConstruct:
                         assert cert.verdict and cert.certified, (i, size, x, y)
                         gap = abs(path_length(cost, path) - d)
                         assert gap <= ctx.default_tol * max(1.0, d), (i, size, x, y)
+
+    def test_staircases_cost_the_distance_on_random_sampled_costs(self):
+        # Each leg runs along a crystal edge normal at the contact vertex and
+        # costs that edge's offset, so a staircase costs the crystal's
+        # support of the displacement: the distance wherever classify finds
+        # infinitely many geodesics. 15 table and 15 dip costs.
+        rng = np.random.default_rng(71)
+        staircases = 0
+        for i in range(30):
+            cost = random_sampled_cost(rng, table=i % 2 == 0)
+            for size in (60, 720, 2880):
+                ctx = CrystalContext(cost, SphereGrid.planar(size))
+                for _ in range(20):
+                    x, y = rng.uniform(-2, 2, size=(2, 2))
+                    if classify(ctx, x, y) is not GeodesicClass.INFINITELY_MANY:
+                        continue
+                    d = ctx.distance(x, y)
+                    for path in (construct_geodesic(ctx, x, y), geodesic_family(ctx, x, y, 0.5)):
+                        staircases += 1
+                        gap = abs(path_length(cost, path) - d)
+                        assert gap <= 1e-9 * d, (cost.to_spec(), size, x, y, gap / d)
+        assert staircases > 500
 
     def test_equal_endpoints_rejected(self, l1_ctx):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from anisogeo import (
     AngularTable,
     Constant,
+    CrystalContext,
     Crystalline,
     Dip,
     GridFunction,
@@ -15,7 +16,7 @@ from anisogeo import (
     support_transform,
     wulff_transform,
 )
-from anisogeo.integrand import scan_directions, unit
+from anisogeo.integrand import TWO_PI, angle_of, scan_directions, unit
 
 SQ2 = math.sqrt(2.0)
 
@@ -334,3 +335,99 @@ class TestTableCost:
     def test_planar_only(self):
         with pytest.raises(ValueError, match="planar"):
             AngularTable([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])((1.0, 0.0, 0.0))
+
+
+def table_crystal_excess(F: AngularTable, x) -> float:
+    """max over unit u of <u, x> - F(u), exactly: on each arc F = f + s*(t - a)
+    in the angle t, and the maximum over an arc sits at one of its ends or
+    where |x| sin(phi - t) = s, phi the angle of x."""
+    r, phi = math.hypot(*x), math.atan2(x[1], x[0])
+    angles = np.append(F.sample_angles, F.sample_angles[0] + TWO_PI)
+    values = np.append(F.sample_values, F.sample_values[0])
+    worst = -math.inf
+    for a, b, fa, fb in zip(angles[:-1], angles[1:], values[:-1], values[1:]):
+        s = (fb - fa) / (b - a)
+        ts = [a, b]
+        if abs(s) <= r:
+            w = math.asin(s / r)
+            ts += [a + (t - a) % TWO_PI for t in (phi - w, phi - math.pi + w)]
+        worst = max(worst, *(r * math.cos(t - phi) - fa - s * (t - a) for t in ts if t <= b))
+    return worst
+
+
+def _direction(rng) -> np.ndarray:
+    t = rng.uniform(0.0, TWO_PI)
+    return 10.0 ** rng.uniform(-3, 3) * np.array([math.cos(t), math.sin(t)])
+
+
+class TestContactPoints:
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_table_gradient_lies_on_the_crystal_at_contact_directions(self, size):
+        rng = np.random.default_rng(size + 1)
+        tested = 0
+        for _ in range(10):
+            count = int(rng.integers(8, 17))
+            F = AngularTable(np.sort(rng.uniform(0.0, TWO_PI, count)), rng.uniform(0.5, 2.0, count))
+            ctx = CrystalContext(F, SphereGrid.planar(size))
+            for _ in range(100):
+                v = _direction(rng)
+                u = v / math.hypot(*v)
+                x = F.contact_point(v)
+                assert abs(float(u @ x) - F(u)) <= 1e-12
+                # Contact exactly where x is a point of the true crystal.
+                if table_crystal_excess(F, x) <= 1e-12 * math.hypot(*x):
+                    tested += 1
+                    assert ctx.crystal.contains(x), (F.to_spec(), v)
+        assert tested > 200
+
+    def test_table_has_no_gradient_at_its_sample_angles(self):
+        rng = np.random.default_rng(3)
+        vs = [_direction(rng) for _ in range(12)]
+        # Sample angles as contact_point reads them, from v / |v|.
+        angles = [angle_of(v / math.hypot(*v)) for v in vs]
+        F = AngularTable(np.sort(angles), rng.uniform(0.5, 2.0, len(vs)))
+        for v in vs:
+            assert F.contact_point(v) is None
+        assert AngularTable([0.0, 2.0, 4.0], [1.0, 1.4, 1.1]).contact_point((2.0, 0.0)) is None
+
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_dip_takes_the_base_point_unless_a_dip_cuts_it(self, size):
+        rng = np.random.default_rng(size + 2)
+        kept = cut = 0
+        for i in range(10):
+            base = Constant(rng.uniform(0.5, 2.0)) if i % 2 else PNorm(rng.uniform(1.2, 6.0))
+            dirs = [_direction(rng) for _ in range(int(rng.integers(1, 4)))]
+            F = Dip(base, [(d, rng.uniform(0.3, 0.95) * base(unit(d))) for d in dirs])
+            ctx = CrystalContext(F, SphereGrid.planar(size))
+            for d, _ in F.dips:
+                assert F.contact_point(d) is None  # its own halfplane cuts the base point
+            for _ in range(100):
+                v = _direction(rng)
+                u = v / math.hypot(*v)
+                x, xb = F.contact_point(v), base.contact_point(v)
+                if any(float(d @ xb) > value for d, value in F.dips):
+                    assert x is None
+                    cut += 1
+                    continue
+                kept += 1
+                assert np.array_equal(x, xb)
+                assert abs(float(u @ x) - F(u)) <= 1e-12
+                assert ctx.crystal.contains(x), (F.to_spec(), v)
+        assert kept > 200 and cut > 100
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 40.0])
+    def test_pnorm_gradient_at_every_scale(self, p):
+        # The gradient is 0-homogeneous; raising |v| to p - 1 overflowed
+        # past |v| = 1e103 for p = 3. RuntimeWarnings fail the test.
+        F = PNorm(p)
+        rng = np.random.default_rng(int(p))
+        for t in rng.uniform(0.0, TWO_PI, 50):
+            u = np.array([math.cos(t), math.sin(t)])
+            want = F.contact_point(u)
+            for e in range(-300, 301, 25):
+                v = 10.0**e * u
+                x = F.contact_point(v)
+                assert np.all(np.isfinite(x)), (p, v)
+                w = v / math.hypot(*v)
+                assert abs(float(w @ x) - F(w)) <= 1e-12, (p, v)
+                assert np.abs(x - want).max() <= 1e-12, (p, v)

@@ -358,7 +358,7 @@ def test_query_checks_match_the_references(kind, grid_size):
 
 def test_contact_point_candidates_take_the_callers_face(dip_ctx, l1_ctx):
     for ctx, v in ((dip_ctx, np.array([1.0, 0.2])), (l1_ctx, np.array([2.0, 0.0]))):
-        face = contact_face(ctx.norm_region, v / np.linalg.norm(v))
+        face = contact_face(ctx.crystal, v / np.linalg.norm(v))
         got = ctx.contact_point_candidates(v, face)
         want = ctx.contact_point_candidates(v)
         assert len(got) == len(want)
