@@ -13,6 +13,7 @@ from .crystal import (
     ConvexRegion,
     CrystalContext,
     NormalCone,
+    Polygon,
     build_crystal,
     contact_face,
     double_polar,
@@ -51,7 +52,6 @@ from .integrand import (
     wulff_transform,
 )
 from .isoperimetry import (
-    Polygon,
     WulffReport,
     anisotropic_perimeter,
     isoperimetric_ratio,

@@ -1,4 +1,10 @@
-"""Wulff crystals, polar bodies, and exact planar convex-region queries.
+"""Planar polygons, Wulff crystals, polar bodies and convex-region queries.
+
+:class:`Polygon` is a simple counterclockwise polygon with its edge
+halfspaces, area and edge lengths; :class:`ConvexRegion` is the strictly
+convex one, with support, gauge and containment queries. Every crystal,
+polar body and geodesic ball is a region, and the perimeter and area
+measures of :mod:`isoperimetry` take it as it is.
 
 The crystal of a directional cost F is the intersection of the halfplanes
 ``{x : <x, v> <= F(v)}`` over all unit directions v. It is built here by
@@ -10,9 +16,10 @@ byproduct of the hull. All exact polytope work is two-dimensional.
 and provides the induced (possibly asymmetric) norm, min(F, crystal
 support). Its build scans the cost once and runs one hull, of the dual
 points: pruned and polarized it is the crystal, and the Wulff transform
-and the sampled envelope are computed from it on first read. Every grid
-query is a support query (:func:`planar.support_values`), so a build
-takes O(M log M) time and O(M) memory on M grid directions.
+and the sampled envelope, both table costs on the grid, are computed from
+it on first read. Every grid query is a support query
+(:func:`planar.support_values`), so a build takes O(M log M) time and O(M)
+memory on M grid directions.
 """
 
 from __future__ import annotations
@@ -27,10 +34,6 @@ from . import planar
 from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit
 from .integrand import support_transform, wulff_from_dual
 
-PROVENANCE_CRYSTAL = "crystal"
-PROVENANCE_POLAR = "polar-body"
-PROVENANCE_USER = "user"
-
 # Rows times crystal vertices up to which one matrix product gives a
 # batch's support values faster than planar.support_values (they take the
 # same time near 65536); past it the product's memory grows with the batch.
@@ -38,37 +41,29 @@ _PRODUCT_MAX = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
-class ConvexRegion:
-    """Compact convex planar region, stored as strictly convex CCW vertices.
+class Polygon:
+    """Simple planar polygon with positively oriented (CCW) vertices.
 
-    Halfspaces are derived from the vertices (edge j runs from vertex j to
-    vertex j+1 and carries one outward normal/offset pair), so the two
-    descriptions can never drift apart. Offsets are positive exactly when
-    the origin is strictly interior, which is required for polarity.
+    Edge j runs from vertex j to vertex j+1 and carries one outward
+    normal/offset pair, derived from the vertices, so the two descriptions
+    can never drift apart.
     """
 
     vertices: np.ndarray
-    provenance: str = PROVENANCE_USER
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
-            raise ValueError("a region needs at least 3 planar vertices")
-        u, _ = planar.unit_scaled(v)  # turns at any scale neither overflow nor underflow
+        v = _planar_vertices(self.vertices)
+        # The checks run on the polygon scaled by a power of two into [-1, 1]:
+        # exact, and free of overflow and underflow at any scale.
+        u, _ = planar.unit_scaled(v)
         e = np.concatenate((u[1:], u[:1])) - u
-        f = np.concatenate((e[1:], e[:1]))
-        turns = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
-        if np.any(turns <= 0.0):
-            raise ValueError(
-                "vertices must be strictly convex in CCW order; "
-                "use ConvexRegion.from_points to clean a raw list"
-            )
+        if np.any(np.hypot(e[:, 0], e[:, 1]) <= 1e-14 * np.abs(u).max()):
+            raise ValueError("degenerate polygon: repeated consecutive vertices")
+        if planar.polygon_area(u) <= 0.0:
+            raise ValueError("vertices must be counterclockwise (positive area)")
+        if _self_intersects(u):
+            raise ValueError("polygon boundary self-intersects")
         object.__setattr__(self, "vertices", v)
-
-    @classmethod
-    def from_points(cls, points, provenance: str = PROVENANCE_USER) -> "ConvexRegion":
-        """Region from an arbitrary point cloud (hull + collinearity pruning)."""
-        return cls(planar.convex_hull_ccw(points), provenance)
 
     @cached_property
     def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
@@ -84,17 +79,58 @@ class ConvexRegion:
         return self.halfspaces[1]
 
     @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        v = self.vertices
+        e = np.concatenate((v[1:], v[:1])) - v
+        return np.hypot(e[:, 0], e[:, 1])
+
+    @cached_property
     def area(self) -> float:
         return planar.polygon_area(self.vertices)
+
+    def scaled(self, factor: float):
+        if factor <= 0.0:
+            raise ValueError("scale factor must be positive")
+        return type(self)(factor * self.vertices)
+
+    def translated(self, shift):
+        return type(self)(self.vertices + np.asarray(shift, dtype=float))
+
+
+class ConvexRegion(Polygon):
+    """Compact convex planar region, stored as strictly convex CCW vertices.
+
+    Offsets are positive exactly when the origin is strictly interior,
+    which is required for polarity.
+    """
+
+    def __post_init__(self) -> None:
+        # A strictly convex cycle that turns once is a simple CCW polygon, so
+        # this one pass stands in for Polygon's checks.
+        v = _planar_vertices(self.vertices)
+        u, _ = planar.unit_scaled(v)  # turns at any scale neither overflow nor underflow
+        if not _turns_once_left(u):
+            raise ValueError(
+                "vertices must be strictly convex in CCW order; "
+                "use ConvexRegion.from_points to clean a raw list"
+            )
+        object.__setattr__(self, "vertices", v)
+
+    @classmethod
+    def from_points(cls, points) -> "ConvexRegion":
+        """Region from an arbitrary point cloud (hull + collinearity pruning)."""
+        return cls(planar.convex_hull_ccw(points))
 
     @cached_property
     def diameter(self) -> float:
         spread = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(np.hypot(*spread))
 
-    @property
+    @cached_property
     def origin_interior(self) -> bool:
-        return bool(self.offsets.min() > 0.0)
+        """Whether every offset exceeds rounding of the largest coordinate,
+        the threshold :func:`planar.polar_of_halfspaces` refuses at."""
+        return bool(self.offsets.min() > 1e-14 * float(np.abs(self.vertices).max()))
 
     def support(self, v) -> float:
         """max over the region of <., v>; attained at a vertex."""
@@ -111,13 +147,59 @@ class ConvexRegion:
         slack = tol * max(1.0, self.diameter)
         return bool(np.all(self.normals @ x <= self.offsets + slack))
 
-    def translated(self, shift) -> "ConvexRegion":
-        return ConvexRegion(self.vertices + np.asarray(shift, dtype=float), PROVENANCE_USER)
 
-    def scaled(self, factor: float) -> "ConvexRegion":
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
-        return ConvexRegion(factor * self.vertices, self.provenance)
+def _planar_vertices(vertices) -> np.ndarray:
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
+        raise ValueError("a polygon needs at least 3 planar vertices")
+    return v
+
+
+def _turns_once_left(v: np.ndarray) -> bool:
+    """Whether every turn of the closed polyline v is strictly left and the
+    turns add up to one full revolution: v is then convex, hence simple.
+    A star such as the pentagram turns left everywhere but winds twice."""
+    e = np.concatenate((v[1:], v[:1])) - v
+    f = np.concatenate((e[1:], e[:1]))
+    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    if not np.all(cross > 0.0):
+        return False
+    dot = e[:, 0] * f[:, 0] + e[:, 1] * f[:, 1]
+    return round(float(np.arctan2(cross, dot).sum()) / planar.TWO_PI) == 1
+
+
+def _self_intersects(v: np.ndarray) -> bool:
+    """Whether the closed polyline v crosses itself.
+
+    A polyline that turns once to the left is convex, hence simple: O(k).
+    Anything else (a reflex vertex, or a star that winds more than once)
+    goes to the all-pairs test :func:`_edges_cross`.
+    """
+    return not _turns_once_left(v) and _edges_cross(v)
+
+
+def _edges_cross(v: np.ndarray) -> bool:
+    """Proper-crossing test between all non-adjacent edge pairs (vectorized)."""
+    k = len(v)
+    a = v
+    b = np.concatenate((v[1:], v[:1]))
+    e = b - a
+
+    def _cross(u, w):
+        return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+    # d1[i, j] = cross(e_i, a_j - a_i), etc.; proper crossing needs strict
+    # sign changes on both segments.
+    d1 = _cross(e[:, None, :], a[None, :, :] - a[:, None, :])
+    d2 = _cross(e[:, None, :], b[None, :, :] - a[:, None, :])
+    d3 = _cross(e[None, :, :], a[:, None, :] - a[None, :, :])
+    d4 = _cross(e[None, :, :], b[:, None, :] - a[None, :, :])
+    crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    idx = np.arange(k)
+    adjacent = (np.abs(idx[:, None] - idx[None, :]) <= 1) | (
+        np.abs(idx[:, None] - idx[None, :]) == k - 1
+    )
+    return bool(np.any(crossing & ~adjacent))
 
 
 @dataclass(frozen=True)
@@ -163,19 +245,15 @@ def _crystal_from_dual(dual_cycle: np.ndarray) -> ConvexRegion:
             "halfplane intersection is unbounded: scan directions do not "
             f"positively span the plane ({exc})"
         ) from exc
-    return ConvexRegion(vertices, PROVENANCE_CRYSTAL)
+    return ConvexRegion(vertices)
 
 
 def polar(region: ConvexRegion) -> ConvexRegion:
     """Polar body {z : <z, x> <= 1 on the region}; needs the origin interior."""
     if not region.origin_interior:
         raise ValueError("polar body is unbounded: origin is not interior to the region")
-    tag = {
-        PROVENANCE_CRYSTAL: PROVENANCE_POLAR,
-        PROVENANCE_POLAR: PROVENANCE_CRYSTAL,
-    }.get(region.provenance, PROVENANCE_USER)
     scale = float(np.abs(region.vertices).max())
-    return ConvexRegion(planar.polar_of_halfspaces(*region.halfspaces, scale), tag)
+    return ConvexRegion(planar.polar_of_halfspaces(*region.halfspaces, scale))
 
 
 def double_polar(points, box_factor: float = 1e4) -> ConvexRegion:
@@ -201,7 +279,7 @@ def double_polar(points, box_factor: float = 1e4) -> ConvexRegion:
     r = 1.0 / box_factor
     box_duals = np.array([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]])
     hull = planar.convex_hull_ccw(np.vstack([q, box_duals]))
-    boxed_polar = ConvexRegion(planar.polar_polygon(hull), PROVENANCE_USER)
+    boxed_polar = ConvexRegion(planar.polar_polygon(hull))
     return polar(boxed_polar).scaled(scale)
 
 
@@ -265,9 +343,9 @@ def extremal_points(region: ConvexRegion, area_tol: float | None = None) -> np.n
     return planar.convex_hull_ccw(region.vertices, eps_rel=eps_rel)
 
 
-def hausdorff_distance(a: ConvexRegion | np.ndarray, b: ConvexRegion | np.ndarray) -> float:
-    va = a.vertices if isinstance(a, ConvexRegion) else np.asarray(a, dtype=float)
-    vb = b.vertices if isinstance(b, ConvexRegion) else np.asarray(b, dtype=float)
+def hausdorff_distance(a: Polygon | np.ndarray, b: Polygon | np.ndarray) -> float:
+    va = a.vertices if isinstance(a, Polygon) else np.asarray(a, dtype=float)
+    vb = b.vertices if isinstance(b, Polygon) else np.asarray(b, dtype=float)
     return planar.hausdorff_distance(va, vb)
 
 
@@ -432,9 +510,3 @@ class CrystalContext:
         if exact is not None:
             candidates.append(exact)
         return candidates
-
-    def envelope_integrand(self) -> Integrand:
-        """The sampled envelope repackaged as a (table) cost."""
-        from .integrand import AngularTable
-
-        return AngularTable(self.grid.angles, self.envelope.values)

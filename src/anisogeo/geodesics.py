@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .crystal import ContactFace, ConvexRegion, CrystalContext, contact_face, PROVENANCE_USER
+from .crystal import ContactFace, ConvexRegion, CrystalContext, contact_face
 from .integrand import Integrand, unit
 
 MIN_SEGMENT = 1e-12
@@ -393,4 +393,4 @@ def geodesic_ball(ctx: CrystalContext, center, radius: float) -> ConvexRegion:
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
-    return ConvexRegion(center + radius * ctx.polar_body.vertices, PROVENANCE_USER)
+    return ConvexRegion(center + radius * ctx.polar_body.vertices)

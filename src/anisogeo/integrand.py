@@ -11,6 +11,9 @@ with the three transforms that drive the rest of the package:
 * ``convex_envelope``    D(F) = A(W(F)), the largest convex 1-homogeneous
   minorant of F.
 
+Each transform returns a :class:`GridFunction`, the table cost whose
+samples sit at the grid's directions, so it evaluates like any other cost.
+
 Extrema over the sphere are realized as extrema over a finite
 :class:`SphereGrid`; every scanned value therefore carries an error of
 order ``resolution * max F / min F``. Costs may declare
@@ -131,8 +134,8 @@ class SphereGrid:
         if self.resolution <= 0.0:
             raise ValueError("resolution must be positive")
         ang = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
-        if np.any(np.diff(ang) <= 0.0):
-            raise ValueError("planar grid angles must be strictly increasing")
+        if np.any(np.diff(ang) <= 0.0) or ang[-1] >= TWO_PI:
+            raise ValueError("planar grid angles must be strictly increasing within [0, 2*pi)")
         object.__setattr__(self, "directions", dirs)
 
     @property
@@ -159,44 +162,6 @@ class SphereGrid:
             if 4 * idx == k * count:
                 dirs[idx] = d
         return cls(dirs, TWO_PI / count)
-
-
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """A positive function sampled on a sphere grid, extended 1-homogeneously.
-
-    Off-grid unit directions are evaluated by periodic linear interpolation
-    in angle.
-    """
-
-    grid: SphereGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.size,):
-            raise ValueError("one value per grid direction required")
-        object.__setattr__(self, "values", vals)
-
-    @cached_property
-    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
-        return periodic_samples(self.grid.angles, self.values)
-
-    def unit_value(self, u) -> float:
-        return float(interp_periodic(angle_of(u), self._samples))
-
-    def __call__(self, x) -> float:
-        a, b = planar_vector(x)
-        n = math.hypot(a, b)
-        if n == 0.0:
-            return 0.0
-        return n * self.unit_value((a / n, b / n))
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-    def min(self) -> float:
-        return float(self.values.min())
 
 
 class Integrand(ABC):
@@ -437,6 +402,28 @@ class AngularTable(Integrand):
         }
 
 
+class GridFunction(AngularTable):
+    """A positive function sampled on a sphere grid, extended 1-homogeneously:
+    the table cost whose samples are the grid's directions."""
+
+    def __init__(self, grid: SphereGrid, values) -> None:
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (grid.size,):
+            raise ValueError("one value per grid direction required")
+        super().__init__(grid.angles, vals)
+        self.grid = grid
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.sample_values
+
+    def max(self) -> float:
+        return float(self.values.max())
+
+    def min(self) -> float:
+        return float(self.values.min())
+
+
 class Dip(Integrand):
     """A base cost lowered at finitely many directions (zero angular width).
 
@@ -524,11 +511,10 @@ def wulff_from_dual(dual_cycle: np.ndarray, grid: SphereGrid) -> GridFunction:
     """W(F) on the grid from the hull cycle of the dual points w / F(w).
 
     min over <v, w> > 0 of F(w) / <v, w> is 1 / max over w of <v, w / F(w)>,
-    the reciprocal support of the dual hull; a direction that no scanned
-    direction leans towards gets W = inf.
+    the reciprocal support of the dual hull. Each grid direction's own dual
+    point lies in the hull, so that support is at least 1 / F(v) > 0.
     """
-    s = support_values(dual_cycle, grid.directions)
-    return GridFunction(grid, np.divide(1.0, s, out=np.full(len(s), np.inf), where=s > 0.0))
+    return GridFunction(grid, 1.0 / support_values(dual_cycle, grid.directions))
 
 
 def wulff_transform(F: Integrand, grid: SphereGrid) -> GridFunction:
@@ -548,10 +534,9 @@ def support_transform(G: GridFunction, grid: SphereGrid | None = None) -> GridFu
 
     This is the support function of the hypograph of G sampled on the
     grid; A(G) >= G holds at every shared direction (w = v is a candidate).
-    Computed as a support query on the hull of the graph points ``G(w) w``.
+    Computed as a support query on the hull of the graph points ``G(w) w``;
+    G's samples are positive by construction.
     """
-    if np.any(G.values <= 0.0):
-        raise ValueError("support transform requires positive samples")
     grid = grid or G.grid
     graph = hull_cycle(G.grid.directions * G.values[:, None])
     return GridFunction(grid, support_values(graph, grid.directions))

@@ -15,12 +15,7 @@ from .crystal import CrystalContext, double_polar, hausdorff_distance, polar
 from .geodesics import construct_geodesic, geodesic_ball, is_geodesic
 from .integrand import support_transform, GridFunction
 from .planar import convex_hull_ccw, support_values
-from .isoperimetry import (
-    Polygon,
-    isoperimetric_ratio,
-    random_wulff_competitor,
-    wulff_identity_check,
-)
+from .isoperimetry import isoperimetric_ratio, random_wulff_competitor, wulff_identity_check
 from .oracle import Stencil, oracle_distance
 
 
@@ -138,7 +133,7 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
     checks.append(CheckResult("oracle-sandwich", worst_under <= sandwich_slack, worst_under, sandwich_slack))
 
     # Isoperimetric minimality against random same-fan competitors.
-    own = isoperimetric_ratio(ctx.integrand, Polygon.from_region(ctx.crystal))
+    own = isoperimetric_ratio(ctx.integrand, ctx.crystal)
     worst_ratio_deficit = 0.0
     for _ in range(20):
         comp = random_wulff_competitor(ctx.grid, rng)

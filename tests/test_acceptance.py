@@ -12,7 +12,6 @@ import pytest
 from anisogeo import (
     Path,
     PNorm,
-    Polygon,
     Stencil,
     classify,
     construct_geodesic,
@@ -186,12 +185,12 @@ def test_criterion_7_wulff_identity(l1_ctx, euclid_ctx, dip_ctx):
 def test_criterion_8_isoperimetric_minimality(all_ctxs, grid):
     rng = np.random.default_rng(109)
     for name, ctx in all_ctxs.items():
-        own = isoperimetric_ratio(ctx.integrand, Polygon.from_region(ctx.crystal))
+        own = isoperimetric_ratio(ctx.integrand, ctx.crystal)
         for _ in range(100):
             competitor = random_wulff_competitor(grid, rng)
             assert isoperimetric_ratio(ctx.integrand, competitor) >= own - 1e-6, name
         for lam, shift in ((0.5, (0.0, 0.0)), (2.0, (1.5, -0.5))):
-            homothet = Polygon.from_region(ctx.crystal).scaled(lam).translated(shift)
+            homothet = ctx.crystal.scaled(lam).translated(shift)
             assert isoperimetric_ratio(ctx.integrand, homothet) == pytest.approx(
                 own, rel=1e-9
             ), name

@@ -11,6 +11,7 @@ from anisogeo import (
     CrystalContext,
     Crystalline,
     Dip,
+    Integrand,
     PNorm,
     SphereGrid,
     build_crystal,
@@ -279,6 +280,22 @@ class TestOneHull:
             assert np.array_equal(ctx.wulff.values, wulff_transform(F, grid).values), kind
             assert np.array_equal(ctx.envelope.values, convex_envelope(F, grid).values), kind
 
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_envelope_is_the_table_of_its_samples(self, size):
+        # The transforms are table costs: the envelope evaluates exactly as
+        # the AngularTable of its grid samples does.
+        grid = SphereGrid.planar(size)
+        rng = np.random.default_rng(size)
+        dirs = rng.normal(size=(300, 2))
+        dirs = np.vstack([dirs / np.hypot(dirs[:, 0], dirs[:, 1])[:, None], grid.directions])
+        xs = dirs * rng.uniform(1e-3, 1e3, size=(len(dirs), 1))
+        for kind, cost in README_COSTS.items():
+            ctx = CrystalContext(cost(), grid)
+            assert isinstance(ctx.envelope, Integrand) and isinstance(ctx.wulff, Integrand), kind
+            table = AngularTable(grid.angles, ctx.envelope.values)
+            assert np.array_equal(ctx.envelope.values_on(dirs), table.values_on(dirs)), kind
+            assert [ctx.envelope(x) for x in xs] == [table(x) for x in xs], kind
+
 
 class TestContactFace:
     def test_square_diagonal_hits_the_corner(self):
@@ -527,6 +544,34 @@ class TestRegionValidation:
     def test_rejects_collinear_triples(self):
         with pytest.raises(ValueError):
             ConvexRegion(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("order", [[0, 2, 4, 1, 3], [0, 2, 4, 6, 1, 3, 5]])
+    def test_rejects_stars_that_wind_twice(self, order):
+        # Every turn is left, but the cycle goes round twice; the same
+        # points in circle order make a region.
+        angles = 2.0 * np.pi * np.array(order) / len(order)
+        star = np.column_stack([np.cos(angles), np.sin(angles)])
+        e = np.roll(star, -1, axis=0) - star
+        f = np.roll(e, -1, axis=0)
+        assert np.all(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0] > 0.0)
+        with pytest.raises(ValueError, match="strictly convex"):
+            ConvexRegion(star)
+        assert ConvexRegion(star[np.argsort(order)]).contains((0.9, 0.0))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_origin_within_rounding_of_an_edge_is_not_interior(self, scale):
+        # The bottom edge passes 1e-31 (relative) below the origin, far
+        # inside the rounding polar refuses at, so gauge refuses with it.
+        region = ConvexRegion(scale * np.array([[-1.0, -1e-31], [1.0, -1e-31], [0.0, 2.0]]))
+        assert not region.origin_interior
+        with pytest.raises(ValueError, match="origin strictly interior"):
+            region.gauge((0.0, -scale))
+        with pytest.raises(ValueError, match="origin"):
+            polar(region)
+        lifted = region.translated((0.0, -0.5 * scale))
+        assert lifted.origin_interior and type(lifted) is ConvexRegion
+        assert lifted.gauge((0.0, -scale)) == pytest.approx(2.0, rel=1e-12)
+        assert polar(lifted).gauge((0.0, 1.0 / scale)) == pytest.approx(1.5, rel=1e-12)
 
     def test_from_points_cleans_input(self):
         region = ConvexRegion.from_points(

@@ -450,7 +450,7 @@ class TestChainInequalities:
         # per cost, 10^4 total.
         rng = np.random.default_rng(53)
         for name, ctx in all_ctxs.items():
-            envelope_cost = ctx.envelope_integrand()
+            envelope_cost = ctx.envelope
             slack = 5 * ctx.resolution * ctx.f_max
             for _ in range(2500):
                 k = rng.integers(2, 7)

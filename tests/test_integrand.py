@@ -151,6 +151,21 @@ class TestConstructionRejection:
         with pytest.raises(ValueError, match="planar"):
             SphereGrid(np.vstack([np.eye(3), -np.eye(3)]), 1.0)
 
+    def test_grid_angles_stay_below_two_pi(self):
+        # Just below the +x axis the angle mod 2*pi rounds to 2*pi itself,
+        # outside [0, 2*pi), where grid functions (table costs) could not
+        # sit; a direction further below keeps an angle short of 2*pi.
+        eight = SphereGrid.planar(8)
+
+        def last(below):
+            return np.vstack([eight.directions[1:], [[1.0, -below]]])
+
+        with pytest.raises(ValueError, match=r"within \[0, 2\*pi\)"):
+            SphereGrid(last(1e-17), eight.resolution)
+        grid = SphereGrid(last(1e-9), eight.resolution)
+        assert grid.angles[-1] < TWO_PI
+        assert GridFunction(grid, np.ones(8))((1.0, 0.0)) == 1.0
+
     def test_crystalline_halfplane_gap_rejected(self):
         # All facet directions in the right halfplane: cost vanishes on the left.
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,17 @@ from anisogeo import (
     CrystalContext,
     PNorm,
     Polygon,
+    SphereGrid,
     anisotropic_perimeter,
     isoperimetric_ratio,
     random_wulff_competitor,
     wulff_identity_check,
 )
-from anisogeo import isoperimetry
-from anisogeo.isoperimetry import _edges_cross, _self_intersects
+from anisogeo import crystal, planar
+from anisogeo.crystal import _edges_cross, _self_intersects
 from anisogeo.planar import convex_hull_ccw
+
+from test_query_kernels import README_COSTS
 
 SQUARE = Polygon(np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 TRIANGLE = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -86,7 +90,7 @@ class TestSimplicity:
         def refuse(v):
             raise AssertionError("pair test reached")
 
-        monkeypatch.setattr(isoperimetry, "_edges_cross", refuse)
+        monkeypatch.setattr(crystal, "_edges_cross", refuse)
         rng = np.random.default_rng(59)
         for k in (3, 8, 40):
             assert not _self_intersects(convex_hull_ccw(rng.normal(size=(k, 2))))
@@ -111,7 +115,7 @@ class TestArea:
     def test_disk_polygon(self, euclid_ctx):
         # Circumscribed m-gon: area = m*tan(pi/m), relative error pi^2/(3m^2).
         m = len(euclid_ctx.crystal.vertices)
-        poly = Polygon.from_region(euclid_ctx.crystal)
+        poly = euclid_ctx.crystal
         assert poly.area == pytest.approx(math.pi, rel=4.0 / m**2)
 
 
@@ -125,7 +129,7 @@ class TestPerimeter:
 
     def test_l1_cost_on_the_disk(self, l1_ctx, euclid_ctx):
         # Quadrature of |cos| + |sin| over the circle is 8.
-        disk = Polygon.from_region(euclid_ctx.crystal)
+        disk = euclid_ctx.crystal
         assert anisotropic_perimeter(l1_ctx.integrand, disk) == pytest.approx(8.0, rel=1e-4)
 
     def test_degenerate_polygon_rejected(self):
@@ -135,16 +139,16 @@ class TestPerimeter:
 
 class TestRatio:
     def test_l1_crystal_ratio_is_four(self, l1_ctx):
-        poly = Polygon.from_region(l1_ctx.crystal)
+        poly = l1_ctx.crystal
         assert isoperimetric_ratio(l1_ctx.integrand, poly) == pytest.approx(4.0, abs=1e-12)
 
     def test_isotropic_disk_ratio(self, euclid_ctx):
-        poly = Polygon.from_region(euclid_ctx.crystal)
+        poly = euclid_ctx.crystal
         want = 2.0 * math.sqrt(math.pi)
         assert isoperimetric_ratio(euclid_ctx.integrand, poly) == pytest.approx(want, rel=1e-4)
 
     def test_l1_on_the_disk_is_suboptimal(self, l1_ctx, euclid_ctx):
-        disk = Polygon.from_region(euclid_ctx.crystal)
+        disk = euclid_ctx.crystal
         ratio = isoperimetric_ratio(l1_ctx.integrand, disk)
         assert ratio == pytest.approx(8.0 / math.sqrt(math.pi), rel=1e-3)
         assert ratio > 4.0  # the square is the minimizer for the L1 cost
@@ -194,11 +198,11 @@ class TestWulffIdentity:
         # report equals the direct computation on the crystal bit for bit.
         rng = np.random.default_rng(5)
         for name, ctx in all_ctxs.items():
-            for poly in (Polygon.from_region(ctx.crystal), random_wulff_competitor(ctx.grid, rng)):
+            for poly in (ctx.crystal, random_wulff_competitor(ctx.grid, rng)):
                 perimeter = anisotropic_perimeter(ctx.integrand, poly)
                 assert isoperimetric_ratio(ctx.integrand, poly) == perimeter / float(np.sqrt(poly.area))
             report = wulff_identity_check(ctx)
-            poly = Polygon.from_region(ctx.crystal)
+            poly = ctx.crystal
             perimeter, area = anisotropic_perimeter(ctx.integrand, poly), poly.area
             assert report.perimeter == perimeter and report.area == area, name
             assert report.ratio == perimeter / float(np.sqrt(area)), name
@@ -219,7 +223,7 @@ class TestWulffIdentity:
             assert report.ratio == pytest.approx(want, rel=1e-12, abs=0.0), c
             assert report.reference_ratio == pytest.approx(want, rel=1e-12, abs=0.0), c
             assert report.area == (0.0 if c < 1.0 else math.inf), c
-            poly = Polygon.from_region(ctx.crystal)
+            poly = ctx.crystal
             for shape in (poly, poly.scaled(3.0)):
                 assert isoperimetric_ratio(ctx.integrand, shape) == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -228,7 +232,7 @@ class TestMinimality:
     def test_crystal_beats_random_competitors(self, all_ctxs, grid):
         rng = np.random.default_rng(67)
         for name, ctx in all_ctxs.items():
-            own = isoperimetric_ratio(ctx.integrand, Polygon.from_region(ctx.crystal))
+            own = isoperimetric_ratio(ctx.integrand, ctx.crystal)
             for _ in range(30):
                 competitor = random_wulff_competitor(grid, rng)
                 other = isoperimetric_ratio(ctx.integrand, competitor)
@@ -236,9 +240,9 @@ class TestMinimality:
 
     def test_homothets_achieve_equality(self, all_ctxs):
         for name, ctx in all_ctxs.items():
-            own = isoperimetric_ratio(ctx.integrand, Polygon.from_region(ctx.crystal))
+            own = isoperimetric_ratio(ctx.integrand, ctx.crystal)
             for lam, shift in ((0.5, (0, 0)), (3.0, (2, -1)), (1.25, (-4, 4))):
-                moved = Polygon.from_region(ctx.crystal).scaled(lam).translated(shift)
+                moved = ctx.crystal.scaled(lam).translated(shift)
                 assert isoperimetric_ratio(ctx.integrand, moved) == pytest.approx(
                     own, rel=1e-9
                 ), name
@@ -253,16 +257,56 @@ class TestMinimality:
         assert np.all(turns > 0.0)
 
 
+def wulff_identity_reference(ctx) -> tuple:
+    """The identity's fields as computed on the crystal's vertices
+    re-validated as a plain Polygon, with the normals taken afresh."""
+    poly = Polygon(ctx.crystal.vertices)
+    u, e = planar.unit_scaled(poly.vertices)
+    normals, _ = planar.edge_normals_and_offsets(poly.vertices)
+    edges = np.concatenate((u[1:], u[:1])) - u
+    perimeter = float(ctx.integrand.values_on(normals) @ np.hypot(edges[:, 0], edges[:, 1]))
+    area = planar.polygon_area(u)
+    with np.errstate(over="ignore"):
+        full_perimeter, full_area = float(np.ldexp(perimeter, e)), float(np.ldexp(area, 2 * e))
+    return (
+        full_perimeter,
+        full_area,
+        perimeter / math.sqrt(area),
+        math.ldexp(2.0 * math.sqrt(area), e),
+        2.0 * float(np.sqrt(np.pi)),
+        abs(perimeter - 2.0 * math.ldexp(area, e)) / perimeter,
+    )
+
+
+class TestRegionsArePolygons:
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_measures_take_the_region_itself(self, size):
+        # A crystal is a Polygon: measured as it is, it gives what the same
+        # vertices give as a plain Polygon, bit for bit.
+        grid = SphereGrid.planar(size)
+        rng = np.random.default_rng(size)
+        for kind, cost in README_COSTS.items():
+            ctx = CrystalContext(cost(), grid)
+            F, region = ctx.integrand, ctx.crystal
+            plain = Polygon(region.vertices)
+            assert isoperimetric_ratio(F, region) == isoperimetric_ratio(F, plain), kind
+            assert anisotropic_perimeter(F, region) == anisotropic_perimeter(F, plain), kind
+            assert dataclasses.astuple(wulff_identity_check(ctx)) == wulff_identity_reference(ctx)
+            competitor = random_wulff_competitor(grid, rng)
+            ratio = isoperimetric_ratio(F, competitor)
+            assert ratio == isoperimetric_ratio(F, Polygon(competitor.vertices)), kind
+
+
 class TestPNormFamilies:
     def test_square_is_not_optimal_for_euclidean_cost(self, euclid_ctx):
         ratio_square = isoperimetric_ratio(euclid_ctx.integrand, SQUARE)
-        disk = Polygon.from_region(euclid_ctx.crystal)
+        disk = euclid_ctx.crystal
         ratio_disk = isoperimetric_ratio(euclid_ctx.integrand, disk)
         assert ratio_square > ratio_disk
 
     def test_p3_crystal_minimizes_its_own_ratio(self, p3_ctx, euclid_ctx):
-        own = isoperimetric_ratio(p3_ctx.integrand, Polygon.from_region(p3_ctx.crystal))
-        disk = isoperimetric_ratio(p3_ctx.integrand, Polygon.from_region(euclid_ctx.crystal))
+        own = isoperimetric_ratio(p3_ctx.integrand, p3_ctx.crystal)
+        disk = isoperimetric_ratio(p3_ctx.integrand, euclid_ctx.crystal)
         square = isoperimetric_ratio(p3_ctx.integrand, SQUARE)
         assert own <= disk + 1e-9
         assert own <= square + 1e-9

@@ -58,3 +58,19 @@ def test_benchmark_tracer_targets_resolve():
         else:
             # Tracer.install reads methods from the class's own __dict__.
             assert attr in vars(getattr(mod, cls_name)), (module, cls_name, attr)
+
+
+def test_one_type_per_concept():
+    # A region is a Polygon and a grid function is a table cost: each
+    # inherits what its base defines instead of carrying its own copy.
+    from anisogeo.crystal import ConvexRegion, Polygon
+    from anisogeo.integrand import AngularTable, GridFunction
+
+    assert issubclass(ConvexRegion, Polygon) and issubclass(GridFunction, AngularTable)
+    for name in ("unit_value", "__call__", "values_on", "_samples"):
+        assert name not in vars(GridFunction), name
+    for name in ("area", "scaled", "translated", "halfspaces", "normals", "offsets"):
+        assert name not in vars(ConvexRegion), name
+    assert anisogeo.Polygon is anisogeo.crystal.Polygon
+    # The benchmark tracer wraps ConvexRegion.from_points from the class's own __dict__.
+    assert "from_points" in vars(ConvexRegion)

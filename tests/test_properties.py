@@ -51,10 +51,7 @@ def test_triangle_inequality_for_induced_distance(l1_ctx, x, y, z):
 @settings(max_examples=30, deadline=None)
 def test_distance_vanishes_only_on_the_diagonal(dip_ctx, x, y):
     d = dip_ctx.distance(x, y)
-    if np.allclose(x, y):
-        assert d == 0.0
-    else:
-        assert d > 0.0
+    assert (d == 0.0) == np.array_equal(x, y)
 
 
 @st.composite
