@@ -87,14 +87,20 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _grid_size(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text.strip()!r}") from None
-    if not GRID_SIZE_MIN <= count <= GRID_SIZE_MAX:
-        raise argparse.ArgumentTypeError(f"must be from {GRID_SIZE_MIN} to {GRID_SIZE_MAX}: {count}")
-    return count
+def _integer(low: int, high: int | None = None):
+    """The argparse type of an integer from low to high (unbounded above when None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text.strip()!r}") from None
+        if value < low or (high is not None and value > high):
+            limits = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {limits}: {value}")
+        return value
+
+    return parse
 
 
 def _is_numeric(text: str) -> bool:
@@ -198,7 +204,7 @@ def cmd_distance(args) -> int:
 
 def cmd_verify(args) -> int:
     ctx = _context(args)
-    path = fileio.load_path_file(args.path, dim=2)
+    path = fileio.load_path_file(args.path)
     if args.resample:
         path = resample_polyline(path, args.resample)
     cert = is_geodesic(ctx, path, args.tol)
@@ -237,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("spec", help="cost spec file (JSON)")
         p.add_argument(
-            "--grid", type=_grid_size, default=None, help="planar grid size (default 720)"
+            "--grid", type=_integer(GRID_SIZE_MIN, GRID_SIZE_MAX), default=None,
+            help="planar grid size (default 720)",
         )
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=None, help="verification tolerance")
     p.add_argument(
         "--resample",
-        type=int,
+        type=_integer(2),
         default=None,
         help="resample a densely sampled smooth curve to this many breakpoints",
     )
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the invariant battery")
     common(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p.add_argument("--seed", type=_integer(0), default=0, help="seed for randomized checks")
     p.set_defaults(handler=cmd_suite)
 
     return parser

@@ -39,6 +39,15 @@ from .integrand import support_transform, wulff_from_dual
 # same time near 65536); past it the product's memory grows with the batch.
 _PRODUCT_MAX = 1 << 16
 
+# Relative slack of region faces: containment, contact faces, normal cones.
+FACE_TOL = 1e-9
+
+# Relative gap between a cost and its norm below which a direction counts
+# as in contact.
+CONTACT_TOL = 1e-6
+
+_BOX_FACTOR = 1e4  # see double_polar
+
 
 @dataclass(frozen=True, eq=False)
 class Polygon:
@@ -142,9 +151,9 @@ class ConvexRegion(Polygon):
             raise ValueError("gauge requires the origin strictly interior")
         return float(((self.normals @ np.asarray(v, dtype=float)) / self.offsets).max())
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        slack = tol * max(1.0, self.diameter)
+        slack = FACE_TOL * max(1.0, self.diameter)
         return bool(np.all(self.normals @ x <= self.offsets + slack))
 
 
@@ -152,6 +161,8 @@ def _planar_vertices(vertices) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
         raise ValueError("a polygon needs at least 3 planar vertices")
+    if not np.isfinite(v).all():
+        raise ValueError("polygon vertices must be finite")
     return v
 
 
@@ -206,7 +217,6 @@ def _edges_cross(v: np.ndarray) -> bool:
 class ContactFace:
     """The face of a region where a direction attains its support value."""
 
-    normal: np.ndarray
     vertices: np.ndarray  # (1, 2) for a vertex face, (2, 2) for an edge face
     representative: np.ndarray
 
@@ -256,13 +266,13 @@ def polar(region: ConvexRegion) -> ConvexRegion:
     return ConvexRegion(planar.polar_of_halfspaces(*region.halfspaces, scale))
 
 
-def double_polar(points, box_factor: float = 1e4) -> ConvexRegion:
+def double_polar(points) -> ConvexRegion:
     """Polar of the polar of a point cloud.
 
     When the cloud does not surround the origin its polar is unbounded and
     cannot be held as a vertex list, so a huge bounding box (side
-    ``box_factor`` times the cloud scale) is intersected in first. That
-    perturbs the final region by O(scale / box_factor) - far below every
+    ``_BOX_FACTOR`` times the cloud scale) is intersected in first. That
+    perturbs the final region by O(scale / _BOX_FACTOR) - far below every
     geometric tolerance used in this package. When the cloud does surround
     the origin the box constraints are redundant and the result is exact.
     """
@@ -273,41 +283,39 @@ def double_polar(points, box_factor: float = 1e4) -> ConvexRegion:
     # Dividing by the cloud's own largest magnitude cannot overflow, and the
     # box stays relative to the cloud at any magnitude.
     q = pts / scale
-    # First polar, boxed: {<z, q_i> <= 1, |z_j| <= box_factor}. Each
+    # First polar, boxed: {<z, q_i> <= 1, |z_j| <= _BOX_FACTOR}. Each
     # halfspace <z, a> <= h dualizes to the point a/h, so the box
     # contributes the four tiny cross points below.
-    r = 1.0 / box_factor
+    r = 1.0 / _BOX_FACTOR
     box_duals = np.array([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]])
     hull = planar.convex_hull_ccw(np.vstack([q, box_duals]))
     boxed_polar = ConvexRegion(planar.polar_polygon(hull))
     return polar(boxed_polar).scaled(scale)
 
 
-def contact_face(region: ConvexRegion, v, tol: float = 1e-9) -> ContactFace:
+def contact_face(region: ConvexRegion, v) -> ContactFace:
     """All support-attaining vertices of the region for direction v.
 
     Ties collapse to an edge whose representative is its midpoint, so the
     representative is always in the relative interior of the face.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     v = unit(v)
     scores = region.vertices @ v
     top = float(scores.max())
-    hit = np.flatnonzero(scores >= top - tol * max(1.0, abs(top)))
+    hit = np.flatnonzero(scores >= top - FACE_TOL * max(1.0, abs(top)))
     if len(hit) == 1:
         point = region.vertices[hit[0]]
-        return ContactFace(normal=v, vertices=point[None, :], representative=point)
+        return ContactFace(vertices=point[None, :], representative=point)
     # Attaining vertices are consecutive on the polygon; take the extremes
     # along the tangent direction.
     tangent = np.array([-v[1], v[0]])
     along = region.vertices[hit] @ tangent
     a = region.vertices[hit[np.argmin(along)]]
     b = region.vertices[hit[np.argmax(along)]]
-    return ContactFace(normal=v, vertices=np.vstack([a, b]), representative=0.5 * (a + b))
+    return ContactFace(vertices=np.vstack([a, b]), representative=0.5 * (a + b))
 
 
-def normal_cone(region: ConvexRegion, y, tol: float = 1e-9) -> NormalCone:
+def normal_cone(region: ConvexRegion, y) -> NormalCone:
     """Outward normal cone at a boundary point y.
 
     Edge-interior points have one generator (the edge normal); vertices
@@ -317,7 +325,7 @@ def normal_cone(region: ConvexRegion, y, tol: float = 1e-9) -> NormalCone:
     verts = region.vertices
     nxt = np.concatenate((verts[1:], verts[:1]))
     k = len(verts)
-    slack = tol * max(1.0, region.diameter)
+    slack = FACE_TOL * max(1.0, region.diameter)
     dists = planar.segment_distances(y[None, :], verts, nxt)[0]
     if dists.min() > slack:
         raise ValueError("point is not on the region boundary")
@@ -330,15 +338,13 @@ def normal_cone(region: ConvexRegion, y, tol: float = 1e-9) -> NormalCone:
     return NormalCone(at=y, generators=region.normals[e][None, :])
 
 
-def extremal_points(region: ConvexRegion, area_tol: float | None = None) -> np.ndarray:
+def extremal_points(region: ConvexRegion) -> np.ndarray:
     """Vertices that are genuine extreme points (collinear triples pruned).
 
     Grid-built crystals can carry spuriously collinear vertices on flat
-    facets; triples spanning less than ``area_tol`` (default
-    1e-10 * diameter**2) collapse.
+    facets; triples spanning less than 1e-10 * diameter**2 collapse.
     """
-    if area_tol is None:
-        area_tol = 1e-10 * region.diameter**2
+    area_tol = 1e-10 * region.diameter**2
     eps_rel = 2.0 * area_tol / max(float(np.abs(region.vertices).max()), 1e-30) ** 2
     return planar.convex_hull_ccw(region.vertices, eps_rel=eps_rel)
 
@@ -380,7 +386,6 @@ class CrystalContext:
         self.crystal = _crystal_from_dual(self._dual)
         self.polar_body = polar(self.crystal)
         self.f_max = float(self._f_grid.max())
-        self.f_min = float(self._f_grid.min())
         self.resolution = self.grid.resolution
         if integrand.is_convex:
             self.default_tol = 1e-7
@@ -435,14 +440,13 @@ class CrystalContext:
         (xa, xb), (ya, yb) = planar_vector(x), planar_vector(y)
         return self.norm(np.array((ya - xa, yb - xb)))
 
-    def in_contact(self, x, tol: float = 1e-6) -> bool:
-        """Whether the cost meets its convex envelope in direction x."""
-        return bool(self.in_contact_many(np.asarray(x, dtype=float)[None, :], tol)[0])
+    def in_contact(self, x) -> bool:
+        """Whether the cost meets its convex envelope in direction x: F(x)
+        exceeds the norm by at most ``CONTACT_TOL * max(1, F(x))``."""
+        return bool(self.in_contact_many(np.asarray(x, dtype=float)[None, :])[0])
 
-    def in_contact_many(self, xs, tol: float = 1e-6) -> np.ndarray:
+    def in_contact_many(self, xs) -> np.ndarray:
         """:meth:`in_contact` for every row of xs at once; zero rows are in contact."""
-        if tol <= 0.0:
-            raise ValueError("tolerance must be positive")
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise ValueError("expected an array of planar vectors")
@@ -451,28 +455,27 @@ class CrystalContext:
         contact = np.ones(len(xs), dtype=bool)
         x, speed = xs[moving], speed[moving]
         fx = self.integrand.values_on(x / speed[:, None]) * speed
-        contact[moving] = fx - self._norms(x, fx) <= tol * np.maximum(1.0, fx)
+        contact[moving] = fx - self._norms(x, fx) <= CONTACT_TOL * np.maximum(1.0, fx)
         return contact
 
-    def is_orthogonal_direction(self, v, tol: float | None = None) -> bool:
+    def is_orthogonal_direction(self, v) -> bool:
         """Whether v/|v| is attained as an outer normal of the crystal boundary
         at which the cost meets its envelope.
 
         The contact vertex of v is the crystal vertex maximizing <., v>; v
         lies in its normal cone, between the edge normals n_k with offsets
-        h_k on either side. v counts as extreme when two things hold: v
-        rescaled onto the polar body boundary lies within ``tol * |v_scaled|``
-        of one of the polar points n_k / h_k, and the cost is in contact,
-        ``F(v) - |v| <= tol * |v|``. For table and dip costs v also counts
-        as extreme where F(v) is below the crystal's support beyond
-        rounding: there the straight segment is cheaper than the staircase.
-        The default tol is the grid resolution, so smooth costs answer True
-        everywhere, while flat polar edges and directions just beside a dip
-        or a steep table sample answer False. Crystal edges shorter than
-        ~10x the tolerance make the answer grid-sensitive.
+        h_k on either side. With tol the grid resolution, v counts as
+        extreme when two things hold: v rescaled onto the polar body
+        boundary lies within ``tol * |v_scaled|`` of one of the polar points
+        n_k / h_k, and the cost is in contact, ``F(v) - |v| <= tol * |v|``.
+        For table and dip costs v also counts as extreme where F(v) is below
+        the crystal's support beyond rounding: there the straight segment is
+        cheaper than the staircase. So smooth costs answer True everywhere,
+        while flat polar edges and directions just beside a dip or a steep
+        table sample answer False. Crystal edges shorter than ~10x the
+        resolution make the answer grid-sensitive.
         """
-        if tol is None:
-            tol = self.resolution
+        tol = self.resolution
         v = np.asarray(v, dtype=float)
         f = self.integrand(v)
         if f == 0.0:

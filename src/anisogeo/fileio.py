@@ -151,8 +151,8 @@ def _parse_rows(path, dim: int | None = None) -> np.ndarray:
     return np.array(rows)
 
 
-def load_path_file(path, dim: int | None = None) -> Path:
-    rows = _parse_rows(path, dim)
+def load_path_file(path) -> Path:
+    rows = _parse_rows(path, 2)
     if len(rows) < 2:
         raise SpecError(f"{path}: a path needs at least two breakpoints")
     try:
@@ -188,20 +188,20 @@ def save_rows(path, rows: np.ndarray, header: str | None = None) -> None:
     FilePath(path).write_text(text)
 
 
-def round_floats(obj, digits: int = 12):
-    """Copy a JSON-able structure with floats cut to ``digits`` significant digits."""
+def round_floats(obj):
+    """Copy a JSON-able structure with floats cut to 12 significant digits."""
     if isinstance(obj, dict):
-        return {k: round_floats(v, digits) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, digits) for v in obj]
+        return [round_floats(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.{digits}g}")
+        return float(f"{float(obj):.12g}")
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return round_floats(obj.tolist(), digits)
+        return round_floats(obj.tolist())
     return obj
 
 

@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .crystal import ContactFace, ConvexRegion, CrystalContext, contact_face
-from .integrand import Integrand, unit
+from .crystal import ConvexRegion, CrystalContext, contact_face
+from .integrand import Integrand, planar_vector, unit
 
 MIN_SEGMENT = 1e-12
 
@@ -54,6 +54,9 @@ class Path:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ValueError("a path needs at least two planar breakpoints")
+        if not np.isfinite(pts).all():
+            bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}")
         seg = pts[1:] - pts[:-1]
         speeds = np.hypot(seg[:, 0], seg[:, 1])
         if np.any(speeds <= MIN_SEGMENT):
@@ -161,7 +164,6 @@ class GeodesicCertificate:
     achieved_length: float
     target_norm: float
     verdict: bool
-    contact_face: ContactFace
     contact_point: np.ndarray | None
     segment_checks: list[SegmentCheck]
     tolerance: float
@@ -246,7 +248,6 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
         achieved_length=achieved,
         target_norm=target,
         verdict=verdict,
-        contact_face=face,
         contact_point=best_point,
         segment_checks=checks,
         tolerance=tol,
@@ -274,19 +275,18 @@ class DirectionDecomposition:
 
     Every listed direction d satisfies norm(d) = 1 and is an attained
     crystal normal; the weights are positive and sum to one, and the
-    weighted sum reconstructs the normalized input ``target``.
+    weighted sum reconstructs the input scaled to unit norm.
     """
 
     weights: tuple[float, ...]
     directions: np.ndarray
-    target: np.ndarray
 
     @property
     def reconstructed(self) -> np.ndarray:
         return np.asarray(self.weights) @ self.directions
 
 
-def decompose_direction(ctx: CrystalContext, v, tol: float | None = None) -> DirectionDecomposition:
+def decompose_direction(ctx: CrystalContext, v) -> DirectionDecomposition:
     """Write v (scaled onto the polar body boundary) on a face of the polar body.
 
     Extreme directions return a single unit-weight term. Otherwise the
@@ -300,8 +300,8 @@ def decompose_direction(ctx: CrystalContext, v, tol: float | None = None) -> Dir
     if n == 0.0:
         raise ValueError("cannot decompose the zero vector")
     v_hat = v / n
-    if ctx.is_orthogonal_direction(v, tol):
-        return DirectionDecomposition((1.0,), v_hat[None, :], v_hat)
+    if ctx.is_orthogonal_direction(v):
+        return DirectionDecomposition((1.0,), v_hat[None, :])
 
     body = ctx.polar_body
     face = int(np.argmax(body.normals @ v_hat / body.offsets))
@@ -313,10 +313,10 @@ def decompose_direction(ctx: CrystalContext, v, tol: float | None = None) -> Dir
     if not -1e-12 <= s <= 1.0 + 1e-12:
         raise RuntimeError("direction lies on no polar-body face; geometry inconsistent")
     if s <= 1e-12:
-        return DirectionDecomposition((1.0,), a[None, :] / ctx.norm(a), v_hat)
+        return DirectionDecomposition((1.0,), a[None, :] / ctx.norm(a))
     if s >= 1.0 - 1e-12:
-        return DirectionDecomposition((1.0,), b[None, :] / ctx.norm(b), v_hat)
-    return DirectionDecomposition((1.0 - s, s), np.vstack([a, b]), v_hat)
+        return DirectionDecomposition((1.0,), b[None, :] / ctx.norm(b))
+    return DirectionDecomposition((1.0 - s, s), np.vstack([a, b]))
 
 
 def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
@@ -390,7 +390,7 @@ def geodesic_ball(ctx: CrystalContext, center, radius: float) -> ConvexRegion:
     The unit ball at the origin is the polar body of the crystal; general
     balls are its translates and dilates.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    center = np.array(planar_vector(center))
     return ConvexRegion(center + radius * ctx.polar_body.vertices)

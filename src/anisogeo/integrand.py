@@ -113,47 +113,28 @@ def interp_periodic(theta, samples: tuple[np.ndarray, np.ndarray]):
     return np.interp(theta % TWO_PI, *samples)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SphereGrid:
-    """Finite set of planar unit directions used for all sup/inf scans.
-
-    Angles are strictly increasing in [0, 2*pi); ``resolution`` is the
-    angular spacing in radians.
+    """The equispaced planar grid of ``size`` unit directions used for all
+    sup/inf scans. Angle 0 (the +x axis) is always included, and
+    ``resolution`` is the angular spacing 2*pi / size in radians.
     """
 
-    directions: np.ndarray
-    resolution: float
+    size: int
 
     def __post_init__(self) -> None:
-        dirs = np.asarray(self.directions, dtype=float)
-        if dirs.ndim != 2 or dirs.shape[0] < 4 or dirs.shape[1] != 2:
-            raise ValueError("grid needs at least 4 planar directions")
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("grid directions must be unit vectors (tol 1e-12)")
-        if self.resolution <= 0.0:
-            raise ValueError("resolution must be positive")
-        ang = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
-        if np.any(np.diff(ang) <= 0.0) or ang[-1] >= TWO_PI:
-            raise ValueError("planar grid angles must be strictly increasing within [0, 2*pi)")
-        object.__setattr__(self, "directions", dirs)
+        size = self.size
+        if not (isinstance(size, (int, np.integer)) and GRID_SIZE_MIN <= size <= GRID_SIZE_MAX):
+            raise ValueError(f"planar grid size must be an integer from {GRID_SIZE_MIN} to {GRID_SIZE_MAX}")
 
     @property
-    def size(self) -> int:
-        return self.directions.shape[0]
+    def resolution(self) -> float:
+        return TWO_PI / self.size
 
     @cached_property
-    def angles(self) -> np.ndarray:
-        return np.mod(np.arctan2(self.directions[:, 1], self.directions[:, 0]), TWO_PI)
-
-    @classmethod
-    def planar(cls, count: int = 720) -> "SphereGrid":
-        """Equispaced planar grid; angle 0 (the +x axis) is always included."""
-        if not GRID_SIZE_MIN <= count <= GRID_SIZE_MAX:
-            raise ValueError(
-                f"planar grid size must be between {GRID_SIZE_MIN} and {GRID_SIZE_MAX}"
-            )
-        angles = np.arange(count) * (TWO_PI / count)
+    def directions(self) -> np.ndarray:
+        count = self.size
+        angles = np.arange(count) * self.resolution
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         # cos/sin of multiples never stray from the unit circle, but pin the
         # cardinal directions exactly so axis-aligned features are exact.
@@ -161,7 +142,16 @@ class SphereGrid:
             idx = k * count // 4
             if 4 * idx == k * count:
                 dirs[idx] = d
-        return cls(dirs, TWO_PI / count)
+        return dirs
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        return np.mod(np.arctan2(self.directions[:, 1], self.directions[:, 0]), TWO_PI)
+
+    @classmethod
+    def planar(cls, count: int = 720) -> "SphereGrid":
+        """The grid of ``count`` directions."""
+        return cls(count)
 
 
 class Integrand(ABC):
@@ -417,12 +407,6 @@ class GridFunction(AngularTable):
     def values(self) -> np.ndarray:
         return self.sample_values
 
-    def max(self) -> float:
-        return float(self.values.max())
-
-    def min(self) -> float:
-        return float(self.values.min())
-
 
 class Dip(Integrand):
     """A base cost lowered at finitely many directions (zero angular width).
@@ -529,17 +513,16 @@ def wulff_transform(F: Integrand, grid: SphereGrid) -> GridFunction:
     return wulff_from_dual(hull_cycle(dirs / vals[:, None]), grid)
 
 
-def support_transform(G: GridFunction, grid: SphereGrid | None = None) -> GridFunction:
-    """A(G)(v) = max over grid directions w of G(w) * <v, w>.
+def support_transform(G: GridFunction) -> GridFunction:
+    """A(G)(v) = max over grid directions w of G(w) * <v, w>, on G's grid.
 
     This is the support function of the hypograph of G sampled on the
-    grid; A(G) >= G holds at every shared direction (w = v is a candidate).
+    grid; A(G) >= G holds at every grid direction (w = v is a candidate).
     Computed as a support query on the hull of the graph points ``G(w) w``;
     G's samples are positive by construction.
     """
-    grid = grid or G.grid
-    graph = hull_cycle(G.grid.directions * G.values[:, None])
-    return GridFunction(grid, support_values(graph, grid.directions))
+    dirs = G.grid.directions
+    return GridFunction(G.grid, support_values(hull_cycle(dirs * G.values[:, None]), dirs))
 
 
 def convex_envelope(F: Integrand, grid: SphereGrid) -> GridFunction:

@@ -107,22 +107,17 @@ def wulff_identity_check(ctx: CrystalContext) -> WulffReport:
     )
 
 
-def random_wulff_competitor(
-    grid: SphereGrid,
-    rng: np.random.Generator,
-    roughness: float = 0.5,
-    samples: int = 24,
-) -> ConvexRegion:
+def random_wulff_competitor(grid: SphereGrid, rng: np.random.Generator) -> ConvexRegion:
     """Random convex polygon: the crystal of a randomly perturbed table cost.
 
     Being a crystal, it is convex with the origin inside. Its edge normals
     are scan directions of that table on the grid: grid directions, or the
-    table's ``samples`` random sample directions, which the scan adds to
-    the grid (at grid 60 with ``default_rng(3)``, 7 of 13 edge normals are
-    off the grid).
+    table's 24 random sample directions, which the scan adds to the grid
+    (at grid 60 with ``default_rng(3)``, 7 of 13 edge normals are off the
+    grid). The table's values lie in [1, 1.5].
     """
-    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=samples))
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=24))
     while np.any(np.diff(angles) <= 1e-9):
-        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=samples))
-    values = 1.0 + roughness * rng.uniform(0.0, 1.0, size=samples)
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=24))
+    values = 1.0 + 0.5 * rng.uniform(0.0, 1.0, size=24)
     return build_crystal(AngularTable(angles, values), grid)

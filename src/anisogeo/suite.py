@@ -120,9 +120,10 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
         fails += not cert.verdict
     checks.append(CheckResult("constructed-geodesics-verify", fails == 0, float(fails), 0.0))
 
-    # Oracle sandwich: lattice paths never undercut the distance. Sampled
-    # costs may overshoot the true norm by O(resolution^2) when the Wulff
-    # minimizers fall off-grid, hence the extra slack for them.
+    # Oracle sandwich: lattice paths never undercut the distance. A sampled
+    # cost's norm min(F, h) reads the grid crystal, which contains the true
+    # one, so inside a corner's normal cone it exceeds the true norm by
+    # O(resolution^2), hence the extra slack for sampled costs.
     sandwich_slack = 1e-9 if ctx.integrand.is_convex else 1e-9 + res**2 * ctx.f_max
     worst_under = 0.0
     for target in [(5, 5), (7, 3), (3, -4), (-2, 5)]:

@@ -1,8 +1,9 @@
-"""Minimal SVG emission for crystal/polar-body/geodesic figures.
+"""Minimal SVG emission for crystal and polar-body figures.
 
 Coordinates are mathematical (y up); the viewport is fitted to the drawn
-elements with a 10% margin. Colors are fixed: crystal blue, cost graph
-black, polar body green, geodesics red/orange.
+elements with a 10% margin. Every element is a closed polygon stroked at
+0.4% of the figure's span. Colors are fixed: crystal blue, cost graph
+black, polar body green.
 """
 
 from __future__ import annotations
@@ -15,18 +16,18 @@ import numpy as np
 CRYSTAL_COLOR = "#1f4fd8"
 GRAPH_COLOR = "#000000"
 POLAR_COLOR = "#1a9641"
-GEODESIC_COLORS = ("#d7191c", "#fdae61")
+
+# Figure width in pixels.
+SIZE = 640
 
 
 @dataclass
 class PolyLine:
     points: np.ndarray
     color: str
-    closed: bool = False
-    width_frac: float = 0.004
 
 
-def render_svg(elements: list[PolyLine], path, size: int = 640) -> None:
+def render_svg(elements: list[PolyLine], path) -> None:
     """Write the elements as one SVG figure.
 
     Points must be finite (n, 2) arrays; anything else raises
@@ -49,11 +50,11 @@ def render_svg(elements: list[PolyLine], path, size: int = 640) -> None:
     hi = hi + margin
     width = float(hi[0] - lo[0])
     height = float(hi[1] - lo[1])
-    stroke = max(width, height)
+    stroke = 0.004 * max(width, height)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size * height / width:.0f}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE * height / width:.0f}" '
         f'viewBox="{lo[0]:.6g} {-hi[1]:.6g} {width:.6g} {height:.6g}">',
         # Flip to y-up: SVG's y axis points down.
         '<g transform="scale(1,-1)">',
@@ -61,25 +62,20 @@ def render_svg(elements: list[PolyLine], path, size: int = 640) -> None:
     for e, p in zip(elements, points):
         # One C-level format call per element; "%.8g" and f"{x:.8g}" agree.
         coords = " ".join(["%.8g,%.8g"] * len(p)) % tuple(p.ravel().tolist())
-        tag = "polygon" if e.closed else "polyline"
         parts.append(
-            f'<{tag} points="{coords}" fill="none" stroke="{e.color}" '
-            f'stroke-width="{e.width_frac * stroke:.6g}" stroke-linejoin="round"/>'
+            f'<polygon points="{coords}" fill="none" stroke="{e.color}" '
+            f'stroke-width="{stroke:.6g}" stroke-linejoin="round"/>'
         )
     parts.append("</g></svg>")
     FilePath(path).write_text("\n".join(parts) + "\n")
 
 
-def crystal_figure(ctx, svg_path, geodesic_paths=()) -> None:
-    """Overlay of the crystal boundary, the cost's polar graph, the polar
-    body, and optional geodesics."""
+def crystal_figure(ctx, svg_path) -> None:
+    """Overlay of the crystal boundary, the cost's polar graph and the polar body."""
     graph = ctx.grid.directions * ctx._f_grid[:, None]
     elements = [
-        PolyLine(graph, GRAPH_COLOR, closed=True),
-        PolyLine(ctx.crystal.vertices, CRYSTAL_COLOR, closed=True),
-        PolyLine(ctx.polar_body.vertices, POLAR_COLOR, closed=True),
+        PolyLine(graph, GRAPH_COLOR),
+        PolyLine(ctx.crystal.vertices, CRYSTAL_COLOR),
+        PolyLine(ctx.polar_body.vertices, POLAR_COLOR),
     ]
-    for i, p in enumerate(geodesic_paths):
-        color = GEODESIC_COLORS[i % len(GEODESIC_COLORS)]
-        elements.append(PolyLine(p.points, color, closed=False, width_frac=0.006))
     render_svg(elements, svg_path)

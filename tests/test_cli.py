@@ -121,7 +121,7 @@ class TestPathFiles:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "path.txt"
         p.write_text("# staircase\n0 0\n\n0.3 0  # inline note\n0.3 0.7\n1 0.7\n1 1\n")
-        path = load_path_file(p, dim=2)
+        path = load_path_file(p)
         assert len(path.points) == 5
 
     def test_non_finite_row_reports_its_number(self, tmp_path):
@@ -158,7 +158,7 @@ class TestPathFiles:
                               ("1 2 3", "expected 2 coordinates")):
             p.write_text(f"# a long path\n{body}{last}\n")
             with pytest.raises(SpecError, match=f":20002: {message}"):
-                load_path_file(p, dim=2)
+                load_path_file(p)
         p.write_text(f"{body}1 2 3  # extra\n")
         with pytest.raises(SpecError, match=":20001: inconsistent row length"):
             load_vertices(p)
@@ -257,6 +257,20 @@ class TestCliCommands:
                 main(["distance", l1_spec_file, "0,0", "1,1", "--geodesic", "--tol", tol])
             assert exc.value.code == 2
             assert "--tol" in capsys.readouterr().err
+
+    def test_sample_counts_and_seeds_out_of_range_exit_2(self, l1_spec_file, tmp_path, capsys):
+        p = tmp_path / "path.txt"
+        p.write_text("0 0\n1 0\n1 1\n")
+        for flag, value, message in (("--resample", "1", "at least 2"), ("--resample", "-3", "at least 2"),
+                                     ("--resample", "2.5", "not an integer"),
+                                     ("--seed", "-1", "at least 0"), ("--seed", "x", "not an integer")):
+            argv = ["verify", l1_spec_file, str(p)] if flag == "--resample" else ["suite", l1_spec_file]
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert flag in err and message in err, err
+        assert main(["verify", l1_spec_file, str(p), "--resample", "2"]) == 0
 
     def test_negative_points_need_no_separator(self, l1_spec_file, capsys):
         assert main(["distance", l1_spec_file, "-1,0", "1,1"]) == 0

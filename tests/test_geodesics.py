@@ -55,6 +55,15 @@ class TestPathBasics:
         with pytest.raises(ValueError):
             Path(np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_breakpoints_rejected(self, bad):
+        for row in range(3):
+            for col in range(2):
+                points = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+                points[row, col] = bad
+                with pytest.raises(ValueError, match=f"breakpoint {row + 1} is not finite"):
+                    Path(points)
+
     def test_staircase_length_under_l1(self, l1_ctx):
         # Monotone staircase: coordinate increments sum to the endpoint gap.
         assert path_length(l1_ctx.integrand, STAIRCASE) == pytest.approx(2.0, abs=1e-12)
@@ -441,6 +450,14 @@ class TestGeodesicBall:
     def test_nonpositive_radius_rejected(self, l1_ctx):
         with pytest.raises(ValueError):
             geodesic_ball(l1_ctx, (0, 0), 0.0)
+
+    def test_non_finite_radius_and_center_rejected(self, l1_ctx):
+        for radius in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                geodesic_ball(l1_ctx, (0, 0), radius)
+        for center in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="not finite"):
+                geodesic_ball(l1_ctx, center, 1.0)
 
 
 class TestChainInequalities:

@@ -74,3 +74,41 @@ def test_one_type_per_concept():
     assert anisogeo.Polygon is anisogeo.crystal.Polygon
     # The benchmark tracer wraps ConvexRegion.from_points from the class's own __dict__.
     assert "from_points" in vars(ConvexRegion)
+
+
+def test_derived_not_configured():
+    # A grid is its size, an SVG element a closed polygon of one color, and
+    # an option that had one value in use is a constant; no stored value
+    # survives without a reader.
+    import dataclasses
+    import inspect
+
+    from anisogeo import crystal, fileio, geodesics, integrand, isoperimetry, svgplot
+
+    assert [f.name for f in dataclasses.fields(integrand.SphereGrid)] == ["size"]
+    assert [f.name for f in dataclasses.fields(svgplot.PolyLine)] == ["points", "color"]
+    parameters = {
+        crystal.contact_face: ["region", "v"],
+        crystal.normal_cone: ["region", "y"],
+        crystal.extremal_points: ["region"],
+        crystal.double_polar: ["points"],
+        crystal.ConvexRegion.contains: ["self", "x"],
+        crystal.CrystalContext.in_contact: ["self", "x"],
+        crystal.CrystalContext.in_contact_many: ["self", "xs"],
+        crystal.CrystalContext.is_orthogonal_direction: ["self", "v"],
+        geodesics.decompose_direction: ["ctx", "v"],
+        integrand.support_transform: ["G"],
+        isoperimetry.random_wulff_competitor: ["grid", "rng"],
+        svgplot.crystal_figure: ["ctx", "svg_path"],
+        svgplot.render_svg: ["elements", "path"],
+        fileio.round_floats: ["obj"],
+        fileio.load_path_file: ["path"],
+    }
+    for fn, names in parameters.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__qualname__
+    for cls, gone in ((geodesics.GeodesicCertificate, "contact_face"), (crystal.ContactFace, "normal"),
+                      (geodesics.DirectionDecomposition, "target")):
+        assert gone not in [f.name for f in dataclasses.fields(cls)], cls.__name__
+    assert not hasattr(integrand.GridFunction, "max") and not hasattr(integrand.GridFunction, "min")
+    ctx = crystal.CrystalContext(integrand.Constant(1.0), integrand.SphereGrid.planar(16))
+    assert not hasattr(ctx, "f_min")

@@ -53,7 +53,7 @@ def save_rows_reference(path, rows, header=None):
     FilePath(path).write_text("\n".join(lines) + "\n")
 
 
-def render_svg_reference(elements, path, size=640):
+def render_svg_reference(elements, path):
     pts = np.vstack([e.points for e in elements])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -66,17 +66,16 @@ def render_svg_reference(elements, path, size=640):
     stroke = max(width, height)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size * height / width:.0f}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+        f'height="{640 * height / width:.0f}" '
         f'viewBox="{lo[0]:.6g} {-hi[1]:.6g} {width:.6g} {height:.6g}">',
         '<g transform="scale(1,-1)">',
     ]
     for e in elements:
         coords = " ".join(f"{x:.8g},{y:.8g}" for x, y in np.asarray(e.points, dtype=float))
-        tag = "polygon" if e.closed else "polyline"
         parts.append(
-            f'<{tag} points="{coords}" fill="none" stroke="{e.color}" '
-            f'stroke-width="{e.width_frac * stroke:.6g}" stroke-linejoin="round"/>'
+            f'<polygon points="{coords}" fill="none" stroke="{e.color}" '
+            f'stroke-width="{0.004 * stroke:.6g}" stroke-linejoin="round"/>'
         )
     parts.append("</g></svg>")
     FilePath(path).write_text("\n".join(parts) + "\n")
@@ -143,8 +142,7 @@ class TestSaveRows:
 def _elements(rng, sizes):
     colors = ("#000000", "#1f4fd8", "#d7191c")
     return [
-        PolyLine(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-8, 8), colors[i % 3],
-                 closed=bool(i % 2), width_frac=0.004 + 0.002 * i)
+        PolyLine(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-8, 8), colors[i % 3])
         for i, n in enumerate(sizes)
     ]
 
@@ -158,7 +156,7 @@ class TestRenderSvg:
 
     def test_special_values_match_the_reference(self, tmp_path):
         pts = np.array([[0.0, -0.0], [5e-324, -5e-324], [1e300, -1e300], [1.0, math.pi]])
-        elements = [PolyLine(pts, "#000000", closed=True)]
+        elements = [PolyLine(pts, "#000000")]
         assert _same_bytes(tmp_path, render_svg, render_svg_reference, elements)
 
     def test_non_finite_points_are_refused(self, tmp_path):
