@@ -10,10 +10,11 @@ Subcommands:
 * ``suite``    - run the cross-module invariant battery on a cost.
 
 Exit codes: 0 success/verified, 1 negative verdict or invariant failure,
-2 usage or parse error. Reports round floats to 12 significant digits for
-reproducible diffs; the files ``crystal`` exports carry 17 (SVG
-coordinates 8). Nothing is random without a seed; the suite defaults to
-seed 0.
+2 usage or parse error, or an input file that cannot be read or an output
+file that cannot be written. Reports round floats to 12 significant
+digits for reproducible diffs; the files ``crystal`` exports carry 17
+(SVG coordinates 8). Nothing is random without a seed; the suite
+defaults to seed 0.
 """
 
 from __future__ import annotations
@@ -299,6 +300,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except fileio.SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output file or directory that cannot be written
+        name = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {name}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

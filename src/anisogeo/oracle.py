@@ -105,8 +105,16 @@ def _move_costs(F: Integrand, moves: np.ndarray) -> np.ndarray:
     return F.values_on(moves / lengths[:, None]) * lengths
 
 
+def _dual_hull(costs: np.ndarray, moves: np.ndarray):
+    """The dual points ``moves_i / costs_i``, and the edge normals and
+    offsets of their hull: what :func:`_cone_program` needs of the stencil,
+    the same for every target."""
+    dual = moves / costs[:, None]
+    return (dual, *planar.edge_normals_and_offsets(planar.hull_cycle(dual)))
+
+
 def _cone_program(
-    costs: np.ndarray, moves: np.ndarray, target: np.ndarray
+    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, hull=None
 ) -> tuple[float, np.ndarray, int, np.ndarray]:
     """min <costs, lam> over lam >= 0 with sum lam_i moves_i = target: the gauge
     at the target of the hull of the dual points ``moves_i / costs_i``, the
@@ -117,10 +125,10 @@ def _cone_program(
     smallest target multiplier that makes the coefficients integral; and
     the dual point ``y = n_k / h_k`` of the face attaining the value, for
     which ``<moves_i, y> <= costs_i`` on every move (each dual point lies
-    in the hull) and ``<target, y>`` is the value.
+    in the hull) and ``<target, y>`` is the value. ``hull`` is
+    :func:`_dual_hull` of the costs and moves, computed when not given.
     """
-    dual = moves / costs[:, None]
-    normals, offsets = planar.edge_normals_and_offsets(planar.hull_cycle(dual))
+    dual, normals, offsets = _dual_hull(costs, moves) if hull is None else hull
     ratios = normals @ target / offsets
     face = int(np.argmax(ratios))
     value = float(ratios[face])
@@ -213,29 +221,40 @@ def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
     Disagreement raises instead of returning an untrustworthy number. The
     result is always an upper bound on the anisotropic distance.
     """
-    target = np.asarray(target)
-    if target.shape != (2,) or not np.issubdtype(target.dtype, np.integer):
-        raise ValueError("oracle targets must be planar integer vectors")
-    if np.all(target == 0):
-        raise ValueError("oracle target must be nonzero")
+    return _oracle_distances(F, [target], stencil)[0]
+
+
+def _oracle_distances(F: Integrand, targets, stencil: Stencil) -> list[float]:
+    """:func:`oracle_distance` at each target, on one hull of the stencil's
+    dual points."""
+    targets = [np.asarray(t) for t in targets]
+    for target in targets:
+        if target.shape != (2,) or not np.issubdtype(target.dtype, np.integer):
+            raise ValueError("oracle targets must be planar integer vectors")
+        if np.all(target == 0):
+            raise ValueError("oracle target must be nonzero")
     moves = stencil.moves
     costs = _move_costs(F, moves)
-    lp, _, scale, potential = _cone_program(costs, moves, target)
-    if scale * int(np.abs(target).max()) <= 200:
-        dj = _reduced_dijkstra(costs, moves, scale * target, potential) / scale
-        if abs(lp - dj) > _SOLVER_AGREEMENT * abs(lp):
-            raise RuntimeError(
-                f"oracle solvers disagree at {tuple(target)} (scale {scale}): "
-                f"cone program {lp!r}, lattice search {dj!r}"
-            )
-    else:  # huge determinant: fall back to the relaxation bound
-        dj = _reduced_dijkstra(costs, moves, target, potential)
-        if dj < lp - _SOLVER_AGREEMENT * abs(lp):
-            raise RuntimeError(
-                f"lattice search undercuts the cone program at {tuple(target)}: "
-                f"{dj!r} < {lp!r}"
-            )
-    return lp
+    hull = _dual_hull(costs, moves)
+    values = []
+    for target in targets:
+        lp, _, scale, potential = _cone_program(costs, moves, target, hull)
+        if scale * int(np.abs(target).max()) <= 200:
+            dj = _reduced_dijkstra(costs, moves, scale * target, potential) / scale
+            if abs(lp - dj) > _SOLVER_AGREEMENT * abs(lp):
+                raise RuntimeError(
+                    f"oracle solvers disagree at {tuple(target)} (scale {scale}): "
+                    f"cone program {lp!r}, lattice search {dj!r}"
+                )
+        else:  # huge determinant: fall back to the relaxation bound
+            dj = _reduced_dijkstra(costs, moves, target, potential)
+            if dj < lp - _SOLVER_AGREEMENT * abs(lp):
+                raise RuntimeError(
+                    f"lattice search undercuts the cone program at {tuple(target)}: "
+                    f"{dj!r} < {lp!r}"
+                )
+        values.append(lp)
+    return values
 
 
 def oracle_convergence(

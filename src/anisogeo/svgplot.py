@@ -2,8 +2,9 @@
 
 Coordinates are mathematical (y up); the viewport is fitted to the drawn
 elements with a 10% margin. Every element is a closed polygon stroked at
-0.4% of the figure's span. Colors are fixed: crystal blue, cost graph
-black, polar body green.
+0.4% of the figure's span; its points are "x,y" pairs, each coordinate as
+"%.8g" prints it (``fileio._format_table``). Colors are fixed: crystal
+blue, cost graph black, polar body green.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path as FilePath
 
 import numpy as np
+
+from . import fileio
 
 CRYSTAL_COLOR = "#1f4fd8"
 GRAPH_COLOR = "#000000"
@@ -60,8 +63,7 @@ def render_svg(elements: list[PolyLine], path) -> None:
         '<g transform="scale(1,-1)">',
     ]
     for e, p in zip(elements, points):
-        # One C-level format call per element; "%.8g" and f"{x:.8g}" agree.
-        coords = " ".join(["%.8g,%.8g"] * len(p)) % tuple(p.ravel().tolist())
+        coords = fileio._format_table(p, 8, ", ")[:-1]
         parts.append(
             f'<polygon points="{coords}" fill="none" stroke="{e.color}" '
             f'stroke-width="{stroke:.6g}" stroke-linejoin="round"/>'

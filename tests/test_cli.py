@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -498,13 +499,16 @@ def _assert_clean_exit(code: int, out: str, err: str) -> None:
 
 # Facets and samples drawn from a few values, so that duplicated, collinear,
 # zero, negative and non-finite entries are common.
+# Booleans and numeric strings are not JSON numbers, and are refused (exit 2).
+_not_numbers = [True, False, "1", "0.5", "-1"]
 _directions = st.sampled_from([
     [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [2.0, 2.0], [-1.0, -1.0],
     [3.0, 0.0], [0.0, 0.0], [1e-300, 0.0], [math.nan, 1.0], [1.0, math.inf],
+    [True, False], ["1", "0"], [1.0, "0"], [False, 1.0], "1,0",
 ])
-_weights = st.sampled_from([1.0, 0.5, 2.0, 1e-300, 1e300, 0.0, -1.0, math.nan, math.inf])
+_weights = st.sampled_from([1.0, 0.5, 2.0, 1e-300, 1e300, 0.0, -1.0, math.nan, math.inf, *_not_numbers])
 _angles = st.sampled_from([0.0, 1e-15, 1e-9, 1.0, 1.0 + 1e-15, 2.0, 3.0, 4.0, 6.283185307179586,
-                           -1.0, math.nan])
+                           -1.0, math.nan, *_not_numbers])
 _crystalline_specs = st.lists(
     st.fixed_dictionaries({"direction": _directions, "weight": _weights}), max_size=7
 ).map(lambda facets: {"kind": "crystalline", "facets": facets})
@@ -518,7 +522,13 @@ _table_specs = st.lists(
 def test_spec_fuzz_exits_cleanly_with_strict_json(tmp_path_factory, data):
     spec = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
     spec.write_text(json.dumps(data))
-    _assert_clean_exit(*_run_cli(["distance", str(spec), "--grid", "64", "0,0", "1,2", "--geodesic"]))
+    code, out, err = _run_cli(["distance", str(spec), "--grid", "64", "0,0", "1,2", "--geodesic"])
+    _assert_clean_exit(code, out, err)
+    entries = data.get("facets", data.get("samples"))
+    fields = [v for entry in entries for v in entry.values()]
+    fields += [c for v in fields if isinstance(v, list) for c in v]
+    if any(isinstance(v, (bool, str)) for v in fields):
+        assert code == 2, err
 
 
 _coords = st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-300, 1e300, math.nan, math.inf]) | st.floats(-3.0, 3.0)
@@ -535,3 +545,65 @@ def test_path_file_fuzz_exits_cleanly_with_strict_json(tmp_path_factory, rows):
     path = base / "fuzz-path.txt"
     path.write_text("".join(f"{x!r} {y!r}\n" for x, y in rows))
     _assert_clean_exit(*_run_cli(["verify", str(spec), str(path), "--grid", "64"]))
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 2 with "error: <path>: <reason>"."""
+
+    def assert_refused(self, argv, path, reason):
+        code, out, err = _run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {reason}\n"
+
+    def test_spec_file_that_is_a_directory(self, tmp_path):
+        self.assert_refused(["distance", str(tmp_path), "0,0", "1,1"], tmp_path, "Is a directory")
+
+    def test_path_file_that_is_a_directory(self, l1_spec_file, tmp_path):
+        self.assert_refused(["verify", l1_spec_file, str(tmp_path)], tmp_path, "Is a directory")
+
+    def test_out_naming_an_existing_file(self, l1_spec_file, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["crystal", l1_spec_file, "--grid", "64", "--out", str(taken)]
+        self.assert_refused(argv, taken, "File exists")
+
+    def test_svg_inside_a_missing_directory(self, l1_spec_file, tmp_path):
+        svg = tmp_path / "missing" / "crystal.svg"
+        argv = ["crystal", l1_spec_file, "--grid", "64", "--out", str(tmp_path / "out"), "--svg", str(svg)]
+        self.assert_refused(argv, svg, "No such file or directory")
+
+    def test_spec_and_path_files_that_are_not_utf8(self, l1_spec_file, tmp_path):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        self.assert_refused(["distance", str(bad), "0,0", "1,1"], bad, "not UTF-8 text (byte 0)")
+        self.assert_refused(["verify", l1_spec_file, str(bad)], bad, "not UTF-8 text (byte 0)")
+        with pytest.raises(SpecError, match="not UTF-8"):
+            load_integrand_spec(bad)
+        with pytest.raises(SpecError, match="not UTF-8"):
+            load_vertices(bad)
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "pnorm", "p": True}, ".p"),
+    ({"kind": "pnorm", "p": "3"}, ".p"),
+    ({"kind": "constant", "c": True}, ".c"),
+    ({"kind": "constant", "c": "1.5"}, ".c"),
+    ({"kind": "constant", "c": 10**400}, ".c"),
+    ({"kind": "crystalline", "facets": [{"direction": [1, 0], "weight": "2"}]}, ".facets[0].weight"),
+    ({"kind": "crystalline", "facets": [{"direction": ["1", "0"], "weight": 1}]}, ".facets[0].direction[0]"),
+    ({"kind": "crystalline", "facets": [{"direction": "1,0", "weight": 1}]}, ".facets[0].direction"),
+    ({"kind": "table", "samples": [{"angle": 0, "value": 1}, {"angle": True, "value": 1},
+                                   {"angle": 3, "value": 1}]}, ".samples[1].angle"),
+    ({"kind": "table", "samples": [{"angle": 0, "value": 1}, {"angle": 2, "value": False},
+                                   {"angle": 4, "value": 1}]}, ".samples[1].value"),
+    ({**DIP_SPEC, "dips": [{"direction": [True, False], "value": 0.5}]}, ".dips[0].direction[0]"),
+    ({**DIP_SPEC, "dips": [{"direction": [1, 0], "value": "0.5"}]}, ".dips[0].value"),
+])
+def test_numeric_fields_refuse_booleans_and_strings(tmp_path, spec, field):
+    with pytest.raises(SpecError, match=re.escape(f"spec{field}: ")):
+        integrand_from_dict(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run_cli(["distance", str(path), "0,0", "1,1", "--grid", "64"])
+    assert (code, out) == (2, "")
+    assert f"{path}{field}: " in err

@@ -20,10 +20,13 @@ from anisogeo import (
     oracle_convergence,
     oracle_distance,
 )
+from anisogeo import oracle, planar
+from anisogeo.suite import run_suite
 from anisogeo.oracle import (
     _cone_program,
     _lattice_dijkstra,
     _move_costs,
+    _oracle_distances,
     _reduced_dijkstra,
 )
 
@@ -245,6 +248,40 @@ class TestConeProgram:
             basis = np.flatnonzero(coefficients)
             assert np.abs(moves[basis] @ y - costs[basis]).max() <= 1e-12 * costs[basis].max()
             assert abs(target @ y - value) <= 1e-12 * abs(value)
+
+
+class TestSharedHull:
+    TARGETS = [(5, 5), (7, 3), (3, -4), (-2, 5)]
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_one_hull_per_stencil_gives_the_per_target_values(self, monkeypatch):
+        hulls = self.counted(monkeypatch, planar, "hull_cycle")
+        for F in COST_KINDS:
+            for stencil in (Stencil.axis(), Stencil.order(2), SKEWED):
+                hulls.clear()
+                shared = _oracle_distances(F, self.TARGETS, stencil)
+                assert len(hulls) == 1
+                each = [oracle_distance(F, t, stencil) for t in self.TARGETS]
+                assert len(hulls) == 1 + len(self.TARGETS)
+                assert shared == each, F.kind  # bit for bit
+
+    def test_invalid_targets_are_refused_before_any_hull(self, monkeypatch):
+        hulls = self.counted(monkeypatch, planar, "hull_cycle")
+        with pytest.raises(ValueError, match="nonzero"):
+            _oracle_distances(PNorm(1.0), [(1, 2), (0, 0)], Stencil.axis())
+        assert hulls == []
+
+    def test_the_suite_hulls_each_stencil_once(self, monkeypatch, l1_ctx):
+        hulls = self.counted(monkeypatch, oracle, "_dual_hull")
+        checks = {c.name: c for c in run_suite(l1_ctx, seed=3)}
+        assert checks["oracle-sandwich"].passed
+        assert len(hulls) == 2
 
 
 class TestReducedSearch:

@@ -1,8 +1,10 @@
 """Vertex-file and SVG writers against the per-element reference loops.
 
-``fileio.save_rows`` and ``svgplot.render_svg`` format each array with one
-``%`` call. The f-string loops below are the implementations they replaced;
-every comparison is byte-for-byte.
+``fileio.save_rows`` and ``svgplot.render_svg`` format their tables with
+``fileio._format_table``: whole-array passes for values that ``%g`` prints
+in fixed notation, one ``%`` call for every other value and for small
+tables. The f-string loops below format one value at a time; every
+comparison is byte-for-byte.
 """
 
 import json
@@ -14,7 +16,7 @@ import pytest
 
 from anisogeo import fileio, svgplot
 from anisogeo.cli import main
-from anisogeo.fileio import load_vertices, save_rows
+from anisogeo.fileio import _format_table, load_vertices, save_rows
 from anisogeo.svgplot import PolyLine, render_svg
 
 # The five specs of the README's command-line section.
@@ -137,6 +139,68 @@ class TestSaveRows:
             with pytest.raises(ValueError, match=r"bad\.txt: expected a nonempty table"):
                 save_rows(f, rows, header="nothing")
             assert not f.exists()
+
+
+def format_table_reference(table, digits, seps):
+    return "".join(f"{x:.{digits}g}{sep}" for row in table for x, sep in zip(row, seps))
+
+
+def kernel_corpus(rng, digits):
+    """Values of both signs in and around the range where "%g" prints fixed
+    notation: decimal-like values, short binaries, exact ties at every
+    exponent, powers of ten and their neighbours, carries to the next
+    power, signed zeros, subnormals, and both sides of 1e-4 and of
+    10**digits, where the exponential form starts."""
+    top = 10.0**digits
+    magnitudes = 10.0 ** rng.uniform(-5.0, digits + 1.0, size=400)
+    decimal = [float(f"{v:.{k}g}") for v, k in zip(magnitudes, rng.integers(1, digits + 1, size=400))]
+    short = list(rng.integers(1, 2**20, size=200) / 2.0 ** rng.integers(0, 40, size=200))
+    short += list(rng.integers(1, 2**40, size=200) * 2.0 ** rng.integers(-40, 20, size=200))
+    # q / 2**(k+1) with q odd: times 10**k it is a half-integer, a tie.
+    ties = []
+    for k in range(digits + 4):
+        low, high = 2 * 10 ** (digits - 1) // 5**k, 2 * 10**digits // 5**k
+        if high > 1:
+            qs = rng.integers(max(low, 1), high, size=20) | 1
+            ties += [float(q) / 2.0 ** (k + 1) for q in qs.tolist() if q < 2**53]
+    powers = np.array([10.0**k for k in range(-6, digits + 3)])
+    near = [*powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf)]
+    edges = [1e-4, top, np.nextafter(top, 0.0), top - 0.5,
+             99999999999999999.0, 9.99999995e6, 99999999.5, 999999995.0, 9.9999999999999995e16,
+             0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.pi, 1.0 / 3.0]
+    edges += [np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 9.99999995e-5, 9.9999999999999995e-5]
+    values = np.array(decimal + short + ties + near + edges)
+    values = np.concatenate([values, -values])
+    return values[rng.permutation(len(values))]
+
+
+class TestFormatTable:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("digits", [8, 17])
+    def test_kernel_corpus_matches_the_reference(self, digits):
+        rng = np.random.default_rng(digits)
+        values = kernel_corpus(rng, digits)
+        for cols, seps in ((1, "\n"), (2, " \n"), (3, "  \n"), (2, ", ")):
+            # Both sides of the size below which "%" formats the table,
+            # and a table of several chunks.
+            least = fileio._KERNEL_MIN_DIGITS // digits // cols
+            for rows in (1, least - 1, least + 1, 2 * fileio._CHUNK_ROWS + 3):
+                table = np.resize(values, (rows, cols))
+                assert _format_table(table, digits, seps) == format_table_reference(table, digits, seps)
+                values = np.roll(values, 7)
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_writers_match_the_references_on_the_corpus(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for cols in (1, 2, 3):
+            rows = np.resize(kernel_corpus(rng, 17), (1500, cols))
+            assert _same_bytes(tmp_path, save_rows, save_rows_reference, rows, "corpus")
+        # The viewBox spans the points, so values near the float maximum
+        # would overflow it; the special values above cover +-1e300.
+        values = kernel_corpus(rng, 8)
+        points = np.resize(values[np.abs(values) <= 1e300], (1500, 2))
+        elements = [PolyLine(points, "#000000"), PolyLine(points[:5], "#1f4fd8")]
+        assert _same_bytes(tmp_path, render_svg, render_svg_reference, elements)
 
 
 def _elements(rng, sizes):
