@@ -131,6 +131,10 @@ def cmd_crystal(args) -> int:
     ctx = _context(args)
     out_dir = FilePath(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    svg = FilePath(args.svg) if args.svg else out_dir / "crystal.svg"
+    # The figure goes first: it refuses a view box beyond the float range,
+    # and then no file is written.
+    crystal_figure(ctx, svg)
     files = {
         "crystal_vertices": out_dir / "crystal_vertices.txt",
         "crystal_halfspaces": out_dir / "crystal_halfspaces.txt",
@@ -152,8 +156,6 @@ def cmd_crystal(args) -> int:
     )
     graph = ctx.grid.directions * ctx._f_grid[:, None]
     fileio.save_rows(files["graph_samples"], graph, "cost polar graph samples")
-    svg = FilePath(args.svg) if args.svg else out_dir / "crystal.svg"
-    crystal_figure(ctx, svg)
     files["figure"] = svg
 
     report = _base_report(args, ctx)

@@ -24,6 +24,7 @@ memory on M grid directions.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +48,13 @@ FACE_TOL = 1e-9
 CONTACT_TOL = 1e-6
 
 _BOX_FACTOR = 1e4  # see double_polar
+
+_FIRST = np.zeros(1, dtype=np.intp)  # the start of a lone polyline
+
+NOT_CONVEX = (
+    "vertices must be strictly convex in CCW order; "
+    "use ConvexRegion.from_points to clean a raw list"
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +127,7 @@ class ConvexRegion(Polygon):
         v = _planar_vertices(self.vertices)
         u, _ = planar.unit_scaled(v)  # turns at any scale neither overflow nor underflow
         if not _turns_once_left(u):
-            raise ValueError(
-                "vertices must be strictly convex in CCW order; "
-                "use ConvexRegion.from_points to clean a raw list"
-            )
+            raise ValueError(NOT_CONVEX)
         object.__setattr__(self, "vertices", v)
 
     @classmethod
@@ -171,12 +176,17 @@ def _turns_once_left(v: np.ndarray) -> bool:
     turns add up to one full revolution: v is then convex, hence simple.
     A star such as the pentagram turns left everywhere but winds twice."""
     e = np.concatenate((v[1:], v[:1])) - v
-    f = np.concatenate((e[1:], e[:1]))
+    return bool(each_turns_once_left(e, np.concatenate((e[1:], e[:1])), _FIRST)[0])
+
+
+def each_turns_once_left(e: np.ndarray, f: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """:func:`_turns_once_left` for each of several closed polylines, given
+    their edges e concatenated, each edge's successor f in its own
+    polyline, and the index of each polyline's first edge."""
     cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
-    if not np.all(cross > 0.0):
-        return False
     dot = e[:, 0] * f[:, 0] + e[:, 1] * f[:, 1]
-    return round(float(np.arctan2(cross, dot).sum()) / planar.TWO_PI) == 1
+    winding = np.rint(np.add.reduceat(np.arctan2(cross, dot), starts) / planar.TWO_PI)
+    return (np.minimum.reduceat(cross, starts) > 0.0) & (winding == 1.0)
 
 
 def _self_intersects(v: np.ndarray) -> bool:
@@ -248,14 +258,22 @@ def build_crystal(F: Integrand, grid: SphereGrid) -> ConvexRegion:
 def _crystal_from_dual(dual_cycle: np.ndarray) -> ConvexRegion:
     """The crystal as the polar of the (pruned) hull cycle of the dual points."""
     hull = planar.strictly_convex(dual_cycle)
-    try:
+    with refusing_unbounded():
         vertices = planar.polar_polygon(hull)
+    return ConvexRegion(vertices)
+
+
+@contextlib.contextmanager
+def refusing_unbounded():
+    """Re-raise a polar's refusal as the crystal's: its dual hull does not
+    surround the origin, so the halfplane intersection is unbounded."""
+    try:
+        yield
     except ValueError as exc:
         raise ValueError(
             "halfplane intersection is unbounded: scan directions do not "
             f"positively span the plane ({exc})"
         ) from exc
-    return ConvexRegion(vertices)
 
 
 def polar(region: ConvexRegion) -> ConvexRegion:

@@ -8,6 +8,13 @@ isoperimetric ratio is the reference value every competitor must beat or
 match; homothets of the crystal achieve equality. The crystal itself
 satisfies perimeter = 2 * area, and random competitors are the crystals
 of randomly perturbed table costs.
+
+The suite scores its competitors as one batch (:func:`_competitor_ratios`):
+the tables are drawn in the reference's order, their scans are whole-array
+passes, each competitor's dual points get one hull, and every pass after
+the hulls runs on the cycles concatenated. The ratios are those of
+:func:`random_wulff_competitor` and :func:`isoperimetric_ratio` one at a
+time, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planar
-from .crystal import ConvexRegion, CrystalContext, Polygon, build_crystal
-from .integrand import AngularTable, Integrand, SphereGrid
+from .crystal import NOT_CONVEX, ConvexRegion, CrystalContext, Polygon, build_crystal
+from .crystal import each_turns_once_left, refusing_unbounded
+from .integrand import AngularTable, Integrand, SphereGrid, interp_periodic, periodic_samples
+from .planar import TWO_PI
 
 
 def anisotropic_perimeter(F: Integrand, poly: Polygon) -> float:
@@ -49,6 +58,10 @@ def isoperimetric_ratio(F: Integrand, poly: Polygon) -> float:
     two, so it neither overflows nor underflows.
     """
     perimeter, area, _ = _unit_measures(F, poly)
+    return _ratio(perimeter, area)
+
+
+def _ratio(perimeter: float, area: float) -> float:
     if area <= 0.0:
         raise ValueError("isoperimetric ratio needs positive area")
     return perimeter / math.sqrt(area)
@@ -107,6 +120,16 @@ def wulff_identity_check(ctx: CrystalContext) -> WulffReport:
     )
 
 
+def _random_table(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of a random table cost: 24 sorted angles in [0, 2*pi),
+    more than 1e-9 apart, and 24 values in [1, 1.5]."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=24))
+    while np.any(np.diff(angles) <= 1e-9):
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=24))
+    values = 1.0 + 0.5 * rng.uniform(0.0, 1.0, size=24)
+    return angles, values
+
+
 def random_wulff_competitor(grid: SphereGrid, rng: np.random.Generator) -> ConvexRegion:
     """Random convex polygon: the crystal of a randomly perturbed table cost.
 
@@ -116,8 +139,80 @@ def random_wulff_competitor(grid: SphereGrid, rng: np.random.Generator) -> Conve
     (at grid 60 with ``default_rng(3)``, 7 of 13 edge normals are off the
     grid). The table's values lie in [1, 1.5].
     """
-    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=24))
-    while np.any(np.diff(angles) <= 1e-9):
-        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=24))
-    values = 1.0 + 0.5 * rng.uniform(0.0, 1.0, size=24)
-    return build_crystal(AngularTable(angles, values), grid)
+    return build_crystal(AngularTable(*_random_table(rng)), grid)
+
+
+def _competitor_ratios(F: Integrand, grid: SphereGrid, rng: np.random.Generator, count: int) -> list[float]:
+    """``isoperimetric_ratio(F, random_wulff_competitor(grid, rng))`` for
+    ``count`` competitors in turn, bit for bit, computed as one batch.
+
+    The tables are drawn as the reference draws them. Their scans are taken
+    in whole-array passes, and each table's dual points get one
+    :func:`planar.hull_cycle`, as :func:`build_crystal` does; the rest is
+    :func:`_crystal_ratios`.
+    """
+    tables = [_random_table(rng) for _ in range(count)]
+    # The scan of each table: the grid, then its sample directions.
+    angles = np.concatenate([a for a, _ in tables])
+    special = np.column_stack([np.cos(angles), np.sin(angles)])
+    special = special / np.linalg.norm(special, axis=1)[:, None]
+    theta = np.mod(np.arctan2(special[:, 1], special[:, 0]), TWO_PI).reshape(count, -1)
+    dirs = np.concatenate((np.broadcast_to(grid.directions, (count, grid.size, 2)),
+                           special.reshape(count, -1, 2)), axis=1)
+    cycles = []
+    for d, t, table in zip(dirs, theta, tables):
+        values = interp_periodic(np.concatenate((grid.angles, t)), periodic_samples(*table))
+        cycles.append(planar.hull_cycle(d / values[:, None]))
+    return _crystal_ratios(F, cycles)
+
+
+def _crystal_ratios(F: Integrand, dual_cycles: list[np.ndarray]) -> list[float]:
+    """``isoperimetric_ratio(F, _crystal_from_dual(c))`` for each dual hull
+    cycle c, bit for bit, on the cycles concatenated.
+
+    The passes are those of the reference: the collinearity test of
+    :func:`planar.strictly_convex` (a cycle it flags is pruned by that
+    function itself), the polar, the convexity test of
+    :class:`ConvexRegion`, the crystal normals (one ``F.values_on`` call)
+    and the unit-scaled edges. Each polygon's perimeter and area are
+    reduced by the calls :func:`_unit_measures` makes, and every refusal
+    raises the reference's message.
+    """
+    cycles = list(dual_cycles)
+    hulls, counts, starts, nxt = _concatenated(cycles)
+    unit = planar.unit_scaled_cycles(hulls, starts)
+    prv = np.empty_like(nxt)
+    prv[nxt] = np.arange(len(nxt))
+    scale = np.maximum.reduceat(np.abs(unit).max(axis=1), starts)
+    eps = [planar.COLLINEAR_REL * s**2 for s in scale.tolist()]
+    turn = planar.turn_areas(unit[prv], unit, unit[nxt])
+    flagged = np.flatnonzero(np.logical_or.reduceat(turn <= np.repeat(eps, counts), starts))
+    for i in flagged:
+        cycles[i] = planar.strictly_convex(cycles[i])
+    if len(flagged):
+        hulls, counts, starts, nxt = _concatenated(cycles)
+
+    with refusing_unbounded():
+        size = np.maximum.reduceat(np.abs(hulls).max(axis=1), starts)
+        vertices = planar.polar_of_halfspaces(
+            *planar.edge_normals_and_offsets(hulls, nxt), np.repeat(size, counts)
+        )
+    u = planar.unit_scaled_cycles(vertices, starts)
+    edges = u[nxt] - u
+    if not each_turns_once_left(edges, edges[nxt], starts).all():
+        raise ValueError(NOT_CONVEX)
+
+    weights = F.values_on(planar.edge_normals_and_offsets(vertices, nxt)[0])
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    shoelace = u[:, 0] * u[nxt, 1] - u[:, 1] * u[nxt, 0]
+    return [
+        _ratio(float(weights[a:b] @ lengths[a:b]), 0.5 * float(np.sum(shoelace[a:b])))
+        for a, b in zip(starts.tolist(), (starts + counts).tolist())
+    ]
+
+
+def _concatenated(cycles: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cycles as one array, their vertex counts, and
+    :func:`planar.cycle_links` of them."""
+    counts = np.array([len(c) for c in cycles])
+    return np.concatenate(cycles), counts, *planar.cycle_links(counts)

@@ -53,7 +53,8 @@ class Stencil:
     Moves are coprime (no redundant multiples) and nonzero. The order-k
     stencil holds every coprime vector with coordinates bounded by k, so
     stencils grow by inclusion as k increases. ``moves`` is read-only, so
-    :meth:`order` hands every caller the same instance per k.
+    :meth:`axis` hands every caller the same instance, and :meth:`order`
+    the same instance per k.
     """
 
     moves: np.ndarray
@@ -82,6 +83,7 @@ class Stencil:
         return int(np.abs(self.moves).max())
 
     @classmethod
+    @functools.cache
     def axis(cls) -> "Stencil":
         return cls(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]))
 

@@ -21,6 +21,9 @@ _ORIENT_FLOOR = 2.0**-1060
 # Clouds of at least this many points are hulled by whole-array sweeps,
 # smaller ones by a Python stack; the two take the same time near this size.
 _SWEEP_MIN = 256
+# Turn area, relative to the squared coordinate scale, at or below which a
+# hull vertex counts as collinear with its neighbours.
+COLLINEAR_REL = 1e-12
 
 
 def unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
@@ -28,6 +31,31 @@ def unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
     [0.5, 1), and e. Exact for all but subnormal results."""
     _, exponent = np.frexp(np.abs(points).max())
     return np.ldexp(points, -exponent), int(exponent)
+
+
+def turn_areas(o: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle (o, c, b), row by row: positive
+    where the path o -> c -> b turns left at c."""
+    return (c[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (c[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
+
+
+def cycle_links(counts) -> tuple[np.ndarray, np.ndarray]:
+    """For cycles of these vertex counts concatenated into one array: the
+    index of each cycle's first vertex, and of each vertex's successor in
+    its own cycle."""
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    nxt = np.arange(1, int(counts.sum()) + 1)
+    nxt[starts + counts - 1] = starts
+    return starts, nxt
+
+
+def unit_scaled_cycles(points: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The points of the concatenated cycles beginning at ``starts``, each
+    cycle scaled as :func:`unit_scaled` scales it on its own."""
+    _, exponent = np.frexp(np.maximum.reduceat(np.abs(points).max(axis=1), starts))
+    counts = np.diff(np.append(starts, len(points)))
+    return np.ldexp(points, -np.repeat(exponent, counts)[:, None])
 
 
 def _prune_collinear_cycle(cycle: np.ndarray, eps: float) -> np.ndarray:
@@ -43,10 +71,7 @@ def _prune_collinear_cycle(cycle: np.ndarray, eps: float) -> np.ndarray:
     while len(cycle) > 3:
         o = np.concatenate((cycle[-1:], cycle[:-1]))
         b = np.concatenate((cycle[1:], cycle[:1]))
-        turn = (cycle[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (cycle[:, 1] - o[:, 1]) * (
-            b[:, 0] - o[:, 0]
-        )
-        flag = turn <= eps
+        flag = turn_areas(o, cycle, b) <= eps
         if not flag.any():
             return cycle
         if flag.all():
@@ -216,7 +241,7 @@ def hull_cycle(points: np.ndarray) -> np.ndarray:
     return pts[order[_settle(x, y, cycle, todo)]]
 
 
-def strictly_convex(cycle: np.ndarray, eps_rel: float = 1e-12) -> np.ndarray:
+def strictly_convex(cycle: np.ndarray, eps_rel: float = COLLINEAR_REL) -> np.ndarray:
     """A CCW hull cycle without the vertices collinear with their neighbours
     (turn area at most ``eps_rel * scale**2``, where scale is the largest
     coordinate magnitude).
@@ -230,7 +255,7 @@ def strictly_convex(cycle: np.ndarray, eps_rel: float = 1e-12) -> np.ndarray:
     return np.ldexp(_prune_collinear_cycle(unit, eps_rel * scale**2), exponent)
 
 
-def convex_hull_ccw(points: np.ndarray, eps_rel: float = 1e-12) -> np.ndarray:
+def convex_hull_ccw(points: np.ndarray, eps_rel: float = COLLINEAR_REL) -> np.ndarray:
     """Counterclockwise convex hull of a 2D point cloud.
 
     :func:`hull_cycle`, then the vertices collinear with their hull
@@ -278,14 +303,17 @@ def polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]))
 
 
-def edge_normals_and_offsets(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def edge_normals_and_offsets(
+    vertices: np.ndarray, nxt: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normal and support offset of every edge of a CCW polygon.
 
     Edge ``j`` runs from vertex ``j`` to vertex ``j+1``; its halfspace is
-    ``{x : <x, normal_j> <= offset_j}``.
+    ``{x : <x, normal_j> <= offset_j}``. For several polygons concatenated,
+    ``nxt`` indexes each vertex's successor (:func:`cycle_links`).
     """
     v = np.asarray(vertices, dtype=float)
-    e = np.concatenate((v[1:], v[:1])) - v
+    e = (np.concatenate((v[1:], v[:1])) if nxt is None else v[nxt]) - v
     lengths = np.hypot(e[:, 0], e[:, 1])
     if np.any(lengths <= 0.0):
         raise ValueError("polygon has a zero-length edge")
@@ -311,8 +339,9 @@ def polar_of_halfspaces(normals: np.ndarray, offsets: np.ndarray, scale: float) 
 
     ``scale`` is the polygon's largest coordinate magnitude: an offset at or
     below ``1e-14 * scale`` puts the origin on the boundary up to rounding.
+    For several polygons concatenated, ``scale`` holds each edge's own.
     """
-    if offsets.min() <= 1e-14 * scale:
+    if np.any(offsets <= 1e-14 * scale):
         raise ValueError("origin is not strictly interior; polar body is unbounded")
     return normals / offsets[:, None]
 

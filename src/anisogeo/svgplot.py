@@ -9,6 +9,7 @@ blue, cost graph black, polar body green.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 
@@ -33,8 +34,10 @@ class PolyLine:
 def render_svg(elements: list[PolyLine], path) -> None:
     """Write the elements as one SVG figure.
 
-    Points must be finite (n, 2) arrays; anything else raises
-    ``ValueError`` naming the file, and no file is written.
+    Points must be finite (n, 2) arrays, and the view box, the points'
+    bounding box padded by 10% of its larger side, must be finite too;
+    anything else raises ``ValueError`` naming the file and the quantity,
+    and no file is written.
     """
     points = [np.asarray(e.points, dtype=float) for e in elements]
     for i, p in enumerate(points):
@@ -45,20 +48,23 @@ def render_svg(elements: list[PolyLine], path) -> None:
             bad = int(np.argmin(finite))
             raise ValueError(f"{path}: element {i}: point {bad + 1} is not finite: {p[bad].tolist()}")
     pts = np.vstack(points)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    margin = 0.1 * float(span.max())
-    lo = lo - margin
-    hi = hi + margin
-    width = float(hi[0] - lo[0])
-    height = float(hi[1] - lo[1])
+    (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    # Half the span never overflows, and 0.2 times it is 0.1 times the span
+    # (0.2 is 2 * 0.1 in binary), exactly.
+    margin = 0.2 * max(0.5 * x1 - 0.5 * x0, 0.5 * y1 - 0.5 * y0, 0.5e-9)
+    box = {"left": x0 - margin, "bottom": y0 - margin, "right": x1 + margin, "top": y1 + margin}
+    box["width"] = box["right"] - box["left"]
+    box["height"] = box["top"] - box["bottom"]
+    for name, value in box.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: the view box {name} is beyond the float range")
+    width, height = box["width"], box["height"]
     stroke = 0.004 * max(width, height)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
-        f'height="{SIZE * height / width:.0f}" '
-        f'viewBox="{lo[0]:.6g} {-hi[1]:.6g} {width:.6g} {height:.6g}">',
+        f'height="{SIZE * (height / width):.0f}" '
+        f'viewBox="{box["left"]:.6g} {-box["top"]:.6g} {width:.6g} {height:.6g}">',
         # Flip to y-up: SVG's y axis points down.
         '<g transform="scale(1,-1)">',
     ]

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from anisogeo import (
+    AngularTable,
+    Constant,
     Crystalline,
     CrystalContext,
+    Dip,
     PNorm,
     Polygon,
     SphereGrid,
@@ -15,8 +18,10 @@ from anisogeo import (
     random_wulff_competitor,
     wulff_identity_check,
 )
-from anisogeo import crystal, planar
-from anisogeo.crystal import _edges_cross, _self_intersects
+from anisogeo import crystal, planar, suite
+from anisogeo.crystal import _crystal_from_dual, _edges_cross, _self_intersects
+from anisogeo.isoperimetry import _competitor_ratios, _crystal_ratios
+from anisogeo.suite import run_suite
 from anisogeo.planar import convex_hull_ccw
 
 from test_query_kernels import README_COSTS
@@ -295,6 +300,88 @@ class TestRegionsArePolygons:
             competitor = random_wulff_competitor(grid, rng)
             ratio = isoperimetric_ratio(F, competitor)
             assert ratio == isoperimetric_ratio(F, Polygon(competitor.vertices)), kind
+
+
+def competitor_ratios_reference(F, grid, rng, count) -> list:
+    """The competitors one at a time, each crystal built and measured on its own."""
+    return [isoperimetric_ratio(F, random_wulff_competitor(grid, rng)) for _ in range(count)]
+
+
+def seven_kinds(rng) -> list:
+    """One cost of each kind the benchmark draws: three p-norms, a
+    constant, and random crystalline, table and dip costs."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 9))
+    weights = rng.uniform(0.5, 2.0, 5)
+    facets = [((math.cos(a), math.sin(a)), float(w)) for a, w in zip(np.arange(5) * 1.25, weights)]
+    base = PNorm(float(rng.uniform(1.2, 6.0)))
+    return [
+        PNorm(1.0), PNorm(math.inf), PNorm(float(rng.uniform(1.2, 6.0))),
+        Constant(float(rng.uniform(0.5, 2.0))),
+        Crystalline(facets), AngularTable(angles, rng.uniform(0.5, 2.0, 9)),
+        Dip(base, [((0.6, 0.8), 0.5 * base((0.6, 0.8))), ((-1.0, 0.0), 0.7)]),
+    ]
+
+
+class TestCompetitorBatch:
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_matches_the_reference_loop(self, size):
+        grid = SphereGrid.planar(size)
+        for seed in (0, 1, 7, 29):
+            for F in seven_kinds(np.random.default_rng(seed)):
+                rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _competitor_ratios(F, grid, rng, 20)
+                assert got == competitor_ratios_reference(F, grid, reference_rng, 20), (F.kind, seed)
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_one_hull_per_competitor(self, monkeypatch):
+        hulls = []
+        real = planar.hull_cycle
+        monkeypatch.setattr(planar, "hull_cycle", lambda *a: hulls.append(1) or real(*a))
+        for count in (1, 20):
+            hulls.clear()
+            _competitor_ratios(PNorm(1.0), SphereGrid.planar(60), np.random.default_rng(count), count)
+            assert len(hulls) == count
+
+    def test_collinear_vertices_are_pruned_as_the_reference_prunes_them(self, monkeypatch):
+        # Hull cycles as hull_cycle may return them, with vertices collinear
+        # up to strictly_convex's tolerance: edge midpoints.
+        rng = np.random.default_rng(11)
+        cycles = []
+        for k in (3, 5, 12):
+            t = np.arange(k) * 2.0 * np.pi / k + rng.uniform(-0.2, 0.2, k)
+            ring = np.column_stack([np.cos(t), np.sin(t)]) * rng.uniform(0.5, 2.0, (k, 1))
+            ring = planar.convex_hull_ccw(ring)
+            mid = 0.5 * (ring + np.roll(ring, -1, axis=0))
+            cycles += [ring, np.stack((ring, mid), axis=1).reshape(-1, 2)]
+        for F in seven_kinds(rng):
+            want = [isoperimetric_ratio(F, _crystal_from_dual(c)) for c in cycles]
+            assert _crystal_ratios(F, cycles) == want, F.kind
+        # Only the cycles with midpoints are flagged and pruned one by one.
+        pruned = []
+        real = planar.strictly_convex
+        monkeypatch.setattr(planar, "strictly_convex", lambda c: pruned.append(len(c)) or real(c))
+        _crystal_ratios(PNorm(1.0), cycles)
+        assert pruned == [len(c) for c in cycles[1::2]]
+
+    def test_an_unbounded_crystal_is_refused_with_the_reference_message(self):
+        square = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        cycles = [square, square + (1.0, 0.0)]  # the second has the origin on an edge
+        with pytest.raises(ValueError) as reference:
+            _crystal_from_dual(cycles[1])
+        with pytest.raises(ValueError) as batch:
+            _crystal_ratios(PNorm(1.0), cycles)
+        assert str(batch.value) == str(reference.value)
+        assert "unbounded" in str(batch.value)
+
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_the_suite_reports_what_the_reference_loop_gives(self, monkeypatch, size):
+        grid = SphereGrid.planar(size)
+        for F in seven_kinds(np.random.default_rng(size))[:: 1 if size == 60 else 3]:
+            ctx = CrystalContext(F, grid)
+            batch = run_suite(ctx, seed=5)
+            with monkeypatch.context() as patch:
+                patch.setattr(suite, "_competitor_ratios", competitor_ratios_reference)
+                assert run_suite(ctx, seed=5) == batch, F.kind
 
 
 class TestPNormFamilies:

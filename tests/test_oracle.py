@@ -137,6 +137,9 @@ class TestStencil:
 
     def test_order_is_shared_and_read_only(self):
         assert Stencil.order(3) is Stencil.order(3)
+        assert Stencil.axis() is Stencil.axis()
+        with pytest.raises(ValueError, match="read-only"):
+            Stencil.axis().moves[0, 0] = 7
         with pytest.raises(ValueError, match="read-only"):
             Stencil.order(3).moves[0, 0] = 7
         # The caller's array stays writable: the stencil holds a copy.

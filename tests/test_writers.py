@@ -19,6 +19,8 @@ from anisogeo.cli import main
 from anisogeo.fileio import _format_table, load_vertices, save_rows
 from anisogeo.svgplot import PolyLine, render_svg
 
+from test_cli import _run_cli
+
 # The five specs of the README's command-line section.
 README_SPECS = {
     "pnorm": {"kind": "pnorm", "dimension": 2, "p": 1},
@@ -237,6 +239,44 @@ class TestRenderSvg:
         with pytest.raises(ValueError, match=r"\(n, 2\)"):
             render_svg([PolyLine(np.zeros((4, 3)), "#000000")], f)
         assert not f.exists()
+
+
+class TestExtremeScales:
+    """A figure near the float maximum: written while its view box is
+    finite, refused with the quantity named once it is not."""
+
+    def _crystal(self, tmp_path, c):
+        spec = tmp_path / "c.json"
+        spec.write_text(json.dumps({"kind": "constant", "c": c}))
+        out = tmp_path / "out"
+        code, stdout, stderr = _run_cli(["crystal", str(spec), "--grid", "64", "--out", str(out)])
+        return code, stdout, stderr, out
+
+    def test_a_view_box_near_the_float_maximum_is_written_finite(self, tmp_path):
+        code, _, stderr, out = self._crystal(tmp_path, 1e307)
+        assert (code, stderr) == (0, "")
+        svg = (out / "crystal.svg").read_text()
+        assert "inf" not in svg and "nan" not in svg
+        assert 'height="640" viewBox="-1.2e+307 -1.2e+307 2.4e+307 2.4e+307"' in svg
+
+    def test_a_view_box_beyond_the_float_range_is_refused_before_any_file(self, tmp_path):
+        code, stdout, stderr, out = self._crystal(tmp_path, 1e308)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {out / 'crystal.svg'}: the view box width is beyond the float range\n"
+        assert list(out.iterdir()) == []
+
+    def test_each_side_of_the_view_box_is_named(self, tmp_path):
+        f = tmp_path / "big.svg"
+        big = 1.7e308
+        cases = {
+            "right": [[0.0, 0.0], [big, 1.0]], "bottom": [[0.0, 0.0], [1.0, -big]],
+            "left": [[-big, 0.0], [0.0, 1.0]], "top": [[0.0, 0.0], [1.0, big]],
+            "width": [[-1e308, 0.0], [1e308, 1.0]], "height": [[0.0, -1e308], [1.0, 1e308]],
+        }
+        for name, points in cases.items():
+            with pytest.raises(ValueError, match=f"view box {name} is beyond the float range"):
+                render_svg([PolyLine(np.array(points), "#000000")], f)
+            assert not f.exists()
 
 
 @pytest.mark.parametrize("grid", [60, 720, 2880])
