@@ -12,14 +12,11 @@ from .crystal import (
     ContactFace,
     ConvexRegion,
     CrystalContext,
-    NormalCone,
     Polygon,
     build_crystal,
     contact_face,
     double_polar,
-    extremal_points,
     hausdorff_distance,
-    normal_cone,
     polar,
 )
 from .geodesics import (
@@ -75,7 +72,6 @@ __all__ = [
     "GeodesicClass",
     "GridFunction",
     "Integrand",
-    "NormalCone",
     "PNorm",
     "Path",
     "Polygon",
@@ -92,13 +88,11 @@ __all__ = [
     "convex_envelope",
     "decompose_direction",
     "double_polar",
-    "extremal_points",
     "geodesic_ball",
     "geodesic_family",
     "hausdorff_distance",
     "is_geodesic",
     "isoperimetric_ratio",
-    "normal_cone",
     "oracle_convergence",
     "oracle_distance",
     "path_length",

@@ -12,6 +12,12 @@ dualizing: the points ``v/F(v)`` are hulled and the polar of that hull is
 exactly the halfplane intersection, with redundant constraints pruned as a
 byproduct of the hull. All exact polytope work is two-dimensional.
 
+:func:`double_polars` takes the double polars of several clouds as one
+batch: one hull per cloud, and every later pass, pruning, both polars and
+each region check, once on all the cycles concatenated
+(:func:`planar.strictly_convex_cycles`, :func:`planar.polar_of_cycles`,
+:func:`checked_cycles`). :func:`double_polar` is its batch of one.
+
 :class:`CrystalContext` bundles a cost with its crystal and polar body
 and provides the induced (possibly asymmetric) norm, min(F, crystal
 support). Its build scans the cost once and runs one hull, of the dual
@@ -48,8 +54,13 @@ FACE_TOL = 1e-9
 CONTACT_TOL = 1e-6
 
 _BOX_FACTOR = 1e4  # see double_polar
+# Each halfspace <z, a> <= h of the box |z_j| <= _BOX_FACTOR dualizes to
+# the point a/h: four tiny cross points.
+_BOX_DUALS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) / _BOX_FACTOR
 
 _FIRST = np.zeros(1, dtype=np.intp)  # the start of a lone polyline
+
+UNBOUNDED_POLAR = "polar body is unbounded: origin is not interior to the region"
 
 NOT_CONVEX = (
     "vertices must be strictly convex in CCW order; "
@@ -135,6 +146,13 @@ class ConvexRegion(Polygon):
         """Region from an arbitrary point cloud (hull + collinearity pruning)."""
         return cls(planar.convex_hull_ccw(points))
 
+    @classmethod
+    def _checked(cls, vertices: np.ndarray) -> "ConvexRegion":
+        """A region of vertices that :func:`checked_cycles` has passed."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "vertices", vertices)
+        return region
+
     @cached_property
     def diameter(self) -> float:
         spread = self.vertices.max(axis=0) - self.vertices.min(axis=0)
@@ -177,6 +195,20 @@ def _turns_once_left(v: np.ndarray) -> bool:
     A star such as the pentagram turns left everywhere but winds twice."""
     e = np.concatenate((v[1:], v[:1])) - v
     return bool(each_turns_once_left(e, np.concatenate((e[1:], e[:1])), _FIRST)[0])
+
+
+def checked_cycles(vertices: np.ndarray, starts: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:class:`ConvexRegion`'s checks on each of the concatenated cycles
+    (:func:`planar.cycle_links` gives ``starts`` and ``nxt``) of at least 3
+    vertices, with its messages; the cycles scaled as those checks scale
+    them, and their edges."""
+    if not np.isfinite(vertices).all():
+        raise ValueError("polygon vertices must be finite")
+    u, _ = planar.unit_scaled_cycles(vertices, starts)
+    edges = u[nxt] - u
+    if not each_turns_once_left(edges, edges[nxt], starts).all():
+        raise ValueError(NOT_CONVEX)
+    return u, edges
 
 
 def each_turns_once_left(e: np.ndarray, f: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -235,14 +267,6 @@ class ContactFace:
         return len(self.vertices) == 2
 
 
-@dataclass(frozen=True)
-class NormalCone:
-    """Outward normal directions of a region at a boundary point."""
-
-    at: np.ndarray
-    generators: np.ndarray  # one row (edge interior) or two rows (vertex)
-
-
 def build_crystal(F: Integrand, grid: SphereGrid) -> ConvexRegion:
     """Intersection of the halfplanes {<x, v> <= F(v)} over the scanned grid.
 
@@ -279,7 +303,7 @@ def refusing_unbounded():
 def polar(region: ConvexRegion) -> ConvexRegion:
     """Polar body {z : <z, x> <= 1 on the region}; needs the origin interior."""
     if not region.origin_interior:
-        raise ValueError("polar body is unbounded: origin is not interior to the region")
+        raise ValueError(UNBOUNDED_POLAR)
     scale = float(np.abs(region.vertices).max())
     return ConvexRegion(planar.polar_of_halfspaces(*region.halfspaces, scale))
 
@@ -294,21 +318,40 @@ def double_polar(points) -> ConvexRegion:
     geometric tolerance used in this package. When the cloud does surround
     the origin the box constraints are redundant and the result is exact.
     """
-    pts = np.asarray(points, dtype=float)
-    scale = float(np.abs(pts).max())
-    if not 0.0 < scale < math.inf:
-        raise ValueError("double polar needs a finite cloud with a nonzero point")
-    # Dividing by the cloud's own largest magnitude cannot overflow, and the
-    # box stays relative to the cloud at any magnitude.
-    q = pts / scale
-    # First polar, boxed: {<z, q_i> <= 1, |z_j| <= _BOX_FACTOR}. Each
-    # halfspace <z, a> <= h dualizes to the point a/h, so the box
-    # contributes the four tiny cross points below.
-    r = 1.0 / _BOX_FACTOR
-    box_duals = np.array([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]])
-    hull = planar.convex_hull_ccw(np.vstack([q, box_duals]))
-    boxed_polar = ConvexRegion(planar.polar_polygon(hull))
-    return polar(boxed_polar).scaled(scale)
+    return double_polars([points])[0]
+
+
+def double_polars(clouds) -> list[ConvexRegion]:
+    """:func:`double_polar` of each cloud, bit for bit, as one batch.
+
+    Each cloud, divided by its own largest magnitude (which cannot
+    overflow, and keeps the box relative to the cloud at any magnitude),
+    gets one hull with the box's dual points. Every later step runs once
+    on the cycles concatenated: the pruning, the polar (the boxed first
+    polar), its region check, the origin-interior test, the second polar,
+    its region check, and the scaling back with its region check. Each
+    refusal raises :func:`double_polar`'s message; a batch raises the first
+    by step, not by cloud.
+    """
+    scales, cycles = [], []
+    for points in clouds:
+        pts = np.asarray(points, dtype=float)
+        scale = float(np.abs(pts).max())
+        if not 0.0 < scale < math.inf:
+            raise ValueError("double polar needs a finite cloud with a nonzero point")
+        scales.append(scale)
+        cycles.append(planar.hull_cycle(np.vstack([pts / scale, _BOX_DUALS])))
+    hulls, counts, starts, nxt = planar.strictly_convex_cycles(cycles)
+    boxed = planar.polar_of_cycles(hulls, counts, starts, nxt)
+    checked_cycles(boxed, starts, nxt)
+    try:
+        vertices = planar.polar_of_cycles(boxed, counts, starts, nxt)
+    except ValueError as exc:  # polar's refusal, by the same test
+        raise ValueError(UNBOUNDED_POLAR) from exc
+    checked_cycles(vertices, starts, nxt)
+    vertices = np.repeat(scales, counts)[:, None] * vertices
+    checked_cycles(vertices, starts, nxt)
+    return [ConvexRegion._checked(v) for v in np.split(vertices, starts[1:])]
 
 
 def contact_face(region: ConvexRegion, v) -> ContactFace:
@@ -331,40 +374,6 @@ def contact_face(region: ConvexRegion, v) -> ContactFace:
     a = region.vertices[hit[np.argmin(along)]]
     b = region.vertices[hit[np.argmax(along)]]
     return ContactFace(vertices=np.vstack([a, b]), representative=0.5 * (a + b))
-
-
-def normal_cone(region: ConvexRegion, y) -> NormalCone:
-    """Outward normal cone at a boundary point y.
-
-    Edge-interior points have one generator (the edge normal); vertices
-    have two (the adjacent edge normals). Raises when y is off the boundary.
-    """
-    y = np.asarray(y, dtype=float)
-    verts = region.vertices
-    nxt = np.concatenate((verts[1:], verts[:1]))
-    k = len(verts)
-    slack = FACE_TOL * max(1.0, region.diameter)
-    dists = planar.segment_distances(y[None, :], verts, nxt)[0]
-    if dists.min() > slack:
-        raise ValueError("point is not on the region boundary")
-    vertex_gap = np.linalg.norm(verts - y, axis=1)
-    j = int(np.argmin(vertex_gap))
-    if vertex_gap[j] <= slack:
-        gens = np.vstack([region.normals[(j - 1) % k], region.normals[j]])
-        return NormalCone(at=verts[j], generators=gens)
-    e = int(np.argmin(dists))
-    return NormalCone(at=y, generators=region.normals[e][None, :])
-
-
-def extremal_points(region: ConvexRegion) -> np.ndarray:
-    """Vertices that are genuine extreme points (collinear triples pruned).
-
-    Grid-built crystals can carry spuriously collinear vertices on flat
-    facets; triples spanning less than 1e-10 * diameter**2 collapse.
-    """
-    area_tol = 1e-10 * region.diameter**2
-    eps_rel = 2.0 * area_tol / max(float(np.abs(region.vertices).max()), 1e-30) ** 2
-    return planar.convex_hull_ccw(region.vertices, eps_rel=eps_rel)
 
 
 def hausdorff_distance(a: Polygon | np.ndarray, b: Polygon | np.ndarray) -> float:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planar
-from .crystal import NOT_CONVEX, ConvexRegion, CrystalContext, Polygon, build_crystal
-from .crystal import each_turns_once_left, refusing_unbounded
+from .crystal import ConvexRegion, CrystalContext, Polygon, build_crystal, checked_cycles
+from .crystal import refusing_unbounded
 from .integrand import AngularTable, Integrand, SphereGrid, interp_periodic, periodic_samples
 from .planar import TWO_PI
 
@@ -170,38 +170,18 @@ def _crystal_ratios(F: Integrand, dual_cycles: list[np.ndarray]) -> list[float]:
     """``isoperimetric_ratio(F, _crystal_from_dual(c))`` for each dual hull
     cycle c, bit for bit, on the cycles concatenated.
 
-    The passes are those of the reference: the collinearity test of
-    :func:`planar.strictly_convex` (a cycle it flags is pruned by that
-    function itself), the polar, the convexity test of
-    :class:`ConvexRegion`, the crystal normals (one ``F.values_on`` call)
-    and the unit-scaled edges. Each polygon's perimeter and area are
+    The passes are those of the reference: the pruning
+    (:func:`planar.strictly_convex_cycles`), the polar
+    (:func:`planar.polar_of_cycles`), the checks of :class:`ConvexRegion`
+    (:func:`checked_cycles`), the crystal normals (one ``F.values_on``
+    call) and the unit-scaled edges. Each polygon's perimeter and area are
     reduced by the calls :func:`_unit_measures` makes, and every refusal
     raises the reference's message.
     """
-    cycles = list(dual_cycles)
-    hulls, counts, starts, nxt = _concatenated(cycles)
-    unit = planar.unit_scaled_cycles(hulls, starts)
-    prv = np.empty_like(nxt)
-    prv[nxt] = np.arange(len(nxt))
-    scale = np.maximum.reduceat(np.abs(unit).max(axis=1), starts)
-    eps = [planar.COLLINEAR_REL * s**2 for s in scale.tolist()]
-    turn = planar.turn_areas(unit[prv], unit, unit[nxt])
-    flagged = np.flatnonzero(np.logical_or.reduceat(turn <= np.repeat(eps, counts), starts))
-    for i in flagged:
-        cycles[i] = planar.strictly_convex(cycles[i])
-    if len(flagged):
-        hulls, counts, starts, nxt = _concatenated(cycles)
-
+    hulls, counts, starts, nxt = planar.strictly_convex_cycles(dual_cycles)
     with refusing_unbounded():
-        size = np.maximum.reduceat(np.abs(hulls).max(axis=1), starts)
-        vertices = planar.polar_of_halfspaces(
-            *planar.edge_normals_and_offsets(hulls, nxt), np.repeat(size, counts)
-        )
-    u = planar.unit_scaled_cycles(vertices, starts)
-    edges = u[nxt] - u
-    if not each_turns_once_left(edges, edges[nxt], starts).all():
-        raise ValueError(NOT_CONVEX)
-
+        vertices = planar.polar_of_cycles(hulls, counts, starts, nxt)
+    u, edges = checked_cycles(vertices, starts, nxt)
     weights = F.values_on(planar.edge_normals_and_offsets(vertices, nxt)[0])
     lengths = np.hypot(edges[:, 0], edges[:, 1])
     shoelace = u[:, 0] * u[nxt, 1] - u[:, 1] * u[nxt, 0]
@@ -209,10 +189,3 @@ def _crystal_ratios(F: Integrand, dual_cycles: list[np.ndarray]) -> list[float]:
         _ratio(float(weights[a:b] @ lengths[a:b]), 0.5 * float(np.sum(shoelace[a:b])))
         for a, b in zip(starts.tolist(), (starts + counts).tolist())
     ]
-
-
-def _concatenated(cycles: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The cycles as one array, their vertex counts, and
-    :func:`planar.cycle_links` of them."""
-    counts = np.array([len(c) for c in cycles])
-    return np.concatenate(cycles), counts, *planar.cycle_links(counts)

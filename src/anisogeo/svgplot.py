@@ -35,9 +35,9 @@ def render_svg(elements: list[PolyLine], path) -> None:
     """Write the elements as one SVG figure.
 
     Points must be finite (n, 2) arrays, and the view box, the points'
-    bounding box padded by 10% of its larger side, must be finite too;
-    anything else raises ``ValueError`` naming the file and the quantity,
-    and no file is written.
+    bounding box padded by 10% of its larger side, must be finite too,
+    with a nonzero width and height; anything else raises ``ValueError``
+    naming the file and the quantity, and no file is written.
     """
     points = [np.asarray(e.points, dtype=float) for e in elements]
     for i, p in enumerate(points):
@@ -59,6 +59,11 @@ def render_svg(elements: list[PolyLine], path) -> None:
         if not math.isfinite(value):
             raise ValueError(f"{path}: the view box {name} is beyond the float range")
     width, height = box["width"], box["height"]
+    # A margin below half an ulp of the coordinates vanishes: one point at
+    # 1e8, or points one unit apart at y = 1e20.
+    for name in ("width", "height"):
+        if box[name] == 0.0:
+            raise ValueError(f"{path}: the view box {name} rounds to zero")
     stroke = 0.004 * max(width, height)
 
     parts = [

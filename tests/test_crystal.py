@@ -18,18 +18,16 @@ from anisogeo import (
     build_crystal,
     contact_face,
     double_polar,
-    extremal_points,
     hausdorff_distance,
-    normal_cone,
     polar,
 )
-from anisogeo import planar
-from anisogeo.crystal import NormalCone
+from anisogeo import crystal, planar, suite
+from anisogeo.crystal import double_polars
 from anisogeo.integrand import convex_envelope, wulff_transform
 from anisogeo.planar import convex_hull_ccw
 
 from conftest import sorted_rows
-from test_planar import point_segment_distance
+from test_planar import reference_hausdorff
 from test_query_kernels import README_COSTS
 
 SQ2 = math.sqrt(2.0)
@@ -46,23 +44,28 @@ def brute_force_member(F, grid, x, slack=0.0):
     return True
 
 
-def loop_normal_cone(region: ConvexRegion, y, tol: float = 1e-9) -> NormalCone:
-    """Reference: normal_cone with one point-segment distance per edge."""
-    y = np.asarray(y, dtype=float)
-    verts = region.vertices
-    nxt = np.roll(verts, -1, axis=0)
-    k = len(verts)
-    slack = tol * max(1.0, region.diameter)
-    dists = np.array([point_segment_distance(y, verts[j], nxt[j]) for j in range(k)])
-    if dists.min() > slack:
-        raise ValueError("point is not on the region boundary")
-    vertex_gap = np.linalg.norm(verts - y, axis=1)
-    j = int(np.argmin(vertex_gap))
-    if vertex_gap[j] <= slack:
-        gens = np.vstack([region.normals[(j - 1) % k], region.normals[j]])
-        return NormalCone(at=verts[j], generators=gens)
-    e = int(np.argmin(dists))
-    return NormalCone(at=y, generators=region.normals[e][None, :])
+def reference_double_polar(points) -> ConvexRegion:
+    """Reference: double_polar one cloud at a time, each step on its own."""
+    pts = np.asarray(points, dtype=float)
+    scale = float(np.abs(pts).max())
+    if not 0.0 < scale < math.inf:
+        raise ValueError("double polar needs a finite cloud with a nonzero point")
+    q = pts / scale
+    r = 1.0 / crystal._BOX_FACTOR
+    box_duals = np.array([[r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]])
+    hull = convex_hull_ccw(np.vstack([q, box_duals]))
+    boxed_polar = ConvexRegion(planar.polar_polygon(hull))
+    return polar(boxed_polar).scaled(scale)
+
+
+def reference_double_polar_gaps(rng) -> list:
+    """Reference: run_suite's double-polar check one cloud at a time."""
+    gaps = []
+    for _ in range(10):
+        pts = rng.uniform(-1.0, 1.0, size=(12, 2)) + rng.uniform(-0.5, 1.5, size=2)
+        expected = convex_hull_ccw(np.vstack([pts, [[0.0, 0.0]]]))
+        gaps.append(reference_hausdorff(reference_double_polar(pts).vertices, expected))
+    return gaps
 
 
 class TestBuildCrystal:
@@ -165,6 +168,106 @@ class TestPolar:
         shifted = SQUARE.translated((5.0, 0.0))
         with pytest.raises(ValueError, match="origin"):
             polar(shifted)
+
+
+def random_clouds(rng, count: int) -> list:
+    return [rng.uniform(-1.0, 1.0, size=(12, 2)) + rng.uniform(-0.5, 1.5, size=2) for _ in range(count)]
+
+
+class TestDoublePolarBatch:
+    """double_polars against the one-cloud-at-a-time reference, bit for bit."""
+
+    @staticmethod
+    def assert_same(clouds):
+        got = double_polars(clouds)
+        assert len(got) == len(clouds)
+        for region, cloud in zip(got, clouds):
+            assert isinstance(region, ConvexRegion)
+            want = reference_double_polar(cloud).vertices
+            assert region.vertices.shape == want.shape
+            assert np.array_equal(region.vertices, want)
+            assert np.array_equal(double_polar(cloud).vertices, want)
+
+    def test_random_clouds_at_several_seeds(self):
+        for seed in (0, 1, 7, 29, 123):
+            self.assert_same(random_clouds(np.random.default_rng(seed), 10))
+
+    def test_extreme_scales(self):
+        clouds = random_clouds(np.random.default_rng(13), 3)
+        for s in (2.0**900, 2.0**-900, 1e20, 1e-20, 1e100, 1e-100):
+            self.assert_same([s * c for c in clouds])
+        self.assert_same([s * clouds[0] for s in (1.0, 2.0**900, 1e-100, 1e20)])
+
+    def test_mixed_sizes_and_a_cloud_around_the_origin(self):
+        rng = np.random.default_rng(17)
+        around = rng.uniform(-1.0, 1.0, size=(40, 2))
+        around -= around.mean(axis=0)
+        clouds = [around, rng.uniform(0.5, 2.0, size=(3, 2)), rng.uniform(-1.0, 1.0, size=(1, 2)) + 2.0]
+        self.assert_same(clouds)
+        # Around the origin the box is redundant: the hull itself comes back.
+        got = double_polar(around).vertices
+        assert hausdorff_distance(got, convex_hull_ccw(around)) <= 1e-12
+
+    def test_a_collinear_cloud_takes_the_pruning_fallback(self, monkeypatch):
+        # The middle point of the top edge lies 1e-13 above its chord: the
+        # hull keeps it, the pruning drops it.
+        collinear = np.array([[1.0, 3.0], [2.0, 3.0 + 1e-13], [3.0, 3.0], [3.0, 1.0]])
+        clouds = [*random_clouds(np.random.default_rng(3), 2), collinear]
+        pruned = []
+        real = planar.strictly_convex
+        monkeypatch.setattr(planar, "strictly_convex", lambda c: pruned.append(len(c)) or real(c))
+        got = double_polars(clouds)
+        assert len(pruned) == 1
+        monkeypatch.undo()
+        for region, cloud in zip(got, clouds):
+            assert np.array_equal(region.vertices, reference_double_polar(cloud).vertices)
+
+    def test_refusals_match_the_reference(self):
+        good = random_clouds(np.random.default_rng(5), 1)[0]
+        for bad in (np.zeros((5, 2)), np.full((4, 2), math.nan), np.array([[1.0, math.inf], [0.0, 1.0]]),
+                    np.array([[2.0, 1.0], [-math.inf, 0.0]]), np.zeros((0, 2))):
+            with pytest.raises(ValueError) as reference:
+                reference_double_polar(bad)
+            for clouds in ([bad], [good, bad]):
+                with pytest.raises(ValueError) as batch:
+                    double_polars(clouds)
+                assert str(batch.value) == str(reference.value)
+            with pytest.raises(ValueError) as lone:
+                double_polar(bad)
+            assert str(lone.value) == str(reference.value)
+
+    def test_the_checks_refuse_a_bad_cycle_with_the_region_messages(self):
+        square = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        starts, nxt = planar.cycle_links([4, 4])
+        with pytest.raises(ValueError, match="strictly convex"):
+            crystal.checked_cycles(np.vstack([square, square[::-1]]), starts, nxt)
+        with pytest.raises(ValueError, match="finite"):
+            crystal.checked_cycles(np.vstack([square, [[math.nan, 0.0], *square[1:]]]), starts, nxt)
+
+
+class TestSuiteDoublePolarCheck:
+    def test_gaps_match_the_reference_and_draw_the_same_numbers(self):
+        for seed in range(40):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert suite._double_polar_gaps(rng) == reference_double_polar_gaps(reference_rng), seed
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_twenty_hulls(self, monkeypatch):
+        hulls = []
+        real = planar.hull_cycle
+        monkeypatch.setattr(planar, "hull_cycle", lambda *a: hulls.append(1) or real(*a))
+        suite._double_polar_gaps(np.random.default_rng(0))
+        assert len(hulls) == 20
+
+    @pytest.mark.parametrize("F", [PNorm(3.0), Crystalline([((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0), ((-1.0, -1.0), 1.5)])],
+                             ids=["p3", "crystalline"])
+    def test_the_suite_reports_what_the_reference_gives(self, monkeypatch, F):
+        ctx = CrystalContext(F, SphereGrid.planar(60))
+        for seed in (0, 5):
+            batch = suite.run_suite(ctx, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(suite, "_double_polar_gaps", reference_double_polar_gaps)
+                assert suite.run_suite(ctx, seed) == batch
 
 
 class TestSupportQueries:
@@ -330,76 +433,6 @@ class TestContactFace:
             s = dip_ctx.crystal.support(v)
             for y in face.vertices:
                 assert abs(float(y @ v) - s) <= 1e-9
-
-
-class TestNormalCone:
-    def test_edge_interior_single_generator(self):
-        cone = normal_cone(SQUARE, (1.0, 0.0))
-        assert cone.generators.shape == (1, 2)
-        assert np.allclose(cone.generators[0], [1.0, 0.0], atol=1e-12)
-
-    def test_vertex_two_generators(self):
-        cone = normal_cone(SQUARE, (1.0, 1.0))
-        assert cone.generators.shape == (2, 2)
-        assert np.allclose(sorted_rows(cone.generators), [[0, 1], [1, 0]], atol=1e-12)
-
-    def test_disk_vertex_generators_near_radial_direction(self, euclid_ctx):
-        y = euclid_ctx.crystal.vertices[10]
-        cone = normal_cone(euclid_ctx.crystal, y)
-        assert cone.generators.shape == (2, 2)
-        radial = y / np.linalg.norm(y)
-        for g in cone.generators:
-            assert float(g @ radial) >= math.cos(euclid_ctx.resolution)
-
-    def test_generators_point_outward(self):
-        rng = np.random.default_rng(17)
-        region = ConvexRegion.from_points(rng.normal(size=(15, 2)))
-        for y in region.vertices[:5]:
-            cone = normal_cone(region, y)
-            for g in cone.generators:
-                assert np.max((region.vertices - cone.at) @ g) <= 1e-9
-
-    def test_interior_point_rejected(self):
-        with pytest.raises(ValueError, match="boundary"):
-            normal_cone(SQUARE, (0.0, 0.0))
-
-    def test_matches_the_loop_at_edges_and_vertices(self):
-        rng = np.random.default_rng(41)
-        checked = 0
-        for _ in range(30):
-            region = ConvexRegion.from_points(rng.normal(size=(int(rng.integers(3, 40)), 2)))
-            v = region.vertices
-            w = np.concatenate((v[1:], v[:1]))
-            slack = 1e-9 * max(1.0, region.diameter)
-            s = rng.uniform(0.05, 0.95, len(v))[:, None]
-            near = v + rng.uniform(-0.4, 0.4, v.shape) * slack
-            for y in np.vstack([v, v + s * (w - v), near]):
-                expected = loop_normal_cone(region, y)
-                got = normal_cone(region, y)
-                assert np.array_equal(got.at, expected.at)
-                assert np.array_equal(got.generators, expected.generators)
-                checked += 1
-            centre = v.mean(axis=0)
-            for y in (centre, centre + 1.5 * (v[0] - centre), v[0] + 10.0 * slack * region.normals[0]):
-                for cone in (normal_cone, loop_normal_cone):
-                    with pytest.raises(ValueError, match="boundary"):
-                        cone(region, y)
-        assert checked > 500
-
-
-class TestExtremalPoints:
-    def test_square_has_four(self):
-        assert len(extremal_points(SQUARE)) == 4
-
-    def test_collinear_cloud_prunes_to_cross_polytope(self):
-        # Points on the cross-polytope boundary, including edge midpoints.
-        corners = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
-        mids = 0.5 * (corners + np.roll(corners, -1, axis=0))
-        region = ConvexRegion.from_points(np.vstack([corners, mids]))
-        assert len(extremal_points(region)) == 4
-
-    def test_disk_polygon_keeps_every_vertex(self, euclid_ctx):
-        assert len(extremal_points(euclid_ctx.crystal)) == len(euclid_ctx.crystal.vertices)
 
 
 CONTACT_KINDS = [

@@ -89,8 +89,6 @@ def test_derived_not_configured():
     assert [f.name for f in dataclasses.fields(svgplot.PolyLine)] == ["points", "color"]
     parameters = {
         crystal.contact_face: ["region", "v"],
-        crystal.normal_cone: ["region", "y"],
-        crystal.extremal_points: ["region"],
         crystal.double_polar: ["points"],
         crystal.ConvexRegion.contains: ["self", "x"],
         crystal.CrystalContext.in_contact: ["self", "x"],

@@ -16,15 +16,15 @@ from anisogeo import (
     polar,
 )
 from anisogeo.integrand import scan, wulff_from_dual
+from anisogeo import planar
 from anisogeo.planar import (
-    _directed_hausdorff,
     _prune_collinear_cycle,
     convex_hull_ccw,
     hausdorff_distance,
+    hausdorff_distances,
     hull_cycle,
     polar_polygon,
     polygon_area,
-    segment_distances,
     strictly_convex,
     support_values,
     unit_scaled,
@@ -94,6 +94,49 @@ def loop_directed(a_vertices: np.ndarray, b_vertices: np.ndarray) -> float:
 
 def loop_hausdorff(a_vertices: np.ndarray, b_vertices: np.ndarray) -> float:
     return max(loop_directed(a_vertices, b_vertices), loop_directed(b_vertices, a_vertices))
+
+
+def reference_segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Reference: distance from every point to every segment, shape
+    (points, segments), with t = 0 on a zero-length segment."""
+    p = np.asarray(points, dtype=float)
+    a = np.asarray(starts, dtype=float)
+    ab = np.asarray(ends, dtype=float) - a
+    px, py = p[:, :1], p[:, 1:]
+    ax, ay, abx, aby = a[:, 0], a[:, 1], ab[:, 0], ab[:, 1]
+    denom = abx * abx + aby * aby
+    t = (px - ax) * abx + (py - ay) * aby
+    np.divide(t, denom, out=t, where=denom != 0.0)
+    t[:, denom == 0.0] = 0.0
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.hypot(ax + t * abx - px, ay + t * aby - py)
+
+
+def reference_directed_hausdorff(points: np.ndarray, vertices: np.ndarray) -> float:
+    """Reference: the blocked kernel the batch replaced, one directed pair
+    at a time, in row blocks of about 2**18 point-edge pairs."""
+    a = vertices
+    b = np.concatenate((a[1:], a[:1]))
+    ax, ay = a[:, 0], a[:, 1]
+    abx, aby = b[:, 0] - ax, b[:, 1] - ay
+    rows = max(1, (1 << 18) // len(a))
+    worst = []
+    for lo in range(0, len(points), rows):
+        p = points[lo : lo + rows]
+        cross = abx * (p[:, 1:] - ay) - aby * (p[:, :1] - ax)
+        outside = p[(cross < 0.0).any(axis=1)]
+        worst.append(reference_segment_distances(outside, a, b).min(axis=1).max() if len(outside) else 0.0)
+    return float(max(worst))
+
+
+def reference_hausdorff(a_vertices: np.ndarray, b_vertices: np.ndarray) -> float:
+    """Reference: both directions of the blocked kernel on the pair scaled
+    by one power of two."""
+    a = np.asarray(a_vertices, dtype=float)
+    both, exponent = unit_scaled(np.vstack((a, np.asarray(b_vertices, dtype=float))))
+    a, b = both[: len(a)], both[len(a) :]
+    d = max(reference_directed_hausdorff(a, b), reference_directed_hausdorff(b, a))
+    return float(np.ldexp(d, exponent))
 
 
 def vertex_scan(cycle: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -199,10 +242,11 @@ def random_convex(rng, n: int) -> np.ndarray:
 def assert_close_to_loop(a: np.ndarray, b: np.ndarray) -> float:
     for p, q in ((a, b), (b, a)):
         expected = loop_directed(p, q)
-        assert abs(_directed_hausdorff(p, q) - expected) <= 1e-12 * max(1.0, expected)
+        assert abs(reference_directed_hausdorff(p, q) - expected) <= 1e-12 * max(1.0, expected)
     expected = loop_hausdorff(a, b)
     got = hausdorff_distance(a, b)
     assert abs(got - expected) <= 1e-12 * max(1.0, expected)
+    assert got == reference_hausdorff(a, b)
     return got
 
 
@@ -226,8 +270,8 @@ class TestHausdorffDistance:
     def test_nested_polygons_are_zero_one_way(self):
         outer = 2.0 * SQUARE
         inner = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])
-        assert _directed_hausdorff(inner, outer) == 0.0
-        assert _directed_hausdorff(outer, inner) == pytest.approx(2.0 * SQ2 - 0.5 / SQ2, abs=1e-15)
+        assert reference_directed_hausdorff(inner, outer) == 0.0
+        assert reference_directed_hausdorff(outer, inner) == pytest.approx(2.0 * SQ2 - 0.5 / SQ2, abs=1e-15)
         assert assert_close_to_loop(inner, outer) == pytest.approx(2.0 * SQ2 - 0.5 / SQ2)
 
     def test_disjoint_touching_and_edge_sharing_squares(self):
@@ -250,8 +294,7 @@ class TestHausdorffDistance:
         square = np.concatenate((SQUARE[:2], SQUARE[1:]))
         tri = np.array([[3.0, 0.0], [4.0, 1.0], [3.0, 2.0]])
         assert_close_to_loop(square, tri)
-        d = segment_distances(np.array([[4.0, 5.0]]), SQUARE[1:2], SQUARE[1:2])
-        assert d[0, 0] == 5.0
+        assert hausdorff_distance(np.array([[4.0, 5.0]]), SQUARE[1:2]) == 5.0
 
     @pytest.mark.filterwarnings("error")
     def test_scales_with_the_polygons(self):
@@ -276,6 +319,91 @@ class TestHausdorffDistance:
         assert d <= 1e-9
         # One unblocked pass would need about 500 MB.
         assert peak < 64 * 2**20
+
+    def test_a_batch_with_a_large_pair_stays_blocked(self):
+        ctx = CrystalContext(PNorm(3.0), SphereGrid.planar(2880))
+        a, b = ctx.crystal.vertices, polar(ctx.polar_body).vertices
+        small = random_convex(np.random.default_rng(3), 12)
+        pairs = [(small, a), (a, b), (small, 2.0 * small)]
+        tracemalloc.start()
+        try:
+            got = hausdorff_distances(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert got.tolist() == [hausdorff_distance(p, q) for p, q in pairs]
+        assert got[1] == reference_hausdorff(a, b)
+
+
+class TestStrictlyConvexCycles:
+    def test_each_cycle_as_strictly_convex_gives_it(self):
+        rng = np.random.default_rng(43)
+        diamond = np.array([[1.0, 3 * 5e-324], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])  # subnormal after scaling
+        cycles = [diamond, 1e300 * SQUARE, 1e-300 * diamond]
+        for k in (3, 5, 40):
+            ring = random_convex(rng, k)
+            mid = 0.5 * (ring + np.roll(ring, -1, axis=0))
+            cycles += [ring, np.stack((ring, mid), axis=1).reshape(-1, 2)]
+        points, counts, starts, nxt = planar.strictly_convex_cycles(cycles)
+        want = [strictly_convex(c) for c in cycles]
+        assert counts.tolist() == [len(c) for c in want]
+        assert np.array_equal(points, np.concatenate(want))
+        assert np.array_equal(nxt, planar.cycle_links(counts)[1])
+        assert not np.array_equal(want[0], diamond)  # the scaling rounds the subnormal
+        assert np.array_equal(planar.strictly_convex_cycles(cycles[:1])[0], want[0])
+
+
+class TestHausdorffBatch:
+    """hausdorff_distances against the per-pair loop, bit for bit."""
+
+    def test_mixed_sizes_match_the_per_pair_loop(self):
+        rng = np.random.default_rng(31)
+        square = np.concatenate((SQUARE[:2], SQUARE[1:]))  # a zero-length edge
+        pairs = [(square, np.array([[3.0, 0.0], [4.0, 1.0], [3.0, 2.0]]))]
+        for _ in range(30):
+            n, m = (int(k) for k in rng.choice([3, 4, 8, 13, 60, 300], size=2))
+            a = random_convex(rng, n)
+            b = a * (1.0 + rng.normal(scale=1e-13, size=a.shape)) if rng.uniform() < 0.3 else random_convex(rng, m)
+            pairs.append((a * 10.0 ** rng.integers(-200, 200), b) if rng.uniform() < 0.2 else (a, b))
+        pairs.append((square, square * 1.5))
+        got = hausdorff_distances(pairs)
+        assert got.dtype == float and got.shape == (len(pairs),)
+        for d, (a, b) in zip(got.tolist(), pairs):
+            assert d == hausdorff_distance(a, b) == reference_hausdorff(a, b)
+
+    def test_blocks_of_any_size_give_the_same_values(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        pairs = [(random_convex(rng, int(n)), random_convex(rng, int(m)))
+                 for n, m in rng.integers(3, 200, size=(12, 2))]
+        want = [reference_hausdorff(a, b) for a, b in pairs]
+        for block in (1, 7, 64, 5000, 1 << 20):
+            monkeypatch.setattr(planar, "_BLOCK_PAIRS", block)
+            assert hausdorff_distances(pairs).tolist() == want, block
+
+    def test_points_and_segments_are_sets(self):
+        point, far = np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])
+        assert hausdorff_distance(point, far) == 5.0
+        segment = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        assert hausdorff_distance(np.array([[5.0, 0.0]]), segment) == 6.0
+        assert hausdorff_distance(segment, np.array([[0.0, 2.0]])) == pytest.approx(math.sqrt(5.0))
+        assert hausdorff_distances([(segment, SQUARE)]).tolist() == [1.0]
+
+    def test_an_empty_batch(self):
+        assert hausdorff_distances([]).shape == (0,)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bad_vertex_arrays_are_refused_by_name(self):
+        tri = np.array([[0.0, 0.0], [2.0, 0.5], [-0.5, 1.5]])
+        for bad, what in ((np.zeros((0, 2)), "got shape"), (np.zeros(4), "got shape"),
+                          (np.zeros((3, 3)), "got shape"), (np.array([[0.0, 0.0], [math.nan, 1.0], [1.0, 0.0]]), "non-finite"),
+                          (np.array([[0.0, 0.0], [math.inf, 1.0], [1.0, 0.0]]), "non-finite")):
+            with pytest.raises(ValueError, match=f"b_vertices .*{what}"):
+                hausdorff_distance(tri, bad)
+            with pytest.raises(ValueError, match=f"a_vertices .*{what}"):
+                hausdorff_distance(bad, tri)
+            with pytest.raises(ValueError, match=f"pair 1: a_vertices .*{what}"):
+                hausdorff_distances([(tri, tri), (bad, tri)])
 
 
 class TestScaleFreeThresholds:

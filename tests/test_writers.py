@@ -279,6 +279,21 @@ class TestExtremeScales:
             assert not f.exists()
 
 
+    def test_a_view_box_that_rounds_to_zero_is_refused_by_name(self, tmp_path):
+        f = tmp_path / "flat.svg"
+        cases = {
+            "width": [[[1e8, 1e8]], [[1e20, 0.0], [1e20, 1.0]]],
+            "height": [[[0.0, 1e20], [1.0, 1e20]]],
+        }
+        for name, figures in cases.items():
+            for points in figures:
+                with pytest.raises(ValueError, match=f"flat.svg: the view box {name} rounds to zero"):
+                    render_svg([PolyLine(np.array(points), "#000000")], f)
+                assert not f.exists()
+        render_svg([PolyLine(np.array([[1e5, 1e5]]), "#000000")], f)
+        assert 'width="640" height="640"' in f.read_text()
+
+
 @pytest.mark.parametrize("grid", [60, 720, 2880])
 @pytest.mark.parametrize("kind", sorted(README_SPECS))
 def test_crystal_exports_match_the_reference_writers(tmp_path, monkeypatch, capsys, kind, grid):
