@@ -31,6 +31,7 @@ import numpy as np
 from . import fileio, planar
 from .crystal import CrystalContext
 from .geodesics import (
+    MIN_SEGMENT,
     GeodesicClass,
     classify,
     construct_geodesic,
@@ -38,14 +39,14 @@ from .geodesics import (
     is_geodesic,
     resample_polyline,
 )
-from .integrand import GRID_SIZE_MAX, GRID_SIZE_MIN, SphereGrid
+from .integrand import GRID_SIZE_DEFAULT, GRID_SIZE_MAX, GRID_SIZE_MIN, SphereGrid
 from .suite import run_suite
 from .svgplot import crystal_figure
 
 
 def _context(args) -> CrystalContext:
     integrand, spec_grid = fileio.load_integrand_spec(args.spec)
-    count = args.grid or spec_grid or 720
+    count = args.grid or spec_grid or GRID_SIZE_DEFAULT
     return CrystalContext(integrand, SphereGrid.planar(count))
 
 
@@ -180,7 +181,7 @@ def cmd_distance(args) -> int:
         gap = math.hypot(*(y - x))
     if not gap < math.inf:
         raise fileio.SpecError("start and end are too far apart: their distance overflows")
-    if gap <= 1e-12:
+    if gap <= MIN_SEGMENT:
         raise fileio.SpecError("start and end coincide; distance query undefined")
     label = classify(ctx, x, y)
     results = {
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="cost spec file (JSON)")
         p.add_argument(
             "--grid", type=_integer(GRID_SIZE_MIN, GRID_SIZE_MAX), default=None,
-            help="planar grid size (default 720)",
+            help=f"planar grid size (default {GRID_SIZE_DEFAULT})",
         )
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -21,11 +21,11 @@ each region check, once on all the cycles concatenated
 :class:`CrystalContext` bundles a cost with its crystal and polar body
 and provides the induced (possibly asymmetric) norm, min(F, crystal
 support). Its build scans the cost once and runs one hull, of the dual
-points: pruned and polarized it is the crystal, and the Wulff transform
-and the sampled envelope, both table costs on the grid, are computed from
-it on first read. Every grid query is a support query
-(:func:`planar.support_values`), so a build takes O(M log M) time and O(M)
-memory on M grid directions.
+points: pruned and polarized it is the crystal. Both transforms a context
+holds are support queries on that one hull (:func:`planar.support_values`),
+table costs on the grid: the Wulff transform is the reciprocal support of
+the dual hull, and the convex envelope is the crystal's support. So a
+build takes O(M log M) time and O(M) memory on M grid directions.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ import numpy as np
 
 from . import planar
 from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit
-from .integrand import support_transform, wulff_from_dual
+from .integrand import wulff_from_dual
 
 # Rows times crystal vertices up to which one matrix product gives a
 # batch's support values faster than planar.support_values (they take the
 # same time near 65536); past it the product's memory grows with the batch.
 _PRODUCT_MAX = 1 << 16
 
-# Relative slack of region faces: containment, contact faces, normal cones.
+# Relative slack of region faces: containment and contact faces.
 FACE_TOL = 1e-9
 
 # Relative gap between a cost and its norm below which a direction counts
@@ -146,13 +146,6 @@ class ConvexRegion(Polygon):
         """Region from an arbitrary point cloud (hull + collinearity pruning)."""
         return cls(planar.convex_hull_ccw(points))
 
-    @classmethod
-    def _checked(cls, vertices: np.ndarray) -> "ConvexRegion":
-        """A region of vertices that :func:`checked_cycles` has passed."""
-        region = object.__new__(cls)
-        object.__setattr__(region, "vertices", vertices)
-        return region
-
     @cached_property
     def diameter(self) -> float:
         spread = self.vertices.max(axis=0) - self.vertices.min(axis=0)
@@ -162,7 +155,7 @@ class ConvexRegion(Polygon):
     def origin_interior(self) -> bool:
         """Whether every offset exceeds rounding of the largest coordinate,
         the threshold :func:`planar.polar_of_halfspaces` refuses at."""
-        return bool(self.offsets.min() > 1e-14 * float(np.abs(self.vertices).max()))
+        return bool(self.offsets.min() > planar.INTERIOR_REL * float(np.abs(self.vertices).max()))
 
     def support(self, v) -> float:
         """max over the region of <., v>; attained at a vertex."""
@@ -232,27 +225,27 @@ def _self_intersects(v: np.ndarray) -> bool:
 
 
 def _edges_cross(v: np.ndarray) -> bool:
-    """Proper-crossing test between all non-adjacent edge pairs (vectorized)."""
+    """Proper-crossing test between all non-adjacent edge pairs, vectorized
+    in row blocks of ``planar._BLOCK_PAIRS`` pairs: O(k) memory, not O(k**2)."""
     k = len(v)
     a = v
     b = np.concatenate((v[1:], v[:1]))
     e = b - a
+    step = max(1, planar._BLOCK_PAIRS // k)
 
     def _cross(u, w):
         return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
     # d1[i, j] = cross(e_i, a_j - a_i), etc.; proper crossing needs strict
     # sign changes on both segments.
-    d1 = _cross(e[:, None, :], a[None, :, :] - a[:, None, :])
-    d2 = _cross(e[:, None, :], b[None, :, :] - a[:, None, :])
-    d3 = _cross(e[None, :, :], a[:, None, :] - a[None, :, :])
-    d4 = _cross(e[None, :, :], b[:, None, :] - a[None, :, :])
-    crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    idx = np.arange(k)
-    adjacent = (np.abs(idx[:, None] - idx[None, :]) <= 1) | (
-        np.abs(idx[:, None] - idx[None, :]) == k - 1
-    )
-    return bool(np.any(crossing & ~adjacent))
+    for r in range(0, k, step):
+        ai, bi, ei = (x[r : r + step, None, :] for x in (a, b, e))
+        d1, d2 = _cross(ei, a - ai), _cross(ei, b - ai)
+        d3, d4 = _cross(e, ai - a), _cross(e, bi - a)
+        gap = np.abs(np.arange(r, r + len(ai))[:, None] - np.arange(k))
+        if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0) & (gap > 1) & (gap != k - 1)):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -318,11 +311,12 @@ def double_polar(points) -> ConvexRegion:
     geometric tolerance used in this package. When the cloud does surround
     the origin the box constraints are redundant and the result is exact.
     """
-    return double_polars([points])[0]
+    return ConvexRegion(double_polars([points])[0])
 
 
-def double_polars(clouds) -> list[ConvexRegion]:
-    """:func:`double_polar` of each cloud, bit for bit, as one batch.
+def double_polars(clouds) -> list[np.ndarray]:
+    """The vertices of :func:`double_polar` of each cloud, bit for bit, as
+    one batch.
 
     Each cloud, divided by its own largest magnitude (which cannot
     overflow, and keeps the box relative to the cloud at any magnitude),
@@ -351,7 +345,7 @@ def double_polars(clouds) -> list[ConvexRegion]:
     checked_cycles(vertices, starts, nxt)
     vertices = np.repeat(scales, counts)[:, None] * vertices
     checked_cycles(vertices, starts, nxt)
-    return [ConvexRegion._checked(v) for v in np.split(vertices, starts[1:])]
+    return np.split(vertices, starts[1:])
 
 
 def contact_face(region: ConvexRegion, v) -> ContactFace:
@@ -388,9 +382,10 @@ class CrystalContext:
     Holds the crystal (the halfplane intersection over the scanned
     directions), its polar body, and the induced norm - possibly
     asymmetric. A build scans the cost once and runs one hull, of the dual
-    points w / F(w): pruned and polarized it is the crystal, and the Wulff
-    transform and the sampled convex envelope are computed from it on
-    first read. All queries are pure and safe to share across threads.
+    points w / F(w): pruned and polarized it is the crystal. The Wulff
+    transform (the reciprocal support of that dual hull) and the convex
+    envelope (the crystal's support) are grid support queries on it, made
+    on first read. All queries are pure and safe to share across threads.
 
     The norm of v is min(F(v), h(v)), with h the crystal's support
     function: the cost of the cheaper of two paths, the straight segment
@@ -406,7 +401,7 @@ class CrystalContext:
 
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
         self.integrand = integrand
-        self.grid = grid if grid is not None else SphereGrid.planar(720)
+        self.grid = grid if grid is not None else SphereGrid.planar()
         scan_dirs, scan_values = scan(integrand, self.grid)
         self._f_grid = scan_values[: self.grid.size]
         self._dual = planar.hull_cycle(scan_dirs / scan_values[:, None])
@@ -424,6 +419,7 @@ class CrystalContext:
         if not self.integrand.is_convex:
             return
         bound = 2.0 * self.resolution * self.f_max
+        # Not self.envelope: a context keeps that table only once it is read.
         support = planar.support_values(self.crystal.vertices, self.grid.directions)
         fixed_point_gap = np.abs(support - self._f_grid).max()
         if fixed_point_gap > bound:
@@ -438,8 +434,10 @@ class CrystalContext:
 
     @cached_property
     def envelope(self) -> GridFunction:
-        """The sampled convex envelope A(W(F)) on the grid."""
-        return support_transform(self.wulff)
+        """The convex envelope of F on the grid: the crystal's support. It
+        reaches the corners that the sampled A(W(F)) of
+        :func:`integrand.convex_envelope` cuts off where no grid direction hits."""
+        return GridFunction(self.grid, planar.support_values(self.crystal.vertices, self.grid.directions))
 
     def norm(self, v) -> float:
         """The induced anisotropic norm of v (zero only at v = 0).
@@ -526,13 +524,10 @@ class CrystalContext:
             gap = min(gap, math.hypot(na / h - a, nb / h - b))
         return gap <= tol * max(math.hypot(a, b), 1e-30)
 
-    def contact_point_candidates(self, v, face: ContactFace | None = None) -> list[np.ndarray]:
+    def contact_point_candidates(self, v, face: ContactFace) -> list[np.ndarray]:
         """Crystal points that may realize <v, x> = |v|: the contact face
-        of the crystal (vertex, or endpoints plus midpoint of an edge) and,
-        when the cost knows one, its closed-form contact point.
-        ``face`` is that contact face when the caller has it already."""
-        if face is None:
-            face = contact_face(self.crystal, unit(v))
+        of the crystal for v (vertex, or endpoints plus midpoint of an edge)
+        and, when the cost knows one, its closed-form contact point."""
         candidates = [p for p in face.vertices]
         if face.is_edge:
             candidates.append(face.representative)

@@ -65,6 +65,21 @@ def _vector(value, where: str) -> np.ndarray:
     return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
+def _direction_records(data: dict, field: str, number: str, where: str) -> list:
+    """The (direction, number) pairs of ``data[field]``, a nonempty list of
+    objects with a direction and a number: crystalline facets and dips."""
+    records = data.get(field)
+    if not isinstance(records, list) or not records:
+        raise SpecError(f"{where}.{field}: nonempty list required")
+    pairs = []
+    for i, r in enumerate(records):
+        at = f"{where}.{field}[{i}]"
+        if not isinstance(r, dict) or "direction" not in r or number not in r:
+            raise SpecError(f"{at}: need direction and {number}")
+        pairs.append((_vector(r["direction"], f"{at}.direction"), _number(r[number], f"{at}.{number}")))
+    return pairs
+
+
 def _read_text(path: FilePath) -> str:
     """The file's text; a file that cannot be read or is not UTF-8 is a
     :class:`SpecError` naming it."""
@@ -90,16 +105,7 @@ def integrand_from_dict(data: dict, where: str = "spec") -> Integrand:
         if kind == "constant":
             return Constant(_number(data.get("c"), f"{where}.c"))
         if kind == "crystalline":
-            facets = data.get("facets")
-            if not isinstance(facets, list) or not facets:
-                raise SpecError(f"{where}.facets: nonempty list required")
-            pairs = []
-            for i, f in enumerate(facets):
-                if not isinstance(f, dict) or "direction" not in f or "weight" not in f:
-                    raise SpecError(f"{where}.facets[{i}]: need direction and weight")
-                at = f"{where}.facets[{i}]"
-                pairs.append((_vector(f["direction"], f"{at}.direction"), _number(f["weight"], f"{at}.weight")))
-            return Crystalline(pairs)
+            return Crystalline(_direction_records(data, "facets", "weight", where))
         if kind == "table":
             samples = data.get("samples")
             if not isinstance(samples, list) or len(samples) < 3:
@@ -117,16 +123,7 @@ def integrand_from_dict(data: dict, where: str = "spec") -> Integrand:
             return AngularTable(angles, values)
         if kind == "dip":
             base = integrand_from_dict(data.get("base"), where=f"{where}.base")
-            dips = data.get("dips")
-            if not isinstance(dips, list) or not dips:
-                raise SpecError(f"{where}.dips: nonempty list required")
-            pairs = []
-            for i, d in enumerate(dips):
-                if not isinstance(d, dict) or "direction" not in d or "value" not in d:
-                    raise SpecError(f"{where}.dips[{i}]: need direction and value")
-                at = f"{where}.dips[{i}]"
-                pairs.append((_vector(d["direction"], f"{at}.direction"), _number(d["value"], f"{at}.value")))
-            return Dip(base, pairs)
+            return Dip(base, _direction_records(data, "dips", "value", where))
     except SpecError:
         raise
     except (ValueError, TypeError) as exc:

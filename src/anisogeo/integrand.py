@@ -40,9 +40,11 @@ import numpy as np
 
 from .planar import TWO_PI, convex_hull_ccw, edge_normals_and_offsets, hull_cycle, support_values
 
-# Sizes of the equispaced grids SphereGrid.planar builds.
+# Sizes of the equispaced grids SphereGrid.planar builds, and the default size of
+# contexts and the CLI.
 GRID_SIZE_MIN = 8
 GRID_SIZE_MAX = 20000
+GRID_SIZE_DEFAULT = 720
 
 # Directions closer than this (in Euclidean distance on the sphere) are
 # treated as identical; dips have zero angular width at any usable grid.
@@ -149,7 +151,7 @@ class SphereGrid:
         return np.mod(np.arctan2(self.directions[:, 1], self.directions[:, 0]), TWO_PI)
 
     @classmethod
-    def planar(cls, count: int = 720) -> "SphereGrid":
+    def planar(cls, count: int = GRID_SIZE_DEFAULT) -> "SphereGrid":
         """The grid of ``count`` directions."""
         return cls(count)
 

@@ -116,7 +116,7 @@ def _dual_hull(costs: np.ndarray, moves: np.ndarray):
 
 
 def _cone_program(
-    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, hull=None
+    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, hull: tuple
 ) -> tuple[float, np.ndarray, int, np.ndarray]:
     """min <costs, lam> over lam >= 0 with sum lam_i moves_i = target: the gauge
     at the target of the hull of the dual points ``moves_i / costs_i``, the
@@ -128,9 +128,9 @@ def _cone_program(
     the dual point ``y = n_k / h_k`` of the face attaining the value, for
     which ``<moves_i, y> <= costs_i`` on every move (each dual point lies
     in the hull) and ``<target, y>`` is the value. ``hull`` is
-    :func:`_dual_hull` of the costs and moves, computed when not given.
+    :func:`_dual_hull` of the costs and moves.
     """
-    dual, normals, offsets = _dual_hull(costs, moves) if hull is None else hull
+    dual, normals, offsets = hull
     ratios = normals @ target / offsets
     face = int(np.argmax(ratios))
     value = float(ratios[face])

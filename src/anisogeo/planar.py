@@ -34,6 +34,9 @@ _SWEEP_MIN = 256
 # Turn area, relative to the squared coordinate scale, at or below which a
 # hull vertex counts as collinear with its neighbours.
 COLLINEAR_REL = 1e-12
+# Support offset, relative to a polygon's largest coordinate magnitude, at
+# or below which the origin counts as on the boundary up to rounding.
+INTERIOR_REL = 1e-14
 
 
 def unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
@@ -260,10 +263,10 @@ def hull_cycle(points: np.ndarray) -> np.ndarray:
     return pts[order[_settle(x, y, cycle, todo)]]
 
 
-def strictly_convex(cycle: np.ndarray, eps_rel: float = COLLINEAR_REL) -> np.ndarray:
+def strictly_convex(cycle: np.ndarray) -> np.ndarray:
     """A CCW hull cycle without the vertices collinear with their neighbours
-    (turn area at most ``eps_rel * scale**2``, where scale is the largest
-    coordinate magnitude).
+    (turn area at most ``COLLINEAR_REL * scale**2``, where scale is the
+    largest coordinate magnitude).
 
     Turns are taken on the cycle scaled by a power of two into [-1, 1], so
     they neither overflow nor underflow; the scaling is exact and leaves
@@ -271,7 +274,7 @@ def strictly_convex(cycle: np.ndarray, eps_rel: float = COLLINEAR_REL) -> np.nda
     """
     unit, exponent = unit_scaled(cycle)
     scale = float(np.abs(unit).max())
-    return np.ldexp(_prune_collinear_cycle(unit, eps_rel * scale**2), exponent)
+    return np.ldexp(_prune_collinear_cycle(unit, COLLINEAR_REL * scale**2), exponent)
 
 
 def strictly_convex_cycles(cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -300,14 +303,14 @@ def strictly_convex_cycles(cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     )
 
 
-def convex_hull_ccw(points: np.ndarray, eps_rel: float = COLLINEAR_REL) -> np.ndarray:
+def convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     """Counterclockwise convex hull of a 2D point cloud.
 
-    :func:`hull_cycle`, then the vertices collinear with their hull
-    neighbours (turn area at most ``eps_rel * scale**2``) are pruned, so the
-    output is strictly convex. Fully degenerate clouds raise.
+    :func:`hull_cycle`, then :func:`strictly_convex` prunes the vertices
+    collinear with their hull neighbours, so the output is strictly convex.
+    Fully degenerate clouds raise.
     """
-    return strictly_convex(hull_cycle(points), eps_rel)
+    return strictly_convex(hull_cycle(points))
 
 
 def support_values(cycle: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -395,10 +398,11 @@ def polar_of_halfspaces(normals: np.ndarray, offsets: np.ndarray, scale: float) 
     """:func:`polar_polygon` from a polygon's edge normals and offsets.
 
     ``scale`` is the polygon's largest coordinate magnitude: an offset at or
-    below ``1e-14 * scale`` puts the origin on the boundary up to rounding.
-    For several polygons concatenated, ``scale`` holds each edge's own.
+    below ``INTERIOR_REL * scale`` puts the origin on the boundary up to
+    rounding. For several polygons concatenated, ``scale`` holds each edge's
+    own.
     """
-    if np.any(offsets <= 1e-14 * scale):
+    if np.any(offsets <= INTERIOR_REL * scale):
         raise ValueError("origin is not strictly interior; polar body is unbounded")
     return normals / offsets[:, None]
 

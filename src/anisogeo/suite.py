@@ -15,8 +15,7 @@ from . import planar
 from .crystal import CrystalContext, double_polars, hausdorff_distance, polar
 from .geodesics import construct_geodesic, geodesic_ball, is_geodesic
 from .integrand import support_transform, GridFunction
-from .planar import support_values
-from .isoperimetry import _competitor_ratios, isoperimetric_ratio, wulff_identity_check
+from .isoperimetry import _competitor_ratios, wulff_identity_check
 from .oracle import Stencil, _oracle_distances
 
 
@@ -53,10 +52,12 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
       at most 5 res.
     * ``wulff-below-cost``, ``support-above-cost``, ``envelope-below-cost``:
       W(F) <= F, A(F) >= F and the envelope <= F on the grid, each within
-      1e-9 maxF (the reported bound is 0).
-    * ``envelope-is-support``: the envelope against the crystal's support
-      on the grid, at most 2 res maxF; ``convex-fixed-point`` (convex
-      families only): the envelope against F, same bound.
+      1e-9 maxF (the reported bound is 0). The envelope is the context's:
+      the crystal's support.
+    * ``envelope-is-support``: the sampled A(W(F)) of the context's Wulff
+      transform, an independent cross-check, against the envelope on the
+      grid, at most 2 res maxF; ``convex-fixed-point`` (convex families
+      only): the envelope against F, same bound, the gap the build bounds.
     * ``normals-in-contact``: crystal normals out of contact, 0.
     * ``non-contact-directions`` (informational, present when there are
       any): grid directions where F sits above its envelope; always passes.
@@ -105,9 +106,9 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
     d_excess = float((ctx.envelope.values - f_vals).max())
     checks.append(CheckResult("envelope-below-cost", d_excess <= 1e-9 * ctx.f_max, d_excess, 0.0))
 
-    # Envelope agrees with the crystal support function at grid accuracy.
-    support_grid = support_values(ctx.crystal.vertices, ctx.grid.directions)
-    env_gap = float(np.abs(ctx.envelope.values - support_grid).max())
+    # The sampled A(W(F)) agrees with the envelope at grid accuracy.
+    sampled = support_transform(ctx.wulff)
+    env_gap = float(np.abs(sampled.values - ctx.envelope.values).max())
     bound = 2 * res * ctx.f_max
     checks.append(CheckResult("envelope-is-support", env_gap <= bound, env_gap, bound))
 
@@ -171,7 +172,7 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
     checks.append(CheckResult("oracle-sandwich", worst_under <= sandwich_slack, worst_under, sandwich_slack))
 
     # Isoperimetric minimality against random same-fan competitors.
-    own = isoperimetric_ratio(ctx.integrand, ctx.crystal)
+    own = report.ratio
     ratios = _competitor_ratios(ctx.integrand, ctx.grid, rng, 20)
     worst_ratio_deficit = max([0.0] + [own - r for r in ratios])
     checks.append(
@@ -195,5 +196,4 @@ def _double_polar_gaps(rng: np.random.Generator) -> list[float]:
     hulls, _, starts, _ = planar.strictly_convex_cycles(
         [planar.hull_cycle(np.vstack([pts, [[0.0, 0.0]]])) for pts in clouds]
     )
-    got = [region.vertices for region in double_polars(clouds)]
-    return planar.hausdorff_distances(zip(got, np.split(hulls, starts[1:]))).tolist()
+    return planar.hausdorff_distances(zip(double_polars(clouds), np.split(hulls, starts[1:]))).tolist()

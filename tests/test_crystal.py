@@ -21,7 +21,7 @@ from anisogeo import (
     hausdorff_distance,
     polar,
 )
-from anisogeo import crystal, planar, suite
+from anisogeo import crystal, fileio, planar, suite
 from anisogeo.crystal import double_polars
 from anisogeo.integrand import convex_envelope, wulff_transform
 from anisogeo.planar import convex_hull_ccw
@@ -181,11 +181,10 @@ class TestDoublePolarBatch:
     def assert_same(clouds):
         got = double_polars(clouds)
         assert len(got) == len(clouds)
-        for region, cloud in zip(got, clouds):
-            assert isinstance(region, ConvexRegion)
+        for vertices, cloud in zip(got, clouds):
             want = reference_double_polar(cloud).vertices
-            assert region.vertices.shape == want.shape
-            assert np.array_equal(region.vertices, want)
+            assert vertices.shape == want.shape
+            assert np.array_equal(vertices, want)
             assert np.array_equal(double_polar(cloud).vertices, want)
 
     def test_random_clouds_at_several_seeds(self):
@@ -219,8 +218,8 @@ class TestDoublePolarBatch:
         got = double_polars(clouds)
         assert len(pruned) == 1
         monkeypatch.undo()
-        for region, cloud in zip(got, clouds):
-            assert np.array_equal(region.vertices, reference_double_polar(cloud).vertices)
+        for vertices, cloud in zip(got, clouds):
+            assert np.array_equal(vertices, reference_double_polar(cloud).vertices)
 
     def test_refusals_match_the_reference(self):
         good = random_clouds(np.random.default_rng(5), 1)[0]
@@ -381,7 +380,8 @@ class TestOneHull:
             F = cost()
             ctx = CrystalContext(F, grid)
             assert np.array_equal(ctx.wulff.values, wulff_transform(F, grid).values), kind
-            assert np.array_equal(ctx.envelope.values, convex_envelope(F, grid).values), kind
+            support = planar.support_values(ctx.crystal.vertices, grid.directions)
+            assert np.array_equal(ctx.envelope.values, support), kind
 
     @pytest.mark.parametrize("size", [60, 720])
     def test_envelope_is_the_table_of_its_samples(self, size):
@@ -398,6 +398,51 @@ class TestOneHull:
             table = AngularTable(grid.angles, ctx.envelope.values)
             assert np.array_equal(ctx.envelope.values_on(dirs), table.values_on(dirs)), kind
             assert [ctx.envelope(x) for x in xs] == [table(x) for x in xs], kind
+
+
+class TestEnvelopeChecks:
+    """What run_suite's envelope checks compare, now that the envelope is the
+    crystal's support."""
+
+    @staticmethod
+    def checks(ctx):
+        return {c.name: c for c in suite.run_suite(ctx, seed=0)}
+
+    def test_envelope_is_support_measures_the_sampled_envelope(self):
+        grid = SphereGrid.planar(60)
+        for kind, cost in README_COSTS.items():
+            F = cost()
+            ctx = CrystalContext(F, grid)
+            want = float(np.abs(convex_envelope(F, grid).values - ctx.envelope.values).max())
+            assert self.checks(ctx)["envelope-is-support"].measured == want, kind
+
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_convex_fixed_point_is_the_builds_gap(self, size):
+        grid = SphereGrid.planar(size)
+        for kind, cost in README_COSTS.items():
+            F = cost()
+            if not F.is_convex:
+                continue
+            ctx = CrystalContext(F, grid)
+            support = planar.support_values(ctx.crystal.vertices, grid.directions)
+            want = float(np.abs(support - F.values_on(grid.directions)).max())
+            assert self.checks(ctx)["convex-fixed-point"].measured == want, kind
+
+    def test_a_sharp_crystal_is_its_own_fixed_point(self):
+        # A crystalline cost whose crystal has a corner that no direction of
+        # the 2880-grid hits: the sampled A(W(F)) cuts it off by more than
+        # 2 res maxF, while the crystal's support reproduces F.
+        F = fileio.integrand_from_dict({"kind": "crystalline", "facets": [
+            {"direction": [0.7714685415849483, 0.6362674668288432], "weight": 1.3729117140630378},
+            {"direction": [-0.9630377508460292, -0.26936646124828056], "weight": 0.6074728157774643},
+            {"direction": [-0.7089556300289168, -0.7052530855305077], "weight": 1.4325056704975863},
+        ]})
+        checks = self.checks(CrystalContext(F, SphereGrid.planar(2880)))
+        assert checks["convex-fixed-point"].passed
+        assert checks["convex-fixed-point"].measured <= 1e-14
+        sampled = checks["envelope-is-support"]
+        assert not sampled.passed
+        assert sampled.measured == 0.00796451327894987
 
 
 class TestContactFace:

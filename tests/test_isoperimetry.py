@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ def _star(rng, k: int, radii: tuple[float, float]) -> np.ndarray:
     return np.column_stack([r * np.cos(angles), r * np.sin(angles)])
 
 
+def _lobed_star(k: int) -> np.ndarray:
+    """k vertices of the simple, non-convex 7-lobed star r = 1 + cos(7t) / 2."""
+    t = 2.0 * np.pi * np.arange(k) / k
+    r = 1.0 + 0.5 * np.cos(7.0 * t)
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
 # Five points of a circle joined every second one: all left turns, two turns round.
 PENTAGRAM = np.array(
     [[math.cos(a), math.sin(a)] for a in 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5]
@@ -99,6 +107,33 @@ class TestSimplicity:
         rng = np.random.default_rng(59)
         for k in (3, 8, 40):
             assert not _self_intersects(convex_hull_ccw(rng.normal(size=(k, 2))))
+
+    def test_row_blocks_give_the_one_block_verdict(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        polygons = [_star(rng, k, (0.2, 1.0)) for k in (7, 30, 90)]
+        polygons += [rng.normal(size=(k, 2)) for k in (7, 30, 90)]
+        star = _lobed_star(200)
+        bowtie = star.copy()
+        bowtie[[120, 121]] = star[[121, 120]]  # one crossing, far from the first rows
+        polygons += [star, bowtie]
+        want = [_edges_cross(v) for v in polygons]
+        assert want[-2:] == [False, True]
+        assert set(want) == {True, False}
+        for pairs in (1, 7, 500):
+            monkeypatch.setattr(planar, "_BLOCK_PAIRS", pairs)
+            assert [_edges_cross(v) for v in polygons] == want, pairs
+
+    def test_blocks_bound_the_memory(self):
+        # A simple non-convex polygon takes the pair test on all its edges;
+        # one k-by-k pass would need over 200 MB at 2000 vertices.
+        star = _lobed_star(2000)
+        tracemalloc.start()
+        try:
+            Polygon(star)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_pentagram_reaches_the_pair_test(self):
         # Every turn is left, but the turns add up to 4 pi.

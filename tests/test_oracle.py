@@ -24,6 +24,7 @@ from anisogeo import oracle, planar
 from anisogeo.suite import run_suite
 from anisogeo.oracle import (
     _cone_program,
+    _dual_hull,
     _lattice_dijkstra,
     _move_costs,
     _oracle_distances,
@@ -224,13 +225,13 @@ class TestConeProgram:
 
     def test_matches_the_linear_program(self):
         for costs, moves, target in self.cases():
-            value, _, _, _ = _cone_program(costs, moves, target)
+            value, _, _, _ = _cone_program(costs, moves, target, _dual_hull(costs, moves))
             lp, _ = linprog_cone_program(costs, moves, target)
             assert abs(value - lp) <= 1e-12 * abs(lp), (moves.max(), target)
 
     def test_basis_rebuilds_the_target(self):
         for costs, moves, target in self.cases():
-            value, coefficients, scale, _ = _cone_program(costs, moves, target)
+            value, coefficients, scale, _ = _cone_program(costs, moves, target, _dual_hull(costs, moves))
             basis = np.flatnonzero(coefficients)
             assert 1 <= len(basis) <= 2
             assert np.all(coefficients >= 0.0)
@@ -246,7 +247,7 @@ class TestConeProgram:
 
     def test_dual_point_is_feasible_and_optimal(self):
         for costs, moves, target in self.cases():
-            value, coefficients, _, y = _cone_program(costs, moves, target)
+            value, coefficients, _, y = _cone_program(costs, moves, target, _dual_hull(costs, moves))
             assert np.all(moves @ y <= costs * (1.0 + 1e-12))
             basis = np.flatnonzero(coefficients)
             assert np.abs(moves[basis] @ y - costs[basis]).max() <= 1e-12 * costs[basis].max()
@@ -301,7 +302,7 @@ class TestReducedSearch:
                         continue
                     moves = stencil.moves
                     costs = _move_costs(F, moves)
-                    _, _, scale, y = _cone_program(costs, moves, target)
+                    _, _, scale, y = _cone_program(costs, moves, target, _dual_hull(costs, moves))
                     scaled = scale * int(np.abs(target).max()) <= 200
                     branches.add(scaled)
                     scales.add(scale if scaled else 0)
@@ -388,7 +389,7 @@ class TestLatticeDijkstra:
                 continue
             moves = stencil.moves
             costs = _move_costs(F, moves)
-            _, _, scale, _ = _cone_program(costs, moves, target)
+            _, _, scale, _ = _cone_program(costs, moves, target, _dual_hull(costs, moves))
             scaled = scale * int(np.abs(target).max()) <= 200
             branches.add(scaled)
             lattice_target = scale * target if scaled else target
@@ -419,6 +420,7 @@ import resource, numpy as np
 from anisogeo import PNorm, Stencil
 from anisogeo.oracle import (
     _cone_program,
+    _dual_hull,
     _lattice_dijkstra,
     _move_costs,
     _reduced_dijkstra,
@@ -426,7 +428,7 @@ from anisogeo.oracle import (
 moves = Stencil.order(4).moves
 costs = _move_costs(PNorm(3.0), moves)
 target = np.array([200, 77])
-lp, _, _, _ = _cone_program(costs, moves, target)
+lp, _, _, _ = _cone_program(costs, moves, target, _dual_hull(costs, moves))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 got = _lattice_dijkstra(costs, moves, target)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -83,7 +83,7 @@ def test_derived_not_configured():
     import dataclasses
     import inspect
 
-    from anisogeo import crystal, fileio, geodesics, integrand, isoperimetry, svgplot
+    from anisogeo import crystal, fileio, geodesics, integrand, isoperimetry, oracle, planar, svgplot
 
     assert [f.name for f in dataclasses.fields(integrand.SphereGrid)] == ["size"]
     assert [f.name for f in dataclasses.fields(svgplot.PolyLine)] == ["points", "color"]
@@ -94,6 +94,7 @@ def test_derived_not_configured():
         crystal.CrystalContext.in_contact: ["self", "x"],
         crystal.CrystalContext.in_contact_many: ["self", "xs"],
         crystal.CrystalContext.is_orthogonal_direction: ["self", "v"],
+        crystal.CrystalContext.contact_point_candidates: ["self", "v", "face"],
         geodesics.decompose_direction: ["ctx", "v"],
         integrand.support_transform: ["G"],
         isoperimetry.random_wulff_competitor: ["grid", "rng"],
@@ -101,9 +102,15 @@ def test_derived_not_configured():
         svgplot.render_svg: ["elements", "path"],
         fileio.round_floats: ["obj"],
         fileio.load_path_file: ["path"],
+        planar.strictly_convex: ["cycle"],
+        planar.convex_hull_ccw: ["points"],
+        oracle._cone_program: ["costs", "moves", "target", "hull"],
     }
     for fn, names in parameters.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__qualname__
+    # Options that only tests set are gone: every parameter above is required.
+    for fn in (crystal.CrystalContext.contact_point_candidates, oracle._cone_program):
+        assert all(p.default is inspect.Parameter.empty for p in inspect.signature(fn).parameters.values())
     for cls, gone in ((geodesics.GeodesicCertificate, "contact_face"), (crystal.ContactFace, "normal"),
                       (geodesics.DirectionDecomposition, "target")):
         assert gone not in [f.name for f in dataclasses.fields(cls)], cls.__name__

@@ -37,6 +37,7 @@ from anisogeo.integrand import (
     angle_of,
     interp_periodic,
     periodic_samples,
+    unit,
 )
 
 BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
@@ -118,7 +119,7 @@ def is_geodesic_reference(ctx: CrystalContext, path: Path, tol=None):
     seg_norms = [ctx.norm(d) for d in seg_dirs]
     contact_flags = [ctx.integrand(d) - nd <= unit_tol for d, nd in zip(seg_dirs, seg_norms)]
     best_checks, best_point, best_score = None, None, -1
-    for xbar in ctx.contact_point_candidates(v):
+    for xbar in ctx.contact_point_candidates(v, contact_face(ctx.crystal, unit(v))):
         checks = []
         for d, nd, c_ok in zip(seg_dirs, seg_norms, contact_flags):
             support_gap = abs(float(d @ xbar) - nd)
@@ -354,16 +355,6 @@ def test_query_checks_match_the_references(kind, grid_size):
         ], v
         assert cert.certified == all(c.ok for c in checks), v
         np.testing.assert_array_equal(cert.contact_point, point)
-
-
-def test_contact_point_candidates_take_the_callers_face(dip_ctx, l1_ctx):
-    for ctx, v in ((dip_ctx, np.array([1.0, 0.2])), (l1_ctx, np.array([2.0, 0.0]))):
-        face = contact_face(ctx.crystal, v / np.linalg.norm(v))
-        got = ctx.contact_point_candidates(v, face)
-        want = ctx.contact_point_candidates(v)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
 
 
 # --- cost of a dense certificate ---------------------------------------------
