@@ -96,13 +96,15 @@ def angle_of(x) -> float:
 def periodic_samples(angles, values) -> tuple[np.ndarray, np.ndarray]:
     """Samples of a 2*pi-periodic function, sorted and padded with one wrap
     sample at each end, as ``np.interp(..., period=TWO_PI)`` pads them on
-    every call. :func:`interp_periodic` reads them with plain ``np.interp``."""
+    every call. :func:`interp_periodic` reads them with plain ``np.interp``.
+    Given rows of samples, it sorts and pads each row on its own."""
     xp = np.asarray(angles, dtype=float) % TWO_PI
-    order = np.argsort(xp)
-    xp, fp = xp[order], np.asarray(values, dtype=float)[order]
+    order = np.argsort(xp, axis=-1)
+    xp = np.take_along_axis(xp, order, -1)
+    fp = np.take_along_axis(np.asarray(values, dtype=float), order, -1)
     return (
-        np.concatenate((xp[-1:] - TWO_PI, xp, xp[:1] + TWO_PI)),
-        np.concatenate((fp[-1:], fp, fp[:1])),
+        np.concatenate((xp[..., -1:] - TWO_PI, xp, xp[..., :1] + TWO_PI), axis=-1),
+        np.concatenate((fp[..., -1:], fp, fp[..., :1]), axis=-1),
     )
 
 

@@ -10,11 +10,14 @@ satisfies perimeter = 2 * area, and random competitors are the crystals
 of randomly perturbed table costs.
 
 The suite scores its competitors as one batch (:func:`_competitor_ratios`):
-the tables are drawn in the reference's order, their scans are whole-array
-passes, each competitor's dual points get one hull, and every pass after
-the hulls runs on the cycles concatenated. The ratios are those of
-:func:`random_wulff_competitor` and :func:`isoperimetric_ratio` one at a
-time, bit for bit.
+the tables come from one draw that holds the reference's numbers in its
+order (:func:`_random_tables`, which falls back to the reference's loop
+when a table needs a redraw), their sorting, padding and scans are
+whole-array passes, each competitor's values are one ``np.interp`` and
+its dual points get one hull, and every pass after the hulls runs on the
+cycles concatenated. The ratios, and the generator's state after them,
+are those of :func:`random_wulff_competitor` and
+:func:`isoperimetric_ratio` one at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import planar
 from .crystal import ConvexRegion, CrystalContext, Polygon, build_crystal, checked_cycles
 from .crystal import refusing_unbounded
-from .integrand import AngularTable, Integrand, SphereGrid, interp_periodic, periodic_samples
+from .integrand import AngularTable, Integrand, SphereGrid, periodic_samples
 from .planar import TWO_PI
 
 
@@ -142,27 +145,49 @@ def random_wulff_competitor(grid: SphereGrid, rng: np.random.Generator) -> Conve
     return build_crystal(AngularTable(*_random_table(rng)), grid)
 
 
+def _random_tables(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` tables of :func:`_random_table` drawn in turn, as rows of
+    angles and of values, and the generator left as that loop leaves it.
+
+    ``Generator.uniform`` returns ``low + (high - low) * next_double``, so
+    one ``random((count, 48))`` draw holds each table's numbers in order:
+    the angles are 2*pi times its first 24, the values 1 + 0.5 times the
+    rest. Should any table need a redraw, the generator is set back and
+    the loop draws them all.
+    """
+    state = rng.bit_generator.state
+    draws = rng.random((count, 48))
+    angles = np.sort(TWO_PI * draws[:, :24], axis=1)
+    if np.any(np.diff(angles, axis=1) <= 1e-9):
+        rng.bit_generator.state = state
+        angles, values = zip(*[_random_table(rng) for _ in range(count)])
+        return np.array(angles), np.array(values)
+    return angles, 1.0 + 0.5 * draws[:, 24:]
+
+
 def _competitor_ratios(F: Integrand, grid: SphereGrid, rng: np.random.Generator, count: int) -> list[float]:
     """``isoperimetric_ratio(F, random_wulff_competitor(grid, rng))`` for
     ``count`` competitors in turn, bit for bit, computed as one batch.
 
-    The tables are drawn as the reference draws them. Their scans are taken
-    in whole-array passes, and each table's dual points get one
+    The tables are drawn as the reference draws them, in one draw
+    (:func:`_random_tables`). Their samples are sorted and padded, and
+    their scans taken, in whole-array passes; each table's values on its
+    scan are one ``np.interp`` and its dual points get one
     :func:`planar.hull_cycle`, as :func:`build_crystal` does; the rest is
     :func:`_crystal_ratios`.
     """
-    tables = [_random_table(rng) for _ in range(count)]
+    angles, values = _random_tables(rng, count)
     # The scan of each table: the grid, then its sample directions.
-    angles = np.concatenate([a for a, _ in tables])
-    special = np.column_stack([np.cos(angles), np.sin(angles)])
+    special = np.column_stack([np.cos(angles.ravel()), np.sin(angles.ravel())])
     special = special / np.linalg.norm(special, axis=1)[:, None]
     theta = np.mod(np.arctan2(special[:, 1], special[:, 0]), TWO_PI).reshape(count, -1)
     dirs = np.concatenate((np.broadcast_to(grid.directions, (count, grid.size, 2)),
                            special.reshape(count, -1, 2)), axis=1)
-    cycles = []
-    for d, t, table in zip(dirs, theta, tables):
-        values = interp_periodic(np.concatenate((grid.angles, t)), periodic_samples(*table))
-        cycles.append(planar.hull_cycle(d / values[:, None]))
+    scan = np.concatenate((np.broadcast_to(grid.angles, (count, grid.size)), theta), axis=1) % TWO_PI
+    cycles = [
+        planar.hull_cycle(d / np.interp(t, xp, fp)[:, None])
+        for d, t, xp, fp in zip(dirs, scan, *periodic_samples(angles, values))
+    ]
     return _crystal_ratios(F, cycles)
 
 

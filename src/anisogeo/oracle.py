@@ -21,6 +21,18 @@ changes, now mostly along zero-reduced-cost paths. Reduced costs within
 one means y is infeasible and raises, so the lattice value never depends
 on the cone program being right.
 
+At the scaled target the search also leaves out every move dearer than
+the cone program's own lattice path: its coefficients times the scale,
+checked in integers to be nonnegative and to reach the target. Moves
+whose reduced cost exceeds that path's by more than a factor 1 + 1e-9
+(far above the rounding of its float sum) are never relaxed. The path
+runs within the search box, so the goal's value is at most the path's
+reduced cost, while every entry through a left-out move has a larger
+key: it would never be popped before the goal, nor change a value or a
+tie that is. So the value is the full search's, bit for bit. The box and
+the node order still come from the whole stencil, and the one-sided
+fallback (no integral path at a practical scale) searches every move.
+
 Stencil paths are admissible polylines, so the oracle can only
 overestimate the true anisotropic distance; the gap shrinks as the
 stencil order grows and vanishes when the optimal staircase directions
@@ -44,6 +56,9 @@ from .integrand import Integrand
 _SOLVER_AGREEMENT = 1e-6
 # Reduced costs this far below zero, relative to the move's cost, are rounding.
 _REDUCED_COST_ROUNDING = 1e-12
+# Relative margin over a lattice path's float reduced cost within which a
+# move stays in the search: the sum's rounding is below 1e-12 relative.
+_PATH_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +166,19 @@ def _cone_program(
 
 
 def _reduced_dijkstra(
-    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, potential: np.ndarray
+    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, potential: np.ndarray, path: np.ndarray | None
 ) -> float:
     """:func:`_lattice_dijkstra`'s value, searched on the reduced costs
     ``costs_i - <moves_i, potential>`` and shifted back by ``<target, potential>``.
 
     Reduced costs within ``_REDUCED_COST_ROUNDING * costs_i`` below zero
     clamp to 0; a more negative one means the potential is infeasible and
-    raises, naming the move.
+    raises, naming the move. ``path`` is a count per move of a lattice
+    path to the target, or None. Counts that round to nonnegative integers
+    reaching the target leave out of the search every move whose reduced
+    cost exceeds ``1 + _PATH_SLACK`` times the path's (see the module
+    docstring), which leaves the value unchanged; otherwise every move is
+    searched.
     """
     reduced = costs - moves @ potential
     short = np.flatnonzero(reduced < -_REDUCED_COST_ROUNDING * costs)
@@ -168,7 +188,12 @@ def _reduced_dijkstra(
             f"infeasible potential: move {tuple(int(c) for c in moves[i])} of cost "
             f"{costs[i]!r} has reduced cost {reduced[i]!r}"
         )
-    return _lattice_dijkstra(np.maximum(reduced, 0.0), moves, target) + float(target @ potential)
+    reduced = np.maximum(reduced, 0.0)
+    if path is not None:
+        counts = np.rint(path).astype(np.int64)
+        if counts.min() >= 0 and np.array_equal(counts @ moves, target):
+            reduced[reduced > float(counts @ reduced) * (1.0 + _PATH_SLACK)] = math.inf
+    return _lattice_dijkstra(reduced, moves, target) + float(target @ potential)
 
 
 def _lattice_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
@@ -187,7 +212,8 @@ def _lattice_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) 
     edge = [-math.inf] * (reach * width)
     row = [-math.inf] * reach + [math.inf] * inner + [-math.inf] * reach
     dist = edge + row * inner + edge
-    steps = [(int(a) * width + int(b), float(c)) for (a, b), c in zip(moves, costs)]
+    # Moves of infinite cost are never taken; the box and order stay as above.
+    steps = [(a * width + b, c) for (a, b), c in zip(moves.tolist(), costs.tolist()) if c < math.inf]
     start = pad * width + pad
     stop = (goal[0] + pad) * width + goal[1] + pad
     dist[start] = 0.0
@@ -218,8 +244,10 @@ def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
     integer paths can only realize integral combinations, so the check runs
     at the target scaled to make the optimal combination integral (exact
     agreement expected), or one-sidedly when that scale is impractical.
-    The search runs on the reduced costs of the cone program's dual point
-    (see the module docstring), which leaves its value unchanged.
+    The search runs on the reduced costs of the cone program's dual point,
+    and at the scaled target only along moves no dearer than the cone
+    program's own lattice path (see the module docstring); neither changes
+    its value.
     Disagreement raises instead of returning an untrustworthy number. The
     result is always an upper bound on the anisotropic distance.
     """
@@ -240,16 +268,16 @@ def _oracle_distances(F: Integrand, targets, stencil: Stencil) -> list[float]:
     hull = _dual_hull(costs, moves)
     values = []
     for target in targets:
-        lp, _, scale, potential = _cone_program(costs, moves, target, hull)
+        lp, coefficients, scale, potential = _cone_program(costs, moves, target, hull)
         if scale * int(np.abs(target).max()) <= 200:
-            dj = _reduced_dijkstra(costs, moves, scale * target, potential) / scale
+            dj = _reduced_dijkstra(costs, moves, scale * target, potential, scale * coefficients) / scale
             if abs(lp - dj) > _SOLVER_AGREEMENT * abs(lp):
                 raise RuntimeError(
                     f"oracle solvers disagree at {tuple(target)} (scale {scale}): "
                     f"cone program {lp!r}, lattice search {dj!r}"
                 )
         else:  # huge determinant: fall back to the relaxation bound
-            dj = _reduced_dijkstra(costs, moves, target, potential)
+            dj = _reduced_dijkstra(costs, moves, target, potential, None)
             if dj < lp - _SOLVER_AGREEMENT * abs(lp):
                 raise RuntimeError(
                     f"lattice search undercuts the cone program at {tuple(target)}: "

@@ -28,6 +28,9 @@ _BLOCK_PAIRS = 1 << 16
 # covers products that underflow.
 _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_FLOOR = 2.0**-1060
+# On points within [-1, 1], |detleft| + |detright| < 8, so a determinant
+# above this is beyond the bound and certainly a left turn.
+_UNIT_LEFT = 8.0 * _ORIENT_ERR + _ORIENT_FLOOR
 # Clouds of at least this many points are hulled by whole-array sweeps,
 # smaller ones by a Python stack; the two take the same time near this size.
 _SWEEP_MIN = 256
@@ -129,18 +132,25 @@ def _cycle_turns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certain_left(x: list, y: list, a: int, b: int, c: int) -> bool:
-    """Whether (a, b, c) certainly turn left; the test :func:`_stack_chain`
-    runs inline."""
+    """Whether (a, b, c) certainly turn left, for points within [-1, 1]; the
+    test :func:`_stack_chain` runs inline."""
     ax, ay = x[a], y[a]
     left = (x[b] - ax) * (y[c] - ay)
     right = (y[b] - ay) * (x[c] - ax)
-    return left - right > _ORIENT_ERR * (abs(left) + abs(right)) + _ORIENT_FLOOR
+    det = left - right
+    return det > _UNIT_LEFT or det > 0.0 and det > _ORIENT_ERR * (abs(left) + abs(right)) + _ORIENT_FLOOR
 
 
 def _stack_chain(x: list, y: list, order: list) -> list:
     """Andrew's monotone chain over ``order``: a point stays on the stack only
-    while the turn onto the next point is certainly to the left."""
+    while the turn onto the next point is certainly to the left.
+
+    The points lie within [-1, 1], so a determinant above ``_UNIT_LEFT`` is
+    a certain left turn and one at or below 0 never is; only in between is
+    Shewchuk's bound computed. The decisions are the bound's.
+    """
     out: list = []
+    unit_left, err, floor = _UNIT_LEFT, _ORIENT_ERR, _ORIENT_FLOOR
     for c in order:
         cx, cy = x[c], y[c]
         while len(out) > 1:
@@ -148,7 +158,8 @@ def _stack_chain(x: list, y: list, order: list) -> list:
             ax, ay = x[a], y[a]
             left = (x[b] - ax) * (cy - ay)
             right = (y[b] - ay) * (cx - ax)
-            if left - right > _ORIENT_ERR * (abs(left) + abs(right)) + _ORIENT_FLOOR:
+            det = left - right
+            if det > unit_left or det > 0.0 and det > err * (abs(left) + abs(right)) + floor:
                 break
             out.pop()
         out.append(c)

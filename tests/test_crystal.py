@@ -18,6 +18,7 @@ from anisogeo import (
     build_crystal,
     contact_face,
     double_polar,
+    geodesic_ball,
     hausdorff_distance,
     polar,
 )
@@ -267,6 +268,62 @@ class TestSuiteDoublePolarCheck:
             with monkeypatch.context() as patch:
                 patch.setattr(suite, "_double_polar_gaps", reference_double_polar_gaps)
                 assert suite.run_suite(ctx, seed) == batch
+
+
+class TestSuiteDraws:
+    """One draw per suite stage gives the numbers, and leaves the generator,
+    as drawing them one by one does."""
+
+    def test_geodesic_endpoints_and_the_state_after_them(self, monkeypatch, l1_ctx):
+        for seed in (0, 1, 7, 12345):
+            pairs, states = [], []
+            real = suite.construct_geodesic
+            with monkeypatch.context() as patch:
+                patch.setattr(suite, "construct_geodesic", lambda c, x, y: pairs.append((x, y)) or real(c, x, y))
+                patch.setattr(suite, "_competitor_ratios", lambda F, g, rng, n: states.append(rng.bit_generator.state) or [])
+                suite.run_suite(l1_ctx, seed)
+            rng = np.random.default_rng(seed)
+            reference_double_polar_gaps(rng)
+            want = [(rng.uniform(-2.0, 2.0, size=2), rng.uniform(-2.0, 2.0, size=2)) for _ in range(10)]
+            assert [(x.tolist(), y.tolist()) for x, y in pairs] == [(x.tolist(), y.tolist()) for x, y in want]
+            assert states == [rng.bit_generator.state]
+
+
+class TestSuiteBallCheck:
+    @staticmethod
+    def reference_ball_gap(ctx) -> float:
+        return hausdorff_distance(polar(geodesic_ball(ctx, (0.0, 0.0), 1.0)), ctx.crystal)
+
+    def test_the_unit_ball_is_the_polar_body(self, all_ctxs):
+        for name, ctx in all_ctxs.items():
+            ball = geodesic_ball(ctx, (0.0, 0.0), 1.0)
+            assert np.array_equal(ball.vertices, ctx.polar_body.vertices), name
+
+    @pytest.mark.parametrize("kind", README_COSTS)
+    def test_the_reused_gap_is_the_balls_own(self, monkeypatch, kind):
+        ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(60))
+        polars = []
+        real = suite.polar
+        monkeypatch.setattr(suite, "polar", lambda r: polars.append(1) or real(r))
+        checks = {c.name: c for c in suite.run_suite(ctx, 3)}
+        assert len(polars) == 1
+        ball = checks["ball-polar-is-crystal"]
+        assert ball.measured == checks["polar-involution-crystal"].measured == self.reference_ball_gap(ctx)
+        assert ball.bound == 5 * ctx.resolution * max(1.0, ctx.crystal.diameter)
+
+    def test_another_ball_takes_its_own_polar(self, monkeypatch, p3_ctx):
+        # A ball that is not the polar body vertex for vertex: the same
+        # points, rotated in the cycle.
+        real = suite.geodesic_ball
+        rolled = lambda c, x, r: ConvexRegion(np.roll(real(c, x, r).vertices, 1, axis=0))  # noqa: E731
+        monkeypatch.setattr(suite, "geodesic_ball", rolled)
+        polars = []
+        real_polar = suite.polar
+        monkeypatch.setattr(suite, "polar", lambda r: polars.append(1) or real_polar(r))
+        checks = {c.name: c for c in suite.run_suite(p3_ctx, 3)}
+        assert len(polars) == 2
+        want = hausdorff_distance(polar(rolled(p3_ctx, (0.0, 0.0), 1.0)), p3_ctx.crystal)
+        assert checks["ball-polar-is-crystal"].measured == want
 
 
 class TestSupportQueries:

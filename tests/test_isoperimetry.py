@@ -21,7 +21,7 @@ from anisogeo import (
 )
 from anisogeo import crystal, planar, suite
 from anisogeo.crystal import _crystal_from_dual, _edges_cross, _self_intersects
-from anisogeo.isoperimetry import _competitor_ratios, _crystal_ratios
+from anisogeo.isoperimetry import _competitor_ratios, _crystal_ratios, _random_table, _random_tables
 from anisogeo.suite import run_suite
 from anisogeo.planar import convex_hull_ccw
 
@@ -417,6 +417,64 @@ class TestCompetitorBatch:
             with monkeypatch.context() as patch:
                 patch.setattr(suite, "_competitor_ratios", competitor_ratios_reference)
                 assert run_suite(ctx, seed=5) == batch, F.kind
+
+
+class RepeatedAngle:
+    """``default_rng(seed)``, except that its first draw of table angles
+    repeats one angle, so the first table needs a redraw."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.calls: list[str] = []
+
+    def random(self, size):
+        self.calls.append("random")
+        out = self.rng.random(size)
+        out[0, 1] = out[0, 0]
+        return out
+
+    def uniform(self, low, high, size):
+        self.calls.append("uniform")
+        out = self.rng.uniform(low, high, size)
+        if self.calls.count("uniform") == 1:
+            out[1] = out[0]
+        return out
+
+
+class TestRandomTables:
+    @staticmethod
+    def loop(rng, count):
+        angles, values = zip(*[_random_table(rng) for _ in range(count)])
+        return np.array(angles), np.array(values)
+
+    def test_one_draw_gives_the_loops_tables_and_state(self):
+        for seed in range(40):
+            for count in (1, 20):
+                rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = _random_tables(rng, count), self.loop(reference_rng, count)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape == (count, 24)
+                    assert a.tobytes() == b.tobytes(), seed
+                assert rng.bit_generator.state == reference_rng.bit_generator.state, seed
+
+    def test_a_redraw_takes_the_reference_loop(self):
+        rng, reference_rng = RepeatedAngle(3), RepeatedAngle(3)
+        got, want = _random_tables(rng, 20), self.loop(reference_rng, 20)
+        # The batch drew once, was set back, then drew as the loop does:
+        # the first table's angles twice, then each table's values and angles.
+        assert rng.calls == ["random"] + reference_rng.calls
+        assert reference_rng.calls == ["uniform"] * 41
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_the_ratios_after_a_redraw_are_the_reference_loops(self):
+        grid = SphereGrid.planar(60)
+        rng, reference_rng = RepeatedAngle(5), RepeatedAngle(5)
+        got = _competitor_ratios(PNorm(3.0), grid, rng, 20)
+        assert got == competitor_ratios_reference(PNorm(3.0), grid, reference_rng, 20)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestPNormFamilies:

@@ -302,13 +302,13 @@ class TestReducedSearch:
                         continue
                     moves = stencil.moves
                     costs = _move_costs(F, moves)
-                    _, _, scale, y = _cone_program(costs, moves, target, _dual_hull(costs, moves))
+                    _, lam, scale, y = _cone_program(costs, moves, target, _dual_hull(costs, moves))
                     scaled = scale * int(np.abs(target).max()) <= 200
                     branches.add(scaled)
                     scales.add(scale if scaled else 0)
                     lattice_target = scale * target if scaled else target
                     plain = _lattice_dijkstra(costs, moves, lattice_target)
-                    got = _reduced_dijkstra(costs, moves, lattice_target, y)
+                    got = _reduced_dijkstra(costs, moves, lattice_target, y, scale * lam if scaled else None)
                     assert abs(got - plain) <= 1e-12 * abs(plain), (F.kind, target)
                     oracle_distance(F, target, stencil)  # the solvers agree
         assert branches == {True, False}
@@ -319,14 +319,137 @@ class TestReducedSearch:
         costs = np.ones(4)
         # <(1, 0), y> = 1.5 exceeds the move's cost 1.
         with pytest.raises(RuntimeError, match=r"infeasible potential: move \(1, 0\)"):
-            _reduced_dijkstra(costs, moves, np.array([3, 2]), np.array([1.5, 0.0]))
+            _reduced_dijkstra(costs, moves, np.array([3, 2]), np.array([1.5, 0.0]), None)
 
     def test_rounding_below_zero_is_clamped(self):
         moves = Stencil.axis().moves
         costs = np.ones(4)
         y = np.array([1.0 + 1e-14, 1.0])
-        got = _reduced_dijkstra(costs, moves, np.array([3, 2]), y)
+        got = _reduced_dijkstra(costs, moves, np.array([3, 2]), y, None)
         assert got == pytest.approx(5.0, rel=1e-12, abs=0.0)
+
+
+def full_reduced_dijkstra(costs, moves, target, potential) -> float:
+    """Reference: the reduced search over every move of the stencil."""
+    return _reduced_dijkstra(costs, moves, target, potential, None)
+
+
+def validate_workload():
+    """The benchmark's ``validate`` workload class, imported from perfbench/
+    without writing bytecode there."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    saved_path, saved_flag, saved_modules = list(sys.path), sys.dont_write_bytecode, set(sys.modules)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+        for name in set(sys.modules) - saved_modules - {"anisogeo"}:
+            if not name.startswith("anisogeo."):
+                del sys.modules[name]
+    return workloads.Validate
+
+
+class TestPrunedSearch:
+    """The search at the scaled target leaves out moves dearer than the cone
+    program's own lattice path; its values are the full search's, bit for bit."""
+
+    @staticmethod
+    def recorded(monkeypatch) -> list:
+        calls = []
+        real = oracle._reduced_dijkstra
+
+        def record(*args):
+            value = real(*args)
+            calls.append((args, value))
+            return value
+
+        monkeypatch.setattr(oracle, "_reduced_dijkstra", record)
+        return calls
+
+    @staticmethod
+    def assert_full_search_values(calls) -> None:
+        for (costs, moves, target, potential, _), value in calls:
+            assert value == full_reduced_dijkstra(costs, moves, target, potential), tuple(target)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_every_validate_search(self, monkeypatch, tmp_path, seed):
+        # The 126 ops of a 25-second run: run_suite's 8 searches and
+        # oracle_convergence's 4 each.
+        validate = validate_workload()(seed, tmp_path, 18)
+        validate.setup()
+        calls = self.recorded(monkeypatch)
+        ops = 18 * validate.pass_length
+        for i in range(ops):
+            validate.run(validate.next_case(i))
+        assert ops == 126 and len(calls) == 12 * ops
+        assert any(path is not None for (*_, path), _ in calls)
+        self.assert_full_search_values(calls)
+
+    def test_cost_families_stencil_orders_and_scales(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        calls = self.recorded(monkeypatch)
+        for F in COST_KINDS + random_costs(rng):
+            for stencil in [Stencil.order(k) for k in (1, 2, 3, 4)] + [SKEWED]:
+                targets = [t for t in rng.integers(-4, 5, size=(6, 2)) if t.any()]
+                if stencil is SKEWED:
+                    targets += [np.array(t) for t in ((2, 3), (3, 1), (9, 9))]
+                _oracle_distances(F, targets, stencil)
+        self.assert_full_search_values(calls)
+        # Paths at the scale 24 ((2, 3) on SKEWED) and below, and the fallback, all met.
+        pruned = {tuple(args[2].tolist()) for args, _ in calls if args[4] is not None}
+        assert (48, 72) in pruned and len(pruned) > 100
+        assert any(args[4] is None for args, _ in calls)
+
+    def test_a_path_that_needs_a_scale(self, monkeypatch):
+        # On SKEWED the target (2, 3) takes the basis (5, 1), (1, 5) of
+        # determinant 24: the lattice path is 7 and 13 of those moves to (48, 72).
+        seen = []
+        real = oracle._lattice_dijkstra
+        monkeypatch.setattr(oracle, "_lattice_dijkstra", lambda c, m, t: seen.append((c, t)) or real(c, m, t))
+        calls = self.recorded(monkeypatch)
+        F = Constant(1.0)
+        value = oracle_distance(F, np.array([2, 3]), SKEWED)
+        (costs, moves, target, potential, path), got = calls[0]
+        assert target.tolist() == [48, 72] and np.rint(path).tolist() == [7.0, 13.0, 0.0, 0.0]
+        assert np.isinf(seen[0][0][2:]).all() and np.isfinite(seen[0][0][:2]).all()
+        assert got == full_reduced_dijkstra(costs, moves, target, potential)
+        assert value == pytest.approx(20 * math.hypot(5, 1) / 24, rel=1e-12)
+
+    def test_the_fallback_searches_every_move(self, monkeypatch):
+        # (9, 9) on SKEWED needs the scale 24, past the 200 gate.
+        seen = []
+        real = oracle._lattice_dijkstra
+        monkeypatch.setattr(oracle, "_lattice_dijkstra", lambda c, m, t: seen.append((c, t)) or real(c, m, t))
+        oracle_distance(Constant(1.0), np.array([9, 9]), SKEWED)
+        (costs, target), = seen
+        assert target.tolist() == [9, 9] and np.isfinite(costs).all()
+
+    def test_l1_diagonal_searches_its_two_basis_moves(self, monkeypatch):
+        steps = []
+        real = oracle._lattice_dijkstra
+        monkeypatch.setattr(oracle, "_lattice_dijkstra",
+                            lambda c, m, t: steps.append(m[np.isfinite(c)].tolist()) or real(c, m, t))
+        assert oracle_distance(PNorm(1.0), np.array([6, 6]), Stencil.axis()) == pytest.approx(12.0, rel=1e-15)
+        assert steps == [[[1, 0], [0, 1]]]
+
+    def test_a_path_that_misses_the_target_searches_every_move(self):
+        moves = Stencil.order(2).moves
+        costs = _move_costs(PNorm(3.0), moves)
+        target = np.array([4, 3])
+        _, lam, scale, y = _cone_program(costs, moves, target, _dual_hull(costs, moves))
+        assert scale == 1
+        full = full_reduced_dijkstra(costs, moves, target, y)
+        assert _reduced_dijkstra(costs, moves, target, y, lam) == full
+        for wrong in (lam + np.eye(len(moves))[0], -lam, lam + 0.5 * (lam > 0)):
+            assert _reduced_dijkstra(costs, moves, target, y, wrong) == full
+        # Counts cheaper than any path, had they been taken as one, would
+        # leave out the move (0, 1) that every path to (3, 2) needs.
+        moves, costs, target = Stencil.axis().moves, np.array([1.0, 2.0, 1.0, 1.0]), np.array([3, 2])
+        for wrong in ([1, 0, 0, 0], [-1, 2, -4, 0]):
+            assert _reduced_dijkstra(costs, moves, target, np.zeros(2), np.array(wrong, float)) == 7.0
 
 
 class TestSandwich:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from anisogeo import (
     polar,
 )
 from anisogeo.integrand import scan, wulff_from_dual
+from anisogeo.isoperimetry import _competitor_ratios
 from anisogeo import planar
 from anisogeo.planar import (
     _prune_collinear_cycle,
@@ -590,3 +592,98 @@ class TestHullAgainstQhull:
                 hull_cycle(pts)
         with pytest.raises(ValueError, match="finite"):
             hull_cycle(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]]))
+
+
+def reference_certain_left(x: list, y: list, a: int, b: int, c: int) -> bool:
+    """Reference: Shewchuk's bound computed on every turn."""
+    ax, ay = x[a], y[a]
+    left = (x[b] - ax) * (y[c] - ay)
+    right = (y[b] - ay) * (x[c] - ax)
+    return left - right > planar._ORIENT_ERR * (abs(left) + abs(right)) + planar._ORIENT_FLOOR
+
+
+def reference_stack_chain(x: list, y: list, order: list) -> list:
+    """Reference: the monotone chain with the bound computed on every turn."""
+    out: list = []
+    for c in order:
+        while len(out) > 1 and not reference_certain_left(x, y, out[-2], out[-1], c):
+            out.pop()
+        out.append(c)
+    return out
+
+
+def near_collinear_clouds(rng) -> list:
+    """Points within rounding of a line, with and without one point off it,
+    some of them repeated, below and above the sweep's size."""
+    clouds = []
+    for n in (5, 13, 40, 300):
+        t = rng.uniform(-1.0, 1.0, n)
+        line = np.column_stack([t, 0.3 * t + 0.1]) + rng.normal(size=(n, 2)) * 1e-17
+        clouds += [line, np.vstack([line, line[: n // 2]]), np.vstack([line, [[0.2, 0.9]]])]
+        ulps = np.column_stack([t, np.full(n, 0.5)]) + np.outer(rng.integers(-2, 3, n), [0.0, 2.0**-53])
+        clouds += [ulps, np.vstack([ulps, ulps])]
+    return clouds
+
+
+class TestTurnTestOnUnitPoints:
+    """The chain's turn test skips Shewchuk's bound where the determinant
+    alone decides; the hulls are the reference's, bit for bit."""
+
+    @staticmethod
+    def assert_reference_hull(monkeypatch, points: np.ndarray) -> None:
+        with monkeypatch.context() as patch:
+            patch.setattr(planar, "_stack_chain", reference_stack_chain)
+            patch.setattr(planar, "_certain_left", reference_certain_left)
+            try:
+                want = hull_cycle(points)
+            except ValueError as exc:
+                want = exc
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=re.escape(str(want))):
+                hull_cycle(points)
+            return
+        got = hull_cycle(points)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def clouds(self, monkeypatch) -> list:
+        rng = np.random.default_rng(83)
+        # The suite's competitor clouds, as the batch hulls them.
+        competitors = []
+        real = planar.hull_cycle
+        with monkeypatch.context() as patch:
+            patch.setattr(planar, "hull_cycle", lambda p: competitors.append(p) or real(p))
+            for seed in range(3):
+                _competitor_ratios(PNorm(3.0), SphereGrid.planar(60), np.random.default_rng(seed), 20)
+        # The double-polar check's clouds: 12 points and the origin.
+        thirteen = [np.vstack([rng.uniform(-1.0, 1.0, (12, 2)) + rng.uniform(-0.5, 1.5, 2), [[0.0, 0.0]]])
+                    for _ in range(200)]
+        assert len(competitors) == 60
+        return competitors + thirteen + near_collinear_clouds(rng)
+
+    def test_hulls_match_the_reference_at_every_scale(self, monkeypatch):
+        for cloud in self.clouds(monkeypatch):
+            for c in (1.0, 1e300, 1e-300):
+                self.assert_reference_hull(monkeypatch, cloud * c)
+
+    def test_turns_match_the_reference(self):
+        # Triples with determinants on both sides of 0 and of the cut-off,
+        # and within the bound of 0.
+        rng = np.random.default_rng(89)
+        x, y = [], []
+        for _ in range(2000):
+            a, b = rng.uniform(-1.0, 1.0, (2, 2))
+            s = rng.choice([1e-18, 1e-16, 1e-15, 1e-14, 1.0])
+            c = b + (b - a) * rng.uniform(0.0, 1.0) + rng.normal(size=2) * s
+            for p in (a, b, np.clip(c, -1.0, 1.0)):
+                x.append(float(p[0]))
+                y.append(float(p[1]))
+        cut = planar._UNIT_LEFT
+        seen = {"above": 0, "between": 0, "below": 0}
+        for i in range(0, len(x), 3):
+            got = planar._certain_left(x, y, i, i + 1, i + 2)
+            assert got == reference_certain_left(x, y, i, i + 1, i + 2)
+            det = (x[i + 1] - x[i]) * (y[i + 2] - y[i]) - (y[i + 1] - y[i]) * (x[i + 2] - x[i])
+            seen["above" if det > cut else "between" if det > 0.0 else "below"] += 1
+        assert min(seen.values()) > 100
+        order = list(range(len(x)))
+        assert planar._stack_chain(x, y, order) == reference_stack_chain(x, y, order)
