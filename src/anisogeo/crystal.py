@@ -471,10 +471,15 @@ class CrystalContext:
         return bool(self.in_contact_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def in_contact_many(self, xs) -> np.ndarray:
-        """:meth:`in_contact` for every row of xs at once; zero rows are in contact."""
+        """:meth:`in_contact` for every row of xs at once; zero rows are in
+        contact. Raises ValueError naming the first row that is not finite."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise ValueError("expected an array of planar vectors")
+        finite = np.isfinite(xs).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"row {bad} is not a finite planar vector: {xs[bad].tolist()}")
         speed = np.hypot(xs[:, 0], xs[:, 1])
         moving = speed > 0.0
         contact = np.ones(len(xs), dtype=bool)

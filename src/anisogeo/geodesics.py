@@ -205,12 +205,13 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     when available) for one point supporting every segment direction; its
     per-segment tolerance budget is length-weighted so that the aggregate
     budget matches the scalar criterion's (the discrete form of a
-    condition holding at almost every traversal time).
+    condition holding at almost every traversal time). A tolerance that is
+    not positive and finite raises ValueError.
     """
     if tol is None:
         tol = ctx.default_tol
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     v = path.displacement
     if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("path endpoints coincide; geodesic comparison undefined")

@@ -1,37 +1,28 @@
 """Independent shortest-path oracle on an integer lattice.
 
-Distances produced by the crystal geometry are cross-checked against a
-brute-force competitor: the cheapest way to reach an integer target using
+Distances produced by the crystal geometry are checked against a
+competitor: the cheapest way to reach an integer target using
 nonnegative combinations of a finite stencil of integer moves, each move
-priced by the cost of its vector. Two redundant solvers compute it - the
-gauge of the hull of the dual points ``move / cost`` (Wulff's construction
-on the stencil) and Dijkstra on a bounded lattice - and must agree,
-otherwise the oracle raises instead of lying.
+priced by the cost of its vector. The cone program solves it as the
+gauge of the hull of the dual points ``move / cost`` (Wulff's
+construction on the stencil), and every value it returns is first
+certified by linear-programming duality; a value that fails the
+certificate raises instead of lying.
 
-Dijkstra searches on reduced costs ``c_i - <m_i, y>``, where y is the
-dual point ``n_k / h_k`` of the hull face the cone program picks
-(Johnson's reweighting, equivalently A* with a consistent heuristic).
-Every move satisfies ``<m_i, y> <= c_i`` because its dual point lies in
-the hull, so reduced costs are nonnegative; and a linear potential
-telescopes, so every path to a lattice target T costs its raw cost minus
-``<T, y>``. The cheapest path is therefore the same for any feasible y and
-the search adds ``<T, y>`` back; only the order in which nodes are popped
-changes, now mostly along zero-reduced-cost paths. Reduced costs within
-``1e-12 * c_i`` below zero are rounding and clamp to 0; a more negative
-one means y is infeasible and raises, so the lattice value never depends
-on the cone program being right.
+The certificate is weak duality (Chvatal, *Linear Programming*, 1983) on
+the cone program's own output, the dual point y = n_k / h_k of the hull
+face the target's ray crosses and the basis coefficients:
 
-At the scaled target the search also leaves out every move dearer than
-the cone program's own lattice path: its coefficients times the scale,
-checked in integers to be nonnegative and to reach the target. Moves
-whose reduced cost exceeds that path's by more than a factor 1 + 1e-9
-(far above the rounding of its float sum) are never relaxed. The path
-runs within the search box, so the goal's value is at most the path's
-reduced cost, while every entry through a left-out move has a larger
-key: it would never be popped before the goal, nor change a value or a
-tie that is. So the value is the full search's, bit for bit. The box and
-the node order still come from the whole stencil, and the one-sided
-fallback (no integral path at a practical scale) searches every move.
+* y is feasible: every reduced cost ``c_i - <m_i, y>`` is at least
+  ``-1e-12 * c_i`` (rounding), so no combination reaching a target T
+  costs less than ``<T, y>``;
+* the coefficients times the basis determinant round to nonnegative
+  integer counts whose moves sum to the scaled target, checked in
+  integers, so they are a lattice path that reaches it;
+* that path's cost over the scale, and ``<T, y>``, each equal the value
+  within 1e-9 relative, far above the rounding of either sum.
+
+So the value is the program's minimum from both sides, at any target.
 
 Stencil paths are admissible polylines, so the oracle can only
 overestimate the true anisotropic distance; the gap shrinks as the
@@ -42,7 +33,6 @@ are stencil moves.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,12 +43,12 @@ from . import planar
 from .crystal import CrystalContext
 from .integrand import Integrand
 
-_SOLVER_AGREEMENT = 1e-6
 # Reduced costs this far below zero, relative to the move's cost, are rounding.
 _REDUCED_COST_ROUNDING = 1e-12
-# Relative margin over a lattice path's float reduced cost within which a
-# move stays in the search: the sum's rounding is below 1e-12 relative.
-_PATH_SLACK = 1e-9
+# Relative gap allowed between the cone program's value and either bound of
+# its certificate, far above their rounding: each bound is a few products,
+# on basis moves within the program's 1e-12 of the face.
+_DUALITY_GAP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,20 +155,16 @@ def _cone_program(
     return value, coefficients, det if coefficients[j] else 1, normals[face] / offsets[face]
 
 
-def _reduced_dijkstra(
-    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, potential: np.ndarray, path: np.ndarray | None
-) -> float:
-    """:func:`_lattice_dijkstra`'s value, searched on the reduced costs
-    ``costs_i - <moves_i, potential>`` and shifted back by ``<target, potential>``.
-
-    Reduced costs within ``_REDUCED_COST_ROUNDING * costs_i`` below zero
-    clamp to 0; a more negative one means the potential is infeasible and
-    raises, naming the move. ``path`` is a count per move of a lattice
-    path to the target, or None. Counts that round to nonnegative integers
-    reaching the target leave out of the search every move whose reduced
-    cost exceeds ``1 + _PATH_SLACK`` times the path's (see the module
-    docstring), which leaves the value unchanged; otherwise every move is
-    searched.
+def _certify(
+    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, value: float,
+    coefficients: np.ndarray, scale: int, potential: np.ndarray,
+) -> None:
+    """Raise RuntimeError, naming the quantity, unless weak duality proves
+    :func:`_cone_program`'s output at target (see the module docstring):
+    the potential is feasible on every move, the coefficients times the
+    scale are nonnegative integer counts reaching the scaled target, and
+    the path's cost over the scale and ``<target, potential>`` both equal
+    the value within ``_DUALITY_GAP`` relative.
     """
     reduced = costs - moves @ potential
     short = np.flatnonzero(reduced < -_REDUCED_COST_ROUNDING * costs)
@@ -188,50 +174,22 @@ def _reduced_dijkstra(
             f"infeasible potential: move {tuple(int(c) for c in moves[i])} of cost "
             f"{costs[i]!r} has reduced cost {reduced[i]!r}"
         )
-    reduced = np.maximum(reduced, 0.0)
-    if path is not None:
-        counts = np.rint(path).astype(np.int64)
-        if counts.min() >= 0 and np.array_equal(counts @ moves, target):
-            reduced[reduced > float(counts @ reduced) * (1.0 + _PATH_SLACK)] = math.inf
-    return _lattice_dijkstra(reduced, moves, target) + float(target @ potential)
-
-
-def _lattice_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
-    # Optimal stencil paths for convex envelopes never leave the box spanned
-    # by the target's cone; twice the target plus the reach is ample.
-    reach = int(np.abs(moves).max())
-    bound = 2 * int(np.abs(target).max()) + reach
-    goal = (int(target[0]), int(target[1]))
-    # Node (x, y) is the flat index (x + pad) * width + (y + pad) of the box
-    # padded by the reach on every side. Padding nodes hold -inf, so a move
-    # that leaves the box never relaxes. Flat indices order nodes as the
-    # (x, y) tuples do, so heap ties break the same way.
-    pad = bound + reach
-    width = 2 * pad + 1
-    inner = 2 * bound + 1
-    edge = [-math.inf] * (reach * width)
-    row = [-math.inf] * reach + [math.inf] * inner + [-math.inf] * reach
-    dist = edge + row * inner + edge
-    # Moves of infinite cost are never taken; the box and order stay as above.
-    steps = [(a * width + b, c) for (a, b), c in zip(moves.tolist(), costs.tolist()) if c < math.inf]
-    start = pad * width + pad
-    stop = (goal[0] + pad) * width + goal[1] + pad
-    dist[start] = 0.0
-    heap = [(0.0, start)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, node = pop(heap)
-        if node == stop:
-            return d
-        if d > dist[node]:
-            continue
-        for step, c in steps:
-            nxt = node + step
-            nd = d + c
-            if nd < dist[nxt]:
-                dist[nxt] = nd
-                push(heap, (nd, nxt))
-    raise ValueError(f"target {goal} unreachable within the lattice bound {bound}")
+    counts = np.rint(scale * coefficients).astype(np.int64)
+    scaled = scale * target.astype(np.int64)
+    reached = counts @ moves
+    if counts.min() < 0 or not np.array_equal(reached, scaled):
+        taken = {tuple(m): c for m, c in zip(moves.tolist(), counts.tolist()) if c}
+        raise RuntimeError(
+            f"oracle path counts {taken} at {tuple(target.tolist())} (scale {scale}) are "
+            f"not a path to {tuple(scaled.tolist())}: they reach {tuple(reached.tolist())}"
+        )
+    for bound, name in ((float(counts @ costs) / scale, "its path costs"),
+                        (float(target @ potential), "its dual point gives")):
+        if not abs(bound - value) <= _DUALITY_GAP * value:
+            raise RuntimeError(
+                f"oracle duality gap at {tuple(target.tolist())}: cone program "
+                f"{value!r}, {name} {bound!r}"
+            )
 
 
 def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
@@ -240,16 +198,11 @@ def oracle_distance(F: Integrand, target, stencil: Stencil) -> float:
     The minimum runs over nonnegative *real* combinations of moves (every
     such combination is an admissible polyline, so this is the honest
     competitor value) and is solved on the hull of the dual points
-    (:func:`_cone_program`). Dijkstra on a bounded lattice cross-checks it:
-    integer paths can only realize integral combinations, so the check runs
-    at the target scaled to make the optimal combination integral (exact
-    agreement expected), or one-sidedly when that scale is impractical.
-    The search runs on the reduced costs of the cone program's dual point,
-    and at the scaled target only along moves no dearer than the cone
-    program's own lattice path (see the module docstring); neither changes
-    its value.
-    Disagreement raises instead of returning an untrustworthy number. The
-    result is always an upper bound on the anisotropic distance.
+    (:func:`_cone_program`). Before it is returned, the program's dual point
+    and its basis path, scaled to integer counts, certify it by weak
+    duality from below and above (:func:`_certify`); a failed certificate
+    raises instead of returning an untrustworthy number. The result is
+    always an upper bound on the anisotropic distance.
     """
     return _oracle_distances(F, [target], stencil)[0]
 
@@ -268,22 +221,9 @@ def _oracle_distances(F: Integrand, targets, stencil: Stencil) -> list[float]:
     hull = _dual_hull(costs, moves)
     values = []
     for target in targets:
-        lp, coefficients, scale, potential = _cone_program(costs, moves, target, hull)
-        if scale * int(np.abs(target).max()) <= 200:
-            dj = _reduced_dijkstra(costs, moves, scale * target, potential, scale * coefficients) / scale
-            if abs(lp - dj) > _SOLVER_AGREEMENT * abs(lp):
-                raise RuntimeError(
-                    f"oracle solvers disagree at {tuple(target)} (scale {scale}): "
-                    f"cone program {lp!r}, lattice search {dj!r}"
-                )
-        else:  # huge determinant: fall back to the relaxation bound
-            dj = _reduced_dijkstra(costs, moves, target, potential, None)
-            if dj < lp - _SOLVER_AGREEMENT * abs(lp):
-                raise RuntimeError(
-                    f"lattice search undercuts the cone program at {tuple(target)}: "
-                    f"{dj!r} < {lp!r}"
-                )
-        values.append(lp)
+        value, coefficients, scale, potential = _cone_program(costs, moves, target, hull)
+        _certify(costs, moves, target, value, coefficients, scale, potential)
+        values.append(value)
     return values
 
 

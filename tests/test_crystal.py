@@ -590,6 +590,17 @@ class TestContactMany:
         with pytest.raises(ValueError, match="planar"):
             dip_ctx.in_contact_many(np.ones((3, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_finite_rows(self, l1_ctx, dip_ctx):
+        # A NaN row was in contact, and an inf one raised only a divide warning.
+        for ctx in (l1_ctx, dip_ctx):
+            for bad in (math.nan, math.inf, -math.inf):
+                xs = np.array([[1.0, 0.0], [0.0, 0.0], [bad, 0.0], [0.0, bad]])
+                with pytest.raises(ValueError, match=r"row 2 is not a finite planar vector: \[-?(nan|inf), 0\.0\]"):
+                    ctx.in_contact_many(xs)
+                with pytest.raises(ValueError, match=r"row 0 is not a finite planar vector"):
+                    ctx.in_contact([0.0, bad])
+
 
 class TestOrthogonalDirections:
     def test_l1_axis_is_attained(self, l1_ctx):

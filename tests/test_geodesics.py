@@ -153,6 +153,15 @@ class TestIsGeodesic:
         with pytest.raises(ValueError, match="coincide"):
             is_geodesic(l1_ctx, loop)
 
+    def test_tolerance_must_be_positive_and_finite(self, l1_ctx):
+        # A NaN tolerance would fail every path and an infinite one pass a detour.
+        detour = Path(np.array([[0.0, 0.0], [0.5, -0.2], [1.0, 1.0]]))
+        for tol in (math.nan, math.inf, -math.inf, np.float64("nan"), 0.0, -1e-9):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                is_geodesic(l1_ctx, detour, tol)
+        # A finite tolerance is the caller's to choose: 0.4 over a norm of 2 passes.
+        assert is_geodesic(l1_ctx, detour, 0.5).verdict
+
     def test_certificate_bool_is_the_verdict(self, l1_ctx):
         assert bool(is_geodesic(l1_ctx, STAIRCASE))
 

@@ -1,15 +1,13 @@
 import heapq
 import math
-import os
-import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-import anisogeo
 from anisogeo import (
     AngularTable,
     Constant,
@@ -23,12 +21,11 @@ from anisogeo import (
 from anisogeo import oracle, planar
 from anisogeo.suite import run_suite
 from anisogeo.oracle import (
+    _certify,
     _cone_program,
     _dual_hull,
-    _lattice_dijkstra,
     _move_costs,
     _oracle_distances,
-    _reduced_dijkstra,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -99,6 +96,109 @@ def loop_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> f
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     raise ValueError(f"target {goal} unreachable within the lattice bound {bound}")
+
+
+# Relative margin over a lattice path's float reduced cost within which a
+# move stays in the reference search: the sum's rounding is below 1e-12 relative.
+PATH_SLACK = 1e-9
+
+
+def reduced_dijkstra(
+    costs: np.ndarray, moves: np.ndarray, target: np.ndarray, potential: np.ndarray, path: np.ndarray | None
+) -> float:
+    """Reference: :func:`lattice_dijkstra`'s value, searched on the reduced
+    costs ``costs_i - <moves_i, potential>`` and shifted back by
+    ``<target, potential>`` (Johnson's reweighting). A linear potential
+    telescopes, so every path to the target costs its raw cost minus
+    ``<target, potential>``: the cheapest path is the same for any feasible
+    potential, and only the order in which nodes are popped changes.
+
+    Reduced costs within ``oracle._REDUCED_COST_ROUNDING * costs_i`` below
+    zero clamp to 0; a more negative one means the potential is infeasible
+    and raises, naming the move. ``path`` is a count per move of a lattice
+    path to the target, or None. Counts that round to nonnegative integers
+    reaching the target leave out of the search every move whose reduced
+    cost exceeds ``1 + PATH_SLACK`` times the path's; otherwise every move
+    is searched. Leaving them out keeps the value: the path runs within the
+    box, so the goal's value is at most the path's reduced cost, while every
+    entry through a left-out move has a larger key and would never be popped
+    before the goal.
+    """
+    reduced = costs - moves @ potential
+    short = np.flatnonzero(reduced < -oracle._REDUCED_COST_ROUNDING * costs)
+    if len(short):
+        i = short[0]
+        raise RuntimeError(
+            f"infeasible potential: move {tuple(int(c) for c in moves[i])} of cost "
+            f"{costs[i]!r} has reduced cost {reduced[i]!r}"
+        )
+    reduced = np.maximum(reduced, 0.0)
+    if path is not None:
+        counts = np.rint(path).astype(np.int64)
+        if counts.min() >= 0 and np.array_equal(counts @ moves, target):
+            reduced[reduced > float(counts @ reduced) * (1.0 + PATH_SLACK)] = math.inf
+    return lattice_dijkstra(reduced, moves, target) + float(target @ potential)
+
+
+def lattice_dijkstra(costs: np.ndarray, moves: np.ndarray, target: np.ndarray) -> float:
+    """Reference: Dijkstra on a flat-indexed lattice box; moves of infinite
+    cost are never taken."""
+    # Optimal stencil paths for convex envelopes never leave the box spanned
+    # by the target's cone; twice the target plus the reach is ample.
+    reach = int(np.abs(moves).max())
+    bound = 2 * int(np.abs(target).max()) + reach
+    goal = (int(target[0]), int(target[1]))
+    # Node (x, y) is the flat index (x + pad) * width + (y + pad) of the box
+    # padded by the reach on every side. Padding nodes hold -inf, so a move
+    # that leaves the box never relaxes. Flat indices order nodes as the
+    # (x, y) tuples do, so heap ties break the same way.
+    pad = bound + reach
+    width = 2 * pad + 1
+    inner = 2 * bound + 1
+    edge = [-math.inf] * (reach * width)
+    row = [-math.inf] * reach + [math.inf] * inner + [-math.inf] * reach
+    dist = edge + row * inner + edge
+    steps = [(a * width + b, c) for (a, b), c in zip(moves.tolist(), costs.tolist()) if c < math.inf]
+    start = pad * width + pad
+    stop = (goal[0] + pad) * width + goal[1] + pad
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, node = pop(heap)
+        if node == stop:
+            return d
+        if d > dist[node]:
+            continue
+        for step, c in steps:
+            nxt = node + step
+            nd = d + c
+            if nd < dist[nxt]:
+                dist[nxt] = nd
+                push(heap, (nd, nxt))
+    raise ValueError(f"target {goal} unreachable within the lattice bound {bound}")
+
+
+def full_reduced_dijkstra(costs, moves, target, potential) -> float:
+    """Reference: the reduced search over every move of the stencil."""
+    return reduced_dijkstra(costs, moves, target, potential, None)
+
+
+def assert_certificate_agrees(costs, moves, target, program) -> None:
+    """The certificate of a cone program's output brackets the reference
+    search at the scaled target and scipy's linear program, and its two
+    bounds equal the value: the dual point's ``<target, y>`` from below and
+    the basis path's cost over the scale from above. The search along moves
+    no dearer than the path is the full search, bit for bit."""
+    value, lam, scale, y = program
+    lower = float(target @ y)
+    upper = float(np.rint(scale * lam) @ costs) / scale
+    assert abs(lower - value) <= 1e-14 * value and abs(upper - value) <= 1e-14 * value, tuple(target)
+    searched = reduced_dijkstra(costs, moves, scale * target, y, scale * lam)
+    assert searched == full_reduced_dijkstra(costs, moves, scale * target, y), tuple(target)
+    lp, _ = linprog_cone_program(costs, moves, target)
+    for other in (searched / scale, lp):
+        assert lower - 1e-12 * value <= other <= upper + 1e-12 * value, (tuple(target), other, value)
 
 
 class TestStencil:
@@ -290,48 +390,43 @@ class TestSharedHull:
 
 class TestReducedSearch:
     def test_matches_the_plain_search(self):
-        # Lattice targets as oracle_distance picks them, on both branches.
+        # The reference search at the lattice targets the certificate's path
+        # reaches: the target times the cone program's basis determinant.
         rng = np.random.default_rng(47)
-        branches, scales = set(), set()
+        scales = set()
         for _ in range(3):
             for F in random_costs(rng):
                 cases = [(Stencil.order(k), rng.integers(-3, 4, size=2)) for k in (1, 2, 3, 4)]
-                cases += [(SKEWED, np.array(t)) for t in ((9, 9), (10, 7), (2, 3), (3, 1))]
+                cases += [(SKEWED, np.array(t)) for t in ((1, 1), (2, 3), (3, 1), (-1, 2))]
                 for stencil, target in cases:
                     if np.all(target == 0):
                         continue
                     moves = stencil.moves
                     costs = _move_costs(F, moves)
                     _, lam, scale, y = _cone_program(costs, moves, target, _dual_hull(costs, moves))
-                    scaled = scale * int(np.abs(target).max()) <= 200
-                    branches.add(scaled)
-                    scales.add(scale if scaled else 0)
-                    lattice_target = scale * target if scaled else target
-                    plain = _lattice_dijkstra(costs, moves, lattice_target)
-                    got = _reduced_dijkstra(costs, moves, lattice_target, y, scale * lam if scaled else None)
+                    scales.add(scale)
+                    plain = lattice_dijkstra(costs, moves, scale * target)
+                    got = reduced_dijkstra(costs, moves, scale * target, y, scale * lam)
                     assert abs(got - plain) <= 1e-12 * abs(plain), (F.kind, target)
-                    oracle_distance(F, target, stencil)  # the solvers agree
-        assert branches == {True, False}
+                    oracle_distance(F, target, stencil)  # the certificate holds
         assert max(scales) > 1
 
     def test_infeasible_potential_raises(self):
-        moves = Stencil.axis().moves
-        costs = np.ones(4)
-        # <(1, 0), y> = 1.5 exceeds the move's cost 1.
+        # <(1, 0), y> = 1.5 exceeds the move's cost 1, in the certificate
+        # and in the reference search alike.
+        moves, costs, target, y = Stencil.axis().moves, np.ones(4), np.array([3, 2]), np.array([1.5, 0.0])
+        lam = np.array([3.0, 2.0, 0.0, 0.0])
         with pytest.raises(RuntimeError, match=r"infeasible potential: move \(1, 0\)"):
-            _reduced_dijkstra(costs, moves, np.array([3, 2]), np.array([1.5, 0.0]), None)
+            _certify(costs, moves, target, 5.0, lam, 1, y)
+        with pytest.raises(RuntimeError, match=r"infeasible potential: move \(1, 0\)"):
+            reduced_dijkstra(costs, moves, target, y, None)
 
     def test_rounding_below_zero_is_clamped(self):
-        moves = Stencil.axis().moves
-        costs = np.ones(4)
+        moves, costs, target = Stencil.axis().moves, np.ones(4), np.array([3, 2])
         y = np.array([1.0 + 1e-14, 1.0])
-        got = _reduced_dijkstra(costs, moves, np.array([3, 2]), y, None)
+        _certify(costs, moves, target, 5.0, np.array([3.0, 2.0, 0.0, 0.0]), 1, y)
+        got = reduced_dijkstra(costs, moves, target, y, None)
         assert got == pytest.approx(5.0, rel=1e-12, abs=0.0)
-
-
-def full_reduced_dijkstra(costs, moves, target, potential) -> float:
-    """Reference: the reduced search over every move of the stencil."""
-    return _reduced_dijkstra(costs, moves, target, potential, None)
 
 
 def validate_workload():
@@ -352,87 +447,103 @@ def validate_workload():
     return workloads.Validate
 
 
+def recorded_programs(monkeypatch) -> list:
+    """Every cone program the oracle solves from now on, as its costs, moves,
+    target and output."""
+    calls = []
+    real = oracle._cone_program
+
+    def record(costs, moves, target, hull):
+        program = real(costs, moves, target, hull)
+        calls.append((costs, moves, target, program))
+        return program
+
+    monkeypatch.setattr(oracle, "_cone_program", record)
+    return calls
+
+
+def move_index(moves: np.ndarray, move) -> int:
+    return int(np.flatnonzero((moves == move).all(axis=1))[0])
+
+
 class TestPrunedSearch:
-    """The search at the scaled target leaves out moves dearer than the cone
-    program's own lattice path; its values are the full search's, bit for bit."""
-
-    @staticmethod
-    def recorded(monkeypatch) -> list:
-        calls = []
-        real = oracle._reduced_dijkstra
-
-        def record(*args):
-            value = real(*args)
-            calls.append((args, value))
-            return value
-
-        monkeypatch.setattr(oracle, "_reduced_dijkstra", record)
-        return calls
-
-    @staticmethod
-    def assert_full_search_values(calls) -> None:
-        for (costs, moves, target, potential, _), value in calls:
-            assert value == full_reduced_dijkstra(costs, moves, target, potential), tuple(target)
+    """Every cone program the oracle certifies agrees with the reference
+    search at the scaled target and with scipy's linear program; the
+    reference, along moves no dearer than the program's own lattice path,
+    is the full search bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_every_validate_search(self, monkeypatch, tmp_path, seed):
-        # The 126 ops of a 25-second run: run_suite's 8 searches and
-        # oracle_convergence's 4 each.
+        # The 126 ops of a 25-second run: run_suite's 8 cone programs and
+        # oracle_convergence's 4 each, each certified by the oracle.
         validate = validate_workload()(seed, tmp_path, 18)
         validate.setup()
-        calls = self.recorded(monkeypatch)
+        calls = recorded_programs(monkeypatch)
         ops = 18 * validate.pass_length
         for i in range(ops):
             validate.run(validate.next_case(i))
         assert ops == 126 and len(calls) == 12 * ops
-        assert any(path is not None for (*_, path), _ in calls)
-        self.assert_full_search_values(calls)
+        # Ops repeat programs; each distinct one is compared once.
+        distinct = {(c.tobytes(), m.tobytes(), t.tobytes()): (c, m, t, p) for c, m, t, p in calls}
+        for call in distinct.values():
+            assert_certificate_agrees(*call)
 
     def test_cost_families_stencil_orders_and_scales(self, monkeypatch):
         rng = np.random.default_rng(53)
-        calls = self.recorded(monkeypatch)
+        calls = recorded_programs(monkeypatch)
         for F in COST_KINDS + random_costs(rng):
             for stencil in [Stencil.order(k) for k in (1, 2, 3, 4)] + [SKEWED]:
                 targets = [t for t in rng.integers(-4, 5, size=(6, 2)) if t.any()]
                 if stencil is SKEWED:
                     targets += [np.array(t) for t in ((2, 3), (3, 1), (9, 9))]
                 _oracle_distances(F, targets, stencil)
-        self.assert_full_search_values(calls)
-        # Paths at the scale 24 ((2, 3) on SKEWED) and below, and the fallback, all met.
-        pruned = {tuple(args[2].tolist()) for args, _ in calls if args[4] is not None}
-        assert (48, 72) in pruned and len(pruned) > 100
-        assert any(args[4] is None for args, _ in calls)
+        for call in calls:
+            assert_certificate_agrees(*call)
+        # Paths at the scale 24 ((2, 3) on SKEWED) and below all met.
+        assert {program[2] for *_, program in calls} >= {1, 24} and len(calls) > 100
 
     def test_a_path_that_needs_a_scale(self, monkeypatch):
         # On SKEWED the target (2, 3) takes the basis (5, 1), (1, 5) of
         # determinant 24: the lattice path is 7 and 13 of those moves to (48, 72).
         seen = []
-        real = oracle._lattice_dijkstra
-        monkeypatch.setattr(oracle, "_lattice_dijkstra", lambda c, m, t: seen.append((c, t)) or real(c, m, t))
-        calls = self.recorded(monkeypatch)
-        F = Constant(1.0)
-        value = oracle_distance(F, np.array([2, 3]), SKEWED)
-        (costs, moves, target, potential, path), got = calls[0]
-        assert target.tolist() == [48, 72] and np.rint(path).tolist() == [7.0, 13.0, 0.0, 0.0]
+        real = lattice_dijkstra
+        monkeypatch.setitem(globals(), "lattice_dijkstra", lambda c, m, t: seen.append((c, t)) or real(c, m, t))
+        calls = recorded_programs(monkeypatch)
+        value = oracle_distance(Constant(1.0), np.array([2, 3]), SKEWED)
+        (costs, moves, target, (_, lam, scale, y)), = calls
+        assert scale == 24 and np.rint(scale * lam).tolist() == [7.0, 13.0, 0.0, 0.0]
+        got = reduced_dijkstra(costs, moves, scale * target, y, scale * lam)
+        assert seen[0][1].tolist() == [48, 72]
         assert np.isinf(seen[0][0][2:]).all() and np.isfinite(seen[0][0][:2]).all()
-        assert got == full_reduced_dijkstra(costs, moves, target, potential)
+        assert got == full_reduced_dijkstra(costs, moves, scale * target, y)
         assert value == pytest.approx(20 * math.hypot(5, 1) / 24, rel=1e-12)
+        assert got / scale == pytest.approx(value, rel=1e-12)
 
     def test_the_fallback_searches_every_move(self, monkeypatch):
-        # (9, 9) on SKEWED needs the scale 24, past the 200 gate.
+        # (9, 9) on SKEWED needs the scale 24: the oracle certifies it from
+        # both sides, and the reference search given no path searches every
+        # move at the target as given, which bounds the value from above.
         seen = []
-        real = oracle._lattice_dijkstra
-        monkeypatch.setattr(oracle, "_lattice_dijkstra", lambda c, m, t: seen.append((c, t)) or real(c, m, t))
-        oracle_distance(Constant(1.0), np.array([9, 9]), SKEWED)
-        (costs, target), = seen
-        assert target.tolist() == [9, 9] and np.isfinite(costs).all()
+        real = lattice_dijkstra
+        monkeypatch.setitem(globals(), "lattice_dijkstra", lambda c, m, t: seen.append((c, t)) or real(c, m, t))
+        calls = recorded_programs(monkeypatch)
+        value = oracle_distance(Constant(1.0), np.array([9, 9]), SKEWED)
+        (costs, moves, target, (_, _, scale, y)), = calls
+        assert scale == 24 and value == pytest.approx(18 * math.hypot(5, 1) / 6, rel=1e-12)
+        unscaled = reduced_dijkstra(costs, moves, target, y, None)
+        (searched, lattice_target), = seen
+        assert lattice_target.tolist() == [9, 9] and np.isfinite(searched).all()
+        assert unscaled >= value * (1.0 - 1e-12)
 
     def test_l1_diagonal_searches_its_two_basis_moves(self, monkeypatch):
         steps = []
-        real = oracle._lattice_dijkstra
-        monkeypatch.setattr(oracle, "_lattice_dijkstra",
+        real = lattice_dijkstra
+        monkeypatch.setitem(globals(), "lattice_dijkstra",
                             lambda c, m, t: steps.append(m[np.isfinite(c)].tolist()) or real(c, m, t))
+        calls = recorded_programs(monkeypatch)
         assert oracle_distance(PNorm(1.0), np.array([6, 6]), Stencil.axis()) == pytest.approx(12.0, rel=1e-15)
+        (costs, moves, target, (_, lam, scale, y)), = calls
+        assert reduced_dijkstra(costs, moves, scale * target, y, scale * lam) == pytest.approx(12.0, rel=1e-15)
         assert steps == [[[1, 0], [0, 1]]]
 
     def test_a_path_that_misses_the_target_searches_every_move(self):
@@ -442,14 +553,83 @@ class TestPrunedSearch:
         _, lam, scale, y = _cone_program(costs, moves, target, _dual_hull(costs, moves))
         assert scale == 1
         full = full_reduced_dijkstra(costs, moves, target, y)
-        assert _reduced_dijkstra(costs, moves, target, y, lam) == full
+        assert reduced_dijkstra(costs, moves, target, y, lam) == full
         for wrong in (lam + np.eye(len(moves))[0], -lam, lam + 0.5 * (lam > 0)):
-            assert _reduced_dijkstra(costs, moves, target, y, wrong) == full
+            assert reduced_dijkstra(costs, moves, target, y, wrong) == full
         # Counts cheaper than any path, had they been taken as one, would
         # leave out the move (0, 1) that every path to (3, 2) needs.
         moves, costs, target = Stencil.axis().moves, np.array([1.0, 2.0, 1.0, 1.0]), np.array([3, 2])
         for wrong in ([1, 0, 0, 0], [-1, 2, -4, 0]):
-            assert _reduced_dijkstra(costs, moves, target, np.zeros(2), np.array(wrong, float)) == 7.0
+            assert reduced_dijkstra(costs, moves, target, np.zeros(2), np.array(wrong, float)) == 7.0
+
+
+def shift_coefficients(program, moves):
+    """One more (1, 1) move than the basis path holds: counts miss the target."""
+    value, lam, scale, y = program
+    return value, lam + np.eye(len(moves))[move_index(moves, (1, 1))] / scale, scale, y
+
+
+def off_face_basis(program, moves):
+    """(3, 1) as three (1, 0) and one (0, 1): (0, 1) is off the face the ray
+    crosses, so the path costs more than the value."""
+    value, _, _, y = program
+    lam = np.zeros(len(moves))
+    lam[[move_index(moves, (1, 0)), move_index(moves, (0, 1))]] = 3.0, 1.0
+    return value, lam, 1, y
+
+
+MUTATIONS = {
+    "infeasible potential: move": lambda p, m: (p[0], p[1], p[2], p[3] * (1.0 + 1e-9)),
+    r"path counts .* at \(3, 1\) \(scale 1\) are not a path to \(3, 1\): they reach \(4, 2\)": shift_coefficients,
+    r"duality gap at \(3, 1\): cone program .*, its path costs": lambda p, m: (p[0] * (1.0 + 1e-8), *p[1:]),
+    r"duality gap at \(3, 1\): cone program .*, its path costs 4\.0": off_face_basis,
+    r"duality gap at \(3, 1\): cone program .*, its dual point gives": lambda p, m: (*p[:3], p[3] * (1.0 - 1e-8)),
+}
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("match", MUTATIONS)
+    def test_a_broken_program_raises_naming_the_quantity(self, monkeypatch, match):
+        real = oracle._cone_program
+        F, target, stencil = PNorm(3.0), (3, 1), Stencil.order(1)
+        value = oracle_distance(F, target, stencil)
+        monkeypatch.setattr(oracle, "_cone_program", lambda c, m, t, h: MUTATIONS[match](real(c, m, t, h), m))
+        with pytest.raises(RuntimeError, match=match):
+            oracle_distance(F, target, stencil)
+        monkeypatch.undo()
+        assert oracle_distance(F, target, stencil) == value
+
+    def test_negative_counts_that_reach_the_target_raise(self):
+        # 2 (1, 0) + 2 (0, 1) - (-1, 0) reaches (3, 2) but is no path.
+        moves, costs, target = Stencil.axis().moves, np.ones(4), np.array([3, 2])
+        with pytest.raises(RuntimeError, match=r"counts \{\(1, 0\): 2, \(0, 1\): 2, \(-1, 0\): -1\} .* not a path to \(3, 2\)"):
+            _certify(costs, moves, target, 5.0, np.array([2.0, 2.0, -1.0, 0.0]), 1, np.ones(2))
+
+    def test_a_ray_along_one_move(self, monkeypatch):
+        calls = recorded_programs(monkeypatch)
+        cases = [(Constant(1.0), (6, 3), 2), (PNorm(1.0), (5, 0), 1), (PNorm(3.0), (-4, 12), 3)]
+        for F, target, k in cases:
+            got = oracle_distance(F, target, Stencil.order(k))
+            costs, moves, t, program = calls[-1]
+            assert program[2] == 1 and np.count_nonzero(program[1]) == 1
+            assert got == pytest.approx(F(np.array(target, dtype=float)), rel=1e-12)
+            assert_certificate_agrees(costs, moves, t, program)
+
+    def test_far_targets_match_linprog_in_small_memory(self):
+        # Far past where a lattice search's box would fill memory: the
+        # certificate's work does not grow with the target.
+        cases = [(PNorm(3.0), (800, 1), 1), (PNorm(3.0), (20000, 7), 4), (COST_KINDS[4], (-15001, 9000), 3)]
+        for F, target, k in cases:
+            stencil = Stencil.order(k)
+            tracemalloc.start()
+            try:
+                got = oracle_distance(F, target, stencil)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            lp, _ = linprog_cone_program(_move_costs(F, stencil.moves), stencil.moves, np.array(target))
+            assert abs(got - lp) <= 1e-12 * lp, target
+            assert peak < 2**20, (target, peak)
 
 
 class TestSandwich:
@@ -495,73 +675,43 @@ class TestConvergence:
 
 class TestLatticeDijkstra:
     def test_bit_identical_to_the_loop(self):
-        # The lattice targets oracle_distance searches: scaled so the cone
-        # program's optimum is integral below the 200 gate, as given above it.
+        # The reference's lattice targets: each target scaled by its cone
+        # program's basis determinant, the skewed basis of determinant 24
+        # scaling (2, 3) to (48, 72); and (9, 9) and (10, 7) on SKEWED as
+        # given, as the reference searches them given no path.
         rng = np.random.default_rng(31)
         cases = [
             (F, Stencil.order(k), rng.integers(-2, 3, size=2))
             for F in COST_KINDS
             for k in (1, 2, 3, 4)
         ]
-        # The skewed basis of determinant 24 puts (9, 9) and (10, 7) past
-        # the gate and scales (2, 3) by 24 below it.
-        cases += [(Constant(1.0), SKEWED, np.array(t)) for t in ((9, 9), (10, 7), (2, 3))]
-        branches = set()
+        cases += [(Constant(1.0), SKEWED, np.array((2, 3)))]
+        scales = set()
         for F, stencil, target in cases:
             if np.all(target == 0):
                 continue
             moves = stencil.moves
             costs = _move_costs(F, moves)
             _, _, scale, _ = _cone_program(costs, moves, target, _dual_hull(costs, moves))
-            scaled = scale * int(np.abs(target).max()) <= 200
-            branches.add(scaled)
-            lattice_target = scale * target if scaled else target
-            got = _lattice_dijkstra(costs, moves, lattice_target)
-            assert got == loop_dijkstra(costs, moves, lattice_target)
-        assert branches == {True, False}
+            scales.add(scale)
+            got = lattice_dijkstra(costs, moves, scale * target)
+            assert got == loop_dijkstra(costs, moves, scale * target)
+        assert 24 in scales
+        costs = _move_costs(Constant(1.0), SKEWED.moves)
+        for target in ((9, 9), (10, 7)):
+            t = np.array(target)
+            assert lattice_dijkstra(costs, SKEWED.moves, t) == loop_dijkstra(costs, SKEWED.moves, t)
 
     def test_axis_stencil_and_asymmetric_costs(self):
         moves = Stencil.axis().moves
         costs = np.array([1.0, 0.25, 3.0, 0.5])
         for target in ((5, -3), (-7, 2), (0, 9), (-1, -1)):
             t = np.array(target)
-            assert _lattice_dijkstra(costs, moves, t) == loop_dijkstra(costs, moves, t)
+            assert lattice_dijkstra(costs, moves, t) == loop_dijkstra(costs, moves, t)
 
     def test_unreachable_target_raises_like_the_loop(self):
         moves = np.array([[2, 0], [0, 2], [-2, 0], [0, -2]])
         costs = np.ones(4)
-        for search in (_lattice_dijkstra, loop_dijkstra):
+        for search in (lattice_dijkstra, loop_dijkstra):
             with pytest.raises(ValueError, match=r"target \(1, 0\) unreachable .* bound 4"):
                 search(costs, moves, np.array([1, 0]))
-
-    def test_memory_at_the_gate(self):
-        # The largest box oracle_distance searches: order 4 at the 200 gate.
-        # tracemalloc would slow this search about 30-fold, so a fresh
-        # process reports how far its resident-set high-water mark rose.
-        code = """
-import resource, numpy as np
-from anisogeo import PNorm, Stencil
-from anisogeo.oracle import (
-    _cone_program,
-    _dual_hull,
-    _lattice_dijkstra,
-    _move_costs,
-    _reduced_dijkstra,
-)
-moves = Stencil.order(4).moves
-costs = _move_costs(PNorm(3.0), moves)
-target = np.array([200, 77])
-lp, _, _, _ = _cone_program(costs, moves, target, _dual_hull(costs, moves))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-got = _lattice_dijkstra(costs, moves, target)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(lp, got, (after - before) * 1024)
-"""
-        package_root = str(Path(anisogeo.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, *sys.path]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout.split()
-        lp, got, grown = float(out[0]), float(out[1]), int(out[2])
-        assert lp - 1e-9 <= got <= 1.01 * lp
-        assert grown < 32 * 2**20
