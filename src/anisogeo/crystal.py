@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -370,6 +372,25 @@ def contact_face(region: ConvexRegion, v) -> ContactFace:
     return ContactFace(vertices=np.vstack([a, b]), representative=0.5 * (a + b))
 
 
+class Contact(NamedTuple):
+    """How a displacement v meets the crystal, as every query on v reads it:
+    ``key`` holds v's bits (-0.0 and 0.0 differ); ``k`` is the first crystal
+    vertex maximizing <., v>; ``unique`` is None where F(v) = 0; ``legs``
+    are :func:`geodesics.geodesic_legs`, None where v has none."""
+
+    key: bytes
+    f: float
+    k: int
+    norm: float
+    unique: bool | None
+    legs: tuple[tuple[float, float], tuple[float, float]] | None
+
+    def staircase(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.legs is None:
+            raise ValueError("direction is extreme: no staircase decomposition exists")
+        return np.array(self.legs[0]), np.array(self.legs[1])
+
+
 def hausdorff_distance(a: Polygon | np.ndarray, b: Polygon | np.ndarray) -> float:
     va = a.vertices if isinstance(a, Polygon) else np.asarray(a, dtype=float)
     vb = b.vertices if isinstance(b, Polygon) else np.asarray(b, dtype=float)
@@ -385,7 +406,9 @@ class CrystalContext:
     points w / F(w): pruned and polarized it is the crystal. The Wulff
     transform (the reciprocal support of that dual hull) and the convex
     envelope (the crystal's support) are grid support queries on it, made
-    on first read. All queries are pure and safe to share across threads.
+    on first read. It keeps one record, its last analysis of a displacement
+    (:class:`Contact`): immutable, replaced by one assignment, and read once
+    by a query that checks its key, so queries stay pure and thread-safe.
 
     The norm of v is min(F(v), h(v)), with h the crystal's support
     function: the cost of the cheaper of two paths, the straight segment
@@ -414,6 +437,7 @@ class CrystalContext:
         else:
             self.default_tol = 5.0 * self.resolution * self.f_max
         self._check_build()
+        self._last = Contact(b"", 0.0, 0, 0.0, None, None)
 
     def _check_build(self) -> None:
         if not self.integrand.is_convex:
@@ -446,10 +470,52 @@ class CrystalContext:
         Sampled costs take min(F(v), crystal support of v). Raises
         ValueError naming v when it is not a finite planar vector.
         """
-        f = self.integrand(v)  # refuses v as planar_vector does
-        if self.integrand.is_convex or f == 0.0:
-            return f
-        return min(f, self.crystal.support(v))
+        if self.integrand.is_convex:  # no contact analysis needed
+            return self.integrand(v)
+        return self._contact(v).norm
+
+    def _contact(self, v) -> Contact:
+        """The analysis of v: the last one if it has v's bits, else a new one
+        (one F call, one argmax) that replaces it. Refuses v as planar_vector does."""
+        a, b = planar_vector(v)
+        key = struct.pack("2d", a, b)
+        last = self._last
+        if last.key == key:
+            return last
+        f = self.integrand((a, b))
+        scores = self.crystal.vertices @ np.array((a, b))
+        k = int(scores.argmax())
+        support = float(scores[k])
+        tol, sampled = self.resolution, not self.integrand.is_convex
+        n = min(f, support) if sampled and f != 0.0 else f
+        normals, polar_points = self.crystal.normals, self.polar_body.vertices  # n_j and n_j / h_j
+        (p0, p1), (q0, q1) = normals[k - 1].tolist(), normals[k].tolist()
+        det = p0 * q1 - p1 * q0
+        alpha, beta = (a * q1 - b * q0) / det, (p0 * b - p1 * a) / det
+        legs = ((alpha * p0, alpha * p1), (a - alpha * p0, b - alpha * p1)) if alpha > 0.0 and beta > 0.0 else None
+        if f == 0.0:  # is_orthogonal_direction's rule from here
+            unique = None
+        elif sampled and f < support * (1.0 - 1e-12):
+            unique = True
+        elif sampled and f - n > tol * n:
+            unique = False
+        else:
+            a, b = a / n, b / n
+            (pa, pb), (qa, qb) = polar_points[k - 1].tolist(), polar_points[k].tolist()
+            gap = min(math.hypot(pa - a, pb - b), math.hypot(qa - a, qb - b))
+            unique = gap <= tol * max(math.hypot(a, b), 1e-30)
+        self._last = record = Contact(key, f, k, n, unique, legs)
+        return record
+
+    def _contact_face(self, v, record: Contact) -> ContactFace:
+        """:func:`contact_face` of the crystal for v: scores on a strictly convex
+        polygon peak once, so a contact vertex clearing both neighbours is the face."""
+        u, vertices, k = unit(v), self.crystal.vertices, record.k
+        near = vertices[k - 1 : k + 2] if 0 < k < len(vertices) - 1 else vertices[[k - 1, k, (k + 1) % len(vertices)]]
+        before, top, after = (near @ u).tolist()
+        if max(before, after) < top - FACE_TOL * max(1.0, abs(top)):
+            return ContactFace(vertices=vertices[k][None, :], representative=vertices[k])
+        return contact_face(self.crystal, v)
 
     def _norms(self, xs: np.ndarray, fx: np.ndarray) -> np.ndarray:
         """:meth:`norm` of every (nonzero) row of xs, given F on the rows."""
@@ -476,7 +542,7 @@ class CrystalContext:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise ValueError("expected an array of planar vectors")
-        finite = np.isfinite(xs).all(axis=1)
+        finite = np.isfinite(xs[:, 0]) & np.isfinite(xs[:, 1])
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"row {bad} is not a finite planar vector: {xs[bad].tolist()}")
@@ -505,29 +571,10 @@ class CrystalContext:
         table sample answer False. Crystal edges shorter than ~10x the
         resolution make the answer grid-sensitive.
         """
-        tol = self.resolution
-        v = np.asarray(v, dtype=float)
-        f = self.integrand(v)
-        if f == 0.0:
+        unique = self._contact(np.asarray(v, dtype=float)).unique
+        if unique is None:
             raise ValueError("zero vector has no direction")
-        scores = self.crystal.vertices @ v
-        k = int(np.argmax(scores))
-        n = f  # the norm, F itself for convex families
-        if not self.integrand.is_convex:
-            support = float(scores[k])
-            if f < support * (1.0 - 1e-12):
-                return True
-            n = min(f, support)
-            if f - n > tol * n:
-                return False
-        a, b = v.tolist()
-        a, b = a / n, b / n
-        normals, offsets = self.crystal.halfspaces
-        gap = math.inf
-        for j in (k - 1, k):
-            (na, nb), h = normals[j].tolist(), float(offsets[j])
-            gap = min(gap, math.hypot(na / h - a, nb / h - b))
-        return gap <= tol * max(math.hypot(a, b), 1e-30)
+        return unique
 
     def contact_point_candidates(self, v, face: ContactFace) -> list[np.ndarray]:
         """Crystal points that may realize <v, x> = |v|: the contact face

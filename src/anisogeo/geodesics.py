@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .crystal import ConvexRegion, CrystalContext, contact_face
-from .integrand import Integrand, planar_vector, unit
+from .crystal import ConvexRegion, CrystalContext
+from .integrand import Integrand, planar_vector
 
 MIN_SEGMENT = 1e-12
 
@@ -54,12 +54,13 @@ class Path:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ValueError("a path needs at least two planar breakpoints")
-        if not np.isfinite(pts).all():
+        # A max over the points before any difference (inf - inf warns); nan fails it.
+        if not np.abs(pts).max() < math.inf:
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}")
         seg = pts[1:] - pts[:-1]
         speeds = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(speeds <= MIN_SEGMENT):
+        if not speeds.min() > MIN_SEGMENT:
             raise ValueError("degenerate segment: consecutive breakpoints coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "segments", seg)
@@ -221,35 +222,28 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     dirs = path.directions
     unit_costs = ctx.integrand.values_on(dirs)
     achieved = _length(unit_costs, path)
-    target = ctx.norm(v)
+    record = ctx._contact(v)
+    target = record.norm
     verdict = abs(achieved - target) <= tol * max(1.0, target)
-    face = contact_face(ctx.crystal, unit(v))
 
     unit_tol = tol * max(1.0, target) / float(path.speeds.sum())
     seg_norms = ctx._norms(dirs, unit_costs)
     contact = unit_costs - seg_norms <= unit_tol
 
-    best_support: np.ndarray | None = None
-    best_point: np.ndarray | None = None
-    best_score = -1
-    for xbar in ctx.contact_point_candidates(v, face):
-        support = np.abs(dirs @ xbar - seg_norms) <= unit_tol
-        score = int(np.count_nonzero(contact & support))
-        if score > best_score:
-            best_support, best_point, best_score = support, xbar, score
-        if score == len(dirs):
-            break
-
-    assert best_support is not None
+    # Every candidate scored in one (segments x candidates) pass; the first
+    # best wins, as in a loop over them that stops at a full score.
+    candidates = ctx.contact_point_candidates(v, ctx._contact_face(v, record))
+    support = np.abs(dirs @ np.transpose(candidates) - seg_norms[:, None]) <= unit_tol
+    best = int((contact[:, None] & support).sum(axis=0).argmax())
     checks = [
         SegmentCheck(d, c_ok, s_ok)
-        for d, c_ok, s_ok in zip(dirs, contact.tolist(), best_support.tolist())
+        for d, c_ok, s_ok in zip(dirs, contact.tolist(), support[:, best].tolist())
     ]
     return GeodesicCertificate(
         achieved_length=achieved,
         target_norm=target,
         verdict=verdict,
-        contact_point=best_point,
+        contact_point=candidates[best],
         segment_checks=checks,
         tolerance=tol,
     )
@@ -297,11 +291,12 @@ def decompose_direction(ctx: CrystalContext, v) -> DirectionDecomposition:
     construction.
     """
     v = np.asarray(v, dtype=float)
-    n = ctx.norm(v)
+    record = ctx._contact(v)
+    n = record.norm
     if n == 0.0:
         raise ValueError("cannot decompose the zero vector")
     v_hat = v / n
-    if ctx.is_orthogonal_direction(v):
+    if record.unique:
         return DirectionDecomposition((1.0,), v_hat[None, :])
 
     body = ctx.polar_body
@@ -332,10 +327,10 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     v = y - x
     if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("geodesic construction requires distinct endpoints")
-    if classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM:
+    record = ctx._contact(v)
+    if record.unique:
         return Path(np.array([x, y]))
-    legs = geodesic_legs(ctx, v)
-    return Path(np.array([x, x + legs[0], y]))
+    return Path(np.array([x, x + record.staircase()[0], y]))
 
 
 def geodesic_legs(ctx: CrystalContext, v) -> tuple[np.ndarray, np.ndarray]:
@@ -346,17 +341,7 @@ def geodesic_legs(ctx: CrystalContext, v) -> tuple[np.ndarray, np.ndarray]:
     either side of x, and v = alpha * n_before + beta * n_after with
     alpha, beta > 0 gives the legs u = alpha * n_before and w = v - u.
     """
-    v = np.asarray(v, dtype=float)
-    normals = ctx.crystal.normals
-    k = int(np.argmax(ctx.crystal.vertices @ v))
-    (a0, a1), (b0, b1), (v0, v1) = normals[k - 1].tolist(), normals[k].tolist(), v.tolist()
-    det = a0 * b1 - a1 * b0
-    alpha = (v0 * b1 - v1 * b0) / det
-    beta = (a0 * v1 - a1 * v0) / det
-    if not (alpha > 0.0 and beta > 0.0):
-        raise ValueError("direction is extreme: no staircase decomposition exists")
-    u0, u1 = alpha * a0, alpha * a1
-    return np.array((u0, u1)), np.array((v0 - u0, v1 - u1))
+    return ctx._contact(v).staircase()
 
 
 def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
@@ -374,9 +359,10 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     v = y - x
     if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("family requires distinct endpoints")
-    if classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM:
+    record = ctx._contact(v)
+    if record.unique:
         raise ValueError("direction is an attained normal: geodesic is unique, no family")
-    u, w = geodesic_legs(ctx, v)
+    u, w = record.staircase()
     raw = [x, x + tau * u, x + tau * u + w, y]
     points = [raw[0]]
     for p in raw[1:]:

@@ -225,12 +225,13 @@ class PNorm(Integrand):
         return self._norm(np.asarray(dirs, dtype=float))
 
     def _norm(self, x: np.ndarray) -> np.ndarray:
-        a = np.abs(x)
+        # Column-wise: a two-term sum or max is the axis-1 reduction, bit for bit.
+        a, b = np.abs(x[:, 0]), np.abs(x[:, 1])
         if math.isinf(self.p):
-            return a.max(axis=1)
+            return np.maximum(a, b)
         if self.p == 1.0:
-            return a.sum(axis=1)
-        return (a ** self.p).sum(axis=1) ** (1.0 / self.p)
+            return a + b
+        return (a ** self.p + b ** self.p) ** (1.0 / self.p)
 
     @property
     def is_convex(self) -> bool:

@@ -73,11 +73,16 @@ def concatenated_cycles(cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return np.concatenate(cycles), counts, *cycle_links(counts)
 
 
+def row_max_abs(points: np.ndarray) -> np.ndarray:
+    """``np.abs(points).max(axis=1)`` of an (n, 2) array, from its columns."""
+    return np.maximum(np.abs(points[:, 0]), np.abs(points[:, 1]))
+
+
 def unit_scaled_cycles(points: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The points of the concatenated cycles beginning at ``starts``, each
     cycle scaled as :func:`unit_scaled` scales it on its own, and each
     point's exponent (a column)."""
-    _, exponent = np.frexp(np.maximum.reduceat(np.abs(points).max(axis=1), starts))
+    _, exponent = np.frexp(np.maximum.reduceat(row_max_abs(points), starts))
     counts = np.diff(np.append(starts, len(points)))
     shift = np.repeat(exponent, counts)[:, None]
     return np.ldexp(points, -shift), shift
@@ -300,7 +305,7 @@ def strictly_convex_cycles(cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     unit, shift = unit_scaled_cycles(points, starts)
     prv = np.empty_like(nxt)
     prv[nxt] = np.arange(len(nxt))
-    scale = np.maximum.reduceat(np.abs(unit).max(axis=1), starts)
+    scale = np.maximum.reduceat(row_max_abs(unit), starts)
     eps = [COLLINEAR_REL * s**2 for s in scale.tolist()]
     turn = turn_areas(unit[prv], unit, unit[nxt])
     flagged = np.logical_or.reduceat(turn <= np.repeat(eps, counts), starts)
@@ -401,7 +406,7 @@ def polar_of_cycles(
     Polar vertex j is the dual of edge j, so the polars keep the cycles'
     counts and links. One refusal covers them all.
     """
-    size = np.maximum.reduceat(np.abs(points).max(axis=1), starts)
+    size = np.maximum.reduceat(row_max_abs(points), starts)
     return polar_of_halfspaces(*edge_normals_and_offsets(points, nxt), np.repeat(size, counts))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ class TestPathBasics:
                 points[row, col] = bad
                 with pytest.raises(ValueError, match=f"breakpoint {row + 1} is not finite"):
                     Path(points)
+
+    def test_finite_points_whose_difference_overflows_are_accepted(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = Path(np.array([[-1e308, 0.0], [1e308, 0.0]]))
+        assert path.speeds.tolist() == [math.inf]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_consecutive_infinite_breakpoints_raise_without_a_warning(self, bad):
+        # The finite check runs before any difference: inf - inf would warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="path breakpoint 2 is not finite"):
+                Path(np.array([[0.0, 0.0], [bad, 0.0], [bad, 0.0], [1.0, 1.0]]))
 
     def test_staircase_length_under_l1(self, l1_ctx):
         # Monotone staircase: coordinate increments sum to the endpoint gap.

@@ -9,7 +9,12 @@ geodesic checks.
 """
 
 import inspect
+import itertools
 import math
+import re
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,16 +25,21 @@ from anisogeo import (
     Crystalline,
     CrystalContext,
     Dip,
+    GeodesicClass,
     Integrand,
     Path,
     PNorm,
     SphereGrid,
+    classify,
     construct_geodesic,
     contact_face,
+    decompose_direction,
+    geodesic_family,
     is_geodesic,
+    planar,
 )
 from anisogeo import integrand as integrand_module
-from anisogeo.geodesics import SegmentCheck
+from anisogeo.geodesics import MIN_SEGMENT, DirectionDecomposition, SegmentCheck, geodesic_legs
 from anisogeo.integrand import (
     DIRECTION_MATCH_TOL,
     TWO_PI,
@@ -130,6 +140,132 @@ def is_geodesic_reference(ctx: CrystalContext, path: Path, tol=None):
         if score == len(checks):
             break
     return verdict, best_checks, best_point
+
+
+def norm_reference(ctx: CrystalContext, v) -> float:
+    """The norm before contact records: its own F call and support scan."""
+    f = ctx.integrand(v)
+    if ctx.integrand.is_convex or f == 0.0:
+        return f
+    return min(f, ctx.crystal.support(v))
+
+
+def unique_reference(ctx: CrystalContext, v) -> bool:
+    """``is_orthogonal_direction`` before contact records: its own F call,
+    argmax and polar points n_j / h_j."""
+    tol = ctx.resolution
+    v = np.asarray(v, dtype=float)
+    f = ctx.integrand(v)
+    if f == 0.0:
+        raise ValueError("zero vector has no direction")
+    scores = ctx.crystal.vertices @ v
+    k = int(np.argmax(scores))
+    n = f
+    if not ctx.integrand.is_convex:
+        support = float(scores[k])
+        if f < support * (1.0 - 1e-12):
+            return True
+        n = min(f, support)
+        if f - n > tol * n:
+            return False
+    a, b = v.tolist()
+    a, b = a / n, b / n
+    normals, offsets = ctx.crystal.halfspaces
+    gap = math.inf
+    for j in (k - 1, k):
+        (na, nb), h = normals[j].tolist(), float(offsets[j])
+        gap = min(gap, math.hypot(na / h - a, nb / h - b))
+    return gap <= tol * max(math.hypot(a, b), 1e-30)
+
+
+def geodesic_legs_reference(ctx: CrystalContext, v):
+    """``geodesic_legs`` with its own argmax over the crystal vertices."""
+    v = np.asarray(v, dtype=float)
+    normals = ctx.crystal.normals
+    k = int(np.argmax(ctx.crystal.vertices @ v))
+    (a0, a1), (b0, b1), (v0, v1) = normals[k - 1].tolist(), normals[k].tolist(), v.tolist()
+    det = a0 * b1 - a1 * b0
+    alpha = (v0 * b1 - v1 * b0) / det
+    beta = (a0 * v1 - a1 * v0) / det
+    if not (alpha > 0.0 and beta > 0.0):
+        raise ValueError("direction is extreme: no staircase decomposition exists")
+    u0, u1 = alpha * a0, alpha * a1
+    return np.array((u0, u1)), np.array((v0 - u0, v1 - u1))
+
+
+def construct_geodesic_reference(ctx: CrystalContext, x, y) -> Path:
+    """``construct_geodesic`` by a classification, then a legs search."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    v = y - x
+    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
+        raise ValueError("geodesic construction requires distinct endpoints")
+    if unique_reference(ctx, v):
+        return Path(np.array([x, y]))
+    return Path(np.array([x, x + geodesic_legs_reference(ctx, v)[0], y]))
+
+
+def geodesic_family_reference(ctx: CrystalContext, x, y, tau: float) -> Path:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    v = y - x
+    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
+        raise ValueError("family requires distinct endpoints")
+    if unique_reference(ctx, v):
+        raise ValueError("direction is an attained normal: geodesic is unique, no family")
+    u, w = geodesic_legs_reference(ctx, v)
+    raw = [x, x + tau * u, x + tau * u + w, y]
+    points = [raw[0]]
+    for p in raw[1:]:
+        if math.hypot(*(p - points[-1])) > MIN_SEGMENT:
+            points.append(p)
+    return Path(np.array(points))
+
+
+def decompose_direction_reference(ctx: CrystalContext, v) -> DirectionDecomposition:
+    v = np.asarray(v, dtype=float)
+    n = norm_reference(ctx, v)
+    if n == 0.0:
+        raise ValueError("cannot decompose the zero vector")
+    v_hat = v / n
+    if unique_reference(ctx, v):
+        return DirectionDecomposition((1.0,), v_hat[None, :])
+    body = ctx.polar_body
+    face = int(np.argmax(body.normals @ v_hat / body.offsets))
+    a = body.vertices[face]
+    b = body.vertices[(face + 1) % len(body.vertices)]
+    ca = float(a[0] * v_hat[1] - a[1] * v_hat[0])
+    cb = float(b[0] * v_hat[1] - b[1] * v_hat[0])
+    s = ca / (ca - cb) if ca - cb > 0.0 else math.nan
+    if not -1e-12 <= s <= 1.0 + 1e-12:
+        raise RuntimeError("direction lies on no polar-body face; geometry inconsistent")
+    if s <= 1e-12:
+        return DirectionDecomposition((1.0,), a[None, :] / norm_reference(ctx, a))
+    if s >= 1.0 - 1e-12:
+        return DirectionDecomposition((1.0,), b[None, :] / norm_reference(ctx, b))
+    return DirectionDecomposition((1.0 - s, s), np.vstack([a, b]))
+
+
+def path_checks_reference(points):
+    """``Path``'s checks before the fast test: the finite check, then the
+    differences and the degenerate check. Returns (segments, speeds)."""
+    pts = np.asarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}")
+    seg = pts[1:] - pts[:-1]
+    speeds = np.hypot(seg[:, 0], seg[:, 1])
+    if np.any(speeds <= MIN_SEGMENT):
+        raise ValueError("degenerate segment: consecutive breakpoints coincide")
+    return seg, speeds
+
+
+def pnorm_rows_reference(F: PNorm, x: np.ndarray) -> np.ndarray:
+    """``PNorm._norm`` by axis-1 reductions."""
+    a = np.abs(x)
+    if math.isinf(F.p):
+        return a.max(axis=1)
+    if F.p == 1.0:
+        return a.sum(axis=1)
+    return (a ** F.p).sum(axis=1) ** (1.0 / F.p)
 
 
 # --- costs -------------------------------------------------------------------
@@ -374,15 +510,19 @@ def _count_scalar_calls(monkeypatch, fn) -> int:
     return len(calls)
 
 
-def test_dense_certificate_makes_no_per_segment_scalar_calls(monkeypatch, p3_ctx):
+def test_dense_certificate_makes_no_per_segment_scalar_calls(monkeypatch):
     def parabola(n):
         t = np.linspace(0.0, 1.0, n)
         return Path(np.column_stack([t, t * t]))
 
+    # The parabolas share one displacement, so each gets a fresh context:
+    # a context's record of that displacement would spare the later ones
+    # its F call, and each count is the calls of one path of n segments.
     counts = []
     for n in (10, 100, 10_000):
         path = parabola(n)
-        counts.append(_count_scalar_calls(monkeypatch, lambda: is_geodesic(p3_ctx, path)))
+        ctx = CrystalContext(PNorm(3.0), SphereGrid.planar(720))
+        counts.append(_count_scalar_calls(monkeypatch, lambda: is_geodesic(ctx, path)))
     assert counts[0] == counts[1] == counts[2], counts
     assert counts[0] <= 2
 
@@ -398,6 +538,264 @@ def test_path_length_sums_in_segment_order(p3_ctx):
 
     assert path_length(F, path) == want
     assert path_length(F, path) == pytest.approx(sum(F(s) for s in path.segments), rel=1e-14)
+
+
+# --- one contact record per displacement -----------------------------------
+
+
+def _bits(answer):
+    """An answer as exact bits: arrays by their bytes, refusals by message."""
+    if isinstance(answer, Path):
+        return ("path", answer.points.tobytes())
+    if isinstance(answer, DirectionDecomposition):
+        return ("decomposition", answer.weights, answer.directions.tobytes())
+    if isinstance(answer, tuple):
+        return tuple(_bits(a) for a in answer)
+    if isinstance(answer, np.ndarray):
+        return answer.tobytes()
+    return repr(answer)
+
+
+def _answer(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _certificate(ctx, path):
+    cert = is_geodesic(ctx, path)
+    flags = [(c.contact_ok, c.support_ok) for c in cert.segment_checks]
+    return cert.verdict, cert.target_norm, flags, cert.contact_point
+
+
+def _certificate_reference(ctx, path):
+    verdict, checks, point = is_geodesic_reference(ctx, path)
+    return verdict, norm_reference(ctx, path.displacement), [(c.contact_ok, c.support_ok) for c in checks], point
+
+
+# Each query: the code under test and its reference, on endpoints x, y.
+QUERIES = {
+    "norm": (lambda c, x, y: c.norm(y - x), lambda c, x, y: norm_reference(c, y - x)),
+    "distance": (lambda c, x, y: c.distance(x, y), lambda c, x, y: norm_reference(c, y - x)),
+    "orthogonal": (lambda c, x, y: c.is_orthogonal_direction(y - x),
+                   lambda c, x, y: unique_reference(c, y - x)),
+    "classify": (lambda c, x, y: classify(c, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM,
+                 lambda c, x, y: unique_reference(c, y - x)),
+    "legs": (lambda c, x, y: geodesic_legs(c, y - x), lambda c, x, y: geodesic_legs_reference(c, y - x)),
+    "decompose": (lambda c, x, y: decompose_direction(c, y - x),
+                  lambda c, x, y: decompose_direction_reference(c, y - x)),
+    "construct": (construct_geodesic, construct_geodesic_reference),
+    "family": (lambda c, x, y: geodesic_family(c, x, y, 0.5),
+               lambda c, x, y: geodesic_family_reference(c, x, y, 0.5)),
+    "certificate": (lambda c, x, y: _certificate(c, construct_geodesic(c, x, y)),
+                    lambda c, x, y: _certificate_reference(c, construct_geodesic_reference(c, x, y))),
+}
+
+
+def _pair_of_labels(ctx, rng):
+    """Two endpoint pairs whose displacements get different labels where
+    the context has both, else two random pairs."""
+    pairs = [(rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(200)]
+    labels = [unique_reference(ctx, y - x) for x, y in pairs]
+    if all(labels) or not any(labels):
+        return pairs[:2]
+    return pairs[labels.index(True)], pairs[labels.index(False)]
+
+
+@pytest.mark.parametrize("kind", sorted(README_COSTS))
+def test_interleaved_queries_match_the_references(kind):
+    ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(60))
+    first, second = _pair_of_labels(ctx, np.random.default_rng(len(kind)))
+    want = {(name, i): _answer(ref, ctx, *pair)
+            for name, (_, ref) in QUERIES.items() for i, pair in enumerate((first, second))}
+    # Every ordered pair of queries, on the two displacements in turn, in
+    # both orders: each answer reads whatever record the previous call left.
+    for (a, b), order in itertools.product(itertools.product(QUERIES, repeat=2), ((0, 1), (1, 0))):
+        i, j = order
+        for name, which in ((a, i), (b, j), (b, i), (a, j), (a, i), (a, i)):
+            pair = (first, second)[which]
+            assert _answer(QUERIES[name][0], ctx, *pair) == want[name, which], (name, which, kind)
+
+
+def test_threads_sharing_a_context_answer_as_serial_calls():
+    # More threads than cores, switching as often as the interpreter allows:
+    # each thread's queries must read its own displacement's record.
+    ctx = CrystalContext(README_COSTS["table"](), SphereGrid.planar(720))
+    rng = np.random.default_rng(41)
+    work = [[(rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(60)] for _ in range(4)]
+
+    def answers(pairs):
+        names = ("distance", "classify", "construct", "family", "certificate")
+        return [[_answer(QUERIES[name][0], ctx, x, y) for name in names] for x, y in pairs]
+
+    serial = [answers(pairs) for pairs in work]
+    got = [None] * len(work)
+    start = threading.Barrier(len(work))
+
+    def run(t):
+        start.wait()
+        got[t] = answers(work[t])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == serial
+
+
+def test_record_fields_match_the_references():
+    rng = np.random.default_rng(42)
+    for kind, make in sorted(README_COSTS.items()):
+        ctx = CrystalContext(make(), SphereGrid.planar(60))
+        for v in _displacements(rng, 200):
+            record = ctx._contact(v)
+            assert record.key == struct.pack("2d", *v.tolist())
+            assert record.f == ctx.integrand(v)
+            assert record.k == int(np.argmax(ctx.crystal.vertices @ v))
+            assert record.norm == norm_reference(ctx, v)
+            assert record.unique == unique_reference(ctx, v)
+            assert _answer(record.staircase) == _answer(geodesic_legs_reference, ctx, v), (kind, v)
+
+
+def test_signed_zeros_do_not_share_a_record():
+    ctx = CrystalContext(README_COSTS["table"](), SphereGrid.planar(60))
+    for v, w in (((0.0, 1.0), (-0.0, 1.0)), ((-2.0, 0.0), (-2.0, -0.0))):
+        first = ctx._contact(v)
+        second = ctx._contact(w)
+        assert second is not first
+        assert first.key == struct.pack("2d", *v) and second.key == struct.pack("2d", *w)
+        assert ctx._contact(w) is second  # the same bits do share it
+        for u in (v, w):
+            assert ctx.norm(u) == norm_reference(ctx, u)
+            assert ctx.is_orthogonal_direction(u) == unique_reference(ctx, u)
+
+
+@pytest.mark.parametrize("bad", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)], ids=repr)
+def test_non_finite_displacements_are_refused_by_name(bad, p3_ctx):
+    table_ctx = CrystalContext(README_COSTS["table"](), SphereGrid.planar(60))
+    for ctx in (p3_ctx, table_ctx):
+        ctx.norm((1.0, 2.0))  # a record of a finite displacement stands
+        calls = [ctx.norm, ctx.is_orthogonal_direction, lambda v: geodesic_legs(ctx, v),
+                 lambda v: decompose_direction(ctx, v), lambda v: ctx.distance((0.0, 0.0), v),
+                 lambda v: classify(ctx, (0.0, 0.0), v), lambda v: construct_geodesic(ctx, (0.0, 0.0), v),
+                 lambda v: geodesic_family(ctx, (0.0, 0.0), v, 0.5)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"(inf|nan).*not finite"):
+                call(np.array(bad))
+
+
+def _faces_match(got, want):
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.representative.tobytes() == want.representative.tobytes()
+
+
+@pytest.mark.parametrize("grid_size", [8, 60, 720])
+def test_contact_face_from_the_contact_vertex_is_contact_face(grid_size):
+    rng = np.random.default_rng(grid_size)
+    costs = [make() for make in README_COSTS.values()] + [PNorm(math.inf), PNorm(2.5)]
+    costs += [_random_table(rng) for _ in range(4)]
+    for F in costs:
+        ctx = CrystalContext(F, SphereGrid.planar(grid_size))
+        normals = ctx.crystal.normals
+        # Random displacements, edge normals (an edge face) and directions
+        # a hair off them (a vertex face beside a tie).
+        turn = np.array([[1.0, -1e-12], [1e-12, 1.0]])
+        for v in np.vstack([_displacements(rng, 300), normals, 3.0 * normals, normals @ turn]):
+            _faces_match(ctx._contact_face(v, ctx._contact(v)), contact_face(ctx.crystal, v))
+
+
+# --- the fast checks of Path -------------------------------------------------
+
+
+def test_path_checks_match_the_reference():
+    rng = np.random.default_rng(51)
+    edges = [np.array([[0.0, 0.0], [step, 0.0]]) for step in (MIN_SEGMENT, math.nextafter(MIN_SEGMENT, 1.0))]
+    for pts in edges + [rng.normal(size=(int(rng.integers(2, 6)), 2)) for _ in range(2000)]:
+        if rng.random() < 0.3:  # a repeated breakpoint
+            i = int(rng.integers(1, len(pts)))
+            pts[i] = pts[i - 1]
+        if rng.random() < 0.3:  # a non-finite coordinate
+            pts[rng.integers(len(pts)), rng.integers(2)] = rng.choice([math.nan, math.inf, -math.inf])
+        try:
+            want = path_checks_reference(pts)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                Path(pts)
+            continue
+        path = Path(pts)
+        np.testing.assert_array_equal(path.segments, want[0])
+        np.testing.assert_array_equal(path.speeds, want[1])
+
+
+# --- column-wise (n, 2) work -------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.25, math.inf])
+def test_pnorm_rows_are_the_axis_reductions(p):
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(500, 2)) * 10.0 ** rng.uniform(-5, 5, (500, 1))
+    x = np.vstack([x, [[0.0, 0.0], [-0.0, 1.0], [math.inf, 1.0], [math.nan, 0.0], [1e308, 1e308]]])
+    F = PNorm(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(F._norm(x), pnorm_rows_reference(F, x))
+
+
+def _cycles(rng, count):
+    """Random convex cycles of mixed scale around the origin: one angle
+    from each of 3-11 equal arcs."""
+    cycles = []
+    for _ in range(count):
+        n = int(rng.integers(3, 12))
+        angles = (np.arange(n) + rng.uniform(0.3, 0.7, n)) * (TWO_PI / n)
+        radii = rng.uniform(0.5, 2.0, len(angles)) * 10.0 ** rng.uniform(-6, 6)
+        cycles.append(planar.convex_hull_ccw(np.column_stack([np.cos(angles), np.sin(angles)]) * radii[:, None]))
+    return cycles
+
+
+def test_row_max_abs_pins_each_batch_to_the_axis_reduction(monkeypatch):
+    rng = np.random.default_rng(62)
+    x = rng.normal(size=(300, 2)) * 10.0 ** rng.uniform(-300, 300, (300, 1))
+    x = np.vstack([x, [[-0.0, 0.0], [math.inf, -1.0], [math.nan, 2.0], [-3.0, math.nan]]])
+    np.testing.assert_array_equal(planar.row_max_abs(x), np.abs(x).max(axis=1))
+
+    def batches():
+        cycles = _cycles(rng, 20)
+        points, counts, starts, nxt = planar.concatenated_cycles(cycles)
+        return (planar.unit_scaled_cycles(points, starts), planar.strictly_convex_cycles(cycles),
+                planar.polar_of_cycles(points, counts, starts, nxt))
+
+    state = rng.bit_generator.state
+    got = batches()
+    rng.bit_generator.state = state
+    with monkeypatch.context() as patch:
+        patch.setattr(planar, "row_max_abs", lambda points: np.abs(points).max(axis=1))
+        want = batches()
+    for g, w in zip(itertools.chain.from_iterable(got[:2]), itertools.chain.from_iterable(want[:2])):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(got[2], want[2])
+
+
+def test_in_contact_many_names_the_first_non_finite_row(dip_ctx):
+    rng = np.random.default_rng(63)
+    for _ in range(200):
+        xs = rng.normal(size=(int(rng.integers(1, 8)), 2))
+        for _ in range(int(rng.integers(0, 3))):
+            xs[rng.integers(len(xs)), rng.integers(2)] = rng.choice([math.nan, math.inf, -math.inf])
+        finite = np.isfinite(xs).all(axis=1)
+        if finite.all():
+            assert dip_ctx.in_contact_many(xs).shape == (len(xs),)
+            continue
+        bad = int(np.argmin(finite))
+        with pytest.raises(ValueError, match=rf"^row {bad} is not a finite planar vector"):
+            dip_ctx.in_contact_many(xs)
 
 
 # --- guards ------------------------------------------------------------------
