@@ -55,6 +55,10 @@ FACE_TOL = 1e-9
 # as in contact.
 CONTACT_TOL = 1e-6
 
+# Edge pairs per row block of _edges_cross, whose arrays then take 512 kB
+# each.
+_BLOCK_PAIRS = 1 << 16
+
 _BOX_FACTOR = 1e4  # see double_polar
 # Each halfspace <z, a> <= h of the box |z_j| <= _BOX_FACTOR dualizes to
 # the point a/h: four tiny cross points.
@@ -228,12 +232,12 @@ def _self_intersects(v: np.ndarray) -> bool:
 
 def _edges_cross(v: np.ndarray) -> bool:
     """Proper-crossing test between all non-adjacent edge pairs, vectorized
-    in row blocks of ``planar._BLOCK_PAIRS`` pairs: O(k) memory, not O(k**2)."""
+    in row blocks of ``_BLOCK_PAIRS`` pairs: O(k) memory, not O(k**2)."""
     k = len(v)
     a = v
     b = np.concatenate((v[1:], v[:1]))
     e = b - a
-    step = max(1, planar._BLOCK_PAIRS // k)
+    step = max(1, _BLOCK_PAIRS // k)
 
     def _cross(u, w):
         return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
@@ -486,7 +490,7 @@ class CrystalContext:
         scores = self.crystal.vertices @ np.array((a, b))
         k = int(scores.argmax())
         support = float(scores[k])
-        tol, sampled = self.resolution, not self.integrand.is_convex
+        sampled = not self.integrand.is_convex
         n = min(f, support) if sampled and f != 0.0 else f
         normals, polar_points = self.crystal.normals, self.polar_body.vertices  # n_j and n_j / h_j
         (p0, p1), (q0, q1) = normals[k - 1].tolist(), normals[k].tolist()
@@ -495,15 +499,13 @@ class CrystalContext:
         legs = ((alpha * p0, alpha * p1), (a - alpha * p0, b - alpha * p1)) if alpha > 0.0 and beta > 0.0 else None
         if f == 0.0:  # is_orthogonal_direction's rule from here
             unique = None
-        elif sampled and f < support * (1.0 - 1e-12):
-            unique = True
-        elif sampled and f - n > tol * n:
-            unique = False
+        elif sampled:
+            unique = f <= support * (1.0 + 1e-12)
         else:
             a, b = a / n, b / n
             (pa, pb), (qa, qb) = polar_points[k - 1].tolist(), polar_points[k].tolist()
             gap = min(math.hypot(pa - a, pb - b), math.hypot(qa - a, qb - b))
-            unique = gap <= tol * max(math.hypot(a, b), 1e-30)
+            unique = gap <= self.resolution * max(math.hypot(a, b), 1e-30)
         self._last = record = Contact(key, f, k, n, unique, legs)
         return record
 
@@ -560,16 +562,17 @@ class CrystalContext:
 
         The contact vertex of v is the crystal vertex maximizing <., v>; v
         lies in its normal cone, between the edge normals n_k with offsets
-        h_k on either side. With tol the grid resolution, v counts as
-        extreme when two things hold: v rescaled onto the polar body
+        h_k on either side. For table and dip costs v counts as extreme
+        exactly when F(v) is at most the crystal's support h(v), up to a
+        relative 1e-12 of rounding: there the straight segment costs the
+        norm, and elsewhere the staircase along the two edge normals, which
+        costs h(v), is cheaper. For convex costs, with tol the grid
+        resolution, v counts as extreme when v rescaled onto the polar body
         boundary lies within ``tol * |v_scaled|`` of one of the polar points
-        n_k / h_k, and the cost is in contact, ``F(v) - |v| <= tol * |v|``.
-        For table and dip costs v also counts as extreme where F(v) is below
-        the crystal's support beyond rounding: there the straight segment is
-        cheaper than the staircase. So smooth costs answer True everywhere,
-        while flat polar edges and directions just beside a dip or a steep
-        table sample answer False. Crystal edges shorter than ~10x the
-        resolution make the answer grid-sensitive.
+        n_k / h_k. So smooth costs answer True everywhere, while flat polar
+        edges and directions just beside a dip or a steep table sample
+        answer False. Crystal edges shorter than ~10x the resolution make a
+        convex cost's answer grid-sensitive.
         """
         unique = self._contact(np.asarray(v, dtype=float)).unique
         if unique is None:

@@ -182,6 +182,8 @@ class Integrand(ABC):
         n = math.hypot(a, b)
         if n == 0.0:
             return 0.0
+        if n == math.inf:  # F is 1-homogeneous, and halving is exact
+            return 2.0 * self((0.5 * a, 0.5 * b))
         return n * self.unit_value((a / n, b / n))
 
     @property

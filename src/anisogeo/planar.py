@@ -8,8 +8,9 @@ the links :func:`cycle_links` gives them: :func:`strictly_convex_cycles`
 prunes each as :func:`strictly_convex` does and :func:`polar_of_cycles`
 takes each one's polar, and the two batches in :mod:`crystal` and
 :mod:`isoperimetry` call them. :func:`hausdorff_distances` measures many
-pairs of polygons in one kernel; :func:`hausdorff_distance` is its batch of
-one. Every batch gives its items' lone values bit for bit.
+pairs of polygons in one sweep of their support functions;
+:func:`hausdorff_distance` is its batch of one. Every batch gives its
+items' lone values bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _NEIGHBOURS = np.arange(3)[:, None]
-# Point-edge pairs per block of the Hausdorff kernel, whose two work arrays
-# then take 512 kB each. For a pair of 2880-vertex polygons, 2**14 and
-# 2**18 took 1.2 and 1.1 times as long on a 2-vCPU machine.
-_BLOCK_PAIRS = 1 << 16
 # Shewchuk's (1997) bound on the rounding error of a computed orientation
 # determinant, ccwerrboundA: a determinant larger in magnitude than this
 # times |detleft| + |detright| has the sign of the exact one. The floor
@@ -426,8 +423,9 @@ def polar_of_halfspaces(normals: np.ndarray, offsets: np.ndarray, scale: float) 
 def hausdorff_distance(a_vertices: np.ndarray, b_vertices: np.ndarray) -> float:
     """Hausdorff distance between two convex CCW polygons (as sets).
 
-    For convex sets the supremum over each set is attained at a vertex, so
-    scanning vertices against the other polygon is exact. Both polygons are
+    For convex sets it is the largest gap between the support functions,
+    which a sweep over both polygons' edge normals finds; a cycle that
+    certainly turns right is measured as its hull. Both polygons are
     scaled by one power of two into [-1, 1] (exact), so the distances
     neither overflow nor underflow at any scale. A polygon of one or two
     vertices is a point or a segment. Raises ``ValueError`` naming the
@@ -456,96 +454,68 @@ def _polygon_vertices(vertices, name: str) -> np.ndarray:
 
 
 def _hausdorff(polygons: list[np.ndarray]) -> np.ndarray:
-    """The Hausdorff distance of each pair of polygons 2i and 2i + 1.
+    """The Hausdorff distance of each pair of polygons 2i and 2i + 1: the
+    largest gap between their support functions (Schneider 2014, Lemma
+    1.8.14), in one sweep over both polygons' edge normals.
 
-    Each pair is scaled by its own power of two. Task k is directed: the
-    vertices of polygon k against the edges of polygon k ^ 1. Consecutive
-    tasks share a block while their rows times their widest polygon stay
-    within ``_BLOCK_PAIRS`` point-edge pairs; there each row gathers its
-    own polygon's edges, a shorter polygon padded by repeating its last
-    edge, which changes no test and no minimum. A task alone in its block
-    reads its polygon's edges as they are, in row blocks of that size.
-    Minima and maxima are exact, so no grouping changes a value.
+    Each pair is scaled by its own power of two, and a cycle that certainly
+    turns right is replaced by its :func:`hull_cycle`. Between two
+    consecutive normals, one vertex a of a polygon and one vertex b of
+    its partner attain the supports, and the gap is largest at the arc's
+    start or, as |a - b|, where +-(a - b) points into the arc. An edge's
+    rank is its place along its cycle unrolled from angle 0, and the active
+    vertex ends the edge of highest rank swept so far, so normals that
+    rounding sorts out of cycle order do not change it.
     """
     points, counts, starts, nxt = concatenated_cycles(polygons)
-    _, exponent = np.frexp(np.maximum.reduceat(np.abs(points).max(axis=1), starts[::2]))
+    _, exponent = np.frexp(np.maximum.reduceat(row_max_abs(points), starts[::2]))
     p = np.ldexp(points, -np.repeat(exponent, counts[::2] + counts[1::2])[:, None])
-    edges = (p[:, 0], p[:, 1], p[nxt, 0] - p[:, 0], p[nxt, 1] - p[:, 1])
-    partner = np.arange(len(counts)) ^ 1
-    widths, firsts = counts[partner], starts[partner]
-    worst = np.zeros(len(counts))
-    for t0, t1 in _task_groups(counts.tolist(), widths.tolist()):
-        if t1 - t0 == 1:
-            w, lo = int(widths[t0]), int(firsts[t0])
-            step, end = max(1, _BLOCK_PAIRS // w), int(starts[t0] + counts[t0])
-            work = np.empty((2, min(step, int(counts[t0])), w))
-            worst[t0] = max(
-                _vertex_gaps(p[r : min(r + step, end)], edges, slice(lo, lo + w), w < 3, work).max()
-                for r in range(int(starts[t0]), end, step)
-            )
-        else:
-            task = np.repeat(np.arange(t0, t1), counts[t0:t1])
-            w = widths[task][:, None]
-            cols = firsts[task][:, None] + np.minimum(np.arange(widths[t0:t1].max()), w - 1)
-            r0 = int(starts[t0])
-            work = np.empty((2, *cols.shape))
-            gaps = _vertex_gaps(p[r0 : r0 + len(task)], edges, cols, w[:, 0] < 3, work)
-            worst[t0:t1] = np.maximum.reduceat(gaps, starts[t0:t1] - r0)
-    return np.ldexp(worst.reshape(-1, 2).max(axis=1), exponent)
-
-
-def _task_groups(rows: list, widths: list):
-    """Runs [t0, t1) of consecutive tasks whose rows, times the widest of
-    their polygons, stay within ``_BLOCK_PAIRS``; a larger task runs alone."""
-    t0, n, w = 0, 0, 0
-    for t, (r, m) in enumerate(zip(rows, widths)):
-        if t > t0 and (n + r) * max(w, m) > _BLOCK_PAIRS:
-            yield t0, t
-            t0, n, w = t, 0, 0
-        n, w = n + r, max(w, m)
-    yield t0, len(rows)
-
-
-def _vertex_gaps(points: np.ndarray, edges: tuple, cols, degenerate, work: np.ndarray) -> np.ndarray:
-    """Each point's distance to its convex CCW polygon as a set, whose edges
-    are ``e[cols]`` for each array e of ``edges`` (start x and y, then
-    vector x and y): one row for all points, or one row per point.
-
-    A point is outside when it lies strictly right of some edge; inside
-    points are at distance 0. A polygon of fewer than 3 vertices
-    (``degenerate``) has no inside. The closest point of edge ``[a, b]`` to
-    ``p`` is ``a + t (b - a)`` with ``t = clip(<p - a, b - a> / |b - a|**2,
-    0, 1)``, and ``t = 0`` on a zero-length edge. Products and sums run in
-    place in ``work``, two arrays of at least one row per point, so a
-    block allocates no array of its size.
-    """
-    ax, ay, abx, aby = (e[cols] for e in edges)
-    px, py = points[:, :1], points[:, 1:]
-    u, v = work[0, : len(points)], work[1, : len(points)]
-    np.multiply(abx, np.subtract(py, ay, out=u), out=u)
-    u -= np.multiply(aby, np.subtract(px, ax, out=v), out=v)  # cross(edge, p - a)
-    outside = (u < 0.0).any(axis=1) | degenerate
-    gaps = np.zeros(len(points))
-    if not outside.any():
-        return gaps
-    if ax.ndim == 2:
-        ax, ay, abx, aby = ax[outside], ay[outside], abx[outside], aby[outside]
-    px, py = px[outside], py[outside]
-    t, v = work[0, : len(px)], work[1, : len(px)]
-    np.multiply(np.subtract(px, ax, out=t), abx, out=t)
-    t += np.multiply(np.subtract(py, ay, out=v), aby, out=v)
-    denom = abx * abx + aby * aby
-    if denom.all():
-        t /= denom
-    else:
-        np.divide(t, denom, out=t, where=denom != 0.0)
-        np.copyto(t, 0.0, where=denom == 0.0)
-    np.clip(t, 0.0, 1.0, out=t)
-    np.multiply(t, abx, out=v)
-    v += ax
-    v -= px
-    t *= aby
-    t += ay
-    t -= py
-    gaps[outside] = np.hypot(v, t, out=v).min(axis=1)
-    return gaps
+    z = p.view(np.complex128).ravel()
+    e = z[nxt] - z
+    edge = np.flatnonzero(e)
+    gaps = np.abs(z[starts[::2]] - z[starts[1::2]])
+    if not len(edge):
+        return np.ldexp(gaps, exponent)
+    owner = np.repeat(np.arange(len(counts)), counts)[edge]
+    m = np.bincount(owner, minlength=len(counts))
+    first = np.cumsum(m) - m
+    firsts = first[m > 0]
+    # The turn onto each nonzero edge from the one before it in its cycle.
+    before = np.arange(-1, len(edge) - 1)
+    before[firsts] = firsts + m[m > 0] - 1
+    det, bound = _orient(z[edge[before]], z[edge], z[nxt[edge]])
+    right = np.zeros(len(counts), bool)
+    right[m > 0] = np.logical_or.reduceat(det < -bound, firsts)
+    if right.any():
+        return _hausdorff([hull_cycle(c) if r else c for c, r in zip(polygons, right.tolist())])
+    normal = -1j * e[edge]  # outward, turned from the edge by -pi/2
+    angle = np.mod(np.angle(normal), TWO_PI)
+    # A step of the angle along a cycle turns by 0 to pi, or by that less
+    # 2 pi where the cycle crosses angle 0; the crossings unroll the cycle.
+    turns = np.cumsum(np.floor((np.diff(angle, prepend=0.0) + 0.5 * np.pi) / TWO_PI).astype(np.intp))
+    rank = np.arange(len(edge)) - first[owner] + m[owner] * (turns - turns[first[owner]])
+    top = np.zeros(len(counts), np.intp)
+    top[m > 0] = np.maximum.reduceat(rank, firsts)
+    pair = owner // 2
+    order = np.lexsort((angle, pair))
+    angle, pair, owner, rank, normal = angle[order], pair[order], owner[order], rank[order], normal[order]
+    lo = int(rank.min()) - 1
+    span = int(rank.max()) - lo + 1
+    # Each polygon's running maximum of rank, offset so that pairs do not
+    # mix. Before its first normal, a polygon's active vertex ends its edge
+    # of highest rank, swept one turn earlier.
+    offset = pair * span
+    polygon = 2 * pair + np.arange(2)[:, None]
+    seen = np.maximum.accumulate(np.where(owner == polygon, rank - lo + offset, offset), axis=1) - offset
+    held = np.where(seen > 0, seen + lo, top[polygon]) % np.maximum(m[polygon], 1)
+    ends = np.take(nxt[edge], first[polygon] + held, mode="clip")
+    w = z[np.where(m[polygon] > 0, ends, starts[polygon])]
+    w = w[0] - w[1]
+    bounds = np.flatnonzero(np.diff(pair, prepend=-1))
+    after = np.append(angle[1:], 0.0)
+    after[np.append(bounds[1:], len(angle)) - 1] = angle[bounds] + TWO_PI
+    gap = np.abs(w.real * normal.real + w.imag * normal.imag) / np.abs(normal)
+    inside = np.mod(np.angle(w) - angle, np.pi) < after - angle
+    np.maximum(gap, np.abs(w), out=gap, where=inside)
+    gaps[pair[bounds]] = np.maximum.reduceat(gap, bounds)
+    return np.ldexp(gaps, exponent)

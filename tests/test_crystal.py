@@ -28,7 +28,6 @@ from anisogeo.integrand import convex_envelope, wulff_transform
 from anisogeo.planar import convex_hull_ccw
 
 from conftest import sorted_rows
-from test_planar import reference_hausdorff
 from test_query_kernels import README_COSTS
 
 SQ2 = math.sqrt(2.0)
@@ -65,7 +64,7 @@ def reference_double_polar_gaps(rng) -> list:
     for _ in range(10):
         pts = rng.uniform(-1.0, 1.0, size=(12, 2)) + rng.uniform(-0.5, 1.5, size=2)
         expected = convex_hull_ccw(np.vstack([pts, [[0.0, 0.0]]]))
-        gaps.append(reference_hausdorff(reference_double_polar(pts).vertices, expected))
+        gaps.append(hausdorff_distance(reference_double_polar(pts).vertices, expected))
     return gaps
 
 
@@ -324,6 +323,14 @@ class TestSuiteBallCheck:
         assert len(polars) == 2
         want = hausdorff_distance(polar(rolled(p3_ctx, (0.0, 0.0), 1.0)), p3_ctx.crystal)
         assert checks["ball-polar-is-crystal"].measured == want
+
+
+class TestSuiteAtFineGrids:
+    @pytest.mark.parametrize("F", [PNorm(3.0), Constant(1.0)], ids=["pnorm", "constant"])
+    def test_passes_at_grid_11520(self, F):
+        # Each Hausdorff gap is one sweep over two polygons of about 11520 vertices.
+        checks = suite.run_suite(CrystalContext(F, SphereGrid.planar(11520)), seed=0)
+        assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
 class TestSupportQueries:

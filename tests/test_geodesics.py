@@ -402,6 +402,19 @@ class TestConstruct:
                         assert gap <= 1e-9 * d, (cost.to_spec(), size, x, y, gap / d)
         assert staircases > 500
 
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_paths_on_random_sampled_costs_cost_at_most_the_distance(self, size):
+        # A straight segment is taken only where F is at most the crystal's
+        # support, so it never costs more than the staircase. 10 table and
+        # 10 dip costs, 100 endpoint pairs each.
+        rng = np.random.default_rng([size, 1])
+        for i in range(20):
+            cost = random_sampled_cost(rng, table=i % 2 == 0)
+            ctx = CrystalContext(cost, SphereGrid.planar(size))
+            for x, y in rng.uniform(-2, 2, size=(100, 2, 2)):
+                length = path_length(cost, construct_geodesic(ctx, x, y))
+                assert length <= ctx.distance(x, y) * (1.0 + 1e-12), (cost.to_spec(), x, y)
+
     def test_equal_endpoints_rejected(self, l1_ctx):
         with pytest.raises(ValueError):
             construct_geodesic(l1_ctx, (1, 1), (1, 1))

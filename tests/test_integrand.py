@@ -110,6 +110,18 @@ class TestEvaluation:
         F = PNorm(math.inf)
         assert F((3.0, -4.0)) == pytest.approx(4.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_vectors_whose_length_overflows(self, grid):
+        # F of v is twice F of v / 2, which hypot measures without overflow.
+        big = (1.7e308, 1.7e308)
+        assert PNorm(math.inf)(big) == 1.7e308
+        assert CrystalContext(PNorm(math.inf), grid).norm(big) == 1.7e308
+        assert Constant(0.5)(big) == pytest.approx(0.5 * SQ2 * 1.7e308, rel=1e-15)
+        assert PNorm(1.0)((1e308, -5e307)) == pytest.approx(1.5e308, rel=1e-15)
+        table = AngularTable([0.0, 1.0, 3.0], [1.0, 0.5, 2.0])
+        assert table((-1.6e308, 1e308)) == 2.0 * table((-0.8e308, 0.5e308))
+        assert PNorm(3.0)(big) == math.inf  # 2**(1/3) * 1.7e308 is beyond the float range
+
 
 class TestConstructionRejection:
     def test_pnorm_below_one_rejected(self):

@@ -120,7 +120,7 @@ class TestSimplicity:
         assert want[-2:] == [False, True]
         assert set(want) == {True, False}
         for pairs in (1, 7, 500):
-            monkeypatch.setattr(planar, "_BLOCK_PAIRS", pairs)
+            monkeypatch.setattr(crystal, "_BLOCK_PAIRS", pairs)
             assert [_edges_cross(v) for v in polygons] == want, pairs
 
     def test_blocks_bound_the_memory(self):

@@ -241,6 +241,12 @@ def random_convex(rng, n: int) -> np.ndarray:
     return hull_cycle(pts)
 
 
+def assert_near(got: float, want: float, a: np.ndarray, b: np.ndarray) -> None:
+    """A gap within 4 ulp of the pair's largest coordinate magnitude of
+    another, such as the blocked kernel's."""
+    assert abs(got - want) <= 4.0 * np.finfo(float).eps * max(np.abs(a).max(), np.abs(b).max())
+
+
 def assert_close_to_loop(a: np.ndarray, b: np.ndarray) -> float:
     for p, q in ((a, b), (b, a)):
         expected = loop_directed(p, q)
@@ -248,7 +254,7 @@ def assert_close_to_loop(a: np.ndarray, b: np.ndarray) -> float:
     expected = loop_hausdorff(a, b)
     got = hausdorff_distance(a, b)
     assert abs(got - expected) <= 1e-12 * max(1.0, expected)
-    assert got == reference_hausdorff(a, b)
+    assert_near(got, reference_hausdorff(a, b), a, b)
     return got
 
 
@@ -298,6 +304,51 @@ class TestHausdorffDistance:
         assert_close_to_loop(square, tri)
         assert hausdorff_distance(np.array([[4.0, 5.0]]), SQUARE[1:2]) == 5.0
 
+    def test_collinear_runs_and_repeated_vertices_on_squares(self):
+        # A bump of one ulp on the right side puts its two edge normals at
+        # 2 pi (rounded) and just above 0, on both sides of the sort's cut;
+        # a collinear run and repeated vertices lie along every other side.
+        bump = 1.0 + 2.0**-52
+        sides = np.array([[1.0, -1.0], [bump, 0.0], [1.0, 1.0], [1.0, 1.0], [0.5, 1.0], [0.0, 1.0],
+                          [-1.0, 1.0], [-1.0, 0.0], [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0]])
+        tol = 4.0 * np.finfo(float).eps * 1.5
+        for cycle in (sides, np.delete(sides, 1, axis=0)):
+            for start in range(len(cycle)):
+                a = np.roll(cycle, -start, axis=0)
+                assert abs(hausdorff_distance(a, 1.5 * SQUARE) - 0.5 * SQ2) <= tol, start
+                assert abs(hausdorff_distance(SQUARE + [0.25, 0.0], a) - 0.25) <= tol, start
+                assert hausdorff_distance(a, SQUARE) <= tol, start
+                assert_close_to_loop(a, 1.5 * SQUARE)
+
+    def test_collinear_midpoints_leave_the_gap(self):
+        # Rounding sorts the normals of many of these half-edges out of
+        # cycle order without any certain right turn.
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            a, b = random_convex(rng, int(rng.integers(3, 30))), random_convex(rng, int(rng.integers(3, 30)))
+            runs = np.stack((a, 0.5 * (a + np.roll(a, -1, axis=0))), axis=1).reshape(-1, 2)
+            got = hausdorff_distance(runs, b)
+            assert_near(got, hausdorff_distance(a, b), a, b)
+            assert_near(got, reference_hausdorff(a, b), a, b)
+
+    def test_right_turning_cycles_are_measured_as_their_hulls(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            a, other = random_convex(rng, int(rng.integers(3, 40))), random_convex(rng, 9)
+            clockwise = a[::-1]
+            # A repeated vertex moved inward by 1e-13 of the scale turns right;
+            # repeated once more, the turn is between two nonzero edges.
+            i = int(rng.integers(len(a)))
+            inward = a[i] + 1e-13 * np.abs(a).max() * (a.mean(axis=0) - a[i])
+            dent, dents = np.insert(a, i, inward, axis=0), np.insert(a, i, [inward, inward], axis=0)
+            want = hausdorff_distance(a, other)
+            for cycle in (clockwise, dent, dents):
+                got = hausdorff_distance(cycle, other)
+                assert got == hausdorff_distance(hull_cycle(cycle), other)
+                assert_near(got, want, a, other)
+            assert hausdorff_distances([(other, clockwise), (dent, other)]).tolist() == [
+                hausdorff_distance(other, hull_cycle(clockwise)), hausdorff_distance(hull_cycle(dent), other)]
+
     @pytest.mark.filterwarnings("error")
     def test_scales_with_the_polygons(self):
         tri = np.array([[0.0, 0.0], [2.0, 0.5], [-0.5, 1.5]])
@@ -335,7 +386,7 @@ class TestHausdorffDistance:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert got.tolist() == [hausdorff_distance(p, q) for p, q in pairs]
-        assert got[1] == reference_hausdorff(a, b)
+        assert_near(got[1], reference_hausdorff(a, b), a, b)
 
 
 class TestStrictlyConvexCycles:
@@ -369,19 +420,26 @@ class TestHausdorffBatch:
             b = a * (1.0 + rng.normal(scale=1e-13, size=a.shape)) if rng.uniform() < 0.3 else random_convex(rng, m)
             pairs.append((a * 10.0 ** rng.integers(-200, 200), b) if rng.uniform() < 0.2 else (a, b))
         pairs.append((square, square * 1.5))
+        rng = np.random.default_rng(37)
+        pairs += [(random_convex(rng, int(n)), random_convex(rng, int(m)))
+                  for n, m in rng.integers(3, 200, size=(12, 2))]
         got = hausdorff_distances(pairs)
         assert got.dtype == float and got.shape == (len(pairs),)
         for d, (a, b) in zip(got.tolist(), pairs):
-            assert d == hausdorff_distance(a, b) == reference_hausdorff(a, b)
+            assert d == hausdorff_distance(a, b)
+            assert_near(d, reference_hausdorff(a, b), a, b)
 
-    def test_blocks_of_any_size_give_the_same_values(self, monkeypatch):
-        rng = np.random.default_rng(37)
-        pairs = [(random_convex(rng, int(n)), random_convex(rng, int(m)))
-                 for n, m in rng.integers(3, 200, size=(12, 2))]
-        want = [reference_hausdorff(a, b) for a, b in pairs]
-        for block in (1, 7, 64, 5000, 1 << 20):
-            monkeypatch.setattr(planar, "_BLOCK_PAIRS", block)
-            assert hausdorff_distances(pairs).tolist() == want, block
+    def test_a_permuted_batch_gives_the_same_values(self):
+        rng = np.random.default_rng(47)
+        point, segment = np.array([[0.5, 0.25]]), np.array([[-1.0, 0.0], [1.0, 0.5]])
+        pairs = [(point, 2.0 * point), (point, segment), (segment, SQUARE), (SQUARE, 1e-300 * SQUARE)]
+        for n, m in rng.integers(3, 80, size=(16, 2)):
+            a = random_convex(rng, int(n))
+            pairs.append((a, a * (1.0 + rng.normal(scale=1e-13, size=a.shape)) if n % 2 else random_convex(rng, int(m))))
+        got = hausdorff_distances(pairs)
+        for _ in range(5):
+            order = rng.permutation(len(pairs))
+            assert hausdorff_distances([pairs[i] for i in order]).tolist() == got[order].tolist()
 
     def test_points_and_segments_are_sets(self):
         point, far = np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])

@@ -98,14 +98,16 @@ def call_reference(unit_value, x) -> float:
 
 
 def is_orthogonal_direction_reference(ctx: CrystalContext, v, tol=None) -> bool:
+    """Table and dip costs: unique iff F(v) <= h(v) * (1 + 1e-12), with h the
+    crystal's support. Convex costs: the polar point within tol of v / F(v)."""
     if tol is None:
         tol = ctx.resolution
     v = np.asarray(v, dtype=float)
     n = ctx.norm(v)
     if n == 0.0:
         raise ValueError("zero vector has no direction")
-    if ctx.integrand(v) - n > tol * n:
-        return False
+    if not ctx.integrand.is_convex:
+        return ctx.integrand(v) <= ctx.crystal.support(v) * (1.0 + 1e-12)
     v_hat = v / n
     normals, offsets = ctx.crystal.halfspaces
     k = int(np.argmax(ctx.crystal.vertices @ v))
@@ -152,7 +154,8 @@ def norm_reference(ctx: CrystalContext, v) -> float:
 
 def unique_reference(ctx: CrystalContext, v) -> bool:
     """``is_orthogonal_direction`` before contact records: its own F call,
-    argmax and polar points n_j / h_j."""
+    argmax and polar points n_j / h_j. Table and dip costs take the rule
+    F(v) <= h(v) * (1 + 1e-12): the straight segment costs the norm."""
     tol = ctx.resolution
     v = np.asarray(v, dtype=float)
     f = ctx.integrand(v)
@@ -160,16 +163,10 @@ def unique_reference(ctx: CrystalContext, v) -> bool:
         raise ValueError("zero vector has no direction")
     scores = ctx.crystal.vertices @ v
     k = int(np.argmax(scores))
-    n = f
     if not ctx.integrand.is_convex:
-        support = float(scores[k])
-        if f < support * (1.0 - 1e-12):
-            return True
-        n = min(f, support)
-        if f - n > tol * n:
-            return False
+        return f <= float(scores[k]) * (1.0 + 1e-12)
     a, b = v.tolist()
-    a, b = a / n, b / n
+    a, b = a / f, b / f
     normals, offsets = ctx.crystal.halfspaces
     gap = math.inf
     for j in (k - 1, k):
