@@ -499,8 +499,10 @@ class CrystalContext:
         legs = ((alpha * p0, alpha * p1), (a - alpha * p0, b - alpha * p1)) if alpha > 0.0 and beta > 0.0 else None
         if f == 0.0:  # is_orthogonal_direction's rule from here
             unique = None
-        elif sampled:
-            unique = f <= support * (1.0 + 1e-12)
+        elif sampled and f < support * (1.0 - 1e-12):
+            unique = True
+        elif sampled and f > support * (1.0 + 1e-12):
+            unique = False
         else:
             a, b = a / n, b / n
             (pa, pb), (qa, qb) = polar_points[k - 1].tolist(), polar_points[k].tolist()
@@ -562,17 +564,19 @@ class CrystalContext:
 
         The contact vertex of v is the crystal vertex maximizing <., v>; v
         lies in its normal cone, between the edge normals n_k with offsets
-        h_k on either side. For table and dip costs v counts as extreme
-        exactly when F(v) is at most the crystal's support h(v), up to a
-        relative 1e-12 of rounding: there the straight segment costs the
-        norm, and elsewhere the staircase along the two edge normals, which
-        costs h(v), is cheaper. For convex costs, with tol the grid
-        resolution, v counts as extreme when v rescaled onto the polar body
-        boundary lies within ``tol * |v_scaled|`` of one of the polar points
-        n_k / h_k. So smooth costs answer True everywhere, while flat polar
-        edges and directions just beside a dip or a steep table sample
-        answer False. Crystal edges shorter than ~10x the resolution make a
-        convex cost's answer grid-sensitive.
+        h_k on either side. With tol the grid resolution, v counts as
+        extreme when v rescaled onto the polar body boundary lies within
+        ``tol * |v_scaled|`` of one of the polar points n_k / h_k. For table
+        and dip costs F(v) is first compared with the crystal's support
+        h(v), beyond a relative 1e-12 of rounding: below it v counts as
+        extreme, since the straight segment is cheaper than the staircase
+        along the two edge normals, which costs h(v); above it v does not,
+        since the staircase is cheaper. Only where F(v) = h(v) up to
+        rounding does the polar-point rule decide, so a constructed path
+        always costs the norm. Smooth costs answer True everywhere, while
+        flat polar edges and directions just beside a dip or a steep table
+        sample answer False. Crystal edges shorter than ~10x the resolution
+        make the polar-point rule grid-sensitive.
         """
         unique = self._contact(np.asarray(v, dtype=float)).unique
         if unique is None:

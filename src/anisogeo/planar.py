@@ -326,6 +326,12 @@ def convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     return strictly_convex(hull_cycle(points))
 
 
+def _cycle_wraps(angle: np.ndarray) -> np.ndarray:
+    """How often a cycle's edge angles have crossed their 2 pi range's end: -1
+    forwards, +1 backwards. Steps turn 0 to pi; pi/2 margins absorb rounding."""
+    return np.cumsum(np.floor((np.diff(angle, prepend=angle[:1]) + 0.5 * np.pi) / TWO_PI))
+
+
 def support_values(cycle: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """max over the vertices of a convex CCW cycle of <vertex, d>, per direction d.
 
@@ -335,15 +341,12 @@ def support_values(cycle: np.ndarray, directions: np.ndarray) -> np.ndarray:
     search finds each direction's sector, and the maximum over the sector's
     vertex and its two neighbours absorbs rounding at ties and in
     near-collinear runs, so an unpruned hull cycle is read exactly.
-    O((k + n) log k) time and O(k + n) memory for k vertices and n
-    directions.
+    O((k + n) log k) time and O(k + n) memory for k vertices and n directions.
     """
-    v = np.asarray(cycle, dtype=float)
-    d = np.asarray(directions, dtype=float)
+    v, d = np.asarray(cycle, dtype=float), np.asarray(directions, dtype=float)
     e = np.concatenate((v[1:], v[:1])) - v
     angle = np.arctan2(e[:, 1], e[:, 0])
-    # A step of more than pi between neighbours is a wrap of arctan2's range.
-    angle[1:] -= TWO_PI * np.cumsum(np.rint((angle[1:] - angle[:-1]) / TWO_PI))
+    angle -= TWO_PI * _cycle_wraps(angle)
     np.maximum.accumulate(angle, out=angle)
     # An edge's outward normal is its direction turned by -pi/2, so d lies in
     # vertex j's sector when angle[j-1] <= angle(d) + pi/2 < angle[j].
@@ -459,13 +462,13 @@ def _hausdorff(polygons: list[np.ndarray]) -> np.ndarray:
     1.8.14), in one sweep over both polygons' edge normals.
 
     Each pair is scaled by its own power of two, and a cycle that certainly
-    turns right is replaced by its :func:`hull_cycle`. Between two
-    consecutive normals, one vertex a of a polygon and one vertex b of
-    its partner attain the supports, and the gap is largest at the arc's
-    start or, as |a - b|, where +-(a - b) points into the arc. An edge's
-    rank is its place along its cycle unrolled from angle 0, and the active
-    vertex ends the edge of highest rank swept so far, so normals that
-    rounding sorts out of cycle order do not change it.
+    turns right is replaced by its :func:`hull_cycle`. Between two consecutive
+    normals, one vertex a of a polygon and one vertex b of its partner attain
+    the supports, and the gap is largest at the arc's start or, as |a - b|,
+    where +-(a - b) points into the arc. An edge's rank is its place along its
+    cycle unrolled from angle 0 by :func:`_cycle_wraps`, and the active vertex
+    ends the edge of highest rank swept so far, so normals that rounding sorts
+    out of cycle order do not change it.
     """
     points, counts, starts, nxt = concatenated_cycles(polygons)
     _, exponent = np.frexp(np.maximum.reduceat(row_max_abs(points), starts[::2]))
@@ -490,17 +493,14 @@ def _hausdorff(polygons: list[np.ndarray]) -> np.ndarray:
         return _hausdorff([hull_cycle(c) if r else c for c, r in zip(polygons, right.tolist())])
     normal = -1j * e[edge]  # outward, turned from the edge by -pi/2
     angle = np.mod(np.angle(normal), TWO_PI)
-    # A step of the angle along a cycle turns by 0 to pi, or by that less
-    # 2 pi where the cycle crosses angle 0; the crossings unroll the cycle.
-    turns = np.cumsum(np.floor((np.diff(angle, prepend=0.0) + 0.5 * np.pi) / TWO_PI).astype(np.intp))
+    turns = _cycle_wraps(angle).astype(np.intp)
     rank = np.arange(len(edge)) - first[owner] + m[owner] * (turns - turns[first[owner]])
     top = np.zeros(len(counts), np.intp)
     top[m > 0] = np.maximum.reduceat(rank, firsts)
     pair = owner // 2
     order = np.lexsort((angle, pair))
     angle, pair, owner, rank, normal = angle[order], pair[order], owner[order], rank[order], normal[order]
-    lo = int(rank.min()) - 1
-    span = int(rank.max()) - lo + 1
+    lo, span = int(rank.min()) - 1, int(np.ptp(rank)) + 2
     # Each polygon's running maximum of rank, offset so that pairs do not
     # mix. Before its first normal, a polygon's active vertex ends its edge
     # of highest rank, swept one turn earlier.

@@ -252,6 +252,23 @@ class TestClassify:
                     assert path_length(cost, path) == pytest.approx(ctx.norm(v), rel=1e-12)
         assert below > 300
 
+    @pytest.mark.parametrize("base", [PNorm(1.0), PNorm(math.inf)], ids=["l1", "max"])
+    @pytest.mark.parametrize("size", [60, 720])
+    def test_a_dip_leaves_its_base_labels_away_from_the_dip(self, base, size):
+        # Away from the dip the cost is its base; inside a corner's normal
+        # cone that is linear, F = h, and the staircase costs the distance
+        # too, so the geodesics are as many as the base's.
+        grid = SphereGrid.planar(size)
+        d = (math.cos(2.0), math.sin(2.0))
+        dipped = CrystalContext(Dip(base, [(d, 0.5 * base(d))]), grid)
+        plain = CrystalContext(base, grid)
+        for y in [(1.0, 2.0), (2.0, 1.0), (1.0, 0.0), (1.0, 1.0), (3.0, -1.0), (0.0, -1.0)]:
+            want = classify(plain, (0, 0), y)
+            assert classify(dipped, (0, 0), y) is want, (base.to_spec(), y)
+            if want is GeodesicClass.INFINITELY_MANY:
+                path = geodesic_family(dipped, (0, 0), y, 0.5)
+                assert path_length(dipped.integrand, path) == pytest.approx(dipped.distance((0, 0), y), rel=1e-12)
+
 
 class TestDecompose:
     def test_l1_diagonal_splits_on_axes(self, l1_ctx):

@@ -235,6 +235,18 @@ class TestSupportValues:
             cycle = np.concatenate((polygon[start:], polygon[:start]))
             assert np.abs(support_values(cycle, dirs) - expected).max() <= 1e-15
 
+    def test_wraps_unroll_every_rotation_in_either_angle_range(self):
+        # The rule support_values and the Hausdorff sweep share: a convex
+        # cycle's edge angles, less 2 pi per wrap, rise by one full turn.
+        edges = unit_directions(np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False) + 0.1)
+        angles = np.arctan2(edges[:, 1], edges[:, 0])
+        for a in (angles, np.mod(angles, 2.0 * math.pi), np.append(angles, angles[-1] - 1e-15)):
+            for start in range(len(a)):
+                b = np.roll(a, -start)
+                unrolled = b - 2.0 * math.pi * planar._cycle_wraps(b)
+                assert np.all(np.diff(unrolled) > -1e-14), (start, unrolled)
+                assert unrolled[-1] - unrolled[0] < 2.0 * math.pi + 1e-14
+
 
 def random_convex(rng, n: int) -> np.ndarray:
     pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, 2) + rng.normal(scale=3.0, size=2)

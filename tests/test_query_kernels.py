@@ -98,8 +98,9 @@ def call_reference(unit_value, x) -> float:
 
 
 def is_orthogonal_direction_reference(ctx: CrystalContext, v, tol=None) -> bool:
-    """Table and dip costs: unique iff F(v) <= h(v) * (1 + 1e-12), with h the
-    crystal's support. Convex costs: the polar point within tol of v / F(v)."""
+    """A polar point within tol of v / norm(v). On table and dip costs F(v)
+    below the crystal's support h(v) beyond a relative 1e-12 answers True
+    and above it False; only F(v) = h(v) up to rounding takes the polar rule."""
     if tol is None:
         tol = ctx.resolution
     v = np.asarray(v, dtype=float)
@@ -107,7 +108,11 @@ def is_orthogonal_direction_reference(ctx: CrystalContext, v, tol=None) -> bool:
     if n == 0.0:
         raise ValueError("zero vector has no direction")
     if not ctx.integrand.is_convex:
-        return ctx.integrand(v) <= ctx.crystal.support(v) * (1.0 + 1e-12)
+        f, support = ctx.integrand(v), ctx.crystal.support(v)
+        if f < support * (1.0 - 1e-12):
+            return True
+        if f > support * (1.0 + 1e-12):
+            return False
     v_hat = v / n
     normals, offsets = ctx.crystal.halfspaces
     k = int(np.argmax(ctx.crystal.vertices @ v))
@@ -154,8 +159,9 @@ def norm_reference(ctx: CrystalContext, v) -> float:
 
 def unique_reference(ctx: CrystalContext, v) -> bool:
     """``is_orthogonal_direction`` before contact records: its own F call,
-    argmax and polar points n_j / h_j. Table and dip costs take the rule
-    F(v) <= h(v) * (1 + 1e-12): the straight segment costs the norm."""
+    argmax and polar points n_j / h_j. Table and dip costs first compare F(v)
+    with the support h(v): beyond a relative 1e-12 below it the straight
+    segment is cheaper, above it the staircase."""
     tol = ctx.resolution
     v = np.asarray(v, dtype=float)
     f = ctx.integrand(v)
@@ -163,10 +169,16 @@ def unique_reference(ctx: CrystalContext, v) -> bool:
         raise ValueError("zero vector has no direction")
     scores = ctx.crystal.vertices @ v
     k = int(np.argmax(scores))
+    n = f
     if not ctx.integrand.is_convex:
-        return f <= float(scores[k]) * (1.0 + 1e-12)
+        support = float(scores[k])
+        if f < support * (1.0 - 1e-12):
+            return True
+        if f > support * (1.0 + 1e-12):
+            return False
+        n = min(f, support)
     a, b = v.tolist()
-    a, b = a / f, b / f
+    a, b = a / n, b / n
     normals, offsets = ctx.crystal.halfspaces
     gap = math.inf
     for j in (k - 1, k):
