@@ -468,14 +468,12 @@ class CrystalContext:
         return GridFunction(self.grid, planar.support_values(self.crystal.vertices, self.grid.directions))
 
     def norm(self, v) -> float:
-        """The induced anisotropic norm of v (zero only at v = 0).
-
-        Convex families evaluate their closed form (machine precision).
-        Sampled costs take min(F(v), crystal support of v). Raises
-        ValueError naming v when it is not a finite planar vector.
+        """The induced anisotropic norm of v (zero only at v = 0), read from
+        v's analysis (:class:`Contact`): F(v) for convex families, their
+        closed form to machine precision, and min(F(v), crystal support of
+        v) for sampled costs. Raises ValueError naming v when it is not a
+        finite planar vector.
         """
-        if self.integrand.is_convex:  # no contact analysis needed
-            return self.integrand(v)
         return self._contact(v).norm
 
     def _contact(self, v) -> Contact:
@@ -486,6 +484,11 @@ class CrystalContext:
         last = self._last
         if last.key == key:
             return last
+        # The analysis runs on v scaled by a power of two into (-2, 2), which
+        # is exact and keeps every product finite; Python floats scale F(v),
+        # the norm and the legs back, so a value past the float range is inf.
+        scale = 2.0 ** min(math.frexp(max(abs(a), abs(b)))[1], 1023)
+        a, b = a / scale, b / scale
         f = self.integrand((a, b))
         scores = self.crystal.vertices @ np.array((a, b))
         k = int(scores.argmax())
@@ -496,7 +499,8 @@ class CrystalContext:
         (p0, p1), (q0, q1) = normals[k - 1].tolist(), normals[k].tolist()
         det = p0 * q1 - p1 * q0
         alpha, beta = (a * q1 - b * q0) / det, (p0 * b - p1 * a) / det
-        legs = ((alpha * p0, alpha * p1), (a - alpha * p0, b - alpha * p1)) if alpha > 0.0 and beta > 0.0 else None
+        u0, u1 = alpha * p0, alpha * p1
+        legs = ((u0 * scale, u1 * scale), ((a - u0) * scale, (b - u1) * scale)) if alpha > 0.0 and beta > 0.0 else None
         if f == 0.0:  # is_orthogonal_direction's rule from here
             unique = None
         elif sampled and f < support * (1.0 - 1e-12):
@@ -508,7 +512,7 @@ class CrystalContext:
             (pa, pb), (qa, qb) = polar_points[k - 1].tolist(), polar_points[k].tolist()
             gap = min(math.hypot(pa - a, pb - b), math.hypot(qa - a, qb - b))
             unique = gap <= self.resolution * max(math.hypot(a, b), 1e-30)
-        self._last = record = Contact(key, f, k, n, unique, legs)
+        self._last = record = Contact(key, f * scale, k, n * scale, unique, legs)
         return record
 
     def _contact_face(self, v, record: Contact) -> ContactFace:

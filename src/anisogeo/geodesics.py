@@ -284,11 +284,11 @@ class DirectionDecomposition:
 def decompose_direction(ctx: CrystalContext, v) -> DirectionDecomposition:
     """Write v (scaled onto the polar body boundary) on a face of the polar body.
 
-    Extreme directions return a single unit-weight term. Otherwise the
-    polar-body edge crossed by the ray through v is the one attaining the
-    gauge of v, and the barycentric weights of its two endpoints are read
-    off the exact ray/segment intersection, so the weights sum to one by
-    construction.
+    Extreme directions return a single unit-weight term. Otherwise the ray
+    through v crosses the polar-body edge dual to v's contact vertex x_k,
+    the edge from n_{k-1} / h_{k-1} to n_k / h_k, and the barycentric
+    weights of its two endpoints are read off the exact ray/segment
+    intersection, so the weights sum to one by construction.
     """
     v = np.asarray(v, dtype=float)
     record = ctx._contact(v)
@@ -299,10 +299,7 @@ def decompose_direction(ctx: CrystalContext, v) -> DirectionDecomposition:
     if record.unique:
         return DirectionDecomposition((1.0,), v_hat[None, :])
 
-    body = ctx.polar_body
-    face = int(np.argmax(body.normals @ v_hat / body.offsets))
-    a = body.vertices[face]
-    b = body.vertices[(face + 1) % len(body.vertices)]
+    a, b = ctx.polar_body.vertices[record.k - 1], ctx.polar_body.vertices[record.k]
     ca = float(a[0] * v_hat[1] - a[1] * v_hat[0])  # cross(a, v_hat)
     cb = float(b[0] * v_hat[1] - b[1] * v_hat[0])
     s = ca / (ca - cb) if ca - cb > 0.0 else math.nan

@@ -87,12 +87,6 @@ def _positive(values, what: str) -> np.ndarray:
     return vals
 
 
-def angle_of(x) -> float:
-    """Planar angle in [0, 2*pi)."""
-    a, b = x.tolist() if isinstance(x, np.ndarray) else x
-    return math.atan2(b, a) % TWO_PI
-
-
 def periodic_samples(angles, values) -> tuple[np.ndarray, np.ndarray]:
     """Samples of a 2*pi-periodic function, sorted and padded with one wrap
     sample at each end, as ``np.interp(..., period=TWO_PI)`` pads them on
@@ -161,8 +155,9 @@ class SphereGrid:
 class Integrand(ABC):
     """Positive 1-homogeneous planar directional cost.
 
-    Subclasses define the value on unit directions; evaluation at arbitrary
-    points scales that value by the Euclidean norm, which makes
+    Subclasses define ``values_on``, the cost of each row of an array of
+    unit directions, and nothing else evaluates a cost: ``F(x)`` is
+    ``values_on`` of x's direction times the Euclidean norm |x|, which makes
     1-homogeneity hold by construction. Construction validates positivity,
     so evaluation never fails.
     """
@@ -170,12 +165,8 @@ class Integrand(ABC):
     kind: str = "abstract"
 
     @abstractmethod
-    def unit_value(self, u) -> float:
-        """Cost of a unit direction (an array or a pair of floats)."""
-
-    def values_on(self, dirs: np.ndarray) -> np.ndarray:
-        """Vectorized cost of an array of unit directions."""
-        return np.array([self.unit_value(d) for d in np.asarray(dirs, dtype=float)])
+    def values_on(self, dirs) -> np.ndarray:
+        """Cost of each row of an (n, 2) array of unit directions."""
 
     def __call__(self, x) -> float:
         a, b = planar_vector(x)
@@ -184,7 +175,7 @@ class Integrand(ABC):
             return 0.0
         if n == math.inf:  # F is 1-homogeneous, and halving is exact
             return 2.0 * self((0.5 * a, 0.5 * b))
-        return n * self.unit_value((a / n, b / n))
+        return n * float(self.values_on(np.array(((a / n, b / n),)))[0])
 
     @property
     def special_directions(self) -> np.ndarray:
@@ -214,26 +205,19 @@ class PNorm(Integrand):
             raise ValueError("p-norm exponent must satisfy p >= 1")
         self.p = float(p)
 
-    def unit_value(self, u) -> float:
-        a, b = u
-        a, b = abs(float(a)), abs(float(b))
-        if math.isinf(self.p):
-            return max(a, b)
-        if self.p == 1.0:
-            return a + b
-        return (a**self.p + b**self.p) ** (1.0 / self.p)
-
     def values_on(self, dirs) -> np.ndarray:
         return self._norm(np.asarray(dirs, dtype=float))
 
     def _norm(self, x: np.ndarray) -> np.ndarray:
-        # Column-wise: a two-term sum or max is the axis-1 reduction, bit for bit.
-        a, b = np.abs(x[:, 0]), np.abs(x[:, 1])
+        # Column-wise: a two-term sum or max is the axis-1 reduction, bit for
+        # bit. abs and the power take both columns at once: F(x) is one row.
+        a = np.abs(x)
         if math.isinf(self.p):
-            return np.maximum(a, b)
+            return np.maximum(a[:, 0], a[:, 1])
         if self.p == 1.0:
-            return a + b
-        return (a ** self.p + b ** self.p) ** (1.0 / self.p)
+            return a[:, 0] + a[:, 1]
+        a = a ** self.p
+        return (a[:, 0] + a[:, 1]) ** (1.0 / self.p)
 
     @property
     def is_convex(self) -> bool:
@@ -273,9 +257,6 @@ class Constant(Integrand):
     def __init__(self, value: float = 1.0) -> None:
         self.value = float(_positive(value, "constant cost"))
 
-    def unit_value(self, u) -> float:
-        return self.value
-
     def values_on(self, dirs) -> np.ndarray:
         return np.full(len(dirs), self.value)
 
@@ -311,9 +292,6 @@ class Crystalline(Integrand):
         gaps = np.diff(np.append(ang, ang[0] + TWO_PI))
         if gaps.max() >= math.pi - 1e-9:
             raise ValueError("facet directions leave an angular gap >= pi; cost not positive")
-
-    def unit_value(self, u) -> float:
-        return float((self.generators @ np.asarray(u, dtype=float)).max())
 
     def values_on(self, dirs) -> np.ndarray:
         return (np.asarray(dirs, dtype=float) @ self.generators.T).max(axis=1)
@@ -362,9 +340,6 @@ class AngularTable(Integrand):
         self.sample_values = vals
         self._samples = periodic_samples(ang, vals)
 
-    def unit_value(self, u) -> float:
-        return float(interp_periodic(angle_of(u), self._samples))
-
     def values_on(self, dirs) -> np.ndarray:
         dirs = np.asarray(dirs, dtype=float)
         return interp_periodic(np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI), self._samples)
@@ -377,13 +352,13 @@ class AngularTable(Integrand):
         """The gradient F(u) u + F'(u) u' on the arc holding u = v/|v|, with u'
         the unit tangent; None at a sample angle, where F has a kink."""
         u = unit(v)
-        theta = angle_of(u)
+        theta = float(np.mod(np.arctan2(u[1], u[0]), TWO_PI))  # as values_on reads it
         angles, values = self._samples
         i = int(np.searchsorted(angles, theta, side="right"))  # angles[i-1] <= theta < angles[i]
         if angles[i - 1] == theta:
             return None
         slope = float((values[i] - values[i - 1]) / (angles[i] - angles[i - 1]))
-        f = self.unit_value(u)
+        f = float(interp_periodic(theta, self._samples))  # F(u), at that angle
         a, b = u.tolist()
         return np.array((f * a - slope * b, f * b + slope * a))
 
@@ -427,49 +402,45 @@ class Dip(Integrand):
 
     def __init__(self, base: Integrand, dips) -> None:
         self.base = base
-        cleaned = []
+        directions, values = [], []
         for direction, value in dips:
             d = unit(np.asarray(direction, dtype=float))
             value = float(_positive(value, "dip values"))
-            if value > base.unit_value(d) + 1e-12:
+            if value > base(d) + 1e-12:
                 raise ValueError("dip value exceeds the base cost; not a dip")
-            cleaned.append((d, value))
-        if not cleaned:
+            directions.append(d)
+            values.append(value)
+        if not directions:
             raise ValueError("dip cost requires at least one dip")
-        self.dips = cleaned
-        self._dip_floats = [(*d.tolist(), value) for d, value in cleaned]
+        # One row per dip, read by values_on, contact_point and the scans.
+        self._dip_dirs, self._dip_values = np.array(directions), np.array(values)
 
-    def unit_value(self, u) -> float:
-        a, b = u
-        val = self.base.unit_value(u)
-        for da, db, dip_value in self._dip_floats:
-            if math.hypot(a - da, b - db) <= DIRECTION_MATCH_TOL:
-                val = min(val, dip_value)
-        return val
+    @property
+    def dips(self) -> list[tuple[np.ndarray, float]]:
+        """Each dip's unit direction and value."""
+        return list(zip(self._dip_dirs, self._dip_values.tolist()))
 
     def values_on(self, dirs) -> np.ndarray:
+        # Every dip against every row in one (dips x rows) broadcast; the
+        # minimum over the dips is then a reduction over the leading axis.
         dirs = np.asarray(dirs, dtype=float)
+        d = self._dip_dirs
+        hit = np.hypot(dirs[:, 0] - d[:, :1], dirs[:, 1] - d[:, 1:]) <= DIRECTION_MATCH_TOL
         vals = self.base.values_on(dirs)
-        for d, dip_value in self.dips:
-            hit = np.linalg.norm(dirs - d, axis=1) <= DIRECTION_MATCH_TOL
-            vals[hit] = np.minimum(vals[hit], dip_value)
+        if hit.any():  # one-row calls off the scans rarely meet a dip
+            vals = np.minimum(vals, np.where(hit, self._dip_values[:, None], np.inf).min(axis=0))
         return vals
 
     def contact_point(self, v) -> np.ndarray | None:
         """The base's contact point, when every dip's halfplane holds at it."""
         x = self.base.contact_point(v)
-        if x is None:
-            return None
-        a, b = x.tolist()
-        if any(da * a + db * b > dip_value for da, db, dip_value in self._dip_floats):
+        if x is None or (self._dip_dirs @ x > self._dip_values).any():
             return None
         return x
 
     @property
     def special_directions(self) -> np.ndarray:
-        own = np.array([d for d, _ in self.dips])
-        base = self.base.special_directions
-        return np.vstack([base, own]) if base.size else own
+        return np.vstack([self.base.special_directions, self._dip_dirs])
 
     def to_spec(self) -> dict:
         return {

@@ -657,7 +657,7 @@ class TestDualityInvariants:
             for p, g in zip(pts[clear], gauges[clear]):
                 total += 1
                 r = np.linalg.norm(p)
-                agree += ctx.crystal.contains(p) == (r <= W.unit_value(p / r))
+                agree += ctx.crystal.contains(p) == (r <= W(p / r))
             assert total > 5000, name
             assert agree == total, name
 

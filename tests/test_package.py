@@ -67,7 +67,7 @@ def test_one_type_per_concept():
     from anisogeo.integrand import AngularTable, GridFunction
 
     assert issubclass(ConvexRegion, Polygon) and issubclass(GridFunction, AngularTable)
-    for name in ("unit_value", "__call__", "values_on", "_samples"):
+    for name in ("__call__", "values_on", "_samples"):
         assert name not in vars(GridFunction), name
     for name in ("area", "scaled", "translated", "halfspaces", "normals", "offsets"):
         assert name not in vars(ConvexRegion), name

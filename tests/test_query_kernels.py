@@ -1,14 +1,12 @@
-"""The scalar query path against the array code it replaced.
+"""The query path against the code it replaced.
 
-Each ``*_reference`` below is the earlier implementation of a scalar
-kernel, kept here as the specification the float-arithmetic rewrite must
-reproduce: bit for bit for the interpolated, constant and dip costs,
-within 2 ulp for p-norms (float ``pow`` against numpy's), and with the
-same labels, verdicts, certified flags and contact points for the
-geodesic checks.
+Each ``*_reference`` below is an earlier implementation of a kernel, kept
+here as the specification its rewrite must reproduce: bit for bit for the
+costs, whose one evaluation path is ``values_on``, and with the same
+labels, verdicts, certified flags and contact points for the geodesic
+checks.
 """
 
-import inspect
 import itertools
 import math
 import re
@@ -38,13 +36,11 @@ from anisogeo import (
     is_geodesic,
     planar,
 )
-from anisogeo import integrand as integrand_module
 from anisogeo.geodesics import MIN_SEGMENT, DirectionDecomposition, SegmentCheck, geodesic_legs
 from anisogeo.integrand import (
     DIRECTION_MATCH_TOL,
     TWO_PI,
     GridFunction,
-    angle_of,
     interp_periodic,
     periodic_samples,
     unit,
@@ -56,23 +52,10 @@ BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 # --- references: the replaced scalar bodies ----------------------------------
 
 
-def angle_of_reference(x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.mod(math.atan2(x[1], x[0]), TWO_PI))
-
-
-def table_unit_value_reference(F: AngularTable, u) -> float:
-    return float(np.interp(angle_of_reference(u), F.sample_angles, F.sample_values, period=TWO_PI))
-
-
 def table_values_on_reference(F: AngularTable, dirs) -> np.ndarray:
     dirs = np.asarray(dirs, dtype=float)
     theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
     return np.interp(theta, F.sample_angles, F.sample_values, period=TWO_PI)
-
-
-def grid_unit_value_reference(G: GridFunction, u) -> float:
-    return float(np.interp(angle_of_reference(u), G.grid.angles, G.values, period=TWO_PI))
 
 
 def pnorm_unit_value_reference(F: PNorm, u) -> float:
@@ -86,15 +69,6 @@ def dip_unit_value_reference(F: Dip, u, base_reference) -> float:
         if np.linalg.norm(u - d) <= DIRECTION_MATCH_TOL:
             val = min(val, dip_value)
     return val
-
-
-def call_reference(unit_value, x) -> float:
-    """The earlier ``Integrand.__call__`` around a given unit-value function."""
-    x = np.asarray(x, dtype=float)
-    n = math.hypot(*x)
-    if n == 0.0:
-        return 0.0
-    return n * unit_value(x / n)
 
 
 def is_orthogonal_direction_reference(ctx: CrystalContext, v, tol=None) -> bool:
@@ -340,73 +314,38 @@ class TestPeriodicInterpolation:
             interp_periodic(theta, samples), np.interp(theta, angles, values, period=TWO_PI)
         )
 
-    def test_angle_of_matches_reference(self):
-        rng = np.random.default_rng(12)
-        for d in _directions(rng, 2000):
-            assert angle_of(d) == angle_of_reference(d)
-            assert angle_of(tuple(d.tolist())) == angle_of_reference(d)
-        for tiny in (-1e-300, -5e-324, -0.0, 0.0):
-            assert angle_of((1.0, tiny)) == angle_of_reference((1.0, tiny))
-
 
 # --- scalar costs against their references -----------------------------------
 
 
 class TestScalarCosts:
-    def test_table_is_bit_identical(self):
-        rng = np.random.default_rng(21)
-        for _ in range(60):
-            F = _random_table(rng)
-            dirs = _directions(rng, 200, F.sample_angles)
-            for d in dirs:
-                assert F.unit_value(d) == table_unit_value_reference(F, d)
-                x = d * rng.uniform(0.1, 10.0)
-                assert F(x) == call_reference(lambda u: table_unit_value_reference(F, u), x)
-            np.testing.assert_array_equal(F.values_on(dirs), table_values_on_reference(F, dirs))
-
     def test_scalar_agrees_with_values_on(self):
-        # Bit for bit where both read the same floats; within 2 ulp where
-        # numpy's pow or BLAS's dot product rounds differently. Tables read
-        # the angle with math.atan2 one way and numpy's arctan2 the other,
-        # which differ by up to an ulp of the angle, times the table's slope.
+        # F(x) is values_on of x's direction times |x|, and values_on gives a
+        # row in a batch what it gives the row alone, so the scalar and
+        # batched paths agree bit for bit. Crystalline costs are the one
+        # exception to the second half: BLAS picks its dot-product kernel by
+        # the batch's shape, so a batch may round a row differently.
         rng = np.random.default_rng(22)
         dips = [(np.array([math.cos(a), math.sin(a)]), 0.4) for a in (0.0, 1.0, 4.5)]
-        for F in (Constant(2.5), Dip(Constant(1.0), dips)):
-            dirs = _directions(rng, 500, [0.0, 1.0, 4.5])
-            assert [F.unit_value(d) for d in dirs] == F.values_on(dirs).tolist()
-        for F in (PNorm(1.5), PNorm(3.0), README_COSTS["crystalline"]()):
-            dirs = _directions(rng, 2000)
-            for got, want in zip([F.unit_value(d) for d in dirs], F.values_on(dirs).tolist()):
-                assert abs(got - want) <= 2.0 * math.ulp(want)
-        for _ in range(50):
-            F = _random_table(rng)
-            gaps = np.diff(np.append(F.sample_angles, F.sample_angles[0] + TWO_PI))
-            rises = np.diff(np.append(F.sample_values, F.sample_values[0]))
-            slope = float(np.abs(rises / gaps).max())
-            dirs = _directions(rng, 500, F.sample_angles)
-            for got, want in zip([F.unit_value(d) for d in dirs], F.values_on(dirs).tolist()):
-                assert abs(got - want) <= 2.0 * slope * math.ulp(TWO_PI) + 2.0 * math.ulp(want)
-
-    def test_grid_function_is_bit_identical(self):
-        rng = np.random.default_rng(23)
-        for count in (8, 60, 720):
-            grid = SphereGrid.planar(count)
-            G = GridFunction(grid, rng.uniform(0.5, 2.0, count))
-            for d in _directions(rng, 300, grid.angles[:: max(1, count // 30)]):
-                assert G.unit_value(d) == grid_unit_value_reference(G, d)
-                x = d * rng.uniform(0.1, 10.0)
-                assert G(x) == call_reference(lambda u: grid_unit_value_reference(G, u), x)
+        crystalline = README_COSTS["crystalline"]()
+        costs = [Constant(2.5), Dip(Constant(1.0), dips), PNorm(1.5), PNorm(3.0), crystalline]
+        for F in costs + [_random_table(rng) for _ in range(50)]:
+            extra = F.sample_angles if isinstance(F, AngularTable) else [0.0, 1.0, 4.5]
+            dirs = _directions(rng, 500, extra)
+            lengths = [math.hypot(*d) for d in dirs.tolist()]
+            units = dirs / np.array(lengths)[:, None]
+            rows = [F.values_on(u[None, :])[0] for u in units]
+            assert [F(d) for d in dirs] == [n * value for n, value in zip(lengths, rows)]
+            if F is not crystalline:
+                assert F.values_on(units).tolist() == rows
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.25, math.inf])
     def test_pnorm_within_two_ulp(self, p):
+        # Within no ulp: a batch gives each row the bits of the row alone.
         rng = np.random.default_rng(24)
         F = PNorm(p)
         dirs = _directions(rng, 2000)
-        for d in dirs:
-            got, want = F.unit_value(d), pnorm_unit_value_reference(F, d)
-            assert abs(got - want) <= 2.0 * math.ulp(want), (d, got, want)
-        if p in (1.0, math.inf):
-            assert [F.unit_value(d) for d in dirs] == F.values_on(dirs).tolist()
+        assert F.values_on(dirs).tolist() == [pnorm_unit_value_reference(F, d) for d in dirs]
 
     def test_dip_is_bit_identical(self):
         rng = np.random.default_rng(25)
@@ -415,23 +354,55 @@ class TestScalarCosts:
             dip_angles = rng.uniform(0.0, TWO_PI, 3)
             dips = [((math.cos(a), math.sin(a)), 0.1) for a in dip_angles]
             for base, base_reference in (
-                (table, table_unit_value_reference),
+                (table, lambda F, u: float(table_values_on_reference(F, u[None, :])[0])),
                 (Constant(1.3), lambda F, u: F.value),
             ):
                 F = Dip(base, dips)
                 dip_dirs = np.array([d for d, _ in F.dips])
                 # Directions on a dip, and just off it at the match tolerance.
                 near = np.vstack([dip_dirs, dip_dirs + 0.9e-12, dip_dirs + 2e-12])
-                for d in np.vstack([_directions(rng, 100, dip_angles), near]):
-                    assert F.unit_value(d) == dip_unit_value_reference(F, d, base_reference)
+                dirs = np.vstack([_directions(rng, 100, dip_angles), near])
+                want = [dip_unit_value_reference(F, d, base_reference) for d in dirs]
+                assert F.values_on(dirs).tolist() == want
                 assert F(2.0 * dip_dirs[0]) == 2.0 * F.dips[0][1]
 
     def test_crystalline_scalar_is_unchanged(self):
+        # The largest of the generators' products with the direction's row.
         rng = np.random.default_rng(26)
         F = README_COSTS["crystalline"]()
         for d in _directions(rng, 500):
-            assert F.unit_value(d) == float((F.generators @ d).max())
-            assert F.unit_value(tuple(d.tolist())) == F.unit_value(d)
+            n = math.hypot(*d)
+            assert F(d) == n * float(((d / n)[None, :] @ F.generators.T).max())
+            assert F(tuple(d.tolist())) == F(d)
+
+
+def _costs(rng) -> list:
+    """A cost of every family: p-norms, constant, crystalline, a table, grid
+    functions, and dips over a constant and over that table."""
+    table = _random_table(rng, 12)
+    dips = [((math.cos(a), math.sin(a)), 0.1) for a in rng.uniform(0.0, TWO_PI, 3)]
+    grids = [GridFunction(SphereGrid.planar(n), rng.uniform(0.5, 2.0, n)) for n in (8, 60, 720)]
+    return [PNorm(p) for p in (1.0, 1.5, 3.0, 7.25, math.inf)] + [
+        Constant(2.5), README_COSTS["crystalline"](), table, *grids, Dip(Constant(1.3), dips), Dip(table, dips),
+    ]
+
+
+def test_a_cost_is_values_on_of_its_direction_times_its_length():
+    # One evaluation path: F(x) == |x| * values_on(x / |x|), bit for bit.
+    rng = np.random.default_rng(27)
+    for F in _costs(rng):
+        xs = _displacements(rng, 500)
+        if isinstance(F, AngularTable):  # tables and grid functions interpolate as np.interp
+            dirs = _directions(rng, 500, F.sample_angles)
+            np.testing.assert_array_equal(F.values_on(dirs), table_values_on_reference(F, dirs))
+        if isinstance(F, Dip):  # exact hits, at mixed scales
+            for d, value in F.dips:
+                hits = d[None, :] * 10.0 ** rng.uniform(-3, 3, (20, 1))
+                assert [F(x) for x in hits] == [math.hypot(*x) * value for x in hits]
+                xs = np.vstack([xs, hits])
+        for x in xs:
+            n = math.hypot(*x)
+            assert F(x) == n * F.values_on(x[None, :] / n)[0], (F.kind, x)
 
 
 # --- refusals ----------------------------------------------------------------
@@ -534,6 +505,26 @@ def test_dense_certificate_makes_no_per_segment_scalar_calls(monkeypatch):
         counts.append(_count_scalar_calls(monkeypatch, lambda: is_geodesic(ctx, path)))
     assert counts[0] == counts[1] == counts[2], counts
     assert counts[0] <= 2
+
+
+@pytest.mark.parametrize("kind", ["pnorm", "constant", "crystalline"])
+def test_a_convex_query_evaluates_the_cost_once(kind, monkeypatch):
+    # Every query on one displacement reads its one record, and a convex
+    # norm is read from it too: one scalar F call, where norm's own closed
+    # form made it two.
+    for v in ((1.1, 1.1), (2.0, -0.5), (0.0, 3.0)):
+        ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
+        x = np.array([0.3, -0.2])
+        y = x + v
+
+        def queries():
+            ctx.distance(x, y)
+            label = classify(ctx, x, y)
+            is_geodesic(ctx, construct_geodesic(ctx, x, y))
+            if label is GeodesicClass.INFINITELY_MANY:
+                geodesic_family(ctx, x, y, 0.5)
+
+        assert _count_scalar_calls(monkeypatch, queries) == 1, (kind, v)
 
 
 def test_path_length_sums_in_segment_order(p3_ctx):
@@ -660,6 +651,26 @@ def test_threads_sharing_a_context_answer_as_serial_calls():
     assert got == serial
 
 
+@pytest.mark.parametrize("grid_size", [60, 720])
+@pytest.mark.parametrize("make", [lambda: PNorm(1.0), lambda: PNorm(math.inf), README_COSTS["crystalline"],
+                                  README_COSTS["table"], README_COSTS["dip"]], ids=["l1", "max", "crystalline", "table", "dip"])
+def test_decomposition_reads_the_contact_vertex(make, grid_size):
+    # The polar-body face the ray through v crosses is the one dual to v's
+    # contact vertex k, from polar vertex k - 1 to polar vertex k: the gauge
+    # argmax over every face picks it too.
+    ctx = CrystalContext(make(), SphereGrid.planar(grid_size))
+    rng = np.random.default_rng(grid_size)
+    body = ctx.polar_body
+    split = 0
+    for v in _displacements(rng, 500):
+        assert _answer(decompose_direction, ctx, v) == _answer(decompose_direction_reference, ctx, v), v
+        if not unique_reference(ctx, v):
+            split += 1
+            face = int(np.argmax(body.normals @ (v / norm_reference(ctx, v)) / body.offsets))
+            assert face == (ctx._contact(v).k - 1) % len(body.vertices), v
+    assert split > 0
+
+
 def test_record_fields_match_the_references():
     rng = np.random.default_rng(42)
     for kind, make in sorted(README_COSTS.items()):
@@ -685,6 +696,25 @@ def test_signed_zeros_do_not_share_a_record():
         for u in (v, w):
             assert ctx.norm(u) == norm_reference(ctx, u)
             assert ctx.is_orthogonal_direction(u) == unique_reference(ctx, u)
+
+
+NEAR_FLOAT_MAX = [(1.7e308, 1.7e308), (-1.7e308, 1.0e308), (1.7e308, 0.0), (-0.5e308, -1.7e308),
+                  (1.0e308, -1.79e308), (1.7e308, 1e-300)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(README_COSTS))
+def test_displacements_near_the_float_maximum(kind):
+    # The record analyses v scaled by a power of two, so no product
+    # overflows: a norm is 2**600 times the norm of v / 2**600 (inf past
+    # the float range), and a label is the label of v / 2**600.
+    ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
+    origin = (0.0, 0.0)
+    for v in NEAR_FLOAT_MAX:
+        small = np.ldexp(v, -600)
+        assert ctx.norm(v) == ctx.norm(small) * 2.0**600, v
+        assert classify(ctx, origin, v) == classify(ctx, origin, small), v
+    assert [ctx.norm(v) == math.inf for v in NEAR_FLOAT_MAX[:2]] == [True, True]
 
 
 @pytest.mark.parametrize("bad", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)], ids=repr)
@@ -823,26 +853,3 @@ def test_no_integrand_overrides_call():
     assert {PNorm, Constant, Crystalline, AngularTable, Dip} <= set(subclasses)
     for sub in subclasses:
         assert "__call__" not in vars(sub), sub.__name__
-
-
-def test_tables_and_grid_functions_share_one_interpolation(monkeypatch):
-    calls = []
-    plain = integrand_module.interp_periodic
-
-    def counted(theta, samples):
-        calls.append(np.ndim(theta))
-        return plain(theta, samples)
-
-    monkeypatch.setattr(integrand_module, "interp_periodic", counted)
-    table = README_COSTS["table"]()
-    grid = SphereGrid.planar(60)
-    G = GridFunction(grid, np.linspace(1.0, 2.0, 60))
-    u = np.array([0.6, 0.8])
-    table.unit_value(u)
-    table(2.0 * u)
-    table.values_on(grid.directions)
-    G.unit_value(u)
-    G(2.0 * u)
-    assert calls == [0, 0, 1, 0, 0]
-    source = "\n".join(inspect.getsource(cls) for cls in (AngularTable, GridFunction))
-    assert "np.interp" not in source and "period=" not in source
