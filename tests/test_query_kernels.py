@@ -58,6 +58,21 @@ def table_values_on_reference(F: AngularTable, dirs) -> np.ndarray:
     return np.interp(theta, F.sample_angles, F.sample_values, period=TWO_PI)
 
 
+def grid_values_on_reference(G: GridFunction, dirs) -> np.ndarray:
+    dirs = np.asarray(dirs, dtype=float)
+    theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
+    return np.interp(theta, G.grid.angles, G.values, period=TWO_PI)
+
+
+def call_reference(values_on, x) -> float:
+    """The earlier ``Integrand.__call__`` around a given batched unit-value function."""
+    x = np.asarray(x, dtype=float)
+    n = math.hypot(*x)
+    if n == 0.0:
+        return 0.0
+    return n * float(values_on((x / n)[None, :])[0])
+
+
 def pnorm_unit_value_reference(F: PNorm, u) -> float:
     return float(F._norm(np.asarray(u, dtype=float)[None, :])[0])
 
@@ -319,6 +334,16 @@ class TestPeriodicInterpolation:
 
 
 class TestScalarCosts:
+    def test_table_is_bit_identical(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            F = _random_table(rng)
+            dirs = _directions(rng, 200, F.sample_angles)
+            np.testing.assert_array_equal(F.values_on(dirs), table_values_on_reference(F, dirs))
+            for d in dirs:
+                x = d * rng.uniform(0.1, 10.0)
+                assert F(x) == call_reference(lambda u: table_values_on_reference(F, u), x)
+
     def test_scalar_agrees_with_values_on(self):
         # F(x) is values_on of x's direction times |x|, and values_on gives a
         # row in a batch what it gives the row alone, so the scalar and
@@ -338,6 +363,17 @@ class TestScalarCosts:
             assert [F(d) for d in dirs] == [n * value for n, value in zip(lengths, rows)]
             if F is not crystalline:
                 assert F.values_on(units).tolist() == rows
+
+    def test_grid_function_is_bit_identical(self):
+        rng = np.random.default_rng(23)
+        for count in (8, 60, 720):
+            grid = SphereGrid.planar(count)
+            G = GridFunction(grid, rng.uniform(0.5, 2.0, count))
+            dirs = _directions(rng, 300, grid.angles[:: max(1, count // 30)])
+            np.testing.assert_array_equal(G.values_on(dirs), grid_values_on_reference(G, dirs))
+            for d in dirs:
+                x = d * rng.uniform(0.1, 10.0)
+                assert G(x) == call_reference(lambda u: grid_values_on_reference(G, u), x)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.25, math.inf])
     def test_pnorm_within_two_ulp(self, p):
@@ -392,9 +428,6 @@ def test_a_cost_is_values_on_of_its_direction_times_its_length():
     rng = np.random.default_rng(27)
     for F in _costs(rng):
         xs = _displacements(rng, 500)
-        if isinstance(F, AngularTable):  # tables and grid functions interpolate as np.interp
-            dirs = _directions(rng, 500, F.sample_angles)
-            np.testing.assert_array_equal(F.values_on(dirs), table_values_on_reference(F, dirs))
         if isinstance(F, Dip):  # exact hits, at mixed scales
             for d, value in F.dips:
                 hits = d[None, :] * 10.0 ** rng.uniform(-3, 3, (20, 1))
