@@ -9,7 +9,6 @@ oracle for cross-checking distances.
 """
 
 from .crystal import (
-    ContactFace,
     ConvexRegion,
     CrystalContext,
     Polygon,
@@ -24,7 +23,6 @@ from .geodesics import (
     GeodesicCertificate,
     GeodesicClass,
     Path,
-    SegmentCheck,
     classify,
     concatenate,
     construct_geodesic,
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularTable",
     "Constant",
-    "ContactFace",
     "ConvexRegion",
     "Crystalline",
     "CrystalContext",
@@ -75,7 +72,6 @@ __all__ = [
     "PNorm",
     "Path",
     "Polygon",
-    "SegmentCheck",
     "SphereGrid",
     "Stencil",
     "WulffReport",

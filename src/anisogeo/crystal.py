@@ -254,18 +254,6 @@ def _edges_cross(v: np.ndarray) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ContactFace:
-    """The face of a region where a direction attains its support value."""
-
-    vertices: np.ndarray  # (1, 2) for a vertex face, (2, 2) for an edge face
-    representative: np.ndarray
-
-    @property
-    def is_edge(self) -> bool:
-        return len(self.vertices) == 2
-
-
 def build_crystal(F: Integrand, grid: SphereGrid) -> ConvexRegion:
     """Intersection of the halfplanes {<x, v> <= F(v)} over the scanned grid.
 
@@ -354,26 +342,20 @@ def double_polars(clouds) -> list[np.ndarray]:
     return np.split(vertices, starts[1:])
 
 
-def contact_face(region: ConvexRegion, v) -> ContactFace:
-    """All support-attaining vertices of the region for direction v.
-
-    Ties collapse to an edge whose representative is its midpoint, so the
-    representative is always in the relative interior of the face.
-    """
+def contact_face(region: ConvexRegion, v) -> np.ndarray:
+    """All support-attaining vertices of the region for direction v: one
+    vertex as a (1, 2) row, or the two ends of a tied edge as (2, 2) rows,
+    in the order of the tangent direction (v turned a quarter left)."""
     v = unit(v)
     scores = region.vertices @ v
     top = float(scores.max())
     hit = np.flatnonzero(scores >= top - FACE_TOL * max(1.0, abs(top)))
     if len(hit) == 1:
-        point = region.vertices[hit[0]]
-        return ContactFace(vertices=point[None, :], representative=point)
+        return region.vertices[hit]
     # Attaining vertices are consecutive on the polygon; take the extremes
     # along the tangent direction.
-    tangent = np.array([-v[1], v[0]])
-    along = region.vertices[hit] @ tangent
-    a = region.vertices[hit[np.argmin(along)]]
-    b = region.vertices[hit[np.argmax(along)]]
-    return ContactFace(vertices=np.vstack([a, b]), representative=0.5 * (a + b))
+    along = region.vertices[hit] @ np.array([-v[1], v[0]])
+    return region.vertices[hit[[np.argmin(along), np.argmax(along)]]]
 
 
 class Contact(NamedTuple):
@@ -515,14 +497,14 @@ class CrystalContext:
         self._last = record = Contact(key, f * scale, k, n * scale, unique, legs)
         return record
 
-    def _contact_face(self, v, record: Contact) -> ContactFace:
+    def _contact_face(self, v, record: Contact) -> np.ndarray:
         """:func:`contact_face` of the crystal for v: scores on a strictly convex
         polygon peak once, so a contact vertex clearing both neighbours is the face."""
         u, vertices, k = unit(v), self.crystal.vertices, record.k
         near = vertices[k - 1 : k + 2] if 0 < k < len(vertices) - 1 else vertices[[k - 1, k, (k + 1) % len(vertices)]]
         before, top, after = (near @ u).tolist()
         if max(before, after) < top - FACE_TOL * max(1.0, abs(top)):
-            return ContactFace(vertices=vertices[k][None, :], representative=vertices[k])
+            return vertices[k : k + 1]
         return contact_face(self.crystal, v)
 
     def _norms(self, xs: np.ndarray, fx: np.ndarray) -> np.ndarray:
@@ -587,14 +569,14 @@ class CrystalContext:
             raise ValueError("zero vector has no direction")
         return unique
 
-    def contact_point_candidates(self, v, face: ContactFace) -> list[np.ndarray]:
-        """Crystal points that may realize <v, x> = |v|: the contact face
-        of the crystal for v (vertex, or endpoints plus midpoint of an edge)
-        and, when the cost knows one, its closed-form contact point."""
-        candidates = [p for p in face.vertices]
-        if face.is_edge:
-            candidates.append(face.representative)
+    def contact_point_candidates(self, v, face: np.ndarray) -> np.ndarray:
+        """Crystal points that may realize <v, x> = |v|, as (C, 2) rows: the
+        rows of v's contact face (:func:`contact_face`), the midpoint of an
+        edge face, and the cost's closed-form contact point when it knows one."""
+        rows = [face]
+        if len(face) == 2:
+            rows.append(0.5 * (face[0] + face[1]))
         exact = self.integrand.contact_point(np.asarray(v, dtype=float))
         if exact is not None:
-            candidates.append(exact)
-        return candidates
+            rows.append(exact)
+        return np.vstack(rows)

@@ -137,27 +137,15 @@ def resample_polyline(path: Path, count: int) -> Path:
     return Path(pts[keep])
 
 
-@dataclass
-class SegmentCheck:
-    """Certificate entry for one segment direction."""
-
-    direction: np.ndarray
-    contact_ok: bool
-    support_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.contact_ok and self.support_ok
-
-
-@dataclass
+@dataclass(eq=False)
 class GeodesicCertificate:
     """Evidence that a path is (or is not) a geodesic.
 
     ``verdict`` is the scalar test: achieved length equals the target norm
-    within tolerance. The segment checks are the geometric side: each
-    segment direction meets the envelope (contact) and is supported by the
-    common contact point (one crystal point serving every segment). For a
+    within tolerance. The per-segment arrays are the geometric side: for
+    each unit segment direction ``directions[i]``, ``contact_ok[i]`` says
+    it meets the envelope and ``support_ok[i]`` that the common contact
+    point (one crystal point serving every segment) supports it. For a
     true geodesic both views agree; the certificate records both so that
     disagreement is observable rather than assumed away.
     """
@@ -166,7 +154,9 @@ class GeodesicCertificate:
     target_norm: float
     verdict: bool
     contact_point: np.ndarray | None
-    segment_checks: list[SegmentCheck]
+    directions: np.ndarray
+    contact_ok: np.ndarray
+    support_ok: np.ndarray
     tolerance: float
 
     def __bool__(self) -> bool:
@@ -175,7 +165,7 @@ class GeodesicCertificate:
     @property
     def certified(self) -> bool:
         """Geometric verdict: all segments in contact and commonly supported."""
-        return all(check.ok for check in self.segment_checks)
+        return bool(np.all(self.contact_ok & self.support_ok))
 
     def as_dict(self) -> dict:
         return {
@@ -184,14 +174,10 @@ class GeodesicCertificate:
             "verdict": self.verdict,
             "certified": self.certified,
             "tolerance": self.tolerance,
-            "contact_point": None if self.contact_point is None else list(self.contact_point),
+            "contact_point": None if self.contact_point is None else self.contact_point.tolist(),
             "segments": [
-                {
-                    "direction": list(check.direction),
-                    "contact_ok": check.contact_ok,
-                    "support_ok": check.support_ok,
-                }
-                for check in self.segment_checks
+                {"direction": d, "contact_ok": c, "support_ok": s}
+                for d, c, s in zip(self.directions.tolist(), self.contact_ok.tolist(), self.support_ok.tolist())
             ],
         }
 
@@ -233,18 +219,16 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     # Every candidate scored in one (segments x candidates) pass; the first
     # best wins, as in a loop over them that stops at a full score.
     candidates = ctx.contact_point_candidates(v, ctx._contact_face(v, record))
-    support = np.abs(dirs @ np.transpose(candidates) - seg_norms[:, None]) <= unit_tol
+    support = np.abs(dirs @ candidates.T - seg_norms[:, None]) <= unit_tol
     best = int((contact[:, None] & support).sum(axis=0).argmax())
-    checks = [
-        SegmentCheck(d, c_ok, s_ok)
-        for d, c_ok, s_ok in zip(dirs, contact.tolist(), support[:, best].tolist())
-    ]
     return GeodesicCertificate(
         achieved_length=achieved,
         target_norm=target,
         verdict=verdict,
         contact_point=candidates[best],
-        segment_checks=checks,
+        directions=dirs,
+        contact_ok=contact,
+        support_ok=support[:, best],
         tolerance=tol,
     )
 

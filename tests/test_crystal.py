@@ -512,26 +512,25 @@ class TestEnvelopeChecks:
 class TestContactFace:
     def test_square_diagonal_hits_the_corner(self):
         face = contact_face(SQUARE, np.array([1.0, 1.0]) / SQ2)
-        assert not face.is_edge
-        assert np.allclose(face.representative, [1.0, 1.0], atol=1e-12)
+        assert face.shape == (1, 2)
+        assert np.allclose(face, [[1.0, 1.0]], atol=1e-12)
 
     def test_square_axis_hits_an_edge(self):
         face = contact_face(SQUARE, (1.0, 0.0))
-        assert face.is_edge
-        assert np.allclose(face.representative, [1.0, 0.0], atol=1e-12)
-        assert np.allclose(sorted_rows(face.vertices), [[1.0, -1.0], [1.0, 1.0]], atol=1e-12)
+        assert face.shape == (2, 2)
+        assert np.allclose(face, [[1.0, -1.0], [1.0, 1.0]], atol=1e-12)
 
     def test_disk_face_sits_near_the_direction(self, euclid_ctx):
         # The halfplane-built disk polygon is circumscribed: grid directions
         # hit tangent edges (midpoint on the circle), directions between grid
         # angles hit single vertices.
         face = contact_face(euclid_ctx.crystal, (1.0, 0.0))
-        assert np.linalg.norm(face.representative - [1.0, 0.0]) <= 2 * euclid_ctx.resolution
+        assert np.linalg.norm(face.mean(axis=0) - [1.0, 0.0]) <= 2 * euclid_ctx.resolution
         half_step = euclid_ctx.resolution / 2.0
         v = np.array([math.cos(half_step), math.sin(half_step)])
         face = contact_face(euclid_ctx.crystal, v)
-        assert not face.is_edge
-        assert np.linalg.norm(face.representative - v) <= 2 * euclid_ctx.resolution
+        assert face.shape == (1, 2)
+        assert np.linalg.norm(face[0] - v) <= 2 * euclid_ctx.resolution
 
     def test_face_attains_the_support_value(self, dip_ctx):
         rng = np.random.default_rng(13)
@@ -540,7 +539,7 @@ class TestContactFace:
             v /= np.linalg.norm(v)
             face = contact_face(dip_ctx.crystal, v)
             s = dip_ctx.crystal.support(v)
-            for y in face.vertices:
+            for y in face:
                 assert abs(float(y @ v) - s) <= 1e-9
 
 
@@ -668,14 +667,14 @@ class TestDualityInvariants:
             assert np.abs(ctx.envelope.values - support).max() <= bound, name
 
     def test_contact_face_equivalences(self, all_ctxs, grid):
-        # For every grid direction: the face representative attains the
+        # For every grid direction: the face's midpoint attains the
         # envelope value, and the hyperplane through it with that normal is
         # supporting (max over vertices equals the offset).
         for name, ctx in all_ctxs.items():
             tol = 2 * ctx.resolution * ctx.f_max
             for v in grid.directions[::37]:
                 face = contact_face(ctx.crystal, v)
-                x_bar = face.representative
+                x_bar = face.mean(axis=0)
                 d_v = ctx.norm(v)
                 assert abs(float(v @ x_bar) - d_v) <= tol, name
                 offset = float((ctx.crystal.vertices @ v).max())

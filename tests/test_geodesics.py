@@ -160,7 +160,7 @@ class TestIsGeodesic:
     def test_common_contact_point_for_staircase(self, l1_ctx):
         cert = is_geodesic(l1_ctx, STAIRCASE)
         assert np.allclose(cert.contact_point, [1.0, 1.0], atol=1e-12)
-        assert all(c.ok for c in cert.segment_checks)
+        assert cert.contact_ok.all() and cert.support_ok.all()
 
     def test_coincident_endpoints_rejected(self, l1_ctx):
         loop = Path(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))

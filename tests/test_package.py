@@ -111,9 +111,10 @@ def test_derived_not_configured():
     # Options that only tests set are gone: every parameter above is required.
     for fn in (crystal.CrystalContext.contact_point_candidates, oracle._cone_program):
         assert all(p.default is inspect.Parameter.empty for p in inspect.signature(fn).parameters.values())
-    for cls, gone in ((geodesics.GeodesicCertificate, "contact_face"), (crystal.ContactFace, "normal"),
-                      (geodesics.DirectionDecomposition, "target")):
+    for cls, gone in ((geodesics.GeodesicCertificate, "contact_face"), (geodesics.DirectionDecomposition, "target")):
         assert gone not in [f.name for f in dataclasses.fields(cls)], cls.__name__
+    # A certificate is arrays and a contact face its vertex rows, with no record type for either.
+    assert not hasattr(geodesics, "SegmentCheck") and not hasattr(crystal, "ContactFace")
     assert not hasattr(integrand.GridFunction, "max") and not hasattr(integrand.GridFunction, "min")
     ctx = crystal.CrystalContext(integrand.Constant(1.0), integrand.SphereGrid.planar(16))
     assert not hasattr(ctx, "f_min")

@@ -36,7 +36,7 @@ from anisogeo import (
     is_geodesic,
     planar,
 )
-from anisogeo.geodesics import MIN_SEGMENT, DirectionDecomposition, SegmentCheck, geodesic_legs
+from anisogeo.geodesics import MIN_SEGMENT, DirectionDecomposition, geodesic_legs
 from anisogeo.integrand import (
     DIRECTION_MATCH_TOL,
     TWO_PI,
@@ -110,9 +110,27 @@ def is_orthogonal_direction_reference(ctx: CrystalContext, v, tol=None) -> bool:
     return bool(gaps.min() <= tol * max(math.hypot(*v_hat), 1e-30))
 
 
+def contact_face_reference(region, v):
+    """The contact face as a record: its vertex rows, and a representative
+    in its relative interior (the vertex, or the midpoint of an edge)."""
+    v = unit(v)
+    scores = region.vertices @ v
+    top = float(scores.max())
+    hit = np.flatnonzero(scores >= top - 1e-9 * max(1.0, abs(top)))
+    if len(hit) == 1:
+        point = region.vertices[hit[0]]
+        return point[None, :], point
+    tangent = np.array([-v[1], v[0]])
+    along = region.vertices[hit] @ tangent
+    a = region.vertices[hit[np.argmin(along)]]
+    b = region.vertices[hit[np.argmax(along)]]
+    return np.vstack([a, b]), 0.5 * (a + b)
+
+
 def is_geodesic_reference(ctx: CrystalContext, path: Path, tol=None):
     """The per-segment certificate: three scalar F calls per segment and
-    a second contact-face search. Returns (verdict, checks, contact point)."""
+    a second contact-face search. Returns (verdict, (contact_ok,
+    support_ok) per segment, contact point)."""
     if tol is None:
         tol = ctx.default_tol
     v = path.displacement
@@ -124,18 +142,19 @@ def is_geodesic_reference(ctx: CrystalContext, path: Path, tol=None):
     seg_dirs = [seg / math.hypot(*seg) for seg in path.segments]
     seg_norms = [ctx.norm(d) for d in seg_dirs]
     contact_flags = [ctx.integrand(d) - nd <= unit_tol for d, nd in zip(seg_dirs, seg_norms)]
-    best_checks, best_point, best_score = None, None, -1
-    for xbar in ctx.contact_point_candidates(v, contact_face(ctx.crystal, unit(v))):
-        checks = []
-        for d, nd, c_ok in zip(seg_dirs, seg_norms, contact_flags):
-            support_gap = abs(float(d @ xbar) - nd)
-            checks.append(SegmentCheck(d, c_ok, support_gap <= unit_tol))
-        score = sum(check.ok for check in checks)
+    vertices, representative = contact_face_reference(ctx.crystal, v)
+    candidates = list(vertices) + ([representative] if len(vertices) == 2 else [])
+    exact = ctx.integrand.contact_point(v)
+    candidates += [] if exact is None else [exact]
+    best_flags, best_point, best_score = None, None, -1
+    for xbar in candidates:
+        flags = [(c_ok, abs(float(d @ xbar) - nd) <= unit_tol) for d, nd, c_ok in zip(seg_dirs, seg_norms, contact_flags)]
+        score = sum(c_ok and s_ok for c_ok, s_ok in flags)
         if score > best_score:
-            best_checks, best_point, best_score = checks, xbar, score
-        if score == len(checks):
+            best_flags, best_point, best_score = flags, xbar, score
+        if score == len(flags):
             break
-    return verdict, best_checks, best_point
+    return verdict, best_flags, best_point
 
 
 def norm_reference(ctx: CrystalContext, v) -> float:
@@ -497,12 +516,11 @@ def test_query_checks_match_the_references(kind, grid_size):
             bend = 0.3 * np.array([-v[1], v[0]])
             path = Path(np.array([x, x + 0.5 * v + bend, x + v]))
         cert = is_geodesic(ctx, path)
-        verdict, checks, point = is_geodesic_reference(ctx, path)
+        verdict, flags, point = is_geodesic_reference(ctx, path)
         assert cert.verdict == verdict, v
-        assert [(c.contact_ok, c.support_ok) for c in cert.segment_checks] == [
-            (c.contact_ok, c.support_ok) for c in checks
-        ], v
-        assert cert.certified == all(c.ok for c in checks), v
+        assert cert.contact_ok.tolist() == [c_ok for c_ok, _ in flags], v
+        assert cert.support_ok.tolist() == [s_ok for _, s_ok in flags], v
+        assert cert.certified is all(c_ok and s_ok for c_ok, s_ok in flags), v
         np.testing.assert_array_equal(cert.contact_point, point)
 
 
@@ -538,6 +556,22 @@ def test_dense_certificate_makes_no_per_segment_scalar_calls(monkeypatch):
         counts.append(_count_scalar_calls(monkeypatch, lambda: is_geodesic(ctx, path)))
     assert counts[0] == counts[1] == counts[2], counts
     assert counts[0] <= 2
+
+
+def test_a_dense_certificate_is_three_arrays():
+    t = np.linspace(0.0, 1.0, 10_001)
+    path = Path(np.column_stack([t, t * t]))
+    ctx = CrystalContext(PNorm(3.0), SphereGrid.planar(720))
+    cert = is_geodesic(ctx, path)
+    for flags in (cert.contact_ok, cert.support_ok):
+        assert flags.dtype == bool and flags.shape == (10_000,)
+    np.testing.assert_array_equal(cert.directions, path.directions)
+    rows = []
+    for i in range(10_000):
+        rows.append({"direction": list(path.directions[i]), "contact_ok": bool(cert.contact_ok[i]),
+                     "support_ok": bool(cert.support_ok[i])})
+    assert cert.as_dict()["segments"] == rows
+    assert cert.certified is bool(cert.contact_ok.all() and cert.support_ok.all())
 
 
 @pytest.mark.parametrize("kind", ["pnorm", "constant", "crystalline"])
@@ -598,13 +632,13 @@ def _answer(fn, *args):
 
 def _certificate(ctx, path):
     cert = is_geodesic(ctx, path)
-    flags = [(c.contact_ok, c.support_ok) for c in cert.segment_checks]
+    flags = list(zip(cert.contact_ok.tolist(), cert.support_ok.tolist()))
     return cert.verdict, cert.target_norm, flags, cert.contact_point
 
 
 def _certificate_reference(ctx, path):
-    verdict, checks, point = is_geodesic_reference(ctx, path)
-    return verdict, norm_reference(ctx, path.displacement), [(c.contact_ok, c.support_ok) for c in checks], point
+    verdict, flags, point = is_geodesic_reference(ctx, path)
+    return verdict, norm_reference(ctx, path.displacement), flags, point
 
 
 # Each query: the code under test and its reference, on endpoints x, y.
@@ -764,11 +798,6 @@ def test_non_finite_displacements_are_refused_by_name(bad, p3_ctx):
                 call(np.array(bad))
 
 
-def _faces_match(got, want):
-    assert got.vertices.tobytes() == want.vertices.tobytes()
-    assert got.representative.tobytes() == want.representative.tobytes()
-
-
 @pytest.mark.parametrize("grid_size", [8, 60, 720])
 def test_contact_face_from_the_contact_vertex_is_contact_face(grid_size):
     rng = np.random.default_rng(grid_size)
@@ -781,7 +810,28 @@ def test_contact_face_from_the_contact_vertex_is_contact_face(grid_size):
         # a hair off them (a vertex face beside a tie).
         turn = np.array([[1.0, -1e-12], [1e-12, 1.0]])
         for v in np.vstack([_displacements(rng, 300), normals, 3.0 * normals, normals @ turn]):
-            _faces_match(ctx._contact_face(v, ctx._contact(v)), contact_face(ctx.crystal, v))
+            got = ctx._contact_face(v, ctx._contact(v))
+            assert got.tobytes() == contact_face(ctx.crystal, v).tobytes()
+
+
+@pytest.mark.parametrize("grid_size", [60, 720])
+@pytest.mark.parametrize("kind", sorted(README_COSTS))
+def test_contact_faces_are_the_face_records_rows(kind, grid_size):
+    # The face's rows are the record's vertices, and the candidate after
+    # an edge face's two rows is the record's representative, bit for bit.
+    ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(grid_size))
+    rng = np.random.default_rng([grid_size, len(kind), 2])
+    normals = ctx.crystal.normals
+    for v in np.vstack([_displacements(rng, 300), normals, 3.0 * normals]):
+        vertices, representative = contact_face_reference(ctx.crystal, v)
+        face = contact_face(ctx.crystal, v)
+        assert face.shape == vertices.shape and face.tobytes() == vertices.tobytes(), v
+        candidates = ctx.contact_point_candidates(v, face)
+        assert candidates[: len(face)].tobytes() == face.tobytes(), v
+        if len(face) == 2:
+            assert candidates[2].tobytes() == representative.tobytes(), v
+        exact = ctx.integrand.contact_point(v)
+        assert len(candidates) == len(face) + (len(face) == 2) + (exact is not None), v
 
 
 # --- the fast checks of Path -------------------------------------------------
