@@ -55,6 +55,9 @@ FACE_TOL = 1e-9
 # as in contact.
 CONTACT_TOL = 1e-6
 
+# Magnitude from which a planar vector's Euclidean length may overflow.
+_HALVE_FROM = 2.0**1022
+
 # Edge pairs per row block of _edges_cross, whose arrays then take 512 kB
 # each.
 _BLOCK_PAIRS = 1 << 16
@@ -358,6 +361,17 @@ def contact_face(region: ConvexRegion, v) -> np.ndarray:
     return region.vertices[hit[[np.argmin(along), np.argmax(along)]]]
 
 
+def displacement(x, y) -> tuple[np.ndarray, float]:
+    """y - x as a vector d and a factor s with y - x = s * d: s is 1, or 2
+    where the difference overflows and d is y/2 - x/2 (halving is exact but
+    for subnormal coordinates). Refuses x and y as planar_vector does."""
+    (xa, xb), (ya, yb) = planar_vector(x), planar_vector(y)
+    a, b = ya - xa, yb - xb
+    if math.isinf(a) or math.isinf(b):
+        return np.array((0.5 * ya - 0.5 * xa, 0.5 * yb - 0.5 * xb)), 2.0
+    return np.array((a, b)), 1.0
+
+
 class Contact(NamedTuple):
     """How a displacement v meets the crystal, as every query on v reads it:
     ``key`` holds v's bits (-0.0 and 0.0 differ); ``k`` is the first crystal
@@ -494,7 +508,10 @@ class CrystalContext:
             (pa, pb), (qa, qb) = polar_points[k - 1].tolist(), polar_points[k].tolist()
             gap = min(math.hypot(pa - a, pb - b), math.hypot(qa - a, qb - b))
             unique = gap <= self.resolution * max(math.hypot(a, b), 1e-30)
-        self._last = record = Contact(key, f * scale, k, n * scale, unique, legs)
+        # The norm is zero only at v = 0: a positive one that underflows is
+        # rounded up to the smallest subnormal.
+        norm = max(n * scale, math.ulp(0.0)) if n > 0.0 else 0.0
+        self._last = record = Contact(key, f * scale, k, norm, unique, legs)
         return record
 
     def _contact_face(self, v, record: Contact) -> np.ndarray:
@@ -518,8 +535,8 @@ class CrystalContext:
 
     def distance(self, x, y) -> float:
         """Cheapest cost of travelling from x to y; zero iff x == y."""
-        (xa, xb), (ya, yb) = planar_vector(x), planar_vector(y)
-        return self.norm(np.array((ya - xa, yb - xb)))
+        v, factor = displacement(x, y)
+        return factor * self.norm(v)
 
     def in_contact(self, x) -> bool:
         """Whether the cost meets its convex envelope in direction x: F(x)
@@ -532,10 +549,14 @@ class CrystalContext:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise ValueError("expected an array of planar vectors")
-        finite = np.isfinite(xs[:, 0]) & np.isfinite(xs[:, 1])
-        if not finite.all():
-            bad = int(np.argmin(finite))
+        top = np.abs(xs).max(axis=1)  # nan where a row holds one
+        if not (top < math.inf).all():
+            bad = int(np.argmin(top < math.inf))
             raise ValueError(f"row {bad} is not a finite planar vector: {xs[bad].tolist()}")
+        if not (top < _HALVE_FROM).all():
+            # F and the norm are 1-homogeneous, so the relative test reads the
+            # same on x / 2; halving is exact, and keeps these lengths finite.
+            xs = np.where((top < _HALVE_FROM)[:, None], xs, 0.5 * xs)
         speed = np.hypot(xs[:, 0], xs[:, 1])
         moving = speed > 0.0
         contact = np.ones(len(xs), dtype=bool)

@@ -20,13 +20,14 @@ support of v.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .crystal import ConvexRegion, CrystalContext
+from .crystal import ConvexRegion, CrystalContext, displacement
 from .integrand import Integrand, planar_vector
 
 MIN_SEGMENT = 1e-12
@@ -55,17 +56,20 @@ class Path:
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ValueError("a path needs at least two planar breakpoints")
         # A max over the points before any difference (inf - inf warns); nan fails it.
-        if not np.abs(pts).max() < math.inf:
+        top = np.abs(pts).max()
+        if not top < math.inf:
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}")
-        seg = pts[1:] - pts[:-1]
-        speeds = np.hypot(seg[:, 0], seg[:, 1])
+        near = top < 2.0**1021  # no difference of points, nor its length, can overflow
+        with contextlib.nullcontext() if near else np.errstate(over="ignore"):  # else it is inf
+            seg = pts[1:] - pts[:-1]
+            speeds = np.hypot(seg[:, 0], seg[:, 1])
         if not speeds.min() > MIN_SEGMENT:
             raise ValueError("degenerate segment: consecutive breakpoints coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "segments", seg)
         object.__setattr__(self, "speeds", speeds)
-        object.__setattr__(self, "directions", seg / speeds[:, None])
+        object.__setattr__(self, "directions", seg / speeds[:, None] if near else _far_directions(pts, seg, speeds))
 
     @property
     def start(self) -> np.ndarray:
@@ -85,6 +89,18 @@ class Path:
 
     def translated(self, shift) -> "Path":
         return Path(self.points + np.asarray(shift, dtype=float))
+
+
+def _far_directions(pts: np.ndarray, seg: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """seg / speeds, but a segment whose length overflows (inf) takes its
+    direction from a quarter of its difference: in range, and exact at that
+    magnitude but for subnormal coordinates, which its direction cannot resolve."""
+    far = speeds == math.inf
+    with np.errstate(invalid="ignore"):
+        directions = seg / speeds[:, None]
+    quarter = 0.25 * pts[1:][far] - 0.25 * pts[:-1][far]
+    directions[far] = quarter / np.hypot(quarter[:, 0], quarter[:, 1])[:, None]
+    return directions
 
 
 def path_length(F: Integrand, path: Path) -> float:
@@ -240,7 +256,7 @@ def classify(ctx: CrystalContext, x, y) -> GeodesicClass:
     displacement is an attained crystal normal; otherwise infinitely many
     distinct geodesics connect the points.
     """
-    v = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    v, _ = displacement(x, y)  # v's label is that of y - x
     if math.hypot(*v.tolist()) <= MIN_SEGMENT:
         raise ValueError("classification requires distinct endpoints")
     if ctx.is_orthogonal_direction(v):

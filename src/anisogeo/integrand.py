@@ -74,7 +74,10 @@ def unit(x: np.ndarray) -> np.ndarray:
     """x / |x|, rejecting the zero vector and non-finite input."""
     a, b = planar_vector(x)
     n = math.hypot(a, b)
-    if not 0.0 < n < math.inf:
+    if n == math.inf:  # halving is exact, and keeps the length finite
+        a, b = 0.5 * a, 0.5 * b
+        n = math.hypot(a, b)
+    if not n > 0.0:
         raise ValueError("vector has no direction: zero or not finite")
     return np.array((a / n, b / n))
 
@@ -294,7 +297,10 @@ class Crystalline(Integrand):
             raise ValueError("facet directions leave an angular gap >= pi; cost not positive")
 
     def values_on(self, dirs) -> np.ndarray:
-        return (np.asarray(dirs, dtype=float) @ self.generators.T).max(axis=1)
+        # Elementwise (facets x rows) products, not a matrix product, whose
+        # BLAS kernel rounds a row by the shape of its batch.
+        d, g = np.asarray(dirs, dtype=float), self.generators
+        return (g[:, :1] * d[:, 0] + g[:, 1:] * d[:, 1]).max(axis=0)
 
     @property
     def is_convex(self) -> bool:

@@ -422,12 +422,18 @@ class TestScalarCosts:
                 assert F(2.0 * dip_dirs[0]) == 2.0 * F.dips[0][1]
 
     def test_crystalline_scalar_is_unchanged(self):
-        # The largest of the generators' products with the direction's row.
+        # The largest of the generators' elementwise products with the
+        # direction's row, whatever batch the row is in.
         rng = np.random.default_rng(26)
         F = README_COSTS["crystalline"]()
-        for d in _directions(rng, 500):
+        g = F.generators
+        dirs = _directions(rng, 500)
+        batch = F.values_on(dirs / np.hypot(dirs[:, 0], dirs[:, 1])[:, None])
+        for i, d in enumerate(dirs):
             n = math.hypot(*d)
-            assert F(d) == n * float(((d / n)[None, :] @ F.generators.T).max())
+            u0, u1 = (d / n).tolist()
+            row = max(float(g[j, 0] * u0 + g[j, 1] * u1) for j in range(len(g)))
+            assert F(d) == n * row and batch[i] == row
             assert F(tuple(d.tolist())) == F(d)
 
 
@@ -782,6 +788,69 @@ def test_displacements_near_the_float_maximum(kind):
         assert ctx.norm(v) == ctx.norm(small) * 2.0**600, v
         assert classify(ctx, origin, v) == classify(ctx, origin, small), v
     assert [ctx.norm(v) == math.inf for v in NEAR_FLOAT_MAX[:2]] == [True, True]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["pnorm3", "table", "dip"])
+def test_in_contact_on_rows_whose_length_overflows(kind):
+    # A row whose length overflows is halved before its length is taken, so
+    # its answer is that of the row scaled down; the parent took F on (0, 0).
+    F = PNorm(3.0) if kind == "pnorm3" else README_COSTS[kind]()
+    ctx = CrystalContext(F, SphereGrid.planar(720))
+    rows = np.vstack([NEAR_FLOAT_MAX, _displacements(np.random.default_rng(3), 200)])
+    want = [ctx.in_contact(np.ldexp(row, -600)) for row in rows[: len(NEAR_FLOAT_MAX)]]
+    assert [ctx.in_contact(row) for row in NEAR_FLOAT_MAX] == want
+    got = ctx.in_contact_many(rows)
+    assert got[: len(NEAR_FLOAT_MAX)].tolist() == want
+    assert got[len(NEAR_FLOAT_MAX) :].tolist() == [ctx.in_contact(row) for row in rows[len(NEAR_FLOAT_MAX) :]]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_path_segment_whose_length_overflows():
+    # Its length is inf, and its direction is that of a quarter of its difference.
+    path = Path(np.array([[0.0, 0.0], [1.7e308, 1.7e308], [-1.7e308, 1.7e308], [-1.7e308, 0.0]]))
+    assert path.speeds.tolist() == [math.inf, math.inf, 1.7e308]
+    s = math.sqrt(0.5)
+    np.testing.assert_allclose(path.directions, [[s, s], [-1.0, 0.0], [0.0, -1.0]], rtol=1e-15, atol=0.0)
+    # Points this large whose segments stay in range keep their exact lengths.
+    path = Path(np.array([[0.0, 0.0], [1.7e308, 0.0], [1.7e308, 1.0e308]]))
+    assert path.speeds.tolist() == [1.7e308, 1.0e308]
+    assert path.directions.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_of_a_vector_whose_length_overflows():
+    for v in NEAR_FLOAT_MAX:
+        np.testing.assert_allclose(unit(v), unit(np.ldexp(v, -600)), rtol=1e-15, atol=0.0)
+    assert unit((3.0, 4.0)).tolist() == [0.6, 0.8]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(README_COSTS))
+def test_a_difference_of_points_that_overflows(kind):
+    # y - x overflows here, so distance is twice the norm of y/2 - x/2 and
+    # the label is that of the difference scaled down.
+    ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
+    for x, y in [((-1.7e308, -1.0e308), (1.7e308, 1.2e308)), ((1.0, -1.5e308), (2.0, 1.5e308))]:
+        half = np.array(y) / 2 - np.array(x) / 2
+        assert ctx.distance(x, y) == 2.0 * ctx.norm(half), (x, y)
+        assert classify(ctx, x, y) == classify(ctx, (0.0, 0.0), np.ldexp(half, -600)), (x, y)
+    small = CrystalContext(Constant(1e-10), SphereGrid.planar(60))
+    assert small.distance((-1.5e308, 0.0), (1.5e308, 0.0)) == pytest.approx(3e298, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", sorted(README_COSTS))
+def test_the_norm_is_zero_only_at_zero(kind):
+    # A positive norm that underflows is rounded up to the smallest subnormal.
+    tiny = math.ulp(0.0)
+    for ctx in (CrystalContext(README_COSTS[kind](), SphereGrid.planar(64)),
+                CrystalContext(Constant(0.5), SphereGrid.planar(64))):
+        for v in [(tiny, 0.0), (0.0, -tiny), (-tiny, tiny), (3 * tiny, -2 * tiny), (1e-310, 0.0)]:
+            n = ctx.norm(v)
+            assert n > 0.0 and ctx.distance((0.0, 0.0), v) == n, v
+            assert n == ctx.norm(np.ldexp(v, 600)) * 2.0**-600 or n == tiny, v
+        assert ctx.norm((0.0, 0.0)) == 0.0 and ctx.norm((-0.0, 0.0)) == 0.0
+    assert CrystalContext(Constant(0.5), SphereGrid.planar(64)).norm((tiny, 0.0)) == tiny
 
 
 @pytest.mark.parametrize("bad", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)], ids=repr)
