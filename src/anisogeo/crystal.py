@@ -4,7 +4,8 @@
 halfspaces, area and edge lengths; :class:`ConvexRegion` is the strictly
 convex one, with support, gauge and containment queries. Every crystal,
 polar body and geodesic ball is a region, and the perimeter and area
-measures of :mod:`isoperimetry` take it as it is.
+measures of :mod:`isoperimetry` take it as it is; :func:`contact_face`
+gives the vertex rows where a direction attains its support.
 
 The crystal of a directional cost F is the intersection of the halfplanes
 ``{x : <x, v> <= F(v)}`` over all unit directions v. It is built here by
@@ -54,9 +55,6 @@ FACE_TOL = 1e-9
 # Relative gap between a cost and its norm below which a direction counts
 # as in contact.
 CONTACT_TOL = 1e-6
-
-# Magnitude from which a planar vector's Euclidean length may overflow.
-_HALVE_FROM = 2.0**1022
 
 # Edge pairs per row block of _edges_cross, whose arrays then take 512 kB
 # each.
@@ -362,9 +360,8 @@ def contact_face(region: ConvexRegion, v) -> np.ndarray:
 
 
 def displacement(x, y) -> tuple[np.ndarray, float]:
-    """y - x as a vector d and a factor s with y - x = s * d: s is 1, or 2
-    where the difference overflows and d is y/2 - x/2 (halving is exact but
-    for subnormal coordinates). Refuses x and y as planar_vector does."""
+    """(d, s) with y - x = s * d: d = y - x and s = 1, or where that overflows d =
+    y/2 - x/2 (exact but for subnormals) and s = 2. Refuses as planar_vector does."""
     (xa, xb), (ya, yb) = planar_vector(x), planar_vector(y)
     a, b = ya - xa, yb - xb
     if math.isinf(a) or math.isinf(b):
@@ -553,10 +550,11 @@ class CrystalContext:
         if not (top < math.inf).all():
             bad = int(np.argmin(top < math.inf))
             raise ValueError(f"row {bad} is not a finite planar vector: {xs[bad].tolist()}")
-        if not (top < _HALVE_FROM).all():
+        small = top < 2.0**1022  # these rows' lengths cannot overflow
+        if not small.all():
             # F and the norm are 1-homogeneous, so the relative test reads the
             # same on x / 2; halving is exact, and keeps these lengths finite.
-            xs = np.where((top < _HALVE_FROM)[:, None], xs, 0.5 * xs)
+            xs = np.where(small[:, None], xs, 0.5 * xs)
         speed = np.hypot(xs[:, 0], xs[:, 1])
         moving = speed > 0.0
         contact = np.ones(len(xs), dtype=bool)

@@ -4,9 +4,9 @@ Paths are polylines: the cost of a segment is exact (1-homogeneity makes
 it independent of parametrization speed), so polyline length needs no
 quadrature. A path is a geodesic exactly when its length equals the
 induced norm of its endpoint difference; :func:`is_geodesic` checks that
-scalar identity and additionally emits a geometric certificate: every
-segment direction must meet the cost's convex envelope, and one common
-crystal contact point must support all segment directions at once.
+scalar identity and emits a geometric certificate, two boolean arrays
+over the segments: each direction meets the cost's convex envelope, and
+one common crystal contact point supports every direction at once.
 
 Between two points there is always a geodesic. It is unique (up to
 reparametrization) exactly when the endpoint difference is an attained
@@ -61,15 +61,22 @@ class Path:
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}")
         near = top < 2.0**1021  # no difference of points, nor its length, can overflow
-        with contextlib.nullcontext() if near else np.errstate(over="ignore"):  # else it is inf
-            seg = pts[1:] - pts[:-1]
+        with contextlib.nullcontext() if near else np.errstate(over="ignore", invalid="ignore"):
+            seg = pts[1:] - pts[:-1]  # else such a difference, or its length, is inf
             speeds = np.hypot(seg[:, 0], seg[:, 1])
-        if not speeds.min() > MIN_SEGMENT:
-            raise ValueError("degenerate segment: consecutive breakpoints coincide")
+            if not speeds.min() > MIN_SEGMENT:
+                raise ValueError("degenerate segment: consecutive breakpoints coincide")
+            directions = seg / speeds[:, None]
+        if not near:
+            # An infinite length: take the direction of a quarter of the
+            # difference, in range and exact here but for subnormal coordinates.
+            far = speeds == math.inf
+            quarter = 0.25 * pts[1:][far] - 0.25 * pts[:-1][far]
+            directions[far] = quarter / np.hypot(quarter[:, 0], quarter[:, 1])[:, None]
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "segments", seg)
         object.__setattr__(self, "speeds", speeds)
-        object.__setattr__(self, "directions", seg / speeds[:, None] if near else _far_directions(pts, seg, speeds))
+        object.__setattr__(self, "directions", directions)
 
     @property
     def start(self) -> np.ndarray:
@@ -89,18 +96,6 @@ class Path:
 
     def translated(self, shift) -> "Path":
         return Path(self.points + np.asarray(shift, dtype=float))
-
-
-def _far_directions(pts: np.ndarray, seg: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    """seg / speeds, but a segment whose length overflows (inf) takes its
-    direction from a quarter of its difference: in range, and exact at that
-    magnitude but for subnormal coordinates, which its direction cannot resolve."""
-    far = speeds == math.inf
-    with np.errstate(invalid="ignore"):
-        directions = seg / speeds[:, None]
-    quarter = 0.25 * pts[1:][far] - 0.25 * pts[:-1][far]
-    directions[far] = quarter / np.hypot(quarter[:, 0], quarter[:, 1])[:, None]
-    return directions
 
 
 def path_length(F: Integrand, path: Path) -> float:
@@ -169,7 +164,7 @@ class GeodesicCertificate:
     achieved_length: float
     target_norm: float
     verdict: bool
-    contact_point: np.ndarray | None
+    contact_point: np.ndarray
     directions: np.ndarray
     contact_ok: np.ndarray
     support_ok: np.ndarray
@@ -190,7 +185,7 @@ class GeodesicCertificate:
             "verdict": self.verdict,
             "certified": self.certified,
             "tolerance": self.tolerance,
-            "contact_point": None if self.contact_point is None else self.contact_point.tolist(),
+            "contact_point": self.contact_point.tolist(),
             "segments": [
                 {"direction": d, "contact_ok": c, "support_ok": s}
                 for d, c, s in zip(self.directions.tolist(), self.contact_ok.tolist(), self.support_ok.tolist())
