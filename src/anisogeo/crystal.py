@@ -360,8 +360,9 @@ def contact_face(region: ConvexRegion, v) -> np.ndarray:
 
 
 def displacement(x, y) -> tuple[np.ndarray, float]:
-    """(d, s) with y - x = s * d: d = y - x and s = 1, or where that overflows d =
-    y/2 - x/2 (exact but for subnormals) and s = 2. Refuses as planar_vector does."""
+    """(d, s) with y - x = s * d: d = y - x and s = 1, or, where that
+    overflows, d = y/2 - x/2 (exact but for subnormals) and s = 2. Refuses
+    x and y as planar_vector does."""
     (xa, xb), (ya, yb) = planar_vector(x), planar_vector(y)
     a, b = ya - xa, yb - xb
     if math.isinf(a) or math.isinf(b):
@@ -546,14 +547,13 @@ class CrystalContext:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise ValueError("expected an array of planar vectors")
-        top = np.abs(xs).max(axis=1)  # nan where a row holds one
-        if not (top < math.inf).all():
-            bad = int(np.argmin(top < math.inf))
+        top = np.abs(xs).max(axis=1)
+        finite = top < math.inf  # a nan's row fails it too
+        if not finite.all():
+            bad = int(np.argmin(finite))
             raise ValueError(f"row {bad} is not a finite planar vector: {xs[bad].tolist()}")
-        small = top < 2.0**1022  # these rows' lengths cannot overflow
-        if not small.all():
-            # F and the norm are 1-homogeneous, so the relative test reads the
-            # same on x / 2; halving is exact, and keeps these lengths finite.
+        small = top < 2.0**1022  # no length of these rows can overflow
+        if not small.all():  # F and the norm are 1-homogeneous: the test reads the same on x / 2
             xs = np.where(small[:, None], xs, 0.5 * xs)
         speed = np.hypot(xs[:, 0], xs[:, 1])
         moving = speed > 0.0

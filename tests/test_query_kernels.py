@@ -794,7 +794,7 @@ def test_displacements_near_the_float_maximum(kind):
 @pytest.mark.parametrize("kind", ["pnorm3", "table", "dip"])
 def test_in_contact_on_rows_whose_length_overflows(kind):
     # A row whose length overflows is halved before its length is taken, so
-    # its answer is that of the row scaled down; the parent took F on (0, 0).
+    # its answer is that of the row scaled down, not that of F on (0, 0).
     F = PNorm(3.0) if kind == "pnorm3" else README_COSTS[kind]()
     ctx = CrystalContext(F, SphereGrid.planar(720))
     rows = np.vstack([NEAR_FLOAT_MAX, _displacements(np.random.default_rng(3), 200)])
