@@ -49,10 +49,16 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     wide = [60.0, 140.0, 100.0, 90.0, 110.0]
     assert pairs.verdict(wide, [95.0, 105.0, 98.0, 99.0, 101.0], "higher", 0.25)["verdict"] == "unresolved"
     # Unless every run of the change reads better than every parent run.
-    got = pairs.verdict(wide, [150.0, 160.0, 141.0, 145.0, 155.0], "higher", 0.25)
-    assert got["verdict"] == "better"
     clear = pairs.verdict(wide, [141.0, 142.0, 143.0, 141.5, 142.5], "higher", 0.5)
-    assert clear["verdict"] == "better"
+    assert clear["verdict"] == "within bound"
+    # Ten such pairs clear the rule for a gain.
+    got = pairs.verdict(wide * 2, [150.0, 160.0, 141.0, 145.0, 155.0] * 2, "higher", 0.25)
+    assert got["verdict"] == "better"
+
+
+def test_a_gain_needs_ten_pairs():
+    assert pairs.verdict(PARENT[:9], [p + 5.0 for p in PARENT[:9]], "higher", 0.25)["verdict"] == "within bound"
+    assert pairs.verdict([10.0], [12.0], "higher", 0.25)["verdict"] == "within bound"
 
 
 def test_one_pair_and_mismatched_runs():

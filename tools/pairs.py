@@ -1,14 +1,13 @@
 """Alternating benchmark pairs of two checkouts, with a verdict per metric.
 
-    python3 tools/pairs.py PARENT CHANGE --workload query --seed 1 --pairs 5 --out BENCH_26.json
+    python3 tools/pairs.py PARENT CHANGE --workload query --seed 1 --pairs 10 --out BENCH_<pr>.json
 
 Runs ``perfbench/run.py --trace 0`` in the parent and the change checkout,
 ``--pairs`` times each, alternating which side runs first, for the run
-length that the change's BENCHMARK.json sets (``--seconds`` overrides it
-for a smoke test). It appends one entry to the ``--out`` JSON list: every
-run's metrics and op counts, and for each end-to-end metric both medians,
-the parent's quartiles, the pairs the change won, and a verdict
-(:func:`verdict`).
+length that the change's BENCHMARK.json sets. It appends one entry to the
+``--out`` JSON list: every run's metrics and op counts, and for each
+end-to-end metric both medians, the parent's quartiles, the pairs the
+change won, and a verdict (:func:`verdict`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Share of all pairs run that the change must win for "better"; ties win nothing.
+# A gain needs at least MIN_PAIRS pairs, and the change must win WIN_SHARE
+# of all pairs run; ties win nothing.
+MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
 
@@ -33,9 +34,9 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """Compare one metric's runs, ``parent[i]`` paired with ``change[i]``.
 
-    - "better": the change wins at least WIN_SHARE of the pairs and its
-      median is better than the parent's by more than the parent's
-      interquartile range;
+    - "better": of at least MIN_PAIRS pairs, the change wins WIN_SHARE or
+      more, and its median is better than the parent's by more than the
+      parent's interquartile range;
     - "worse": the change's median is worse than the parent's by more
       than ``bound`` times the parent's median;
     - "unresolved": neither, while the parent's runs spread wider than the
@@ -49,7 +50,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     q1, q3 = quartiles(parent) if len(parent) > 1 else (p_med, p_med)
     wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     gain = sign * (c_med - p_med)
-    if wins >= WIN_SHARE * len(parent) and gain > q3 - q1:
+    if len(parent) >= MIN_PAIRS and wins >= WIN_SHARE * len(parent) and gain > q3 - q1:
         label = "better"
     elif -gain > bound * abs(p_med):
         label = "worse"
@@ -90,11 +91,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     runs = []
     for i in range(args.pairs):
