@@ -29,7 +29,7 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from . import fileio, planar
-from .crystal import CrystalContext
+from .crystal import CrystalContext, displacement
 from .geodesics import (
     MIN_SEGMENT,
     GeodesicClass,
@@ -114,16 +114,12 @@ def _is_numeric(text: str) -> bool:
 
 
 def _area_report(vertices: np.ndarray) -> dict:
-    """The crystal's area and its base-10 logarithm, computed on the
-    vertices scaled by a power of two, so the logarithm holds at every
-    scale. The area itself is ``None`` where no normal float holds it."""
+    """The crystal's area (``None`` where no normal float holds it) and its base-10
+    logarithm, at every scale: both are taken on :func:`planar.unit_scaled` of the vertices."""
     unit, exponent = planar.unit_scaled(vertices)
     unit_area = planar.polygon_area(unit)
     log10 = math.log10(unit_area) + 2 * exponent * math.log10(2.0)
-    try:
-        area = math.ldexp(unit_area, 2 * exponent)
-    except OverflowError:
-        area = math.inf
+    area = planar.scaled(unit_area, 2 * exponent)
     normal = sys.float_info.min <= area < math.inf
     return {"crystal_area": area if normal else None, "crystal_area_log10": log10}
 
@@ -177,8 +173,7 @@ def cmd_distance(args) -> int:
     y = _parse_point(args.end)
     if x.shape != (2,) or y.shape != (2,):
         raise fileio.SpecError("points must be planar (two coordinates)")
-    with np.errstate(over="ignore"):
-        gap = math.hypot(*(y - x))
+    gap = displacement(x, y)[2]
     if not gap < math.inf:
         raise fileio.SpecError("start and end are too far apart: their distance overflows")
     if gap <= MIN_SEGMENT:

@@ -88,9 +88,7 @@ class Polygon:
 
     def __post_init__(self) -> None:
         v = _planar_vertices(self.vertices)
-        # The checks run on the polygon scaled by a power of two into [-1, 1]:
-        # exact, and free of overflow and underflow at any scale.
-        u, _ = planar.unit_scaled(v)
+        u, _ = planar.unit_scaled(v)  # the checks at any scale neither overflow nor underflow
         e = np.concatenate((u[1:], u[:1])) - u
         if np.any(np.hypot(e[:, 0], e[:, 1]) <= 1e-14 * np.abs(u).max()):
             raise ValueError("degenerate polygon: repeated consecutive vertices")
@@ -359,15 +357,20 @@ def contact_face(region: ConvexRegion, v) -> np.ndarray:
     return region.vertices[hit[[np.argmin(along), np.argmax(along)]]]
 
 
-def displacement(x, y) -> tuple[np.ndarray, float]:
-    """(d, s) with y - x = s * d: d = y - x and s = 1, or, where that
-    overflows, d = y/2 - x/2 (exact but for subnormals) and s = 2. Refuses
-    x and y as planar_vector does."""
+def displacement(x, y) -> tuple[tuple[float, float], int, float]:
+    """(d, e, |y - x|) with y - x = d * 2**e: d = y - x and e = 0 where that is finite, else the
+    difference of :func:`planar.unit_scaled` of x and y together. Refuses them as planar_vector does."""
     (xa, xb), (ya, yb) = planar_vector(x), planar_vector(y)
     a, b = ya - xa, yb - xb
-    if math.isinf(a) or math.isinf(b):
-        return np.array((0.5 * ya - 0.5 * xa, 0.5 * yb - 0.5 * xb)), 2.0
-    return np.array((a, b)), 1.0
+    if not (math.isinf(a) or math.isinf(b)):
+        return (a, b), 0, math.hypot(a, b)  # math.hypot is inf, not an error, where it overflows
+    ends, e = planar.unit_scaled(np.array(((xa, xb), (ya, yb))))
+    return tuple((ends[1] - ends[0]).tolist()), e, math.inf
+
+
+def scaled_norm(n: float, e: int) -> float:
+    """The norm of v from n, that of v * 2**-e: a positive one that underflows is 5e-324."""
+    return max(planar.scaled(n, e), math.ulp(0.0)) if n > 0.0 else 0.0
 
 
 class Contact(NamedTuple):
@@ -400,11 +403,9 @@ class CrystalContext:
 
     Holds the crystal (the halfplane intersection over the scanned
     directions), its polar body, and the induced norm - possibly
-    asymmetric. A build scans the cost once and runs one hull, of the dual
-    points w / F(w): pruned and polarized it is the crystal. The Wulff
-    transform (the reciprocal support of that dual hull) and the convex
-    envelope (the crystal's support) are grid support queries on it, made
-    on first read. It keeps one record, its last analysis of a displacement
+    asymmetric - built as the module describes; the Wulff transform and
+    the convex envelope are made on first read. It keeps one record, its
+    last analysis of a displacement
     (:class:`Contact`): immutable, replaced by one assignment, and read once
     by a query that checks its key, so queries stay pure and thread-safe.
 
@@ -471,18 +472,17 @@ class CrystalContext:
         return self._contact(v).norm
 
     def _contact(self, v) -> Contact:
-        """The analysis of v: the last one if it has v's bits, else a new one
-        (one F call, one argmax) that replaces it. Refuses v as planar_vector does."""
-        a, b = planar_vector(v)
+        """:meth:`_record` of v; refuses v as planar_vector does."""
+        return self._record(*planar_vector(v))
+
+    def _record(self, a: float, b: float) -> Contact:
+        """The analysis of (a, b): the last one if it has their bits, else a new one that replaces it."""
         key = struct.pack("2d", a, b)
         last = self._last
         if last.key == key:
             return last
-        # The analysis runs on v scaled by a power of two into (-2, 2), which
-        # is exact and keeps every product finite; Python floats scale F(v),
-        # the norm and the legs back, so a value past the float range is inf.
-        scale = 2.0 ** min(math.frexp(max(abs(a), abs(b)))[1], 1023)
-        a, b = a / scale, b / scale
+        # Analysed on v * 2**-e, where no product overflows; F, the norm and the legs scale back.
+        a, b, e = planar.unit_scaled_pair(a, b)
         f = self.integrand((a, b))
         scores = self.crystal.vertices @ np.array((a, b))
         k = int(scores.argmax())
@@ -494,7 +494,9 @@ class CrystalContext:
         det = p0 * q1 - p1 * q0
         alpha, beta = (a * q1 - b * q0) / det, (p0 * b - p1 * a) / det
         u0, u1 = alpha * p0, alpha * p1
-        legs = ((u0 * scale, u1 * scale), ((a - u0) * scale, (b - u1) * scale)) if alpha > 0.0 and beta > 0.0 else None
+        legs = None
+        if alpha > 0.0 and beta > 0.0:
+            legs = (planar.scaled(u0, e), planar.scaled(u1, e)), (planar.scaled(a - u0, e), planar.scaled(b - u1, e))
         if f == 0.0:  # is_orthogonal_direction's rule from here
             unique = None
         elif sampled and f < support * (1.0 - 1e-12):
@@ -506,10 +508,7 @@ class CrystalContext:
             (pa, pb), (qa, qb) = polar_points[k - 1].tolist(), polar_points[k].tolist()
             gap = min(math.hypot(pa - a, pb - b), math.hypot(qa - a, qb - b))
             unique = gap <= self.resolution * max(math.hypot(a, b), 1e-30)
-        # The norm is zero only at v = 0: a positive one that underflows is
-        # rounded up to the smallest subnormal.
-        norm = max(n * scale, math.ulp(0.0)) if n > 0.0 else 0.0
-        self._last = record = Contact(key, f * scale, k, norm, unique, legs)
+        self._last = record = Contact(key, planar.scaled(f, e), k, scaled_norm(n, e), unique, legs)
         return record
 
     def _contact_face(self, v, record: Contact) -> np.ndarray:
@@ -533,8 +532,8 @@ class CrystalContext:
 
     def distance(self, x, y) -> float:
         """Cheapest cost of travelling from x to y; zero iff x == y."""
-        v, factor = displacement(x, y)
-        return factor * self.norm(v)
+        d, e, _ = displacement(x, y)
+        return scaled_norm(self._record(*d).norm, e)
 
     def in_contact(self, x) -> bool:
         """Whether the cost meets its convex envelope in direction x: F(x)
@@ -547,20 +546,19 @@ class CrystalContext:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise ValueError("expected an array of planar vectors")
-        top = np.abs(xs).max(axis=1)
-        finite = top < math.inf  # a nan's row fails it too
+        finite = planar.row_max_abs(xs) < math.inf  # a nan's row fails it too
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"row {bad} is not a finite planar vector: {xs[bad].tolist()}")
-        small = top < 2.0**1022  # no length of these rows can overflow
-        if not small.all():  # F and the norm are 1-homogeneous: the test reads the same on x / 2
-            xs = np.where(small[:, None], xs, 0.5 * xs)
+        xs, shift = planar.unit_scaled_cycles(xs, np.arange(len(xs)))
         speed = np.hypot(xs[:, 0], xs[:, 1])
         moving = speed > 0.0
         contact = np.ones(len(xs), dtype=bool)
         x, speed = xs[moving], speed[moving]
         fx = self.integrand.values_on(x / speed[:, None]) * speed
-        contact[moving] = fx - self._norms(x, fx) <= CONTACT_TOL * np.maximum(1.0, fx)
+        gap = fx - self._norms(x, fx)
+        # Each row is a cycle of one point: gap <= CONTACT_TOL * max(1, F(x)) in its own units.
+        contact[moving] = (gap <= CONTACT_TOL * fx) | (planar.scaled(gap, shift[moving, 0]) <= CONTACT_TOL)
         return contact
 
     def is_orthogonal_direction(self, v) -> bool:

@@ -20,17 +20,29 @@ support of v.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .crystal import ConvexRegion, CrystalContext, displacement
+from . import planar
+from .crystal import ConvexRegion, CrystalContext, displacement, scaled_norm
 from .integrand import Integrand, planar_vector
 
 MIN_SEGMENT = 1e-12
+
+
+def _breakpoints(x, e: int, *legs) -> list[tuple[float, float]]:
+    """x + l1, x + l1 + l2, ... for legs of (y - x) * 2**-e, each as s * (x / s + l1 + ...)
+    with s = 2**max(e, 0): no term overflows, so a breakpoint in the float range is finite."""
+    k = max(e, 0)
+    shrink, step = 2.0**-k, 2.0 ** (e - k)  # exact powers of two, as k <= 1025 and e >= -1073
+    a, b, points = float(x[0]) * shrink, float(x[1]) * shrink, []
+    for la, lb in legs:
+        a, b = a + la * step, b + lb * step
+        points.append((planar.scaled(a, k), planar.scaled(b, k)))
+    return points
 
 
 class GeodesicClass(Enum):
@@ -42,12 +54,11 @@ class GeodesicClass(Enum):
 class Path:
     """Polyline through ordered breakpoints; every segment has positive length.
 
-    ``segments`` are the segment vectors, ``speeds`` their Euclidean lengths
-    and ``directions`` the unit segment directions.
+    ``speeds`` are the segment lengths (inf past the float range) and ``directions``
+    the unit segment directions, both taken on :func:`planar.unit_scaled` of the points.
     """
 
     points: np.ndarray
-    segments: np.ndarray = field(init=False, repr=False)
     speeds: np.ndarray = field(init=False, repr=False)
     directions: np.ndarray = field(init=False, repr=False)
 
@@ -55,28 +66,19 @@ class Path:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ValueError("a path needs at least two planar breakpoints")
-        # A max over the points before any difference (inf - inf warns); nan fails it.
-        top = np.abs(pts).max()
-        if not top < math.inf:
+        try:  # the finite check runs before any difference (inf - inf warns)
+            unit, e = planar.unit_scaled(pts)
+        except ValueError:
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
-            raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}")
-        near = top < 2.0**1021  # no difference of points, nor its length, can overflow
-        with contextlib.nullcontext() if near else np.errstate(over="ignore", invalid="ignore"):
-            seg = pts[1:] - pts[:-1]  # else such a difference, or its length, is inf
-            speeds = np.hypot(seg[:, 0], seg[:, 1])
-            if not speeds.min() > MIN_SEGMENT:
-                raise ValueError("degenerate segment: consecutive breakpoints coincide")
-            directions = seg / speeds[:, None]
-        if not near:
-            # An infinite length: take the direction of a quarter of the
-            # difference, in range and exact here but for subnormal coordinates.
-            far = speeds == math.inf
-            quarter = 0.25 * pts[1:][far] - 0.25 * pts[:-1][far]
-            directions[far] = quarter / np.hypot(quarter[:, 0], quarter[:, 1])[:, None]
+            raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}") from None
+        steps = unit[1:] - unit[:-1]
+        lengths = np.hypot(steps[:, 0], steps[:, 1])
+        speeds = [planar.scaled(s, e) for s in lengths.tolist()]  # as floats: faster on a few segments
+        if not min(speeds) > MIN_SEGMENT:
+            raise ValueError("degenerate segment: consecutive breakpoints coincide")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "segments", seg)
-        object.__setattr__(self, "speeds", speeds)
-        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "speeds", np.array(speeds))
+        object.__setattr__(self, "directions", steps / lengths[:, None])
 
     @property
     def start(self) -> np.ndarray:
@@ -85,10 +87,6 @@ class Path:
     @property
     def end(self) -> np.ndarray:
         return self.points[-1]
-
-    @property
-    def displacement(self) -> np.ndarray:
-        return self.end - self.start
 
     @classmethod
     def segment(cls, x, y) -> "Path":
@@ -210,8 +208,8 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
         tol = ctx.default_tol
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    v = path.displacement
-    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
+    v, e, gap = displacement(path.start, path.end)  # v has the face and candidates of y - x
+    if gap <= MIN_SEGMENT:
         raise ValueError("path endpoints coincide; geodesic comparison undefined")
 
     # F on every segment direction, once: the length, the contact flags and
@@ -219,11 +217,14 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     dirs = path.directions
     unit_costs = ctx.integrand.values_on(dirs)
     achieved = _length(unit_costs, path)
-    record = ctx._contact(v)
-    target = record.norm
+    record = ctx._record(*v)
+    target = scaled_norm(record.norm, e)
+    euclidean = sum(path.speeds.tolist())  # in segment order, as _length sums the costs
+    if not max(achieved, euclidean, target) < math.inf:
+        raise ValueError(f"path length {achieved!r} (Euclidean {euclidean!r}) or norm {target!r} past the float range")
     verdict = abs(achieved - target) <= tol * max(1.0, target)
 
-    unit_tol = tol * max(1.0, target) / float(path.speeds.sum())
+    unit_tol = tol * max(1.0, target) / euclidean
     seg_norms = ctx._norms(dirs, unit_costs)
     contact = unit_costs - seg_norms <= unit_tol
 
@@ -251,10 +252,10 @@ def classify(ctx: CrystalContext, x, y) -> GeodesicClass:
     displacement is an attained crystal normal; otherwise infinitely many
     distinct geodesics connect the points.
     """
-    v, _ = displacement(x, y)  # v's label is that of y - x
-    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
+    v, _, gap = displacement(x, y)  # v's label is that of y - x
+    if gap <= MIN_SEGMENT:
         raise ValueError("classification requires distinct endpoints")
-    if ctx.is_orthogonal_direction(v):
+    if ctx._record(*v).unique:
         return GeodesicClass.UNIQUE_UP_TO_REPARAM
     return GeodesicClass.INFINITELY_MANY
 
@@ -285,12 +286,12 @@ def decompose_direction(ctx: CrystalContext, v) -> DirectionDecomposition:
     weights of its two endpoints are read off the exact ray/segment
     intersection, so the weights sum to one by construction.
     """
-    v = np.asarray(v, dtype=float)
-    record = ctx._contact(v)
+    a, b, _ = planar.unit_scaled_pair(*planar_vector(v))  # the decomposition is 0-homogeneous
+    record = ctx._record(a, b)
     n = record.norm
     if n == 0.0:
         raise ValueError("cannot decompose the zero vector")
-    v_hat = v / n
+    v_hat = np.array((a, b)) / n
     if record.unique:
         return DirectionDecomposition((1.0,), v_hat[None, :])
 
@@ -314,15 +315,14 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     otherwise the two-leg staircase along the two crystal edge normals at
     the displacement's contact vertex (first leg along the earlier normal).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = y - x
-    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
+    v, e, gap = displacement(x, y)
+    if gap <= MIN_SEGMENT:
         raise ValueError("geodesic construction requires distinct endpoints")
-    record = ctx._contact(v)
+    record = ctx._record(*v)
     if record.unique:
         return Path(np.array([x, y]))
-    return Path(np.array([x, x + record.staircase()[0], y]))
+    u, _ = record.legs or record.staircase()  # plain floats; staircase() refuses a direction without legs
+    return Path(np.array([x, *_breakpoints(x, e, u), y]))
 
 
 def geodesic_legs(ctx: CrystalContext, v) -> tuple[np.ndarray, np.ndarray]:
@@ -346,19 +346,16 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("family parameter must lie in [0, 1]")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = y - x
-    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
+    v, e, gap = displacement(x, y)
+    if gap <= MIN_SEGMENT:
         raise ValueError("family requires distinct endpoints")
-    record = ctx._contact(v)
+    record = ctx._record(*v)
     if record.unique:
         raise ValueError("direction is an attained normal: geodesic is unique, no family")
-    u, w = record.staircase()
-    raw = [x, x + tau * u, x + tau * u + w, y]
-    points = [raw[0]]
-    for p in raw[1:]:
-        if math.hypot(*(p - points[-1])) > MIN_SEGMENT:
+    (ua, ub), w = record.legs or record.staircase()
+    points = [x]
+    for p in [*_breakpoints(x, e, (tau * ua, tau * ub), w), y]:
+        if math.dist(points[-1], p) > MIN_SEGMENT:  # inf, not a warning, past the float range
             points.append(p)
     return Path(np.array(points))
 
@@ -371,5 +368,8 @@ def geodesic_ball(ctx: CrystalContext, center, radius: float) -> ConvexRegion:
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    center = np.array(planar_vector(center))
-    return ConvexRegion(center + radius * ctx.polar_body.vertices)
+    a, b = planar_vector(center)
+    # Rounding is monotone: no vertex overflows where this bound is finite.
+    if not max(abs(a), abs(b)) + float(radius) * float(np.abs(ctx.polar_body.vertices).max()) < math.inf:
+        raise ValueError(f"geodesic ball of radius {radius!r} about {[a, b]} reaches past the float range")
+    return ConvexRegion(np.array((a, b)) + radius * ctx.polar_body.vertices)

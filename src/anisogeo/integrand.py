@@ -38,7 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .planar import TWO_PI, convex_hull_ccw, edge_normals_and_offsets, hull_cycle, support_values
+from .planar import TWO_PI, convex_hull_ccw, edge_normals_and_offsets, hull_cycle, scaled, support_values
+from .planar import unit_scaled_pair
 
 # Sizes of the equispaced grids SphereGrid.planar builds, and the default size of
 # contexts and the CLI.
@@ -71,12 +72,9 @@ def planar_vector(x) -> tuple[float, float]:
 
 
 def unit(x: np.ndarray) -> np.ndarray:
-    """x / |x|, rejecting the zero vector and non-finite input."""
-    a, b = planar_vector(x)
+    """x / |x|, taken on x scaled by a power of two; rejects the zero vector and non-finite input."""
+    a, b, _ = unit_scaled_pair(*planar_vector(x))
     n = math.hypot(a, b)
-    if n == math.inf:  # halving is exact, and keeps the length finite
-        a, b = 0.5 * a, 0.5 * b
-        n = math.hypot(a, b)
     if not n > 0.0:
         raise ValueError("vector has no direction: zero or not finite")
     return np.array((a / n, b / n))
@@ -160,9 +158,9 @@ class Integrand(ABC):
 
     Subclasses define ``values_on``, the cost of each row of an array of
     unit directions, and nothing else evaluates a cost: ``F(x)`` is
-    ``values_on`` of x's direction times the Euclidean norm |x|, which makes
-    1-homogeneity hold by construction. Construction validates positivity,
-    so evaluation never fails.
+    ``values_on`` of x's direction times the Euclidean norm |x|, taken on x
+    scaled by a power of two and scaled back, which makes 1-homogeneity hold
+    by construction. Construction validates positivity, so evaluation never fails.
     """
 
     kind: str = "abstract"
@@ -172,13 +170,11 @@ class Integrand(ABC):
         """Cost of each row of an (n, 2) array of unit directions."""
 
     def __call__(self, x) -> float:
-        a, b = planar_vector(x)
+        a, b, e = unit_scaled_pair(*planar_vector(x))
         n = math.hypot(a, b)
         if n == 0.0:
             return 0.0
-        if n == math.inf:  # F is 1-homogeneous, and halving is exact
-            return 2.0 * self((0.5 * a, 0.5 * b))
-        return n * float(self.values_on(np.array(((a / n, b / n),)))[0])
+        return scaled(n * float(self.values_on(np.array(((a / n, b / n),)))[0]), e)
 
     @property
     def special_directions(self) -> np.ndarray:
@@ -284,12 +280,12 @@ class Crystalline(Integrand):
     kind = "crystalline"
 
     def __init__(self, facets) -> None:
-        scaled = []
+        rows = []
         for direction, weight in facets:
             weight = float(_positive(weight, "facet weights"))
-            scaled.append(weight * unit(np.asarray(direction, dtype=float)))
-        self.generators = np.array(scaled)
-        if len(scaled) < 3 or self.generators.shape[1:] != (2,):
+            rows.append(weight * unit(np.asarray(direction, dtype=float)))
+        self.generators = np.array(rows)
+        if len(rows) < 3 or self.generators.shape[1:] != (2,):
             raise ValueError("need at least 3 planar facets")
         ang = np.sort(np.mod(np.arctan2(self.generators[:, 1], self.generators[:, 0]), TWO_PI))
         gaps = np.diff(np.append(ang, ang[0] + TWO_PI))

@@ -40,13 +40,8 @@ def anisotropic_perimeter(F: Integrand, poly: Polygon) -> float:
 
 
 def _unit_measures(F: Integrand, poly: Polygon) -> tuple[float, float, int]:
-    """The anisotropic perimeter and the area of the polygon scaled by 2**-e
-    into [-1, 1], and e.
-
-    Scaling by a power of two is exact: they are the polygon's own
-    perimeter times 2**-e and area times 2**-2e, neither of which
-    overflows nor underflows at any scale of the polygon.
-    """
+    """The anisotropic perimeter and the area of :func:`planar.unit_scaled`
+    of the polygon, and its e: the polygon's own times 2**-e and 2**-2e."""
     u, e = planar.unit_scaled(poly.vertices)
     edges = np.concatenate((u[1:], u[:1])) - u
     perimeter = float(F.values_on(poly.normals) @ np.hypot(edges[:, 0], edges[:, 1]))
@@ -57,8 +52,7 @@ def isoperimetric_ratio(F: Integrand, poly: Polygon) -> float:
     """Anisotropic perimeter over the square root of the area (planar).
 
     Invariant under homothety: the perimeter is 1-homogeneous in scale and
-    the area 2-homogeneous. Computed on the polygon scaled by a power of
-    two, so it neither overflows nor underflows.
+    the area 2-homogeneous, so it is taken on :func:`_unit_measures`.
     """
     perimeter, area, _ = _unit_measures(F, poly)
     return _ratio(perimeter, area)
@@ -111,15 +105,13 @@ def wulff_identity_check(ctx: CrystalContext) -> WulffReport:
     :func:`_unit_measures`): |P - 2A| / P is |P_u - 2 A_u 2**e| / P_u.
     """
     perimeter, area, e = _unit_measures(ctx.integrand, ctx.crystal)
-    with np.errstate(over="ignore"):
-        full_perimeter, full_area = float(np.ldexp(perimeter, e)), float(np.ldexp(area, 2 * e))
     return WulffReport(
-        perimeter=full_perimeter,
-        area=full_area,
+        perimeter=planar.scaled(perimeter, e),
+        area=planar.scaled(area, 2 * e),
         ratio=perimeter / math.sqrt(area),
-        reference_ratio=math.ldexp(2.0 * math.sqrt(area), e),
+        reference_ratio=planar.scaled(2.0 * math.sqrt(area), e),
         isotropic_constant=2.0 * float(np.sqrt(np.pi)),
-        relative_difference=abs(perimeter - 2.0 * math.ldexp(area, e)) / perimeter,
+        relative_difference=abs(perimeter - 2.0 * planar.scaled(area, e)) / perimeter,
     )
 
 

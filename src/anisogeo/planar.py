@@ -10,10 +10,13 @@ takes each one's polar, and the two batches in :mod:`crystal` and
 :mod:`isoperimetry` call them. :func:`hausdorff_distances` measures many
 pairs of polygons in one sweep of their support functions;
 :func:`hausdorff_distance` is its batch of one. Every batch gives its
-items' lone values bit for bit.
+items' lone values bit for bit. :func:`unit_scaled` and its cycle and pair
+forms, with :func:`scaled`, hold the package's one rule for the float range.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,9 +44,29 @@ INTERIOR_REL = 1e-14
 
 def unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
     """The points times 2**-e, with e chosen so the largest magnitude lies in
-    [0.5, 1), and e. Exact for all but subnormal results."""
-    _, exponent = np.frexp(np.abs(points).max())
-    return np.ldexp(points, -exponent), int(exponent)
+    [0.5, 1), and e: exact but for subnormal results. Refuses non-finite points."""
+    top = float(np.abs(points).max())
+    if not top < math.inf:
+        raise ValueError("points are not finite")
+    exponent = math.frexp(top)[1]
+    return np.ldexp(points, -exponent), exponent
+
+
+def unit_scaled_pair(a: float, b: float) -> tuple[float, float, int]:
+    """:func:`unit_scaled` of the finite vector (a, b), in plain floats."""
+    exponent = math.frexp(max(abs(a), abs(b)))[1]
+    return math.ldexp(a, -exponent), math.ldexp(b, -exponent), exponent
+
+
+def scaled(x, exponent):
+    """x (a float or an array) times 2**exponent: exact but for subnormal results, +-inf past the range."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.ldexp(x, exponent)
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def turn_areas(o: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,15 +302,11 @@ def hull_cycle(points: np.ndarray) -> np.ndarray:
 def strictly_convex(cycle: np.ndarray) -> np.ndarray:
     """A CCW hull cycle without the vertices collinear with their neighbours
     (turn area at most ``COLLINEAR_REL * scale**2``, where scale is the
-    largest coordinate magnitude).
-
-    Turns are taken on the cycle scaled by a power of two into [-1, 1], so
-    they neither overflow nor underflow; the scaling is exact and leaves
-    every decision as it is at the cycle's own scale.
+    largest coordinate magnitude), taken on :func:`unit_scaled` of the cycle.
     """
     unit, exponent = unit_scaled(cycle)
     scale = float(np.abs(unit).max())
-    return np.ldexp(_prune_collinear_cycle(unit, COLLINEAR_REL * scale**2), exponent)
+    return scaled(_prune_collinear_cycle(unit, COLLINEAR_REL * scale**2), exponent)
 
 
 def strictly_convex_cycles(cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -307,7 +326,7 @@ def strictly_convex_cycles(cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     turn = turn_areas(unit[prv], unit, unit[nxt])
     flagged = np.logical_or.reduceat(turn <= np.repeat(eps, counts), starts)
     # Scaling back is what strictly_convex returns for a cycle it leaves whole.
-    points = np.ldexp(unit, shift)
+    points = scaled(unit, shift)
     if not flagged.any():
         return points, counts, starts, nxt
     kept = np.split(points, starts[1:])
@@ -471,14 +490,14 @@ def _hausdorff(polygons: list[np.ndarray]) -> np.ndarray:
     out of cycle order do not change it.
     """
     points, counts, starts, nxt = concatenated_cycles(polygons)
-    _, exponent = np.frexp(np.maximum.reduceat(row_max_abs(points), starts[::2]))
-    p = np.ldexp(points, -np.repeat(exponent, counts[::2] + counts[1::2])[:, None])
+    p, shift = unit_scaled_cycles(points, starts[::2])  # each pair as one cycle
+    exponent = shift[starts[::2], 0]
     z = p.view(np.complex128).ravel()
     e = z[nxt] - z
     edge = np.flatnonzero(e)
     gaps = np.abs(z[starts[::2]] - z[starts[1::2]])
     if not len(edge):
-        return np.ldexp(gaps, exponent)
+        return scaled(gaps, exponent)
     owner = np.repeat(np.arange(len(counts)), counts)[edge]
     m = np.bincount(owner, minlength=len(counts))
     first = np.cumsum(m) - m
@@ -518,4 +537,4 @@ def _hausdorff(polygons: list[np.ndarray]) -> np.ndarray:
     inside = np.mod(np.angle(w) - angle, np.pi) < after - angle
     np.maximum(gap, np.abs(w), out=gap, where=inside)
     gaps[pair[bounds]] = np.maximum.reduceat(gap, bounds)
-    return np.ldexp(gaps, exponent)
+    return scaled(gaps, exponent)

@@ -120,7 +120,7 @@ def test_concatenation_adds_lengths(l1_ctx, p, q):
 def test_length_dominates_distance(dip_ctx, p):
     if p is None:
         return
-    if np.linalg.norm(p.displacement) <= 1e-9:
+    if np.linalg.norm(p.end - p.start) <= 1e-9:
         return
     slack = 5 * dip_ctx.resolution * dip_ctx.f_max
     lf = path_length(dip_ctx.integrand, p)

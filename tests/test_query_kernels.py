@@ -7,6 +7,7 @@ labels, verdicts, certified flags and contact points for the geodesic
 checks.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -16,6 +17,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisogeo import (
     AngularTable,
@@ -36,6 +39,7 @@ from anisogeo import (
     is_geodesic,
     planar,
 )
+from anisogeo.crystal import displacement
 from anisogeo.geodesics import MIN_SEGMENT, DirectionDecomposition, geodesic_legs
 from anisogeo.integrand import (
     DIRECTION_MATCH_TOL,
@@ -133,13 +137,14 @@ def is_geodesic_reference(ctx: CrystalContext, path: Path, tol=None):
     support_ok) per segment, contact point)."""
     if tol is None:
         tol = ctx.default_tol
-    v = path.displacement
-    achieved = float(sum(ctx.integrand(seg) for seg in path.segments))
+    v = path.end - path.start
+    segments = np.diff(path.points, axis=0)
+    achieved = float(sum(ctx.integrand(seg) for seg in segments))
     target = ctx.norm(v)
     verdict = abs(achieved - target) <= tol * max(1.0, target)
-    speeds = np.hypot(path.segments[:, 0], path.segments[:, 1])
+    speeds = np.hypot(segments[:, 0], segments[:, 1])
     unit_tol = tol * max(1.0, target) / float(speeds.sum())
-    seg_dirs = [seg / math.hypot(*seg) for seg in path.segments]
+    seg_dirs = [seg / math.hypot(*seg) for seg in segments]
     seg_norms = [ctx.norm(d) for d in seg_dirs]
     contact_flags = [ctx.integrand(d) - nd <= unit_tol for d, nd in zip(seg_dirs, seg_norms)]
     vertices, representative = contact_face_reference(ctx.crystal, v)
@@ -610,7 +615,7 @@ def test_path_length_sums_in_segment_order(p3_ctx):
     from anisogeo import path_length
 
     assert path_length(F, path) == want
-    assert path_length(F, path) == pytest.approx(sum(F(s) for s in path.segments), rel=1e-14)
+    assert path_length(F, path) == pytest.approx(sum(F(s) for s in np.diff(path.points, axis=0)), rel=1e-14)
 
 
 # --- one contact record per displacement -----------------------------------
@@ -644,7 +649,7 @@ def _certificate(ctx, path):
 
 def _certificate_reference(ctx, path):
     verdict, flags, point = is_geodesic_reference(ctx, path)
-    return verdict, norm_reference(ctx, path.displacement), flags, point
+    return verdict, norm_reference(ctx, path.end - path.start), flags, point
 
 
 # Each query: the code under test and its reference, on endpoints x, y.
@@ -793,8 +798,8 @@ def test_displacements_near_the_float_maximum(kind):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["pnorm3", "table", "dip"])
 def test_in_contact_on_rows_whose_length_overflows(kind):
-    # A row whose length overflows is halved before its length is taken, so
-    # its answer is that of the row scaled down, not that of F on (0, 0).
+    # Each row is scaled by its own power of two before its length is taken,
+    # so its answer is that of the row scaled down, not that of F on (0, 0).
     F = PNorm(3.0) if kind == "pnorm3" else README_COSTS[kind]()
     ctx = CrystalContext(F, SphereGrid.planar(720))
     rows = np.vstack([NEAR_FLOAT_MAX, _displacements(np.random.default_rng(3), 200)])
@@ -807,7 +812,7 @@ def test_in_contact_on_rows_whose_length_overflows(kind):
 
 @pytest.mark.filterwarnings("error")
 def test_a_path_segment_whose_length_overflows():
-    # Its length is inf, and its direction is that of a quarter of its difference.
+    # Its length is inf, and its direction is that of the scaled breakpoints' difference.
     path = Path(np.array([[0.0, 0.0], [1.7e308, 1.7e308], [-1.7e308, 1.7e308], [-1.7e308, 0.0]]))
     assert path.speeds.tolist() == [math.inf, math.inf, 1.7e308]
     s = math.sqrt(0.5)
@@ -828,8 +833,9 @@ def test_unit_of_a_vector_whose_length_overflows():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", sorted(README_COSTS))
 def test_a_difference_of_points_that_overflows(kind):
-    # y - x overflows here, so distance is twice the norm of y/2 - x/2 and
-    # the label is that of the difference scaled down.
+    # y - x overflows here, so it is taken between x and y scaled down
+    # together: distance is twice the norm of y/2 - x/2, and the label is
+    # that of the difference scaled down.
     ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
     for x, y in [((-1.7e308, -1.0e308), (1.7e308, 1.2e308)), ((1.0, -1.5e308), (2.0, 1.5e308))]:
         half = np.array(y) / 2 - np.array(x) / 2
@@ -837,6 +843,139 @@ def test_a_difference_of_points_that_overflows(kind):
         assert classify(ctx, x, y) == classify(ctx, (0.0, 0.0), np.ldexp(half, -600)), (x, y)
     small = CrystalContext(Constant(1e-10), SphereGrid.planar(60))
     assert small.distance((-1.5e308, 0.0), (1.5e308, 0.0)) == pytest.approx(3e298, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(README_COSTS))
+def test_far_apart_constructions_are_the_scaled_down_ones(kind):
+    # A breakpoint is s * (x / s + u): where it lies in the float range it is
+    # 2**600 times the breakpoint of the endpoints scaled down by 2**600, and
+    # past it Path refuses it by name. Lengths past the float range cannot
+    # be compared with the norm, and is_geodesic says so.
+    ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
+    ends = [((-1.7e308, 0.0), (1.7e308, 1.0)), ((-1.7e308, -0.3e308), (1.6e308, 1.5e308)),
+            ((1.5e308, -1.7e308), (-1.2e308, 1.7e308)), ((-1.7e308, 1.7e308), (0.2e308, -1.6e308))]
+    finite = 0
+    for x, y in ends:
+        small = np.ldexp(x, -600), np.ldexp(y, -600)
+        for build in (lambda x, y: construct_geodesic(ctx, x, y), lambda x, y: geodesic_family(ctx, x, y, 0.5)):
+            want = _answer(build, *small)
+            try:
+                path = build(x, y)
+            except ValueError as exc:
+                assert re.search(r"not finite|attained normal", str(exc)), (x, y, exc)
+                assert want[0] == "ValueError" or not np.isfinite(planar.scaled(build(*small).points, 600)).all()
+                continue
+            finite += 1
+            assert path.points.tobytes() == np.ldexp(build(*small).points, 600).tobytes(), (x, y)
+            try:
+                cert = is_geodesic(ctx, path)
+            except ValueError as exc:
+                assert "past the float range" in str(exc)
+                assert not max(path.speeds.sum(), ctx.distance(x, y)) < math.inf
+            else:
+                assert cert.verdict == is_geodesic(ctx, build(*small)).verdict
+    assert finite > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_staircase_breakpoint_beyond_an_overflowing_leg():
+    # y - x overflows, so it is d * 2**e with e past 1023; the leg of d scaled
+    # back overflows, so x + u would be inf, while the breakpoint
+    # s * (x / s + u) lies in the float range.
+    ctx = CrystalContext(README_COSTS["crystalline"](), SphereGrid.planar(720))
+    x, y = (-1.26e308, 1.69e308), (1.4e308, 1.15e308)
+    d, e, _ = displacement(x, y)
+    u, _ = ctx._contact(d).staircase()
+    assert e > 1023 and planar.scaled(float(u[0]), e) == math.inf
+    path = construct_geodesic(ctx, x, y)
+    assert np.isfinite(path.points).all() and len(path.points) == 3
+    small = construct_geodesic(ctx, np.ldexp(x, -600), np.ldexp(y, -600))
+    assert path.points.tobytes() == np.ldexp(small.points, 600).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(README_COSTS))
+def test_decompositions_near_the_float_maximum(kind):
+    # A decomposition is 0-homogeneous: each vector decomposes as the vector scaled down.
+    ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
+    for v in NEAR_FLOAT_MAX:
+        assert _answer(decompose_direction, ctx, v) == _answer(decompose_direction, ctx, np.ldexp(v, -600)), v
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_ball_past_the_float_range_is_refused_by_name(p3_ctx):
+    from anisogeo import geodesic_ball
+
+    with pytest.raises(ValueError, match="geodesic ball .* reaches past the float range"):
+        geodesic_ball(p3_ctx, (1e308, 0.0), 1e308)
+    with pytest.raises(ValueError, match="reaches past the float range"):
+        geodesic_ball(p3_ctx, (-1.7e308, 0.0), 1e308)
+    ball = geodesic_ball(p3_ctx, (1e308, 0.0), 1e307)
+    assert np.isfinite(ball.vertices).all()
+
+
+@functools.cache
+def _readme_contexts() -> dict:
+    return {kind: CrystalContext(make(), SphereGrid.planar(720)) for kind, make in README_COSTS.items()}
+
+
+# The refusals a query may answer with, each by name.
+NAMED_REFUSALS = (
+    "requires distinct endpoints|path endpoints coincide|is not finite|no family|no staircase"
+    "|past the float range|degenerate segment"
+)
+
+
+def _positive_or_inf(value, zero_allowed: bool):
+    assert value > 0.0 or (value == 0.0 and zero_allowed), value
+    return value
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    # Exponents across the range, with its two ends drawn as often as the rest.
+    e=st.one_of(st.integers(-1074, 1023), st.integers(-1074, -1000), st.integers(1000, 1023)),
+    k=st.integers(min_value=-1100, max_value=1100),
+    m=st.lists(st.floats(min_value=-2.0, max_value=2.0, exclude_max=True, exclude_min=True), min_size=4, max_size=4),
+)
+def test_every_entry_point_holds_across_the_float_range(e, k, m):
+    # Endpoints 2**e * mantissa, from the smallest subnormal to the float
+    # maximum: each call answers a positive value, inf past the float range,
+    # or a named ValueError; F and the norm are 1-homogeneous bit for bit
+    # wherever both sides are normal. Below MIN_SEGMENT the constructions
+    # and classify refuse, although distance answers (MIN_SEGMENT is absolute).
+    x, y = (math.ldexp(m[0], e), math.ldexp(m[1], e)), (math.ldexp(m[2], e), math.ldexp(m[3], e))
+    v = (y[0] - x[0], y[1] - x[1])
+    normal = lambda t: sys.float_info.min <= abs(t) < math.inf  # noqa: E731
+    for kind, ctx in _readme_contexts().items():
+        F = ctx.integrand
+        for w in (x, y):
+            zero = w == (0.0, 0.0) or max(map(abs, w)) < 2.0**-1070  # F may round to 0 below
+            f, n = _positive_or_inf(F(w), zero), _positive_or_inf(ctx.norm(w), w == (0.0, 0.0))
+            if not w == (0.0, 0.0):
+                assert 0.0 < F.values_on(unit(w)[None, :])[0] < math.inf
+                split = decompose_direction(ctx, w)
+                assert min(split.weights) > 0.0 and np.isfinite(split.directions).all()
+            big = (planar.scaled(w[0], k), planar.scaled(w[1], k))
+            if (planar.scaled(big[0], -k), planar.scaled(big[1], -k)) == w:  # 2**k w is exact
+                for scaled_value, value in ((F(big), f), (ctx.norm(big), n)):
+                    if normal(scaled_value) and normal(value):
+                        assert scaled_value == math.ldexp(value, k), (kind, w, k)
+        assert ctx.in_contact_many(np.array([x, y, v] if all(map(math.isfinite, v)) else [x, y])).dtype == bool
+        _positive_or_inf(ctx.distance(x, y), x == y)
+        calls = (lambda: classify(ctx, x, y), lambda: construct_geodesic(ctx, x, y),
+                 lambda: geodesic_family(ctx, x, y, 0.5), lambda: is_geodesic(ctx, construct_geodesic(ctx, x, y)))
+        for call in calls:
+            try:
+                answer = call()
+            except ValueError as exc:
+                assert re.search(NAMED_REFUSALS, str(exc)), (kind, x, y, exc)
+                continue
+            if isinstance(answer, Path):
+                assert np.isfinite(answer.points).all() and (answer.speeds > 0.0).all()
+            elif not isinstance(answer, GeodesicClass):
+                assert 0.0 < answer.target_norm < math.inf and 0.0 < answer.achieved_length < math.inf
 
 
 @pytest.mark.parametrize("kind", sorted(README_COSTS))
@@ -922,7 +1061,7 @@ def test_path_checks_match_the_reference():
                 Path(pts)
             continue
         path = Path(pts)
-        np.testing.assert_array_equal(path.segments, want[0])
+        np.testing.assert_array_equal(np.diff(path.points, axis=0), want[0])
         np.testing.assert_array_equal(path.speeds, want[1])
 
 
