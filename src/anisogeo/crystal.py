@@ -14,23 +14,21 @@ exactly the halfplane intersection, with redundant constraints pruned as a
 byproduct of the hull. All exact polytope work is two-dimensional.
 
 :func:`double_polars` takes the double polars of several clouds as one
-batch: one hull per cloud, and every later pass, pruning, both polars and
-each region check, once on all the cycles concatenated
-(:func:`planar.strictly_convex_cycles`, :func:`planar.polar_of_cycles`,
-:func:`checked_cycles`). :func:`double_polar` is its batch of one.
+batch, as its docstring describes; :func:`double_polar` is its batch of one.
 
 :class:`CrystalContext` bundles a cost with its crystal and polar body
 and provides the induced (possibly asymmetric) norm, min(F, crystal
 support). Its build scans the cost once and runs one hull, of the dual
-points: pruned and polarized it is the crystal. Both transforms a context
-holds are support queries on that one hull (:func:`planar.support_values`),
-table costs on the grid: the Wulff transform is the reciprocal support of
-the dual hull, and the convex envelope is the crystal's support. So a
-build takes O(M log M) time and O(M) memory on M grid directions.
+points: pruned and polarized it is the crystal, and its Wulff transform
+is that hull's reciprocal support, in O(M log M) time and O(M) memory on
+M grid directions. Every other support (the envelope, the norm, a contact
+vertex) is one O(log V) lookup in :attr:`ConvexRegion.edge_angles`.
 """
 
 from __future__ import annotations
 
+import array
+import bisect
 import contextlib
 import math
 import struct
@@ -43,11 +41,6 @@ import numpy as np
 from . import planar
 from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit
 from .integrand import wulff_from_dual
-
-# Rows times crystal vertices up to which one matrix product gives a
-# batch's support values faster than planar.support_values (they take the
-# same time near 65536); past it the product's memory grows with the batch.
-_PRODUCT_MAX = 1 << 16
 
 # Relative slack of region faces: containment and contact faces.
 FACE_TOL = 1e-9
@@ -162,9 +155,34 @@ class ConvexRegion(Polygon):
         the threshold :func:`planar.polar_of_halfspaces` refuses at."""
         return bool(self.offsets.min() > planar.INTERIOR_REL * float(np.abs(self.vertices).max()))
 
+    @cached_property
+    def edge_angles(self) -> np.ndarray:
+        """:func:`planar.edge_angles`, the table every support query searches."""
+        return planar.edge_angles(self.vertices)
+
+    @cached_property
+    def _lookup(self) -> tuple[array.array, ...]:
+        """The edge angles and vertex columns as compact sequences of plain floats."""
+        return tuple(array.array("d", column.tobytes()) for column in (self.edge_angles, *self.vertices.T))
+
+    def support_vertex(self, a: float, b: float) -> tuple[int, float]:
+        """The first vertex in vertex order maximizing <., (a, b)>, and that maximum: in plain
+        floats, :func:`planar.support_values`' sector, then its vertex and two neighbours scored."""
+        angles, xs, ys = self._lookup
+        start, count = angles[0], len(xs)
+        sector = bisect.bisect_right(angles, start + (math.atan2(b, a) + (0.5 * math.pi - start)) % planar.TWO_PI)
+        near = sorted((sector - 1, sector % count, (sector + 1) % count))
+        scores = [xs[j] * a + ys[j] * b for j in near]
+        top = max(scores)
+        return near[scores.index(top)], top
+
+    def support_values(self, directions: np.ndarray) -> np.ndarray:
+        """:meth:`support` of every row, each as it is alone (:func:`planar.support_values`)."""
+        return planar.support_values(self.vertices, directions, self.edge_angles)
+
     def support(self, v) -> float:
         """max over the region of <., v>; attained at a vertex."""
-        return float((self.vertices @ np.asarray(v, dtype=float)).max())
+        return self.support_vertex(*planar_vector(v))[1]
 
     def gauge(self, v) -> float:
         """Minkowski gauge min{t >= 0 : v in t * region} (origin interior)."""
@@ -344,17 +362,21 @@ def double_polars(clouds) -> list[np.ndarray]:
 def contact_face(region: ConvexRegion, v) -> np.ndarray:
     """All support-attaining vertices of the region for direction v: one
     vertex as a (1, 2) row, or the two ends of a tied edge as (2, 2) rows,
-    in the order of the tangent direction (v turned a quarter left)."""
-    v = unit(v)
-    scores = region.vertices @ v
-    top = float(scores.max())
-    hit = np.flatnonzero(scores >= top - FACE_TOL * max(1.0, abs(top)))
+    in the order of the tangent direction (v turned a quarter left). Scores on a
+    convex polygon peak once, so a walk outward from the support vertex finds them."""
+    a, b = unit(v).tolist()
+    k, top = region.support_vertex(a, b)
+    _, xs, ys = region._lookup
+    floor, count, hit = top - FACE_TOL * max(1.0, abs(top)), len(xs), [k]
+    for step in (1, -1):
+        j = (k + step) % count
+        while len(hit) < count and xs[j] * a + ys[j] * b >= floor:
+            hit.append(j)
+            j = (j + step) % count
     if len(hit) == 1:
-        return region.vertices[hit]
-    # Attaining vertices are consecutive on the polygon; take the extremes
-    # along the tangent direction.
-    along = region.vertices[hit] @ np.array([-v[1], v[0]])
-    return region.vertices[hit[[np.argmin(along), np.argmax(along)]]]
+        return region.vertices[k : k + 1].copy()
+    along = [ys[j] * a - xs[j] * b for j in hit]
+    return region.vertices[[hit[along.index(min(along))], hit[along.index(max(along))]]]
 
 
 def displacement(x, y) -> tuple[tuple[float, float], int, float]:
@@ -368,15 +390,10 @@ def displacement(x, y) -> tuple[tuple[float, float], int, float]:
     return tuple((ends[1] - ends[0]).tolist()), e, math.inf
 
 
-def scaled_norm(n: float, e: int) -> float:
-    """The norm of v from n, that of v * 2**-e: a positive one that underflows is 5e-324."""
-    return max(planar.scaled(n, e), math.ulp(0.0)) if n > 0.0 else 0.0
-
-
 class Contact(NamedTuple):
-    """How a displacement v meets the crystal, as every query on v reads it:
-    ``key`` holds v's bits (-0.0 and 0.0 differ); ``k`` is the first crystal
-    vertex maximizing <., v>; ``unique`` is None where F(v) = 0; ``legs``
+    """How a displacement v meets the crystal, as every query on v reads it: ``key`` holds
+    v's bits (-0.0 and 0.0 differ); ``k`` is the first crystal vertex maximizing <., v>
+    (:meth:`ConvexRegion.support_vertex`); ``unique`` is None where F(v) = 0; ``legs``
     are :func:`geodesics.geodesic_legs`, None where v has none."""
 
     key: bytes
@@ -401,11 +418,9 @@ def hausdorff_distance(a: Polygon | np.ndarray, b: Polygon | np.ndarray) -> floa
 class CrystalContext:
     """A directional cost with its precomputed planar geometry.
 
-    Holds the crystal (the halfplane intersection over the scanned
-    directions), its polar body, and the induced norm - possibly
-    asymmetric - built as the module describes; the Wulff transform and
-    the convex envelope are made on first read. It keeps one record, its
-    last analysis of a displacement
+    Holds the crystal, its polar body and the induced norm, built as the
+    module describes; the Wulff transform and the convex envelope are made
+    on first read. It keeps one record, its last analysis of a displacement
     (:class:`Contact`): immutable, replaced by one assignment, and read once
     by a query that checks its key, so queries stay pure and thread-safe.
 
@@ -414,11 +429,11 @@ class CrystalContext:
     and the staircase along the two crystal edge normals at v's contact
     vertex (each a scanned direction costing exactly its offset). For
     families convex by construction that minimum is F, evaluated in closed
-    form. For table and dip costs it is never below the true norm, equals
-    it in contact directions, and exceeds it by O(resolution**2) inside a
-    corner's normal cone, since the grid crystal contains the true one.
-    Queries on sampled costs keep an O(resolution) tolerance,
-    ``default_tol``.
+    form to machine precision. For table and dip costs it is never below
+    the true norm, equals it in contact directions, and exceeds it by
+    O(resolution**2) inside a corner's normal cone, since the grid crystal
+    contains the true one. Queries on sampled costs keep an O(resolution)
+    tolerance, ``default_tol``.
     """
 
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
@@ -443,12 +458,10 @@ class CrystalContext:
             return
         bound = 2.0 * self.resolution * self.f_max
         # Not self.envelope: a context keeps that table only once it is read.
-        support = planar.support_values(self.crystal.vertices, self.grid.directions)
+        support = self.crystal.support_values(self.grid.directions)
         fixed_point_gap = np.abs(support - self._f_grid).max()
         if fixed_point_gap > bound:
-            raise RuntimeError(
-                f"convex cost is not an envelope fixed point: gap {fixed_point_gap:.3e}"
-            )
+            raise RuntimeError(f"convex cost is not an envelope fixed point: gap {fixed_point_gap:.3e}")
 
     @cached_property
     def wulff(self) -> GridFunction:
@@ -460,15 +473,12 @@ class CrystalContext:
         """The convex envelope of F on the grid: the crystal's support. It
         reaches the corners that the sampled A(W(F)) of
         :func:`integrand.convex_envelope` cuts off where no grid direction hits."""
-        return GridFunction(self.grid, planar.support_values(self.crystal.vertices, self.grid.directions))
+        return GridFunction(self.grid, self.crystal.support_values(self.grid.directions))
 
     def norm(self, v) -> float:
-        """The induced anisotropic norm of v (zero only at v = 0), read from
-        v's analysis (:class:`Contact`): F(v) for convex families, their
-        closed form to machine precision, and min(F(v), crystal support of
-        v) for sampled costs. Raises ValueError naming v when it is not a
-        finite planar vector.
-        """
+        """The induced anisotropic norm of v (zero only at v = 0), as the class
+        describes, read from v's analysis (:class:`Contact`). Raises ValueError
+        naming v when it is not a finite planar vector."""
         return self._contact(v).norm
 
     def _contact(self, v) -> Contact:
@@ -484,9 +494,7 @@ class CrystalContext:
         # Analysed on v * 2**-e, where no product overflows; F, the norm and the legs scale back.
         a, b, e = planar.unit_scaled_pair(a, b)
         f = self.integrand((a, b))
-        scores = self.crystal.vertices @ np.array((a, b))
-        k = int(scores.argmax())
-        support = float(scores[k])
+        k, support = self.crystal.support_vertex(a, b)
         sampled = not self.integrand.is_convex
         n = min(f, support) if sampled and f != 0.0 else f
         normals, polar_points = self.crystal.normals, self.polar_body.vertices  # n_j and n_j / h_j
@@ -508,32 +516,19 @@ class CrystalContext:
             (pa, pb), (qa, qb) = polar_points[k - 1].tolist(), polar_points[k].tolist()
             gap = min(math.hypot(pa - a, pb - b), math.hypot(qa - a, qb - b))
             unique = gap <= self.resolution * max(math.hypot(a, b), 1e-30)
-        self._last = record = Contact(key, planar.scaled(f, e), k, scaled_norm(n, e), unique, legs)
+        self._last = record = Contact(key, planar.scaled_positive(f, e), k, planar.scaled_positive(n, e), unique, legs)
         return record
 
-    def _contact_face(self, v, record: Contact) -> np.ndarray:
-        """:func:`contact_face` of the crystal for v: scores on a strictly convex
-        polygon peak once, so a contact vertex clearing both neighbours is the face."""
-        u, vertices, k = unit(v), self.crystal.vertices, record.k
-        near = vertices[k - 1 : k + 2] if 0 < k < len(vertices) - 1 else vertices[[k - 1, k, (k + 1) % len(vertices)]]
-        before, top, after = (near @ u).tolist()
-        if max(before, after) < top - FACE_TOL * max(1.0, abs(top)):
-            return vertices[k : k + 1]
-        return contact_face(self.crystal, v)
-
     def _norms(self, xs: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        """:meth:`norm` of every (nonzero) row of xs, given F on the rows."""
+        """:meth:`norm` of every (nonzero) row of xs, given F on the rows, bit for bit."""
         if self.integrand.is_convex:
             return fx
-        vertices = self.crystal.vertices
-        if len(xs) * len(vertices) <= _PRODUCT_MAX:
-            return np.minimum(fx, (xs @ vertices.T).max(axis=1))
-        return np.minimum(fx, planar.support_values(vertices, xs))
+        return np.minimum(fx, self.crystal.support_values(xs))
 
     def distance(self, x, y) -> float:
         """Cheapest cost of travelling from x to y; zero iff x == y."""
         d, e, _ = displacement(x, y)
-        return scaled_norm(self._record(*d).norm, e)
+        return planar.scaled_positive(self._record(*d).norm, e)
 
     def in_contact(self, x) -> bool:
         """Whether the cost meets its convex envelope in direction x: F(x)

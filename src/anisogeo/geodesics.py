@@ -21,13 +21,14 @@ support of v.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import planar
-from .crystal import ConvexRegion, CrystalContext, displacement, scaled_norm
+from .crystal import ConvexRegion, CrystalContext, contact_face, displacement
 from .integrand import Integrand, planar_vector
 
 MIN_SEGMENT = 1e-12
@@ -102,8 +103,8 @@ def path_length(F: Integrand, path: Path) -> float:
 
 
 def _length(unit_costs: np.ndarray, path: Path) -> float:
-    """The path's cost from F on its segment directions, summed in segment order."""
-    return float(sum((unit_costs * path.speeds).tolist()))
+    """The path's cost from F on its segment directions, in segment order: inf, not a warning, past the range."""
+    return float(sum(map(operator.mul, unit_costs.tolist(), path.speeds.tolist())))
 
 
 def concatenate(paths: list[Path]) -> Path:
@@ -217,8 +218,7 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     dirs = path.directions
     unit_costs = ctx.integrand.values_on(dirs)
     achieved = _length(unit_costs, path)
-    record = ctx._record(*v)
-    target = scaled_norm(record.norm, e)
+    target = planar.scaled_positive(ctx._record(*v).norm, e)
     euclidean = sum(path.speeds.tolist())  # in segment order, as _length sums the costs
     if not max(achieved, euclidean, target) < math.inf:
         raise ValueError(f"path length {achieved!r} (Euclidean {euclidean!r}) or norm {target!r} past the float range")
@@ -230,7 +230,7 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
 
     # Every candidate scored in one (segments x candidates) pass; the first
     # best wins, as in a loop over them that stops at a full score.
-    candidates = ctx.contact_point_candidates(v, ctx._contact_face(v, record))
+    candidates = ctx.contact_point_candidates(v, contact_face(ctx.crystal, v))
     support = np.abs(dirs @ candidates.T - seg_norms[:, None]) <= unit_tol
     best = int((contact[:, None] & support).sum(axis=0).argmax())
     return GeodesicCertificate(
@@ -326,13 +326,9 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
 
 
 def geodesic_legs(ctx: CrystalContext, v) -> tuple[np.ndarray, np.ndarray]:
-    """The two staircase legs u, w with u + w = v for a non-extreme direction.
-
-    v lies in the normal cone of the crystal at its contact vertex x, the
-    vertex maximizing <., v>. The cone is spanned by the edge normals on
-    either side of x, and v = alpha * n_before + beta * n_after with
-    alpha, beta > 0 gives the legs u = alpha * n_before and w = v - u.
-    """
+    """The two staircase legs u, w with u + w = v for a non-extreme direction:
+    v = alpha * n_before + beta * n_after with alpha, beta > 0, over the edge
+    normals on either side of v's contact vertex, gives u = alpha * n_before."""
     return ctx._contact(v).staircase()
 
 

@@ -38,8 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .planar import TWO_PI, convex_hull_ccw, edge_normals_and_offsets, hull_cycle, scaled, support_values
-from .planar import unit_scaled_pair
+from .planar import TWO_PI, convex_hull_ccw, edge_normals_and_offsets, hull_cycle, support_values
+from .planar import scaled_positive, unit_scaled_pair
 
 # Sizes of the equispaced grids SphereGrid.planar builds, and the default size of
 # contexts and the CLI.
@@ -159,8 +159,9 @@ class Integrand(ABC):
     Subclasses define ``values_on``, the cost of each row of an array of
     unit directions, and nothing else evaluates a cost: ``F(x)`` is
     ``values_on`` of x's direction times the Euclidean norm |x|, taken on x
-    scaled by a power of two and scaled back, which makes 1-homogeneity hold
-    by construction. Construction validates positivity, so evaluation never fails.
+    scaled by a power of two and scaled back (:func:`planar.scaled_positive`,
+    so F is positive at every nonzero x), which makes 1-homogeneity hold by
+    construction. Construction validates positivity, so evaluation never fails.
     """
 
     kind: str = "abstract"
@@ -174,7 +175,7 @@ class Integrand(ABC):
         n = math.hypot(a, b)
         if n == 0.0:
             return 0.0
-        return scaled(n * float(self.values_on(np.array(((a / n, b / n),)))[0]), e)
+        return scaled_positive(n * float(self.values_on(np.array(((a / n, b / n),)))[0]), e)
 
     @property
     def special_directions(self) -> np.ndarray:

@@ -10,8 +10,9 @@ takes each one's polar, and the two batches in :mod:`crystal` and
 :mod:`isoperimetry` call them. :func:`hausdorff_distances` measures many
 pairs of polygons in one sweep of their support functions;
 :func:`hausdorff_distance` is its batch of one. Every batch gives its
-items' lone values bit for bit. :func:`unit_scaled` and its cycle and pair
-forms, with :func:`scaled`, hold the package's one rule for the float range.
+items' lone values bit for bit. :func:`unit_scaled` and its forms, with
+:func:`scaled` and :func:`scaled_positive`, hold the package's one rule for
+the float range. :func:`support_values` searches a cycle's :func:`edge_angles`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-_NEIGHBOURS = np.arange(3)[:, None]
+_NEIGHBOURS = np.arange(-1, 2)[:, None]
 # Shewchuk's (1997) bound on the rounding error of a computed orientation
 # determinant, ccwerrboundA: a determinant larger in magnitude than this
 # times |detleft| + |detright| has the sign of the exact one. The floor
@@ -67,6 +68,11 @@ def scaled(x, exponent):
         return math.ldexp(x, exponent)
     except OverflowError:
         return math.copysign(math.inf, x)
+
+
+def scaled_positive(x: float, exponent: int) -> float:
+    """:func:`scaled` of a float x >= 0, with a positive x that underflows rounded up to 5e-324."""
+    return max(scaled(x, exponent), math.ulp(0.0)) if x > 0.0 else 0.0
 
 
 def turn_areas(o: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -351,32 +357,34 @@ def _cycle_wraps(angle: np.ndarray) -> np.ndarray:
     return np.cumsum(np.floor((np.diff(angle, prepend=angle[:1]) + 0.5 * np.pi) / TWO_PI))
 
 
-def support_values(cycle: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """max over the vertices of a convex CCW cycle of <vertex, d>, per direction d.
-
-    Vertex ``j`` attains the maximum for the directions between the outward
-    normals of edges ``j-1`` and ``j`` (edge ``j`` runs from vertex ``j`` to
-    ``j+1``). The edge angles, unwrapped along the cycle, increase; a binary
-    search finds each direction's sector, and the maximum over the sector's
-    vertex and its two neighbours absorbs rounding at ties and in
-    near-collinear runs, so an unpruned hull cycle is read exactly.
-    O((k + n) log k) time and O(k + n) memory for k vertices and n directions.
-    """
-    v, d = np.asarray(cycle, dtype=float), np.asarray(directions, dtype=float)
-    e = np.concatenate((v[1:], v[:1])) - v
+def edge_angles(cycle: np.ndarray) -> np.ndarray:
+    """The angles of a convex CCW cycle's edges (edge ``j`` runs from vertex
+    ``j`` to ``j+1``), unrolled along it so they never decrease. An edge's
+    outward normal is its direction turned by -pi/2, so d lies in vertex j's
+    sector when angle[j-1] <= angle(d) + pi/2 < angle[j]."""
+    e = np.concatenate((cycle[1:], cycle[:1])) - cycle
     angle = np.arctan2(e[:, 1], e[:, 0])
     angle -= TWO_PI * _cycle_wraps(angle)
-    np.maximum.accumulate(angle, out=angle)
-    # An edge's outward normal is its direction turned by -pi/2, so d lies in
-    # vertex j's sector when angle[j-1] <= angle(d) + pi/2 < angle[j].
-    start = angle[0]
-    turned = start + np.mod(np.arctan2(d[:, 1], d[:, 0]) + (0.5 * np.pi - start), TWO_PI)
+    return np.maximum.accumulate(angle, out=angle)
+
+
+def support_values(cycle: np.ndarray, directions: np.ndarray, angles: np.ndarray | None = None) -> np.ndarray:
+    """max over the vertices of a convex CCW cycle of <vertex, d>, per direction d.
+
+    A binary search of the cycle's :func:`edge_angles` (``angles``, when held)
+    finds each direction's sector; the maximum of ``x * a + y * b`` over the
+    sector's vertex (x, y) and its two neighbours absorbs rounding at ties and
+    in near-collinear runs, so an unpruned hull cycle is read exactly and no
+    value depends on its batch. O((k + n) log k) time, O(k + n) memory.
+    """
+    v, d = np.asarray(cycle, dtype=float), np.asarray(directions, dtype=float)
+    a, b = d[:, 0], d[:, 1]
+    angle = edge_angles(v) if angles is None else angles
+    start = float(angle[0])
+    turned = start + np.mod(np.arctan2(b, a) + (0.5 * np.pi - start), TWO_PI)
     sector = np.searchsorted(angle, turned, side="right")  # 1 <= sector <= k
-    # Entry i + 1 of the padded cycle is vertex i (mod k), so entries
-    # sector + (0, 1, 2) are the sector's vertex and its two neighbours.
-    padded = np.concatenate((v[-1:], v, v[:2])).T
-    near = sector + _NEIGHBOURS
-    return (padded[0][near] * d[:, 0] + padded[1][near] * d[:, 1]).max(axis=0)
+    near = (sector + _NEIGHBOURS) % len(v)  # the sector's vertex, sector mod k, and its two neighbours
+    return (v[:, 0][near] * a + v[:, 1][near] * b).max(axis=0)
 
 
 def polygon_area(vertices: np.ndarray) -> float:

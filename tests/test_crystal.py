@@ -584,9 +584,12 @@ class TestContactMany:
             assert got.tolist() == [loop_in_contact(ctx, x) for x in xs], F.kind
             if not F.is_convex:
                 x = xs[:-1]
-                norms = ctx._norms(x, np.array([F(v) for v in x]))
-                want = np.array([ctx.norm(v) for v in x])
-                assert np.abs(norms - want).max() <= 1e-13 * np.abs(want).max(), F.kind
+                fx = np.array([F(v) for v in x])
+                norms = ctx._norms(x, fx)
+                assert np.array_equal(norms, [ctx.norm(v) for v in x]), F.kind
+                # Each row alone has its value in the batch.
+                alone = [ctx._norms(x[i : i + 1], fx[i : i + 1])[0] for i in range(len(x))]
+                assert np.array_equal(norms, alone), F.kind
 
     def test_sampled_costs_have_directions_out_of_contact(self, dip_ctx):
         got = dip_ctx.in_contact_many(dip_ctx.grid.directions)

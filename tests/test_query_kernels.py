@@ -35,6 +35,7 @@ from anisogeo import (
     construct_geodesic,
     contact_face,
     decompose_direction,
+    geodesic_ball,
     geodesic_family,
     is_geodesic,
     planar,
@@ -54,6 +55,13 @@ BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 
 
 # --- references: the replaced scalar bodies ----------------------------------
+
+
+def vertex_scores(region, v) -> np.ndarray:
+    """<vertex, v> for every vertex of the region, as ``x * a + y * b``: the
+    crystal support's one formula, over all vertices."""
+    a, b = np.asarray(v, dtype=float).tolist()
+    return region.vertices[:, 0] * a + region.vertices[:, 1] * b
 
 
 def table_values_on_reference(F: AngularTable, dirs) -> np.ndarray:
@@ -100,15 +108,16 @@ def is_orthogonal_direction_reference(ctx: CrystalContext, v, tol=None) -> bool:
     n = ctx.norm(v)
     if n == 0.0:
         raise ValueError("zero vector has no direction")
+    scores = vertex_scores(ctx.crystal, v)
     if not ctx.integrand.is_convex:
-        f, support = ctx.integrand(v), ctx.crystal.support(v)
+        f, support = ctx.integrand(v), float(scores.max())
         if f < support * (1.0 - 1e-12):
             return True
         if f > support * (1.0 + 1e-12):
             return False
     v_hat = v / n
     normals, offsets = ctx.crystal.halfspaces
-    k = int(np.argmax(ctx.crystal.vertices @ v))
+    k = int(np.argmax(scores))
     cone = [k - 1, k]
     gaps = np.hypot(*(normals[cone] / offsets[cone, None] - v_hat).T)
     return bool(gaps.min() <= tol * max(math.hypot(*v_hat), 1e-30))
@@ -118,14 +127,13 @@ def contact_face_reference(region, v):
     """The contact face as a record: its vertex rows, and a representative
     in its relative interior (the vertex, or the midpoint of an edge)."""
     v = unit(v)
-    scores = region.vertices @ v
+    scores = vertex_scores(region, v)
     top = float(scores.max())
     hit = np.flatnonzero(scores >= top - 1e-9 * max(1.0, abs(top)))
     if len(hit) == 1:
         point = region.vertices[hit[0]]
         return point[None, :], point
-    tangent = np.array([-v[1], v[0]])
-    along = region.vertices[hit] @ tangent
+    along = region.vertices[hit, 1] * v[0] - region.vertices[hit, 0] * v[1]
     a = region.vertices[hit[np.argmin(along)]]
     b = region.vertices[hit[np.argmax(along)]]
     return np.vstack([a, b]), 0.5 * (a + b)
@@ -167,7 +175,7 @@ def norm_reference(ctx: CrystalContext, v) -> float:
     f = ctx.integrand(v)
     if ctx.integrand.is_convex or f == 0.0:
         return f
-    return min(f, ctx.crystal.support(v))
+    return min(f, float(vertex_scores(ctx.crystal, v).max()))
 
 
 def unique_reference(ctx: CrystalContext, v) -> bool:
@@ -180,7 +188,7 @@ def unique_reference(ctx: CrystalContext, v) -> bool:
     f = ctx.integrand(v)
     if f == 0.0:
         raise ValueError("zero vector has no direction")
-    scores = ctx.crystal.vertices @ v
+    scores = vertex_scores(ctx.crystal, v)
     k = int(np.argmax(scores))
     n = f
     if not ctx.integrand.is_convex:
@@ -204,7 +212,7 @@ def geodesic_legs_reference(ctx: CrystalContext, v):
     """``geodesic_legs`` with its own argmax over the crystal vertices."""
     v = np.asarray(v, dtype=float)
     normals = ctx.crystal.normals
-    k = int(np.argmax(ctx.crystal.vertices @ v))
+    k = int(np.argmax(vertex_scores(ctx.crystal, v)))
     (a0, a1), (b0, b1), (v0, v1) = normals[k - 1].tolist(), normals[k].tolist(), v.tolist()
     det = a0 * b1 - a1 * b0
     alpha = (v0 * b1 - v1 * b0) / det
@@ -757,7 +765,7 @@ def test_record_fields_match_the_references():
             record = ctx._contact(v)
             assert record.key == struct.pack("2d", *v.tolist())
             assert record.f == ctx.integrand(v)
-            assert record.k == int(np.argmax(ctx.crystal.vertices @ v))
+            assert record.k == int(np.argmax(vertex_scores(ctx.crystal, v)))
             assert record.norm == norm_reference(ctx, v)
             assert record.unique == unique_reference(ctx, v)
             assert _answer(record.staircase) == _answer(geodesic_legs_reference, ctx, v), (kind, v)
@@ -905,8 +913,6 @@ def test_decompositions_near_the_float_maximum(kind):
 
 @pytest.mark.filterwarnings("error")
 def test_a_ball_past_the_float_range_is_refused_by_name(p3_ctx):
-    from anisogeo import geodesic_ball
-
     with pytest.raises(ValueError, match="geodesic ball .* reaches past the float range"):
         geodesic_ball(p3_ctx, (1e308, 0.0), 1e308)
     with pytest.raises(ValueError, match="reaches past the float range"):
@@ -951,8 +957,8 @@ def test_every_entry_point_holds_across_the_float_range(e, k, m):
     for kind, ctx in _readme_contexts().items():
         F = ctx.integrand
         for w in (x, y):
-            zero = w == (0.0, 0.0) or max(map(abs, w)) < 2.0**-1070  # F may round to 0 below
-            f, n = _positive_or_inf(F(w), zero), _positive_or_inf(ctx.norm(w), w == (0.0, 0.0))
+            zero = w == (0.0, 0.0)
+            f, n = _positive_or_inf(F(w), zero), _positive_or_inf(ctx.norm(w), zero)
             if not w == (0.0, 0.0):
                 assert 0.0 < F.values_on(unit(w)[None, :])[0] < math.inf
                 split = decompose_direction(ctx, w)
@@ -980,13 +986,13 @@ def test_every_entry_point_holds_across_the_float_range(e, k, m):
 
 @pytest.mark.parametrize("kind", sorted(README_COSTS))
 def test_the_norm_is_zero_only_at_zero(kind):
-    # A positive norm that underflows is rounded up to the smallest subnormal.
+    # A positive norm or F that underflows is rounded up to the smallest subnormal.
     tiny = math.ulp(0.0)
     for ctx in (CrystalContext(README_COSTS[kind](), SphereGrid.planar(64)),
                 CrystalContext(Constant(0.5), SphereGrid.planar(64))):
         for v in [(tiny, 0.0), (0.0, -tiny), (-tiny, tiny), (3 * tiny, -2 * tiny), (1e-310, 0.0)]:
             n = ctx.norm(v)
-            assert n > 0.0 and ctx.distance((0.0, 0.0), v) == n, v
+            assert n > 0.0 and ctx.distance((0.0, 0.0), v) == n and ctx.integrand(v) > 0.0, v
             assert n == ctx.norm(np.ldexp(v, 600)) * 2.0**-600 or n == tiny, v
         assert ctx.norm((0.0, 0.0)) == 0.0 and ctx.norm((-0.0, 0.0)) == 0.0
     assert CrystalContext(Constant(0.5), SphereGrid.planar(64)).norm((tiny, 0.0)) == tiny
@@ -1006,20 +1012,30 @@ def test_non_finite_displacements_are_refused_by_name(bad, p3_ctx):
                 call(np.array(bad))
 
 
-@pytest.mark.parametrize("grid_size", [8, 60, 720])
+@pytest.mark.parametrize("grid_size", [8, 60, 720, 2880])
 def test_contact_face_from_the_contact_vertex_is_contact_face(grid_size):
     rng = np.random.default_rng(grid_size)
     costs = [make() for make in README_COSTS.values()] + [PNorm(math.inf), PNorm(2.5)]
     costs += [_random_table(rng) for _ in range(4)]
+    # Random displacements, edge normals (an edge face) and directions a
+    # hair off them (a vertex face beside a tie).
+    turn = np.array([[1.0, -1e-12], [1e-12, 1.0]])
     for F in costs:
         ctx = CrystalContext(F, SphereGrid.planar(grid_size))
         normals = ctx.crystal.normals
-        # Random displacements, edge normals (an edge face) and directions
-        # a hair off them (a vertex face beside a tie).
-        turn = np.array([[1.0, -1e-12], [1e-12, 1.0]])
         for v in np.vstack([_displacements(rng, 300), normals, 3.0 * normals, normals @ turn]):
-            got = ctx._contact_face(v, ctx._contact(v))
-            assert got.tobytes() == contact_face(ctx.crystal, v).tobytes()
+            assert contact_face(ctx.crystal, v).tobytes() == contact_face_reference(ctx.crystal, v)[0].tobytes(), v
+        # The edge from vertex V - 1 to vertex 0, where the sectors wrap: the
+        # record's vertex is the first maximizing one in vertex order.
+        for v in (normals[-1], 3.0 * normals[-1], normals[-1] @ turn, normals[-1] @ turn.T):
+            assert contact_face(ctx.crystal, v).tobytes() == contact_face_reference(ctx.crystal, v)[0].tobytes(), v
+            assert ctx._contact(v).k == int(np.argmax(vertex_scores(ctx.crystal, v))), v
+    # Regions that are not crystals: a geodesic ball and a polar body.
+    ctx = CrystalContext(README_COSTS["table"](), SphereGrid.planar(grid_size))
+    for region in (geodesic_ball(ctx, (0.3, -2.0), 1.5), ctx.polar_body):
+        for v in np.vstack([_displacements(rng, 300), region.normals, region.normals @ turn]):
+            assert region.support(v) == float(vertex_scores(region, v).max()), v
+            assert contact_face(region, v).tobytes() == contact_face_reference(region, v)[0].tobytes(), v
 
 
 @pytest.mark.parametrize("grid_size", [60, 720])
