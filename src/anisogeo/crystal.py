@@ -150,10 +150,15 @@ class ConvexRegion(Polygon):
         return float(np.hypot(*spread))
 
     @cached_property
+    def magnitude(self) -> float:
+        """The largest vertex coordinate magnitude, the scale of every score <vertex, unit d>."""
+        return float(np.abs(self.vertices).max())
+
+    @cached_property
     def origin_interior(self) -> bool:
         """Whether every offset exceeds rounding of the largest coordinate,
         the threshold :func:`planar.polar_of_halfspaces` refuses at."""
-        return bool(self.offsets.min() > planar.INTERIOR_REL * float(np.abs(self.vertices).max()))
+        return bool(self.offsets.min() > planar.INTERIOR_REL * self.magnitude)
 
     @cached_property
     def edge_angles(self) -> np.ndarray:
@@ -308,8 +313,7 @@ def polar(region: ConvexRegion) -> ConvexRegion:
     """Polar body {z : <z, x> <= 1 on the region}; needs the origin interior."""
     if not region.origin_interior:
         raise ValueError(UNBOUNDED_POLAR)
-    scale = float(np.abs(region.vertices).max())
-    return ConvexRegion(planar.polar_of_halfspaces(*region.halfspaces, scale))
+    return ConvexRegion(planar.polar_of_halfspaces(*region.halfspaces, region.magnitude))
 
 
 def double_polar(points) -> ConvexRegion:
@@ -362,12 +366,13 @@ def double_polars(clouds) -> list[np.ndarray]:
 def contact_face(region: ConvexRegion, v) -> np.ndarray:
     """All support-attaining vertices of the region for direction v: one
     vertex as a (1, 2) row, or the two ends of a tied edge as (2, 2) rows,
-    in the order of the tangent direction (v turned a quarter left). Scores on a
-    convex polygon peak once, so a walk outward from the support vertex finds them."""
+    in the order of the tangent direction (v turned a quarter left). A vertex within ``FACE_TOL``
+    times the region's magnitude of the support is tied, so a face scales with its region.
+    Scores on a convex polygon peak once: a walk outward from the support vertex finds them."""
     a, b = unit(v).tolist()
     k, top = region.support_vertex(a, b)
     _, xs, ys = region._lookup
-    floor, count, hit = top - FACE_TOL * max(1.0, abs(top)), len(xs), [k]
+    floor, count, hit = top - FACE_TOL * region.magnitude, len(xs), [k]
     for step in (1, -1):
         j = (k + step) % count
         while len(hit) < count and xs[j] * a + ys[j] * b >= floor:
@@ -585,10 +590,11 @@ class CrystalContext:
         """Crystal points that may realize <v, x> = |v|, as (C, 2) rows: the
         rows of v's contact face (:func:`contact_face`), the midpoint of an
         edge face, and the cost's closed-form contact point when it knows one."""
-        rows = [face]
-        if len(face) == 2:
-            rows.append(0.5 * (face[0] + face[1]))
+        rows = face.tolist()
+        if len(rows) == 2:
+            (pa, pb), (qa, qb) = rows
+            rows.append([0.5 * (pa + qa), 0.5 * (pb + qb)])
         exact = self.integrand.contact_point(np.asarray(v, dtype=float))
         if exact is not None:
-            rows.append(exact)
-        return np.vstack(rows)
+            rows.append(exact.tolist())
+        return np.array(rows)

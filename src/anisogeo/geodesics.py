@@ -202,8 +202,9 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     when available) for one point supporting every segment direction; its
     per-segment tolerance budget is length-weighted so that the aggregate
     budget matches the scalar criterion's (the discrete form of a
-    condition holding at almost every traversal time). A tolerance that is
-    not positive and finite raises ValueError.
+    condition holding at almost every traversal time). After one ``values_on``
+    call, the per-segment work is O(segments x candidates) in Python floats.
+    A tolerance that is not positive and finite raises ValueError.
     """
     if tol is None:
         tol = ctx.default_tol
@@ -224,23 +225,31 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
         raise ValueError(f"path length {achieved!r} (Euclidean {euclidean!r}) or norm {target!r} past the float range")
     verdict = abs(achieved - target) <= tol * max(1.0, target)
 
+    # Norms, contact flags and support scores in plain floats: numpy costs more on few segments.
     unit_tol = tol * max(1.0, target) / euclidean
-    seg_norms = ctx._norms(dirs, unit_costs)
-    contact = unit_costs - seg_norms <= unit_tol
+    costs, pairs = unit_costs.tolist(), dirs.tolist()
+    norms = costs
+    if not ctx.integrand.is_convex:  # the norm of a direction is min(F, h), as the record's
+        norms = [min(f, ctx.crystal.support_vertex(a, b)[1]) for f, (a, b) in zip(costs, pairs)]
+    contact = [f - n <= unit_tol for f, n in zip(costs, norms)]
 
-    # Every candidate scored in one (segments x candidates) pass; the first
-    # best wins, as in a loop over them that stops at a full score.
+    # Each candidate scored as the crystal support is, x * a + y * b; the first with the
+    # most segments both in contact and supported wins.
     candidates = ctx.contact_point_candidates(v, contact_face(ctx.crystal, v))
-    support = np.abs(dirs @ candidates.T - seg_norms[:, None]) <= unit_tol
-    best = int((contact[:, None] & support).sum(axis=0).argmax())
+    best, score, support = 0, -1, []
+    for i, (x, y) in enumerate(candidates.tolist()):
+        ok = [abs(x * a + y * b - n) <= unit_tol for (a, b), n in zip(pairs, norms)]
+        hits = sum(map(operator.and_, contact, ok))
+        if hits > score:
+            best, score, support = i, hits, ok
     return GeodesicCertificate(
         achieved_length=achieved,
         target_norm=target,
         verdict=verdict,
         contact_point=candidates[best],
         directions=dirs,
-        contact_ok=contact,
-        support_ok=support[:, best],
+        contact_ok=np.array(contact, dtype=bool),
+        support_ok=np.array(support, dtype=bool),
         tolerance=tol,
     )
 

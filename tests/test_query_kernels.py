@@ -40,7 +40,7 @@ from anisogeo import (
     is_geodesic,
     planar,
 )
-from anisogeo.crystal import displacement
+from anisogeo.crystal import ConvexRegion, displacement
 from anisogeo.geodesics import MIN_SEGMENT, DirectionDecomposition, geodesic_legs
 from anisogeo.integrand import (
     DIRECTION_MATCH_TOL,
@@ -161,7 +161,8 @@ def is_geodesic_reference(ctx: CrystalContext, path: Path, tol=None):
     candidates += [] if exact is None else [exact]
     best_flags, best_point, best_score = None, None, -1
     for xbar in candidates:
-        flags = [(c_ok, abs(float(d @ xbar) - nd) <= unit_tol) for d, nd, c_ok in zip(seg_dirs, seg_norms, contact_flags)]
+        flags = [(c_ok, abs(float(d[0] * xbar[0] + d[1] * xbar[1]) - nd) <= unit_tol)
+                 for d, nd, c_ok in zip(seg_dirs, seg_norms, contact_flags)]
         score = sum(c_ok and s_ok for c_ok, s_ok in flags)
         if score > best_score:
             best_flags, best_point, best_score = flags, xbar, score
@@ -522,7 +523,7 @@ def _displacements(rng, count: int) -> np.ndarray:
     return np.vstack([v, ties])
 
 
-@pytest.mark.parametrize("grid_size", [60, 720])
+@pytest.mark.parametrize("grid_size", [60, 720, 2880])
 @pytest.mark.parametrize("kind", sorted(README_COSTS))
 def test_query_checks_match_the_references(kind, grid_size):
     ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(grid_size))
@@ -540,6 +541,29 @@ def test_query_checks_match_the_references(kind, grid_size):
         assert cert.contact_ok.tolist() == [c_ok for c_ok, _ in flags], v
         assert cert.support_ok.tolist() == [s_ok for _, s_ok in flags], v
         assert cert.certified is all(c_ok and s_ok for c_ok, s_ok in flags), v
+        np.testing.assert_array_equal(cert.contact_point, point)
+
+
+@pytest.mark.parametrize("kind", ["table", "dip"])
+def test_dense_sampled_certificates_match_the_reference(kind):
+    # Every segment's sampled norm min(F, h) on 2,000 segments: a geodesic
+    # cut into collinear pieces, and a bent path that is not a geodesic.
+    ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
+    x, v = np.array([0.1, -0.3]), np.array([0.8, 0.5])
+    breakpoints = construct_geodesic(ctx, x, x + v).points
+    per_leg = 2000 // (len(breakpoints) - 1)
+    t = np.linspace(0.0, 1.0, per_leg + 1)[1:, None]
+    cut = [breakpoints[:1]] + [p + t * (q - p) for p, q in zip(breakpoints, breakpoints[1:])]
+    s = np.linspace(0.0, 1.0, 2001)[:, None]
+    bent = x + s * v + s * (1.0 - s) * np.array([-v[1], v[0]])
+    for points, geodesic in ((np.vstack(cut), True), (bent, False)):
+        path = Path(points)
+        assert len(path.directions) == 2000
+        cert = is_geodesic(ctx, path)
+        verdict, flags, point = is_geodesic_reference(ctx, path)
+        assert cert.verdict is verdict is geodesic
+        assert cert.contact_ok.tolist() == [c_ok for c_ok, _ in flags]
+        assert cert.support_ok.tolist() == [s_ok for _, s_ok in flags]
         np.testing.assert_array_equal(cert.contact_point, point)
 
 
@@ -1036,6 +1060,28 @@ def test_contact_face_from_the_contact_vertex_is_contact_face(grid_size):
         for v in np.vstack([_displacements(rng, 300), region.normals, region.normals @ turn]):
             assert region.support(v) == float(vertex_scores(region, v).max()), v
             assert contact_face(region, v).tobytes() == contact_face_reference(region, v)[0].tobytes(), v
+
+
+def test_a_tiny_crystals_face_is_its_support_vertex():
+    # Below unit support a fixed floor took every vertex as tied: this face
+    # was two antipodal vertices.
+    ctx = CrystalContext(Constant(1e-10), SphereGrid.planar(720))
+    v = (1.0, 0.3)
+    face = contact_face(ctx.crystal, v)
+    scores = vertex_scores(ctx.crystal, unit(v))
+    assert face.tobytes() == ctx.crystal.vertices[[int(np.argmax(scores))]].tobytes()
+
+
+@pytest.mark.parametrize("k", [-40, -1, 1, 40])
+def test_faces_scale_with_their_region(k):
+    rng = np.random.default_rng(k + 100)
+    for make in README_COSTS.values():
+        ctx = CrystalContext(make(), SphereGrid.planar(720))
+        for region in (ctx.crystal, ctx.polar_body):
+            scaled = ConvexRegion(np.ldexp(region.vertices, k))
+            for v in np.vstack([rng.normal(size=(300, 2)), region.normals]):
+                face = contact_face(region, v)
+                assert contact_face(scaled, v).tobytes() == np.ldexp(face, k).tobytes(), (make, v)
 
 
 @pytest.mark.parametrize("grid_size", [60, 720])
