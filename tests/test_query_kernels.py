@@ -1063,8 +1063,8 @@ def test_contact_face_from_the_contact_vertex_is_contact_face(grid_size):
 
 
 def test_a_tiny_crystals_face_is_its_support_vertex():
-    # Below unit support a fixed floor took every vertex as tied: this face
-    # was two antipodal vertices.
+    # Far below unit size only the vertex attaining the support is tied, not
+    # every vertex within a fixed 1e-9.
     ctx = CrystalContext(Constant(1e-10), SphereGrid.planar(720))
     v = (1.0, 0.3)
     face = contact_face(ctx.crystal, v)
