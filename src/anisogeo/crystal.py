@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import planar
-from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit
+from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit_pair
 from .integrand import wulff_from_dual
 
 # Relative slack of region faces: containment and contact faces.
@@ -176,10 +176,12 @@ class ConvexRegion(Polygon):
         angles, xs, ys = self._lookup
         start, count = angles[0], len(xs)
         sector = bisect.bisect_right(angles, start + (math.atan2(b, a) + (0.5 * math.pi - start)) % planar.TWO_PI)
-        near = sorted((sector - 1, sector % count, (sector + 1) % count))
-        scores = [xs[j] * a + ys[j] * b for j in near]
-        top = max(scores)
-        return near[scores.index(top)], top
+        i, j, k = sector - 1, sector % count, (sector + 1) % count
+        if sector >= count - 1:  # the three wrap past vertex 0: put them in vertex order
+            i, j, k = sorted((i, j, k))
+        si, sj, sk = xs[i] * a + ys[i] * b, xs[j] * a + ys[j] * b, xs[k] * a + ys[k] * b
+        top = max(si, sj, sk)
+        return (i if si == top else j if sj == top else k), top
 
     def support_values(self, directions: np.ndarray) -> np.ndarray:
         """:meth:`support` of every row, each as it is alone (:func:`planar.support_values`)."""
@@ -196,9 +198,9 @@ class ConvexRegion(Polygon):
         return float(((self.normals @ np.asarray(v, dtype=float)) / self.offsets).max())
 
     def contains(self, x) -> bool:
+        """Whether x lies in the region, up to ``FACE_TOL`` times its magnitude, as faces tie."""
         x = np.asarray(x, dtype=float)
-        slack = FACE_TOL * max(1.0, self.diameter)
-        return bool(np.all(self.normals @ x <= self.offsets + slack))
+        return bool(np.all(self.normals @ x <= self.offsets + FACE_TOL * self.magnitude))
 
 
 def _planar_vertices(vertices) -> np.ndarray:
@@ -215,29 +217,34 @@ def _turns_once_left(v: np.ndarray) -> bool:
     turns add up to one full revolution: v is then convex, hence simple.
     A star such as the pentagram turns left everywhere but winds twice."""
     e = np.concatenate((v[1:], v[:1])) - v
-    return bool(each_turns_once_left(e, np.concatenate((e[1:], e[:1])), _FIRST)[0])
+    f = np.concatenate((e[1:], e[:1]))
+    return bool(each_turns_once_left(e[:, 0], e[:, 1], f[:, 0], f[:, 1], _FIRST)[0])
 
 
-def checked_cycles(vertices: np.ndarray, starts: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def checked_cycles(
+    vertices: np.ndarray, starts: np.ndarray, nxt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:class:`ConvexRegion`'s checks on each of the concatenated cycles
     (:func:`planar.cycle_links` gives ``starts`` and ``nxt``) of at least 3
     vertices, with its messages; the cycles scaled as those checks scale
-    them, and their edges."""
+    them, and the two columns of their edges. Successors are gathered
+    column by column: a row gather on an (n, 2) array is several times slower."""
     if not np.isfinite(vertices).all():
         raise ValueError("polygon vertices must be finite")
     u, _ = planar.unit_scaled_cycles(vertices, starts)
-    edges = u[nxt] - u
-    if not each_turns_once_left(edges, edges[nxt], starts).all():
+    ux, uy = u[:, 0], u[:, 1]
+    ex, ey = ux[nxt] - ux, uy[nxt] - uy
+    if not each_turns_once_left(ex, ey, ex[nxt], ey[nxt], starts).all():
         raise ValueError(NOT_CONVEX)
-    return u, edges
+    return u, ex, ey
 
 
-def each_turns_once_left(e: np.ndarray, f: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def each_turns_once_left(ex: np.ndarray, ey: np.ndarray, fx: np.ndarray, fy: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """:func:`_turns_once_left` for each of several closed polylines, given
-    their edges e concatenated, each edge's successor f in its own
-    polyline, and the index of each polyline's first edge."""
-    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
-    dot = e[:, 0] * f[:, 0] + e[:, 1] * f[:, 1]
+    the columns of their edges e concatenated, of each edge's successor f in
+    its own polyline, and the index of each polyline's first edge."""
+    cross = ex * fy - ey * fx
+    dot = ex * fx + ey * fy
     winding = np.rint(np.add.reduceat(np.arctan2(cross, dot), starts) / planar.TWO_PI)
     return (np.minimum.reduceat(cross, starts) > 0.0) & (winding == 1.0)
 
@@ -369,7 +376,7 @@ def contact_face(region: ConvexRegion, v) -> np.ndarray:
     in the order of the tangent direction (v turned a quarter left). A vertex within ``FACE_TOL``
     times the region's magnitude of the support is tied, so a face scales with its region.
     Scores on a convex polygon peak once: a walk outward from the support vertex finds them."""
-    a, b = unit(v).tolist()
+    a, b = unit_pair(v)
     k, top = region.support_vertex(a, b)
     _, xs, ys = region._lookup
     floor, count, hit = top - FACE_TOL * region.magnitude, len(xs), [k]
@@ -378,10 +385,10 @@ def contact_face(region: ConvexRegion, v) -> np.ndarray:
         while len(hit) < count and xs[j] * a + ys[j] * b >= floor:
             hit.append(j)
             j = (j + step) % count
-    if len(hit) == 1:
-        return region.vertices[k : k + 1].copy()
-    along = [ys[j] * a - xs[j] * b for j in hit]
-    return region.vertices[[hit[along.index(min(along))], hit[along.index(max(along))]]]
+    if len(hit) > 1:
+        along = [ys[j] * a - xs[j] * b for j in hit]
+        hit = [hit[along.index(min(along))], hit[along.index(max(along))]]
+    return np.array([(xs[j], ys[j]) for j in hit])
 
 
 def displacement(x, y) -> tuple[tuple[float, float], int, float]:
@@ -502,8 +509,8 @@ class CrystalContext:
         k, support = self.crystal.support_vertex(a, b)
         sampled = not self.integrand.is_convex
         n = min(f, support) if sampled and f != 0.0 else f
-        normals, polar_points = self.crystal.normals, self.polar_body.vertices  # n_j and n_j / h_j
-        (p0, p1), (q0, q1) = normals[k - 1].tolist(), normals[k].tolist()
+        nx, ny, px, py = self._edge_columns
+        p0, p1, q0, q1 = nx[k - 1], ny[k - 1], nx[k], ny[k]
         det = p0 * q1 - p1 * q0
         alpha, beta = (a * q1 - b * q0) / det, (p0 * b - p1 * a) / det
         u0, u1 = alpha * p0, alpha * p1
@@ -518,11 +525,17 @@ class CrystalContext:
             unique = False
         else:
             a, b = a / n, b / n
-            (pa, pb), (qa, qb) = polar_points[k - 1].tolist(), polar_points[k].tolist()
-            gap = min(math.hypot(pa - a, pb - b), math.hypot(qa - a, qb - b))
+            gap = min(math.hypot(px[k - 1] - a, py[k - 1] - b), math.hypot(px[k] - a, py[k] - b))
             unique = gap <= self.resolution * max(math.hypot(a, b), 1e-30)
         self._last = record = Contact(key, planar.scaled_positive(f, e), k, planar.scaled_positive(n, e), unique, legs)
         return record
+
+    @cached_property
+    def _edge_columns(self) -> tuple[array.array, ...]:
+        """The crystal's edge normals n_j and the polar points n_j / h_j (the polar
+        body's vertices), by column, as compact sequences of plain floats."""
+        columns = (*self.crystal.normals.T, *self.polar_body.vertices.T)
+        return tuple(array.array("d", column.tobytes()) for column in columns)
 
     def _norms(self, xs: np.ndarray, fx: np.ndarray) -> np.ndarray:
         """:meth:`norm` of every (nonzero) row of xs, given F on the rows, bit for bit."""
@@ -594,7 +607,7 @@ class CrystalContext:
         if len(rows) == 2:
             (pa, pb), (qa, qb) = rows
             rows.append([0.5 * (pa + qa), 0.5 * (pb + qb)])
-        exact = self.integrand.contact_point(np.asarray(v, dtype=float))
+        exact = self.integrand.contact_point(v)
         if exact is not None:
             rows.append(exact.tolist())
         return np.array(rows)

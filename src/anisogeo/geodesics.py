@@ -203,8 +203,11 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     per-segment tolerance budget is length-weighted so that the aggregate
     budget matches the scalar criterion's (the discrete form of a
     condition holding at almost every traversal time). After one ``values_on``
-    call, the per-segment work is O(segments x candidates) in Python floats.
-    A tolerance that is not positive and finite raises ValueError.
+    call, the per-segment work is O(segments x candidates) in Python floats;
+    the displacement's record, its contact face (:func:`contact_face`) and
+    its candidates (:meth:`CrystalContext.contact_point_candidates`) are
+    plain floats too, each made into an array once. A tolerance that is not
+    positive and finite raises ValueError.
     """
     if tol is None:
         tol = ctx.default_tol

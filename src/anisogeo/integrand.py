@@ -31,6 +31,8 @@ O(M log M) time and O(M) memory.
 
 from __future__ import annotations
 
+import array
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -47,6 +49,9 @@ GRID_SIZE_MIN = 8
 GRID_SIZE_MAX = 20000
 GRID_SIZE_DEFAULT = 720
 
+# The dtype of the arrays planar_vector reads without a copy.
+_FLOAT64 = np.dtype(np.float64)
+
 # Directions closer than this (in Euclidean distance on the sphere) are
 # treated as identical; dips have zero angular width at any usable grid.
 DIRECTION_MATCH_TOL = 1e-12
@@ -57,27 +62,38 @@ def planar_vector(x) -> tuple[float, float]:
 
     Raises ValueError naming x when it is not a planar vector or either
     component is not finite. Both components are tested: ``hypot(inf, nan)``
-    is inf, so a test of the length alone would miss the nan.
+    is inf, so a test of the length alone would miss the nan. A pair of
+    floats and a float64 array of two are read as they are, without a copy.
     """
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != (2,):
-        raise ValueError(f"expected a planar vector, got {x!r}")
-    a, b = arr.tolist()
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == (2,):
+        a, b = x.tolist()
+    elif type(x) is tuple and len(x) == 2 and type(x[0]) is float and type(x[1]) is float:
+        a, b = x
+    else:
+        try:
+            arr = np.asarray(x, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.shape != (2,):
+            raise ValueError(f"expected a planar vector, got {x!r}")
+        a, b = arr.tolist()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"vector {x!r} is not finite")
     return a, b
 
 
-def unit(x: np.ndarray) -> np.ndarray:
-    """x / |x|, taken on x scaled by a power of two; rejects the zero vector and non-finite input."""
+def unit_pair(x) -> tuple[float, float]:
+    """x / |x| as two floats, taken on x scaled by a power of two; rejects the zero vector and non-finite input."""
     a, b, _ = unit_scaled_pair(*planar_vector(x))
     n = math.hypot(a, b)
     if not n > 0.0:
         raise ValueError("vector has no direction: zero or not finite")
-    return np.array((a / n, b / n))
+    return a / n, b / n
+
+
+def unit(x) -> np.ndarray:
+    """:func:`unit_pair` of x as an array."""
+    return np.array(unit_pair(x))
 
 
 def _positive(values, what: str) -> np.ndarray:
@@ -157,10 +173,11 @@ class Integrand(ABC):
     """Positive 1-homogeneous planar directional cost.
 
     Subclasses define ``values_on``, the cost of each row of an array of
-    unit directions, and nothing else evaluates a cost: ``F(x)`` is
-    ``values_on`` of x's direction times the Euclidean norm |x|, taken on x
-    scaled by a power of two and scaled back (:func:`planar.scaled_positive`,
-    so F is positive at every nonzero x), which makes 1-homogeneity hold by
+    unit directions, and every evaluation has the bits it gives: ``F(x)`` is
+    ``values_on`` of x's direction (through the family's scalar form,
+    :meth:`_unit_value`) times the Euclidean norm |x|, taken on x scaled by
+    a power of two and scaled back (:func:`planar.scaled_positive`, so F is
+    positive at every nonzero x), which makes 1-homogeneity hold by
     construction. Construction validates positivity, so evaluation never fails.
     """
 
@@ -171,11 +188,20 @@ class Integrand(ABC):
         """Cost of each row of an (n, 2) array of unit directions."""
 
     def __call__(self, x) -> float:
+        """F(x), the one scalar entry point: |x| times :meth:`_unit_value` of x's
+        direction, the family's scalar form, which has the bits of that
+        direction's row of ``values_on`` in any batch. Families override
+        ``_unit_value``, never this method."""
         a, b, e = unit_scaled_pair(*planar_vector(x))
         n = math.hypot(a, b)
         if n == 0.0:
             return 0.0
-        return scaled_positive(n * float(self.values_on(np.array(((a / n, b / n),)))[0]), e)
+        return scaled_positive(n * self._unit_value(a / n, b / n), e)
+
+    def _unit_value(self, a: float, b: float) -> float:
+        """The cost of the unit direction (a, b): a one-row ``values_on`` call, unless
+        the family has a scalar form in plain arithmetic with the same bits."""
+        return float(self.values_on(np.array(((a, b),)))[0])
 
     @property
     def special_directions(self) -> np.ndarray:
@@ -219,6 +245,20 @@ class PNorm(Integrand):
         a = a ** self.p
         return (a[:, 0] + a[:, 1]) ** (1.0 / self.p)
 
+    def _unit_value(self, a: float, b: float) -> float:
+        # p = 1 and inf in plain arithmetic; other p take _norm's two array powers.
+        if self.p == 1.0:
+            return abs(a) + abs(b)
+        if math.isinf(self.p):
+            return max(abs(a), abs(b))
+        return self._smooth_norm(np.array((abs(a), abs(b))))
+
+    def _smooth_norm(self, w: np.ndarray) -> float:
+        """``_norm`` of the one row w = |u|, bit for bit: the same array powers, on
+        an array of two and then on an array of one, with their plain sum between."""
+        sa, sb = (w ** self.p).tolist()
+        return (np.array((sa + sb,)) ** (1.0 / self.p)).item()
+
     @property
     def is_convex(self) -> bool:
         return True
@@ -238,12 +278,15 @@ class PNorm(Integrand):
     def contact_point(self, v) -> np.ndarray | None:
         if self.p == 1.0 or math.isinf(self.p):
             return None  # polygonal crystal faces are exact already
-        u = unit(v)
-        # Gradient of the p-norm, taken on v/|v| (it is 0-homogeneous) so the
-        # powers neither overflow nor underflow; Euler's relation gives
-        # <v, grad> = F(v).
-        n = self._norm(u[None, :])[0]
-        return np.sign(u) * np.abs(u) ** (self.p - 1.0) / n ** (self.p - 1.0)
+        a, b = unit_pair(v)
+        # Gradient of the p-norm, sign(u) |u|**(p-1) / F(u)**(p-1), taken on
+        # u = v/|v| (it is 0-homogeneous) so the powers neither overflow nor
+        # underflow; Euler's relation gives <v, grad> = F(v). The powers of
+        # |u| are one array power, as values_on takes them; F(u)**(p-1) is
+        # a scalar power, and (a > 0) - (a < 0) is np.sign(a).
+        q, w = self.p - 1.0, np.array((abs(a), abs(b)))
+        pa, pb = (w ** q).tolist()
+        return np.array((((a > 0.0) - (a < 0.0)) * pa, ((b > 0.0) - (b < 0.0)) * pb)) / self._smooth_norm(w) ** q
 
     def to_spec(self) -> dict:
         return {"kind": "pnorm", "dimension": 2, "p": self.p}
@@ -260,12 +303,16 @@ class Constant(Integrand):
     def values_on(self, dirs) -> np.ndarray:
         return np.full(len(dirs), self.value)
 
+    def _unit_value(self, a: float, b: float) -> float:
+        return self.value
+
     @property
     def is_convex(self) -> bool:
         return True
 
     def contact_point(self, v) -> np.ndarray | None:
-        return self.value * unit(v)
+        a, b = unit_pair(v)
+        return np.array((self.value * a, self.value * b))
 
     def to_spec(self) -> dict:
         return {"kind": "constant", "dimension": 2, "c": self.value}
@@ -298,6 +345,13 @@ class Crystalline(Integrand):
         # BLAS kernel rounds a row by the shape of its batch.
         d, g = np.asarray(dirs, dtype=float), self.generators
         return (g[:, :1] * d[:, 0] + g[:, 1:] * d[:, 1]).max(axis=0)
+
+    @cached_property
+    def _generator_rows(self) -> list[list[float]]:
+        return self.generators.tolist()
+
+    def _unit_value(self, a: float, b: float) -> float:
+        return max(x * a + y * b for x, y in self._generator_rows)
 
     @property
     def is_convex(self) -> bool:
@@ -351,18 +405,22 @@ class AngularTable(Integrand):
     def special_directions(self) -> np.ndarray:
         return np.column_stack([np.cos(self.sample_angles), np.sin(self.sample_angles)])
 
+    @cached_property
+    def _sample_columns(self) -> tuple[array.array, array.array]:
+        """The padded samples as compact sequences of plain floats."""
+        return tuple(array.array("d", column.tobytes()) for column in self._samples)
+
     def contact_point(self, v) -> np.ndarray | None:
         """The gradient F(u) u + F'(u) u' on the arc holding u = v/|v|, with u'
         the unit tangent; None at a sample angle, where F has a kink."""
-        u = unit(v)
-        theta = float(np.mod(np.arctan2(u[1], u[0]), TWO_PI))  # as values_on reads it
-        angles, values = self._samples
-        i = int(np.searchsorted(angles, theta, side="right"))  # angles[i-1] <= theta < angles[i]
+        a, b = unit_pair(v)
+        theta = float(np.arctan2(b, a)) % TWO_PI  # as values_on reads it: numpy's arctan2, then the same mod
+        angles, values = self._sample_columns
+        i = bisect.bisect_right(angles, theta)  # angles[i-1] <= theta < angles[i]
         if angles[i - 1] == theta:
             return None
-        slope = float((values[i] - values[i - 1]) / (angles[i] - angles[i - 1]))
+        slope = (values[i] - values[i - 1]) / (angles[i] - angles[i - 1])
         f = float(interp_periodic(theta, self._samples))  # F(u), at that angle
-        a, b = u.tolist()
         return np.array((f * a - slope * b, f * b + slope * a))
 
     def to_spec(self) -> dict:

@@ -198,9 +198,9 @@ def _crystal_ratios(F: Integrand, dual_cycles: list[np.ndarray]) -> list[float]:
     hulls, counts, starts, nxt = planar.strictly_convex_cycles(dual_cycles)
     with refusing_unbounded():
         vertices = planar.polar_of_cycles(hulls, counts, starts, nxt)
-    u, edges = checked_cycles(vertices, starts, nxt)
+    u, ex, ey = checked_cycles(vertices, starts, nxt)
     weights = F.values_on(planar.edge_normals_and_offsets(vertices, nxt)[0])
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    lengths = np.hypot(ex, ey)
     shoelace = u[:, 0] * u[nxt, 1] - u[:, 1] * u[nxt, 0]
     return [
         _ratio(float(weights[a:b] @ lengths[a:b]), 0.5 * float(np.sum(shoelace[a:b])))

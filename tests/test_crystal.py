@@ -708,6 +708,24 @@ class TestRegionValidation:
         with pytest.raises(ValueError):
             ConvexRegion(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))
 
+    def test_a_tiny_region_does_not_contain_a_point_diameters_away(self):
+        # The slack is FACE_TOL times the region's magnitude, as contact faces
+        # tie; an absolute 1e-9 took in points five diameters outside.
+        tiny = ConvexRegion([[0, 0], [1e-10, 0], [0, 1e-10]])
+        assert not tiny.contains((5e-10, 5e-10))
+        assert tiny.contains((2e-11, 3e-11)) and tiny.contains((0.0, 0.0))
+
+    @pytest.mark.parametrize("k", [-600, -40, -1, 0, 1, 40, 600])
+    def test_containment_is_the_same_at_every_scale(self, k):
+        triangle = ConvexRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        # Inside, on the hypotenuse, within the slack of 1e-9 (0.7e-9 out),
+        # past it (1.4e-9 out), and far out.
+        points = {(0.2, 0.3): True, (0.5, 0.5): True, (0.5 + 1e-9, 0.5): True, (0.5 + 2e-9, 0.5): False,
+                  (-2e-9, 0.5): False, (5.0, 5.0): False}
+        region = triangle.scaled(2.0**k)
+        for p, inside in points.items():
+            assert region.contains(np.ldexp(p, k)) is inside, p
+
     @pytest.mark.parametrize("order", [[0, 2, 4, 1, 3], [0, 2, 4, 6, 1, 3, 5]])
     def test_rejects_stars_that_wind_twice(self, order):
         # Every turn is left, but the cycle goes round twice; the same

@@ -477,6 +477,138 @@ def test_a_cost_is_values_on_of_its_direction_times_its_length():
             assert F(x) == n * F.values_on(x[None, :] / n)[0], (F.kind, x)
 
 
+# --- scalar forms and contact points, bit for bit ----------------------------
+
+
+def pnorm_contact_point_reference(F: PNorm, v):
+    """``PNorm.contact_point`` before its plain-float form: numpy on a 2-element array."""
+    u = unit(v)
+    n = F._norm(u[None, :])[0]
+    return np.sign(u) * np.abs(u) ** (F.p - 1.0) / n ** (F.p - 1.0)
+
+
+def table_contact_point_reference(F: AngularTable, v):
+    """``AngularTable.contact_point`` before its plain-float form."""
+    u = unit(v)
+    theta = float(np.mod(np.arctan2(u[1], u[0]), TWO_PI))
+    angles, values = F._samples
+    i = int(np.searchsorted(angles, theta, side="right"))
+    if angles[i - 1] == theta:
+        return None
+    slope = float((values[i] - values[i - 1]) / (angles[i] - angles[i - 1]))
+    f = float(interp_periodic(theta, F._samples))
+    a, b = u.tolist()
+    return np.array((f * a - slope * b, f * b + slope * a))
+
+
+def contact_point_reference(F, v):
+    """Each family's contact point as the earlier code gave it, or None."""
+    if isinstance(F, PNorm):
+        return None if F.p == 1.0 or math.isinf(F.p) else pnorm_contact_point_reference(F, v)
+    if isinstance(F, Constant):
+        return F.value * unit(v)
+    if isinstance(F, AngularTable):
+        return table_contact_point_reference(F, v)
+    if isinstance(F, Dip):
+        x = contact_point_reference(F.base, v)
+        return None if x is None or (F._dip_dirs @ x > F._dip_values).any() else x
+    return None
+
+
+def _scalar_costs() -> dict:
+    """Every family (p = 1, inf and smooth p-norms, constants, crystalline,
+    tables, grid functions, dips over a constant, a p-norm and a table) and
+    the five README costs."""
+    rng = np.random.default_rng(31)
+    table = _random_table(rng, 12)
+    dips = [((math.cos(a), math.sin(a)), 0.1) for a in (0.0, 1.0, 4.5)]
+    hexagon = [((math.cos(a), math.sin(a)), w) for a, w in zip(np.arange(6) * np.pi / 3, rng.uniform(0.5, 2.0, 6))]
+    costs = {f"readme-{kind}": make() for kind, make in README_COSTS.items()}
+    costs.update({f"pnorm-{p}": PNorm(p) for p in (1.0, 1.25, 2.0, 3.0, 7.25, 40.0, math.inf)})
+    costs.update({
+        "constant": Constant(0.37), "crystalline": Crystalline(hexagon), "table": table,
+        "grid-60": GridFunction(SphereGrid.planar(60), rng.uniform(0.5, 2.0, 60)),
+        "dip-constant": Dip(Constant(1.3), dips), "dip-pnorm": Dip(PNorm(3.0), dips), "dip-table": Dip(table, dips),
+    })
+    return costs
+
+
+SCALAR_COSTS = _scalar_costs()
+_AXES = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, -0.0), (-1.0, -0.0), (-0.0, 1.0), (-0.0, -1.0)]
+_MANTISSA = st.floats(min_value=-2.0, max_value=2.0, exclude_min=True, exclude_max=True)
+# Exponents across the range, with its two ends drawn as often as the rest.
+_EXPONENT = st.one_of(st.integers(-1074, 1023), st.integers(-1074, -1000), st.integers(1000, 1023))
+
+
+def _draw_vectors(data, F) -> list[tuple[float, float]]:
+    """Finite nonzero vectors 2**k * v, with v random, an axis (signed zeros
+    too) or one of the cost's special directions."""
+    special = [tuple(d) for d in np.asarray(F.special_directions, dtype=float).tolist()] or _AXES
+    direction = st.one_of(st.tuples(_MANTISSA, _MANTISSA), st.sampled_from(_AXES), st.sampled_from(special))
+    vectors = []
+    for (a, b), k in data.draw(st.lists(st.tuples(direction, _EXPONENT), min_size=1, max_size=12)):
+        w = planar.scaled(a, k), planar.scaled(b, k)
+        if math.isfinite(w[0]) and math.isfinite(w[1]) and w != (0.0, 0.0):
+            vectors.append(w)
+    return vectors
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_scalar_cost_is_its_batch_row_across_the_float_range(data):
+    # F(2**k * v) is values_on(unit(v)) * |v|, scaled back, with values_on
+    # taken on all the example's directions at once: each family's scalar
+    # form has the bits of its row in a batch.
+    name = data.draw(st.sampled_from(sorted(SCALAR_COSTS)))
+    F = SCALAR_COSTS[name]
+    vectors = _draw_vectors(data, F)
+    scaled = [planar.unit_scaled_pair(*w) for w in vectors]
+    lengths = [math.hypot(a, b) for a, b, _ in scaled]
+    batch = F.values_on(np.array([(a / n, b / n) for (a, b, _), n in zip(scaled, lengths)]).reshape(-1, 2)).tolist()
+    for w, (_, _, e), n, row in zip(vectors, scaled, lengths, batch):
+        assert F(w) == planar.scaled_positive(n * row, e), (name, w)
+
+
+def test_scalar_costs_on_many_directions():
+    # The property above, widened to 2,000 random directions per cost at
+    # exponents across the range, in one batch.
+    rng = np.random.default_rng(33)
+    for name, F in SCALAR_COSTS.items():
+        extra = F.sample_angles if isinstance(F, AngularTable) else [0.0, 1.0, 4.5]
+        dirs = np.vstack([_directions(rng, 2000, extra), _displacements(rng, 200)])
+        vectors = np.ldexp(dirs, rng.integers(-1070, 1015, (len(dirs), 1)))  # |dirs| < 2**8
+        scaled = [planar.unit_scaled_pair(*w) for w in vectors.tolist()]
+        lengths = [math.hypot(a, b) for a, b, _ in scaled]
+        batch = F.values_on(np.array([(a / n, b / n) for (a, b, _), n in zip(scaled, lengths)])).tolist()
+        want = [planar.scaled_positive(n * row, e) for (_, _, e), n, row in zip(scaled, lengths, batch)]
+        assert [F(w) for w in vectors] == want, name
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_contact_points_are_the_earlier_formulas(data):
+    # Bit for bit, None where the earlier code gave None: sample angles of
+    # tables, polygonal p-norms, crystalline costs and cut dip points.
+    name = data.draw(st.sampled_from(sorted(SCALAR_COSTS)))
+    F = SCALAR_COSTS[name]
+    for w in _draw_vectors(data, F):
+        got, want = F.contact_point(w), contact_point_reference(F, np.array(w))
+        assert (got is None) == (want is None), (name, w)
+        if got is not None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, w, got, want)
+
+
+def test_contact_points_on_many_directions():
+    # The hypothesis examples above, widened to 2,000 directions per cost.
+    rng = np.random.default_rng(32)
+    for name, F in SCALAR_COSTS.items():
+        extra = F.sample_angles if isinstance(F, AngularTable) else [0.0, 1.0, 4.5]
+        for d in np.vstack([_directions(rng, 2000, extra), _displacements(rng, 200)]):
+            got, want = F.contact_point(d), contact_point_reference(F, d)
+            assert (got is None) == (want is None), (name, d)
+            assert got is None or got.tobytes() == want.tobytes(), (name, d)
+
+
 # --- refusals ----------------------------------------------------------------
 
 
