@@ -196,9 +196,8 @@ def save_rows(path, rows: np.ndarray, header: str | None = None) -> None:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
         raise ValueError(f"{path}: expected a nonempty table of coordinate rows, got shape {rows.shape}")
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    if not np.isfinite(rows).all():  # the row is found only on failure: axis=1 reductions are slow
+        bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise ValueError(f"{path}: row {bad + 1} is not finite: {rows[bad].tolist()}")
     text = _format_table(rows, 17, " " * (rows.shape[1] - 1) + "\n")
     if header:

@@ -32,6 +32,11 @@ from .crystal import ConvexRegion, CrystalContext, contact_face, displacement
 from .integrand import Integrand, planar_vector
 
 MIN_SEGMENT = 1e-12
+_DEGENERATE = "degenerate segment: consecutive breakpoints coincide"
+
+
+def _not_finite(i: int, row: list) -> str:
+    return f"path breakpoint {i + 1} is not finite: {row}"
 
 
 def _breakpoints(x, e: int, *legs) -> list[tuple[float, float]]:
@@ -42,7 +47,7 @@ def _breakpoints(x, e: int, *legs) -> list[tuple[float, float]]:
     a, b, points = float(x[0]) * shrink, float(x[1]) * shrink, []
     for la, lb in legs:
         a, b = a + la * step, b + lb * step
-        points.append((planar.scaled(a, k), planar.scaled(b, k)))
+        points.append((a, b) if k == 0 else (planar.scaled(a, k), planar.scaled(b, k)))
     return points
 
 
@@ -57,6 +62,8 @@ class Path:
 
     ``speeds`` are the segment lengths (inf past the float range) and ``directions``
     the unit segment directions, both taken on :func:`planar.unit_scaled` of the points.
+    ``Path(points)`` works on whole arrays, for paths of any length; the constructions
+    build theirs from plain-float breakpoints with :meth:`_from_floats`, bit for bit.
     """
 
     points: np.ndarray
@@ -71,15 +78,39 @@ class Path:
             unit, e = planar.unit_scaled(pts)
         except ValueError:
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
-            raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}") from None
+            raise ValueError(_not_finite(bad, pts[bad].tolist())) from None
         steps = unit[1:] - unit[:-1]
         lengths = np.hypot(steps[:, 0], steps[:, 1])
         speeds = [planar.scaled(s, e) for s in lengths.tolist()]  # as floats: faster on a few segments
         if not min(speeds) > MIN_SEGMENT:
-            raise ValueError("degenerate segment: consecutive breakpoints coincide")
+            raise ValueError(_DEGENERATE)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "speeds", np.array(speeds))
         object.__setattr__(self, "directions", steps / lengths[:, None])
+
+    @classmethod
+    def _from_floats(cls, points: list[tuple[float, float]]) -> "Path":
+        """``Path(np.array(points))`` for two or more breakpoints held as pairs of floats,
+        bit for bit and with its refusals: the scaling, the steps and the directions in
+        floats, the lengths one ``np.hypot`` (``math.hypot`` rounds differently), and the
+        three arrays at the end."""
+        flat = [c for p in points for c in p]
+        if not all(map(math.isfinite, flat)):
+            i = next(i for i, p in enumerate(points) if not all(map(math.isfinite, p)))
+            raise ValueError(_not_finite(i, list(points[i])))
+        e = math.frexp(max(map(abs, flat)))[1]
+        unit = [math.ldexp(c, -e) for c in flat]
+        xs, ys = unit[0::2], unit[1::2]
+        dx, dy = list(map(operator.sub, xs[1:], xs)), list(map(operator.sub, ys[1:], ys))
+        lengths = np.hypot(np.array(dx), np.array(dy)).tolist()
+        speeds = [planar.scaled(s, e) for s in lengths]
+        if not min(speeds) > MIN_SEGMENT:
+            raise ValueError(_DEGENERATE)
+        path = object.__new__(cls)
+        object.__setattr__(path, "points", np.array(points))
+        object.__setattr__(path, "speeds", np.array(speeds))
+        object.__setattr__(path, "directions", np.array([(a / s, b / s) for a, b, s in zip(dx, dy, lengths)]))
+        return path
 
     @property
     def start(self) -> np.ndarray:
@@ -326,15 +357,18 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     The straight segment when the displacement is an attained normal;
     otherwise the two-leg staircase along the two crystal edge normals at
     the displacement's contact vertex (first leg along the earlier normal).
+    The path is built from its breakpoints as floats (:meth:`Path._from_floats`):
+    the same path, bit for bit, as ``Path`` of them as an array.
     """
+    x, y = planar_vector(x), planar_vector(y)
     v, e, gap = displacement(x, y)
     if gap <= MIN_SEGMENT:
         raise ValueError("geodesic construction requires distinct endpoints")
     record = ctx._record(*v)
     if record.unique:
-        return Path(np.array([x, y]))
+        return Path._from_floats([x, y])
     u, _ = record.legs or record.staircase()  # plain floats; staircase() refuses a direction without legs
-    return Path(np.array([x, *_breakpoints(x, e, u), y]))
+    return Path._from_floats([x, *_breakpoints(x, e, u), y])
 
 
 def geodesic_legs(ctx: CrystalContext, v) -> tuple[np.ndarray, np.ndarray]:
@@ -350,10 +384,13 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     The displacement must not be an attained normal (otherwise the
     geodesic is unique and no family exists). The path runs
     ``x -> x + tau*u -> x + tau*u + w -> y``; every member has the same
-    length and distinct tau give distinct breakpoints.
+    length and distinct tau give distinct breakpoints. Breakpoints within
+    ``MIN_SEGMENT`` of the one before are dropped, and the path is built
+    from the rest as floats, as :func:`construct_geodesic` builds its own.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("family parameter must lie in [0, 1]")
+    x, y = planar_vector(x), planar_vector(y)
     v, e, gap = displacement(x, y)
     if gap <= MIN_SEGMENT:
         raise ValueError("family requires distinct endpoints")
@@ -365,7 +402,7 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     for p in [*_breakpoints(x, e, (tau * ua, tau * ub), w), y]:
         if math.dist(points[-1], p) > MIN_SEGMENT:  # inf, not a warning, past the float range
             points.append(p)
-    return Path(np.array(points))
+    return Path._from_floats(points)
 
 
 def geodesic_ball(ctx: CrystalContext, center, radius: float) -> ConvexRegion:

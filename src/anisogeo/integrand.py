@@ -200,7 +200,7 @@ class Integrand(ABC):
 
     def _unit_value(self, a: float, b: float) -> float:
         """The cost of the unit direction (a, b): a one-row ``values_on`` call, unless
-        the family has a scalar form in plain arithmetic with the same bits."""
+        the family has a scalar form with the same bits (every family here has one)."""
         return float(self.values_on(np.array(((a, b),)))[0])
 
     @property
@@ -216,9 +216,6 @@ class Integrand(ABC):
     def contact_point(self, v: np.ndarray) -> np.ndarray | None:
         """A crystal point x with <v, x> = F(v), when known in closed form."""
         return None
-
-    def to_spec(self) -> dict:
-        raise NotImplementedError(f"{self.kind} costs have no file representation")
 
 
 class PNorm(Integrand):
@@ -288,9 +285,6 @@ class PNorm(Integrand):
         pa, pb = (w ** q).tolist()
         return np.array((((a > 0.0) - (a < 0.0)) * pa, ((b > 0.0) - (b < 0.0)) * pb)) / self._smooth_norm(w) ** q
 
-    def to_spec(self) -> dict:
-        return {"kind": "pnorm", "dimension": 2, "p": self.p}
-
 
 class Constant(Integrand):
     """F(x) = c * |x| for a constant c > 0 (isotropic). Convex."""
@@ -313,9 +307,6 @@ class Constant(Integrand):
     def contact_point(self, v) -> np.ndarray | None:
         a, b = unit_pair(v)
         return np.array((self.value * a, self.value * b))
-
-    def to_spec(self) -> dict:
-        return {"kind": "constant", "dimension": 2, "c": self.value}
 
 
 class Crystalline(Integrand):
@@ -365,16 +356,6 @@ class Crystalline(Integrand):
         normals, _ = edge_normals_and_offsets(hull)
         return normals
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": "crystalline",
-            "dimension": 2,
-            "facets": [
-                {"direction": list(unit(g)), "weight": float(np.linalg.norm(g))}
-                for g in self.generators
-            ],
-        }
-
 
 class AngularTable(Integrand):
     """Planar cost sampled at angles, linearly interpolated in between.
@@ -405,6 +386,10 @@ class AngularTable(Integrand):
     def special_directions(self) -> np.ndarray:
         return np.column_stack([np.cos(self.sample_angles), np.sin(self.sample_angles)])
 
+    def _unit_value(self, a: float, b: float) -> float:
+        # values_on's row: numpy's arctan2, the floored mod, one interpolation.
+        return float(interp_periodic(float(np.arctan2(b, a)) % TWO_PI, self._samples))
+
     @cached_property
     def _sample_columns(self) -> tuple[array.array, array.array]:
         """The padded samples as compact sequences of plain floats."""
@@ -422,17 +407,6 @@ class AngularTable(Integrand):
         slope = (values[i] - values[i - 1]) / (angles[i] - angles[i - 1])
         f = float(interp_periodic(theta, self._samples))  # F(u), at that angle
         return np.array((f * a - slope * b, f * b + slope * a))
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "table",
-            "dimension": 2,
-            "interpolation": "linear",
-            "samples": [
-                {"angle": float(a), "value": float(v)}
-                for a, v in zip(self.sample_angles, self.sample_values)
-            ],
-        }
 
 
 class GridFunction(AngularTable):
@@ -492,6 +466,18 @@ class Dip(Integrand):
             vals = np.minimum(vals, np.where(hit, self._dip_values[:, None], np.inf).min(axis=0))
         return vals
 
+    @cached_property
+    def _dip_columns(self) -> tuple[list[float], list[float], list[float]]:
+        """The dips' direction columns and values, as plain floats."""
+        return (*self._dip_dirs.T.tolist(), self._dip_values.tolist())
+
+    def _unit_value(self, a: float, b: float) -> float:
+        # values_on's row: the base's value, lowered to the least dip within
+        # DIRECTION_MATCH_TOL, by the same np.hypot of the differences.
+        xs, ys, values = self._dip_columns
+        gaps = np.hypot([a - x for x in xs], [b - y for y in ys]).tolist()
+        return min([self.base._unit_value(a, b), *(v for v, g in zip(values, gaps) if g <= DIRECTION_MATCH_TOL)])
+
     def contact_point(self, v) -> np.ndarray | None:
         """The base's contact point, when every dip's halfplane holds at it."""
         x = self.base.contact_point(v)
@@ -502,14 +488,6 @@ class Dip(Integrand):
     @property
     def special_directions(self) -> np.ndarray:
         return np.vstack([self.base.special_directions, self._dip_dirs])
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "dip",
-            "dimension": 2,
-            "base": self.base.to_spec(),
-            "dips": [{"direction": list(d), "value": v} for d, v in self.dips],
-        }
 
 
 def scan_directions(F: Integrand, grid: SphereGrid) -> np.ndarray:

@@ -43,12 +43,12 @@ def render_svg(elements: list[PolyLine], path) -> None:
     for i, p in enumerate(points):
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"{path}: element {i}: points must be (n, 2), got shape {p.shape}")
-        finite = np.isfinite(p).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
+        if not np.isfinite(p).all():  # whole-array reductions: axis=1 ones are slow on (n, 2)
+            bad = int(np.argmin(np.isfinite(p).all(axis=1)))
             raise ValueError(f"{path}: element {i}: point {bad + 1} is not finite: {p[bad].tolist()}")
     pts = np.vstack(points)
-    (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    xs, ys = pts[:, 0], pts[:, 1]
+    x0, y0, x1, y1 = float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
     # Half the span never overflows, and 0.2 times it is 0.1 times the span
     # (0.2 is 2 * 0.1 in binary), exactly.
     margin = 0.2 * max(0.5 * x1 - 0.5 * x0, 0.5 * y1 - 0.5 * y0, 0.5e-9)

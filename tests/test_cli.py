@@ -46,25 +46,44 @@ def dip_spec_file(tmp_path):
 
 class TestSpecParsing:
     def test_every_kind_round_trips(self):
-        costs = [
-            PNorm(1.5),
-            PNorm(math.inf),
-            Crystalline([((1, 1), 1.2), ((-1, 1), 1.0), ((0, -1), 0.8)]),
-            AngularTable([0.0, 2.0, 4.0], [1.0, 2.0, 1.5]),
-            Dip(PNorm(2.0), [((0.0, 1.0), 0.3)]),
+        # Each kind's spec, as a file holds it, parses to the cost its constructor builds.
+        specs_and_costs = [
+            ({"kind": "pnorm", "dimension": 2, "p": 1.5}, PNorm(1.5)),
+            ({"kind": "pnorm", "dimension": 2, "p": "inf"}, PNorm(math.inf)),
+            (
+                {"kind": "crystalline", "dimension": 2, "facets": [
+                    {"direction": [1, 1], "weight": 1.2},
+                    {"direction": [-1, 1], "weight": 1.0},
+                    {"direction": [0, -1], "weight": 0.8},
+                ]},
+                Crystalline([((1, 1), 1.2), ((-1, 1), 1.0), ((0, -1), 0.8)]),
+            ),
+            (
+                {"kind": "table", "dimension": 2, "interpolation": "linear", "samples": [
+                    {"angle": 0.0, "value": 1.0}, {"angle": 2.0, "value": 2.0}, {"angle": 4.0, "value": 1.5},
+                ]},
+                AngularTable([0.0, 2.0, 4.0], [1.0, 2.0, 1.5]),
+            ),
+            (
+                {"kind": "dip", "dimension": 2, "base": {"kind": "pnorm", "dimension": 2, "p": 2.0},
+                 "dips": [{"direction": [0.0, 1.0], "value": 0.3}]},
+                Dip(PNorm(2.0), [((0.0, 1.0), 0.3)]),
+            ),
         ]
-        for F in costs:
-            again = integrand_from_dict(F.to_spec())
+        for spec, F in specs_and_costs:
+            again = integrand_from_dict(spec)
             assert again.kind == F.kind
             for theta in np.linspace(0.1, 6.0, 13):
                 u = (math.cos(theta), math.sin(theta))
-                assert again(u) == pytest.approx(F(u), rel=1e-12)
+                assert again(u) == F(u), (spec, theta)
 
     def test_non_planar_dimension_names_the_field(self):
         for dim in (3, 1, 2.0):
             with pytest.raises(SpecError, match=r"\.dimension"):
                 integrand_from_dict({"kind": "pnorm", "dimension": dim, "p": 2})
-        assert integrand_from_dict({"kind": "pnorm", "p": 2}).to_spec()["dimension"] == 2
+        # Without the field, a spec is planar.
+        F = integrand_from_dict({"kind": "pnorm", "p": 2})
+        assert F.kind == "pnorm" and F((3.0, 4.0)) == PNorm(2.0)((3.0, 4.0))
 
     def test_non_finite_parameters_are_spec_errors(self):
         bad = [

@@ -263,7 +263,7 @@ class TestClassify:
         plain = CrystalContext(base, grid)
         for y in [(1.0, 2.0), (2.0, 1.0), (1.0, 0.0), (1.0, 1.0), (3.0, -1.0), (0.0, -1.0)]:
             want = classify(plain, (0, 0), y)
-            assert classify(dipped, (0, 0), y) is want, (base.to_spec(), y)
+            assert classify(dipped, (0, 0), y) is want, (vars(base), y)
             if want is GeodesicClass.INFINITELY_MANY:
                 path = geodesic_family(dipped, (0, 0), y, 0.5)
                 assert path_length(dipped.integrand, path) == pytest.approx(dipped.distance((0, 0), y), rel=1e-12)
@@ -415,7 +415,7 @@ class TestConstruct:
                     for path in (construct_geodesic(ctx, x, y), geodesic_family(ctx, x, y, 0.5)):
                         staircases += 1
                         gap = abs(path_length(cost, path) - d)
-                        assert gap <= 1e-9 * d, (cost.to_spec(), size, x, y, gap / d)
+                        assert gap <= 1e-9 * d, (vars(cost), size, x, y, gap / d)
         assert staircases > 500
 
     @pytest.mark.parametrize("size", [60, 720])
@@ -429,7 +429,7 @@ class TestConstruct:
             ctx = CrystalContext(cost, SphereGrid.planar(size))
             for x, y in rng.uniform(-2, 2, size=(100, 2, 2)):
                 length = path_length(cost, construct_geodesic(ctx, x, y))
-                assert length <= ctx.distance(x, y) * (1.0 + 1e-12), (cost.to_spec(), x, y)
+                assert length <= ctx.distance(x, y) * (1.0 + 1e-12), (vars(cost), x, y)
 
     def test_equal_endpoints_rejected(self, l1_ctx):
         with pytest.raises(ValueError):

@@ -386,7 +386,7 @@ class TestContactPoints:
                 # Contact exactly where x is a point of the true crystal.
                 if table_crystal_excess(F, x) <= 1e-12 * math.hypot(*x):
                     tested += 1
-                    assert ctx.crystal.contains(x), (F.to_spec(), v)
+                    assert ctx.crystal.contains(x), (vars(F), v)
         assert tested > 200
 
     def test_table_has_no_gradient_at_its_sample_angles(self):
@@ -421,7 +421,7 @@ class TestContactPoints:
                 kept += 1
                 assert np.array_equal(x, xb)
                 assert abs(float(u @ x) - F(u)) <= 1e-12
-                assert ctx.crystal.contains(x), (F.to_spec(), v)
+                assert ctx.crystal.contains(x), (vars(F), v)
         assert kept > 200 and cut > 100
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 40.0])

@@ -540,10 +540,31 @@ _MANTISSA = st.floats(min_value=-2.0, max_value=2.0, exclude_min=True, exclude_m
 _EXPONENT = st.one_of(st.integers(-1074, 1023), st.integers(-1074, -1000), st.integers(1000, 1023))
 
 
+def _near_features(F) -> list[tuple[float, float]]:
+    """Each dip direction of F (and of its base), with its neighbours turned by
+    up to twice DIRECTION_MATCH_TOL and a few ulps off, and the direction at
+    each table sample angle, with its neighbours an ulp of the angle away."""
+    near = []
+    while isinstance(F, Dip):
+        for (a, b), _ in F.dips:
+            near += [(a, b), (math.nextafter(a, 2.0), b), (a, math.nextafter(b, -2.0))]
+            for turn in (2.5e-13, 5e-13, 9.9e-13, 1e-12, 1.01e-12, 2e-12):
+                for t in (turn, -turn):
+                    near.append((a * math.cos(t) - b * math.sin(t), a * math.sin(t) + b * math.cos(t)))
+        F = F.base
+    if isinstance(F, AngularTable):
+        for angle in F.sample_angles.tolist():
+            for t in (math.nextafter(angle, -1.0), angle, math.nextafter(angle, 7.0)):
+                near.append((math.cos(t), math.sin(t)))
+    return near
+
+
 def _draw_vectors(data, F) -> list[tuple[float, float]]:
     """Finite nonzero vectors 2**k * v, with v random, an axis (signed zeros
-    too) or one of the cost's special directions."""
+    too), one of the cost's special directions, or one near a dip or a table
+    sample (:func:`_near_features`)."""
     special = [tuple(d) for d in np.asarray(F.special_directions, dtype=float).tolist()] or _AXES
+    special += _near_features(F)
     direction = st.one_of(st.tuples(_MANTISSA, _MANTISSA), st.sampled_from(_AXES), st.sampled_from(special))
     vectors = []
     for (a, b), k in data.draw(st.lists(st.tuples(direction, _EXPONENT), min_size=1, max_size=12)):
@@ -571,11 +592,13 @@ def test_a_scalar_cost_is_its_batch_row_across_the_float_range(data):
 
 def test_scalar_costs_on_many_directions():
     # The property above, widened to 2,000 random directions per cost at
-    # exponents across the range, in one batch.
+    # exponents across the range, and to every direction near a dip or a
+    # table sample, in one batch.
     rng = np.random.default_rng(33)
     for name, F in SCALAR_COSTS.items():
         extra = F.sample_angles if isinstance(F, AngularTable) else [0.0, 1.0, 4.5]
-        dirs = np.vstack([_directions(rng, 2000, extra), _displacements(rng, 200)])
+        near = np.array(_near_features(F)).reshape(-1, 2)
+        dirs = np.vstack([_directions(rng, 2000, extra), _displacements(rng, 200), near])
         vectors = np.ldexp(dirs, rng.integers(-1070, 1015, (len(dirs), 1)))  # |dirs| < 2**8
         scaled = [planar.unit_scaled_pair(*w) for w in vectors.tolist()]
         lengths = [math.hypot(a, b) for a, b, _ in scaled]
@@ -607,6 +630,55 @@ def test_contact_points_on_many_directions():
             got, want = F.contact_point(d), contact_point_reference(F, d)
             assert (got is None) == (want is None), (name, d)
             assert got is None or got.tobytes() == want.tobytes(), (name, d)
+
+
+def _path_fields(make, points) -> tuple:
+    """The dtype, shape and bytes of a path's points, speeds and directions, or its refusal."""
+    try:
+        path = make(points)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in (path.points, path.speeds, path.directions))
+
+
+_SPECIAL_COORDS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+# Coordinates across the range, at unit scale (where the lengths of steps in
+# both coordinates round), and special values.
+_COORD = st.one_of(st.builds(planar.scaled, _MANTISSA, _EXPONENT), _MANTISSA, st.sampled_from(_SPECIAL_COORDS))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_a_path_from_floats_is_the_path_of_their_array(data):
+    # The constructions' Path._from_floats against Path of the same breakpoints as
+    # an array, bit for bit and refusal for refusal: 2 to 4 breakpoints at
+    # exponents from -1074 to 1023, far apart, near the float maximum,
+    # non-finite, repeated, or a tiny step from the one before.
+    points = data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=4))
+    j = data.draw(st.integers(1, len(points) - 1))
+    step = data.draw(st.sampled_from([None, 0.0, 1e-13, 1e-12, 2e-12, 1e-300]))
+    if step is not None:  # the breakpoint before, or a step of that size from it
+        a, b = points[j - 1]
+        points[j] = (a + step, b)
+    assert _path_fields(Path._from_floats, points) == _path_fields(lambda p: Path(np.array(p)), points), points
+
+
+def test_constructed_paths_are_the_paths_of_their_arrays(p3_ctx, dip_ctx):
+    # Every construction's path equals Path of its breakpoints as an array, and
+    # so do 5,000 random paths at unit scale, whose lengths np.hypot rounds.
+    rng = np.random.default_rng(34)
+    for count in rng.integers(2, 5, 5000).tolist():
+        points = [tuple(p) for p in rng.normal(size=(count, 2)).tolist()]
+        assert _path_fields(Path._from_floats, points) == _path_fields(lambda p: Path(np.array(p)), points)
+    for ctx in (p3_ctx, dip_ctx):
+        for x, y in rng.uniform(-2.0, 2.0, (200, 2, 2)):
+            paths = [construct_geodesic(ctx, x, y)]
+            if classify(ctx, x, y) is GeodesicClass.INFINITELY_MANY:
+                paths += [geodesic_family(ctx, x, y, tau) for tau in (0.0, 0.5, 1.0)]
+            for path in paths:
+                points = [tuple(p) for p in path.points.tolist()]
+                assert _path_fields(lambda _: path, None) == _path_fields(lambda p: Path(np.array(p)), points)
 
 
 # --- refusals ----------------------------------------------------------------
