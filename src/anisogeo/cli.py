@@ -31,7 +31,6 @@ import numpy as np
 from . import fileio, planar
 from .crystal import CrystalContext, displacement
 from .geodesics import (
-    MIN_SEGMENT,
     GeodesicClass,
     classify,
     construct_geodesic,
@@ -176,7 +175,7 @@ def cmd_distance(args) -> int:
     gap = displacement(x, y)[2]
     if not gap < math.inf:
         raise fileio.SpecError("start and end are too far apart: their distance overflows")
-    if gap <= MIN_SEGMENT:
+    if gap == 0.0:
         raise fileio.SpecError("start and end coincide; distance query undefined")
     label = classify(ctx, x, y)
     results = {

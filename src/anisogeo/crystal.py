@@ -447,8 +447,8 @@ class CrystalContext:
     form to machine precision. For table and dip costs it is never below
     the true norm, equals it in contact directions, and exceeds it by
     O(resolution**2) inside a corner's normal cone, since the grid crystal
-    contains the true one. Queries on sampled costs keep an O(resolution)
-    tolerance, ``default_tol``.
+    contains the true one. Queries on sampled costs keep a relative
+    O(resolution) tolerance, ``default_tol``.
     """
 
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
@@ -461,10 +461,7 @@ class CrystalContext:
             raise ValueError(UNBOUNDED_POLAR)
         self.f_max = float(self._f_grid.max())
         self.resolution = self.grid.resolution
-        if integrand.is_convex:
-            self.default_tol = 1e-7
-        else:
-            self.default_tol = 5.0 * self.resolution * self.f_max
+        self.default_tol = 1e-7 if integrand.is_convex else 5.0 * self.resolution
         self._check_build()
         self._last = Contact(b"", 0, 0.0, None, None)
 
@@ -534,7 +531,7 @@ class CrystalContext:
         else:
             a, b = a / n, b / n
             gap = min(math.hypot(px[k - 1] - a, py[k - 1] - b), math.hypot(px[k] - a, py[k] - b))
-            unique = gap <= self.resolution * max(math.hypot(a, b), 1e-30)
+            unique = gap <= self.resolution * math.hypot(a, b)
         self._last = record = Contact(key, k, planar.scaled_positive(n, e), unique, legs)
         return record
 
@@ -558,7 +555,7 @@ class CrystalContext:
 
     def in_contact(self, x) -> bool:
         """Whether the cost meets its convex envelope in direction x: F(x)
-        exceeds the norm by at most ``CONTACT_TOL * max(1, F(x))``."""
+        exceeds the norm by at most ``CONTACT_TOL * F(x)``, at every scale of x and F."""
         return bool(self.in_contact_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def in_contact_many(self, xs) -> np.ndarray:
@@ -571,15 +568,14 @@ class CrystalContext:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"row {bad} is not a finite planar vector: {xs[bad].tolist()}")
-        xs, shift = planar.unit_scaled_cycles(xs, np.arange(len(xs)))
+        xs, _ = planar.unit_scaled_cycles(xs, np.arange(len(xs)))
         speed = np.hypot(xs[:, 0], xs[:, 1])
         moving = speed > 0.0
         contact = np.ones(len(xs), dtype=bool)
         x, speed = xs[moving], speed[moving]
         fx = self.integrand.values_on(x / speed[:, None]) * speed
-        gap = fx - self._norms(x, fx)
-        # Each row is a cycle of one point: gap <= CONTACT_TOL * max(1, F(x)) in its own units.
-        contact[moving] = (gap <= CONTACT_TOL * fx) | (planar.scaled(gap, shift[moving, 0]) <= CONTACT_TOL)
+        # Each row is a cycle of one point, scaled on its own: the relative gap is the row's.
+        contact[moving] = fx - self._norms(x, fx) <= CONTACT_TOL * fx
         return contact
 
     def is_orthogonal_direction(self, v) -> bool:

@@ -31,7 +31,6 @@ from . import planar
 from .crystal import ConvexRegion, CrystalContext, _displacement, contact_face, displacement
 from .integrand import Integrand, planar_vector
 
-MIN_SEGMENT = 1e-12
 _DEGENERATE = "degenerate segment: consecutive breakpoints coincide"
 
 
@@ -60,15 +59,16 @@ class GeodesicClass(Enum):
 class Path:
     """Polyline through ordered breakpoints; every segment has positive length.
 
-    ``speeds`` are the segment lengths (inf past the float range) and ``directions``
-    the unit segment directions, both taken on :func:`planar.unit_scaled` of the points.
+    ``directions`` are the unit segment directions, and ``_lengths`` the segment lengths
+    (plain floats), of the points times 2**-``_exponent`` (:func:`planar.unit_scaled`).
     ``Path(points)`` works on whole arrays, for paths of any length; the constructions
     build theirs from plain-float breakpoints with :meth:`_from_floats`, bit for bit.
     """
 
     points: np.ndarray
-    speeds: np.ndarray = field(init=False, repr=False)
     directions: np.ndarray = field(init=False, repr=False)
+    _lengths: list[float] = field(init=False, repr=False)
+    _exponent: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -81,19 +81,19 @@ class Path:
             raise ValueError(_not_finite(bad, pts[bad].tolist())) from None
         steps = unit[1:] - unit[:-1]
         lengths = np.hypot(steps[:, 0], steps[:, 1])
-        speeds = [planar.scaled(s, e) for s in lengths.tolist()]  # as floats: faster on a few segments
-        if not min(speeds) > MIN_SEGMENT:
+        if not lengths.min() > 0.0:
             raise ValueError(_DEGENERATE)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "speeds", np.array(speeds))
         object.__setattr__(self, "directions", steps / lengths[:, None])
+        object.__setattr__(self, "_lengths", lengths.tolist())
+        object.__setattr__(self, "_exponent", e)
 
     @classmethod
     def _from_floats(cls, points: list[tuple[float, float]]) -> "Path":
         """``Path(np.array(points))`` for two or more breakpoints held as pairs of floats,
         bit for bit and with its refusals: the scaling, the steps and the directions in
         floats, the lengths one ``np.hypot`` (``math.hypot`` rounds differently), and the
-        three arrays at the end."""
+        two arrays at the end."""
         flat = [c for p in points for c in p]
         if not all(map(math.isfinite, flat)):
             i = next(i for i, p in enumerate(points) if not all(map(math.isfinite, p)))
@@ -103,14 +103,19 @@ class Path:
         xs, ys = unit[0::2], unit[1::2]
         dx, dy = list(map(operator.sub, xs[1:], xs)), list(map(operator.sub, ys[1:], ys))
         lengths = np.hypot(np.array(dx), np.array(dy)).tolist()
-        speeds = [planar.scaled(s, e) for s in lengths]
-        if not min(speeds) > MIN_SEGMENT:
+        if not min(lengths) > 0.0:
             raise ValueError(_DEGENERATE)
         path = object.__new__(cls)
         object.__setattr__(path, "points", np.array(points))
-        object.__setattr__(path, "speeds", np.array(speeds))
         object.__setattr__(path, "directions", np.array([(a / s, b / s) for a, b, s in zip(dx, dy, lengths)]))
+        object.__setattr__(path, "_lengths", lengths)
+        object.__setattr__(path, "_exponent", e)
         return path
+
+    @property
+    def speeds(self) -> np.ndarray:
+        """The segment lengths, inf past the float range."""
+        return planar.scaled(np.array(self._lengths), self._exponent)
 
     @property
     def start(self) -> np.ndarray:
@@ -135,7 +140,7 @@ def path_length(F: Integrand, path: Path) -> float:
 
 def _length(unit_costs: np.ndarray, path: Path) -> float:
     """The path's cost from F on its segment directions, in segment order: inf, not a warning, past the range."""
-    return float(sum(map(operator.mul, unit_costs.tolist(), path.speeds.tolist())))
+    return planar.scaled(sum(map(operator.mul, unit_costs.tolist(), path._lengths)), path._exponent)
 
 
 def concatenate(paths: list[Path]) -> Path:
@@ -166,14 +171,14 @@ def resample_polyline(path: Path, count: int) -> Path:
     """
     if count < 2:
         raise ValueError("need at least two sample points")
-    s = np.concatenate([[0.0], np.cumsum(path.speeds)])
+    s = np.concatenate([[0.0], np.cumsum(path._lengths)])
     targets = np.linspace(0.0, s[-1], count)
     pts = np.empty((count, path.points.shape[1]))
     for d in range(path.points.shape[1]):
         pts[:, d] = np.interp(targets, s, path.points[:, d])
     keep = [0]
     for i in range(1, count):
-        if math.hypot(*(pts[i] - pts[keep[-1]])) > MIN_SEGMENT:
+        if (pts[i] != pts[keep[-1]]).any():
             keep.append(i)
     return Path(pts[keep])
 
@@ -226,13 +231,13 @@ class GeodesicCertificate:
 def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> GeodesicCertificate:
     """Check whether a polyline is a geodesic and build its certificate.
 
-    The primary criterion is the exactly computable scalar one:
-    ``|length - norm(displacement)| <= tol * max(1, norm)``. The geometric
+    The primary criterion is the exactly computable scalar one, relative at
+    every scale: ``|length - norm(displacement)| <= tol * norm``. The geometric
     certificate searches the contact face of the displacement direction
     (its vertices and midpoint, plus the cost's closed-form contact point
     when available) for one point supporting every segment direction; its
-    per-segment tolerance budget is length-weighted so that the aggregate
-    budget matches the scalar criterion's (the discrete form of a
+    per-segment budget, ``tol * norm / (Euclidean length)``, matches the scalar
+    criterion's in aggregate (the discrete form of a
     condition holding at almost every traversal time). After one ``values_on``
     call, the per-segment work is O(segments x candidates) in Python floats;
     the displacement's record, its contact face (:func:`contact_face`) and
@@ -245,7 +250,7 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     v, e, gap = displacement(path.start, path.end)  # v has the face and candidates of y - x
-    if gap <= MIN_SEGMENT:
+    if gap == 0.0:
         raise ValueError("path endpoints coincide; geodesic comparison undefined")
 
     # F on every segment direction, once: the length, the contact flags and
@@ -254,13 +259,12 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     unit_costs = ctx.integrand.values_on(dirs)
     achieved = _length(unit_costs, path)
     target = planar.scaled_positive(ctx._record(*v).norm, e)
-    euclidean = sum(path.speeds.tolist())  # in segment order, as _length sums the costs
-    if not max(achieved, euclidean, target) < math.inf:
-        raise ValueError(f"path length {achieved!r} (Euclidean {euclidean!r}) or norm {target!r} past the float range")
-    verdict = abs(achieved - target) <= tol * max(1.0, target)
+    if not max(achieved, target) < math.inf:
+        raise ValueError(f"path length {achieved!r} or norm {target!r} past the float range")
+    verdict = abs(achieved - target) <= tol * target
 
     # Norms, contact flags and support scores in plain floats: numpy costs more on few segments.
-    unit_tol = tol * max(1.0, target) / euclidean
+    unit_tol = tol * planar.scaled(target, -path._exponent) / sum(path._lengths)  # no sum overflows
     costs, pairs = unit_costs.tolist(), dirs.tolist()
     norms = costs
     if not ctx.integrand.is_convex:  # the norm of a direction is min(F, h), as the record's
@@ -296,7 +300,7 @@ def classify(ctx: CrystalContext, x, y) -> GeodesicClass:
     distinct geodesics connect the points.
     """
     v, _, gap = displacement(x, y)  # v's label is that of y - x
-    if gap <= MIN_SEGMENT:
+    if gap == 0.0:
         raise ValueError("classification requires distinct endpoints")
     if ctx._record(*v).unique:
         return GeodesicClass.UNIQUE_UP_TO_REPARAM
@@ -364,7 +368,7 @@ def construct_geodesic(ctx: CrystalContext, x, y) -> Path:
     """
     x, y = planar_vector(x), planar_vector(y)
     v, e, gap = _displacement(x, y)
-    if gap <= MIN_SEGMENT:
+    if gap == 0.0:
         raise ValueError("geodesic construction requires distinct endpoints")
     record = ctx._record(*v)
     if record.unique:
@@ -388,15 +392,15 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
     ``x -> x + tau*u -> x + tau*u + w -> y``; every member has the same
     length and distinct tau give distinct breakpoints. Member 1 is
     :func:`construct_geodesic`'s staircase, bit for bit. Below 1, an interior
-    breakpoint within ``MIN_SEGMENT`` of the one before or of y is dropped,
-    so every member runs from x to y; the path is built from the rest as
-    floats, as :func:`construct_geodesic` builds its own.
+    breakpoint equal to the one before or to y is dropped, so every member
+    runs from x to y; the path is built from the rest as floats, as
+    :func:`construct_geodesic` builds its own.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("family parameter must lie in [0, 1]")
     x, y = planar_vector(x), planar_vector(y)
     v, e, gap = _displacement(x, y)
-    if gap <= MIN_SEGMENT:
+    if gap == 0.0:
         raise ValueError("family requires distinct endpoints")
     record = ctx._record(*v)
     if record.unique:
@@ -406,7 +410,7 @@ def geodesic_family(ctx: CrystalContext, x, y, tau: float) -> Path:
         return Path._from_floats([x, *_breakpoints(x, e, (ua, ub)), y])
     points = [x]
     for p in _breakpoints(x, e, (tau * ua, tau * ub), w):
-        if math.dist(points[-1], p) > MIN_SEGMENT and math.dist(p, y) > MIN_SEGMENT:  # inf past the range
+        if p != points[-1] and p != y:
             points.append(p)
     return Path._from_floats([*points, y])
 

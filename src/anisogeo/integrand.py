@@ -431,7 +431,7 @@ class Dip(Integrand):
 
     The pointwise minimum with a downward spike is the canonical lower
     semicontinuous non-convex family; an upward spike would not be lower
-    semicontinuous and is rejected (dip values must not exceed the base).
+    semicontinuous and is rejected (a dip value above the base beyond 1e-12 relative).
     """
 
     kind = "dip"
@@ -442,7 +442,7 @@ class Dip(Integrand):
         for direction, value in dips:
             d = unit(np.asarray(direction, dtype=float))
             value = float(_positive(value, "dip values"))
-            if value > base(d) + 1e-12:
+            if value > base(d) * (1.0 + 1e-12):
                 raise ValueError("dip value exceeds the base cost; not a dip")
             directions.append(d)
             values.append(value)

@@ -214,6 +214,14 @@ class TestCliCommands:
         assert report["results"]["distance"] == 2.0
         assert report["results"]["classification"] == "infinitely-many"
 
+    def test_distance_refuses_only_equal_points(self, l1_spec_file, capsys):
+        # An absolute 1e-12 once refused points 1e-13 apart, which distance answers.
+        assert main(["distance", l1_spec_file, "0,0", "1e-13,1e-13", "--geodesic"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["distance"] == 2e-13 and results["certificate"]["verdict"] is True
+        assert main(["distance", l1_spec_file, "1,2", "1,2"]) == 2
+        assert "coincide" in capsys.readouterr().err
+
     def test_distance_with_geodesic_certificate(self, l1_spec_file, capsys):
         assert main(["distance", l1_spec_file, "0,0", "1,0", "--geodesic"]) == 0
         report = json.loads(capsys.readouterr().out)

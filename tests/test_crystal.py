@@ -314,7 +314,7 @@ class TestSuiteBallCheck:
         assert len(polars) == 1
         ball = checks["ball-polar-is-crystal"]
         assert ball.measured == checks["polar-involution-crystal"].measured == self.reference_ball_gap(ctx)
-        assert ball.bound == 5 * ctx.resolution * max(1.0, ctx.crystal.diameter)
+        assert ball.bound == 5 * ctx.resolution * ctx.crystal.diameter
 
     def test_another_ball_takes_its_own_polar(self, monkeypatch, p3_ctx):
         # A ball that is not the polar body vertex for vertex: the same
@@ -607,7 +607,7 @@ def loop_in_contact(ctx: CrystalContext, x, tol: float = 1e-6) -> bool:
     if math.hypot(*x) == 0.0:
         return True
     fx = ctx.integrand(x)
-    return fx - ctx.norm(x) <= tol * max(1.0, fx)
+    return fx - ctx.norm(x) <= tol * fx
 
 
 class TestContactMany:
@@ -687,7 +687,7 @@ class TestOrthogonalDirections:
 class TestDualityInvariants:
     def test_polar_body_and_crystal_are_mutual_polars(self, all_ctxs):
         for name, ctx in all_ctxs.items():
-            bound = 5 * ctx.resolution * max(1.0, ctx.crystal.diameter)
+            bound = 5 * ctx.resolution * ctx.crystal.diameter
             assert hausdorff_distance(polar(ctx.polar_body), ctx.crystal) <= bound, name
             assert hausdorff_distance(polar(ctx.crystal), ctx.polar_body) <= bound, name
 
@@ -697,7 +697,7 @@ class TestDualityInvariants:
         rng = np.random.default_rng(29)
         for name, ctx in all_ctxs.items():
             W = ctx.wulff
-            collar = 5 * ctx.resolution * max(1.0, ctx.crystal.diameter)
+            collar = 5 * ctx.resolution * ctx.crystal.diameter
             pts = rng.uniform(-1.5, 1.5, size=(10_000, 2))
             gauges = np.array([ctx.polar_body.gauge(p) if np.any(p) else 0.0 for p in pts])
             clear = np.abs(gauges - 1.0) > collar  # outside the boundary collar

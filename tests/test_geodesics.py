@@ -377,7 +377,7 @@ class TestConstruct:
         assert len(path.points) == 3
         assert cert.verdict and cert.certified
         d = ctx.distance((0, 0), y)
-        assert abs(path_length(ctx.integrand, path) - d) <= ctx.default_tol * max(1.0, d)
+        assert abs(path_length(ctx.integrand, path) - d) <= ctx.default_tol * d
 
     def test_staircases_verify_on_random_sampled_costs(self):
         # 25 table and 25 dip costs, 10 endpoint pairs per cost and grid.
@@ -396,7 +396,7 @@ class TestConstruct:
                         cert = is_geodesic(ctx, path)
                         assert cert.verdict and cert.certified, (i, size, x, y)
                         gap = abs(path_length(cost, path) - d)
-                        assert gap <= ctx.default_tol * max(1.0, d), (i, size, x, y)
+                        assert gap <= ctx.default_tol * d, (i, size, x, y)
 
     def test_staircases_cost_the_distance_on_random_sampled_costs(self):
         # Each leg runs along a crystal edge normal at the contact vertex and
@@ -500,15 +500,24 @@ class TestFamily:
             assert path.points.tobytes() == construct_geodesic(ctx, x, y).points.tobytes(), (x, y)
         assert staircases > 0 or kind == "constant"
 
-    def test_member_one_refuses_a_leg_shorter_than_min_segment_as_the_construction_does(self):
-        # The dip's staircase to y has a leg of about 5e-13 beside one of 0.01. Dropping
-        # its breakpoint would leave the straight segment, which costs F(v) = 2 * norm.
+    def test_a_staircase_with_a_short_leg_costs_the_distance(self):
+        # The dip's staircase to y has a leg of about 5e-13 beside one of 0.01. An
+        # absolute floor on segment lengths refused it in the construction and member 1,
+        # and below 1 dropped its breakpoint, leaving the straight segment, which costs
+        # F(v) = 2 * norm and was still verified by an absolute default tolerance.
         ctx = CrystalContext(Dip(Constant(1.0), [((1, 0), 0.5)]), SphereGrid.planar(720))
         for y in [(0.01, 5e-13), (0.01, -5e-13)]:
             assert classify(ctx, (0, 0), y) is GeodesicClass.INFINITELY_MANY
-            for build in (lambda: construct_geodesic(ctx, (0, 0), y), lambda: geodesic_family(ctx, (0, 0), y, 1.0)):
-                with pytest.raises(ValueError, match="degenerate segment"):
-                    build()
+            d = ctx.distance((0, 0), y)
+            for tau in (0.0, 0.5, 1.0):
+                path = geodesic_family(ctx, (0, 0), y, tau)
+                assert len(path.points) > 2, (y, tau)
+                assert path_length(ctx.integrand, path) == pytest.approx(d, rel=1e-12), (y, tau)
+                cert = is_geodesic(ctx, path)
+                assert cert.verdict and cert.certified, (y, tau)
+            assert construct_geodesic(ctx, (0, 0), y).points.tobytes() == path.points.tobytes()
+            straight = is_geodesic(ctx, Path.segment((0, 0), y))
+            assert not straight.verdict and not straight.certified
 
 
 class TestGeodesicBall:
@@ -526,7 +535,7 @@ class TestGeodesicBall:
     def test_polar_of_unit_ball_is_the_crystal(self, all_ctxs):
         for name, ctx in all_ctxs.items():
             ball = geodesic_ball(ctx, (0, 0), 1.0)
-            bound = 5 * ctx.resolution * max(1.0, ctx.crystal.diameter)
+            bound = 5 * ctx.resolution * ctx.crystal.diameter
             assert hausdorff_distance(polar(ball), ctx.crystal) <= bound, name
 
     def test_translation_and_scaling(self, l1_ctx):

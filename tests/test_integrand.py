@@ -148,6 +148,13 @@ class TestConstructionRejection:
         with pytest.raises(ValueError):
             Dip(Constant(1.0), [((1.0, 0.0), 1.5)])
 
+    @pytest.mark.parametrize("scale", [2.0**-200, 1e-13, 1.0, 2.0**200])
+    def test_dip_above_base_rejected_at_every_scale(self, scale):
+        # An absolute 1e-12 of slack let an upward spike through below unit scale.
+        with pytest.raises(ValueError, match="exceeds the base"):
+            Dip(Constant(scale), [((1, 0), 2.0 * scale)])
+        Dip(Constant(scale), [((1, 0), scale)])  # equal to the base: no spike
+
     def test_non_finite_facets_and_dips_rejected(self):
         for facet in (((1, 1), math.nan), ((1, 1), math.inf), ((math.nan, 1), 1.0)):
             with pytest.raises(ValueError):

@@ -12,8 +12,10 @@ from anisogeo import (
     AngularTable,
     Constant,
     Crystalline,
+    CrystalContext,
     Dip,
     PNorm,
+    SphereGrid,
     Stencil,
     oracle_convergence,
     oracle_distance,
@@ -644,6 +646,21 @@ class TestSandwich:
                 d = ctx.norm(target.astype(float))
                 for s in stencils:
                     assert oracle_distance(ctx.integrand, target, s) >= d - 1e-9, name
+
+    @pytest.mark.parametrize(
+        "F, size",
+        [(Crystalline([((1, 1), 1.41e12), ((-1, 1), 1.0e12), ((0, -1), 0.8e12)]), 64),
+         (Crystalline([((1, 1), 1.41e12), ((-1, 1), 1.0e12), ((0, -1), 0.8e12)]), 720),
+         (Constant(1.3 * 2.0**60), 2048)],
+        ids=["crystalline-1e12-64", "crystalline-1e12-720", "constant-2^60-2048"],
+    )
+    def test_the_suite_passes_on_costs_far_above_unit_scale(self, F, size):
+        # Rounding of a norm near 1e12 is about 1e-4; an absolute 1e-9 sandwich slack
+        # failed these, and the slack is now relative to max F.
+        ctx = CrystalContext(F, SphereGrid.planar(size))
+        checks = {c.name: c for c in run_suite(ctx, seed=0)}
+        assert checks["oracle-sandwich"].bound == 1e-9 * ctx.f_max
+        assert all(c.passed for c in checks.values()), [c.name for c in checks.values() if not c.passed]
 
     def test_exact_when_decomposition_is_stencil_parallel(self, l1_ctx):
         # Axis staircases realize every integer target for the L1 cost.

@@ -38,10 +38,11 @@ from anisogeo import (
     geodesic_ball,
     geodesic_family,
     is_geodesic,
+    path_length,
     planar,
 )
 from anisogeo.crystal import ConvexRegion, displacement
-from anisogeo.geodesics import MIN_SEGMENT, DirectionDecomposition, geodesic_legs
+from anisogeo.geodesics import DirectionDecomposition, geodesic_legs
 from anisogeo.integrand import (
     DIRECTION_MATCH_TOL,
     TWO_PI,
@@ -120,7 +121,7 @@ def is_orthogonal_direction_reference(ctx: CrystalContext, v, tol=None) -> bool:
     k = int(np.argmax(scores))
     cone = [k - 1, k]
     gaps = np.hypot(*(normals[cone] / offsets[cone, None] - v_hat).T)
-    return bool(gaps.min() <= tol * max(math.hypot(*v_hat), 1e-30))
+    return bool(gaps.min() <= tol * math.hypot(*v_hat))
 
 
 def contact_face_reference(region, v):
@@ -149,9 +150,9 @@ def is_geodesic_reference(ctx: CrystalContext, path: Path, tol=None):
     segments = np.diff(path.points, axis=0)
     achieved = float(sum(ctx.integrand(seg) for seg in segments))
     target = ctx.norm(v)
-    verdict = abs(achieved - target) <= tol * max(1.0, target)
+    verdict = abs(achieved - target) <= tol * target
     speeds = np.hypot(segments[:, 0], segments[:, 1])
-    unit_tol = tol * max(1.0, target) / float(speeds.sum())
+    unit_tol = tol * target / float(speeds.sum())
     seg_dirs = [seg / math.hypot(*seg) for seg in segments]
     seg_norms = [ctx.norm(d) for d in seg_dirs]
     contact_flags = [ctx.integrand(d) - nd <= unit_tol for d, nd in zip(seg_dirs, seg_norms)]
@@ -206,7 +207,7 @@ def unique_reference(ctx: CrystalContext, v) -> bool:
     for j in (k - 1, k):
         (na, nb), h = normals[j].tolist(), float(offsets[j])
         gap = min(gap, math.hypot(na / h - a, nb / h - b))
-    return gap <= tol * max(math.hypot(a, b), 1e-30)
+    return gap <= tol * math.hypot(a, b)
 
 
 def geodesic_legs_reference(ctx: CrystalContext, v):
@@ -228,7 +229,7 @@ def construct_geodesic_reference(ctx: CrystalContext, x, y) -> Path:
     """``construct_geodesic`` by a classification, then a legs search."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     v = y - x
-    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
+    if math.hypot(*v.tolist()) == 0.0:
         raise ValueError("geodesic construction requires distinct endpoints")
     if unique_reference(ctx, v):
         return Path(np.array([x, y]))
@@ -238,7 +239,7 @@ def construct_geodesic_reference(ctx: CrystalContext, x, y) -> Path:
 def geodesic_family_reference(ctx: CrystalContext, x, y, tau: float) -> Path:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     v = y - x
-    if math.hypot(*v.tolist()) <= MIN_SEGMENT:
+    if math.hypot(*v.tolist()) == 0.0:
         raise ValueError("family requires distinct endpoints")
     if unique_reference(ctx, v):
         raise ValueError("direction is an attained normal: geodesic is unique, no family")
@@ -247,7 +248,7 @@ def geodesic_family_reference(ctx: CrystalContext, x, y, tau: float) -> Path:
         return Path(np.array([x, x + u, y]))
     points = [x]
     for p in [x + tau * u, x + tau * u + w]:
-        if math.hypot(*(p - points[-1])) > MIN_SEGMENT and math.hypot(*(y - p)) > MIN_SEGMENT:
+        if (p != points[-1]).any() and (p != y).any():
             points.append(p)
     return Path(np.array([*points, y]))
 
@@ -285,7 +286,7 @@ def path_checks_reference(points):
         raise ValueError(f"path breakpoint {bad + 1} is not finite: {pts[bad].tolist()}")
     seg = pts[1:] - pts[:-1]
     speeds = np.hypot(seg[:, 0], seg[:, 1])
-    if np.any(speeds <= MIN_SEGMENT):
+    if np.any(speeds == 0.0):
         raise ValueError("degenerate segment: consecutive breakpoints coincide")
     return seg, speeds
 
@@ -849,7 +850,6 @@ def test_path_length_sums_in_segment_order(p3_ctx):
     want = 0.0
     for cost in (F.values_on(path.directions) * path.speeds).tolist():
         want += cost
-    from anisogeo import path_length
 
     assert path_length(F, path) == want
     assert path_length(F, path) == pytest.approx(sum(F(s) for s in np.diff(path.points, axis=0)), rel=1e-14)
@@ -1177,8 +1177,8 @@ def test_every_entry_point_holds_across_the_float_range(e, k, m):
     # Endpoints 2**e * mantissa, from the smallest subnormal to the float
     # maximum: each call answers a positive value, inf past the float range,
     # or a named ValueError; F and the norm are 1-homogeneous bit for bit
-    # wherever both sides are normal. Below MIN_SEGMENT the constructions
-    # and classify refuse, although distance answers (MIN_SEGMENT is absolute).
+    # wherever both sides are normal. classify and the constructions refuse
+    # only equal endpoints, and a staircase leg that rounds away at its scale.
     x, y = (math.ldexp(m[0], e), math.ldexp(m[1], e)), (math.ldexp(m[2], e), math.ldexp(m[3], e))
     v = (y[0] - x[0], y[1] - x[1])
     normal = lambda t: sys.float_info.min <= abs(t) < math.inf  # noqa: E731
@@ -1210,6 +1210,134 @@ def test_every_entry_point_holds_across_the_float_range(e, k, m):
                 assert np.isfinite(answer.points).all() and (answer.speeds > 0.0).all()
             elif not isinstance(answer, GeodesicClass):
                 assert 0.0 < answer.target_norm < math.inf and 0.0 < answer.achieved_length < math.inf
+
+
+def _readme_costs_times(j: int) -> dict:
+    """The README costs, each but the p-norm with every value times 2**j (exact)."""
+    s = 2.0**j
+    return {"pnorm": PNorm(1.0), "constant": Constant(s),
+            "crystalline": Crystalline([((1, 1), 1.41 * s), ((-1, 1), 1.0 * s), ((0, -1), 0.8 * s)]),
+            "table": AngularTable([0.0, 2.0, 4.0], [1.0 * s, 1.4 * s, 1.1 * s]),
+            "dip": Dip(Constant(s), [((1, 0), 0.5 * s)])}
+
+
+def _decisions(ctx: CrystalContext, x, y, bend, radius) -> list:
+    """Every decision a context takes on x and y: default_tol, the label, the certificates
+    (verdict, certified, both flag arrays) of the construction, member 0.5 and the path
+    x -> bend -> y, contact of x, y and y - x, and whether the ball about x of the radius
+    holds y; a refusal by its name."""
+
+    def decide(call):
+        try:
+            return call()
+        except ValueError as exc:
+            return re.search(NAMED_REFUSALS, str(exc)).group()
+
+    def certificate(build):
+        cert = is_geodesic(ctx, build())
+        return cert.verdict, cert.certified, cert.contact_ok.tolist(), cert.support_ok.tolist()
+
+    v = (y[0] - x[0], y[1] - x[1])
+    return [
+        ctx.default_tol,
+        decide(lambda: classify(ctx, x, y)),
+        decide(lambda: certificate(lambda: construct_geodesic(ctx, x, y))),
+        decide(lambda: certificate(lambda: geodesic_family(ctx, x, y, 0.5))),
+        decide(lambda: certificate(lambda: Path(np.array([x, bend, y])))),
+        ctx.in_contact_many(np.array([x, y, v])).tolist(),
+        [ctx.in_contact(w) for w in (x, y, v)],
+        geodesic_ball(ctx, x, radius).contains(y),
+    ]
+
+
+# Mantissas away from the subnormals: every value below stays a normal float at 2**k * 2**j.
+_MANTISSA = st.floats(-2.0, 2.0).filter(lambda t: t == 0.0 or abs(t) >= 2.0**-100)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(k=st.integers(-600, 600), j=st.integers(-200, 200), m=st.lists(_MANTISSA, min_size=4, max_size=4))
+def test_every_decision_is_the_same_at_every_scale(k, j, m):
+    # F is 1-homogeneous, so no decision may depend on the scale of the points (2**k)
+    # or of F (2**j): each is taken on values that scale exactly, by relative rules.
+    x0, y0 = (m[0], m[1]), (m[2], m[3])
+    bend0 = (0.5 * (m[0] + m[2]) - 0.25 * (m[3] - m[1]), 0.5 * (m[1] + m[3]) + 0.25 * (m[2] - m[0]))
+    x, y, bend = (tuple(math.ldexp(t, k) for t in p) for p in (x0, y0, bend0))
+    for kind, F in _readme_costs_times(j).items():
+        scale = 0 if kind == "pnorm" else j
+        want = _decisions(_readme_contexts()[kind], x0, y0, bend0, 1.0)
+        got = _decisions(CrystalContext(F, SphereGrid.planar(720)), x, y, bend, math.ldexp(1.0, k + scale))
+        assert got == want, (kind, k, j)
+
+
+# The reproductions of decisions that once changed with scale.
+BENT = np.array([(0.0, 0.0), (0.2, 0.9), (1.0, 1.0)])
+
+
+def test_a_bent_path_is_refused_at_every_scale():
+    # It costs 1.35 times the distance under PNorm(3) and 1.27 times under the README
+    # dip with every value times 10; the absolute floor of tol * max(1, norm) verified
+    # it at 1e-8 and under the dip times 10 (whose default tolerance was 5 res max F).
+    p3 = CrystalContext(PNorm(3.0), SphereGrid.planar(720))
+    dip10 = CrystalContext(Dip(Constant(10.0), [((1, 0), 5.0)]), SphereGrid.planar(720))
+    for ctx in (p3, dip10):
+        for scale in (1.0, 1e-8, 1e8):
+            cert = is_geodesic(ctx, Path(BENT * scale))
+            assert cert.achieved_length > 1.2 * cert.target_norm, (ctx.integrand.kind, scale)
+            assert not cert.verdict and not cert.certified, (ctx.integrand.kind, scale)
+
+
+def test_contact_does_not_depend_on_the_scale_of_the_direction():
+    # F - norm <= 1e-6 * max(1, F) put (1e-8, 1e-9) in contact and (1, 0.1) not.
+    ctx = _readme_contexts()["dip"]
+    assert not ctx.in_contact((1.0, 0.1)) and not ctx.in_contact((1e-8, 1e-9))
+    for v in [(1.0, 0.1), (1.0, 0.0), (0.3, -1.0), (-1.0, 0.0)]:
+        rows = np.array([np.ldexp(v, k) for k in (-900, -27, 0, 27, 900)])
+        assert ctx.in_contact_many(rows).tolist() == [ctx.in_contact(v)] * len(rows), v
+        assert [ctx.in_contact(row) for row in rows] == [ctx.in_contact(v)] * len(rows), v
+
+
+@pytest.mark.parametrize("kind", sorted(README_COSTS))
+def test_points_a_tiny_step_apart_are_distinct(kind):
+    # MIN_SEGMENT = 1e-12 refused these in Path, classify and the constructions,
+    # while distance answered.
+    ctx = _readme_contexts()[kind]
+    L = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+    assert Path(L * 1e-13).speeds.tolist() == [1e-13, 1e-13]
+    y = (1e-13, 1e-13)
+    label = classify(ctx, (0.0, 0.0), y)
+    assert label == classify(ctx, (0.0, 0.0), (1.0, 1.0))
+    path = construct_geodesic(ctx, (0.0, 0.0), y)
+    assert len(path.points) == (2 if label is GeodesicClass.UNIQUE_UP_TO_REPARAM else 3)
+    cert = is_geodesic(ctx, path)
+    assert cert.verdict and cert.certified
+    assert cert.target_norm == ctx.distance((0.0, 0.0), y) > 0.0
+    for bad in ((0.0, 0.0), (-0.0, 0.0)):  # only equal points are refused
+        with pytest.raises(ValueError, match="distinct endpoints"):
+            classify(ctx, (0.0, 0.0), bad)
+
+
+@pytest.mark.parametrize("j", [-200, 200])
+def test_a_crystalline_cost_times_a_power_of_two_keeps_its_labels(j):
+    # The polar-point rule's floor, resolution * max(|v / n|, 1e-30), went absolute
+    # where F passes 1e30: (1, 2) turned unique.
+    ctx = CrystalContext(_readme_costs_times(j)["crystalline"], SphereGrid.planar(720))
+    for y in [(1.0, 2.0), (1.0, 1.0), (-3.0, 0.5), (0.0, -1.0)]:
+        assert classify(ctx, (0.0, 0.0), y) == classify(_readme_contexts()["crystalline"], (0.0, 0.0), y), y
+    assert classify(ctx, (0.0, 0.0), (1.0, 2.0)) is GeodesicClass.INFINITELY_MANY
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_far_path_whose_cost_is_in_range_is_checked():
+    # Its Euclidean length overflows, and is_geodesic once refused it for that; the
+    # path's unit-scaled lengths keep its cost, 1.7e308, in range.
+    ctx = _readme_contexts()["dip"]
+    x, y = (-1.7e308, 0.0), (1.7e308, 1.0)
+    path = construct_geodesic(ctx, x, y)
+    assert path.speeds.tolist() == [math.inf]
+    assert path_length(ctx.integrand, path) == ctx.distance(x, y) == 1.7e308
+    cert = is_geodesic(ctx, path)
+    assert cert.achieved_length == cert.target_norm == 1.7e308
+    assert cert.verdict and cert.certified
 
 
 @pytest.mark.parametrize("kind", sorted(README_COSTS))
@@ -1313,7 +1441,7 @@ def test_contact_faces_are_the_face_records_rows(kind, grid_size):
 
 def test_path_checks_match_the_reference():
     rng = np.random.default_rng(51)
-    edges = [np.array([[0.0, 0.0], [step, 0.0]]) for step in (MIN_SEGMENT, math.nextafter(MIN_SEGMENT, 1.0))]
+    edges = [np.array([[0.0, 0.0], [step, 0.0]]) for step in (0.0, math.ulp(0.0))]
     for pts in edges + [rng.normal(size=(int(rng.integers(2, 6)), 2)) for _ in range(2000)]:
         if rng.random() < 0.3:  # a repeated breakpoint
             i = int(rng.integers(1, len(pts)))
