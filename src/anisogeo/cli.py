@@ -43,20 +43,19 @@ from .suite import run_suite
 from .svgplot import crystal_figure
 
 
-def _context(args) -> CrystalContext:
-    integrand, spec_grid = fileio.load_integrand_spec(args.spec)
+def _context(args) -> tuple[CrystalContext, str]:
+    """The context of the spec file, and the SHA-256 of the bytes it was parsed from:
+    the file is read once, so the digest is never of bytes that were not parsed."""
+    raw = fileio.read_bytes(args.spec)
+    integrand, spec_grid = fileio.parse_integrand_spec(raw, args.spec)
     count = args.grid or spec_grid or GRID_SIZE_DEFAULT
-    return CrystalContext(integrand, SphereGrid.planar(count))
+    return CrystalContext(integrand, SphereGrid.planar(count)), hashlib.sha256(raw).hexdigest()
 
 
-def _spec_digest(path) -> str:
-    return hashlib.sha256(FilePath(path).read_bytes()).hexdigest()
-
-
-def _base_report(args, ctx: CrystalContext) -> dict:
+def _base_report(args, ctx: CrystalContext, spec_digest: str) -> dict:
     return {
         "command": " ".join(getattr(args, "_argv", [args.command])),
-        "spec_digest": _spec_digest(args.spec),
+        "spec_digest": spec_digest,
         "grid": {"size": ctx.grid.size, "resolution": ctx.grid.resolution},
     }
 
@@ -124,7 +123,7 @@ def _area_report(vertices: np.ndarray) -> dict:
 
 
 def cmd_crystal(args) -> int:
-    ctx = _context(args)
+    ctx, spec_digest = _context(args)
     out_dir = FilePath(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     svg = FilePath(args.svg) if args.svg else out_dir / "crystal.svg"
@@ -154,7 +153,7 @@ def cmd_crystal(args) -> int:
     fileio.save_rows(files["graph_samples"], graph, "cost polar graph samples")
     files["figure"] = svg
 
-    report = _base_report(args, ctx)
+    report = _base_report(args, ctx, spec_digest)
     report["results"] = {
         "crystal_vertex_count": len(ctx.crystal.vertices),
         "polar_vertex_count": len(ctx.polar_body.vertices),
@@ -167,7 +166,7 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    ctx = _context(args)
+    ctx, spec_digest = _context(args)
     x = _parse_point(args.start)
     y = _parse_point(args.end)
     if x.shape != (2,) or y.shape != (2,):
@@ -192,7 +191,7 @@ def cmd_distance(args) -> int:
         if label is GeodesicClass.INFINITELY_MANY:
             halfway = geodesic_family(ctx, x, y, 0.5)
             results["family_midpoint_breakpoints"] = [list(p) for p in halfway.points]
-    report = _base_report(args, ctx)
+    report = _base_report(args, ctx, spec_digest)
     report["results"] = results
     report["tolerances"] = {"verification": args.tol or ctx.default_tol}
     report["pass"] = True
@@ -201,12 +200,12 @@ def cmd_distance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ctx = _context(args)
+    ctx, spec_digest = _context(args)
     path = fileio.load_path_file(args.path)
     if args.resample:
         path = resample_polyline(path, args.resample)
     cert = is_geodesic(ctx, path, args.tol)
-    report = _base_report(args, ctx)
+    report = _base_report(args, ctx, spec_digest)
     report["results"] = cert.as_dict()
     report["results"]["breakpoint_count"] = len(path.points)
     report["tolerances"] = {"verification": cert.tolerance}
@@ -216,9 +215,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    ctx = _context(args)
+    ctx, spec_digest = _context(args)
     checks = run_suite(ctx, seed=args.seed)
-    report = _base_report(args, ctx)
+    report = _base_report(args, ctx, spec_digest)
     report["results"] = {"checks": [c.as_dict() for c in checks]}
     failed = [c.name for c in checks if not c.passed]
     report["pass"] = not failed

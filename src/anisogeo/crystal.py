@@ -20,9 +20,12 @@ batch, as its docstring describes; :func:`double_polar` is its batch of one.
 it builds, and provides the induced (possibly asymmetric) norm, min(F,
 crystal support). Its build scans the cost once and runs one hull, of the
 dual points (:func:`integrand.scan`): pruned and polarized it is the crystal,
-in O(M log M) time and O(M) memory on M grid directions; its polar body is
-made on first read. Every support (the envelope, the norm, a contact vertex)
-is one O(log V) lookup in :attr:`ConvexRegion.edge_angles`.
+in O(M log M) time and O(M) memory on M grid directions. The context keeps
+the crystal, F on the grid and its grid, which it shares with every context
+of that size (:meth:`SphereGrid.planar`), not the dual hull; its polar body
+and its Wulff transform (a second scan) are made on first read. Every support
+(the envelope, the norm, a contact vertex) is one O(log V) lookup in
+:attr:`ConvexRegion.edge_angles`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import planar
-from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit_pair
-from .integrand import wulff_from_dual
+from .integrand import GridFunction, Integrand, SphereGrid, planar_vector, scan, unit_pair, wulff_transform
 
 # Relative slack of region faces: containment and contact faces.
 FACE_TOL = 1e-9
@@ -432,9 +434,11 @@ def hausdorff_distance(a: Polygon | np.ndarray, b: Polygon | np.ndarray) -> floa
 class CrystalContext:
     """A directional cost with its precomputed planar geometry.
 
-    Holds the crystal and the induced norm, built as the module describes;
-    the polar body, the Wulff transform and the convex envelope are made on
-    first read. It keeps one record, its last analysis of a displacement
+    Holds the crystal, F on the grid and the induced norm, built as the
+    module describes, and the grid it was given (``SphereGrid.planar()`` by
+    default, shared and read-only); the build's dual hull is not kept. The
+    polar body, the Wulff transform (a rescan of F) and the convex envelope
+    are made on first read. It keeps one record, its last analysis of a displacement
     (:class:`Contact`), taken on the crystal's halfspaces: immutable,
     replaced by one assignment, and read once by a query that checks its
     key, so queries stay pure and thread-safe.
@@ -454,9 +458,9 @@ class CrystalContext:
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
         self.integrand = integrand
         self.grid = grid if grid is not None else SphereGrid.planar()
-        scan_values, self._dual = scan(integrand, self.grid)
+        scan_values, dual = scan(integrand, self.grid)
         self._f_grid = scan_values[: self.grid.size]
-        self.crystal = _crystal_from_dual(self._dual)
+        self.crystal = _crystal_from_dual(dual)
         if not self.crystal.origin_interior:  # polar's refusal, at build
             raise ValueError(UNBOUNDED_POLAR)
         self.f_max = float(self._f_grid.max())
@@ -482,8 +486,10 @@ class CrystalContext:
 
     @cached_property
     def wulff(self) -> GridFunction:
-        """The Wulff transform W(F) on the grid, read off the build's dual hull."""
-        return wulff_from_dual(self._dual, self.grid)
+        """The Wulff transform W(F) on the grid, :func:`integrand.wulff_transform`: the
+        context keeps no dual hull, so the first read scans F again. The scan is
+        deterministic, so W(F) has the bits of the build's dual hull."""
+        return wulff_transform(self.integrand, self.grid)
 
     @cached_property
     def envelope(self) -> GridFunction:

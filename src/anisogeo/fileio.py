@@ -80,15 +80,23 @@ def _direction_records(data: dict, field: str, number: str, where: str) -> list:
     return pairs
 
 
-def _read_text(path: FilePath) -> str:
-    """The file's text; a file that cannot be read or is not UTF-8 is a
-    :class:`SpecError` naming it."""
+def read_bytes(path) -> bytes:
+    """The file's bytes; a file that cannot be read is a :class:`SpecError` naming it."""
+    path = FilePath(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError as exc:
         raise SpecError(f"{path}: {exc.strerror}") from exc
+
+
+def _decoded(raw: bytes, path) -> str:
+    """The text of a file's bytes, with universal newlines as ``Path.read_text``
+    reads it; bytes that are not UTF-8 are a :class:`SpecError` naming the file."""
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SpecError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+        raise SpecError(f"{FilePath(path)}: not UTF-8 text (byte {exc.start})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def integrand_from_dict(data: dict, where: str = "spec") -> Integrand:
@@ -133,9 +141,15 @@ def integrand_from_dict(data: dict, where: str = "spec") -> Integrand:
 
 def load_integrand_spec(path) -> tuple[Integrand, int | None]:
     """Parse a cost spec file; returns the cost and an optional grid size."""
+    return parse_integrand_spec(read_bytes(path), path)
+
+
+def parse_integrand_spec(raw: bytes, path) -> tuple[Integrand, int | None]:
+    """:func:`load_integrand_spec` of the bytes raw read from the file at path,
+    with its refusals naming that path."""
     path = FilePath(path)
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(_decoded(raw, path))
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     integrand = integrand_from_dict(data, where=str(path))
@@ -150,7 +164,7 @@ def load_integrand_spec(path) -> tuple[Integrand, int | None]:
 def _parse_rows(path, dim: int | None = None) -> np.ndarray:
     path = FilePath(path)
     rows = []
-    lines = _read_text(path).splitlines()
+    lines = _decoded(read_bytes(path), path).splitlines()
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:

@@ -33,6 +33,9 @@ from .integrand import Integrand, planar_vector
 
 _DEGENERATE = "degenerate segment: consecutive breakpoints coincide"
 
+# No difference of two coordinates below this in magnitude overflows.
+_NO_OVERFLOW = 2.0**1023
+
 
 def _not_finite(i: int, row: list) -> str:
     return f"path breakpoint {i + 1} is not finite: {row}"
@@ -50,6 +53,20 @@ def _breakpoints(x, e: int, *legs) -> list[tuple[float, float]]:
     return points
 
 
+def _far_steps(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """The steps of breakpoints that reach 2**1023, scaled together, and their exponent e:
+    the plain differences unit-scaled where none overflows; else each plain difference
+    times 2**-e, with e the breakpoints' exponent, and where one overflows the difference
+    of the breakpoints times 2**-e."""
+    with np.errstate(over="ignore"):
+        plain = pts[1:] - pts[:-1]
+    finite = np.isfinite(plain)
+    if finite.all():
+        return planar.unit_scaled(plain)
+    unit, e = planar.unit_scaled(pts)
+    return np.where(finite, np.ldexp(plain, -e), unit[1:] - unit[:-1]), e
+
+
 class GeodesicClass(Enum):
     UNIQUE_UP_TO_REPARAM = "unique-up-to-reparametrization"
     INFINITELY_MANY = "infinitely-many"
@@ -60,9 +77,12 @@ class Path:
     """Polyline through ordered breakpoints; every segment has positive length.
 
     ``directions`` are the unit segment directions, and ``_lengths`` the segment lengths
-    (plain floats), of the points times 2**-``_exponent`` (:func:`planar.unit_scaled`).
-    ``Path(points)`` works on whole arrays, for paths of any length; the constructions
-    build theirs from plain-float breakpoints with :meth:`_from_floats`, bit for bit.
+    (plain floats), of the steps times 2**-``_exponent``. Each step is the plain difference
+    of its breakpoints, exact, and the steps are scaled together as :func:`planar.unit_scaled`
+    scales them; only where a plain difference overflows is the step taken on the
+    breakpoints scaled together. ``Path(points)`` works on whole arrays, for paths of any
+    length; the constructions build theirs from plain-float breakpoints with
+    :meth:`_from_floats`, bit for bit.
     """
 
     points: np.ndarray
@@ -74,12 +94,11 @@ class Path:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ValueError("a path needs at least two planar breakpoints")
-        try:  # the finite check runs before any difference (inf - inf warns)
-            unit, e = planar.unit_scaled(pts)
-        except ValueError:
+        top = float(np.abs(pts).max())
+        if not top < math.inf:  # before any difference (inf - inf warns)
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
-            raise ValueError(_not_finite(bad, pts[bad].tolist())) from None
-        steps = unit[1:] - unit[:-1]
+            raise ValueError(_not_finite(bad, pts[bad].tolist()))
+        steps, e = planar.unit_scaled(pts[1:] - pts[:-1]) if top < _NO_OVERFLOW else _far_steps(pts)
         lengths = np.hypot(steps[:, 0], steps[:, 1])
         if not lengths.min() > 0.0:
             raise ValueError(_DEGENERATE)
@@ -91,17 +110,26 @@ class Path:
     @classmethod
     def _from_floats(cls, points: list[tuple[float, float]]) -> "Path":
         """``Path(np.array(points))`` for two or more breakpoints held as pairs of floats,
-        bit for bit and with its refusals: the scaling, the steps and the directions in
+        bit for bit and with its refusals: the steps, their scaling and the directions in
         floats, the lengths one ``np.hypot`` (``math.hypot`` rounds differently), and the
         two arrays at the end."""
         flat = [c for p in points for c in p]
         if not all(map(math.isfinite, flat)):
             i = next(i for i, p in enumerate(points) if not all(map(math.isfinite, p)))
             raise ValueError(_not_finite(i, list(points[i])))
-        e = math.frexp(max(map(abs, flat)))[1]
-        unit = [math.ldexp(c, -e) for c in flat]
-        xs, ys = unit[0::2], unit[1::2]
-        dx, dy = list(map(operator.sub, xs[1:], xs)), list(map(operator.sub, ys[1:], ys))
+        xs, ys = flat[0::2], flat[1::2]
+        n = len(xs) - 1
+        steps = [*map(operator.sub, xs[1:], xs), *map(operator.sub, ys[1:], ys)]  # inf where they overflow
+        top = max(map(abs, steps))
+        if top < math.inf:
+            e = math.frexp(top)[1]
+            steps = [math.ldexp(c, -e) for c in steps]
+        else:
+            e = math.frexp(max(map(abs, flat)))[1]
+            unit = [math.ldexp(c, -e) for c in flat]
+            apart = [*map(operator.sub, unit[2::2], unit[0::2]), *map(operator.sub, unit[3::2], unit[1::2])]
+            steps = [math.ldexp(c, -e) if math.isfinite(c) else d for c, d in zip(steps, apart)]
+        dx, dy = steps[:n], steps[n:]
         lengths = np.hypot(np.array(dx), np.array(dy)).tolist()
         if not min(lengths) > 0.0:
             raise ValueError(_DEGENERATE)

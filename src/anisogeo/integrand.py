@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import array
 import bisect
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -129,19 +130,27 @@ def interp_periodic(theta, samples: tuple[np.ndarray, np.ndarray]):
     return np.interp(theta % TWO_PI, *samples)
 
 
+def _check_grid_size(size) -> None:
+    if not (isinstance(size, (int, np.integer)) and GRID_SIZE_MIN <= size <= GRID_SIZE_MAX):
+        raise ValueError(f"planar grid size must be an integer from {GRID_SIZE_MIN} to {GRID_SIZE_MAX}")
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """The equispaced planar grid of ``size`` unit directions used for all
     sup/inf scans. Angle 0 (the +x axis) is always included, and
-    ``resolution`` is the angular spacing 2*pi / size in radians.
+    ``resolution`` is the angular spacing 2*pi / size in radians. Its
+    ``directions`` and ``angles`` are read-only, so one grid serves every
+    context of its size (:meth:`planar`); a grid pickles as that shared one.
     """
 
     size: int
 
     def __post_init__(self) -> None:
-        size = self.size
-        if not (isinstance(size, (int, np.integer)) and GRID_SIZE_MIN <= size <= GRID_SIZE_MAX):
-            raise ValueError(f"planar grid size must be an integer from {GRID_SIZE_MIN} to {GRID_SIZE_MAX}")
+        _check_grid_size(self.size)
+
+    def __reduce__(self):
+        return SphereGrid.planar, (self.size,)
 
     @property
     def resolution(self) -> float:
@@ -149,6 +158,7 @@ class SphereGrid:
 
     @cached_property
     def directions(self) -> np.ndarray:
+        """The unit directions at angles k * resolution, as read-only (size, 2) rows."""
         count = self.size
         angles = np.arange(count) * self.resolution
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -158,16 +168,28 @@ class SphereGrid:
             idx = k * count // 4
             if 4 * idx == k * count:
                 dirs[idx] = d
+        dirs.flags.writeable = False
         return dirs
 
     @cached_property
     def angles(self) -> np.ndarray:
-        return np.mod(np.arctan2(self.directions[:, 1], self.directions[:, 0]), TWO_PI)
+        """The directions' angles in [0, 2*pi), read-only."""
+        angles = np.mod(np.arctan2(self.directions[:, 1], self.directions[:, 0]), TWO_PI)
+        angles.flags.writeable = False
+        return angles
 
     @classmethod
     def planar(cls, count: int = GRID_SIZE_DEFAULT) -> "SphereGrid":
-        """The grid of ``count`` directions."""
-        return cls(count)
+        """The shared grid of ``count`` directions: one instance per size, for
+        the last 16 sizes asked for, refused as ``SphereGrid(count)`` refuses it.
+        ``SphereGrid(count)`` builds a fresh grid with the same directions."""
+        _check_grid_size(count)
+        return cls._shared(int(count))
+
+    @classmethod
+    @functools.lru_cache(maxsize=16)
+    def _shared(cls, size: int) -> "SphereGrid":
+        return cls(size)
 
 
 class Integrand(ABC):
@@ -510,25 +532,17 @@ def scan(F: Integrand, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
     return vals, planar.hull_cycle(dirs / vals[:, None])
 
 
-def wulff_from_dual(dual_cycle: np.ndarray, grid: SphereGrid) -> GridFunction:
-    """W(F) on the grid from the hull cycle of the dual points w / F(w).
-
-    min over <v, w> > 0 of F(w) / <v, w> is 1 / max over w of <v, w / F(w)>,
-    the reciprocal support of the dual hull. Each grid direction's own dual
-    point lies in the hull, so that support is at least 1 / F(v) > 0.
-    """
-    return GridFunction(grid, 1.0 / support_values(dual_cycle, grid.directions))
-
-
 def wulff_transform(F: Integrand, grid: SphereGrid) -> GridFunction:
     """W(F)(v) = min over directions w with <v, w> > 0 of F(w) / <v, w>.
 
     The scan covers the grid plus F's special directions, so flat facets
     and dips are seen exactly. W(F) <= F holds at every grid direction
-    because w = v is always a candidate. Computed as a support query on the
-    hull of the dual points ``w / F(w)`` (see :func:`wulff_from_dual`).
+    because w = v is always a candidate. The minimum is 1 / max over w of
+    <v, w / F(w)>, the reciprocal support of the hull of the dual points
+    ``w / F(w)``; each grid direction's own dual point lies in the hull, so
+    that support is at least 1 / F(v) > 0.
     """
-    return wulff_from_dual(scan(F, grid)[1], grid)
+    return GridFunction(grid, 1.0 / support_values(scan(F, grid)[1], grid.directions))
 
 
 def support_transform(G: GridFunction) -> GridFunction:

@@ -1,14 +1,16 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import re
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisogeo import AngularTable, Crystalline, Dip, PNorm, cli
+from anisogeo import AngularTable, CrystalContext, Crystalline, Dip, PNorm, cli
 from anisogeo.cli import main
 from anisogeo.fileio import (
     SpecError,
@@ -221,6 +223,20 @@ class TestCliCommands:
         assert results["distance"] == 2e-13 and results["certificate"]["verdict"] is True
         assert main(["distance", l1_spec_file, "1,2", "1,2"]) == 2
         assert "coincide" in capsys.readouterr().err
+
+    def test_the_digest_is_of_the_bytes_parsed(self, l1_spec_file, monkeypatch, capsys):
+        # The spec is rewritten while the context builds, after it was parsed.
+        parsed = FilePath(l1_spec_file).read_bytes()
+
+        def rewriting(integrand, grid):
+            FilePath(l1_spec_file).write_text(json.dumps({**L1_SPEC, "p": 2}))
+            return CrystalContext(integrand, grid)
+
+        monkeypatch.setattr(cli, "CrystalContext", rewriting)
+        assert main(["distance", l1_spec_file, "0,0", "1,1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["distance"] == 2.0  # the 1-norm, as parsed
+        assert report["spec_digest"] == hashlib.sha256(parsed).hexdigest()
 
     def test_distance_with_geodesic_certificate(self, l1_spec_file, capsys):
         assert main(["distance", l1_spec_file, "0,0", "1,0", "--geodesic"]) == 0

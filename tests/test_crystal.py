@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -127,6 +128,22 @@ class TestBuildScale:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_contexts_keep_under_eight_floats_per_grid_direction(self):
+        # A context keeps F on the grid and, per crystal vertex, its two
+        # coordinates, edge normal, offset and edge angle: seven floats. A
+        # grid of its own and the dual hull took four more.
+        size, count = 2880, 4
+        grid = SphereGrid.planar(size)
+        CrystalContext(PNorm(3.0), grid)  # reads the grid's directions
+        tracemalloc.start()
+        try:
+            held = [CrystalContext(PNorm(3.0), SphereGrid.planar(size)) for _ in range(count)]
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(held[0].crystal.vertices) == size
+        assert kept < count * size * 8 * 8
 
 
 class TestPolar:
@@ -473,6 +490,30 @@ class TestLazyPolarBody:
             CrystalContext(Constant(1.0), SphereGrid.planar(60))
 
 
+def _use(ctx: CrystalContext) -> CrystalContext:
+    """ctx after the five calls of a query, of two displacements, and a read of its polar body."""
+    for x, y in (((0.0, 0.0), (1.0, 2.0)), ((0.5, -1.0), (-2.0, 0.25))):
+        ctx.distance(x, y)
+        label = classify(ctx, x, y)
+        is_geodesic(ctx, construct_geodesic(ctx, x, y))
+        if label is GeodesicClass.INFINITELY_MANY:
+            geodesic_family(ctx, x, y, 0.5)
+    ctx.polar_body
+    return ctx
+
+
+def _answers(ctx: CrystalContext) -> list:
+    """Every answer of :func:`_use`'s queries, and of the context's lazy reads, as plain values."""
+    out = []
+    for x, y in (((0.0, 0.0), (1.0, 2.0)), ((0.5, -1.0), (-2.0, 0.25)), ((3.0, 1.0), (-1.0, -1.0))):
+        path = construct_geodesic(ctx, x, y)
+        label = classify(ctx, x, y)
+        family = geodesic_family(ctx, x, y, 0.5).points.tolist() if label is GeodesicClass.INFINITELY_MANY else None
+        out.append((ctx.distance(x, y), label, path.points.tolist(), is_geodesic(ctx, path).as_dict(), family))
+    out.append((ctx.polar_body.vertices.tolist(), ctx.wulff.values.tolist(), ctx.envelope.values.tolist()))
+    return out
+
+
 class TestOneHull:
     @pytest.mark.parametrize("kind", sorted(README_COSTS))
     def test_a_build_runs_one_hull(self, kind, monkeypatch):
@@ -493,6 +534,26 @@ class TestOneHull:
             assert np.array_equal(ctx.wulff.values, wulff_transform(F, grid).values), kind
             support = planar.support_values(ctx.crystal.vertices, grid.directions)
             assert np.array_equal(ctx.envelope.values, support), kind
+
+    def test_contexts_of_one_size_share_their_grid_and_keep_no_dual_hull(self):
+        contexts = [CrystalContext(cost(), SphereGrid.planar(60)) for cost in README_COSTS.values()]
+        assert all(ctx.grid is contexts[0].grid for ctx in contexts)
+        assert all(ctx.grid.directions is contexts[0].grid.directions for ctx in contexts)
+        assert CrystalContext(Constant(1.0)).grid is SphereGrid.planar(720)
+        for ctx in contexts:
+            _use(ctx)
+            ctx.wulff, ctx.envelope
+            assert not hasattr(ctx, "_dual")
+
+    @pytest.mark.parametrize("kind", sorted(README_COSTS))
+    def test_a_used_context_pickles_and_answers_the_same(self, kind):
+        ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
+        before = _use(ctx)
+        loaded = pickle.loads(pickle.dumps(ctx))
+        assert loaded.grid is ctx.grid
+        assert np.array_equal(loaded.polar_body.vertices, ctx.polar_body.vertices)
+        assert _answers(_use(loaded)) == _answers(before)
+        assert _answers(_use(CrystalContext(README_COSTS[kind](), SphereGrid(720)))) == _answers(before)
 
     @pytest.mark.parametrize("size", [60, 720])
     def test_envelope_is_the_table_of_its_samples(self, size):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -174,6 +175,28 @@ class TestConstructionRejection:
             grid = SphereGrid.planar(size)
             assert grid == SphereGrid(int(size)) and grid.resolution == TWO_PI / size
             assert grid.directions.shape == (size, 2)
+
+    def test_planar_grids_are_shared_and_read_only(self):
+        grid = SphereGrid.planar(60)
+        assert SphereGrid.planar(60) is grid and SphereGrid.planar(np.int64(60)) is grid
+        assert SphereGrid.planar() is SphereGrid.planar(720)
+        for size in (7, 720.0, True):  # 720.0 and True hash as cached sizes
+            with pytest.raises(ValueError, match="integer from 8 to 20000"):
+                SphereGrid.planar(size)
+        fresh = SphereGrid(60)
+        assert fresh is not grid and fresh == grid
+        assert np.array_equal(fresh.directions, grid.directions) and np.array_equal(fresh.angles, grid.angles)
+        for g in (grid, fresh):
+            for values in (g.directions, g.angles):
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 0.5
+        assert SphereGrid._shared.cache_info().maxsize == 16
+
+    def test_a_grid_pickles_as_the_shared_one(self):
+        for grid in (SphereGrid.planar(60), SphereGrid(60)):
+            grid.directions, grid.angles
+            loaded = pickle.loads(pickle.dumps(grid))
+            assert loaded is SphereGrid.planar(60) and not loaded.directions.flags.writeable
 
     def test_crystalline_halfplane_gap_rejected(self):
         # All facet directions in the right halfplane: cost vanishes on the left.

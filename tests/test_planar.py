@@ -16,7 +16,7 @@ from anisogeo import (
     SphereGrid,
     polar,
 )
-from anisogeo.integrand import scan_directions, wulff_from_dual
+from anisogeo.integrand import scan_directions, wulff_transform
 from anisogeo.isoperimetry import _competitor_ratios
 from anisogeo import planar
 from anisogeo.planar import (
@@ -559,7 +559,7 @@ def cost_clouds(F, size: int) -> tuple[np.ndarray, np.ndarray]:
     grid = SphereGrid.planar(size)
     dirs = scan_directions(F, grid)
     dual = dirs / F.values_on(dirs)[:, None]
-    return dual, grid.directions * wulff_from_dual(hull_cycle(dual), grid).values[:, None]
+    return dual, grid.directions * wulff_transform(F, grid).values[:, None]
 
 
 def assert_matches_qhull(points: np.ndarray, same_pruning: bool = True) -> None:

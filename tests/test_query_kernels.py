@@ -1340,6 +1340,38 @@ def test_a_far_path_whose_cost_is_in_range_is_checked():
     assert cert.verdict and cert.certified
 
 
+def test_a_step_far_below_its_breakpoints_keeps_its_bits():
+    # Steps were once differences of the breakpoints scaled together, here a subnormal.
+    for points in ([(1e300, 0.0), (1e300, 1e-20)], [(1.7e308, 0.0), (1.7e308, 1.1)]):
+        for path in (Path(np.array(points)), Path._from_floats(points)):
+            assert path.speeds.tolist() == [points[1][1]] and path.directions.tolist() == [[0.0, 1.0]]
+
+
+def test_a_subnormal_step_from_a_unit_point_is_constructed():
+    # Its step was once lost next to the breakpoint 1 and refused as degenerate.
+    ctx = CrystalContext(PNorm(3.0), SphereGrid.planar(720))
+    x, y = (1.0, 0.0), (1.0, 5e-324)
+    path = construct_geodesic(ctx, x, y)
+    assert path.points.tolist() == [[1.0, 0.0], [1.0, 5e-324]] and path.speeds.tolist() == [5e-324]
+    assert ctx.distance(x, y) == path_length(ctx.integrand, path) == 5e-324
+    assert classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM
+    assert is_geodesic(ctx, path).verdict
+
+
+_COORDINATES = st.builds(math.ldexp, st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-600, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=2, max_size=6, unique=True))
+def test_in_range_steps_are_the_plain_differences(points):
+    # np.hypot and the division commute with the steps' power-of-two scaling in range.
+    steps = np.diff(np.array(points), axis=0)
+    lengths = np.hypot(steps[:, 0], steps[:, 1])
+    for path in (Path(np.array(points)), Path._from_floats(points)):
+        np.testing.assert_array_equal(path.speeds, lengths)
+        np.testing.assert_array_equal(path.directions, steps / lengths[:, None])
+
+
 @pytest.mark.parametrize("kind", sorted(README_COSTS))
 def test_the_norm_is_zero_only_at_zero(kind):
     # A positive norm or F that underflows is rounded up to the smallest subnormal.
