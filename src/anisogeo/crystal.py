@@ -8,24 +8,31 @@ measures of :mod:`isoperimetry` take it as it is; :func:`contact_face`
 gives the vertex rows where a direction attains its support.
 
 The crystal of a directional cost F is the intersection of the halfplanes
-``{x : <x, v> <= F(v)}`` over all unit directions v. It is built here by
-dualizing: the points ``v/F(v)`` are hulled and the polar of that hull is
-exactly the halfplane intersection, with redundant constraints pruned as a
-byproduct of the hull. All exact polytope work is two-dimensional.
+``{x : <x, v> <= F(v)}`` over all unit directions v. Where the cost knows
+its corners (:attr:`Integrand.crystal_corners`) the crystal is that exact
+polygon; otherwise it is built here by dualizing: the points ``v/F(v)`` are
+hulled and the polar of that hull is exactly the halfplane intersection,
+with redundant constraints pruned as a byproduct of the hull
+(:func:`build_crystal`, also the reference the exact polygons are tested
+against). All exact polytope work is two-dimensional.
 
 :func:`double_polars` takes the double polars of several clouds as one
 batch, as its docstring describes; :func:`double_polar` is its batch of one.
 
 :class:`CrystalContext` bundles a cost with its crystal, the one region
 it builds, and provides the induced (possibly asymmetric) norm, min(F,
-crystal support). Its build scans the cost once and runs one hull, of the
-dual points (:func:`integrand.scan`): pruned and polarized it is the crystal,
-in O(M log M) time and O(M) memory on M grid directions. The context keeps
-the crystal, F on the grid and its grid, which it shares with every context
-of that size (:meth:`SphereGrid.planar`), not the dual hull; its polar body
-and its Wulff transform (a second scan) are made on first read. Every support
-(the envelope, the norm, a contact vertex) is one O(log V) lookup in
-:attr:`ConvexRegion.edge_angles`.
+crystal support). It pays for what its queries read. A table or dip context
+scans the cost and runs one hull, of the dual points (:func:`integrand.scan`),
+at construction: pruned and polarized it is the crystal, in O(M log M) time
+and O(M) memory on M grid directions. A p = 1, p = inf or crystalline
+context reads its exact polygon on the first query; a context without
+corners (other p-norms, constants) answers its queries from F alone and
+scans only when its crystal is read. The crystal, F on the grid, the
+fixed-point check of a convex cost, the polar body and the Wulff transform
+(a second scan) are made on first read; the grid is shared with every
+context of its size (:meth:`SphereGrid.planar`), and no dual hull is kept.
+Every support (the envelope, the norm, a contact vertex) is one O(log V)
+lookup in :attr:`ConvexRegion.edge_angles`.
 """
 
 from __future__ import annotations
@@ -410,11 +417,12 @@ def _displacement(x: tuple[float, float], y: tuple[float, float]) -> tuple[tuple
 class Contact(NamedTuple):
     """How a displacement v meets the crystal, as every query on v reads it: ``key`` holds
     v's bits (-0.0 and 0.0 differ); ``k`` is the first crystal vertex maximizing <., v>
-    (:meth:`ConvexRegion.support_vertex`); ``unique`` is None where F(v) = 0; ``legs``
+    (:meth:`ConvexRegion.support_vertex`), None for a cost without corners, whose analysis
+    reads no crystal; ``unique`` is None where F(v) = 0; ``legs``
     are :func:`geodesics.geodesic_legs`, None where v has none."""
 
     key: bytes
-    k: int
+    k: int | None
     norm: float
     unique: bool | None
     legs: tuple[tuple[float, float], tuple[float, float]] | None
@@ -434,50 +442,79 @@ def hausdorff_distance(a: Polygon | np.ndarray, b: Polygon | np.ndarray) -> floa
 class CrystalContext:
     """A directional cost with its precomputed planar geometry.
 
-    Holds the crystal, F on the grid and the induced norm, built as the
-    module describes, and the grid it was given (``SphereGrid.planar()`` by
-    default, shared and read-only); the build's dual hull is not kept. The
-    polar body, the Wulff transform (a rescan of F) and the convex envelope
-    are made on first read. It keeps one record, its last analysis of a displacement
-    (:class:`Contact`), taken on the crystal's halfspaces: immutable,
-    replaced by one assignment, and read once by a query that checks its
-    key, so queries stay pure and thread-safe.
+    Holds the induced norm and the grid it was given (``SphereGrid.planar()``
+    by default, shared and read-only), and makes what its queries read as the
+    module describes. A table or dip context builds its grid crystal at
+    construction, so its refusals come there; every other context makes its
+    crystal on first read, where a convex cost's fixed-point check and
+    ``polar``'s refusal of a crystal whose origin is not interior run. F on
+    the grid (``_f_grid``, ``f_max``), the polar body, the Wulff transform (a
+    rescan of F) and the convex envelope are made on first read too; the
+    build's dual hull is not kept. It keeps one record, its last analysis of
+    a displacement (:class:`Contact`), taken on the crystal's halfspaces:
+    immutable, replaced by one assignment, and read once by a query that
+    checks its key, so queries stay pure and thread-safe.
 
     The norm of v is min(F(v), h(v)), with h the crystal's support
     function: the cost of the cheaper of two paths, the straight segment
     and the staircase along the two crystal edge normals at v's contact
     vertex (each a scanned direction costing exactly its offset). For
     families convex by construction that minimum is F, evaluated in closed
-    form to machine precision. For table and dip costs it is never below
-    the true norm, equals it in contact directions, and exceeds it by
-    O(resolution**2) inside a corner's normal cone, since the grid crystal
-    contains the true one. Queries on sampled costs keep a relative
+    form to machine precision; a cost without corners reads no crystal, as
+    every direction is an attained normal and the segment the unique
+    geodesic. For table and dip costs the norm is never below the true one,
+    equals it in contact directions, and exceeds it by O(resolution**2)
+    inside a corner's normal cone, since the grid crystal contains the true
+    one. Queries on sampled costs keep a relative
     O(resolution) tolerance, ``default_tol``.
     """
 
     def __init__(self, integrand: Integrand, grid: SphereGrid | None = None) -> None:
         self.integrand = integrand
         self.grid = grid if grid is not None else SphereGrid.planar()
-        scan_values, dual = scan(integrand, self.grid)
-        self._f_grid = scan_values[: self.grid.size]
-        self.crystal = _crystal_from_dual(dual)
-        if not self.crystal.origin_interior:  # polar's refusal, at build
-            raise ValueError(UNBOUNDED_POLAR)
-        self.f_max = float(self._f_grid.max())
         self.resolution = self.grid.resolution
         self.default_tol = 1e-7 if integrand.is_convex else 5.0 * self.resolution
-        self._check_build()
+        corners = integrand.crystal_corners
+        self._corner_free = corners is not None and not len(corners)
         self._last = Contact(b"", 0, 0.0, None, None)
+        if corners is None:  # a sampled crystal, built here: its refusals come at construction
+            self.crystal
 
-    def _check_build(self) -> None:
-        if not self.integrand.is_convex:
-            return
+    @cached_property
+    def crystal(self) -> ConvexRegion:
+        """The crystal: the cost's exact polygon where it has one, else the polar of the
+        pruned hull of the dual points (:func:`build_crystal`). Refused when the origin is
+        not interior, as :func:`polar` refuses it; a convex cost's crystal must reproduce F
+        on the grid (the fixed-point check, :meth:`_check_fixed_point`)."""
+        corners = self.integrand.crystal_corners
+        if corners is not None and len(corners):
+            region = ConvexRegion(corners)
+        else:
+            region = _crystal_from_dual(scan(self.integrand, self.grid)[1])
+        if not region.origin_interior:  # polar's refusal, on the crystal's first read
+            raise ValueError(UNBOUNDED_POLAR)
+        if self.integrand.is_convex:
+            self._check_fixed_point(region)
+        return region
+
+    def _check_fixed_point(self, crystal: ConvexRegion) -> None:
         bound = 2.0 * self.resolution * self.f_max
         # Not self.envelope: a context keeps that table only once it is read.
-        support = self.crystal.support_values(self.grid.directions)
+        support = crystal.support_values(self.grid.directions)
         fixed_point_gap = np.abs(support - self._f_grid).max()
         if fixed_point_gap > bound:
             raise RuntimeError(f"convex cost is not an envelope fixed point: gap {fixed_point_gap:.3e}")
+
+    @cached_property
+    def _f_grid(self) -> np.ndarray:
+        """F on the grid directions, with the bits of the scan's grid rows: a row's
+        ``values_on`` does not depend on its batch."""
+        return self.integrand.values_on(self.grid.directions)
+
+    @cached_property
+    def f_max(self) -> float:
+        """The largest value of F on the grid, the scale of the grid bounds."""
+        return float(self._f_grid.max())
 
     @cached_property
     def polar_body(self) -> ConvexRegion:
@@ -517,6 +554,9 @@ class CrystalContext:
         # Analysed on v * 2**-e, where no product overflows; F, the norm and the legs scale back.
         a, b, e = planar.unit_scaled_pair(a, b)
         f = self.integrand((a, b))
+        if self._corner_free:  # the norm is F, every direction an attained normal, and no staircase
+            self._last = record = Contact(key, None, planar.scaled_positive(f, e), None if f == 0.0 else True, None)
+            return record
         k, support = self.crystal.support_vertex(a, b)
         sampled = not self.integrand.is_convex
         n = min(f, support) if sampled and f != 0.0 else f

@@ -33,10 +33,6 @@ from .integrand import Integrand, planar_vector
 
 _DEGENERATE = "degenerate segment: consecutive breakpoints coincide"
 
-# No difference of two coordinates below this in magnitude overflows.
-_NO_OVERFLOW = 2.0**1023
-
-
 def _not_finite(i: int, row: list) -> str:
     return f"path breakpoint {i + 1} is not finite: {row}"
 
@@ -53,18 +49,20 @@ def _breakpoints(x, e: int, *legs) -> list[tuple[float, float]]:
     return points
 
 
-def _far_steps(pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """The steps of breakpoints that reach 2**1023, scaled together, and their exponent e:
-    the plain differences unit-scaled where none overflows; else each plain difference
-    times 2**-e, with e the breakpoints' exponent, and where one overflows the difference
-    of the breakpoints times 2**-e."""
+def _steps(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each step of the (finite) breakpoints times 2**-e and its own exponent e, the one that
+    puts its largest magnitude in [0.5, 1): the plain difference of its breakpoints where that
+    is finite, else the difference of the breakpoints scaled together (:func:`planar.unit_scaled`)."""
     with np.errstate(over="ignore"):
         plain = pts[1:] - pts[:-1]
-    finite = np.isfinite(plain)
-    if finite.all():
-        return planar.unit_scaled(plain)
-    unit, e = planar.unit_scaled(pts)
-    return np.where(finite, np.ldexp(plain, -e), unit[1:] - unit[:-1]), e
+    base = np.zeros(len(plain), dtype=int)
+    far = ~(planar.row_max_abs(plain) < math.inf)
+    if far.any():
+        unit, e = planar.unit_scaled(pts)
+        plain[far] = (unit[1:] - unit[:-1])[far]
+        base[far] = e
+    _, own = np.frexp(planar.row_max_abs(plain))
+    return np.ldexp(plain, -own[:, None]), base + own
 
 
 class GeodesicClass(Enum):
@@ -77,18 +75,18 @@ class Path:
     """Polyline through ordered breakpoints; every segment has positive length.
 
     ``directions`` are the unit segment directions, and ``_lengths`` the segment lengths
-    (plain floats), of the steps times 2**-``_exponent``. Each step is the plain difference
-    of its breakpoints, exact, and the steps are scaled together as :func:`planar.unit_scaled`
-    scales them; only where a plain difference overflows is the step taken on the
-    breakpoints scaled together. ``Path(points)`` works on whole arrays, for paths of any
-    length; the constructions build theirs from plain-float breakpoints with
-    :meth:`_from_floats`, bit for bit.
+    (plain floats), each of its step times 2**-e, with e its own entry of ``_exponents``,
+    which puts the step's largest magnitude in [0.5, 1). Each step is the plain difference
+    of its breakpoints, exact, and keeps its bits beside a far longer step; only where a
+    plain difference overflows is the step taken on the breakpoints scaled together.
+    ``Path(points)`` works on whole arrays, for paths of any length; the constructions
+    build theirs from plain-float breakpoints with :meth:`_from_floats`, bit for bit.
     """
 
     points: np.ndarray
     directions: np.ndarray = field(init=False, repr=False)
     _lengths: list[float] = field(init=False, repr=False)
-    _exponent: int = field(init=False, repr=False)
+    _exponents: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -98,14 +96,14 @@ class Path:
         if not top < math.inf:  # before any difference (inf - inf warns)
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise ValueError(_not_finite(bad, pts[bad].tolist()))
-        steps, e = planar.unit_scaled(pts[1:] - pts[:-1]) if top < _NO_OVERFLOW else _far_steps(pts)
+        steps, exponents = _steps(pts)
         lengths = np.hypot(steps[:, 0], steps[:, 1])
         if not lengths.min() > 0.0:
             raise ValueError(_DEGENERATE)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "directions", steps / lengths[:, None])
         object.__setattr__(self, "_lengths", lengths.tolist())
-        object.__setattr__(self, "_exponent", e)
+        object.__setattr__(self, "_exponents", exponents.tolist())
 
     @classmethod
     def _from_floats(cls, points: list[tuple[float, float]]) -> "Path":
@@ -118,18 +116,19 @@ class Path:
             i = next(i for i, p in enumerate(points) if not all(map(math.isfinite, p)))
             raise ValueError(_not_finite(i, list(points[i])))
         xs, ys = flat[0::2], flat[1::2]
-        n = len(xs) - 1
-        steps = [*map(operator.sub, xs[1:], xs), *map(operator.sub, ys[1:], ys)]  # inf where they overflow
-        top = max(map(abs, steps))
-        if top < math.inf:
-            e = math.frexp(top)[1]
-            steps = [math.ldexp(c, -e) for c in steps]
-        else:
-            e = math.frexp(max(map(abs, flat)))[1]
-            unit = [math.ldexp(c, -e) for c in flat]
-            apart = [*map(operator.sub, unit[2::2], unit[0::2]), *map(operator.sub, unit[3::2], unit[1::2])]
-            steps = [math.ldexp(c, -e) if math.isfinite(c) else d for c, d in zip(steps, apart)]
-        dx, dy = steps[:n], steps[n:]
+        dx, dy, exponents, unit = [], [], [], None
+        for i, (a, b) in enumerate(zip(map(operator.sub, xs[1:], xs), map(operator.sub, ys[1:], ys))):
+            base = 0
+            if not max(abs(a), abs(b)) < math.inf:  # a plain difference overflows
+                if unit is None:
+                    far = math.frexp(max(map(abs, flat)))[1]
+                    unit = [math.ldexp(c, -far) for c in flat]
+                base = far
+                a, b = unit[2 * i + 2] - unit[2 * i], unit[2 * i + 3] - unit[2 * i + 1]
+            e = math.frexp(max(abs(a), abs(b)))[1]
+            dx.append(math.ldexp(a, -e))
+            dy.append(math.ldexp(b, -e))
+            exponents.append(base + e)
         lengths = np.hypot(np.array(dx), np.array(dy)).tolist()
         if not min(lengths) > 0.0:
             raise ValueError(_DEGENERATE)
@@ -137,13 +136,19 @@ class Path:
         object.__setattr__(path, "points", np.array(points))
         object.__setattr__(path, "directions", np.array([(a / s, b / s) for a, b, s in zip(dx, dy, lengths)]))
         object.__setattr__(path, "_lengths", lengths)
-        object.__setattr__(path, "_exponent", e)
+        object.__setattr__(path, "_exponents", exponents)
         return path
 
     @property
     def speeds(self) -> np.ndarray:
         """The segment lengths, inf past the float range."""
-        return planar.scaled(np.array(self._lengths), self._exponent)
+        return planar.scaled(np.array(self._lengths), np.array(self._exponents))
+
+    def _scaled_lengths(self) -> tuple[list[float], int]:
+        """The segment lengths times 2**-e on one scale, e the largest exponent, and e: their
+        sum does not overflow, and a step far below the longest counts as the rounding it is."""
+        top = max(self._exponents)
+        return [math.ldexp(s, e - top) for s, e in zip(self._lengths, self._exponents)], top
 
     @property
     def start(self) -> np.ndarray:
@@ -163,12 +168,13 @@ class Path:
 
 def path_length(F: Integrand, path: Path) -> float:
     """Total cost of a polyline: the sum of F over its segment vectors."""
-    return _length(F.values_on(path.directions), path)
+    return _length(F.values_on(path.directions), *path._scaled_lengths())
 
 
-def _length(unit_costs: np.ndarray, path: Path) -> float:
-    """The path's cost from F on its segment directions, in segment order: inf, not a warning, past the range."""
-    return planar.scaled(sum(map(operator.mul, unit_costs.tolist(), path._lengths)), path._exponent)
+def _length(unit_costs: np.ndarray, lengths: list[float], exponent: int) -> float:
+    """A path's cost from F on its segment directions and its lengths times 2**-exponent
+    (:meth:`Path._scaled_lengths`), in segment order: inf, not a warning, past the range."""
+    return planar.scaled(sum(map(operator.mul, unit_costs.tolist(), lengths)), exponent)
 
 
 def concatenate(paths: list[Path]) -> Path:
@@ -199,7 +205,7 @@ def resample_polyline(path: Path, count: int) -> Path:
     """
     if count < 2:
         raise ValueError("need at least two sample points")
-    s = np.concatenate([[0.0], np.cumsum(path._lengths)])
+    s = np.concatenate([[0.0], np.cumsum(path._scaled_lengths()[0])])
     targets = np.linspace(0.0, s[-1], count)
     pts = np.empty((count, path.points.shape[1]))
     for d in range(path.points.shape[1]):
@@ -266,12 +272,14 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     when available) for one point supporting every segment direction; its
     per-segment budget, ``tol * norm / (Euclidean length)``, matches the scalar
     criterion's in aggregate (the discrete form of a
-    condition holding at almost every traversal time). After one ``values_on``
-    call, the per-segment work is O(segments x candidates) in Python floats;
-    the displacement's record, its contact face (:func:`contact_face`) and
-    its candidates (:meth:`CrystalContext.contact_point_candidates`) are
-    plain floats too, each made into an array once. A tolerance that is not
-    positive and finite raises ValueError.
+    condition holding at almost every traversal time). A cost without corners
+    has one candidate, its closed-form contact point, and reads no crystal.
+    After one ``values_on`` call, the per-segment work is O(segments x
+    candidates) in Python floats; the displacement's record, its contact face
+    (:func:`contact_face`) and its candidates
+    (:meth:`CrystalContext.contact_point_candidates`) are plain floats too,
+    each made into an array once. A tolerance that is not positive and finite
+    raises ValueError.
     """
     if tol is None:
         tol = ctx.default_tol
@@ -285,14 +293,15 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     # the segment norms.
     dirs = path.directions
     unit_costs = ctx.integrand.values_on(dirs)
-    achieved = _length(unit_costs, path)
+    lengths, exponent = path._scaled_lengths()
+    achieved = _length(unit_costs, lengths, exponent)
     target = planar.scaled_positive(ctx._record(*v).norm, e)
     if not max(achieved, target) < math.inf:
         raise ValueError(f"path length {achieved!r} or norm {target!r} past the float range")
     verdict = abs(achieved - target) <= tol * target
 
     # Norms, contact flags and support scores in plain floats: numpy costs more on few segments.
-    unit_tol = tol * planar.scaled(target, -path._exponent) / sum(path._lengths)  # no sum overflows
+    unit_tol = tol * planar.scaled(target, -exponent) / sum(lengths)  # no sum overflows
     costs, pairs = unit_costs.tolist(), dirs.tolist()
     norms = costs
     if not ctx.integrand.is_convex:  # the norm of a direction is min(F, h), as the record's
@@ -300,8 +309,12 @@ def is_geodesic(ctx: CrystalContext, path: Path, tol: float | None = None) -> Ge
     contact = [f - n <= unit_tol for f, n in zip(costs, norms)]
 
     # Each candidate scored as the crystal support is, x * a + y * b; the first with the
-    # most segments both in contact and supported wins.
-    candidates = ctx.contact_point_candidates(v, contact_face(ctx.crystal, v))
+    # most segments both in contact and supported wins. A cost without corners has one
+    # contact point, in closed form.
+    if ctx._corner_free:
+        candidates = ctx.integrand.contact_point(v)[None, :]
+    else:
+        candidates = ctx.contact_point_candidates(v, contact_face(ctx.crystal, v))
     best, score, support = 0, -1, []
     for i, (x, y) in enumerate(candidates.tolist()):
         ok = [abs(x * a + y * b - n) <= unit_tol for (a, b), n in zip(pairs, norms)]

@@ -58,6 +58,13 @@ _FLOAT64 = np.dtype(np.float64)
 # treated as identical; dips have zero angular width at any usable grid.
 DIRECTION_MATCH_TOL = 1e-12
 
+# The largest finite p-norm exponent (see PNorm).
+PNORM_MAX_EXPONENT = 2044.0
+
+# The corners of a crystal that has none.
+_NO_CORNERS = np.zeros((0, 2))
+_NO_CORNERS.flags.writeable = False
+
 
 def planar_vector(x) -> tuple[float, float]:
     """The two components of a finite planar vector, as floats.
@@ -240,15 +247,53 @@ class Integrand(ABC):
         """A crystal point x with <v, x> = F(v), when known in closed form."""
         return None
 
+    @property
+    def crystal_corners(self) -> np.ndarray | None:
+        """The corners of the cost's crystal in closed form, where the cost knows them:
+        a polygonal crystal's vertices as CCW (k, 2) rows (:func:`polygon_corners`); no
+        rows for a smooth strictly convex crystal, which has no corner, so every direction
+        is an attained normal and :meth:`contact_point` is its one contact point; None
+        where only the grid crystal gives them."""
+        return None
+
+
+def polygon_corners(generators) -> np.ndarray:
+    """The crystal of F = max over the generators g of <g, .>, the hull of the generators,
+    as CCW vertices in the grid crystal's order: from the end of the edge whose polar
+    point n / h is lexicographically least. The grid crystal is the polar of the hull of
+    the dual points w / F(w), which starts at the least of them, that edge's polar point,
+    and its vertex j is dual to that hull's edge j (:func:`crystal.build_crystal`)."""
+    hull = convex_hull_ccw(generators)
+    normals, offsets = edge_normals_and_offsets(hull)
+    polar_points = normals / offsets[:, None]
+    least = int(np.lexsort((polar_points[:, 1], polar_points[:, 0]))[0])
+    corners = np.roll(hull, -(least + 1), axis=0)
+    corners.flags.writeable = False  # the cost's, and every context's crystal vertices
+    return corners
+
 
 class PNorm(Integrand):
-    """F(x) = ||x||_p for p >= 1 (math.inf allowed). Convex."""
+    """F(x) = ||x||_p for 1 <= p <= ``PNORM_MAX_EXPONENT`` or p = math.inf. Convex.
+
+    On a unit direction u the sum |u_1|**p + |u_2|**p is least on the diagonal,
+    where it is 2**(1 - p/2): a normal float (at least 2**-1022) up to p = 2046,
+    after which it loses bits and, near p = 2150, underflows to 0, and F with
+    it. The bound 2044 keeps that least sum at 2**-1021 or more, a factor 2 for
+    the rounding of the unit direction. Up to it the contact point's powers
+    |u_i|**(p-1) and F(u)**(p-1) are normal on the diagonal too, so it is finite
+    and <v, x> = F(v). Larger finite exponents are refused.
+    """
 
     kind = "pnorm"
 
     def __init__(self, p: float) -> None:
         if not (p >= 1.0):
             raise ValueError("p-norm exponent must satisfy p >= 1")
+        if PNORM_MAX_EXPONENT < p < math.inf:
+            raise ValueError(
+                f"p-norm exponent {p!r} is past {PNORM_MAX_EXPONENT:g}, where |a|**p + |b|**p "
+                "underflows on the diagonal; use p = inf for the max norm"
+            )
         self.p = float(p)
 
     def values_on(self, dirs) -> np.ndarray:
@@ -282,6 +327,16 @@ class PNorm(Integrand):
     @property
     def is_convex(self) -> bool:
         return True
+
+    @cached_property
+    def crystal_corners(self) -> np.ndarray:
+        # The square of the four sign vectors for p = 1, the diamond of the
+        # axes for p = inf; other p have a smooth strictly convex crystal.
+        if self.p == 1.0:
+            return polygon_corners([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        if math.isinf(self.p):
+            return polygon_corners([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        return _NO_CORNERS
 
     @property
     def special_directions(self) -> np.ndarray:
@@ -326,6 +381,10 @@ class Constant(Integrand):
     @property
     def is_convex(self) -> bool:
         return True
+
+    @property
+    def crystal_corners(self) -> np.ndarray:
+        return _NO_CORNERS  # a disc
 
     def contact_point(self, v) -> np.ndarray | None:
         a, b = unit_pair(v)
@@ -372,11 +431,14 @@ class Crystalline(Integrand):
         return True
 
     @cached_property
+    def crystal_corners(self) -> np.ndarray:
+        return polygon_corners(self.generators)
+
+    @cached_property
     def special_directions(self) -> np.ndarray:
         # The crystal equals the hull of the generators; its facet normals
         # (hull edge normals) are where the halfplane scan must be exact.
-        hull = convex_hull_ccw(self.generators)
-        normals, _ = edge_normals_and_offsets(hull)
+        normals, _ = edge_normals_and_offsets(self.crystal_corners)
         return normals
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisogeo import AngularTable, CrystalContext, Crystalline, Dip, PNorm, cli
+from anisogeo import AngularTable, CrystalContext, Crystalline, Dip, PNorm, SphereGrid, cli
 from anisogeo.cli import main
 from anisogeo.fileio import (
     SpecError,
@@ -351,6 +351,34 @@ class TestCliCommands:
             report = json.loads(capsys.readouterr().out)
             assert report["pass"] is True
             assert all(c["passed"] for c in report["results"]["checks"])
+
+    def test_suite_reports_the_bounds_it_uses(self, tmp_path, capsys):
+        # The three transform inequalities pass at 1e-9 max F, and report it.
+        spec = tmp_path / "p3.json"
+        spec.write_text('{"kind": "pnorm", "p": 3}')
+        assert main(["suite", str(spec), "--grid", "64"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["results"]["checks"]}
+        f_max = CrystalContext(PNorm(3.0), SphereGrid.planar(64)).f_max
+        for name in ("wulff-below-cost", "support-above-cost", "envelope-below-cost"):
+            assert checks[name]["passed"] is True and checks[name]["bound"] == float(f"{1e-9 * f_max:.12g}"), name
+
+    def test_a_smooth_axis_geodesic_is_the_unique_segment(self, tmp_path, capsys):
+        # On p = 6 the grid rule at 2880 once answered "infinitely-many" with a staircase;
+        # a strictly convex norm has the segment as its one geodesic.
+        spec = tmp_path / "p6.json"
+        spec.write_text('{"kind": "pnorm", "p": 6}')
+        assert main(["distance", str(spec), "0,0", "1,0", "--geodesic", "--grid", "2880"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["classification"] == "unique-up-to-reparametrization"
+        assert results["geodesic_breakpoints"] == [[0.0, 0.0], [1.0, 0.0]]
+        assert results["certificate"]["certified"] is True and results["certificate"]["contact_point"] == [1.0, 0.0]
+
+    def test_a_pnorm_exponent_past_the_bound_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "p3000.json"
+        spec.write_text('{"kind": "pnorm", "p": 3000}')
+        assert main(["distance", str(spec), "0,0", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "p-norm exponent 3000.0 is past 2044" in captured.err
 
     def test_suite_reports_non_contact_arc_for_dips(self, dip_spec_file, capsys):
         assert main(["suite", dip_spec_file, "--grid", "360"]) == 0

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import pickle
 import tracemalloc
@@ -31,11 +32,11 @@ from anisogeo import (
 )
 from anisogeo import crystal, fileio, planar, suite
 from anisogeo.crystal import double_polars
-from anisogeo.integrand import convex_envelope, wulff_transform
+from anisogeo.integrand import convex_envelope, polygon_corners, wulff_transform
 from anisogeo.planar import convex_hull_ccw
 
 from conftest import sorted_rows
-from test_query_kernels import README_COSTS
+from test_query_kernels import README_COSTS, corner_free
 
 SQ2 = math.sqrt(2.0)
 
@@ -483,14 +484,57 @@ class TestLazyPolarBody:
         # The ball is (0, 0) + 1 * the vertices: 0.0 + -0.0 is 0.0.
         assert geodesic_ball(ctx, (0, 0), 1).vertices.tobytes() == (0.0 + body.vertices).tobytes()
 
-    def test_a_crystal_without_the_origin_inside_is_refused_at_build(self, monkeypatch):
-        # Hulls refuse such costs first; this keeps polar's refusal at build all the same.
+    def test_a_crystal_without_the_origin_inside_is_refused_at_first_read(self, monkeypatch):
+        # Hulls refuse such costs first; this keeps polar's refusal all the same: on the
+        # first read of a convex cost's crystal, and at construction of a sampled one.
         monkeypatch.setattr(crystal, "_crystal_from_dual", lambda dual: ConvexRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        ctx = CrystalContext(Constant(1.0), SphereGrid.planar(60))
+        assert ctx.distance((0.0, 0.0), (3.0, 4.0)) == 5.0
+        for _ in range(2):  # a refused read is not kept
+            with pytest.raises(ValueError, match=crystal.UNBOUNDED_POLAR):
+                ctx.crystal
         with pytest.raises(ValueError, match=crystal.UNBOUNDED_POLAR):
-            CrystalContext(Constant(1.0), SphereGrid.planar(60))
+            CrystalContext(README_COSTS["table"](), SphereGrid.planar(60))
 
 
-def _use(ctx: CrystalContext) -> CrystalContext:
+def _random_crystalline(rng) -> Crystalline:
+    while True:
+        k = int(rng.integers(3, 9))
+        angles, weights = rng.uniform(0.0, 2.0 * math.pi, k), rng.uniform(0.2, 3.0, k)
+        with contextlib.suppress(ValueError):  # an angular gap of pi or more
+            return Crystalline([((math.cos(a), math.sin(a)), w) for a, w in zip(angles.tolist(), weights.tolist())])
+
+
+class TestExactCrystals:
+    """Polygonal costs read their crystal off their generators; the grid crystal
+    (:func:`build_crystal`) stays the reference it is tested against."""
+
+    @pytest.mark.parametrize("size", [60, 720, 2880])
+    def test_the_exact_polygon_is_the_grid_crystal(self, size):
+        # The same vertex count, order and start vertex; each coordinate within 1e-12 of
+        # the largest (measured here: 1.7e-13 over 300 random specs at the three sizes).
+        rng = np.random.default_rng(size)
+        costs = [README_COSTS["pnorm"](), PNorm(math.inf), README_COSTS["crystalline"]()]
+        costs += [_random_crystalline(rng) for _ in range(60)]
+        grid = SphereGrid.planar(size)
+        for F in costs:
+            exact = CrystalContext(F, grid).crystal.vertices
+            reference = build_crystal(F, grid).vertices
+            assert exact.shape == reference.shape, F.crystal_corners
+            assert np.abs(exact - reference).max() <= 1e-12 * np.abs(reference).max(), F.crystal_corners
+
+    def test_a_fixed_point_failure_is_refused_on_the_first_read(self, monkeypatch):
+        # A crystal twice the cost's is no envelope fixed point: the check runs on the
+        # crystal's first read, which every query of a polygonal cost makes.
+        F = README_COSTS["crystalline"]()
+        monkeypatch.setattr(Crystalline, "crystal_corners", property(lambda self: 2.0 * polygon_corners(self.generators)))
+        ctx = CrystalContext(F, SphereGrid.planar(720))
+        for read in (lambda: ctx.crystal, lambda: ctx.distance((0.0, 0.0), (1.0, 2.0)), lambda: ctx.polar_body):
+            with pytest.raises(RuntimeError, match="convex cost is not an envelope fixed point: gap"):
+                read()
+
+
+def _use(ctx: CrystalContext, read_polar_body: bool = True) -> CrystalContext:
     """ctx after the five calls of a query, of two displacements, and a read of its polar body."""
     for x, y in (((0.0, 0.0), (1.0, 2.0)), ((0.5, -1.0), (-2.0, 0.25))):
         ctx.distance(x, y)
@@ -498,7 +542,8 @@ def _use(ctx: CrystalContext) -> CrystalContext:
         is_geodesic(ctx, construct_geodesic(ctx, x, y))
         if label is GeodesicClass.INFINITELY_MANY:
             geodesic_family(ctx, x, y, 0.5)
-    ctx.polar_body
+    if read_polar_body:
+        ctx.polar_body
     return ctx
 
 
@@ -517,13 +562,32 @@ def _answers(ctx: CrystalContext) -> list:
 class TestOneHull:
     @pytest.mark.parametrize("kind", sorted(README_COSTS))
     def test_a_build_runs_one_hull(self, kind, monkeypatch):
+        # A table or dip context scans F and hulls the dual points once, at construction.
+        # A polygonal one reads its exact polygon and never scans; one without corners
+        # answers the five query calls with neither a scan nor a hull.
         F = README_COSTS[kind]()
-        F.special_directions  # a crystalline cost hulls its facets once, on its own
-        calls = []
-        hull_cycle = planar.hull_cycle
-        monkeypatch.setattr(planar, "hull_cycle", lambda pts: calls.append(1) or hull_cycle(pts))
-        CrystalContext(F, SphereGrid.planar(720))
-        assert len(calls) == 1
+        F.special_directions, F.crystal_corners  # a crystalline cost hulls its facets once, on its own
+        hulls, scans = [], []
+        hull_cycle, scan = planar.hull_cycle, crystal.scan
+        monkeypatch.setattr(planar, "hull_cycle", lambda pts: hulls.append(1) or hull_cycle(pts))
+        monkeypatch.setattr(crystal, "scan", lambda *args: scans.append(1) or scan(*args))
+        ctx = CrystalContext(F, SphereGrid.planar(720))
+        sampled = F.crystal_corners is None
+        assert (len(scans), len(hulls)) == ((1, 1) if sampled else (0, 0))
+        _use(ctx, read_polar_body=False)
+        if sampled:
+            assert (len(scans), len(hulls)) == (1, 1)
+        elif corner_free(F):
+            assert (len(scans), len(hulls)) == (0, 0) and "crystal" not in vars(ctx)
+        else:
+            assert len(scans) == 0 and ctx.crystal.vertices.tobytes() == F.crystal_corners.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(README_COSTS))
+    def test_queries_answer_the_same_with_the_grid_products_read_first(self, kind):
+        grid = SphereGrid.planar(720)
+        plain, primed = CrystalContext(README_COSTS[kind](), grid), CrystalContext(README_COSTS[kind](), grid)
+        primed.crystal, primed.polar_body, primed._f_grid
+        assert _answers(primed) == _answers(plain)
 
     @pytest.mark.parametrize("size", [60, 720, 2880])
     def test_lazy_transforms_equal_the_free_functions(self, size):

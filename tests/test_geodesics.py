@@ -213,6 +213,23 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(l1_ctx, (1, 1), (1, 1))
 
+    def test_smooth_pnorms_are_unique_in_every_direction(self):
+        # A strictly convex norm has the segment as its one geodesic. On p = 6 the grid
+        # rule at 2880 once took the axis for a corner, with a staircase through
+        # (0.3529, -0.0085); the segment now certifies with the closed-form contact point.
+        ctx = CrystalContext(PNorm(6.0), SphereGrid.planar(2880))
+        x, y = (0.0, 0.0), (1.0, 0.0)
+        assert classify(ctx, x, y) is GeodesicClass.UNIQUE_UP_TO_REPARAM
+        path = construct_geodesic(ctx, x, y)
+        assert path.points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        cert = is_geodesic(ctx, path)
+        assert cert.verdict and cert.certified and cert.contact_point.tolist() == [1.0, 0.0]
+        rng = np.random.default_rng(6)
+        for p in (1.3, 6.0, 40.0):
+            ctx = CrystalContext(PNorm(p), SphereGrid.planar(2880))
+            for v in [*rng.normal(size=(200, 2)), (1.0, 0.0), (0.0, -1.0), (1.0, 1.0)]:
+                assert classify(ctx, (0.0, 0.0), v) is GeodesicClass.UNIQUE_UP_TO_REPARAM, (p, v)
+
     def test_max_norm_is_dual_to_l1(self, grid):
         # Sup-norm crystal is the cross-polytope: axes become the flat
         # (non-unique) directions and diagonals the attained normals.

@@ -130,6 +130,25 @@ class TestConstructionRejection:
             with pytest.raises(ValueError):
                 PNorm(p)
 
+    def test_pnorm_exponents_whose_sum_underflows_are_refused(self):
+        # Past the bound |a|**p + |b|**p on the diagonal leaves the normal range; by
+        # p = 3000 it is 0, and so was F((1, 1)), with a nan contact point from 2200.
+        for p in (2044.5, 2046.0, 2200.0, 3000.0, 1e300):
+            with pytest.raises(ValueError, match="p-norm exponent .* past 2044"):
+                PNorm(p)
+        assert PNorm(math.inf)((1.0, 1.0)) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_pnorm_contact_points_are_finite_up_to_the_bound(self):
+        rng = np.random.default_rng(2044)
+        dirs = np.vstack([rng.normal(size=(500, 2)), [[1.0, 1.0], [-1.0, 1.0], [1.0, 0.0], [3.0, 2.9999]]])
+        for p in (1.5, 7.0, 300.0, 2000.0, 2044.0):
+            F = PNorm(p)
+            for v in dirs:
+                x = F.contact_point(v)
+                assert np.isfinite(x).all(), (p, v)
+                assert float(v @ x) == pytest.approx(F(v), rel=1e-12), (p, v)
+
     def test_nonpositive_constant_rejected(self):
         for c in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):

@@ -65,6 +65,13 @@ def vertex_scores(region, v) -> np.ndarray:
     return region.vertices[:, 0] * a + region.vertices[:, 1] * b
 
 
+def corner_free(F) -> bool:
+    """Whether F's crystal has no corners: every direction is then an attained normal, with
+    no staircase, and the closed-form contact point is its one contact point."""
+    corners = F.crystal_corners
+    return corners is not None and not len(corners)
+
+
 def table_values_on_reference(F: AngularTable, dirs) -> np.ndarray:
     dirs = np.asarray(dirs, dtype=float)
     theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
@@ -102,13 +109,16 @@ def dip_unit_value_reference(F: Dip, u, base_reference) -> float:
 def is_orthogonal_direction_reference(ctx: CrystalContext, v, tol=None) -> bool:
     """A polar point within tol of v / norm(v). On table and dip costs F(v)
     below the crystal's support h(v) beyond a relative 1e-12 answers True
-    and above it False; only F(v) = h(v) up to rounding takes the polar rule."""
+    and above it False; only F(v) = h(v) up to rounding takes the polar rule.
+    A cost without corners answers True."""
     if tol is None:
         tol = ctx.resolution
     v = np.asarray(v, dtype=float)
     n = ctx.norm(v)
     if n == 0.0:
         raise ValueError("zero vector has no direction")
+    if corner_free(ctx.integrand):
+        return True
     scores = vertex_scores(ctx.crystal, v)
     if not ctx.integrand.is_convex:
         f, support = ctx.integrand(v), float(scores.max())
@@ -156,10 +166,13 @@ def is_geodesic_reference(ctx: CrystalContext, path: Path, tol=None):
     seg_dirs = [seg / math.hypot(*seg) for seg in segments]
     seg_norms = [ctx.norm(d) for d in seg_dirs]
     contact_flags = [ctx.integrand(d) - nd <= unit_tol for d, nd in zip(seg_dirs, seg_norms)]
-    vertices, representative = contact_face_reference(ctx.crystal, v)
-    candidates = list(vertices) + ([representative] if len(vertices) == 2 else [])
     exact = ctx.integrand.contact_point(v)
-    candidates += [] if exact is None else [exact]
+    if corner_free(ctx.integrand):  # its one contact point
+        candidates = [exact]
+    else:
+        vertices, representative = contact_face_reference(ctx.crystal, v)
+        candidates = list(vertices) + ([representative] if len(vertices) == 2 else [])
+        candidates += [] if exact is None else [exact]
     best_flags, best_point, best_score = None, None, -1
     for xbar in candidates:
         flags = [(c_ok, abs(float(d[0] * xbar[0] + d[1] * xbar[1]) - nd) <= unit_tol)
@@ -184,12 +197,14 @@ def unique_reference(ctx: CrystalContext, v) -> bool:
     """``is_orthogonal_direction`` before contact records: its own F call,
     argmax and polar points n_j / h_j. Table and dip costs first compare F(v)
     with the support h(v): beyond a relative 1e-12 below it the straight
-    segment is cheaper, above it the staircase."""
+    segment is cheaper, above it the staircase. A cost without corners answers True."""
     tol = ctx.resolution
     v = np.asarray(v, dtype=float)
     f = ctx.integrand(v)
     if f == 0.0:
         raise ValueError("zero vector has no direction")
+    if corner_free(ctx.integrand):
+        return True
     scores = vertex_scores(ctx.crystal, v)
     k = int(np.argmax(scores))
     n = f
@@ -211,8 +226,11 @@ def unique_reference(ctx: CrystalContext, v) -> bool:
 
 
 def geodesic_legs_reference(ctx: CrystalContext, v):
-    """``geodesic_legs`` with its own argmax over the crystal vertices."""
+    """``geodesic_legs`` with its own argmax over the crystal vertices; a cost without
+    corners has no staircase."""
     v = np.asarray(v, dtype=float)
+    if corner_free(ctx.integrand):
+        raise ValueError("direction is extreme: no staircase decomposition exists")
     normals = ctx.crystal.normals
     k = int(np.argmax(vertex_scores(ctx.crystal, v)))
     (a0, a1), (b0, b1), (v0, v1) = normals[k - 1].tolist(), normals[k].tolist(), v.tolist()
@@ -993,7 +1011,7 @@ def test_record_fields_match_the_references():
         for v in _displacements(rng, 200):
             record = ctx._contact(v)
             assert record.key == struct.pack("2d", *v.tolist())
-            assert record.k == int(np.argmax(vertex_scores(ctx.crystal, v)))
+            assert record.k == (None if corner_free(ctx.integrand) else int(np.argmax(vertex_scores(ctx.crystal, v))))
             assert record.norm == norm_reference(ctx, v)
             assert record.unique == unique_reference(ctx, v)
             assert _answer(record.staircase) == _answer(geodesic_legs_reference, ctx, v), (kind, v)
@@ -1347,6 +1365,17 @@ def test_a_step_far_below_its_breakpoints_keeps_its_bits():
             assert path.speeds.tolist() == [points[1][1]] and path.directions.tolist() == [[0.0, 1.0]]
 
 
+def test_a_step_far_below_the_longest_keeps_its_bits():
+    # Every step was once scaled by the longest step's exponent: the short one lost
+    # bits (9.99896e-21), or all of them and was refused as degenerate.
+    for tiny in (1e-20, 5e-324):
+        points = [(0.0, 0.0), (1e300, 0.0), (1e300, tiny)]
+        for path in (Path(np.array(points)), Path._from_floats(points)):
+            assert path.speeds.tolist() == [1e300, tiny]
+            assert path.directions.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+            assert path_length(PNorm(3.0), path) == 1e300
+
+
 def test_a_subnormal_step_from_a_unit_point_is_constructed():
     # Its step was once lost next to the breakpoint 1 and refused as degenerate.
     ctx = CrystalContext(PNorm(3.0), SphereGrid.planar(720))
@@ -1417,7 +1446,8 @@ def test_contact_face_from_the_contact_vertex_is_contact_face(grid_size):
         # record's vertex is the first maximizing one in vertex order.
         for v in (normals[-1], 3.0 * normals[-1], normals[-1] @ turn, normals[-1] @ turn.T):
             assert contact_face(ctx.crystal, v).tobytes() == contact_face_reference(ctx.crystal, v)[0].tobytes(), v
-            assert ctx._contact(v).k == int(np.argmax(vertex_scores(ctx.crystal, v))), v
+            want = None if corner_free(F) else int(np.argmax(vertex_scores(ctx.crystal, v)))
+            assert ctx._contact(v).k == want, v
     # Regions that are not crystals: a geodesic ball and a polar body.
     ctx = CrystalContext(README_COSTS["table"](), SphereGrid.planar(grid_size))
     for region in (geodesic_ball(ctx, (0.3, -2.0), 1.5), ctx.polar_body):
