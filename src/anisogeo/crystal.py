@@ -202,13 +202,14 @@ class ConvexRegion(Polygon):
 
     def gauge(self, v) -> float:
         """Minkowski gauge min{t >= 0 : v in t * region} (origin interior)."""
+        v = np.array(planar_vector(v))
         if not self.origin_interior:
             raise ValueError("gauge requires the origin strictly interior")
-        return float(((self.normals @ np.asarray(v, dtype=float)) / self.offsets).max())
+        return float(((self.normals @ v) / self.offsets).max())
 
     def contains(self, x) -> bool:
         """Whether x lies in the region, up to ``FACE_TOL`` times its magnitude, as faces tie."""
-        x = np.asarray(x, dtype=float)
+        x = np.array(planar_vector(x))
         return bool(np.all(self.normals @ x <= self.offsets + FACE_TOL * self.magnitude))
 
 
@@ -300,7 +301,7 @@ def build_crystal(F: Integrand, grid: SphereGrid) -> ConvexRegion:
     scanned directions fail to positively span (unbounded intersection),
     which cannot happen for a positive cost on a covering grid.
     """
-    return _crystal_from_dual(scan(F, grid)[1])
+    return _crystal_from_dual(scan(F, grid))
 
 
 def _crystal_from_dual(dual_cycle: np.ndarray) -> ConvexRegion:
@@ -444,13 +445,15 @@ class CrystalContext:
 
     Holds the induced norm and the grid it was given (``SphereGrid.planar()``
     by default, shared and read-only), and makes what its queries read as the
-    module describes. A table or dip context builds its grid crystal at
-    construction, so its refusals come there; every other context makes its
-    crystal on first read, where a convex cost's fixed-point check and
-    ``polar``'s refusal of a crystal whose origin is not interior run. F on
-    the grid (``_f_grid``, ``f_max``), the polar body, the Wulff transform (a
-    rescan of F) and the convex envelope are made on first read too; the
-    build's dual hull is not kept. It keeps one record, its last analysis of
+    module describes. A table or dip context builds its grid crystal
+    (:func:`build_crystal`) at construction, so its refusals come there;
+    every other context makes its crystal on first read, where a convex
+    cost's fixed-point check and ``polar``'s refusal of a crystal whose
+    origin is not interior run. F on the grid (``_f_grid``, ``f_max``), the
+    crystal's polar points (one array: the polar body's vertices and what the
+    analysis reads), the Wulff transform (a rescan of F) and the convex
+    envelope are made on first read too; the build's dual hull is not kept.
+    It keeps one record, its last analysis of
     a displacement (:class:`Contact`), taken on the crystal's halfspaces:
     immutable, replaced by one assignment, and read once by a query that
     checks its key, so queries stay pure and thread-safe.
@@ -490,7 +493,7 @@ class CrystalContext:
         if corners is not None and len(corners):
             region = ConvexRegion(corners)
         else:
-            region = _crystal_from_dual(scan(self.integrand, self.grid)[1])
+            region = build_crystal(self.integrand, self.grid)
         if not region.origin_interior:  # polar's refusal, on the crystal's first read
             raise ValueError(UNBOUNDED_POLAR)
         if self.integrand.is_convex:
@@ -518,8 +521,14 @@ class CrystalContext:
 
     @cached_property
     def polar_body(self) -> ConvexRegion:
-        """The polar body of the crystal, the unit ball of the norm (:func:`polar`)."""
-        return polar(self.crystal)
+        """The polar body of the crystal, the unit ball of the norm: :func:`polar` of it, bit for bit."""
+        return ConvexRegion(self._polar_points)
+
+    @cached_property
+    def _polar_points(self) -> np.ndarray:
+        """The polar points n_j / h_j of the crystal's halfspaces, as :func:`polar` takes them
+        (the crystal's first read refused an origin that is not interior)."""
+        return planar.polar_of_halfspaces(*self.crystal.halfspaces, self.crystal.magnitude)
 
     @cached_property
     def wulff(self) -> GridFunction:
@@ -583,10 +592,9 @@ class CrystalContext:
 
     @cached_property
     def _edge_columns(self) -> tuple[array.array, ...]:
-        """The crystal's edge normals n_j and the polar points n_j / h_j, by column, as plain
-        floats: taken from its halfspaces as :func:`polar` takes them, the polar body's vertices."""
-        polar_points = planar.polar_of_halfspaces(*self.crystal.halfspaces, self.crystal.magnitude)
-        return tuple(array.array("d", column.tobytes()) for column in (*self.crystal.normals.T, *polar_points.T))
+        """The crystal's edge normals n_j and its polar points n_j / h_j, the polar body's
+        vertices, by column, as plain floats."""
+        return tuple(array.array("d", column.tobytes()) for column in (*self.crystal.normals.T, *self._polar_points.T))
 
     def _norms(self, xs: np.ndarray, fx: np.ndarray) -> np.ndarray:
         """:meth:`norm` of every (nonzero) row of xs, given F on the rows, bit for bit."""

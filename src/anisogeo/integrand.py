@@ -16,10 +16,11 @@ samples sit at the grid's directions, so it evaluates like any other cost.
 
 Extrema over the sphere are realized as extrema over a finite
 :class:`SphereGrid`; every scanned value therefore carries an error of
-order ``resolution * max F / min F``. Costs may declare
-``special_directions`` (facet normals, dip directions, table samples):
-these are always appended to the scanned direction set so that flat and
-dipped features are resolved exactly rather than at grid accuracy.
+order ``resolution * max F / min F``. Costs declare
+``special_directions`` (facet normals, derived from a polygonal crystal's
+corners; dip directions; table samples): these are always appended to the
+scanned direction set so that flat and dipped features are resolved
+exactly rather than at grid accuracy.
 
 Both scans are exact support queries on planar hulls of the scanned
 points, never direction-by-direction matrices: W(F) is the reciprocal
@@ -233,10 +234,14 @@ class Integrand(ABC):
         the family has a scalar form with the same bits (every family here has one)."""
         return float(self.values_on(np.array(((a, b),)))[0])
 
-    @property
+    @cached_property
     def special_directions(self) -> np.ndarray:
-        """Directions that sup/inf scans must include to be exact (may be empty)."""
-        return np.zeros((0, 2))
+        """Directions that sup/inf scans must include to be exact: the facet normals of
+        a polygonal crystal, the edge normals of :attr:`crystal_corners`; else none."""
+        corners = self.crystal_corners
+        if corners is None or not len(corners):
+            return np.zeros((0, 2))
+        return edge_normals_and_offsets(corners)[0]
 
     @property
     def is_convex(self) -> bool:
@@ -270,6 +275,12 @@ def polygon_corners(generators) -> np.ndarray:
     corners = np.roll(hull, -(least + 1), axis=0)
     corners.flags.writeable = False  # the cost's, and every context's crystal vertices
     return corners
+
+
+# The crystals of p = 1, the square of the four sign vectors, and of p = inf, the
+# diamond of the axes: shared by every such cost, so a cold one hulls nothing.
+_SQUARE = polygon_corners([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+_DIAMOND = polygon_corners([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 class PNorm(Integrand):
@@ -328,27 +339,10 @@ class PNorm(Integrand):
     def is_convex(self) -> bool:
         return True
 
-    @cached_property
-    def crystal_corners(self) -> np.ndarray:
-        # The square of the four sign vectors for p = 1, the diamond of the
-        # axes for p = inf; other p have a smooth strictly convex crystal.
-        if self.p == 1.0:
-            return polygon_corners([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-        if math.isinf(self.p):
-            return polygon_corners([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        return _NO_CORNERS
-
     @property
-    def special_directions(self) -> np.ndarray:
-        # Facet normals of the crystal: axes for p = 1 (a square), the
-        # diagonals for p = inf (a diamond). Smooth p have none.
-        if self.p == 1.0:
-            eye = np.eye(2)
-            return np.vstack([eye, -eye])
-        if math.isinf(self.p):
-            diagonals = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-            return diagonals / math.sqrt(2)
-        return np.zeros((0, 2))
+    def crystal_corners(self) -> np.ndarray:
+        # Other p have a smooth strictly convex crystal.
+        return _SQUARE if self.p == 1.0 else _DIAMOND if math.isinf(self.p) else _NO_CORNERS
 
     def contact_point(self, v) -> np.ndarray | None:
         if self.p == 1.0 or math.isinf(self.p):
@@ -433,13 +427,6 @@ class Crystalline(Integrand):
     @cached_property
     def crystal_corners(self) -> np.ndarray:
         return polygon_corners(self.generators)
-
-    @cached_property
-    def special_directions(self) -> np.ndarray:
-        # The crystal equals the hull of the generators; its facet normals
-        # (hull edge normals) are where the halfplane scan must be exact.
-        normals, _ = edge_normals_and_offsets(self.crystal_corners)
-        return normals
 
 
 class AngularTable(Integrand):
@@ -584,14 +571,15 @@ def scan_directions(F: Integrand, grid: SphereGrid) -> np.ndarray:
     return np.vstack([grid.directions, sp])
 
 
-def scan(F: Integrand, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """F on the scan directions, the first ``grid.size`` of them the grid's, and the
-    hull cycle of the dual points w / F(w): what the Wulff transform and the crystal read."""
+def scan(F: Integrand, grid: SphereGrid) -> np.ndarray:
+    """The hull cycle of the dual points w / F(w) over the scan directions
+    (:func:`scan_directions`): what the Wulff transform and the crystal read.
+    Refuses a cost that is not positive on them."""
     dirs = scan_directions(F, grid)
     vals = F.values_on(dirs)
     if np.any(vals <= 0.0):
         raise ValueError("cost is not positive on the scan directions")
-    return vals, planar.hull_cycle(dirs / vals[:, None])
+    return planar.hull_cycle(dirs / vals[:, None])
 
 
 def wulff_transform(F: Integrand, grid: SphereGrid) -> GridFunction:
@@ -604,7 +592,7 @@ def wulff_transform(F: Integrand, grid: SphereGrid) -> GridFunction:
     ``w / F(w)``; each grid direction's own dual point lies in the hull, so
     that support is at least 1 / F(v) > 0.
     """
-    return GridFunction(grid, 1.0 / support_values(scan(F, grid)[1], grid.directions))
+    return GridFunction(grid, 1.0 / support_values(scan(F, grid), grid.directions))
 
 
 def support_transform(G: GridFunction) -> GridFunction:

@@ -1,7 +1,9 @@
 """Cross-module invariant battery, runnable against any cost spec.
 
-Each check returns a named pass/fail with a measured value and its bound,
-so a failing run points at the broken invariant instead of a generic
+Each check is a name, a measured value and the bound it is held to, and
+its verdict derives from those two alone: it passes exactly when the
+measured value is at most the bound (:class:`CheckResult`), so a nan
+fails. A failing run points at the broken invariant instead of a generic
 error. Checks are deterministic for a fixed seed.
 """
 
@@ -21,11 +23,17 @@ from .oracle import Stencil, _oracle_distances
 
 @dataclass
 class CheckResult:
+    """One check's measured value and the bound it is held to; it passes
+    exactly when ``measured <= bound``, so a nan fails."""
+
     name: str
-    passed: bool
     measured: float
     bound: float
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.measured <= self.bound)
 
     def as_dict(self) -> dict:
         out = {
@@ -40,7 +48,9 @@ class CheckResult:
 
 
 def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
-    """The invariant battery on a context, one :class:`CheckResult` per check.
+    """The invariant battery on a context, one :class:`CheckResult` per check,
+    each stated once as its measured value and bound; it passes exactly when
+    the value is at most the bound.
 
     With res the grid resolution, maxF the cost's largest grid value and
     scale the crystal diameter, the checks and their bounds are:
@@ -60,7 +70,8 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
       only): the envelope against F, same bound, the gap the build bounds.
     * ``normals-in-contact``: crystal normals out of contact, 0.
     * ``non-contact-directions`` (informational, present when there are
-      any): grid directions where F sits above its envelope; always passes.
+      any): the count of grid directions where F sits above its envelope,
+      against the grid size, which a subset of the grid never exceeds.
     * ``wulff-identity``: |P - 2A| / P on the crystal, at most 1e-6 for
       convex families and 5 res otherwise.
     * ``ball-polar-is-crystal``: gap between the polar of the unit ball and
@@ -91,60 +102,46 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
     scale = ctx.crystal.diameter
     checks: list[CheckResult] = []
 
+    def check(name: str, measured: float, bound: float, note: str = "") -> None:
+        checks.append(CheckResult(name, measured, bound, note))
+
     # Polarity: the crystal and the polar body are each other's polars.
     gap = hausdorff_distance(polar(ctx.polar_body), ctx.crystal)
-    checks.append(CheckResult("polar-involution-crystal", gap <= 5 * res * scale, gap, 5 * res * scale))
+    check("polar-involution-crystal", gap, 5 * res * scale)
 
     # Double polar of random clouds reproduces the hull with the origin added.
-    worst = max([0.0, *_double_polar_gaps(rng)])
-    checks.append(CheckResult("double-polar-hull", worst <= 5 * res, worst, 5 * res))
+    check("double-polar-hull", max([0.0, *_double_polar_gaps(rng)]), 5 * res)
 
     # Transform inequalities on the grid, against the context's own scan.
     f_vals = ctx._f_grid
     rounding = 1e-9 * ctx.f_max
-    w_excess = float((ctx.wulff.values - f_vals).max())
-    checks.append(CheckResult("wulff-below-cost", w_excess <= rounding, w_excess, rounding))
+    check("wulff-below-cost", float((ctx.wulff.values - f_vals).max()), rounding)
     a_of_f = support_transform(GridFunction(ctx.grid, f_vals))
-    a_deficit = float((f_vals - a_of_f.values).max())
-    checks.append(CheckResult("support-above-cost", a_deficit <= rounding, a_deficit, rounding))
-    d_excess = float((ctx.envelope.values - f_vals).max())
-    checks.append(CheckResult("envelope-below-cost", d_excess <= rounding, d_excess, rounding))
+    check("support-above-cost", float((f_vals - a_of_f.values).max()), rounding)
+    check("envelope-below-cost", float((ctx.envelope.values - f_vals).max()), rounding)
 
     # The sampled A(W(F)) agrees with the envelope at grid accuracy.
     sampled = support_transform(ctx.wulff)
-    env_gap = float(np.abs(sampled.values - ctx.envelope.values).max())
     bound = 2 * res * ctx.f_max
-    checks.append(CheckResult("envelope-is-support", env_gap <= bound, env_gap, bound))
+    check("envelope-is-support", float(np.abs(sampled.values - ctx.envelope.values).max()), bound)
 
     if ctx.integrand.is_convex:
-        fp_gap = float(np.abs(ctx.envelope.values - f_vals).max())
-        checks.append(CheckResult("convex-fixed-point", fp_gap <= bound, fp_gap, bound))
+        check("convex-fixed-point", float(np.abs(ctx.envelope.values - f_vals).max()), bound)
 
     # Attained crystal normals are contact directions.
-    bad = int(np.count_nonzero(~ctx.in_contact_many(ctx.crystal.normals)))
-    checks.append(CheckResult("normals-in-contact", bad == 0, float(bad), 0.0))
+    check("normals-in-contact", float(np.count_nonzero(~ctx.in_contact_many(ctx.crystal.normals))), 0.0)
 
-    # Informational: directions where the cost sits strictly above its envelope.
+    # Informational: directions where the cost sits strictly above its envelope,
+    # a subset of the grid, so always at most its size.
     dirs = ctx.grid.directions[~ctx.in_contact_many(ctx.grid.directions)]
     off = np.arctan2(dirs[:, 1], dirs[:, 0])
     if len(off):
-        checks.append(
-            CheckResult(
-                "non-contact-directions",
-                True,
-                float(len(off)),
-                float(ctx.grid.size),
-                note=f"expected for non-convex costs; angular range [{off.min():.3f}, {off.max():.3f}] rad",
-            )
-        )
+        note = f"expected for non-convex costs; angular range [{off.min():.3f}, {off.max():.3f}] rad"
+        check("non-contact-directions", float(len(off)), float(ctx.grid.size), note)
 
     # Crystal perimeter/area identity.
     report = wulff_identity_check(ctx)
-    ident_bound = 1e-6 if ctx.integrand.is_convex else 5 * res
-    checks.append(
-        CheckResult("wulff-identity", report.relative_difference <= ident_bound,
-                    report.relative_difference, ident_bound)
-    )
+    check("wulff-identity", report.relative_difference, 1e-6 if ctx.integrand.is_convex else 5 * res)
 
     # Ball duality: the unit ball's polar is the crystal. A ball that is the
     # polar body vertex for vertex has the polarity check's gap.
@@ -153,7 +150,7 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
         ball_gap = gap
     else:
         ball_gap = hausdorff_distance(polar(ball), ctx.crystal)
-    checks.append(CheckResult("ball-polar-is-crystal", ball_gap <= 5 * res * scale, ball_gap, 5 * res * scale))
+    check("ball-polar-is-crystal", ball_gap, 5 * res * scale)
 
     # Constructed geodesics verify.
     fails = 0
@@ -161,29 +158,23 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
     for x, y in (-2.0 + 4.0 * rng.random((10, 4))).reshape(10, 2, 2):
         cert = is_geodesic(ctx, construct_geodesic(ctx, x, y))
         fails += not cert.verdict
-    checks.append(CheckResult("constructed-geodesics-verify", fails == 0, float(fails), 0.0))
+    check("constructed-geodesics-verify", float(fails), 0.0)
 
     # Oracle sandwich: lattice paths never undercut the distance. A sampled
     # cost's norm min(F, h) reads the grid crystal, which contains the true
     # one, so inside a corner's normal cone it exceeds the true norm by
     # O(resolution^2), hence the extra slack for sampled costs.
-    sandwich_slack = 1e-9 * ctx.f_max if ctx.integrand.is_convex else (1e-9 + res**2) * ctx.f_max
     targets = [np.array(t) for t in [(5, 5), (7, 3), (3, -4), (-2, 5)]]
     norms = [ctx.norm(t.astype(float)) for t in targets]
     worst_under = 0.0
     for stencil in (Stencil.axis(), Stencil.order(2)):
         for d, lattice in zip(norms, _oracle_distances(ctx.integrand, targets, stencil)):
             worst_under = max(worst_under, d - lattice)
-    checks.append(CheckResult("oracle-sandwich", worst_under <= sandwich_slack, worst_under, sandwich_slack))
+    check("oracle-sandwich", worst_under, rounding if ctx.integrand.is_convex else (1e-9 + res**2) * ctx.f_max)
 
     # Isoperimetric minimality against random same-fan competitors.
-    own = report.ratio
     ratios = _competitor_ratios(ctx.integrand, ctx.grid, rng, 20)
-    worst_ratio_deficit = max([0.0] + [own - r for r in ratios])
-    checks.append(
-        CheckResult("isoperimetric-minimality", worst_ratio_deficit <= 1e-6,
-                    worst_ratio_deficit, 1e-6)
-    )
+    check("isoperimetric-minimality", max([0.0] + [report.ratio - r for r in ratios]), 1e-6)
 
     return checks
 

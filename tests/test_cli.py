@@ -22,6 +22,7 @@ from anisogeo.fileio import (
     report_json,
     save_rows,
 )
+from anisogeo.suite import CheckResult
 
 L1_SPEC = {"kind": "pnorm", "dimension": 2, "p": 1}
 DIP_SPEC = {
@@ -361,6 +362,22 @@ class TestCliCommands:
         f_max = CrystalContext(PNorm(3.0), SphereGrid.planar(64)).f_max
         for name in ("wulff-below-cost", "support-above-cost", "envelope-below-cost"):
             assert checks[name]["passed"] is True and checks[name]["bound"] == float(f"{1e-9 * f_max:.12g}"), name
+
+    def test_every_suite_verdict_is_its_measured_value_against_its_bound(self, l1_spec_file, dip_spec_file, capsys):
+        # The dip's suite has the informational non-contact count, held to the grid size.
+        for spec in (l1_spec_file, dip_spec_file):
+            assert main(["suite", spec, "--grid", "64"]) == 0
+            checks = json.loads(capsys.readouterr().out)["results"]["checks"]
+            assert len(checks) >= 13
+            for c in checks:
+                assert c["passed"] is (c["measured"] <= c["bound"]), c
+        assert "non-contact-directions" in [c["name"] for c in checks]
+
+    def test_a_nan_measured_value_fails_its_check(self):
+        for bound in (0.0, 1.0, math.inf):
+            check = CheckResult("any", math.nan, bound)
+            assert check.passed is False and check.as_dict()["passed"] is False
+        assert CheckResult("any", 1.0, 1.0).passed is True and CheckResult("any", 1.0, 0.5).passed is False
 
     def test_a_smooth_axis_geodesic_is_the_unique_segment(self, tmp_path, capsys):
         # On p = 6 the grid rule at 2880 once answered "infinitely-many" with a staircase;

@@ -583,6 +583,17 @@ class TestOneHull:
             assert len(scans) == 0 and ctx.crystal.vertices.tobytes() == F.crystal_corners.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(README_COSTS))
+    def test_a_context_polarizes_its_crystal_once(self, kind, monkeypatch):
+        # The analysis and the polar body read one array of polar points.
+        ctx = CrystalContext(README_COSTS[kind](), SphereGrid.planar(720))
+        ctx.crystal
+        calls, polar_of_halfspaces = [], planar.polar_of_halfspaces
+        monkeypatch.setattr(planar, "polar_of_halfspaces", lambda *args: calls.append(1) or polar_of_halfspaces(*args))
+        _use(ctx)
+        ctx._edge_columns
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", sorted(README_COSTS))
     def test_queries_answer_the_same_with_the_grid_products_read_first(self, kind):
         grid = SphereGrid.planar(720)
         plain, primed = CrystalContext(README_COSTS[kind](), grid), CrystalContext(README_COSTS[kind](), grid)
@@ -925,6 +936,20 @@ class TestRegionValidation:
         assert lifted.origin_interior and type(lifted) is ConvexRegion
         assert lifted.gauge((0.0, -scale)) == pytest.approx(2.0, rel=1e-12)
         assert polar(lifted).gauge((0.0, 1.0 / scale)) == pytest.approx(1.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            ((math.nan, 0.0), r"vector \(nan, 0.0\) is not finite"),  # once a nan gauge and "outside"
+            ((math.inf, 0.0), r"vector \(inf, 0.0\) is not finite"),  # once 0 * inf, numpy's invalid value in matmul
+            ((1.0, 2.0, 3.0), "expected a planar vector"),  # once numpy's matmul shape message
+        ],
+        ids=["nan", "inf", "3-vector"],
+    )
+    def test_gauge_and_contains_read_their_argument_as_support_does(self, v, message):
+        for query in (SQUARE.gauge, SQUARE.contains, SQUARE.support):
+            with pytest.raises(ValueError, match=message):
+                query(v)
 
     def test_from_points_cleans_input(self):
         region = ConvexRegion.from_points(

@@ -11,13 +11,18 @@ from anisogeo import (
     Crystalline,
     Dip,
     GridFunction,
+    Integrand,
     PNorm,
     SphereGrid,
+    build_crystal,
     convex_envelope,
     support_transform,
     wulff_transform,
 )
 from anisogeo.integrand import TWO_PI, scan_directions, unit
+from anisogeo.planar import edge_normals_and_offsets
+
+from conftest import sorted_rows
 
 SQ2 = math.sqrt(2.0)
 
@@ -243,6 +248,47 @@ class TestWulffTransform:
         for F in (PNorm(1.0), PNorm(3.0), Dip(Constant(1.0), [((1, 0), 0.5)])):
             W = wulff_transform(F, grid)
             assert np.all(W.values <= F.values_on(grid.directions) + 1e-12)
+
+
+def listed_facet_normals(F) -> np.ndarray:
+    """Reference: the facet normals PNorm and Crystalline once listed by hand, before both
+    took the default edge normals of their crystal's corners."""
+    if isinstance(F, PNorm) and F.p == 1.0:
+        eye = np.eye(2)
+        return np.vstack([eye, -eye])  # the square's axes
+    if isinstance(F, PNorm) and math.isinf(F.p):
+        return np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2)  # the diamond's diagonals
+    normals, _ = edge_normals_and_offsets(F.crystal_corners)
+    return normals
+
+
+class _Listed(Integrand):
+    """F with the reference facet normals as its special directions."""
+
+    def __init__(self, F) -> None:
+        self.F = F
+
+    def values_on(self, dirs) -> np.ndarray:
+        return self.F.values_on(dirs)
+
+    @property
+    def special_directions(self) -> np.ndarray:
+        return listed_facet_normals(self.F)
+
+
+class TestDerivedFacetNormals:
+    @pytest.mark.parametrize("size", [8, 30, 61, 64, 97, 720, 721, 2880])
+    def test_transforms_and_crystals_equal_the_listed_normals_bit_for_bit(self, size):
+        grid = SphereGrid.planar(size)
+        rng = np.random.default_rng(size)
+        generators = rng.uniform(-1.0, 1.0, (6, 2))
+        generators[:3] = [[1.0, 0.2], [-0.6, 0.9], [-0.3, -1.0]]  # these three leave no angular gap of pi
+        costs = [PNorm(1.0), PNorm(math.inf), Crystalline([(g, w) for g, w in zip(generators, rng.uniform(0.5, 2.0, 6))])]
+        for F in costs:
+            reference = _Listed(F)
+            assert np.array_equal(sorted_rows(F.special_directions), sorted_rows(reference.special_directions))
+            assert wulff_transform(F, grid).values.tobytes() == wulff_transform(reference, grid).values.tobytes()
+            assert build_crystal(F, grid).vertices.tobytes() == build_crystal(reference, grid).vertices.tobytes()
 
 
 class TestSupportTransform:

@@ -83,7 +83,9 @@ def test_derived_not_configured():
     import dataclasses
     import inspect
 
-    from anisogeo import crystal, fileio, geodesics, integrand, isoperimetry, oracle, planar, svgplot
+    import numpy as np
+
+    from anisogeo import crystal, fileio, geodesics, integrand, isoperimetry, oracle, planar, suite, svgplot
 
     assert [f.name for f in dataclasses.fields(integrand.SphereGrid)] == ["size"]
     assert [f.name for f in dataclasses.fields(svgplot.PolyLine)] == ["points", "color"]
@@ -118,3 +120,9 @@ def test_derived_not_configured():
     assert not hasattr(integrand.GridFunction, "max") and not hasattr(integrand.GridFunction, "min")
     ctx = crystal.CrystalContext(integrand.Constant(1.0), integrand.SphereGrid.planar(16))
     assert not hasattr(ctx, "f_min")
+    # A verdict is its measured value against its bound, a scan its dual hull, and a
+    # polygonal cost's facet normals its corners' edge normals.
+    assert [f.name for f in dataclasses.fields(suite.CheckResult)] == ["name", "measured", "bound", "note"]
+    assert type(integrand.scan(integrand.PNorm(3.0), integrand.SphereGrid.planar(16))) is np.ndarray
+    for cls in (integrand.PNorm, integrand.Crystalline):
+        assert "special_directions" not in vars(cls), cls.__name__

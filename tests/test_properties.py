@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anisogeo import (
     Constant,
@@ -69,11 +69,18 @@ def polygons_around_origin(draw):
 
 
 @given(region=polygons_around_origin())
-@settings(max_examples=60, deadline=None)
+@example(region=ConvexRegion([(-0.46211013, 0.68197307), (0.15403671, -0.22732436), (0.95403671, -0.22732436)]))
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_polar_is_an_involution(region):
+    # Each polar divides by offsets that carry an absolute rounding of order eps times the
+    # magnitude, so the round trip is conditioned by kappa = magnitude / least offset (the
+    # README's bound for polar). The example's origin sits 1.4e-9 from its first edge, so
+    # kappa is 6.8e8; its gap of 3.7e-9 is 0.026 of eps * kappa * magnitude.
     if region is None:
         return
-    assert hausdorff_distance(polar(polar(region)), region) <= 1e-9 * max(1.0, region.diameter)
+    kappa = region.magnitude / region.offsets.min()
+    bound = 8.0 * np.finfo(float).eps * kappa * region.magnitude
+    assert hausdorff_distance(polar(polar(region)), region) <= bound
 
 
 @given(region=polygons_around_origin(), u=vectors, v=vectors)
