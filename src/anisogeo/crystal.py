@@ -21,18 +21,19 @@ batch, as its docstring describes; :func:`double_polar` is its batch of one.
 
 :class:`CrystalContext` bundles a cost with its crystal, the one region
 it builds, and provides the induced (possibly asymmetric) norm, min(F,
-crystal support). It pays for what its queries read. A table or dip context
-scans the cost and runs one hull, of the dual points (:func:`integrand.scan`),
-at construction: pruned and polarized it is the crystal, in O(M log M) time
-and O(M) memory on M grid directions. A p = 1, p = inf or crystalline
-context reads its exact polygon on the first query; a context without
+crystal support). It builds nothing at construction and pays for what its
+queries read, each made on first read. The crystal is the cost's exact
+polygon where it has corners (p = 1, p = inf, crystalline); for a table or
+dip cost it is one scan and one hull, of the dual points
+(:func:`integrand.scan`), pruned and polarized, in O(M log M) time and O(M)
+memory on M grid directions, made by the first query. A cost without
 corners (other p-norms, constants) answers its queries from F alone and
-scans only when its crystal is read. The crystal, F on the grid, the
-fixed-point check of a convex cost, the polar body and the Wulff transform
-(a second scan) are made on first read; the grid is shared with every
-context of its size (:meth:`SphereGrid.planar`), and no dual hull is kept.
-Every support (the envelope, the norm, a contact vertex) is one O(log V)
-lookup in :attr:`ConvexRegion.edge_angles`.
+scans only when its crystal is read. F on the grid, the fixed-point check
+of a convex cost (made with the crystal), the polar body and the Wulff
+transform (a second scan) are made on first read too; the grid is shared
+with every context of its size (:meth:`SphereGrid.planar`), and no dual
+hull is kept. Every support (the envelope, the norm, a contact vertex) is
+one O(log V) lookup in :attr:`ConvexRegion.edge_angles`.
 """
 
 from __future__ import annotations
@@ -124,12 +125,13 @@ class Polygon:
         return planar.polygon_area(self.vertices)
 
     def scaled(self, factor: float):
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
         return type(self)(factor * self.vertices)
 
     def translated(self, shift):
-        return type(self)(self.vertices + np.asarray(shift, dtype=float))
+        """The polygon moved by shift; refuses shift as :func:`planar_vector` does."""
+        return type(self)(self.vertices + np.array(planar_vector(shift)))
 
 
 class ConvexRegion(Polygon):
@@ -445,14 +447,16 @@ class CrystalContext:
 
     Holds the induced norm and the grid it was given (``SphereGrid.planar()``
     by default, shared and read-only), and makes what its queries read as the
-    module describes. A table or dip context builds its grid crystal
-    (:func:`build_crystal`) at construction, so its refusals come there;
-    every other context makes its crystal on first read, where a convex
-    cost's fixed-point check and ``polar``'s refusal of a crystal whose
-    origin is not interior run. F on the grid (``_f_grid``, ``f_max``), the
-    crystal's polar points (one array: the polar body's vertices and what the
-    analysis reads), the Wulff transform (a rescan of F) and the convex
-    envelope are made on first read too; the build's dual hull is not kept.
+    module describes: construction stores the cost, the grid, ``resolution``
+    and ``default_tol``, and nothing else. Every family makes its crystal on
+    first read, so the refusals of its build come there: a table or dip
+    cost's scan and hull, ``polar``'s refusal of a crystal whose origin is
+    not interior, and a convex cost's fixed-point check, whose gap the read
+    keeps as ``fixed_point_gap`` (None for table and dip costs), even when it
+    refuses it. F on the grid (``_f_grid``, ``f_max``), the crystal's polar
+    points (one array: the polar body's vertices and what the analysis
+    reads), the Wulff transform (a rescan of F) and the convex envelope are
+    made on first read too; the build's dual hull is not kept.
     It keeps one record, its last analysis of
     a displacement (:class:`Contact`), taken on the crystal's halfspaces:
     immutable, replaced by one assignment, and read once by a query that
@@ -477,18 +481,21 @@ class CrystalContext:
         self.grid = grid if grid is not None else SphereGrid.planar()
         self.resolution = self.grid.resolution
         self.default_tol = 1e-7 if integrand.is_convex else 5.0 * self.resolution
-        corners = integrand.crystal_corners
-        self._corner_free = corners is not None and not len(corners)
         self._last = Contact(b"", 0, 0.0, None, None)
-        if corners is None:  # a sampled crystal, built here: its refusals come at construction
-            self.crystal
+
+    @cached_property
+    def _corner_free(self) -> bool:
+        """Whether the cost's crystal has no corners (other p-norms, constants): its norm is F."""
+        corners = self.integrand.crystal_corners
+        return corners is not None and not len(corners)
 
     @cached_property
     def crystal(self) -> ConvexRegion:
         """The crystal: the cost's exact polygon where it has one, else the polar of the
         pruned hull of the dual points (:func:`build_crystal`). Refused when the origin is
-        not interior, as :func:`polar` refuses it; a convex cost's crystal must reproduce F
-        on the grid (the fixed-point check, :meth:`_check_fixed_point`)."""
+        not interior, as :func:`polar` refuses it. A convex cost's crystal must reproduce F
+        on the grid: the read keeps the largest gap as ``fixed_point_gap`` and refuses it
+        above :attr:`envelope_bound`."""
         corners = self.integrand.crystal_corners
         if corners is not None and len(corners):
             region = ConvexRegion(corners)
@@ -496,17 +503,23 @@ class CrystalContext:
             region = build_crystal(self.integrand, self.grid)
         if not region.origin_interior:  # polar's refusal, on the crystal's first read
             raise ValueError(UNBOUNDED_POLAR)
+        self.fixed_point_gap = None
         if self.integrand.is_convex:
-            self._check_fixed_point(region)
+            # Not self.envelope: a context keeps that table only once it is read.
+            support = region.support_values(self.grid.directions)
+            self.fixed_point_gap = gap = float(np.abs(support - self._f_grid).max())
+            if gap > self.envelope_bound:
+                raise RuntimeError(
+                    "crystal build, fixed-point check: convex cost is not an envelope fixed point: "
+                    f"gap {gap:.3e} above the bound 2 res maxF = {self.envelope_bound:.3e}"
+                )
         return region
 
-    def _check_fixed_point(self, crystal: ConvexRegion) -> None:
-        bound = 2.0 * self.resolution * self.f_max
-        # Not self.envelope: a context keeps that table only once it is read.
-        support = crystal.support_values(self.grid.directions)
-        fixed_point_gap = np.abs(support - self._f_grid).max()
-        if fixed_point_gap > bound:
-            raise RuntimeError(f"convex cost is not an envelope fixed point: gap {fixed_point_gap:.3e}")
+    @property
+    def envelope_bound(self) -> float:
+        """2 res maxF, the grid bound on how far an envelope of F on the grid may sit from
+        F at a fixed point, or from the sampled A(W(F))."""
+        return 2.0 * self.resolution * self.f_max
 
     @cached_property
     def _f_grid(self) -> np.ndarray:
@@ -609,8 +622,13 @@ class CrystalContext:
 
     def in_contact(self, x) -> bool:
         """Whether the cost meets its convex envelope in direction x: F(x)
-        exceeds the norm by at most ``CONTACT_TOL * F(x)``, at every scale of x and F."""
-        return bool(self.in_contact_many(np.asarray(x, dtype=float)[None, :])[0])
+        exceeds the norm by at most ``CONTACT_TOL * F(x)``, at every scale of x and F.
+        Raises ValueError naming x when it is not a planar vector, and as
+        :meth:`in_contact_many` does, its one row, when it is not finite."""
+        row = np.asarray(x, dtype=float)
+        if row.shape != (2,):
+            raise ValueError(f"expected a planar vector, got {x!r}")
+        return bool(self.in_contact_many(row[None, :])[0])
 
     def in_contact_many(self, xs) -> np.ndarray:
         """:meth:`in_contact` for every row of xs at once; zero rows are in
@@ -652,7 +670,7 @@ class CrystalContext:
         sample answer False. Crystal edges shorter than ~10x the resolution
         make the polar-point rule grid-sensitive.
         """
-        unique = self._contact(np.asarray(v, dtype=float)).unique
+        unique = self._contact(v).unique
         if unique is None:
             raise ValueError("zero vector has no direction")
         return unique

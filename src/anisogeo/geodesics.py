@@ -160,10 +160,12 @@ class Path:
 
     @classmethod
     def segment(cls, x, y) -> "Path":
-        return cls(np.vstack([np.asarray(x, float), np.asarray(y, float)]))
+        """The segment from x to y; refuses each endpoint as :func:`planar_vector` does."""
+        return cls(np.array([planar_vector(x), planar_vector(y)]))
 
     def translated(self, shift) -> "Path":
-        return Path(self.points + np.asarray(shift, dtype=float))
+        """The path moved by shift; refuses shift as :func:`planar_vector` does."""
+        return Path(self.points + np.array(planar_vector(shift)))
 
 
 def path_length(F: Integrand, path: Path) -> float:

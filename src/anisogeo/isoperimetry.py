@@ -87,16 +87,6 @@ class WulffReport:
     isotropic_constant: float
     relative_difference: float
 
-    def as_dict(self) -> dict:
-        return {
-            "perimeter": self.perimeter,
-            "area": self.area,
-            "ratio": self.ratio,
-            "reference_ratio": self.reference_ratio,
-            "isotropic_constant": self.isotropic_constant,
-            "relative_difference": self.relative_difference,
-        }
-
 
 def wulff_identity_check(ctx: CrystalContext) -> WulffReport:
     """Verify perimeter = 2 * area on the crystal and report both constants.

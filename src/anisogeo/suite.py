@@ -66,8 +66,10 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
       the crystal's support.
     * ``envelope-is-support``: the sampled A(W(F)) of the context's Wulff
       transform, an independent cross-check, against the envelope on the
-      grid, at most 2 res maxF; ``convex-fixed-point`` (convex families
-      only): the envelope against F, same bound, the gap the build bounds.
+      grid, at most 2 res maxF (:attr:`CrystalContext.envelope_bound`);
+      ``convex-fixed-point`` (convex families only): the envelope against
+      F, same bound, the gap the crystal's first read measured and kept
+      (``ctx.fixed_point_gap``).
     * ``normals-in-contact``: crystal normals out of contact, 0.
     * ``non-contact-directions`` (informational, present when there are
       any): the count of grid directions where F sits above its envelope,
@@ -122,11 +124,10 @@ def run_suite(ctx: CrystalContext, seed: int = 0) -> list[CheckResult]:
 
     # The sampled A(W(F)) agrees with the envelope at grid accuracy.
     sampled = support_transform(ctx.wulff)
-    bound = 2 * res * ctx.f_max
-    check("envelope-is-support", float(np.abs(sampled.values - ctx.envelope.values).max()), bound)
+    check("envelope-is-support", float(np.abs(sampled.values - ctx.envelope.values).max()), ctx.envelope_bound)
 
-    if ctx.integrand.is_convex:
-        check("convex-fixed-point", float(np.abs(ctx.envelope.values - f_vals).max()), bound)
+    if ctx.integrand.is_convex:  # the gap the crystal's first read measured and bounded
+        check("convex-fixed-point", ctx.fixed_point_gap, ctx.envelope_bound)
 
     # Attained crystal normals are contact directions.
     check("normals-in-contact", float(np.count_nonzero(~ctx.in_contact_many(ctx.crystal.normals))), 0.0)

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from anisogeo import (
     is_geodesic,
     polar,
 )
-from anisogeo import crystal, fileio, planar, suite
+from anisogeo import crystal, fileio, integrand, planar, suite
 from anisogeo.crystal import double_polars
 from anisogeo.integrand import convex_envelope, polygon_corners, wulff_transform
 from anisogeo.planar import convex_hull_ccw
@@ -485,16 +486,18 @@ class TestLazyPolarBody:
         assert geodesic_ball(ctx, (0, 0), 1).vertices.tobytes() == (0.0 + body.vertices).tobytes()
 
     def test_a_crystal_without_the_origin_inside_is_refused_at_first_read(self, monkeypatch):
-        # Hulls refuse such costs first; this keeps polar's refusal all the same: on the
-        # first read of a convex cost's crystal, and at construction of a sampled one.
+        # Hulls refuse such costs first; this keeps polar's refusal all the same, on the
+        # crystal's first read: a convex cost's, and a sampled one's, which its first query makes.
         monkeypatch.setattr(crystal, "_crystal_from_dual", lambda dual: ConvexRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         ctx = CrystalContext(Constant(1.0), SphereGrid.planar(60))
         assert ctx.distance((0.0, 0.0), (3.0, 4.0)) == 5.0
         for _ in range(2):  # a refused read is not kept
             with pytest.raises(ValueError, match=crystal.UNBOUNDED_POLAR):
                 ctx.crystal
-        with pytest.raises(ValueError, match=crystal.UNBOUNDED_POLAR):
-            CrystalContext(README_COSTS["table"](), SphereGrid.planar(60))
+        ctx = CrystalContext(README_COSTS["table"](), SphereGrid.planar(60))
+        for read in (lambda: ctx.distance((0.0, 0.0), (3.0, 4.0)), lambda: ctx.crystal):
+            with pytest.raises(ValueError, match=crystal.UNBOUNDED_POLAR):
+                read()
 
 
 def _random_crystalline(rng) -> Crystalline:
@@ -525,13 +528,21 @@ class TestExactCrystals:
 
     def test_a_fixed_point_failure_is_refused_on_the_first_read(self, monkeypatch):
         # A crystal twice the cost's is no envelope fixed point: the check runs on the
-        # crystal's first read, which every query of a polygonal cost makes.
+        # crystal's first read, which every query of a polygonal cost makes. The refusal
+        # names its bound, and the context keeps the gap it refused.
         F = README_COSTS["crystalline"]()
         monkeypatch.setattr(Crystalline, "crystal_corners", property(lambda self: 2.0 * polygon_corners(self.generators)))
-        ctx = CrystalContext(F, SphereGrid.planar(720))
+        grid = SphereGrid.planar(720)
+        ctx = CrystalContext(F, grid)
+        bound = 2.0 * grid.resolution * float(F.values_on(grid.directions).max())
+        support = planar.support_values(2.0 * polygon_corners(F.generators), grid.directions)
+        gap = float(np.abs(support - F.values_on(grid.directions)).max())
+        assert gap > bound
         for read in (lambda: ctx.crystal, lambda: ctx.distance((0.0, 0.0), (1.0, 2.0)), lambda: ctx.polar_body):
-            with pytest.raises(RuntimeError, match="convex cost is not an envelope fixed point: gap"):
+            with pytest.raises(RuntimeError, match="convex cost is not an envelope fixed point: gap") as refusal:
                 read()
+            assert f"gap {gap:.3e} above the bound 2 res maxF = {bound:.3e}" in str(refusal.value)
+            assert ctx.fixed_point_gap == gap
 
 
 def _use(ctx: CrystalContext, read_polar_body: bool = True) -> CrystalContext:
@@ -561,8 +572,34 @@ def _answers(ctx: CrystalContext) -> list:
 
 class TestOneHull:
     @pytest.mark.parametrize("kind", sorted(README_COSTS))
+    def test_construction_builds_nothing(self, kind, monkeypatch):
+        # Every family makes what it reads on first read: constructing a context
+        # evaluates no F, scans nothing, hulls nothing and reads no corners.
+        F = README_COSTS[kind]()
+        calls = []
+
+        def counted(name, read):
+            return lambda *args: calls.append(name) or read(*args)
+
+        for cls in vars(integrand).values():
+            if isinstance(cls, type) and issubclass(cls, Integrand):
+                if "values_on" in vars(cls):
+                    monkeypatch.setattr(cls, "values_on", counted("values_on", vars(cls)["values_on"]))
+                if "crystal_corners" in vars(cls):
+                    corners = vars(cls)["crystal_corners"]
+                    read = counted("crystal_corners", lambda obj, corners=corners: corners.__get__(obj, type(obj)))
+                    monkeypatch.setattr(cls, "crystal_corners", property(read))
+        for module, name in ((crystal, "scan"), (integrand, "scan"), (planar, "hull_cycle")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        ctx = CrystalContext(F, SphereGrid.planar(720))
+        assert calls == []
+        assert sorted(vars(ctx)) == ["_last", "default_tol", "grid", "integrand", "resolution"]
+        ctx.crystal
+        assert "crystal_corners" in calls and "values_on" in calls
+
+    @pytest.mark.parametrize("kind", sorted(README_COSTS))
     def test_a_build_runs_one_hull(self, kind, monkeypatch):
-        # A table or dip context scans F and hulls the dual points once, at construction.
+        # A table or dip context scans F and hulls the dual points once, on its first query.
         # A polygonal one reads its exact polygon and never scans; one without corners
         # answers the five query calls with neither a scan nor a hull.
         F = README_COSTS[kind]()
@@ -573,6 +610,7 @@ class TestOneHull:
         monkeypatch.setattr(crystal, "scan", lambda *args: scans.append(1) or scan(*args))
         ctx = CrystalContext(F, SphereGrid.planar(720))
         sampled = F.crystal_corners is None
+        ctx.distance((0.0, 0.0), (1.0, 2.0))
         assert (len(scans), len(hulls)) == ((1, 1) if sampled else (0, 0))
         _use(ctx, read_polar_body=False)
         if sampled:
@@ -673,7 +711,9 @@ class TestEnvelopeChecks:
             ctx = CrystalContext(F, grid)
             support = planar.support_values(ctx.crystal.vertices, grid.directions)
             want = float(np.abs(support - F.values_on(grid.directions)).max())
-            assert self.checks(ctx)["convex-fixed-point"].measured == want, kind
+            measured = self.checks(ctx)["convex-fixed-point"].measured
+            assert measured == want, kind
+            assert type(ctx.fixed_point_gap) is float and ctx.fixed_point_gap.hex() == measured.hex(), kind
 
     def test_a_sharp_crystal_is_its_own_fixed_point(self):
         # A crystalline cost whose crystal has a corner that no direction of
@@ -793,10 +833,21 @@ class TestContactMany:
                 with pytest.raises(ValueError, match=r"row 0 is not a finite planar vector"):
                     ctx.in_contact([0.0, bad])
 
+    @pytest.mark.parametrize("x", [1.0, (1.0,), (1.0, 2.0, 3.0)], ids=["scalar", "1-vector", "3-vector"])
+    def test_refuses_a_vector_that_is_not_planar_by_name(self, dip_ctx, x):
+        # A scalar raised IndexError.
+        with pytest.raises(ValueError, match=rf"expected a planar vector, got {re.escape(repr(x))}"):
+            dip_ctx.in_contact(x)
+
 
 class TestOrthogonalDirections:
     def test_l1_axis_is_attained(self, l1_ctx):
         assert l1_ctx.is_orthogonal_direction((1.0, 0.0))
+
+    def test_a_vector_that_is_not_planar_is_refused_by_its_name(self, l1_ctx):
+        # The refusal named array([1., 2., 3.]), not the argument.
+        with pytest.raises(ValueError, match=r"expected a planar vector, got \(1, 2, 3\)$"):
+            l1_ctx.is_orthogonal_direction((1, 2, 3))
 
     def test_l1_diagonal_is_not(self, l1_ctx):
         assert not l1_ctx.is_orthogonal_direction((1.0, 1.0))
@@ -950,6 +1001,25 @@ class TestRegionValidation:
         for query in (SQUARE.gauge, SQUARE.contains, SQUARE.support):
             with pytest.raises(ValueError, match=message):
                 query(v)
+
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            ((1.0,), r"expected a planar vector, got \(1.0,\)"),  # once the square moved by (1, 1)
+            ((1.0, 2.0, 3.0), r"expected a planar vector, got \(1.0, 2.0, 3.0\)"),  # once numpy's broadcast message
+        ],
+        ids=["1-vector", "3-vector"],
+    )
+    def test_a_shift_is_read_as_a_planar_vector(self, shift, message):
+        with pytest.raises(ValueError, match=message):
+            SQUARE.translated(shift)
+        assert SQUARE.translated((1.0, 2.0)).vertices.tolist() == (SQUARE.vertices + [1.0, 2.0]).tolist()
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
+    def test_a_scale_factor_that_is_not_positive_and_finite_is_refused_by_name(self, factor):
+        # nan and inf were refused only as "polygon vertices must be finite".
+        with pytest.raises(ValueError, match=rf"scale factor must be positive and finite, got {factor!r}"):
+            SQUARE.scaled(factor)
 
     def test_from_points_cleans_input(self):
         region = ConvexRegion.from_points(

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -66,6 +67,22 @@ class TestPathBasics:
                 points[row, col] = bad
                 with pytest.raises(ValueError, match=f"breakpoint {row + 1} is not finite"):
                     Path(points)
+
+    def test_a_shift_is_read_as_a_planar_vector(self):
+        # (1.0,) once shifted both coordinates.
+        path = Path(np.array([[0.0, 0.0], [1.0, 2.0]]))
+        for shift in ((1.0,), (1.0, 2.0, 3.0)):
+            with pytest.raises(ValueError, match=rf"expected a planar vector, got {re.escape(repr(shift))}"):
+                path.translated(shift)
+        assert path.translated((1.0, -1.0)).points.tolist() == [[1.0, -1.0], [2.0, 1.0]]
+
+    def test_segment_endpoints_are_read_as_planar_vectors(self):
+        # Three-coordinate endpoints were refused as "a path needs at least two planar breakpoints".
+        with pytest.raises(ValueError, match=r"expected a planar vector, got \(0, 0, 0\)"):
+            Path.segment((0, 0, 0), (1, 1, 1))
+        with pytest.raises(ValueError, match=r"vector \(nan, 1.0\) is not finite"):
+            Path.segment((0.0, 0.0), (math.nan, 1.0))
+        assert Path.segment((0, 0), (3, 4)).points.tolist() == [[0.0, 0.0], [3.0, 4.0]]
 
     def test_finite_points_whose_difference_overflows_are_accepted(self):
         path = Path(np.array([[-1e308, 0.0], [1e308, 0.0]]))
