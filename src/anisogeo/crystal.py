@@ -1,7 +1,7 @@
 """Planar polygons, Wulff crystals, polar bodies and convex-region queries.
 
 :class:`Polygon` is a simple counterclockwise polygon with its edge
-halfspaces, area and edge lengths; :class:`ConvexRegion` is the strictly
+halfspaces and area; :class:`ConvexRegion` is the strictly
 convex one, with support, gauge and containment queries. Every crystal,
 polar body and geodesic ball is a region, and the perimeter and area
 measures of :mod:`isoperimetry` take it as it is; :func:`contact_face`
@@ -115,14 +115,10 @@ class Polygon:
         return self.halfspaces[1]
 
     @cached_property
-    def edge_lengths(self) -> np.ndarray:
-        v = self.vertices
-        e = np.concatenate((v[1:], v[:1])) - v
-        return np.hypot(e[:, 0], e[:, 1])
-
-    @cached_property
     def area(self) -> float:
-        return planar.polygon_area(self.vertices)
+        """The shoelace area of :func:`planar.unit_scaled` of the vertices, scaled back."""
+        u, e = planar.unit_scaled(self.vertices)
+        return planar.scaled(planar.polygon_area(u), 2 * e)
 
     def scaled(self, factor: float):
         if not 0.0 < factor < math.inf:
@@ -157,8 +153,9 @@ class ConvexRegion(Polygon):
 
     @cached_property
     def diameter(self) -> float:
-        spread = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.hypot(*spread))
+        """The bounding box's diagonal, of :func:`planar.unit_scaled` of the vertices, scaled back."""
+        u, e = planar.unit_scaled(self.vertices)
+        return planar.scaled(float(np.hypot(*(u.max(axis=0) - u.min(axis=0)))), e)
 
     @cached_property
     def magnitude(self) -> float:
@@ -495,14 +492,18 @@ class CrystalContext:
         pruned hull of the dual points (:func:`build_crystal`). Refused when the origin is
         not interior, as :func:`polar` refuses it. A convex cost's crystal must reproduce F
         on the grid: the read keeps the largest gap as ``fixed_point_gap`` and refuses it
-        above :attr:`envelope_bound`."""
+        above :attr:`envelope_bound`. Each refusal names its stage ("crystal build, scan
+        and hull", "polar" or "fixed-point check") before the refusal it passes on."""
         corners = self.integrand.crystal_corners
         if corners is not None and len(corners):
             region = ConvexRegion(corners)
         else:
-            region = build_crystal(self.integrand, self.grid)
+            try:
+                region = build_crystal(self.integrand, self.grid)
+            except ValueError as exc:
+                raise ValueError(f"crystal build, scan and hull: {exc}") from exc
         if not region.origin_interior:  # polar's refusal, on the crystal's first read
-            raise ValueError(UNBOUNDED_POLAR)
+            raise ValueError(f"crystal build, polar: {UNBOUNDED_POLAR}")
         self.fixed_point_gap = None
         if self.integrand.is_convex:
             # Not self.envelope: a context keeps that table only once it is read.

@@ -35,8 +35,9 @@ from .planar import TWO_PI
 
 
 def anisotropic_perimeter(F: Integrand, poly: Polygon) -> float:
-    """Sum over edges of the cost of the outward normal times edge length."""
-    return float(F.values_on(poly.normals) @ poly.edge_lengths)
+    """Sum over edges of F(outward normal) times edge length, scaled back from :func:`_unit_measures`."""
+    perimeter, _, e = _unit_measures(F, poly)
+    return planar.scaled(perimeter, e)
 
 
 def _unit_measures(F: Integrand, poly: Polygon) -> tuple[float, float, int]:

@@ -9,6 +9,7 @@ error. Checks are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,22 @@ class CheckResult:
     def passed(self) -> bool:
         return bool(self.measured <= self.bound)
 
+    @property
+    def margin(self) -> float | None:
+        """measured / bound, the share of its bound a check uses; None where the
+        bound is 0 or the quotient is not finite, so the report stays strict JSON."""
+        if self.bound == 0:
+            return None
+        margin = float(self.measured) / float(self.bound)
+        return margin if math.isfinite(margin) else None
+
     def as_dict(self) -> dict:
         out = {
             "name": self.name,
             "passed": self.passed,
             "measured": self.measured,
             "bound": self.bound,
+            "margin": self.margin,
         }
         if self.note:
             out["note"] = self.note

@@ -354,14 +354,23 @@ class TestCliCommands:
             assert all(c["passed"] for c in report["results"]["checks"])
 
     def test_suite_reports_the_bounds_it_uses(self, tmp_path, capsys):
-        # The three transform inequalities pass at 1e-9 max F, and report it.
+        # The three transform inequalities pass at 1e-9 max F, and report it. Every check
+        # reports its margin, null where its bound is 0.
         spec = tmp_path / "p3.json"
         spec.write_text('{"kind": "pnorm", "p": 3}')
         assert main(["suite", str(spec), "--grid", "64"]) == 0
-        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["results"]["checks"]}
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        checks = {c["name"]: c for c in json.loads(captured.out)["results"]["checks"]}
         f_max = CrystalContext(PNorm(3.0), SphereGrid.planar(64)).f_max
         for name in ("wulff-below-cost", "support-above-cost", "envelope-below-cost"):
             assert checks[name]["passed"] is True and checks[name]["bound"] == float(f"{1e-9 * f_max:.12g}"), name
+        for c in checks.values():
+            if c["bound"] > 0:
+                assert c["margin"] == pytest.approx(c["measured"] / c["bound"], rel=1e-11, abs=1e-300), c
+            else:
+                assert c["margin"] is None, c
+        assert checks["normals-in-contact"]["bound"] == 0
 
     def test_every_suite_verdict_is_its_measured_value_against_its_bound(self, l1_spec_file, dip_spec_file, capsys):
         # The dip's suite has the informational non-contact count, held to the grid size.
@@ -378,6 +387,13 @@ class TestCliCommands:
             check = CheckResult("any", math.nan, bound)
             assert check.passed is False and check.as_dict()["passed"] is False
         assert CheckResult("any", 1.0, 1.0).passed is True and CheckResult("any", 1.0, 0.5).passed is False
+
+    def test_a_check_reports_its_margin(self):
+        # Passing, failing, a bound of 0 and a nan: the last two have no finite quotient.
+        for measured, bound, margin in ((1.0, 4.0, 0.25), (3.0, 2.0, 1.5), (1e-17, 0.0, None), (math.nan, 1.0, None)):
+            check = CheckResult("any", measured, bound)
+            assert check.margin == margin and check.as_dict()["margin"] == margin, (measured, bound)
+        assert CheckResult("any", 1e300, 1e-300).margin is None and CheckResult("any", 0, 0).margin is None
 
     def test_a_smooth_axis_geodesic_is_the_unique_segment(self, tmp_path, capsys):
         # On p = 6 the grid rule at 2880 once answered "infinitely-many" with a staircase;

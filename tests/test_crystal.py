@@ -31,7 +31,7 @@ from anisogeo import (
     is_geodesic,
     polar,
 )
-from anisogeo import crystal, fileio, integrand, planar, suite
+from anisogeo import cli, crystal, fileio, integrand, planar, suite
 from anisogeo.crystal import double_polars
 from anisogeo.integrand import convex_envelope, polygon_corners, wulff_transform
 from anisogeo.planar import convex_hull_ccw
@@ -498,6 +498,55 @@ class TestLazyPolarBody:
         for read in (lambda: ctx.distance((0.0, 0.0), (3.0, 4.0)), lambda: ctx.crystal):
             with pytest.raises(ValueError, match=crystal.UNBOUNDED_POLAR):
                 read()
+
+
+TABLE_SPEC = ('{"kind": "table", "dimension": 2, "interpolation": "linear", "samples": '
+              '[{"angle": 0.0, "value": 1.0}, {"angle": 2.0, "value": 1.4}, {"angle": 4.0, "value": 1.1}]}')
+
+# Each stage of a sampled crystal's build with a refusal it makes: the table's values on
+# the scan directions (zero; infinite off the x axis, so the dual points are collinear;
+# infinite where x <= 1/2, so they lie in a half-plane with the origin on their hull),
+# or the built region handed to the polar with the origin on its boundary.
+_REFUSED_BUILDS = {
+    "not positive": ("scan and hull", "cost is not positive on the scan directions",
+                     lambda d: np.zeros(len(d))),
+    "collinear": ("scan and hull", "point cloud is degenerate (collinear)",
+                  lambda d: np.where(np.abs(d[:, 1]) < 1e-12, 1.0, math.inf)),
+    "unbounded": ("scan and hull", "halfplane intersection is unbounded: scan directions do not positively span",
+                  lambda d: np.where(d[:, 0] > 0.5, 1.0, math.inf)),
+    "origin on the boundary": ("polar", crystal.UNBOUNDED_POLAR, None),
+}
+
+
+class TestBuildRefusalStages:
+    """A refused crystal build names its stage before the refusal it passes on."""
+
+    @staticmethod
+    def _refuse(monkeypatch, case: str) -> str:
+        stage, message, values = _REFUSED_BUILDS[case]
+        if values is None:
+            triangle = ConvexRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+            monkeypatch.setattr(crystal, "_crystal_from_dual", lambda dual: triangle)
+        else:
+            monkeypatch.setattr(AngularTable, "values_on", lambda self, d: values(d))
+        return f"crystal build, {stage}: {message}"
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED_BUILDS))
+    def test_a_context_names_the_stage(self, monkeypatch, case):
+        refusal = self._refuse(monkeypatch, case)
+        ctx = CrystalContext(README_COSTS["table"](), SphereGrid.planar(60))
+        for read in (lambda: ctx.crystal, lambda: ctx.distance((0.0, 0.0), (1.0, 2.0))):
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+                read()
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED_BUILDS))
+    def test_the_cli_names_the_stage_and_exits_1(self, monkeypatch, tmp_path, capsys, case):
+        refusal = self._refuse(monkeypatch, case)
+        spec = tmp_path / "table.json"
+        spec.write_text(TABLE_SPEC)
+        assert cli.main(["distance", str(spec), "0,0", "1,2", "--grid", "60"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {refusal}"), captured.err
 
 
 def _random_crystalline(rng) -> Crystalline:

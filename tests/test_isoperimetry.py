@@ -8,6 +8,7 @@ import pytest
 from anisogeo import (
     AngularTable,
     Constant,
+    ConvexRegion,
     Crystalline,
     CrystalContext,
     Dip,
@@ -335,6 +336,53 @@ class TestRegionsArePolygons:
             competitor = random_wulff_competitor(grid, rng)
             ratio = isoperimetric_ratio(F, competitor)
             assert ratio == isoperimetric_ratio(F, Polygon(competitor.vertices)), kind
+
+
+def area_reference(poly: Polygon) -> float:
+    """The shoelace area on the raw vertices."""
+    return planar.polygon_area(poly.vertices)
+
+
+def diameter_reference(region) -> float:
+    """The bounding box's diagonal on the raw vertices."""
+    spread = region.vertices.max(axis=0) - region.vertices.min(axis=0)
+    return float(np.hypot(*spread))
+
+
+def perimeter_reference(F, poly: Polygon) -> float:
+    """The edge sum of F(normal) times edge length on the raw vertices."""
+    v = poly.vertices
+    e = np.concatenate((v[1:], v[:1])) - v
+    return float(F.values_on(poly.normals) @ np.hypot(e[:, 0], e[:, 1]))
+
+
+class TestUnitScaledMeasures:
+    """Area, diameter and anisotropic perimeter are taken on the vertices scaled by a
+    power of two and scaled back: the raw formulas' bits where those are finite, and
+    inf or 0 without a warning past the float range."""
+
+    @pytest.mark.parametrize("size", [60, 720, 2880])
+    def test_in_the_float_range_each_measure_is_the_raw_formula(self, size):
+        grid = SphereGrid.planar(size)
+        for kind, cost in README_COSTS.items():
+            ctx = CrystalContext(cost(), grid)
+            F = ctx.integrand
+            for region in (ctx.crystal, ctx.polar_body):
+                for factor in (2.0**-300, 2.0**-1, 1.0, 2.0**7, 2.0**300, 3.7e-7, 2.9e5):
+                    shape = region.scaled(factor)
+                    got = (shape.area, shape.diameter, anisotropic_perimeter(F, shape))
+                    want = (area_reference(shape), diameter_reference(shape), perimeter_reference(F, shape))
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (kind, factor)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e-200, 1e160, 1e308])
+    def test_a_diamond_past_the_float_range_reads_inf_or_0_without_a_warning(self, c):
+        # Area 2 c**2, box diagonal 2 sqrt(2) c, Euclidean perimeter 4 sqrt(2) c: at
+        # 1e-200 the area underflows, at 1e160 it overflows, at 1e308 all three do.
+        diamond = ConvexRegion([[c, 0.0], [0.0, c], [-c, 0.0], [0.0, -c]])
+        assert diamond.area == 2.0 * c * c
+        assert diamond.diameter == pytest.approx(2.0 * math.sqrt(2.0) * c, rel=1e-15, abs=0.0)
+        assert anisotropic_perimeter(Constant(1.0), diamond) == pytest.approx(4.0 * math.sqrt(2.0) * c, rel=1e-15, abs=0.0)
 
 
 def competitor_ratios_reference(F, grid, rng, count) -> list:
