@@ -148,7 +148,7 @@ class ConvexRegion(Polygon):
 
     @classmethod
     def from_points(cls, points) -> "ConvexRegion":
-        """Region from an arbitrary point cloud (hull + collinearity pruning)."""
+        """Region from an arbitrary point cloud, by :func:`planar.convex_hull_ccw`."""
         return cls(planar.convex_hull_ccw(points))
 
     @cached_property

@@ -5,14 +5,15 @@ are counterclockwise unless stated otherwise.
 
 Several cycles can be worked on at once, concatenated into one array with
 the links :func:`cycle_links` gives them: :func:`strictly_convex_cycles`
-prunes each as :func:`strictly_convex` does and :func:`polar_of_cycles`
-takes each one's polar, and the two batches in :mod:`crystal` and
-:mod:`isoperimetry` call them. :func:`hausdorff_distances` measures many
-pairs of polygons in one sweep of their support functions;
-:func:`hausdorff_distance` is its batch of one. Every batch gives its
-items' lone values bit for bit. :func:`unit_scaled` and its forms, with
-:func:`scaled` and :func:`scaled_positive`, hold the package's one rule for
-the float range. :func:`support_values` searches a cycle's :func:`edge_angles`.
+prunes them in the one pass :func:`strictly_convex` runs on a lone cycle
+and :func:`polar_of_cycles` takes each one's polar, and the two batches in
+:mod:`crystal` and :mod:`isoperimetry` call them.
+:func:`hausdorff_distances` measures many pairs of polygons in one sweep
+of their support functions; :func:`hausdorff_distance` is its batch of
+one. Every batch gives its items' lone values bit for bit.
+:func:`unit_scaled` and its forms, with :func:`scaled` and
+:func:`scaled_positive`, hold the package's one rule for the float range.
+:func:`support_values` searches a cycle's :func:`edge_angles`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ _UNIT_LEFT = 8.0 * _ORIENT_ERR + _ORIENT_FLOOR
 # Clouds of at least this many points are hulled by whole-array sweeps,
 # smaller ones by a Python stack; the two take the same time near this size.
 _SWEEP_MIN = 256
-# Turn area, relative to the squared coordinate scale, at or below which a
-# hull vertex counts as collinear with its neighbours.
-COLLINEAR_REL = 1e-12
+# Edge length, on a cycle scaled by a power of two into [0.5, 1), at or below
+# which pruning drops the edge's start.
+SHORT_EDGE = 1e-12
+# Tangent of the turn at or below which pruning drops a vertex as nearly
+# straight.
+STRAIGHT_TAN = 1e-10
 # Support offset, relative to a polygon's largest coordinate magnitude, at
 # or below which the origin counts as on the boundary up to rounding.
 INTERIOR_REL = 1e-14
@@ -75,12 +79,6 @@ def scaled_positive(x: float, exponent: int) -> float:
     return max(scaled(x, exponent), math.ulp(0.0)) if x > 0.0 else 0.0
 
 
-def turn_areas(o: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Twice the signed area of each triangle (o, c, b), row by row: positive
-    where the path o -> c -> b turns left at c."""
-    return (c[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (c[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
-
-
 def cycle_links(counts) -> tuple[np.ndarray, np.ndarray]:
     """For cycles of these vertex counts concatenated into one array: the
     index of each cycle's first vertex, and of each vertex's successor in
@@ -104,6 +102,11 @@ def row_max_abs(points: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(points[:, 0]), np.abs(points[:, 1]))
 
 
+def _as_complex(unit: np.ndarray) -> np.ndarray:
+    """The rows of an (n, 2) float array as n complex numbers."""
+    return np.ascontiguousarray(unit).view(np.complex128).ravel()
+
+
 def unit_scaled_cycles(points: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The points of the concatenated cycles beginning at ``starts``, each
     cycle scaled as :func:`unit_scaled` scales it on its own, and each
@@ -112,38 +115,6 @@ def unit_scaled_cycles(points: np.ndarray, starts: np.ndarray) -> tuple[np.ndarr
     counts = np.diff(np.append(starts, len(points)))
     shift = np.repeat(exponent, counts)[:, None]
     return np.ldexp(points, -shift), shift
-
-
-def _prune_collinear_cycle(cycle: np.ndarray, eps: float) -> np.ndarray:
-    """Drop cycle vertices whose neighbour turn area is at most eps.
-
-    A pass computes every turn at once, then drops flagged vertices but
-    never two neighbours: in each run of consecutive flagged vertices it
-    drops the first, third, ..., so each drop is judged against vertices
-    that stay. Two nearly coincident corners therefore lose one point, not
-    the corner. Passes repeat until no vertex is flagged; a cycle with every
-    vertex flagged is collinear and raises.
-    """
-    while len(cycle) > 3:
-        o = np.concatenate((cycle[-1:], cycle[:-1]))
-        b = np.concatenate((cycle[1:], cycle[:1]))
-        flag = turn_areas(o, cycle, b) <= eps
-        if not flag.any():
-            return cycle
-        if flag.all():
-            raise ValueError("point cloud is degenerate (collinear)")
-        # Start at a kept vertex, so that no run wraps around the end.
-        shift = int(np.argmin(flag))
-        flag = np.concatenate((flag[shift:], flag[:shift]))
-        pos = np.arange(len(flag))
-        starts = flag & ~np.concatenate(([False], flag[:-1]))
-        nth = pos - np.maximum.accumulate(np.where(starts, pos, 0))
-        keep = ~(flag & (nth % 2 == 0))
-        keep = np.concatenate((keep[-shift:], keep[:-shift])) if shift else keep
-        if np.count_nonzero(keep) < 3:
-            raise ValueError("point cloud is degenerate (collinear)")
-        cycle = cycle[keep]
-    return cycle
 
 
 def _orient(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -268,9 +239,8 @@ def hull_cycle(points: np.ndarray) -> np.ndarray:
     orientation determinant). A point is dropped only when it is certainly
     inside, or within rounding of a chord between two points that stay, so
     of two nearly coincident corners one stays. Vertices that are not
-    collinear up to rounding stay too; :func:`strictly_convex` prunes at a
-    coarser tolerance. Andrew's monotone chain on the lexicographic order:
-    a Python stack below ``_SWEEP_MIN`` points, whole-array passes
+    collinear up to rounding stay too, for :func:`strictly_convex` to prune.
+    Andrew's monotone chain on the lexicographic order: a Python stack below ``_SWEEP_MIN`` points, whole-array passes
     (:func:`_sweep`) from there. Turns are taken on the points scaled by a
     power of two into [-1, 1], exact at any magnitude. Fully degenerate or
     non-finite clouds raise.
@@ -281,7 +251,7 @@ def hull_cycle(points: np.ndarray) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("point cloud is not finite")
     # Complex numbers sort lexicographically, real part first.
-    z = np.ascontiguousarray(unit_scaled(pts)[0]).view(np.complex128).ravel()
+    z = _as_complex(unit_scaled(pts)[0])
     order = z.argsort(kind="stable")
     z = z[order]
     n = len(z)
@@ -305,49 +275,77 @@ def hull_cycle(points: np.ndarray) -> np.ndarray:
     return pts[order[_settle(x, y, cycle, todo)]]
 
 
+def _kept(rows: np.ndarray | None, keep: np.ndarray, starts: np.ndarray) -> tuple:
+    """The kept ones of ``rows`` (None: all rows) of concatenated cycles, the
+    kept counts and :func:`cycle_links`; under three rows left is collinear."""
+    counts = np.add.reduceat(keep, starts, dtype=np.intp)
+    if counts.min() < 3:
+        raise ValueError("point cloud is degenerate (collinear)")
+    return np.flatnonzero(keep) if rows is None else rows[keep], counts, *cycle_links(counts)
+
+
+def _strictly_convex_rows(z: np.ndarray, counts, starts, nxt) -> tuple:
+    """The rows :func:`strictly_convex` keeps of concatenated hull cycles scaled
+    into [0.5, 1) and held as complex numbers, as :func:`_kept` gives them.
+
+    Rows is None where all stay. The first mask drops the start of every edge no longer than
+    ``SHORT_EDGE``, so of two nearly coincident corners one stays; the
+    second every nearly straight vertex, whose incoming edge's conjugate
+    times its outgoing edge, dot + i cross, has ``|cross| <= STRAIGHT_TAN *
+    dot``. A drop only widens its convex neighbours' turns, and a straight
+    one lengthens an edge, so one pass leaves nothing to drop.
+    """
+    rows = None
+    e = np.take(z, nxt) - z
+    keep = np.abs(e) > SHORT_EDGE
+    if not keep.all():
+        rows, counts, starts, nxt = _kept(rows, keep, starts)
+        z = np.take(z, rows)
+        e = np.take(z, nxt) - z
+    # Entry i is the turn at vertex nxt[i].
+    turn = e.conj() * np.take(e, nxt)
+    straight = np.abs(turn.imag) <= STRAIGHT_TAN * turn.real
+    if straight.any():
+        keep = np.empty(len(nxt), bool)
+        keep[nxt] = ~straight
+        rows, counts, starts, nxt = _kept(rows, keep, starts)
+    return rows, counts, starts, nxt
+
+
 def strictly_convex(cycle: np.ndarray) -> np.ndarray:
-    """A CCW hull cycle without the vertices collinear with their neighbours
-    (turn area at most ``COLLINEAR_REL * scale**2``, where scale is the
-    largest coordinate magnitude), taken on :func:`unit_scaled` of the cycle.
+    """A CCW hull cycle without its near-duplicate and nearly straight
+    vertices (:func:`_strictly_convex_rows`), taken on :func:`unit_scaled`
+    of the cycle. A cycle left with fewer than three vertices raises.
     """
     unit, exponent = unit_scaled(cycle)
-    scale = float(np.abs(unit).max())
-    return scaled(_prune_collinear_cycle(unit, COLLINEAR_REL * scale**2), exponent)
+    # The lone cycle's links: cycle_links((n,)) without its batch set-up.
+    nxt = np.arange(1, len(unit) + 1)
+    nxt[-1] = 0
+    rows = _strictly_convex_rows(_as_complex(unit), None, [0], nxt)[0]
+    return scaled(unit if rows is None else unit[rows], exponent)
 
 
 def strictly_convex_cycles(cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`strictly_convex` of each hull cycle, bit for bit, concatenated
-    as :func:`concatenated_cycles` gives them.
-
-    One pass takes every turn of every cycle, each cycle scaled as
-    :func:`strictly_convex` scales it; a cycle with a turn at or below its
-    threshold is pruned by :func:`strictly_convex` itself.
+    as :func:`concatenated_cycles` gives them: one pass of the same kernel
+    over every cycle, each scaled as :func:`strictly_convex` scales it.
     """
     points, counts, starts, nxt = concatenated_cycles(cycles)
     unit, shift = unit_scaled_cycles(points, starts)
-    prv = np.empty_like(nxt)
-    prv[nxt] = np.arange(len(nxt))
-    scale = np.maximum.reduceat(row_max_abs(unit), starts)
-    eps = [COLLINEAR_REL * s**2 for s in scale.tolist()]
-    # np.take gathers rows: indexing an (n, 2) array by rows is several times slower.
-    turn = turn_areas(np.take(unit, prv, axis=0), unit, np.take(unit, nxt, axis=0))
-    flagged = np.logical_or.reduceat(turn <= np.repeat(eps, counts), starts)
-    # Scaling back is what strictly_convex returns for a cycle it leaves whole.
-    points = scaled(unit, shift)
-    if not flagged.any():
-        return points, counts, starts, nxt
-    kept = np.split(points, starts[1:])
-    return concatenated_cycles(
-        [strictly_convex(c) if f else k for c, k, f in zip(cycles, kept, flagged.tolist())]
-    )
+    rows, counts, starts, nxt = _strictly_convex_rows(_as_complex(unit), counts, starts, nxt)
+    if rows is not None:
+        # np.take gathers rows: indexing an (n, 2) array by rows is several times slower.
+        unit, shift = np.take(unit, rows, axis=0), np.take(shift, rows, axis=0)
+    return scaled(unit, shift), counts, starts, nxt
 
 
 def convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     """Counterclockwise convex hull of a 2D point cloud.
 
-    :func:`hull_cycle`, then :func:`strictly_convex` prunes the vertices
-    collinear with their hull neighbours, so the output is strictly convex.
-    Fully degenerate clouds raise.
+    :func:`hull_cycle`, then :func:`strictly_convex` drops the vertices
+    that nearly duplicate their successor or lie nearly straight between
+    their neighbours, so the output is strictly convex. Fully degenerate
+    clouds raise.
     """
     return strictly_convex(hull_cycle(points))
 

@@ -232,16 +232,17 @@ class TestDoublePolarBatch:
         got = double_polar(around).vertices
         assert hausdorff_distance(got, convex_hull_ccw(around)) <= 1e-12
 
-    def test_a_collinear_cloud_takes_the_pruning_fallback(self, monkeypatch):
+    def test_a_collinear_cloud_is_pruned_in_the_batch(self, monkeypatch):
         # The middle point of the top edge lies 1e-13 above its chord: the
-        # hull keeps it, the pruning drops it.
+        # hull keeps it, the pruning drops it, in the batch's one pass.
         collinear = np.array([[1.0, 3.0], [2.0, 3.0 + 1e-13], [3.0, 3.0], [3.0, 1.0]])
+        assert len(convex_hull_ccw(collinear)) == len(planar.hull_cycle(collinear)) - 1
         clouds = [*random_clouds(np.random.default_rng(3), 2), collinear]
         pruned = []
         real = planar.strictly_convex
         monkeypatch.setattr(planar, "strictly_convex", lambda c: pruned.append(len(c)) or real(c))
         got = double_polars(clouds)
-        assert len(pruned) == 1
+        assert pruned == []
         monkeypatch.undo()
         for vertices, cloud in zip(got, clouds):
             assert np.array_equal(vertices, reference_double_polar(cloud).vertices)
@@ -356,6 +357,20 @@ class TestSuiteAtFineGrids:
         # Each Hausdorff gap is one sweep over two polygons of about 11520 vertices.
         checks = suite.run_suite(CrystalContext(F, SphereGrid.planar(11520)), seed=0)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+
+    @pytest.mark.parametrize("size", [11520, 20000])
+    @pytest.mark.parametrize("p", [3.0, 8.0, 60.0])
+    def test_the_crystal_keeps_every_grid_constraint(self, p, size):
+        # Pruning a real grid constraint from the dual hull lets the crystal
+        # poke past it, so the envelope would exceed F there.
+        F = PNorm(p)
+        ctx = CrystalContext(F, SphereGrid.planar(size))
+        assert float((ctx.envelope.values - F.values_on(ctx.grid.directions)).max()) <= 1e-9 * ctx.f_max
+
+    def test_the_pnorm3_suite_passes_at_grid_20000(self, tmp_path, capsys):
+        spec = tmp_path / "pnorm3.json"
+        spec.write_text('{"kind": "pnorm", "p": 3}\n')
+        assert cli.main(["suite", str(spec), "--grid", "20000"]) == 0
 
 
 class TestSupportQueries:

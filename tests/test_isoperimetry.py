@@ -439,12 +439,14 @@ class TestCompetitorBatch:
         for F in seven_kinds(rng):
             want = [isoperimetric_ratio(F, _crystal_from_dual(c)) for c in cycles]
             assert _crystal_ratios(F, cycles) == want, F.kind
-        # Only the cycles with midpoints are flagged and pruned one by one.
+        # The batch drops every midpoint in its one pass, with no cycle
+        # pruned on its own.
+        assert planar.strictly_convex_cycles(cycles)[1].tolist() == [len(c) for c in cycles[::2] for _ in "ab"]
         pruned = []
         real = planar.strictly_convex
         monkeypatch.setattr(planar, "strictly_convex", lambda c: pruned.append(len(c)) or real(c))
         _crystal_ratios(PNorm(1.0), cycles)
-        assert pruned == [len(c) for c in cycles[1::2]]
+        assert pruned == []
 
     def test_an_unbounded_crystal_is_refused_with_the_reference_message(self):
         square = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])

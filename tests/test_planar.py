@@ -20,7 +20,6 @@ from anisogeo.integrand import scan_directions, wulff_transform
 from anisogeo.isoperimetry import _competitor_ratios
 from anisogeo import planar
 from anisogeo.planar import (
-    _prune_collinear_cycle,
     convex_hull_ccw,
     hausdorff_distance,
     hausdorff_distances,
@@ -160,29 +159,64 @@ def jittered_square(rng, n: int) -> np.ndarray:
     return pts + rng.normal(scale=10.0 ** rng.uniform(-16, -9), size=pts.shape)
 
 
+def pruning_cycles(source) -> list:
+    """Hull cycles for the pruning contract: jittered squares, whose hulls
+    keep many near-collinear vertices, unit-circle clouds, or the dual
+    clouds of every benchmark kind at a grid size."""
+    if isinstance(source, int):
+        return [hull_cycle(cost_clouds(F, source)[0]) for F in benchmark_kind_costs(np.random.default_rng(source))]
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(8, 300, 30).tolist()
+    if source == "square":
+        return [hull_cycle(jittered_square(rng, n)) for n in sizes]
+    return [hull_cycle(unit_directions(np.sort(rng.uniform(0, 2 * math.pi, n)))) for n in sizes]
+
+
+def straight_or_short(cycle: np.ndarray) -> np.ndarray:
+    """Per vertex, on unit_scaled of the cycle, in plain columns: whether it
+    is nearly straight (a positive dot product of its edges, at least
+    1 / STRAIGHT_TAN times their cross product's magnitude) or starts an
+    edge no longer than SHORT_EDGE."""
+    u = unit_scaled(cycle)[0]
+    e = np.roll(u, -1, axis=0) - u
+    p = np.roll(e, 1, axis=0)
+    cross, dot = p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0], p[:, 0] * e[:, 0] + p[:, 1] * e[:, 1]
+    straight = (dot > 0.0) & (np.abs(cross) <= planar.STRAIGHT_TAN * dot)
+    return straight | (np.hypot(e[:, 0], e[:, 1]) <= planar.SHORT_EDGE)
+
+
+PRUNING_SOURCES = ["square", "circle", 60, 720, 2880]
+
+
 class TestPruneCollinearCycle:
-    def test_bit_identical_to_the_loop(self):
-        rng = np.random.default_rng(11)
-        checked = 0
-        for trial in range(60):
-            n = int(rng.integers(8, 300))
-            # Pruning a jittered square needs several passes. Every third
-            # cloud lies on the unit circle.
-            pts = jittered_square(rng, n)
-            if trial % 3 == 0:
-                pts = unit_directions(np.sort(rng.uniform(0, 2 * math.pi, n)))
-            cycle = hull_cycle(pts)
-            for eps in (0.0, 1e-14, 1e-12, 1e-10, 1e-3):
-                try:
-                    expected = loop_prune(cycle, eps)
-                except ValueError:
-                    with pytest.raises(ValueError, match="collinear"):
-                        _prune_collinear_cycle(cycle, eps)
-                    continue
-                got = _prune_collinear_cycle(cycle, eps)
-                assert got.shape == expected.shape and np.array_equal(got, expected)
-                checked += 1
-        assert checked > 200
+    @pytest.mark.parametrize("source", PRUNING_SOURCES)
+    def test_pruning_its_own_output_drops_nothing(self, source):
+        dropped = 0
+        for cycle in pruning_cycles(source):
+            pruned = strictly_convex(cycle)
+            dropped += len(cycle) - len(pruned)
+            again = strictly_convex(pruned)
+            assert again.shape == pruned.shape and np.array_equal(again, pruned)
+        if source == "square":
+            assert dropped > 100  # the rule has work to do here
+
+    @pytest.mark.parametrize("source", PRUNING_SOURCES)
+    def test_no_kept_vertex_is_nearly_straight_or_starts_a_short_edge(self, source):
+        for cycle in pruning_cycles(source):
+            assert not straight_or_short(strictly_convex(cycle)).any()
+
+    @pytest.mark.parametrize("source", PRUNING_SOURCES)
+    def test_the_support_moves_within_the_stated_bound(self, source):
+        # The pruned cycle keeps a subset of the vertices, so its support
+        # never rises past rounding, and falls by at most 8 k STRAIGHT_TAN m
+        # for k dropped vertices and m the largest coordinate magnitude.
+        dirs = unit_directions(np.linspace(0.0, 2.0 * math.pi, 4000, endpoint=False))
+        for cycle in pruning_cycles(source):
+            pruned = strictly_convex(cycle)
+            m = float(np.abs(cycle).max())
+            fall = support_values(cycle, dirs) - support_values(pruned, dirs)
+            assert fall.min() >= -4.0 * np.finfo(float).eps * m
+            assert fall.max() <= 8.0 * (len(cycle) - len(pruned)) * planar.STRAIGHT_TAN * m
 
     def test_a_cut_corner_loses_one_point_not_the_corner(self):
         # A square with its (1, 1) corner cut by d: the two cut points are
@@ -202,7 +236,7 @@ class TestPruneCollinearCycle:
         with pytest.raises(ValueError, match="collinear"):
             loop_prune(line, 1e-12)
         with pytest.raises(ValueError, match="collinear"):
-            _prune_collinear_cycle(line, 1e-12)
+            strictly_convex(line)
 
 
 class TestSupportValues:
